@@ -25,7 +25,7 @@ from fractions import Fraction
 from functools import lru_cache
 from math import factorial
 
-from .graphs import Graph, GraphSpec, WeightedMultigraph, parse_graph_spec
+from .graphs import Graph, GraphSpec, WeightedMultigraph, _check_sun_args, parse_graph_spec
 from .partitions import Partition, partitions_of
 from .symfunc import Basis, SymFunc, p_to_e
 
@@ -624,6 +624,7 @@ def chromatic_poly_closed(spec) -> ChromPoly:
     fam = spec.family
     if fam == "sun":
         n, rays = spec.args
+        _check_sun_args(n, rays)
         cyc = _poly_pow(_XM1, n) + (-1) ** n * _XM1
         return cyc * _poly_pow(_XM1, sum(rays))
     if fam == "dumbbell":

@@ -167,6 +167,15 @@ def spider_graph(legs) -> Graph:
     return Graph(nxt, edges)
 
 
+def _check_sun_args(n: int, rays: tuple) -> None:
+    if n < 3:
+        raise ValueError("sun body needs at least three vertices")
+    if len(rays) != n:
+        raise ValueError(f"expected {n} ray lengths, got {len(rays)}")
+    if any(r < 1 for r in rays):
+        raise ValueError("ray lengths must be positive")
+
+
 def sun_graph(n: int, rays, body: str = "cycle") -> Graph:
     """Sun: body on vertices 0..n-1, then ray paths in declaration order.
 
@@ -177,12 +186,7 @@ def sun_graph(n: int, rays, body: str = "cycle") -> Graph:
     body edges + sum(rays).
     """
     rays = tuple(int(x) for x in rays)
-    if n < 3:
-        raise ValueError("sun body needs at least three vertices")
-    if len(rays) != n:
-        raise ValueError(f"expected {n} ray lengths, got {len(rays)}")
-    if any(r < 1 for r in rays):
-        raise ValueError("ray lengths must be positive")
+    _check_sun_args(n, rays)
     if body == "cycle":
         edges = [(i, (i + 1) % n) for i in range(n)]
     elif body == "complete":
@@ -429,6 +433,10 @@ class GraphSpec:
         return f"{f}({','.join(str(x) for x in a)})"
 
 
+#: deepest nesting of ``line(...)`` and ``union(...)`` that a spec may use
+MAX_SPEC_DEPTH = 100
+
+
 class _SpecParser:
     def __init__(self, text):
         self.text = text
@@ -479,7 +487,9 @@ class _SpecParser:
         self.expect(terminator)
         return vals
 
-    def spec(self) -> GraphSpec:
+    def spec(self, depth=0) -> GraphSpec:
+        if depth > MAX_SPEC_DEPTH:
+            self.error(f"spec nested deeper than {MAX_SPEC_DEPTH} levels")
         fam = self.name()
         if fam == "edges":
             self.expect("[")
@@ -501,14 +511,14 @@ class _SpecParser:
             return GraphSpec("edges", (d, tuple(pairs)))
         if fam == "line":
             self.expect("(")
-            inner = self.spec()
+            inner = self.spec(depth + 1)
             self.expect(")")
             return GraphSpec("line", (inner,))
         if fam == "union":
             self.expect("(")
-            a = self.spec()
+            a = self.spec(depth + 1)
             self.expect(",")
-            b = self.spec()
+            b = self.spec(depth + 1)
             self.expect(")")
             return GraphSpec("union", (a, b))
         if fam in ("sun", "csun"):

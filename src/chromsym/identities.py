@@ -18,6 +18,7 @@ from .csf import (
     ChromPoly,
     DEFAULT_CHROMPOLY_EDGE_CAP,
     DEFAULT_SUBSET_EDGE_CAP,
+    _check_dumbbell_params,
     chromatic_poly_closed,
     chromatic_poly_dc,
     compute_csf,
@@ -31,7 +32,7 @@ from .csf import (
 )
 from .graphs import Graph, GraphSpec, parse_graph_spec, spider_graph, sun_graph
 from .partitions import Partition
-from .positivity import triangle_sun_missing_type, uniform_sun_missing_type
+from .positivity import triangle_sun_missing_type, uniform_sun_coefficient, uniform_sun_missing_type
 from .symfunc import Basis, SymFunc
 
 #: default ceiling on |V| for identity parameter grids
@@ -159,14 +160,10 @@ def verify_sun_coefficient(n: int, k: int) -> IdentityReport:
     """The predicted negative e-coefficient of the sun with n equal rays of length k.
 
     Compares the oracle coefficient at ``uniform_sun_missing_type(n, k)``
-    against the case value: 2n(1-n) for k = 1 with n even, n(1-n) for k = 1
-    with n odd, and n(k+1)(1-n) for k >= 2.
+    against ``uniform_sun_coefficient(n, k)``.
     """
     lam = uniform_sun_missing_type(n, k)
-    if k == 1:
-        expected = 2 * n * (1 - n) if n % 2 == 0 else n * (1 - n)
-    else:
-        expected = n * (k + 1) * (1 - n)
+    expected = uniform_sun_coefficient(n, k)
     spec = f"sun({n};{','.join([str(k)] * n)})"
     got = _oracle(spec).coefficient(lam)
     lhs = SymFunc.single(Basis.E, lam, got)
@@ -206,13 +203,6 @@ def verify_sun_spider_reduction(a: int, b: int) -> IdentityReport:
     return _report("sun_spider_reduction", {"a": a, "b": b}, lhs, rhs)
 
 
-def _check_dumbbell_args(m: int, l: int, n: int) -> None:
-    if m < 3 or n < 3:
-        raise ValueError("cycle/clique sizes must be at least 3")
-    if l < -1:
-        raise ValueError("connection length must be at least -1")
-
-
 def verify_dumbbell_recursion(m: int, l: int, n: int) -> IdentityReport:
     """One-step recursion shrinking the m-cycle of the two-cycle dumbbell.
 
@@ -220,7 +210,7 @@ def verify_dumbbell_recursion(m: int, l: int, n: int) -> IdentityReport:
     For m = 3:  X_{D(3,l,n)} = 2 X_{T(n,l+3)} - X_{T(n,l+1)} X_{C(2)}.
     The left side is the oracle; every right-side term is a closed form.
     """
-    _check_dumbbell_args(m, l, n)
+    _check_dumbbell_params(m, l, n)
     lhs = _oracle(f"dumbbell({m},{l},{n})")
     if m > 3:
         rhs = (
@@ -235,7 +225,7 @@ def verify_dumbbell_recursion(m: int, l: int, n: int) -> IdentityReport:
 
 def verify_dumbbell_tadpole_expansion(m: int, l: int, n: int) -> IdentityReport:
     """X_{D(m,l,n)} = (m-1) X_{T(n,m+l)} - sum_{k=1}^{m-2} X_{T(n,l+k)} X_{C(m-k)}."""
-    _check_dumbbell_args(m, l, n)
+    _check_dumbbell_params(m, l, n)
     lhs = _oracle(f"dumbbell({m},{l},{n})")
     rhs = (m - 1) * csf_tadpole_closed(n, m + l)
     for k in range(1, m - 1):
@@ -245,7 +235,7 @@ def verify_dumbbell_tadpole_expansion(m: int, l: int, n: int) -> IdentityReport:
 
 def verify_dumbbell_full_expansion(m: int, l: int, n: int) -> IdentityReport:
     """Oracle CSF of D(m,l,n) against its closed path/cycle expansion."""
-    _check_dumbbell_args(m, l, n)
+    _check_dumbbell_params(m, l, n)
     lhs = _oracle(f"dumbbell({m},{l},{n})")
     rhs = csf_dumbbell_closed(m, l, n)
     return _report("dumbbell_full_expansion", {"m": m, "l": l, "n": n}, lhs, rhs)
@@ -257,7 +247,7 @@ def verify_cdumbbell_recursion(m: int, l: int, n: int) -> IdentityReport:
     The degenerate D̄(2,l,n) on the right of the m = 3 case is the lollipop
     L(n, l+2).
     """
-    _check_dumbbell_args(m, l, n)
+    _check_dumbbell_params(m, l, n)
     lhs = _oracle(f"cdumbbell({m},{l},{n})")
     if m - 1 >= 3:
         shrunk = csf_complete_dumbbell_closed(m - 1, l + 1, n)
@@ -273,7 +263,7 @@ def verify_cdumbbell_lollipop_expansion(m: int, l: int, n: int) -> IdentityRepor
     The integer weight is c_k = (m-1)(m-2)...(m-k-1) / (m-k); the factor
     m-k always occurs in the numerator product, so the quotient is exact.
     """
-    _check_dumbbell_args(m, l, n)
+    _check_dumbbell_params(m, l, n)
     lhs = _oracle(f"cdumbbell({m},{l},{n})")
     rhs = factorial(m - 1) * csf_lollipop_closed(n, m + l)
     for k in range(1, m - 1):
@@ -286,28 +276,19 @@ def verify_cdumbbell_lollipop_expansion(m: int, l: int, n: int) -> IdentityRepor
 
 def verify_cdumbbell_full_expansion(m: int, l: int, n: int) -> IdentityReport:
     """Oracle CSF of D̄(m,l,n) against its closed path/complete expansion."""
-    _check_dumbbell_args(m, l, n)
+    _check_dumbbell_params(m, l, n)
     lhs = _oracle(f"cdumbbell({m},{l},{n})")
     rhs = csf_complete_dumbbell_closed(m, l, n)
     return _report("cdumbbell_full_expansion", {"m": m, "l": l, "n": n}, lhs, rhs)
 
 
-def verify_chromatic_closed_forms(target, x_max=None) -> IdentityReport:
-    """Closed chromatic polynomial of a family spec against deletion-contraction.
-
-    Polynomials are compared coefficientwise; ``x_max`` additionally spot
-    checks evaluations at x = 0..x_max (redundant given coefficient equality,
-    kept as an independent read of the same data).
-    """
+def verify_chromatic_closed_forms(target) -> IdentityReport:
+    """Closed chromatic polynomial of a family spec against deletion-contraction,
+    compared coefficientwise."""
     spec = parse_graph_spec(target) if isinstance(target, str) else target
     lhs = chromatic_poly_dc(spec.build())
     rhs = chromatic_poly_closed(spec)
-    report = _report("chromatic_closed_forms", {"spec": spec}, lhs, rhs)
-    if x_max is not None and report.equal:
-        for x in range(x_max + 1):
-            if lhs(x) != rhs(x):  # pragma: no cover - unreachable given coefficient equality
-                return IdentityReport(report.name, report.params, lhs, rhs, False, lhs - rhs)
-    return report
+    return _report("chromatic_closed_forms", {"spec": spec}, lhs, rhs)
 
 
 def _csf_key(f: SymFunc):

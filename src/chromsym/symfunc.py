@@ -2,31 +2,35 @@
 
 Every value is homogeneous of a fixed degree, stored sparsely as a map from
 partitions (the basis indices) to ``fractions.Fraction`` coefficients.  Basis
-changes are exact:
+changes are exact and direct: each expands one basis element at a time,
+memoized on its index, and one linear-map helper applies that expansion to a
+function term by term.
 
-* ``p -> e`` expands each power sum through the signed multinomial formula
+* ``p -> e`` and ``e -> p`` expand each one-part element by the signed
+  multinomial formulas
   :math:`p_i = \\sum_{\\mu \\vdash i} (-1)^{i-\\ell(\\mu)}
-  \\frac{i\\,(\\ell(\\mu)-1)!}{\\prod_j m_j(\\mu)!}\\, e_\\mu`
-  and multiplies out products by index concatenation.
-* ``e -> p`` and ``e -> s`` solve the per-degree transition system by exact
-  Gaussian elimination over the rationals; ``s -> e`` expands the dual
-  Jacobi-Trudi determinant :math:`s_\\lambda = \\det(e_{\\lambda^t_i - i + j})`.
-
-Transition matrices are cached per degree behind a lock, so concurrent readers
-are safe once a degree has been built.
+  \\frac{i\\,(\\ell(\\mu)-1)!}{\\prod_j m_j(\\mu)!}\\, e_\\mu` and
+  :math:`e_i = \\sum_{\\mu \\vdash i} (-1)^{i-\\ell(\\mu)} z_\\mu^{-1} p_\\mu`,
+  and multiply out products by index concatenation.
+* ``e -> s`` grows :math:`e_\\mu` one part at a time by the dual Pieri rule
+  (:math:`s_\\lambda e_k` is the sum of :math:`s_\\nu` over the vertical
+  k-strips :math:`\\nu/\\lambda`), so its coefficients are the Kostka numbers
+  :math:`K_{\\lambda^t\\mu}` (Stanley, EC2 7.15; Macdonald I.5).
+* ``s -> e`` expands the dual Jacobi-Trudi determinant
+  :math:`s_\\lambda = \\det(e_{\\lambda^t_i - i + j})`.  It shares nothing with
+  ``e -> s``, so a round trip through both checks one route against the other.
 """
 
 from __future__ import annotations
 
-import threading
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
-from math import comb, factorial
+from functools import lru_cache, partial
+from math import comb, factorial, lcm
 
 from .partitions import Partition, partitions_of
 
-#: refuse to build transition matrices above this degree by default
+#: refuse e -> p and e -> s transitions above this degree by default
 DEFAULT_TRANSITION_CAP = 22
 
 
@@ -228,86 +232,127 @@ class SymFunc:
         return f"SymFunc({self.basis.value!r}, {self.degree}, {self})"
 
 
-# ------------------------------------------------------------------ p <-> e
+# ----------------------------------------------------- per-index expansions
+#
+# Each expansion is a tuple of (index, coefficient) pairs.  Indices are plain
+# weakly decreasing tuples, which hash and compare like the equal Partition;
+# SymFunc turns them into Partitions once, when a conversion returns.
+
+
+#: the expansion of an empty product
+_ONE = (((), 1),)
+
+
+def _merge(mu: tuple, nu: tuple) -> tuple:
+    """The index of a product in a basis that multiplies by concatenation."""
+    return tuple(sorted(mu + nu, reverse=True))
 
 
 @lru_cache(maxsize=None)
 def _power_in_e(i: int) -> tuple:
-    """e-expansion of the degree-i power sum, as ((partition, Fraction), ...)."""
+    """e-expansion of p_i by the signed multinomial formula (integer coefficients)."""
     out = []
     for mu in partitions_of(i):
         denom = 1
         for m in mu.multiplicities().values():
             denom *= factorial(m)
-        coeff = Fraction((-1) ** (i - len(mu)) * i * factorial(len(mu) - 1), denom)
-        out.append((mu, coeff))
+        out.append((mu, (-1) ** (i - len(mu)) * i * factorial(len(mu) - 1) // denom))
     return tuple(out)
 
 
 @lru_cache(maxsize=None)
-def _p_basis_in_e(lam: Partition) -> tuple:
-    """e-expansion of p_lambda = prod_i p_{lambda_i}, as ((partition, Fraction), ...)."""
-    acc = {Partition(): Fraction(1)}
-    for part in lam:
-        nxt = {}
-        for mu, a in acc.items():
-            for nu, b in _power_in_e(part):
-                key = Partition(tuple(mu) + tuple(nu))
-                nxt[key] = nxt.get(key, Fraction(0)) + a * b
-        acc = nxt
-    return tuple(sorted(acc.items(), reverse=True))
+def _elementary_in_p(i: int) -> tuple:
+    """p-expansion of e_i, the signed sum of p_mu / z_mu over mu |- i."""
+    out = []
+    for mu in partitions_of(i):
+        z = 1
+        for part, m in mu.multiplicities().items():
+            z *= part**m * factorial(m)
+        out.append((mu, Fraction((-1) ** (i - len(mu)), z)))
+    return tuple(out)
 
 
-def p_to_e(f: SymFunc) -> SymFunc:
-    """Convert from the power-sum basis to the elementary basis (exact)."""
-    if f.basis is not Basis.P:
-        raise ValueError(f"expected a p-basis function, got basis {f.basis.value}")
-    terms = {}
-    for lam, c in f.terms.items():
-        for mu, w in _p_basis_in_e(lam):
-            terms[mu] = terms.get(mu, Fraction(0)) + c * w
-    return SymFunc(Basis.E, f.degree, terms)
+@lru_cache(maxsize=None)
+def _product(one_part, lam: tuple) -> tuple:
+    """Expansion of prod_i b_{lam_i}, where ``one_part(i)`` expands b_i in a basis
+    that multiplies by index concatenation; built on the product without the
+    last part, so every prefix is expanded once."""
+    if not lam:
+        return _ONE
+    acc = {}
+    for mu, a in _product(one_part, lam[:-1]):
+        for nu, b in one_part(lam[-1]):
+            key = _merge(mu, nu)
+            acc[key] = acc.get(key, 0) + a * b
+    return tuple((key, c) for key, c in acc.items() if c)
 
 
-# --------------------------------------------------------------- Schur forms
+def _vertical_strips(lam: tuple, k: int) -> list:
+    """Every nu such that nu/lam is a vertical k-strip: k boxes, at most one per row."""
+    rows = lam + (0,) * k
+    out = []
+
+    def walk(i, left, above, grown):
+        if left == 0:
+            out.append(grown + lam[i:])
+            return
+        r = rows[i]
+        if above > r:  # a box fits at the end of row i
+            walk(i + 1, left - 1, r + 1, grown + (r + 1,))
+        if r:  # row i unchanged; an empty row ends the shape
+            walk(i + 1, left, r, grown + (r,))
+
+    walk(0, k, (lam[0] if lam else 0) + 1, ())
+    return out
+
+
+@lru_cache(maxsize=None)
+def _elementary_in_s(mu: tuple) -> tuple:
+    """s-expansion of e_mu: the Kostka numbers K_{lambda^t, mu}, as integers.
+
+    e_mu = e_{mu minus its last part} * e_k, and by the dual Pieri rule
+    s_lambda * e_k is the sum of s_nu over the vertical k-strips nu/lambda.
+    """
+    if not mu:
+        return _ONE
+    acc = {}
+    for lam, c in _elementary_in_s(mu[:-1]):
+        for nu in _vertical_strips(lam, mu[-1]):
+            acc[nu] = acc.get(nu, 0) + c
+    return tuple(acc.items())
 
 
 @lru_cache(maxsize=None)
 def _jacobi_trudi_dual(lam: Partition) -> tuple:
     """e-expansion of s_lambda via det(e_{lambda^t_i - i + j}), memoized cofactors.
 
-    The determinant is expanded along rows with a bitmask of surviving columns;
-    entries e_0 contribute 1 and negative subscripts vanish, so the recursion
-    only touches structurally nonzero permutations.
+    The determinant is expanded along rows over the surviving columns; entries
+    e_0 contribute 1 and negative subscripts vanish.  Row i has a nonzero
+    entry exactly in the columns j >= i - lambda^t_i, a bound that rises with
+    i, so a minor is structurally zero as soon as its diagonal is, and the
+    recursion stops there.
     """
     conj = lam.transpose()
-    r = lam[0]  # matrix size; conj has exactly r parts
 
     def entry(i, j):  # 0-based
         return conj[i] - (i + 1) + (j + 1)
 
-    from functools import lru_cache as _lc
-
-    @_lc(maxsize=None)
-    def minor(i: int, mask: int) -> tuple:
-        if i == r:
-            return ((Partition(), 1),)
+    @lru_cache(maxsize=None)
+    def minor(i: int, cols: tuple) -> tuple:
+        if not cols:
+            return _ONE
+        if any(entry(i + k, j) < 0 for k, j in enumerate(cols)):
+            return ()
         acc = {}
-        pos = 0
-        m = mask
-        while m:
-            j = (m & -m).bit_length() - 1
+        for pos, j in enumerate(cols):
             v = entry(i, j)
-            if v >= 0:
-                sign = -1 if (pos & 1) else 1
-                for mu, c in minor(i + 1, mask & ~(1 << j)):
-                    key = Partition(tuple(mu) + ((v,) if v > 0 else ()))
-                    acc[key] = acc.get(key, 0) + sign * c
-            pos += 1
-            m &= m - 1
-        return tuple(sorted(((k, c) for k, c in acc.items() if c), reverse=True))
+            sign = -1 if pos & 1 else 1
+            for mu, c in minor(i + 1, cols[:pos] + cols[pos + 1:]):
+                key = _merge(mu, (v,)) if v else mu
+                acc[key] = acc.get(key, 0) + sign * c
+        return tuple((k, c) for k, c in acc.items() if c)
 
-    return minor(0, (1 << r) - 1)
+    return minor(0, tuple(range(len(conj))))
 
 
 def schur_in_e(parts) -> SymFunc:
@@ -318,149 +363,57 @@ def schur_in_e(parts) -> SymFunc:
     return SymFunc(Basis.E, lam.weight, dict(_jacobi_trudi_dual(lam)))
 
 
-def s_to_e(f: SymFunc) -> SymFunc:
-    """Convert from the Schur basis to the elementary basis (exact)."""
-    if f.basis is not Basis.S:
-        raise ValueError(f"expected an s-basis function, got basis {f.basis.value}")
-    out = SymFunc.zero(Basis.E, f.degree)
-    for lam, c in f.terms.items():
-        out = out + c * schur_in_e(lam)
-    return out
-
-
-# ------------------------------------------------- per-degree transition solves
-
-_cache_lock = threading.Lock()
-_e_to_p_cache: dict = {}  # degree -> (basis list, row index, column expansions)
-_e_to_s_cache: dict = {}
-
-
-class _ExactLU:
-    """LU factorization with row pivoting over the rationals, built once per degree.
-
-    ``columns[j]`` maps row index -> Fraction.  Factoring costs O(n^3) Fraction
-    operations; each subsequent solve is O(n^2).
-    """
-
-    def __init__(self, columns, size):
-        a = [[Fraction(0)] * size for _ in range(size)]
-        for j, col in enumerate(columns):
-            for i, v in col.items():
-                a[i][j] = v
-        perm = list(range(size))
-        for col in range(size):
-            piv = next((r for r in range(col, size) if a[r][col] != 0), None)
-            if piv is None:
-                raise ArithmeticError("singular transition system")
-            if piv != col:
-                a[col], a[piv] = a[piv], a[col]
-                perm[col], perm[piv] = perm[piv], perm[col]
-            inv = 1 / a[col][col]
-            arow = a[col]
-            for r in range(col + 1, size):
-                if a[r][col] != 0:
-                    m = a[r][col] * inv
-                    row = a[r]
-                    row[col] = m  # store the multiplier in the eliminated slot
-                    for k in range(col + 1, size):
-                        if arow[k]:
-                            row[k] -= m * arow[k]
-        self.a = a
-        self.perm = perm
-        self.size = size
-
-    def solve(self, rhs):
-        """Solve A x = rhs for a dict rhs (row index -> Fraction); returns a list."""
-        a, n = self.a, self.size
-        y = [rhs.get(i, Fraction(0)) for i in self.perm]
-        for i in range(1, n):
-            row = a[i]
-            s = y[i]
-            for k in range(i):
-                if row[k] and y[k]:
-                    s -= row[k] * y[k]
-            y[i] = s
-        x = [Fraction(0)] * n
-        for i in range(n - 1, -1, -1):
-            row = a[i]
-            s = y[i]
-            for k in range(i + 1, n):
-                if row[k] and x[k]:
-                    s -= row[k] * x[k]
-            x[i] = s / row[i]
-        return x
+# ---------------------------------------------------------------- conversions
 
 
 def _degree_guard(degree: int, max_degree) -> None:
     cap = DEFAULT_TRANSITION_CAP if max_degree is None else max_degree
     if degree > cap:
-        raise ValueError(f"transition matrices guarded at degree {cap}, got {degree}")
+        raise ValueError(f"basis transitions guarded at degree {cap}, got {degree}")
 
 
-def _e_to_p_system(degree: int):
-    with _cache_lock:
-        hit = _e_to_p_cache.get(degree)
-    if hit is not None:
-        return hit
-    basis = partitions_of(degree)
-    index = {lam: i for i, lam in enumerate(basis)}
-    columns = []
-    for lam in basis:
-        col = {index[mu]: c for mu, c in _p_basis_in_e(lam)}
-        columns.append(col)
-    built = (basis, index, _ExactLU(columns, len(basis)))
-    with _cache_lock:
-        _e_to_p_cache.setdefault(degree, built)
-        return _e_to_p_cache[degree]
+def _apply(f: SymFunc, source: Basis, target: Basis, expand) -> SymFunc:
+    """The linear map sending each ``source`` basis element b_lam to ``expand(lam)``.
+
+    Coefficients are scaled to one common denominator, so the sums stay in
+    integers wherever the expansion is integral.
+    """
+    if f.basis is not source:
+        raise ValueError(f"expected a function in the {source.value} basis, got basis {f.basis.value}")
+    den = lcm(*(c.denominator for c in f.terms.values()))
+    terms = {}
+    for lam, c in f.terms.items():
+        a = c.numerator * (den // c.denominator)
+        for mu, w in expand(lam):
+            terms[mu] = terms.get(mu, 0) + a * w
+    return SymFunc(target, f.degree, {mu: Fraction(v) / den for mu, v in terms.items()})
 
 
-def _e_to_s_system(degree: int):
-    with _cache_lock:
-        hit = _e_to_s_cache.get(degree)
-    if hit is not None:
-        return hit
-    basis = partitions_of(degree)
-    index = {lam: i for i, lam in enumerate(basis)}
-    columns = []
-    for lam in basis:
-        col = {index[mu]: Fraction(c) for mu, c in _jacobi_trudi_dual(lam)}
-        columns.append(col)
-    built = (basis, index, _ExactLU(columns, len(basis)))
-    with _cache_lock:
-        _e_to_s_cache.setdefault(degree, built)
-        return _e_to_s_cache[degree]
+def p_to_e(f: SymFunc) -> SymFunc:
+    """Convert from the power-sum basis to the elementary basis (exact)."""
+    return _apply(f, Basis.P, Basis.E, partial(_product, _power_in_e))
 
 
 def e_to_p(f: SymFunc, max_degree=None) -> SymFunc:
     """Convert from the elementary basis to the power-sum basis (exact)."""
-    if f.basis is not Basis.E:
-        raise ValueError(f"expected an e-basis function, got basis {f.basis.value}")
-    if f.degree == 0:
-        return SymFunc(Basis.P, 0, dict(f.terms))
     _degree_guard(f.degree, max_degree)
-    basis, index, lu = _e_to_p_system(f.degree)
-    rhs = {index[lam]: c for lam, c in f.terms.items()}
-    x = lu.solve(rhs)
-    return SymFunc(Basis.P, f.degree, {basis[j]: x[j] for j in range(len(basis))})
+    return _apply(f, Basis.E, Basis.P, partial(_product, _elementary_in_p))
 
 
 def e_to_s(f: SymFunc, max_degree=None) -> SymFunc:
     """Convert from the elementary basis to the Schur basis (exact).
 
-    Builds the degree matrix expressing every Schur function in the e basis via
-    the dual Jacobi-Trudi determinant, then solves that system; Schur-expansion
-    coefficients therefore come out of exact elimination rather than any
-    combinatorial counting.
+    Each e_mu expands by the dual Pieri rule into Kostka numbers, which are
+    nonnegative integers; nothing is shared with ``s_to_e``, so a round trip
+    through both checks one route against the other.
     """
-    if f.basis is not Basis.E:
-        raise ValueError(f"expected an e-basis function, got basis {f.basis.value}")
-    if f.degree == 0:
-        return SymFunc(Basis.S, 0, dict(f.terms))
     _degree_guard(f.degree, max_degree)
-    basis, index, lu = _e_to_s_system(f.degree)
-    rhs = {index[lam]: c for lam, c in f.terms.items()}
-    x = lu.solve(rhs)
-    return SymFunc(Basis.S, f.degree, {basis[j]: x[j] for j in range(len(basis))})
+    return _apply(f, Basis.E, Basis.S, _elementary_in_s)
+
+
+def s_to_e(f: SymFunc) -> SymFunc:
+    """Convert from the Schur basis to the elementary basis (exact)."""
+    return _apply(f, Basis.S, Basis.E, _jacobi_trudi_dual)
 
 
 def convert(f: SymFunc, basis, max_degree=None) -> SymFunc:
@@ -468,12 +421,8 @@ def convert(f: SymFunc, basis, max_degree=None) -> SymFunc:
     target = Basis(basis)
     if f.basis is target:
         return f
-    routes = {
-        (Basis.P, Basis.E): lambda g: p_to_e(g),
-        (Basis.E, Basis.P): lambda g: e_to_p(g, max_degree),
-        (Basis.E, Basis.S): lambda g: e_to_s(g, max_degree),
-        (Basis.S, Basis.E): lambda g: s_to_e(g),
-        (Basis.P, Basis.S): lambda g: e_to_s(p_to_e(g), max_degree),
-        (Basis.S, Basis.P): lambda g: e_to_p(s_to_e(g), max_degree),
-    }
-    return routes[(f.basis, target)](f)
+    if f.basis is not Basis.E:  # every route passes through the e basis
+        f = p_to_e(f) if f.basis is Basis.P else s_to_e(f)
+    if target is Basis.E:
+        return f
+    return e_to_p(f, max_degree) if target is Basis.P else e_to_s(f, max_degree)

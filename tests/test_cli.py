@@ -212,6 +212,18 @@ class TestErrorsAndParser:
         code, _, err = run(capsys, "csf", "sun(3;1,1)")
         assert code == 2 and "error:" in err
 
+    @pytest.mark.parametrize("spec", ["sun(3;1,1)", "sun(2;1,1)", "sun(3;0,1,1)", "sun(3;-2,1,1)"])
+    def test_bad_sun_chrompoly_exit_2(self, capsys, spec):
+        code, out, err = run(capsys, "chrompoly", spec)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    def test_deeply_nested_spec_exit_2(self, capsys):
+        spec = "line(" * 1200 + "path(3)" + ")" * 1200
+        code, out, err = run(capsys, "csf", spec)
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
     def test_usage_error_exits_2(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["unknown-command"])

@@ -3,6 +3,7 @@ import pytest
 from chromsym.graphs import (
     Graph,
     GraphSpec,
+    MAX_SPEC_DEPTH,
     SpecParseError,
     add_complete,
     attach,
@@ -260,6 +261,13 @@ class TestSpecGrammar:
         with pytest.raises(SpecParseError) as err:
             parse_graph_spec("sun(3;1,1,?)")
         assert getattr(err.value, "pos", None) is not None
+
+    def test_nesting_depth_bounded(self):
+        spec = "line(" * 1200 + "path(3)" + ")" * 1200
+        with pytest.raises(SpecParseError):
+            parse_graph_spec(spec)
+        shallow = "line(" * MAX_SPEC_DEPTH + "path(3)" + ")" * MAX_SPEC_DEPTH
+        assert parse_graph_spec(shallow).family == "line"
 
     def test_build_spec_cached(self):
         assert build_spec("path(4)") is build_spec("path(4)")

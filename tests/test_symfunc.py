@@ -274,6 +274,25 @@ class TestElementaryExpansions:
         assert p_to_e(e_to_p(f)) == f
         assert s_to_e(e_to_s(f)) == f
 
+    def test_round_trips_every_elementary_up_to_degree_12(self):
+        for n in range(1, 13):
+            for mu in partitions_of(n):
+                f = SymFunc.single(Basis.E, mu, 1)
+                assert s_to_e(e_to_s(f)) == f, mu
+                assert p_to_e(e_to_p(f)) == f, mu
+
+    def test_round_trips_at_the_default_cap(self):
+        n = DEFAULT_TRANSITION_CAP
+        f = (
+            SymFunc.single(Basis.E, (n,), 3)
+            + SymFunc.single(Basis.E, (10, 7, 5), Fraction(-1, 2))
+            + SymFunc.single(Basis.E, (6, 5, 4, 3, 2, 1, 1), Fraction(2, 3))
+            + SymFunc.single(Basis.E, (4, 4, 3, 3, 2, 2, 2, 1, 1), 5)
+            + SymFunc.single(Basis.E, (1,) * n, -1)
+        )
+        assert s_to_e(e_to_s(f)) == f
+        assert p_to_e(e_to_p(f)) == f
+
     def test_e_to_p_matches_pointwise_oracle(self):
         f = SymFunc.single(Basis.E, (3, 2), 1)
         g = e_to_p(f)
