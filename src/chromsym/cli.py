@@ -11,7 +11,9 @@ into exit status 1, and usage or domain errors exit with status 2.
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
+import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
@@ -105,37 +107,31 @@ def _cmd_partitions(args) -> int:
     return 0
 
 
-def _parse_int_params(names):
-    def parse(text: str) -> dict:
-        pieces = [p.strip() for p in text.split(",")]
-        if len(pieces) != len(names):
-            raise ValueError(f"expected {len(names)} comma-separated values ({','.join(names)})")
-        return {name: int(p) for name, p in zip(names, pieces)}
+def _verify_kwargs(name: str, text: str) -> dict:
+    """Keyword arguments of ``VERIFIERS[name]`` parsed from its CLI text.
 
-    return parse
-
-
-def _parse_distinguishability(text: str) -> dict:
-    family, _, cap = text.partition(",")
-    if not cap:
-        raise ValueError("expected FAMILY,SIZE_CAP")
-    return {"family": family.strip(), "size_cap": int(cap)}
-
-
-_PARAM_PARSERS = {
-    "triple_deletion": lambda s: {"target": s},
-    "sun_coefficient": _parse_int_params(("n", "k")),
-    "small_sun_coefficient": _parse_int_params(("a", "b", "c")),
-    "sun_spider_reduction": _parse_int_params(("a", "b")),
-    "dumbbell_recursion": _parse_int_params(("m", "l", "n")),
-    "dumbbell_tadpole_expansion": _parse_int_params(("m", "l", "n")),
-    "dumbbell_full_expansion": _parse_int_params(("m", "l", "n")),
-    "cdumbbell_recursion": _parse_int_params(("m", "l", "n")),
-    "cdumbbell_lollipop_expansion": _parse_int_params(("m", "l", "n")),
-    "cdumbbell_full_expansion": _parse_int_params(("m", "l", "n")),
-    "chromatic_closed_forms": lambda s: {"target": s},
-    "distinguishability": _parse_distinguishability,
-}
+    A verifier with one required parameter takes the whole text, since graph
+    specs contain commas.  Otherwise the text is split on commas and each
+    piece is converted by its parameter's annotation.
+    """
+    params = [
+        p
+        for p in inspect.signature(VERIFIERS[name], eval_str=True).parameters.values()
+        if p.default is inspect.Parameter.empty
+    ]
+    if len(params) == 1:
+        return {params[0].name: text}
+    pieces = [piece.strip() for piece in text.split(",")]
+    if len(pieces) != len(params):
+        names = ",".join(p.name for p in params)
+        raise ValueError(f"expected {len(params)} comma-separated values ({names})")
+    kwargs = {}
+    for p, piece in zip(params, pieces):
+        try:
+            kwargs[p.name] = p.annotation(piece)
+        except ValueError:
+            raise ValueError(f"{p.name} must be {p.annotation.__name__}, got {piece!r}") from None
+    return kwargs
 
 
 def _grid_worker(task):
@@ -155,8 +151,9 @@ def _cmd_verify(args) -> int:
         raise ValueError(f"unknown identity {args.name!r}; known: {known}")
     if args.grid is not None:
         tasks = [(name, kw) for kw in iter_grid(name, args.grid)]
-        if args.jobs > 1:
-            with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+        jobs = max(1, min(args.jobs, os.cpu_count() or 1))
+        if jobs > 1:
+            with ProcessPoolExecutor(max_workers=jobs) as pool:
                 results = list(pool.map(_grid_worker, tasks))
         else:
             results = [_grid_worker(t) for t in tasks]
@@ -178,7 +175,7 @@ def _cmd_verify(args) -> int:
         return 1 if not all_equal and args.strict else 0
     if args.params is None:
         raise ValueError("verify needs PARAMS, or --grid CAP for a grid run")
-    kwargs = _PARAM_PARSERS[name](args.params)
+    kwargs = _verify_kwargs(name, args.params)
     report = VERIFIERS[name](**kwargs)
     obj = report.to_json_obj()
     if args.json:
@@ -247,7 +244,7 @@ def build_parser() -> argparse.ArgumentParser:
                    nargs="?", metavar="CAP",
                    help="run the whole grid up to CAP vertices (default %(const)s)")
     p.add_argument("--jobs", type=int, default=1, metavar="J",
-                   help="parallel workers for grid runs")
+                   help="parallel workers for grid runs, at most the CPU count")
     p.add_argument("--strict", action="store_true", help="exit 1 when a check fails")
     p.add_argument("--json", action="store_true", help="emit JSON instead of text")
     p.set_defaults(func=_cmd_verify)

@@ -7,22 +7,33 @@ Engines:
   evaluated by a depth-first walk over subsets sharing a single undoable
   union-find.  This is the brute-force oracle every other route is checked
   against.
-* ``csf_dc`` -- deletion-contraction on vertex-weighted multigraphs
-  (:math:`X_G = X_{G\\setminus e} - X_{G/e}`, contraction adds endpoint
-  weights).  States are keyed by their contracted-block structure and
-  memoized, which collapses the recursion on dense bodies.
+* one deletion-contraction kernel, ``_deletion_contraction``, over states
+  whose vertices are weighted clumps of original vertices (the weighted
+  recursion of Crew and Spirkl, :math:`X_G = X_{G\\setminus e} - X_{G/e}`,
+  where contraction merges the endpoint clumps and adds their weights).  Its moves: a disconnected state
+  is the product of its components, each memoized on its edge set; a
+  connected state may close in one step; otherwise it deletes and contracts
+  the non-bridge edge of largest degree sum.  ``csf_dc`` runs it on integer
+  p-tables.  ``chromatic_poly_dc`` first splits the graph into 2-connected
+  blocks, P(G) = x^{n - sum_B (|V(B)|-1)} prod_B P(B)/x, and runs it on each
+  block, where trees close to x(x-1)^{|E|} and complete states to a falling
+  factorial.
 * closed forms for paths, cycles, complete graphs, tadpoles, lollipops and the
   dumbbell families, accepted only because the test suite pins them to the
   subset oracle on overlapping grids.
 
-Both engines return power-sum expansions with integer coefficients; closed
-forms are elementary-basis native.
+Component products, block products and the tree and clique closings are
+theorems about all graphs, not family formulas: no ``*_closed`` function is
+ever called on the deletion-contraction path, so it stays an independent
+check of them.  The two CSF engines return power-sum expansions with integer
+coefficients; closed forms are elementary-basis native.
 """
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, reduce
 from math import factorial
 
 from .graphs import Graph, GraphSpec, WeightedMultigraph, _check_sun_args, parse_graph_spec
@@ -124,50 +135,134 @@ def csf_subsets(g: Graph, max_edges=None) -> SymFunc:
 # ---------------------------------------------------- deletion-contraction
 
 
-def _block_key(vertices) -> tuple:
+def _clump(vertices) -> tuple:
+    """A state vertex: the sorted original vertices contracted into it."""
     return tuple(sorted(vertices))
 
 
-def _bridges(edge_set):
-    """Bridge edges of the graph formed by an edge set (endpoints are any sortable keys).
+def _biconnected(edges):
+    """2-connected blocks of an edge set, grouped by connected component.
 
-    Iterative lowlink DFS; the edge set never contains parallel copies, so a
-    neighbor equal to the DFS parent is always the tree edge itself.
+    One iterative lowlink DFS with an edge stack.  Returns a list per
+    component of its blocks, each a list of edges ``(a, b)`` with ``a < b``; a
+    one-edge block is a bridge.  Endpoints are any sortable keys, and the set
+    holds no parallel copies, so a neighbor equal to the DFS parent is always
+    the tree edge itself.
     """
     adj = {}
-    for a, b in edge_set:
+    for a, b in edges:
         adj.setdefault(a, []).append(b)
         adj.setdefault(b, []).append(a)
     disc, low = {}, {}
-    bridges = set()
-    t = 0
-    for root in sorted(adj):
+    components = []
+    for root in adj:
         if root in disc:
             continue
-        disc[root] = low[root] = t
-        t += 1
+        disc[root] = low[root] = len(disc)
+        blocks, pending = [], []
         stack = [(root, None, iter(adj[root]))]
         while stack:
             node, parent, it = stack[-1]
-            pushed = False
             for nxt in it:
                 if nxt not in disc:
-                    disc[nxt] = low[nxt] = t
-                    t += 1
+                    disc[nxt] = low[nxt] = len(disc)
+                    pending.append((node, nxt) if node < nxt else (nxt, node))
                     stack.append((nxt, node, iter(adj[nxt])))
-                    pushed = True
                     break
-                if nxt != parent and disc[nxt] < low[node]:
-                    low[node] = disc[nxt]
-            if not pushed:
+                if nxt != parent and disc[nxt] < disc[node]:  # back edge, seen once
+                    pending.append((node, nxt) if node < nxt else (nxt, node))
+                    if disc[nxt] < low[node]:
+                        low[node] = disc[nxt]
+            else:
                 stack.pop()
                 if stack:
                     up = stack[-1][0]
                     if low[node] < low[up]:
                         low[up] = low[node]
-                    if low[node] > disc[up]:
-                        bridges.add((node, up) if node < up else (up, node))
-    return bridges
+                    if low[node] >= disc[up]:  # ``up`` cuts off the block below it
+                        tree_edge = (up, node) if up < node else (node, up)
+                        block = []
+                        while True:
+                            e = pending.pop()
+                            block.append(e)
+                            if e == tree_edge:
+                                break
+                        blocks.append(block)
+        components.append(blocks)
+    return components
+
+
+def _deletion_contraction(state, leaf, close=None, mul=operator.mul, sub=operator.sub):
+    """Evaluate a deletion-contraction invariant of a nonempty edge state.
+
+    A state is a frozenset of edges ``(a, b)``, ``a < b``, between clumps (see
+    ``_clump``).  The invariant is multiplicative over components, so a
+    disconnected state is the product (``mul``) of its components, each
+    memoized on its edge set for this call.  On a connected state
+    ``close(state)`` may return the value directly; otherwise the kernel
+    returns ``sub(value(G - e), value(G / e))`` for the non-bridge edge e with
+    the largest degree sum (any edge on a tree), multiplying in
+    ``leaf(clump)`` for each clump the move leaves isolated.  Contraction
+    merges the endpoint clumps and collapses parallel edges.
+    """
+    memo = {}
+
+    def value(edges):
+        hit = memo.get(edges)
+        if hit is not None:
+            return hit
+        components = _biconnected(edges)
+        if len(components) == 1:
+            return connected(edges, components[0])
+        factors = []
+        for blocks in components:
+            comp = frozenset(e for block in blocks for e in block)
+            hit = memo.get(comp)
+            factors.append(hit if hit is not None else connected(comp, blocks))
+        return reduce(mul, factors)
+
+    def connected(edges, blocks):
+        out = close(edges) if close is not None else None
+        if out is None:
+            deg = {}
+            for a, b in edges:
+                deg[a] = deg.get(a, 0) + 1
+                deg[b] = deg.get(b, 0) + 1
+            pool = [e for block in blocks if len(block) > 1 for e in block] or edges
+            e = max(pool, key=lambda ed: (deg[ed[0]] + deg[ed[1]], ed))
+            a, b = e
+            rest = edges - {e}
+            deleted = [leaf(x) for x in e if deg[x] == 1]
+            if rest:
+                deleted.append(value(rest))
+            merged = _clump(a + b)
+            contracted = set()
+            for u, v in rest:
+                if u in e:
+                    u = merged
+                if v in e:
+                    v = merged
+                contracted.add((u, v) if u < v else (v, u))
+            out = sub(
+                reduce(mul, deleted),
+                value(frozenset(contracted)) if contracted else leaf(merged),
+            )
+        memo[edges] = out
+        return out
+
+    return value(state)
+
+
+def _unit_edges(edge_list) -> frozenset:
+    """The starting state: every vertex its own clump."""
+    return frozenset(((u,), (v,)) for u, v in edge_list)
+
+
+def _subtract_counts(a, b):
+    out = dict(a)
+    for key, c in b.items():
+        out[key] = out.get(key, 0) - c
+    return {k: c for k, c in out.items() if c}
 
 
 def csf_dc(g, max_total_weight=None) -> SymFunc:
@@ -175,9 +270,8 @@ def csf_dc(g, max_total_weight=None) -> SymFunc:
 
     Accepts a ``Graph`` (unit weights) or a ``WeightedMultigraph``.  Any loop
     makes the function identically zero; parallel edges beyond the first copy
-    are discarded.  Recursion states are memoized on their contracted-block
-    structure, so delete/contract interleavings that reach the same minor are
-    evaluated once.
+    are discarded.  The kernel works on integer p-tables {parts: coefficient}:
+    an isolated clump of weight w is p_w, and the product is concatenation.
     """
     if isinstance(g, Graph):
         g = WeightedMultigraph.from_graph(g)
@@ -189,81 +283,18 @@ def csf_dc(g, max_total_weight=None) -> SymFunc:
         )
     if any(u == v for u, v in g.edges):
         return SymFunc.zero(Basis.P, degree)
-    base_edges = set()
-    for u, v in g.edges:
-        a, b = _block_key([u]), _block_key([v])
-        base_edges.add((a, b) if a < b else (b, a))
 
-    def weight_of(block):
-        return sum(weights[i] for i in block)
+    def leaf(clump):
+        return {(sum(weights[i] for i in clump),): 1}
 
-    memo = {}
-
-    def blocks_of(edges):
-        out = set()
-        for a, b in edges:
-            out.add(a)
-            out.add(b)
-        return out
-
-    def append_parts(table, extra):
-        if not extra:
-            return table
-        out = {}
-        for key, c in table.items():
-            nk = tuple(sorted(key + extra, reverse=True))
-            out[nk] = out.get(nk, 0) + c
-        return out
-
-    def pick_edge(edges):
-        deg = {}
-        for a, b in edges:
-            deg[a] = deg.get(a, 0) + 1
-            deg[b] = deg.get(b, 0) + 1
-        bridges = _bridges(edges)
-        pool = [e for e in edges if e not in bridges] or list(edges)
-        return max(pool, key=lambda e: (deg[e[0]] + deg[e[1]], e))
-
-    def rec(edges):
-        if not edges:
-            return {(): 1}
-        hit = memo.get(edges)
-        if hit is not None:
-            return hit
-        e = pick_edge(edges)
-        a, b = e
-        rest = edges - {e}
-        live = blocks_of(rest)
-        extra = tuple(weight_of(x) for x in (a, b) if x not in live)
-        deleted = append_parts(rec(rest), extra)
-        merged = _block_key(a + b)
-        contracted_edges = set()
-        for u, v in rest:
-            if u in (a, b):
-                u = merged
-            if v in (a, b):
-                v = merged
-            contracted_edges.add((u, v) if u < v else (v, u))
-        contracted_edges = frozenset(contracted_edges)
-        live2 = blocks_of(contracted_edges)
-        extra2 = (weight_of(merged),) if merged not in live2 else ()
-        contracted = append_parts(rec(contracted_edges), extra2)
-        out = dict(deleted)
-        for key, c in contracted.items():
-            out[key] = out.get(key, 0) - c
-        out = {k: c for k, c in out.items() if c}
-        memo[edges] = out
-        return out
-
-    table = rec(frozenset(base_edges))
-    isolated = tuple(
-        weights[v]
-        for v in range(len(weights))
-        if not any(v in (u, w) for u, w in g.edges)
-    )
-    table = {
-        tuple(sorted(k + isolated, reverse=True)): c for k, c in table.items()
-    } if isolated else table
+    state = _unit_edges(g.edges)
+    covered = {v for e in g.edges for v in e}
+    factors = [leaf((v,)) for v in range(len(weights)) if v not in covered]
+    if state:
+        factors.append(
+            _deletion_contraction(state, leaf, mul=_convolve_counts, sub=_subtract_counts)
+        )
+    table = reduce(_convolve_counts, factors, {(): 1})
     return SymFunc(Basis.P, degree, {Partition(k): Fraction(c) for k, c in table.items()})
 
 
@@ -538,83 +569,43 @@ def _poly_pow(p: ChromPoly, k: int) -> ChromPoly:
     return out
 
 
-@lru_cache(maxsize=4096)
-def _chromatic_dc_cached(g: Graph) -> ChromPoly:
-    base_edges = set()
-    for u, v in g.edge_list:
-        a, b = _block_key([u]), _block_key([v])
-        base_edges.add((a, b) if a < b else (b, a))
-    memo = {}
+def _falling(k: int) -> ChromPoly:
+    """x (x-1) ... (x-k+1), the chromatic polynomial of K_k."""
+    out = ChromPoly((1,))
+    for i in range(k):
+        out = out * ChromPoly((-i, 1))
+    return out
 
-    def rec(edges):
-        hit = memo.get(edges)
-        if hit is not None:
-            return hit
-        blocks = set()
-        for a, b in edges:
-            blocks.add(a)
-            blocks.add(b)
-        comp = _component_count(edges, blocks)
-        if len(edges) == len(blocks) - comp:  # forest: close in one step
-            out = _poly_pow(_XM1, len(edges)) * _poly_pow(_X, comp)
-            memo[edges] = out
-            return out
-        deg = {}
-        for a, b in edges:
-            deg[a] = deg.get(a, 0) + 1
-            deg[b] = deg.get(b, 0) + 1
-        bridges = _bridges(edges)
-        pool = [e for e in edges if e not in bridges]
-        e = max(pool, key=lambda ed: (deg[ed[0]] + deg[ed[1]], ed))
-        a, b = e
-        rest = edges - {e}
-        merged = _block_key(a + b)
-        contracted = set()
-        for u, v in rest:
-            if u in (a, b):
-                u = merged
-            if v in (a, b):
-                v = merged
-            contracted.add((u, v) if u < v else (v, u))
-        out = rec(rest) - rec(frozenset(contracted))
-        memo[edges] = out
-        return out
 
-    def _component_count(edges, blocks):
-        parent = {x: x for x in blocks}
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        comps = len(blocks)
-        for a, b in edges:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-                comps -= 1
-        return comps
-
-    covered = {v for e in g.edges for v in e}
-    isolated = g.n - len(covered)
-    if not base_edges:
-        return _poly_pow(_X, g.n)
-    return rec(frozenset(base_edges)) * _poly_pow(_X, isolated)
+def _close_chromatic(edges):
+    """Trees close to x (x-1)^{|E|} and complete states to a falling factorial."""
+    k = len({x for e in edges for x in e})
+    if len(edges) == k - 1:
+        return _X * _poly_pow(_XM1, len(edges))
+    if 2 * len(edges) == k * (k - 1):
+        return _falling(k)
+    return None
 
 
 def chromatic_poly_dc(g: Graph, max_edges=None) -> ChromPoly:
-    """Chromatic polynomial by deletion-contraction with forest closing.
+    """Chromatic polynomial by blocks and deletion-contraction.
 
-    Acyclic states finish in one step as x^c (x-1)^{|E|}; cyclic states branch
-    on a non-bridge edge, so recursion depth tracks the cycle rank, and block
-    memoization collapses repeated minors.
+    The graph splits into its 2-connected blocks B, and
+    P(G) = x^{n - sum_B (|V(B)|-1)} prod_B P(B)/x.  Each block runs through
+    the deletion-contraction kernel, where trees and complete states close in
+    one step and other states branch on a non-bridge edge.
     """
     cap = DEFAULT_CHROMPOLY_EDGE_CAP if max_edges is None else max_edges
     if len(g.edges) > cap:
         raise ValueError(f"chromatic recursion guarded at {cap} edges, graph has {len(g.edges)}")
-    return _chromatic_dc_cached(g)
+    exponent = g.n
+    out = ChromPoly((1,))
+    for blocks in _biconnected(_unit_edges(g.edge_list)):
+        for block in blocks:
+            exponent -= len({x for e in block for x in e}) - 1
+            poly = _deletion_contraction(frozenset(block), lambda _: _X, _close_chromatic)
+            out = out * poly.shift_divide()
+    return out * _poly_pow(_X, exponent)
 
 
 def chromatic_poly_closed(spec) -> ChromPoly:

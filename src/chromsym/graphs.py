@@ -94,9 +94,9 @@ class Graph:
 class WeightedMultigraph:
     """Vertex-weighted multigraph: weights per vertex, edge list may repeat and loop.
 
-    This is the state object of the contraction recursion: contracting an edge
-    adds the endpoint weights, so a vertex of weight w stands for a contracted
-    connected clump of w original vertices.
+    This is the weighted input of ``csf_dc``: in its recursion contracting an
+    edge adds the endpoint weights, so a vertex of weight w stands for a
+    contracted connected clump of w original vertices.
     """
 
     __slots__ = ("weights", "edges")

@@ -2,7 +2,9 @@ import json
 
 import pytest
 
-from chromsym.cli import build_parser, main
+from chromsym import cli
+from chromsym.cli import _verify_kwargs, build_parser, main
+from chromsym.identities import VERIFIERS, iter_grid
 
 
 def run(capsys, *argv):
@@ -201,6 +203,43 @@ class TestVerifyCommand:
     def test_bad_param_count(self, capsys):
         code, _, err = run(capsys, "verify", "dumbbell_recursion", "4,0")
         assert code == 2 and "error:" in err
+
+    def test_bad_param_value(self, capsys):
+        code, out, err = run(capsys, "verify", "dumbbell_recursion", "4,x,3")
+        assert code == 2 and out == ""
+        assert err.startswith("error:") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("name", sorted(VERIFIERS))
+    def test_params_round_trip(self, name):
+        kwargs = next(iter_grid(name, 8))
+        text = ",".join(str(value) for value in kwargs.values())
+        assert _verify_kwargs(name, text) == kwargs
+
+    def test_jobs_clamped_to_cpu_count(self, capsys, monkeypatch):
+        pools = []
+
+        class RecordingPool:  # runs the tasks in this process
+            def __init__(self, max_workers):
+                pools.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
+        monkeypatch.setattr("os.cpu_count", lambda: 3)
+        _, serial, _ = run(capsys, "verify", "sun_coefficient", "--grid", "8", "--json")
+        _, clamped, _ = run(capsys, "verify", "sun_coefficient", "--grid", "8", "--jobs", "1000000", "--json")
+        assert pools == [3] and clamped == serial
+        for jobs in ("0", "-4"):
+            _, out, _ = run(capsys, "verify", "sun_coefficient", "--grid", "8", "--jobs", jobs, "--json")
+            assert out == serial
+        assert pools == [3]
 
 
 class TestErrorsAndParser:

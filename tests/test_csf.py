@@ -2,7 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from chromsym import csf as csf_module
 from chromsym.csf import (
     AUTO_SUBSET_THRESHOLD,
     DEFAULT_CHROMPOLY_EDGE_CAP,
@@ -359,3 +361,80 @@ class TestGuards:
         assert len(g.edges) > DEFAULT_CHROMPOLY_EDGE_CAP
         with pytest.raises(ValueError):
             chromatic_poly_dc(g)
+
+
+# ------------------------------------------------------------- properties
+
+
+@st.composite
+def random_graphs(draw):
+    """Graphs on at most 8 vertices with at most 13 edges, so the subset walk stays small."""
+    n = draw(st.integers(0, 8))
+    pool = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    picks = draw(st.sets(st.integers(0, max(len(pool) - 1, 0)), max_size=min(len(pool), 13)))
+    return Graph(n, [pool[i] for i in picks])
+
+
+@st.composite
+def glued_graphs(draw):
+    """Cliques and cycles glued one at a time at a cut vertex, on at most 8 vertices."""
+    n, edges = 1, []
+    for _ in range(draw(st.integers(1, 4))):
+        kind = draw(st.sampled_from(("clique", "cycle")))
+        size = draw(st.integers(2, 4) if kind == "clique" else st.integers(3, 5))
+        if n + size - 1 > 8:
+            break
+        ring = [draw(st.integers(0, n - 1))] + list(range(n, n + size - 1))
+        n += size - 1
+        if kind == "clique":
+            edges += [(u, v) for i, u in enumerate(ring) for v in ring[i + 1:]]
+        else:
+            edges += list(zip(ring, ring[1:] + ring[:1]))
+    return Graph(n, edges)
+
+
+def count_colourings(g, k):
+    """Proper k-colourings of g, by backtracking over each component in BFS order."""
+    adj = g.adjacency()
+    total = 1
+    for comp in g.components():
+        order = [comp[0]]
+        for v in order:  # the list grows while it is walked: a BFS
+            order += [u for u in adj[v] if u not in order]
+        pos = {v: i for i, v in enumerate(order)}
+        earlier = [[pos[u] for u in adj[v] if pos[u] < pos[v]] for v in order]
+        colour = [None] * len(order)
+
+        def extend(i):
+            if i == len(order):
+                return 1
+            count = 0
+            for c in range(k):
+                if all(colour[j] != c for j in earlier[i]):
+                    colour[i] = c
+                    count += extend(i + 1)
+            return count
+
+        total *= extend(0)
+    return total
+
+
+class TestEngineProperties:
+    @settings(deadline=None, max_examples=50)
+    @given(st.one_of(random_graphs(), glued_graphs()))
+    def test_dc_matches_subsets_and_colourings(self, g):
+        subsets = csf_subsets(g)
+        assert csf_dc(g) == subsets
+        chi = chromatic_poly_dc(g)
+        e_form = p_to_e(subsets)
+        for k in range(5):
+            assert chi(k) == e_form.evaluate_ones(k) == count_colourings(g, k)
+
+    def test_dc_path_calls_no_closed_form(self, monkeypatch):
+        spec = "cdumbbell(4,1,4)"
+        g = parse_graph_spec(spec).build()
+        expected = (csf_subsets(g), chromatic_poly_closed(spec))
+        for name in list(vars(csf_module)):
+            if name.endswith("_closed"):
+                monkeypatch.setattr(csf_module, name, None)  # any call raises TypeError
+        assert (csf_dc(g), chromatic_poly_dc(g)) == expected
