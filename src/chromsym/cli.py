@@ -17,22 +17,12 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-from .csf import chromatic_poly_closed, chromatic_poly_dc, compute_csf
+from .csf import compute_chromatic, compute_csf
 from .graphs import parse_graph_spec
 from .identities import DEFAULT_GRID_VERTEX_CAP, VERIFIERS, iter_grid
 from .partitions import Partition, partitions_of
 from .positivity import e_positivity, missing_partition_scan, s_positivity
 from .symfunc import Basis, convert
-
-_CLOSED_CHROMATIC_FAMILIES = {"sun", "dumbbell", "cdumbbell", "sdumbbell"}
-
-
-def _compute_chromatic(spec_text: str, max_edges=None):
-    spec = parse_graph_spec(spec_text)
-    if spec.family in _CLOSED_CHROMATIC_FAMILIES:
-        return chromatic_poly_closed(spec), "closed"
-    return chromatic_poly_dc(spec.build(), max_edges=max_edges), "dc"
-
 
 def _print_json(obj) -> None:
     print(json.dumps(obj, separators=(", ", ": ")))
@@ -54,7 +44,7 @@ def _cmd_csf(args) -> int:
 
 
 def _cmd_chrompoly(args) -> int:
-    poly, engine = _compute_chromatic(args.spec, max_edges=args.max_edges)
+    poly, engine = compute_chromatic(args.spec, max_edges=args.max_edges)
     if args.at is not None:
         value = poly(args.at)
         if args.json:
@@ -196,11 +186,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     def add_common(p, vertices=False, degree=False):
         p.add_argument("--json", action="store_true", help="emit JSON instead of text")
-        p.add_argument("--max-edges", type=int, default=None, metavar="N",
-                       help="override the edge-count guard")
         if vertices:
             p.add_argument("--max-vertices", type=int, default=None, metavar="N",
                            help="override the vertex-count guard")
+        else:
+            p.add_argument("--max-edges", type=int, default=None, metavar="N",
+                           help="override the edge-count guard")
         if degree:
             p.add_argument("--max-degree", type=int, default=None, metavar="N",
                            help="override the basis-transition degree guard")

@@ -20,7 +20,8 @@ Engines:
   factorial.
 * closed forms for paths, cycles, complete graphs, tadpoles, lollipops and the
   dumbbell families, accepted only because the test suite pins them to the
-  subset oracle on overlapping grids.
+  subset oracle on overlapping grids.  Each checks its arguments by
+  ``GraphSpec.check``, the rule its family's builder runs.
 
 Component products, block products and the tree and clique closings are
 theorems about all graphs, not family formulas: no ``*_closed`` function is
@@ -36,7 +37,7 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from math import factorial
 
-from .graphs import Graph, GraphSpec, WeightedMultigraph, _check_sun_args, parse_graph_spec
+from .graphs import Graph, GraphSpec, WeightedMultigraph, as_spec
 from .partitions import Partition, partitions_of
 from .symfunc import Basis, SymFunc, p_to_e
 
@@ -312,8 +313,7 @@ def csf_path_closed(d: int) -> SymFunc:
 
     with the convention 0^0 = 1.
     """
-    if d < 1:
-        raise ValueError("path needs at least one vertex")
+    GraphSpec("path", (d,)).check()
     terms = {}
     for lam in partitions_of(d):
         mult = lam.multiplicities()
@@ -361,8 +361,7 @@ def csf_cycle_closed(d: int) -> SymFunc:
 
 def csf_complete_closed(n: int) -> SymFunc:
     """X of the complete graph: n! e_n."""
-    if n < 1:
-        raise ValueError("complete graph needs at least one vertex")
+    GraphSpec("complete", (n,)).check()
     return SymFunc.single(Basis.E, (n,), factorial(n))
 
 
@@ -372,8 +371,7 @@ def csf_tadpole_closed(a: int, b: int) -> SymFunc:
 
         X = (a-1) X_{P_{a+b}} - sum_{i=2}^{a-1} X_{P_{a+b-i}} X_{C_i}.
     """
-    if a < 2 or b < 0:
-        raise ValueError("tadpole forms need a >= 2, b >= 0")
+    GraphSpec("tadpole", (a, b)).check()
     out = (a - 1) * csf_path_closed(a + b)
     for i in range(2, a):
         out = out - csf_path_closed(a + b - i) * csf_cycle_closed(i)
@@ -387,8 +385,7 @@ def csf_lollipop_closed(a: int, b: int) -> SymFunc:
         X = (a-1)! ( X_{P_{a+b}}
                      - sum_{i=1}^{a-2} (a-i-1)/(a-i)! X_{K_{a-i}} X_{P_{b+i}} ).
     """
-    if a < 1 or b < 0:
-        raise ValueError("lollipop forms need a >= 1, b >= 0")
+    GraphSpec("lollipop", (a, b)).check()
     inner = csf_path_closed(a + b)
     for i in range(1, a - 1):
         scale = Fraction(a - i - 1, factorial(a - i))
@@ -405,7 +402,7 @@ def csf_dumbbell_closed(m: int, l: int, n: int) -> SymFunc:
         - (n-1) sum_{j=2}^{m-1} P_{m+l+n-j} C_j
         + sum_{i=2}^{n-1} sum_{j=2}^{m-1} P_{m+l+n-i-j} C_i C_j.
     """
-    _check_dumbbell_params(m, l, n)
+    GraphSpec("dumbbell", (m, l, n)).check()
     d = m + l + n
     out = (m - 1) * (n - 1) * csf_path_closed(d)
     for i in range(2, n):
@@ -428,7 +425,7 @@ def csf_complete_dumbbell_closed(m: int, l: int, n: int) -> SymFunc:
           - sum_{j=1}^{n-2} (n-j-1)/(n-j)! K_{n-j} P_{m+l+j}
           + sum_i sum_j (m-i-1)(n-j-1)/((m-i)!(n-j)!) K_{m-i} K_{n-j} P_{l+i+j}.
     """
-    _check_dumbbell_params(m, l, n)
+    GraphSpec("cdumbbell", (m, l, n)).check()
     d = m + l + n
     inner = csf_path_closed(d)
     for i in range(1, m - 1):
@@ -459,18 +456,11 @@ def csf_semicomplete_dumbbell_closed(m: int, l: int, n: int) -> SymFunc:
     the same unrolled triple-deletion that expands the two-cycle dumbbell into
     tadpoles, with the far side a lollipop instead.
     """
-    _check_dumbbell_params(m, l, n)
+    GraphSpec("sdumbbell", (m, l, n)).check()
     out = (m - 1) * csf_lollipop_closed(n, m + l)
     for k in range(1, m - 1):
         out = out - csf_lollipop_closed(n, l + k) * csf_cycle_closed(m - k)
     return out
-
-
-def _check_dumbbell_params(m, l, n):
-    if m < 3 or n < 3:
-        raise ValueError("dumbbell forms need m, n >= 3")
-    if l < -1:
-        raise ValueError("dumbbell forms need l >= -1")
 
 
 # -------------------------------------------------------- chromatic polynomials
@@ -608,19 +598,15 @@ def chromatic_poly_dc(g: Graph, max_edges=None) -> ChromPoly:
     return out * _poly_pow(_X, exponent)
 
 
-def chromatic_poly_closed(spec) -> ChromPoly:
-    """Closed-form chromatic polynomial for suns and the three dumbbell kinds."""
-    if isinstance(spec, str):
-        spec = parse_graph_spec(spec)
-    fam = spec.family
+def _closed_chromatic(spec: GraphSpec):
+    """The closed chromatic polynomial of a checked spec, or None if its family has none."""
+    fam, a = spec.family, spec.args
     if fam == "sun":
-        n, rays = spec.args
-        _check_sun_args(n, rays)
+        n, rays = a
         cyc = _poly_pow(_XM1, n) + (-1) ** n * _XM1
         return cyc * _poly_pow(_XM1, sum(rays))
     if fam == "dumbbell":
-        m, l, n = spec.args
-        _check_dumbbell_params(m, l, n)
+        m, l, n = a
         num = (
             _poly_pow(_XM1, l + 3)
             * (_poly_pow(_XM1, m - 1) + ChromPoly(((-1) ** m,)))
@@ -628,8 +614,7 @@ def chromatic_poly_closed(spec) -> ChromPoly:
         )
         return num.shift_divide()
     if fam == "cdumbbell":
-        m, l, n = spec.args
-        _check_dumbbell_params(m, l, n)
+        m, l, n = a
         big, small = max(m, n), min(m, n)
         out = _X * _poly_pow(_XM1, l + 3)
         for k in range(2, small):
@@ -638,13 +623,22 @@ def chromatic_poly_closed(spec) -> ChromPoly:
             out = out * ChromPoly((-k, 1))
         return out
     if fam == "sdumbbell":
-        m, l, n = spec.args
-        _check_dumbbell_params(m, l, n)
+        m, l, n = a
         out = (_poly_pow(_XM1, m) + (-1) ** m * _XM1) * _poly_pow(_XM1, l + 2)
         for k in range(2, n):
             out = out * ChromPoly((-k, 1))
         return out
-    raise ValueError(f"no closed chromatic polynomial for family {fam!r}")
+    return None
+
+
+def chromatic_poly_closed(spec) -> ChromPoly:
+    """Closed-form chromatic polynomial for suns and the three dumbbell kinds."""
+    spec = as_spec(spec)
+    spec.check()
+    out = _closed_chromatic(spec)
+    if out is None:
+        raise ValueError(f"no closed chromatic polynomial for family {spec.family!r}")
+    return out
 
 
 # ------------------------------------------------------------ engine routing
@@ -652,7 +646,7 @@ def chromatic_poly_closed(spec) -> ChromPoly:
 
 _CLOSED_BUILDERS = {
     "path": lambda a: csf_path_closed(a[0]),
-    "cycle": lambda a: csf_cycle_closed(a[0]) if a[0] >= 3 else None,
+    "cycle": lambda a: csf_cycle_closed(a[0]),
     "complete": lambda a: csf_complete_closed(a[0]),
     "tadpole": lambda a: csf_tadpole_closed(a[0], a[1]),
     "lollipop": lambda a: csf_lollipop_closed(a[0], a[1]),
@@ -680,11 +674,9 @@ def compute_csf(target, engine: str = "auto", max_subset_edges=None):
     independent of the family formulas.  Explicit engine names ("closed",
     "subsets", "dc") force a route.
     """
-    spec = None
-    if isinstance(target, str):
-        spec = parse_graph_spec(target)
-    elif isinstance(target, GraphSpec):
-        spec = target
+    spec = as_spec(target)
+    if spec is not None:
+        spec.check()
     if engine in ("auto", "closed") and spec is not None:
         closed = closed_csf_for(spec)
         if closed is not None:
@@ -703,3 +695,18 @@ def compute_csf(target, engine: str = "auto", max_subset_edges=None):
             return p_to_e(csf_subsets(g, max_subset_edges)), "subsets"
         return p_to_e(csf_dc(g)), "dc"
     raise ValueError(f"unknown engine {engine!r}")
+
+
+def compute_chromatic(target, max_edges=None):
+    """Chromatic polynomial of a Graph, GraphSpec or spec string; returns
+    (ChromPoly, engine_used).  A family with a closed form uses it, and any
+    other graph goes through ``chromatic_poly_dc``, guarded at ``max_edges``.
+    """
+    spec = as_spec(target)
+    if spec is not None:
+        spec.check()
+        closed = _closed_chromatic(spec)
+        if closed is not None:
+            return closed, "closed"
+        target = spec.build()
+    return chromatic_poly_dc(target, max_edges=max_edges), "dc"

@@ -4,12 +4,17 @@ Vertex numbering conventions (documented per builder, and relied on by tests):
 bodies come first, then attachments in declaration order.  All graphs are
 undirected; ``Graph`` is immutable and hashable so computed invariants can be
 cached per graph.
+
+Each family's argument rule is written once, as the ``_check_*_args``
+function its builder runs.  ``_FAMILY_TABLE`` gives every family of the spec
+grammar its argument count, rule and builder; ``GraphSpec.check`` runs the
+rule without building, and every other module checks arguments through it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import partial
 
 from .partitions import Partition
 
@@ -128,24 +133,41 @@ class WeightedMultigraph:
 # ------------------------------------------------------------------ builders
 
 
-def path_graph(n: int) -> Graph:
-    """Path on n >= 1 vertices 0..n-1, edges (i, i+1)."""
+def _check_path_args(n: int) -> None:
     if n < 1:
         raise ValueError("path needs at least one vertex")
+
+
+def path_graph(n: int) -> Graph:
+    """Path on n >= 1 vertices 0..n-1, edges (i, i+1)."""
+    _check_path_args(n)
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
+
+
+def _check_cycle_args(n: int) -> None:
+    if n < 3:
+        raise ValueError("cycle needs at least three vertices")
 
 
 def cycle_graph(n: int) -> Graph:
     """Cycle on n >= 3 vertices 0..n-1 (consecutive plus the wrap edge)."""
-    if n < 3:
-        raise ValueError("cycle needs at least three vertices")
+    _check_cycle_args(n)
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
-def complete_graph(n: int) -> Graph:
+def _check_complete_args(n: int) -> None:
     if n < 1:
         raise ValueError("complete graph needs at least one vertex")
+
+
+def complete_graph(n: int) -> Graph:
+    _check_complete_args(n)
     return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+
+
+def _check_spider_args(*legs) -> None:
+    if not legs or any(x < 1 for x in legs):
+        raise ValueError("spider legs must be positive")
 
 
 def spider_graph(legs) -> Graph:
@@ -155,8 +177,7 @@ def spider_graph(legs) -> Graph:
     to the first vertex of each leg (a leaf of that path).
     """
     legs = tuple(int(x) for x in legs)
-    if not legs or any(x < 1 for x in legs):
-        raise ValueError("spider legs must be positive")
+    _check_spider_args(*legs)
     edges = []
     nxt = 1
     for leg in legs:
@@ -202,15 +223,19 @@ def sun_graph(n: int, rays, body: str = "cycle") -> Graph:
     return Graph(nxt, edges)
 
 
+def _check_tadpole_args(m: int, l: int) -> None:
+    if m < 3:
+        raise ValueError("tadpole cycle needs m >= 3")
+    if l < 0:
+        raise ValueError("tail length must be nonnegative")
+
+
 def tadpole_graph(m: int, l: int) -> Graph:
     """Cycle C_m (vertices 0..m-1) with a pendant path of l vertices at vertex 0.
 
     l = 0 gives the bare cycle.  Edge count m + l.
     """
-    if m < 3:
-        raise ValueError("tadpole cycle needs m >= 3")
-    if l < 0:
-        raise ValueError("tail length must be nonnegative")
+    _check_tadpole_args(m, l)
     edges = [(i, (i + 1) % m) for i in range(m)]
     if l:
         edges.append((0, m))
@@ -219,12 +244,16 @@ def tadpole_graph(m: int, l: int) -> Graph:
     return Graph(m + l, edges)
 
 
-def lollipop_graph(m: int, l: int) -> Graph:
-    """Complete graph K_m (vertices 0..m-1) with a pendant path of l vertices at 0."""
+def _check_lollipop_args(m: int, l: int) -> None:
     if m < 3:
         raise ValueError("lollipop clique needs m >= 3")
     if l < 0:
         raise ValueError("tail length must be nonnegative")
+
+
+def lollipop_graph(m: int, l: int) -> Graph:
+    """Complete graph K_m (vertices 0..m-1) with a pendant path of l vertices at 0."""
+    _check_lollipop_args(m, l)
     edges = [(i, j) for i in range(m) for j in range(i + 1, m)]
     if l:
         edges.append((0, m))
@@ -241,6 +270,13 @@ def _body_edges(kind: str, verts) -> list:
     return [(verts[i], verts[j]) for i in range(k) for j in range(i + 1, k)]
 
 
+def _check_dumbbell_args(m: int, l: int, n: int) -> None:
+    if m < 3 or n < 3:
+        raise ValueError("dumbbell bodies need at least three vertices each")
+    if l < -1:
+        raise ValueError("connector length must be at least -1")
+
+
 def dumbbell_graph(m: int, l: int, n: int, kind: str = "ordinary") -> Graph:
     """Two bodies joined through a path of l vertices.
 
@@ -254,10 +290,7 @@ def dumbbell_graph(m: int, l: int, n: int, kind: str = "ordinary") -> Graph:
     both bodies); l = 0 joins the two bodies directly by an edge; l = -1 makes
     the bodies share vertex 0, giving m + n - 1 vertices in total.
     """
-    if m < 3 or n < 3:
-        raise ValueError("dumbbell bodies need at least three vertices each")
-    if l < -1:
-        raise ValueError("connector length must be at least -1")
+    _check_dumbbell_args(m, l, n)
     if kind not in ("ordinary", "complete", "semicomplete"):
         raise ValueError(f"unknown dumbbell kind {kind!r}")
     first = "cycle" if kind in ("ordinary", "semicomplete") else "complete"
@@ -361,18 +394,6 @@ def edge_subset_type(g: Graph, subset) -> Partition:
 
 # -------------------------------------------------------------- spec grammar
 
-_FAMILIES = {
-    "path": 1,
-    "cycle": 1,
-    "complete": 1,
-    "tadpole": 2,
-    "lollipop": 2,
-    "dumbbell": 3,
-    "cdumbbell": 3,
-    "sdumbbell": 3,
-}
-
-
 @dataclass(frozen=True)
 class GraphSpec:
     """Parsed graph description: a family name plus arguments.
@@ -385,37 +406,23 @@ class GraphSpec:
     family: str
     args: tuple
 
+    def _entry(self):
+        """The family's table entry, once the argument count is right."""
+        if self.family not in _FAMILY_TABLE:
+            raise ValueError(f"unknown family {self.family!r}")
+        arity, rule, builder = _FAMILY_TABLE[self.family]
+        if arity is not None and len(self.args) != arity:
+            raise ValueError(f"{self.family} takes {arity} argument(s), got {len(self.args)}")
+        return rule, builder
+
+    def check(self) -> None:
+        """Raise ``ValueError`` exactly when ``build`` would, without building."""
+        rule, _ = self._entry()
+        rule(*self.args)
+
     def build(self) -> Graph:
-        f, a = self.family, self.args
-        if f == "path":
-            return path_graph(*a)
-        if f == "cycle":
-            return cycle_graph(*a)
-        if f == "complete":
-            return complete_graph(*a)
-        if f == "spider":
-            return spider_graph(a)
-        if f == "sun":
-            return sun_graph(a[0], a[1], body="cycle")
-        if f == "csun":
-            return sun_graph(a[0], a[1], body="complete")
-        if f == "tadpole":
-            return tadpole_graph(*a)
-        if f == "lollipop":
-            return lollipop_graph(*a)
-        if f == "dumbbell":
-            return dumbbell_graph(*a, kind="ordinary")
-        if f == "cdumbbell":
-            return dumbbell_graph(*a, kind="complete")
-        if f == "sdumbbell":
-            return dumbbell_graph(*a, kind="semicomplete")
-        if f == "line":
-            return line_graph(a[0].build())
-        if f == "union":
-            return disjoint_union(a[0].build(), a[1].build())
-        if f == "edges":
-            return Graph(a[0], a[1])
-        raise ValueError(f"unknown family {f!r}")
+        _, builder = self._entry()
+        return builder(*self.args)
 
     def __str__(self):
         f, a = self.family, self.args
@@ -431,6 +438,26 @@ class GraphSpec:
             pairs = ",".join(f"({u},{v})" for u, v in a[1])
             return f"edges[{a[0]}:{pairs}]"
         return f"{f}({','.join(str(x) for x in a)})"
+
+
+#: family -> (argument count or None for any, rule, builder); both take the
+#: spec's arguments unpacked.  An edge list's rule is the ``Graph`` constructor.
+_FAMILY_TABLE = {
+    "path": (1, _check_path_args, path_graph),
+    "cycle": (1, _check_cycle_args, cycle_graph),
+    "complete": (1, _check_complete_args, complete_graph),
+    "spider": (None, _check_spider_args, lambda *legs: spider_graph(legs)),
+    "sun": (2, _check_sun_args, sun_graph),
+    "csun": (2, _check_sun_args, partial(sun_graph, body="complete")),
+    "tadpole": (2, _check_tadpole_args, tadpole_graph),
+    "lollipop": (2, _check_lollipop_args, lollipop_graph),
+    "dumbbell": (3, _check_dumbbell_args, dumbbell_graph),
+    "cdumbbell": (3, _check_dumbbell_args, partial(dumbbell_graph, kind="complete")),
+    "sdumbbell": (3, _check_dumbbell_args, partial(dumbbell_graph, kind="semicomplete")),
+    "line": (1, GraphSpec.check, lambda inner: line_graph(inner.build())),
+    "union": (2, lambda a, b: (a.check(), b.check()), lambda a, b: disjoint_union(a.build(), b.build())),
+    "edges": (2, Graph, Graph),
+}
 
 
 #: deepest nesting of ``line(...)`` and ``union(...)`` that a spec may use
@@ -527,15 +554,12 @@ class _SpecParser:
             self.expect(";")
             rays = self.int_list(")")
             return GraphSpec(fam, (n, tuple(rays)))
-        if fam == "spider":
-            self.expect("(")
-            legs = self.int_list(")")
-            return GraphSpec("spider", tuple(legs))
-        if fam in _FAMILIES:
+        if fam in _FAMILY_TABLE:
             self.expect("(")
             vals = self.int_list(")")
-            if len(vals) != _FAMILIES[fam]:
-                self.error(f"{fam} takes {_FAMILIES[fam]} argument(s), got {len(vals)}")
+            arity = _FAMILY_TABLE[fam][0]
+            if arity is not None and len(vals) != arity:
+                self.error(f"{fam} takes {arity} argument(s), got {len(vals)}")
             return GraphSpec(fam, tuple(vals))
         self.error(f"unknown family {fam!r}")
 
@@ -554,7 +578,11 @@ def parse_graph_spec(text: str) -> GraphSpec:
     return out
 
 
-@lru_cache(maxsize=None)
-def build_spec(text: str) -> Graph:
-    """Parse and build in one step (cached on the exact text)."""
-    return parse_graph_spec(text).build()
+def as_spec(target):
+    """The spec ``target`` names: a str is parsed, a GraphSpec is returned as
+    is, and anything else (a ``Graph``) gives None."""
+    if isinstance(target, str):
+        return parse_graph_spec(target)
+    if isinstance(target, GraphSpec):
+        return target
+    return None

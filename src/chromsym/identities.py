@@ -18,7 +18,6 @@ from .csf import (
     ChromPoly,
     DEFAULT_CHROMPOLY_EDGE_CAP,
     DEFAULT_SUBSET_EDGE_CAP,
-    _check_dumbbell_params,
     chromatic_poly_closed,
     chromatic_poly_dc,
     compute_csf,
@@ -30,10 +29,10 @@ from .csf import (
     csf_path_closed,
     csf_tadpole_closed,
 )
-from .graphs import Graph, GraphSpec, parse_graph_spec, spider_graph, sun_graph
+from .graphs import Graph, GraphSpec, as_spec, parse_graph_spec, spider_graph, sun_graph
 from .partitions import Partition
 from .positivity import triangle_sun_missing_type, uniform_sun_coefficient, uniform_sun_missing_type
-from .symfunc import Basis, SymFunc
+from .symfunc import Basis, SymFunc, fraction_json
 
 #: default ceiling on |V| for identity parameter grids
 DEFAULT_GRID_VERTEX_CAP = 14
@@ -43,7 +42,7 @@ def _jsonable(value):
     if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
         return value
     if isinstance(value, Fraction):
-        return {"num": str(value.numerator), "den": str(value.denominator)}
+        return fraction_json(value)
     if isinstance(value, Graph):
         return {"vertices": value.n, "edges": [list(e) for e in value.edge_list]}
     if isinstance(value, GraphSpec):
@@ -90,18 +89,9 @@ def _report(name: str, params: dict, lhs, rhs) -> IdentityReport:
 
 
 @lru_cache(maxsize=1024)
-def _oracle_by_spec(spec_text: str) -> SymFunc:
-    f, _ = compute_csf(spec_text, engine="oracle")
-    return f
-
-
-def _oracle(target) -> SymFunc:
+def _oracle(spec_text: str) -> SymFunc:
     """Oracle CSF (never a closed form), cached per spec string."""
-    if isinstance(target, GraphSpec):
-        target = str(target)
-    if isinstance(target, str):
-        return _oracle_by_spec(target)
-    f, _ = compute_csf(target, engine="oracle")
+    f, _ = compute_csf(spec_text, engine="oracle")
     return f
 
 
@@ -129,11 +119,7 @@ def verify_triple_deletion(target, e1=None, e2=None, e3=None) -> IdentityReport:
     All four functions come from the edge-subset oracle.  When no edges are
     given, the lexicographically first triangle of the graph is used.
     """
-    spec = None
-    if isinstance(target, str):
-        spec = parse_graph_spec(target)
-    elif isinstance(target, GraphSpec):
-        spec = target
+    spec = as_spec(target)
     g = spec.build() if spec is not None else target
     if e1 is None:
         tri = first_triangle(g)
@@ -196,8 +182,6 @@ def verify_sun_spider_reduction(a: int, b: int) -> IdentityReport:
     Both graph functions come from the subset oracle; the path product from
     the closed path form.
     """
-    if a < 1 or b < 1:
-        raise ValueError("ray parameters must be positive")
     lhs = _subsets(sun_graph(3, (a, b, b)))
     rhs = 2 * _subsets(spider_graph((a + 1, b + 1, b))) - csf_path_closed(2 * b + 2) * csf_path_closed(a + 1)
     return _report("sun_spider_reduction", {"a": a, "b": b}, lhs, rhs)
@@ -210,7 +194,6 @@ def verify_dumbbell_recursion(m: int, l: int, n: int) -> IdentityReport:
     For m = 3:  X_{D(3,l,n)} = 2 X_{T(n,l+3)} - X_{T(n,l+1)} X_{C(2)}.
     The left side is the oracle; every right-side term is a closed form.
     """
-    _check_dumbbell_params(m, l, n)
     lhs = _oracle(f"dumbbell({m},{l},{n})")
     if m > 3:
         rhs = (
@@ -225,7 +208,6 @@ def verify_dumbbell_recursion(m: int, l: int, n: int) -> IdentityReport:
 
 def verify_dumbbell_tadpole_expansion(m: int, l: int, n: int) -> IdentityReport:
     """X_{D(m,l,n)} = (m-1) X_{T(n,m+l)} - sum_{k=1}^{m-2} X_{T(n,l+k)} X_{C(m-k)}."""
-    _check_dumbbell_params(m, l, n)
     lhs = _oracle(f"dumbbell({m},{l},{n})")
     rhs = (m - 1) * csf_tadpole_closed(n, m + l)
     for k in range(1, m - 1):
@@ -235,7 +217,6 @@ def verify_dumbbell_tadpole_expansion(m: int, l: int, n: int) -> IdentityReport:
 
 def verify_dumbbell_full_expansion(m: int, l: int, n: int) -> IdentityReport:
     """Oracle CSF of D(m,l,n) against its closed path/cycle expansion."""
-    _check_dumbbell_params(m, l, n)
     lhs = _oracle(f"dumbbell({m},{l},{n})")
     rhs = csf_dumbbell_closed(m, l, n)
     return _report("dumbbell_full_expansion", {"m": m, "l": l, "n": n}, lhs, rhs)
@@ -247,7 +228,6 @@ def verify_cdumbbell_recursion(m: int, l: int, n: int) -> IdentityReport:
     The degenerate D̄(2,l,n) on the right of the m = 3 case is the lollipop
     L(n, l+2).
     """
-    _check_dumbbell_params(m, l, n)
     lhs = _oracle(f"cdumbbell({m},{l},{n})")
     if m - 1 >= 3:
         shrunk = csf_complete_dumbbell_closed(m - 1, l + 1, n)
@@ -263,7 +243,6 @@ def verify_cdumbbell_lollipop_expansion(m: int, l: int, n: int) -> IdentityRepor
     The integer weight is c_k = (m-1)(m-2)...(m-k-1) / (m-k); the factor
     m-k always occurs in the numerator product, so the quotient is exact.
     """
-    _check_dumbbell_params(m, l, n)
     lhs = _oracle(f"cdumbbell({m},{l},{n})")
     rhs = factorial(m - 1) * csf_lollipop_closed(n, m + l)
     for k in range(1, m - 1):
@@ -276,7 +255,6 @@ def verify_cdumbbell_lollipop_expansion(m: int, l: int, n: int) -> IdentityRepor
 
 def verify_cdumbbell_full_expansion(m: int, l: int, n: int) -> IdentityReport:
     """Oracle CSF of D̄(m,l,n) against its closed path/complete expansion."""
-    _check_dumbbell_params(m, l, n)
     lhs = _oracle(f"cdumbbell({m},{l},{n})")
     rhs = csf_complete_dumbbell_closed(m, l, n)
     return _report("cdumbbell_full_expansion", {"m": m, "l": l, "n": n}, lhs, rhs)
@@ -285,7 +263,7 @@ def verify_cdumbbell_full_expansion(m: int, l: int, n: int) -> IdentityReport:
 def verify_chromatic_closed_forms(target) -> IdentityReport:
     """Closed chromatic polynomial of a family spec against deletion-contraction,
     compared coefficientwise."""
-    spec = parse_graph_spec(target) if isinstance(target, str) else target
+    spec = as_spec(target)
     lhs = chromatic_poly_dc(spec.build())
     rhs = chromatic_poly_closed(spec)
     return _report("chromatic_closed_forms", {"spec": spec}, lhs, rhs)
@@ -314,6 +292,14 @@ def _sun_ray_tuples(n: int, total: int):
             yield (first,) + rest
 
 
+def _sun_specs(cap: int):
+    """``(n, ray sum), spec`` of every sun on at most ``cap`` vertices."""
+    for n in range(3, cap + 1):
+        for total in range(n, cap - n + 1):
+            for rays in _sun_ray_tuples(n, total):
+                yield (n, total), f"sun({n};{','.join(map(str, rays))})"
+
+
 def verify_distinguishability(family: str, size_cap: int) -> IdentityReport:
     """Grid claim that the family's CSF separates its parameters.
 
@@ -337,17 +323,13 @@ def verify_distinguishability(family: str, size_cap: int) -> IdentityReport:
             seen.setdefault(fk, spec)
         claim = collision is None
     elif family == "sun":
-        for n in range(3, size_cap + 1):
-            for total in range(n, size_cap - n + 1):
-                for rays in _sun_ray_tuples(n, total):
-                    spec = f"sun({n};{','.join(map(str, rays))})"
-                    f, _ = compute_csf(spec, engine="oracle")
-                    fk = _csf_key(f)
-                    count += 1
-                    key = (n, total)
-                    if fk in seen and seen[fk][0] != key and collision is None:
-                        collision = [seen[fk][1], spec]
-                    seen.setdefault(fk, (key, spec))
+        for key, spec in _sun_specs(size_cap):
+            f, _ = compute_csf(spec, engine="oracle")
+            fk = _csf_key(f)
+            count += 1
+            if fk in seen and seen[fk][0] != key and collision is None:
+                collision = [seen[fk][1], spec]
+            seen.setdefault(fk, (key, spec))
         claim = collision is None
     else:
         raise ValueError(f"unknown family {family!r}")
@@ -428,10 +410,8 @@ def _grid_cdumbbell(cap):
 
 
 def _grid_chromatic(cap):
-    for n in range(3, cap + 1):
-        for total in range(n, cap - n + 1):
-            for rays in _sun_ray_tuples(n, total):
-                yield {"target": f"sun({n};{','.join(map(str, rays))})"}
+    for _, spec in _sun_specs(cap):
+        yield {"target": spec}
     for family in ("dumbbell", "cdumbbell", "sdumbbell"):
         for m, l, n in _canonical_dumbbell_triples(cap):
             spec = f"{family}({m},{l},{n})"

@@ -16,9 +16,9 @@ from functools import lru_cache
 from math import gcd
 
 from .csf import compute_csf
-from .graphs import Graph, GraphSpec, parse_graph_spec, sun_graph
+from .graphs import Graph, GraphSpec, as_spec
 from .partitions import Partition, partitions_of
-from .symfunc import Basis, SymFunc, e_to_s
+from .symfunc import Basis, e_to_s, fraction_json
 
 #: default ceiling on |V| for full missing-type scans
 DEFAULT_SCAN_VERTEX_CAP = 14
@@ -37,7 +37,7 @@ class PositivityReport:
         wit = None
         if self.witness is not None:
             lam, c = self.witness
-            wit = {"partition": list(lam), "num": str(c.numerator), "den": str(c.denominator)}
+            wit = {"partition": list(lam), **fraction_json(c)}
         return {
             "positive": self.positive,
             "basis": self.basis.value,
@@ -190,8 +190,7 @@ def gcd_missing_type(rays) -> Partition | None:
     """
     rays = sorted((int(r) for r in rays), reverse=True)
     n = len(rays)
-    if n < 3 or any(r < 1 for r in rays):
-        raise ValueError("need at least three positive rays")
+    GraphSpec("sun", (n, rays)).check()
     g = 0
     for r in rays:
         g = gcd(g, r + 1)
@@ -212,8 +211,7 @@ def triangle_sun_missing_type(a: int, b: int, c: int) -> Partition | None:
     obstruction does not apply and None is returned.
     """
     a, b, c = sorted((a, b, c), reverse=True)
-    if c < 1:
-        raise ValueError("rays must be positive")
+    GraphSpec("sun", (3, (a, b, c))).check()
     if a >= b + c:
         return None
     return Partition((b + c + 1, a + 2))
@@ -246,12 +244,11 @@ def sun_matching_criterion(spec) -> bool:
     even-length rays: odd rays saturate themselves, and each even ray forces
     its attachment vertex to pair inside that induced subgraph.
     """
-    if isinstance(spec, str):
-        spec = parse_graph_spec(spec)
+    spec = as_spec(spec)
     if spec.family not in ("sun", "csun"):
         raise ValueError("matching criterion applies to sun and csun specs")
+    spec.check()
     n, rays = spec.args
-    sun_graph(n, rays, body="cycle" if spec.family == "sun" else "complete")  # validate params
     even_idx = [i for i, r in enumerate(rays) if r % 2 == 0]
     if spec.family == "csun":
         sub_edges = [
@@ -274,9 +271,7 @@ def sun_matching_criterion(spec) -> bool:
 
 def sun_has_near_perfect_matching(spec) -> bool:
     """Direct matching search on the full sun graph (the slow cross-check)."""
-    if isinstance(spec, str):
-        spec = parse_graph_spec(spec)
-    g = spec.build()
+    g = as_spec(spec).build()
     return _max_matching_covers(g, g.n % 2)
 
 
@@ -294,8 +289,7 @@ def spider_nonpositivity_criterion(legs, i: int) -> bool:
     t >= 2.  A False verdict is inconclusive.
     """
     legs = tuple(int(x) for x in legs)
-    if any(x < 1 for x in legs):
-        raise ValueError("leg lengths must be positive")
+    GraphSpec("spider", legs).check()
     d = len(legs)
     if not (2 <= i < d):
         raise ValueError("position must satisfy 2 <= i < number of legs")

@@ -34,6 +34,11 @@ from .partitions import Partition, partitions_of
 DEFAULT_TRANSITION_CAP = 22
 
 
+def fraction_json(c: Fraction) -> dict:
+    """The JSON form of an exact coefficient: numerator and denominator as strings."""
+    return {"num": str(c.numerator), "den": str(c.denominator)}
+
+
 class Basis(str, Enum):
     P = "p"
     E = "e"
@@ -195,11 +200,7 @@ class SymFunc:
             "basis": self.basis.value,
             "degree": self.degree,
             "terms": [
-                {
-                    "partition": list(lam),
-                    "num": str(self.terms[lam].numerator),
-                    "den": str(self.terms[lam].denominator),
-                }
+                {"partition": list(lam), **fraction_json(self.terms[lam])}
                 for lam in self.support()
             ],
         }

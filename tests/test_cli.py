@@ -257,6 +257,34 @@ class TestErrorsAndParser:
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("spec", ["tadpole(2,1)", "lollipop(2,1)", "lollipop(1,0)"])
+    def test_one_argument_rule_for_every_command(self, capsys, spec):
+        errors = set()
+        for command in ("csf", "positivity", "chrompoly", "scan"):
+            code, out, err = run(capsys, command, spec)
+            assert code == 2 and out == ""
+            assert err.startswith("error:") and err.count("\n") == 1
+            errors.add(err)
+        assert len(errors) == 1
+
+    def test_bad_dumbbell_same_error_everywhere(self, capsys):
+        errors = set()
+        for argv in (
+            ("csf", "dumbbell(2,0,3)"),
+            ("chrompoly", "dumbbell(2,0,3)"),
+            ("scan", "dumbbell(2,0,3)"),
+            ("verify", "dumbbell-recursion", "2,0,3"),
+        ):
+            code, out, err = run(capsys, *argv)
+            assert code == 2 and out == ""
+            errors.add(err)
+        assert errors == {"error: dumbbell bodies need at least three vertices each\n"}
+
+    def test_scan_has_no_edge_guard(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["scan", "--max-edges", "1", "path(3)"])
+        assert exc.value.code == 2
+
     def test_deeply_nested_spec_exit_2(self, capsys):
         spec = "line(" * 1200 + "path(3)" + ")" * 1200
         code, out, err = run(capsys, "csf", spec)

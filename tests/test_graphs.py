@@ -1,13 +1,16 @@
+from itertools import product
+
 import pytest
 
+from chromsym.csf import compute_csf
 from chromsym.graphs import (
+    _FAMILY_TABLE,
     Graph,
     GraphSpec,
     MAX_SPEC_DEPTH,
     SpecParseError,
     add_complete,
     attach,
-    build_spec,
     complete_graph,
     cycle_graph,
     disjoint_union,
@@ -269,12 +272,73 @@ class TestSpecGrammar:
         shallow = "line(" * MAX_SPEC_DEPTH + "path(3)" + ")" * MAX_SPEC_DEPTH
         assert parse_graph_spec(shallow).family == "line"
 
-    def test_build_spec_cached(self):
-        assert build_spec("path(4)") is build_spec("path(4)")
-        assert build_spec("path(4)") == path_graph(4)
-
     def test_spec_objects_hashable(self):
         a = parse_graph_spec("sun(3;1,1,1)")
         b = parse_graph_spec("sun(3;1,1,1)")
         assert a == b and hash(a) == hash(b)
         assert {a: 1}[b] == 1
+
+
+def _raises_value_error(call) -> bool:
+    try:
+        call()
+    except ValueError:
+        return True
+    return False
+
+
+_SMALL = (-1, 0, 1, 2, 3)
+_INNER = ("path(0)", "path(2)", "cycle(2)", "cycle(3)", "sun(3;1,1)", "spider(1,2)")
+
+
+def _small_specs(family):
+    """Specs of ``family`` over small arguments, valid and invalid, including
+    hand-made specs with one argument too many or too few."""
+    if family in ("sun", "csun"):
+        for n in (-1, 0, 1, 2, 3, 4):
+            for k in {max(n - 1, 0), max(n, 0), n + 1}:
+                for rays in product((-1, 0, 1, 2), repeat=k):
+                    yield GraphSpec(family, (n, rays))
+        yield GraphSpec(family, (3,))
+        yield GraphSpec(family, (3, (1, 1, 1), 1))
+    elif family == "spider":
+        for k in range(4):
+            for legs in product((-1, 0, 1, 2), repeat=k):
+                yield GraphSpec(family, legs)
+    elif family == "line":
+        for inner in _INNER:
+            yield GraphSpec(family, (parse_graph_spec(inner),))
+        yield GraphSpec(family, ())
+        yield GraphSpec(family, (parse_graph_spec("path(2)"),) * 2)
+    elif family == "union":
+        for a, b in product(_INNER, repeat=2):
+            yield GraphSpec(family, (parse_graph_spec(a), parse_graph_spec(b)))
+        yield GraphSpec(family, (parse_graph_spec("path(2)"),))
+    elif family == "edges":
+        for d in _SMALL:
+            for pairs in ((), ((0, 1),), ((1, 1),), ((0, 2),), ((0, 1), (1, 2))):
+                yield GraphSpec(family, (d, pairs))
+        yield GraphSpec(family, (2,))
+    else:
+        arity = _FAMILY_TABLE[family][0]
+        for args in product(_SMALL, repeat=arity):
+            yield GraphSpec(family, args)
+        yield GraphSpec(family, (3,) * (arity + 1))
+        yield GraphSpec(family, (3,) * (arity - 1))
+
+
+class TestArgumentRules:
+    @pytest.mark.parametrize("family", sorted(_FAMILY_TABLE))
+    def test_check_raises_exactly_when_build_does(self, family):
+        outcomes = set()
+        for spec in _small_specs(family):
+            rejected = _raises_value_error(spec.check)
+            assert _raises_value_error(spec.build) == rejected, spec
+            assert _raises_value_error(lambda: compute_csf(spec)) == rejected, spec
+            outcomes.add(rejected)
+        assert outcomes == {True, False}
+
+    def test_unknown_family_is_a_value_error(self):
+        for call in (GraphSpec("wedge", (3,)).check, GraphSpec("wedge", (3,)).build):
+            with pytest.raises(ValueError, match="unknown family"):
+                call()
