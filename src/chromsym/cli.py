@@ -20,7 +20,7 @@ from concurrent.futures import ProcessPoolExecutor
 from .csf import compute_chromatic, compute_csf
 from .graphs import parse_graph_spec
 from .identities import DEFAULT_GRID_VERTEX_CAP, VERIFIERS, iter_grid
-from .partitions import Partition, partitions_of
+from .partitions import partitions_of
 from .positivity import e_positivity, missing_partition_scan, s_positivity
 from .symfunc import Basis, convert
 
@@ -29,7 +29,7 @@ def _print_json(obj) -> None:
 
 
 def _cmd_csf(args) -> int:
-    f, engine = compute_csf(args.spec, max_subset_edges=args.max_edges)
+    f, engine = compute_csf(args.spec)
     basis = Basis(args.basis)
     if basis is not Basis.E:
         f = convert(f, basis, max_degree=args.max_degree)
@@ -61,7 +61,7 @@ def _cmd_chrompoly(args) -> int:
 
 def _cmd_positivity(args) -> int:
     check = e_positivity if args.basis == "e" else s_positivity
-    report = check(args.spec, max_subset_edges=args.max_edges)
+    report = check(args.spec)
     if args.json:
         _print_json(report.to_json_obj())
     else:
@@ -183,51 +183,42 @@ def build_parser() -> argparse.ArgumentParser:
         description="Exact chromatic symmetric functions of sun and dumbbell graph families.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    common = argparse.ArgumentParser(add_help=False)
+    common.add_argument("--json", action="store_true", help="emit JSON instead of text")
 
-    def add_common(p, vertices=False, degree=False):
-        p.add_argument("--json", action="store_true", help="emit JSON instead of text")
-        if vertices:
-            p.add_argument("--max-vertices", type=int, default=None, metavar="N",
-                           help="override the vertex-count guard")
-        else:
-            p.add_argument("--max-edges", type=int, default=None, metavar="N",
-                           help="override the edge-count guard")
-        if degree:
-            p.add_argument("--max-degree", type=int, default=None, metavar="N",
-                           help="override the basis-transition degree guard")
-
-    p = sub.add_parser("csf", help="chromatic symmetric function of a graph spec")
+    p = sub.add_parser("csf", parents=[common], help="chromatic symmetric function of a graph spec")
     p.add_argument("spec")
     p.add_argument("--basis", choices=("p", "e", "s"), default="e")
-    add_common(p, degree=True)
+    p.add_argument("--max-degree", type=int, default=None, metavar="N",
+                   help="override the basis-transition degree guard")
     p.set_defaults(func=_cmd_csf)
 
-    p = sub.add_parser("chrompoly", help="chromatic polynomial of a graph spec")
+    p = sub.add_parser("chrompoly", parents=[common], help="chromatic polynomial of a graph spec")
     p.add_argument("spec")
     p.add_argument("--at", type=int, default=None, metavar="N", help="evaluate at x = N")
-    add_common(p)
+    p.add_argument("--max-edges", type=int, default=None, metavar="N",
+                   help="override the edge-count guard")
     p.set_defaults(func=_cmd_chrompoly)
 
-    p = sub.add_parser("positivity", help="e- or s-positivity verdict with witness")
+    p = sub.add_parser("positivity", parents=[common], help="e- or s-positivity verdict with witness")
     p.add_argument("spec")
     p.add_argument("--basis", choices=("e", "s"), default="e")
     p.add_argument("--strict", action="store_true",
                    help="exit 1 when the function is not positive")
-    add_common(p)
     p.set_defaults(func=_cmd_positivity)
 
-    p = sub.add_parser("scan", help="partition types with no connected partition")
+    p = sub.add_parser("scan", parents=[common], help="partition types with no connected partition")
     p.add_argument("spec")
     p.add_argument("--strict", action="store_true", help="exit 1 when types are missing")
-    add_common(p, vertices=True)
+    p.add_argument("--max-vertices", type=int, default=None, metavar="N",
+                   help="override the vertex-count guard")
     p.set_defaults(func=_cmd_scan)
 
-    p = sub.add_parser("partitions", help="list the partitions of N, largest part first")
+    p = sub.add_parser("partitions", parents=[common], help="list the partitions of N, largest part first")
     p.add_argument("n", type=int)
-    p.add_argument("--json", action="store_true", help="emit JSON instead of text")
     p.set_defaults(func=_cmd_partitions)
 
-    p = sub.add_parser("verify", help="check one stated identity, or its whole grid")
+    p = sub.add_parser("verify", parents=[common], help="check one stated identity, or its whole grid")
     p.add_argument("name", help="identity name (hyphens or underscores)")
     p.add_argument("params", nargs="?", default=None,
                    help="instance parameters, e.g. 4,1,3 or a graph spec")
@@ -237,7 +228,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--jobs", type=int, default=1, metavar="J",
                    help="parallel workers for grid runs, at most the CPU count")
     p.add_argument("--strict", action="store_true", help="exit 1 when a check fails")
-    p.add_argument("--json", action="store_true", help="emit JSON instead of text")
     p.set_defaults(func=_cmd_verify)
 
     return parser

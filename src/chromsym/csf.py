@@ -28,6 +28,12 @@ theorems about all graphs, not family formulas: no ``*_closed`` function is
 ever called on the deletion-contraction path, so it stays an independent
 check of them.  The two CSF engines return power-sum expansions with integer
 coefficients; closed forms are elementary-basis native.
+
+``compute_csf`` takes no options and picks its engine from its input alone:
+a spec whose family has a closed form returns it, any other spec is built,
+and a ``Graph`` goes to ``csf_subsets`` at most ``AUTO_SUBSET_THRESHOLD``
+edges and to ``csf_dc`` above that.  ``compute_csf(spec.build())`` is thus
+the formula-free route every identity check compares the closed forms with.
 """
 
 from __future__ import annotations
@@ -45,7 +51,7 @@ from .symfunc import Basis, SymFunc, p_to_e
 DEFAULT_SUBSET_EDGE_CAP = 26
 #: default ceiling on |E| for chromatic-polynomial deletion-contraction
 DEFAULT_CHROMPOLY_EDGE_CAP = 40
-#: auto engine switches from the subset oracle to deletion-contraction above this
+#: ``compute_csf`` sends a graph to deletion-contraction above this many edges
 AUTO_SUBSET_THRESHOLD = 18
 
 
@@ -110,18 +116,6 @@ def _convolve_counts(a, b):
     return out
 
 
-@lru_cache(maxsize=4096)
-def _csf_subsets_cached(g: Graph) -> SymFunc:
-    total = None
-    for comp in g.components():
-        local = {v: i for i, v in enumerate(comp)}
-        edges = [(local[u], local[v]) for u, v in g.edge_list if u in local and v in local]
-        total = _convolve_counts(total, _subset_counts(len(comp), edges))
-    if total is None:
-        total = {(): 1}
-    return SymFunc(Basis.P, g.n, {Partition(k): Fraction(c) for k, c in total.items() if c})
-
-
 def csf_subsets(g: Graph, max_edges=None) -> SymFunc:
     """Chromatic symmetric function by the edge-subset expansion (p basis).
 
@@ -130,7 +124,14 @@ def csf_subsets(g: Graph, max_edges=None) -> SymFunc:
     cap = DEFAULT_SUBSET_EDGE_CAP if max_edges is None else max_edges
     if len(g.edges) > cap:
         raise ValueError(f"subset oracle guarded at {cap} edges, graph has {len(g.edges)}")
-    return _csf_subsets_cached(g)
+    total = None
+    for comp in g.components():
+        local = {v: i for i, v in enumerate(comp)}
+        edges = [(local[u], local[v]) for u, v in g.edge_list if u in local and v in local]
+        total = _convolve_counts(total, _subset_counts(len(comp), edges))
+    if total is None:
+        total = {(): 1}
+    return SymFunc(Basis.P, g.n, {Partition(k): Fraction(c) for k, c in total.items() if c})
 
 
 # ---------------------------------------------------- deletion-contraction
@@ -644,57 +645,44 @@ def chromatic_poly_closed(spec) -> ChromPoly:
 # ------------------------------------------------------------ engine routing
 
 
-_CLOSED_BUILDERS = {
-    "path": lambda a: csf_path_closed(a[0]),
-    "cycle": lambda a: csf_cycle_closed(a[0]),
-    "complete": lambda a: csf_complete_closed(a[0]),
-    "tadpole": lambda a: csf_tadpole_closed(a[0], a[1]),
-    "lollipop": lambda a: csf_lollipop_closed(a[0], a[1]),
-    "dumbbell": lambda a: csf_dumbbell_closed(*a),
-    "cdumbbell": lambda a: csf_complete_dumbbell_closed(*a),
-    "sdumbbell": lambda a: csf_semicomplete_dumbbell_closed(*a),
+_CLOSED_FORMS = {
+    "path": csf_path_closed,
+    "cycle": csf_cycle_closed,
+    "complete": csf_complete_closed,
+    "tadpole": csf_tadpole_closed,
+    "lollipop": csf_lollipop_closed,
+    "dumbbell": csf_dumbbell_closed,
+    "cdumbbell": csf_complete_dumbbell_closed,
+    "sdumbbell": csf_semicomplete_dumbbell_closed,
 }
 
 
 def closed_csf_for(spec: GraphSpec):
     """The closed-form e-basis CSF for the spec's family, or None if it has none."""
-    builder = _CLOSED_BUILDERS.get(spec.family)
-    if builder is None:
-        return None
-    return builder(spec.args)
+    fn = _CLOSED_FORMS.get(spec.family)
+    return None if fn is None else fn(*spec.args)
 
 
-def compute_csf(target, engine: str = "auto", max_subset_edges=None):
+def compute_csf(target):
     """Compute X_G in the elementary basis; returns (SymFunc, engine_used).
 
-    ``target`` may be a Graph, GraphSpec or spec string.  Engine "auto" uses a
-    validated closed form when the family has one, the subset oracle for small
-    edge counts, and memoized deletion-contraction otherwise.  Engine "oracle"
-    routes like "auto" but never through a closed form, so its result is
-    independent of the family formulas.  Explicit engine names ("closed",
-    "subsets", "dc") force a route.
+    ``target`` may be a Graph, GraphSpec or spec string.  A spec whose family
+    has a closed form returns it ("closed"); any other spec is built.  A
+    ``Graph`` never meets a closed form: it goes to the subset expansion at
+    most ``AUTO_SUBSET_THRESHOLD`` edges ("subsets") and to
+    deletion-contraction above that ("dc").  So ``compute_csf(spec.build())``
+    is independent of the family formulas.
     """
     spec = as_spec(target)
     if spec is not None:
         spec.check()
-    if engine in ("auto", "closed") and spec is not None:
         closed = closed_csf_for(spec)
         if closed is not None:
             return closed, "closed"
-        if engine == "closed":
-            raise ValueError(f"family {spec.family!r} has no closed CSF form")
-    elif engine == "closed":
-        raise ValueError("closed engine needs a graph spec, not a bare graph")
-    g = spec.build() if spec is not None else target
-    if engine == "subsets":
-        return p_to_e(csf_subsets(g, max_subset_edges)), "subsets"
-    if engine == "dc":
-        return p_to_e(csf_dc(g)), "dc"
-    if engine in ("auto", "oracle"):
-        if len(g.edges) <= AUTO_SUBSET_THRESHOLD:
-            return p_to_e(csf_subsets(g, max_subset_edges)), "subsets"
-        return p_to_e(csf_dc(g)), "dc"
-    raise ValueError(f"unknown engine {engine!r}")
+        target = spec.build()
+    if len(target.edges) <= AUTO_SUBSET_THRESHOLD:
+        return p_to_e(csf_subsets(target)), "subsets"
+    return p_to_e(csf_dc(target)), "dc"
 
 
 def compute_chromatic(target, max_edges=None):

@@ -1,10 +1,13 @@
 """Exact verification of the recursion and expansion identities.
 
 Every ``verify_*`` operation computes both sides of one identity with
-independent engines — the left side by an oracle (edge-subset expansion or
-deletion-contraction), the right side from closed family forms — and returns
-an :class:`IdentityReport` carrying the exact difference.  ``run_grid``
-sweeps an identity over its whole in-guard parameter grid.
+independent engines — the left side by the formula-free route
+``compute_csf(g)`` on the built graph (edge-subset expansion up to 18 edges,
+deletion-contraction above), the right side from closed family forms — and
+returns an :class:`IdentityReport` carrying the exact difference.
+``_oracle`` memoizes that route per graph; it is the only memo of CSF
+results.  ``run_grid`` sweeps an identity over its whole in-guard parameter
+grid.
 """
 
 from __future__ import annotations
@@ -15,7 +18,6 @@ from functools import lru_cache
 from math import factorial, prod
 
 from .csf import (
-    ChromPoly,
     DEFAULT_CHROMPOLY_EDGE_CAP,
     DEFAULT_SUBSET_EDGE_CAP,
     chromatic_poly_closed,
@@ -29,8 +31,7 @@ from .csf import (
     csf_path_closed,
     csf_tadpole_closed,
 )
-from .graphs import Graph, GraphSpec, as_spec, parse_graph_spec, spider_graph, sun_graph
-from .partitions import Partition
+from .graphs import Graph, GraphSpec, as_spec, dumbbell_graph, parse_graph_spec, spider_graph, sun_graph
 from .positivity import triangle_sun_missing_type, uniform_sun_coefficient, uniform_sun_missing_type
 from .symfunc import Basis, SymFunc, fraction_json
 
@@ -89,14 +90,9 @@ def _report(name: str, params: dict, lhs, rhs) -> IdentityReport:
 
 
 @lru_cache(maxsize=1024)
-def _oracle(spec_text: str) -> SymFunc:
-    """Oracle CSF (never a closed form), cached per spec string."""
-    f, _ = compute_csf(spec_text, engine="oracle")
-    return f
-
-
-def _subsets(g: Graph) -> SymFunc:
-    f, _ = compute_csf(g, engine="subsets")
+def _oracle(g: Graph) -> SymFunc:
+    """The CSF of a built graph, never from a closed form, cached per graph."""
+    f, _ = compute_csf(g)
     return f
 
 
@@ -116,8 +112,10 @@ def first_triangle(g: Graph):
 def verify_triple_deletion(target, e1=None, e2=None, e3=None) -> IdentityReport:
     """X_G = X_{G minus e1} + X_{G minus e2} - X_{G minus e1,e2} for a triangle e1,e2,e3.
 
-    All four functions come from the edge-subset oracle.  When no edges are
-    given, the lexicographically first triangle of the graph is used.
+    All four functions come from the formula-free route ``_oracle`` (the
+    subset expansion up to 18 edges, deletion-contraction above it, with the
+    same output).  When no edges are given, the lexicographically first
+    triangle of the graph is used.
     """
     spec = as_spec(target)
     g = spec.build() if spec is not None else target
@@ -136,8 +134,8 @@ def verify_triple_deletion(target, e1=None, e2=None, e3=None) -> IdentityReport:
     def minus(*gone):
         return Graph(g.n, [e for e in g.edge_list if e not in gone])
 
-    lhs = _subsets(g)
-    rhs = _subsets(minus(e1)) + _subsets(minus(e2)) - _subsets(minus(e1, e2))
+    lhs = _oracle(g)
+    rhs = _oracle(minus(e1)) + _oracle(minus(e2)) - _oracle(minus(e1, e2))
     params = {"target": spec if spec is not None else g, "triangle": list(edges)}
     return _report("triple_deletion", params, lhs, rhs)
 
@@ -150,8 +148,7 @@ def verify_sun_coefficient(n: int, k: int) -> IdentityReport:
     """
     lam = uniform_sun_missing_type(n, k)
     expected = uniform_sun_coefficient(n, k)
-    spec = f"sun({n};{','.join([str(k)] * n)})"
-    got = _oracle(spec).coefficient(lam)
+    got = _oracle(sun_graph(n, (k,) * n)).coefficient(lam)
     lhs = SymFunc.single(Basis.E, lam, got)
     rhs = SymFunc.single(Basis.E, lam, expected)
     return _report("sun_coefficient", {"n": n, "k": k, "type": lam}, lhs, rhs)
@@ -170,7 +167,7 @@ def verify_small_sun_coefficient(a: int, b: int, c: int) -> IdentityReport:
         raise ValueError("need the longest ray shorter than the other two combined")
     total = a + b + c + 3
     expected = -total if b + c == a + 1 else -2 * total
-    got = _oracle(f"sun(3;{a},{b},{c})").coefficient(lam)
+    got = _oracle(sun_graph(3, (a, b, c))).coefficient(lam)
     lhs = SymFunc.single(Basis.E, lam, got)
     rhs = SymFunc.single(Basis.E, lam, expected)
     return _report("small_sun_coefficient", {"a": a, "b": b, "c": c, "type": lam}, lhs, rhs)
@@ -179,11 +176,12 @@ def verify_small_sun_coefficient(a: int, b: int, c: int) -> IdentityReport:
 def verify_sun_spider_reduction(a: int, b: int) -> IdentityReport:
     """X_{S(3;a,b,b)} = 2 X_{spider(a+1,b+1,b)} - X_{P_{2b+2}} X_{P_{a+1}}.
 
-    Both graph functions come from the subset oracle; the path product from
-    the closed path form.
+    Both graph functions come from the formula-free route ``_oracle`` (the
+    subset expansion up to 18 edges, deletion-contraction above it, with the
+    same output); the path product from the closed path form.
     """
-    lhs = _subsets(sun_graph(3, (a, b, b)))
-    rhs = 2 * _subsets(spider_graph((a + 1, b + 1, b))) - csf_path_closed(2 * b + 2) * csf_path_closed(a + 1)
+    lhs = _oracle(sun_graph(3, (a, b, b)))
+    rhs = 2 * _oracle(spider_graph((a + 1, b + 1, b))) - csf_path_closed(2 * b + 2) * csf_path_closed(a + 1)
     return _report("sun_spider_reduction", {"a": a, "b": b}, lhs, rhs)
 
 
@@ -194,7 +192,7 @@ def verify_dumbbell_recursion(m: int, l: int, n: int) -> IdentityReport:
     For m = 3:  X_{D(3,l,n)} = 2 X_{T(n,l+3)} - X_{T(n,l+1)} X_{C(2)}.
     The left side is the oracle; every right-side term is a closed form.
     """
-    lhs = _oracle(f"dumbbell({m},{l},{n})")
+    lhs = _oracle(dumbbell_graph(m, l, n))
     if m > 3:
         rhs = (
             csf_dumbbell_closed(m - 1, l + 1, n)
@@ -208,7 +206,7 @@ def verify_dumbbell_recursion(m: int, l: int, n: int) -> IdentityReport:
 
 def verify_dumbbell_tadpole_expansion(m: int, l: int, n: int) -> IdentityReport:
     """X_{D(m,l,n)} = (m-1) X_{T(n,m+l)} - sum_{k=1}^{m-2} X_{T(n,l+k)} X_{C(m-k)}."""
-    lhs = _oracle(f"dumbbell({m},{l},{n})")
+    lhs = _oracle(dumbbell_graph(m, l, n))
     rhs = (m - 1) * csf_tadpole_closed(n, m + l)
     for k in range(1, m - 1):
         rhs = rhs - csf_tadpole_closed(n, l + k) * csf_cycle_closed(m - k)
@@ -217,7 +215,7 @@ def verify_dumbbell_tadpole_expansion(m: int, l: int, n: int) -> IdentityReport:
 
 def verify_dumbbell_full_expansion(m: int, l: int, n: int) -> IdentityReport:
     """Oracle CSF of D(m,l,n) against its closed path/cycle expansion."""
-    lhs = _oracle(f"dumbbell({m},{l},{n})")
+    lhs = _oracle(dumbbell_graph(m, l, n))
     rhs = csf_dumbbell_closed(m, l, n)
     return _report("dumbbell_full_expansion", {"m": m, "l": l, "n": n}, lhs, rhs)
 
@@ -228,7 +226,7 @@ def verify_cdumbbell_recursion(m: int, l: int, n: int) -> IdentityReport:
     The degenerate D̄(2,l,n) on the right of the m = 3 case is the lollipop
     L(n, l+2).
     """
-    lhs = _oracle(f"cdumbbell({m},{l},{n})")
+    lhs = _oracle(dumbbell_graph(m, l, n, kind="complete"))
     if m - 1 >= 3:
         shrunk = csf_complete_dumbbell_closed(m - 1, l + 1, n)
     else:
@@ -243,7 +241,7 @@ def verify_cdumbbell_lollipop_expansion(m: int, l: int, n: int) -> IdentityRepor
     The integer weight is c_k = (m-1)(m-2)...(m-k-1) / (m-k); the factor
     m-k always occurs in the numerator product, so the quotient is exact.
     """
-    lhs = _oracle(f"cdumbbell({m},{l},{n})")
+    lhs = _oracle(dumbbell_graph(m, l, n, kind="complete"))
     rhs = factorial(m - 1) * csf_lollipop_closed(n, m + l)
     for k in range(1, m - 1):
         num = prod(m - i for i in range(1, k + 2))
@@ -255,7 +253,7 @@ def verify_cdumbbell_lollipop_expansion(m: int, l: int, n: int) -> IdentityRepor
 
 def verify_cdumbbell_full_expansion(m: int, l: int, n: int) -> IdentityReport:
     """Oracle CSF of D̄(m,l,n) against its closed path/complete expansion."""
-    lhs = _oracle(f"cdumbbell({m},{l},{n})")
+    lhs = _oracle(dumbbell_graph(m, l, n, kind="complete"))
     rhs = csf_complete_dumbbell_closed(m, l, n)
     return _report("cdumbbell_full_expansion", {"m": m, "l": l, "n": n}, lhs, rhs)
 
@@ -324,8 +322,7 @@ def verify_distinguishability(family: str, size_cap: int) -> IdentityReport:
         claim = collision is None
     elif family == "sun":
         for key, spec in _sun_specs(size_cap):
-            f, _ = compute_csf(spec, engine="oracle")
-            fk = _csf_key(f)
+            fk = _csf_key(_oracle(parse_graph_spec(spec).build()))
             count += 1
             if fk in seen and seen[fk][0] != key and collision is None:
                 collision = [seen[fk][1], spec]

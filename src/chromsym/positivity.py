@@ -1,5 +1,9 @@
 """Positivity verdicts and combinatorial obstructions to e-positivity.
 
+``e_positivity`` and ``s_positivity`` take only a target and report the
+engine ``compute_csf`` chose for it: the closed form for a family that has
+one, else the subset expansion or deletion-contraction by edge count.
+
 A connected graph whose chromatic symmetric function is e-positive has a
 connected partition of every type: for each partition lambda of |V| the vertex
 set splits into blocks of sizes lambda_i each inducing a connected subgraph.
@@ -11,8 +15,6 @@ graphs together with the coefficient values they force.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
-from functools import lru_cache
 from math import gcd
 
 from .csf import compute_csf
@@ -56,16 +58,16 @@ class ConnectedPartitionWitness:
         return Partition(len(b) for b in self.blocks)
 
 
-def e_positivity(target, engine: str = "auto", max_subset_edges=None) -> PositivityReport:
+def e_positivity(target) -> PositivityReport:
     """Is X_G e-positive?  Witness is the smallest partition with a negative coefficient."""
-    f, used = compute_csf(target, engine=engine, max_subset_edges=max_subset_edges)
+    f, used = compute_csf(target)
     ok, witness = f.is_nonnegative()
     return PositivityReport(ok, Basis.E, witness, used)
 
 
-def s_positivity(target, engine: str = "auto", max_subset_edges=None) -> PositivityReport:
+def s_positivity(target) -> PositivityReport:
     """Is X_G s-positive (Schur-positive)?"""
-    f, used = compute_csf(target, engine=engine, max_subset_edges=max_subset_edges)
+    f, used = compute_csf(target)
     ok, witness = e_to_s(f).is_nonnegative()
     return PositivityReport(ok, Basis.S, witness, used)
 

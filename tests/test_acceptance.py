@@ -26,6 +26,7 @@ from chromsym.graphs import (
     dumbbell_graph,
     line_graph,
     lollipop_graph,
+    parse_graph_spec,
     path_graph,
     spider_graph,
     sun_graph,
@@ -120,7 +121,7 @@ def test_criterion_01_uniform_sun_coefficients():
     failures = []
     for n, k, printed in [(4, 1, -24), (3, 1, -6), (3, 2, -18)]:
         lam = uniform_sun_missing_type(n, k)
-        f, _ = compute_csf(uniform_sun_spec(n, k), engine="subsets")
+        f = p_to_e(csf_subsets(parse_graph_spec(uniform_sun_spec(n, k)).build()))
         got = f.terms.get(lam, Fraction(0))
         formula = uniform_sun_coefficient(n, k)
         if not (got == printed == formula):
@@ -134,7 +135,7 @@ def test_criterion_02_explicit_small_sun_coefficients():
         ("sun(3;2,1,1)", Partition([4, 3]), -2),
         ("sun(3;5,1,1)", Partition([4, 3, 3]), -22),
     ]:
-        f, _ = compute_csf(spec, engine="subsets")
+        f = p_to_e(csf_subsets(parse_graph_spec(spec).build()))
         got = f.terms.get(lam, Fraction(0))
         if got != expected:
             failures.append(f"[e_{list(lam)}] X[{spec}] = {got}, expected {expected}")
@@ -277,12 +278,12 @@ def test_criterion_10_cross_engine_properties():
     if len(corpus) < 50:
         failures.append(f"builder corpus unexpectedly small: {len(corpus)}")
     for g in corpus:
-        if csf_dc(g) != csf_subsets(g):
+        subsets = csf_subsets(g)
+        if csf_dc(g) != subsets:
             failures.append(f"dc != subsets on {g!r}")
-    for g in corpus:
         if len(g.edges) > 14:
             continue
-        f = p_to_e(csf_subsets(g))
+        f = p_to_e(subsets)
         chi = chromatic_poly_dc(g)
         for n in range(0, 6):
             if f.evaluate_ones(n) != chi(n):

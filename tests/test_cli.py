@@ -285,6 +285,13 @@ class TestErrorsAndParser:
             main(["scan", "--max-edges", "1", "path(3)"])
         assert exc.value.code == 2
 
+    @pytest.mark.parametrize("command", ["csf", "positivity"])
+    def test_only_chrompoly_takes_max_edges(self, capsys, command):
+        with pytest.raises(SystemExit) as exc:
+            main([command, "spider(2,1,1)", "--max-edges", "1"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --max-edges" in capsys.readouterr().err
+
     def test_deeply_nested_spec_exit_2(self, capsys):
         spec = "line(" * 1200 + "path(3)" + ")" * 1200
         code, out, err = run(capsys, "csf", spec)

@@ -304,30 +304,41 @@ class TestEngineRouting:
         _, engine = compute_csf(big)
         assert engine == "dc"
 
+    def test_threshold_boundary_and_closed_specs(self, monkeypatch):
+        calls = []
+
+        def stand_in(name):
+            def record(g):
+                calls.append((name, len(g.edges)))
+                return SymFunc.zero(Basis.P, g.n)
+
+            return record
+
+        monkeypatch.setattr(csf_module, "csf_subsets", stand_in("subsets"))
+        monkeypatch.setattr(csf_module, "csf_dc", stand_in("dc"))
+        assert compute_csf(path_graph(AUTO_SUBSET_THRESHOLD + 1))[1] == "subsets"
+        assert compute_csf(path_graph(AUTO_SUBSET_THRESHOLD + 2))[1] == "dc"
+        assert compute_csf("cdumbbell(4,1,4)")[1] == "closed"
+        assert calls == [("subsets", AUTO_SUBSET_THRESHOLD), ("dc", AUTO_SUBSET_THRESHOLD + 1)]
+
     def test_oracle_never_routes_closed(self):
-        f_closed, e1 = compute_csf("dumbbell(3,1,3)")
-        f_oracle, e2 = compute_csf("dumbbell(3,1,3)", engine="oracle")
+        spec = parse_graph_spec("dumbbell(3,1,3)")
+        f_closed, e1 = compute_csf(spec)
+        f_oracle, e2 = compute_csf(spec.build())
         assert e1 == "closed" and e2 in ("subsets", "dc")
         assert f_closed == f_oracle
 
     def test_engines_agree(self):
-        spec = "tadpole(4,2)"
-        results = {
-            name: compute_csf(spec, engine=name)[0]
-            for name in ("auto", "closed", "subsets", "dc", "oracle")
-        }
-        baseline = results["auto"]
-        assert all(f == baseline for f in results.values())
-
-    def test_closed_engine_requires_family(self):
-        with pytest.raises(ValueError):
-            compute_csf("spider(2,1,1)", engine="closed")
-        with pytest.raises(ValueError):
-            compute_csf(path_graph(3), engine="closed")
-
-    def test_unknown_engine(self):
-        with pytest.raises(ValueError):
-            compute_csf("path(3)", engine="magic")
+        spec = parse_graph_spec("tadpole(4,2)")
+        g = spec.build()
+        results = [
+            compute_csf(spec)[0],
+            closed_csf_for(spec),
+            p_to_e(csf_subsets(g)),
+            p_to_e(csf_dc(g)),
+            compute_csf(g)[0],
+        ]
+        assert all(f == results[0] for f in results)
 
     def test_spec_objects_and_strings_equivalent(self):
         spec = parse_graph_spec("cycle(5)")
@@ -349,10 +360,6 @@ class TestGuards:
         with pytest.raises(ValueError):
             csf_subsets(path_graph(5), max_edges=2)
         assert csf_subsets(path_graph(5), max_edges=4) is not None
-
-    def test_compute_csf_passes_cap_through(self):
-        with pytest.raises(ValueError):
-            compute_csf(path_graph(5), engine="subsets", max_subset_edges=2)
 
     def test_chromatic_cap(self):
         with pytest.raises(ValueError):
@@ -437,4 +444,5 @@ class TestEngineProperties:
         for name in list(vars(csf_module)):
             if name.endswith("_closed"):
                 monkeypatch.setattr(csf_module, name, None)  # any call raises TypeError
+        monkeypatch.setattr(csf_module, "_CLOSED_FORMS", dict.fromkeys(csf_module._CLOSED_FORMS))
         assert (csf_dc(g), chromatic_poly_dc(g)) == expected

@@ -3,7 +3,7 @@ import json
 import pytest
 
 from chromsym.csf import compute_csf
-from chromsym.graphs import cycle_graph, path_graph, sun_graph
+from chromsym.graphs import cycle_graph, dumbbell_graph, path_graph, sun_graph
 from chromsym.identities import (
     DEFAULT_GRID_VERTEX_CAP,
     IdentityReport,
@@ -242,7 +242,7 @@ class TestIdentityContent:
     def test_recursion_sides_match_direct_computation(self):
         # the verified equation reproduces the independently computed function
         rep = verify_dumbbell_recursion(4, 1, 3)
-        direct, _ = compute_csf("dumbbell(4,1,3)", engine="oracle")
+        direct, _ = compute_csf(dumbbell_graph(4, 1, 3))
         assert rep.lhs == direct
 
     def test_verifier_names_unique(self):

@@ -180,11 +180,6 @@ class TestPositivityReports:
         obj = e_positivity("path(4)").to_json_obj()
         assert obj["witness"] is None
 
-    def test_engine_override(self):
-        rep = e_positivity("sun(3;1,1,1)", engine="dc")
-        assert rep.engine == "dc"
-        assert not rep.positive
-
     def test_accepts_graph_objects(self):
         rep = e_positivity(cycle_graph(4))
         assert rep.positive
