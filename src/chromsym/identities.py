@@ -6,8 +6,10 @@ independent engines — the left side by the formula-free route
 deletion-contraction above), the right side from closed family forms — and
 returns an :class:`IdentityReport` carrying the exact difference.
 ``_oracle`` memoizes that route per graph; it is the only memo of CSF
-results.  ``run_grid`` sweeps an identity over its whole in-guard parameter
-grid.
+results.  The triangle and sun-spider checks, which take any graph or ray
+length, refuse graphs above ``DEFAULT_SUBSET_EDGE_CAP`` edges, since
+deletion-contraction has no guard of its own yet.  ``run_grid`` sweeps an
+identity over its whole parameter grid.
 """
 
 from __future__ import annotations
@@ -96,6 +98,14 @@ def _oracle(g: Graph) -> SymFunc:
     return f
 
 
+def _edge_guarded(g: Graph) -> Graph:
+    """g itself, or ValueError above ``DEFAULT_SUBSET_EDGE_CAP`` edges."""
+    cap = DEFAULT_SUBSET_EDGE_CAP
+    if len(g.edges) > cap:
+        raise ValueError(f"identity checks guarded at {cap} edges, graph has {len(g.edges)}")
+    return g
+
+
 def first_triangle(g: Graph):
     """The lexicographically first triangle of g as three edges, or None."""
     adj = g.adjacency()
@@ -114,7 +124,8 @@ def verify_triple_deletion(target, e1=None, e2=None, e3=None) -> IdentityReport:
 
     All four functions come from the formula-free route ``_oracle`` (the
     subset expansion up to 18 edges, deletion-contraction above it, with the
-    same output).  When no edges are given, the lexicographically first
+    same output); graphs above ``DEFAULT_SUBSET_EDGE_CAP`` edges raise
+    ValueError.  When no edges are given, the lexicographically first
     triangle of the graph is used.
     """
     spec = as_spec(target)
@@ -134,7 +145,7 @@ def verify_triple_deletion(target, e1=None, e2=None, e3=None) -> IdentityReport:
     def minus(*gone):
         return Graph(g.n, [e for e in g.edge_list if e not in gone])
 
-    lhs = _oracle(g)
+    lhs = _oracle(_edge_guarded(g))
     rhs = _oracle(minus(e1)) + _oracle(minus(e2)) - _oracle(minus(e1, e2))
     params = {"target": spec if spec is not None else g, "triangle": list(edges)}
     return _report("triple_deletion", params, lhs, rhs)
@@ -178,9 +189,11 @@ def verify_sun_spider_reduction(a: int, b: int) -> IdentityReport:
 
     Both graph functions come from the formula-free route ``_oracle`` (the
     subset expansion up to 18 edges, deletion-contraction above it, with the
-    same output); the path product from the closed path form.
+    same output); the path product from the closed path form.  Suns above
+    ``DEFAULT_SUBSET_EDGE_CAP`` edges raise ValueError (the spider has one
+    edge fewer).
     """
-    lhs = _oracle(sun_graph(3, (a, b, b)))
+    lhs = _oracle(_edge_guarded(sun_graph(3, (a, b, b))))
     rhs = 2 * _oracle(spider_graph((a + 1, b + 1, b))) - csf_path_closed(2 * b + 2) * csf_path_closed(a + 1)
     return _report("sun_spider_reduction", {"a": a, "b": b}, lhs, rhs)
 
@@ -337,11 +350,6 @@ def verify_distinguishability(family: str, size_cap: int) -> IdentityReport:
 # ------------------------------------------------------------------- grids
 
 
-def _in_oracle_guard(spec_text: str) -> bool:
-    g = parse_graph_spec(spec_text).build()
-    return len(g.edges) <= DEFAULT_SUBSET_EDGE_CAP
-
-
 _TRIANGLE_GRID_SPECS = (
     "complete(3)",
     "complete(4)",
@@ -401,8 +409,10 @@ def _grid_dumbbell(cap):
 
 
 def _grid_cdumbbell(cap):
+    # Complete dumbbells grow quadratically in m and n; larger ones would take
+    # the unguarded deletion-contraction route, so the grid stops at 26 edges.
     for kw in _grid_dumbbell(cap):
-        if _in_oracle_guard("cdumbbell({m},{l},{n})".format(**kw)):
+        if len(dumbbell_graph(**kw, kind="complete").edges) <= DEFAULT_SUBSET_EDGE_CAP:
             yield kw
 
 
@@ -454,7 +464,7 @@ _GRIDS = {
 
 
 def iter_grid(name: str, vertex_cap: int = DEFAULT_GRID_VERTEX_CAP):
-    """Parameter dictionaries of the identity's in-guard grid."""
+    """Parameter dictionaries of the identity's grid."""
     if name not in _GRIDS:
         raise ValueError(f"unknown identity {name!r}")
     yield from _GRIDS[name](vertex_cap)

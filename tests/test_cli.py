@@ -292,6 +292,15 @@ class TestErrorsAndParser:
         assert exc.value.code == 2
         assert "unrecognized arguments: --max-edges" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "argv, edges",
+        [(("triple-deletion", "line(complete(6))"), 60), (("sun-spider-reduction", "20,5"), 33)],
+    )
+    def test_verify_edge_guard_exit_2(self, capsys, argv, edges):
+        code, out, err = run(capsys, "verify", *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: identity checks guarded at 26 edges, graph has {edges}\n"
+
     def test_deeply_nested_spec_exit_2(self, capsys):
         spec = "line(" * 1200 + "path(3)" + ")" * 1200
         code, out, err = run(capsys, "csf", spec)

@@ -444,5 +444,10 @@ class TestEngineProperties:
         for name in list(vars(csf_module)):
             if name.endswith("_closed"):
                 monkeypatch.setattr(csf_module, name, None)  # any call raises TypeError
-        monkeypatch.setattr(csf_module, "_CLOSED_FORMS", dict.fromkeys(csf_module._CLOSED_FORMS))
+        monkeypatch.setattr(csf_module, "closed_csf_for", None)
+
+        def refuse(*args):
+            pytest.fail("closed form on the deletion-contraction path")
+
+        monkeypatch.setattr(csf_module, "_CLOSED_FORMS", dict.fromkeys(csf_module._CLOSED_FORMS, refuse))
         assert (csf_dc(g), chromatic_poly_dc(g)) == expected
