@@ -32,7 +32,7 @@ def _cmd_csf(args) -> int:
     f, engine = compute_csf(args.spec)
     basis = Basis(args.basis)
     if basis is not Basis.E:
-        f = convert(f, basis, max_degree=args.max_degree)
+        f = convert(f, basis)
     if args.json:
         obj = f.to_json_obj()
         obj["spec"] = str(parse_graph_spec(args.spec))
@@ -44,7 +44,7 @@ def _cmd_csf(args) -> int:
 
 
 def _cmd_chrompoly(args) -> int:
-    poly, engine = compute_chromatic(args.spec, max_edges=args.max_edges)
+    poly, engine = compute_chromatic(args.spec)
     if args.at is not None:
         value = poly(args.at)
         if args.json:
@@ -76,7 +76,7 @@ def _cmd_positivity(args) -> int:
 
 def _cmd_scan(args) -> int:
     g = parse_graph_spec(args.spec).build()
-    missing = missing_partition_scan(g, max_vertices=args.max_vertices)
+    missing = missing_partition_scan(g)
     if args.json:
         _print_json({"spec": args.spec, "missing": [list(lam) for lam in missing]})
     elif missing:
@@ -139,6 +139,8 @@ def _cmd_verify(args) -> int:
     if name not in VERIFIERS:
         known = ", ".join(sorted(VERIFIERS))
         raise ValueError(f"unknown identity {args.name!r}; known: {known}")
+    if args.grid is not None and args.params is not None:
+        raise ValueError("verify takes PARAMS or --grid CAP, not both")
     if args.grid is not None:
         tasks = [(name, kw) for kw in iter_grid(name, args.grid)]
         jobs = max(1, min(args.jobs, os.cpu_count() or 1))
@@ -189,15 +191,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("csf", parents=[common], help="chromatic symmetric function of a graph spec")
     p.add_argument("spec")
     p.add_argument("--basis", choices=("p", "e", "s"), default="e")
-    p.add_argument("--max-degree", type=int, default=None, metavar="N",
-                   help="override the basis-transition degree guard")
     p.set_defaults(func=_cmd_csf)
 
     p = sub.add_parser("chrompoly", parents=[common], help="chromatic polynomial of a graph spec")
     p.add_argument("spec")
     p.add_argument("--at", type=int, default=None, metavar="N", help="evaluate at x = N")
-    p.add_argument("--max-edges", type=int, default=None, metavar="N",
-                   help="override the edge-count guard")
     p.set_defaults(func=_cmd_chrompoly)
 
     p = sub.add_parser("positivity", parents=[common], help="e- or s-positivity verdict with witness")
@@ -210,8 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("scan", parents=[common], help="partition types with no connected partition")
     p.add_argument("spec")
     p.add_argument("--strict", action="store_true", help="exit 1 when types are missing")
-    p.add_argument("--max-vertices", type=int, default=None, metavar="N",
-                   help="override the vertex-count guard")
     p.set_defaults(func=_cmd_scan)
 
     p = sub.add_parser("partitions", parents=[common], help="list the partitions of N, largest part first")

@@ -34,6 +34,11 @@ a spec whose family has a closed form returns it, any other spec is built,
 and a ``Graph`` goes to ``csf_subsets`` at most ``AUTO_SUBSET_THRESHOLD``
 edges and to ``csf_dc`` above that.  ``compute_csf(spec.build())`` is thus
 the formula-free route every identity check compares the closed forms with.
+
+Each guard is a fixed module constant, checked by the function that does the
+work before it starts: both CSF engines refuse graphs above ``CSF_EDGE_CAP``
+edges, and ``chromatic_poly_dc`` refuses graphs above
+``DEFAULT_CHROMPOLY_EDGE_CAP`` edges.
 """
 
 from __future__ import annotations
@@ -47,9 +52,9 @@ from .graphs import Graph, GraphSpec, WeightedMultigraph, as_spec
 from .partitions import Partition, partitions_of
 from .symfunc import Basis, SymFunc, p_to_e
 
-#: default ceiling on |E| for the exponential subset oracle
-DEFAULT_SUBSET_EDGE_CAP = 26
-#: default ceiling on |E| for chromatic-polynomial deletion-contraction
+#: ceiling on |E| for both CSF engines, the subset oracle and deletion-contraction
+CSF_EDGE_CAP = 26
+#: ceiling on |E| for chromatic-polynomial deletion-contraction
 DEFAULT_CHROMPOLY_EDGE_CAP = 40
 #: ``compute_csf`` sends a graph to deletion-contraction above this many edges
 AUTO_SUBSET_THRESHOLD = 18
@@ -116,14 +121,13 @@ def _convolve_counts(a, b):
     return out
 
 
-def csf_subsets(g: Graph, max_edges=None) -> SymFunc:
+def csf_subsets(g: Graph) -> SymFunc:
     """Chromatic symmetric function by the edge-subset expansion (p basis).
 
-    Runtime 2^|E|; guarded at ``max_edges`` (default 26).
+    Runtime 2^|E|; guarded at ``CSF_EDGE_CAP`` edges.
     """
-    cap = DEFAULT_SUBSET_EDGE_CAP if max_edges is None else max_edges
-    if len(g.edges) > cap:
-        raise ValueError(f"subset oracle guarded at {cap} edges, graph has {len(g.edges)}")
+    if len(g.edges) > CSF_EDGE_CAP:
+        raise ValueError(f"subset oracle guarded at {CSF_EDGE_CAP} edges, graph has {len(g.edges)}")
     total = None
     for comp in g.components():
         local = {v: i for i, v in enumerate(comp)}
@@ -267,22 +271,21 @@ def _subtract_counts(a, b):
     return {k: c for k, c in out.items() if c}
 
 
-def csf_dc(g, max_total_weight=None) -> SymFunc:
+def csf_dc(g) -> SymFunc:
     """Chromatic symmetric function by weighted deletion-contraction (p basis).
 
     Accepts a ``Graph`` (unit weights) or a ``WeightedMultigraph``.  Any loop
     makes the function identically zero; parallel edges beyond the first copy
     are discarded.  The kernel works on integer p-tables {parts: coefficient}:
     an isolated clump of weight w is p_w, and the product is concatenation.
+    Guarded at ``CSF_EDGE_CAP`` edges, counted as listed.
     """
+    if len(g.edges) > CSF_EDGE_CAP:
+        raise ValueError(f"CSF deletion-contraction guarded at {CSF_EDGE_CAP} edges, graph has {len(g.edges)}")
     if isinstance(g, Graph):
         g = WeightedMultigraph.from_graph(g)
     weights = g.weights
     degree = g.total_weight
-    if max_total_weight is not None and degree > max_total_weight:
-        raise ValueError(
-            f"total weight {degree} exceeds cap {max_total_weight}"
-        )
     if any(u == v for u, v in g.edges):
         return SymFunc.zero(Basis.P, degree)
 
@@ -578,17 +581,17 @@ def _close_chromatic(edges):
     return None
 
 
-def chromatic_poly_dc(g: Graph, max_edges=None) -> ChromPoly:
+def chromatic_poly_dc(g: Graph) -> ChromPoly:
     """Chromatic polynomial by blocks and deletion-contraction.
 
     The graph splits into its 2-connected blocks B, and
     P(G) = x^{n - sum_B (|V(B)|-1)} prod_B P(B)/x.  Each block runs through
     the deletion-contraction kernel, where trees and complete states close in
-    one step and other states branch on a non-bridge edge.
+    one step and other states branch on a non-bridge edge.  Guarded at
+    ``DEFAULT_CHROMPOLY_EDGE_CAP`` edges.
     """
-    cap = DEFAULT_CHROMPOLY_EDGE_CAP if max_edges is None else max_edges
-    if len(g.edges) > cap:
-        raise ValueError(f"chromatic recursion guarded at {cap} edges, graph has {len(g.edges)}")
+    if len(g.edges) > DEFAULT_CHROMPOLY_EDGE_CAP:
+        raise ValueError(f"chromatic recursion guarded at {DEFAULT_CHROMPOLY_EDGE_CAP} edges, graph has {len(g.edges)}")
     exponent = g.n
     out = ChromPoly((1,))
     for blocks in _biconnected(_unit_edges(g.edge_list)):
@@ -685,10 +688,10 @@ def compute_csf(target):
     return p_to_e(csf_dc(target)), "dc"
 
 
-def compute_chromatic(target, max_edges=None):
+def compute_chromatic(target):
     """Chromatic polynomial of a Graph, GraphSpec or spec string; returns
     (ChromPoly, engine_used).  A family with a closed form uses it, and any
-    other graph goes through ``chromatic_poly_dc``, guarded at ``max_edges``.
+    other graph goes through ``chromatic_poly_dc``.
     """
     spec = as_spec(target)
     if spec is not None:
@@ -697,4 +700,4 @@ def compute_chromatic(target, max_edges=None):
         if closed is not None:
             return closed, "closed"
         target = spec.build()
-    return chromatic_poly_dc(target, max_edges=max_edges), "dc"
+    return chromatic_poly_dc(target), "dc"

@@ -6,9 +6,8 @@ independent engines — the left side by the formula-free route
 deletion-contraction above), the right side from closed family forms — and
 returns an :class:`IdentityReport` carrying the exact difference.
 ``_oracle`` memoizes that route per graph; it is the only memo of CSF
-results.  The triangle and sun-spider checks, which take any graph or ray
-length, refuse graphs above ``DEFAULT_SUBSET_EDGE_CAP`` edges, since
-deletion-contraction has no guard of its own yet.  ``run_grid`` sweeps an
+results.  Both CSF engines refuse graphs above ``CSF_EDGE_CAP`` edges, so
+an identity on a larger graph raises ValueError.  ``run_grid`` sweeps an
 identity over its whole parameter grid.
 """
 
@@ -20,8 +19,8 @@ from functools import lru_cache
 from math import factorial, prod
 
 from .csf import (
+    CSF_EDGE_CAP,
     DEFAULT_CHROMPOLY_EDGE_CAP,
-    DEFAULT_SUBSET_EDGE_CAP,
     chromatic_poly_closed,
     chromatic_poly_dc,
     compute_csf,
@@ -98,14 +97,6 @@ def _oracle(g: Graph) -> SymFunc:
     return f
 
 
-def _edge_guarded(g: Graph) -> Graph:
-    """g itself, or ValueError above ``DEFAULT_SUBSET_EDGE_CAP`` edges."""
-    cap = DEFAULT_SUBSET_EDGE_CAP
-    if len(g.edges) > cap:
-        raise ValueError(f"identity checks guarded at {cap} edges, graph has {len(g.edges)}")
-    return g
-
-
 def first_triangle(g: Graph):
     """The lexicographically first triangle of g as three edges, or None."""
     adj = g.adjacency()
@@ -124,8 +115,7 @@ def verify_triple_deletion(target, e1=None, e2=None, e3=None) -> IdentityReport:
 
     All four functions come from the formula-free route ``_oracle`` (the
     subset expansion up to 18 edges, deletion-contraction above it, with the
-    same output); graphs above ``DEFAULT_SUBSET_EDGE_CAP`` edges raise
-    ValueError.  When no edges are given, the lexicographically first
+    same output).  When no edges are given, the lexicographically first
     triangle of the graph is used.
     """
     spec = as_spec(target)
@@ -145,7 +135,7 @@ def verify_triple_deletion(target, e1=None, e2=None, e3=None) -> IdentityReport:
     def minus(*gone):
         return Graph(g.n, [e for e in g.edge_list if e not in gone])
 
-    lhs = _oracle(_edge_guarded(g))
+    lhs = _oracle(g)
     rhs = _oracle(minus(e1)) + _oracle(minus(e2)) - _oracle(minus(e1, e2))
     params = {"target": spec if spec is not None else g, "triangle": list(edges)}
     return _report("triple_deletion", params, lhs, rhs)
@@ -189,11 +179,9 @@ def verify_sun_spider_reduction(a: int, b: int) -> IdentityReport:
 
     Both graph functions come from the formula-free route ``_oracle`` (the
     subset expansion up to 18 edges, deletion-contraction above it, with the
-    same output); the path product from the closed path form.  Suns above
-    ``DEFAULT_SUBSET_EDGE_CAP`` edges raise ValueError (the spider has one
-    edge fewer).
+    same output); the path product from the closed path form.
     """
-    lhs = _oracle(_edge_guarded(sun_graph(3, (a, b, b))))
+    lhs = _oracle(sun_graph(3, (a, b, b)))
     rhs = 2 * _oracle(spider_graph((a + 1, b + 1, b))) - csf_path_closed(2 * b + 2) * csf_path_closed(a + 1)
     return _report("sun_spider_reduction", {"a": a, "b": b}, lhs, rhs)
 
@@ -275,8 +263,8 @@ def verify_chromatic_closed_forms(target) -> IdentityReport:
     """Closed chromatic polynomial of a family spec against deletion-contraction,
     compared coefficientwise."""
     spec = as_spec(target)
-    lhs = chromatic_poly_dc(spec.build())
     rhs = chromatic_poly_closed(spec)
+    lhs = chromatic_poly_dc(spec.build())
     return _report("chromatic_closed_forms", {"spec": spec}, lhs, rhs)
 
 
@@ -409,10 +397,10 @@ def _grid_dumbbell(cap):
 
 
 def _grid_cdumbbell(cap):
-    # Complete dumbbells grow quadratically in m and n; larger ones would take
-    # the unguarded deletion-contraction route, so the grid stops at 26 edges.
+    # Complete dumbbells grow quadratically in m and n; the grid stops where
+    # the CSF engines do.
     for kw in _grid_dumbbell(cap):
-        if len(dumbbell_graph(**kw, kind="complete").edges) <= DEFAULT_SUBSET_EDGE_CAP:
+        if len(dumbbell_graph(**kw, kind="complete").edges) <= CSF_EDGE_CAP:
             yield kw
 
 

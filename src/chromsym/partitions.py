@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from functools import lru_cache
 
-#: refuse to enumerate partitions of anything larger than this by default
+#: refuse to enumerate partitions of anything larger than this
 DEFAULT_ENUMERATION_CAP = 40
 
 
@@ -96,15 +96,15 @@ def _partition_list(n: int) -> tuple:
     return tuple(out)
 
 
-def partitions_of(n: int, max_n: int = DEFAULT_ENUMERATION_CAP) -> list:
+def partitions_of(n: int) -> list:
     """All partitions of ``n``, lexicographically decreasing: (n) first, (1,..,1) last.
 
-    Guarded: raises ``ValueError`` for ``n > max_n`` (default 40) or ``n < 0``.
+    Guarded: raises ``ValueError`` for ``n > DEFAULT_ENUMERATION_CAP`` (40) or ``n < 0``.
     """
     if n < 0:
         raise ValueError("cannot partition a negative integer")
-    if n > max_n:
-        raise ValueError(f"partitions_of({n}) exceeds the enumeration cap {max_n}")
+    if n > DEFAULT_ENUMERATION_CAP:
+        raise ValueError(f"partitions_of({n}) exceeds the enumeration cap {DEFAULT_ENUMERATION_CAP}")
     return list(_partition_list(n))
 
 

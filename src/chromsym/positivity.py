@@ -2,12 +2,15 @@
 
 ``e_positivity`` and ``s_positivity`` take only a target and report the
 engine ``compute_csf`` chose for it: the closed form for a family that has
-one, else the subset expansion or deletion-contraction by edge count.
+one, else the subset expansion or deletion-contraction by edge count.  Both
+engines refuse graphs above ``csf.CSF_EDGE_CAP`` edges, so a graph without a
+closed form above that raises ValueError before the engine starts.
 
 A connected graph whose chromatic symmetric function is e-positive has a
 connected partition of every type: for each partition lambda of |V| the vertex
 set splits into blocks of sizes lambda_i each inducing a connected subgraph.
-``missing_partition_scan`` inventories the types without such a partition, and
+``missing_partition_scan`` inventories the types without such a partition (on
+at most ``DEFAULT_SCAN_VERTEX_CAP`` vertices), and
 the ``*_missing_type`` helpers give the predicted obstruction types for sun
 graphs together with the coefficient values they force.
 """
@@ -22,7 +25,7 @@ from .graphs import Graph, GraphSpec, as_spec
 from .partitions import Partition, partitions_of
 from .symfunc import Basis, e_to_s, fraction_json
 
-#: default ceiling on |V| for full missing-type scans
+#: ceiling on |V| for full missing-type scans
 DEFAULT_SCAN_VERTEX_CAP = 14
 
 
@@ -140,15 +143,15 @@ def has_connected_partition(g: Graph, lam) -> ConnectedPartitionWitness | None:
     return ConnectedPartitionWitness(tuple(found))
 
 
-def missing_partition_scan(g: Graph, max_vertices=None) -> list:
+def missing_partition_scan(g: Graph) -> list:
     """All types lambda of |V| with no connected partition, in canonical order.
 
     Nonempty output certifies that X_G is not e-positive (for connected G);
-    empty output is necessary but not sufficient for e-positivity.
+    empty output is necessary but not sufficient for e-positivity.  Guarded at
+    ``DEFAULT_SCAN_VERTEX_CAP`` vertices.
     """
-    cap = DEFAULT_SCAN_VERTEX_CAP if max_vertices is None else max_vertices
-    if g.n > cap:
-        raise ValueError(f"full scans guarded at {cap} vertices, graph has {g.n}")
+    if g.n > DEFAULT_SCAN_VERTEX_CAP:
+        raise ValueError(f"full scans guarded at {DEFAULT_SCAN_VERTEX_CAP} vertices, graph has {g.n}")
     return [lam for lam in partitions_of(g.n) if has_connected_partition(g, lam) is None]
 
 

@@ -30,7 +30,7 @@ from math import comb, factorial, lcm
 
 from .partitions import Partition, partitions_of
 
-#: refuse e -> p and e -> s transitions above this degree by default
+#: refuse e -> p and e -> s transitions above this degree
 DEFAULT_TRANSITION_CAP = 22
 
 
@@ -367,10 +367,9 @@ def schur_in_e(parts) -> SymFunc:
 # ---------------------------------------------------------------- conversions
 
 
-def _degree_guard(degree: int, max_degree) -> None:
-    cap = DEFAULT_TRANSITION_CAP if max_degree is None else max_degree
-    if degree > cap:
-        raise ValueError(f"basis transitions guarded at degree {cap}, got {degree}")
+def _degree_guard(degree: int) -> None:
+    if degree > DEFAULT_TRANSITION_CAP:
+        raise ValueError(f"basis transitions guarded at degree {DEFAULT_TRANSITION_CAP}, got {degree}")
 
 
 def _apply(f: SymFunc, source: Basis, target: Basis, expand) -> SymFunc:
@@ -395,20 +394,20 @@ def p_to_e(f: SymFunc) -> SymFunc:
     return _apply(f, Basis.P, Basis.E, partial(_product, _power_in_e))
 
 
-def e_to_p(f: SymFunc, max_degree=None) -> SymFunc:
+def e_to_p(f: SymFunc) -> SymFunc:
     """Convert from the elementary basis to the power-sum basis (exact)."""
-    _degree_guard(f.degree, max_degree)
+    _degree_guard(f.degree)
     return _apply(f, Basis.E, Basis.P, partial(_product, _elementary_in_p))
 
 
-def e_to_s(f: SymFunc, max_degree=None) -> SymFunc:
+def e_to_s(f: SymFunc) -> SymFunc:
     """Convert from the elementary basis to the Schur basis (exact).
 
     Each e_mu expands by the dual Pieri rule into Kostka numbers, which are
     nonnegative integers; nothing is shared with ``s_to_e``, so a round trip
     through both checks one route against the other.
     """
-    _degree_guard(f.degree, max_degree)
+    _degree_guard(f.degree)
     return _apply(f, Basis.E, Basis.S, _elementary_in_s)
 
 
@@ -417,7 +416,7 @@ def s_to_e(f: SymFunc) -> SymFunc:
     return _apply(f, Basis.S, Basis.E, _jacobi_trudi_dual)
 
 
-def convert(f: SymFunc, basis, max_degree=None) -> SymFunc:
+def convert(f: SymFunc, basis) -> SymFunc:
     """Convert ``f`` to the requested basis (identity when already there)."""
     target = Basis(basis)
     if f.basis is target:
@@ -426,4 +425,4 @@ def convert(f: SymFunc, basis, max_degree=None) -> SymFunc:
         f = p_to_e(f) if f.basis is Basis.P else s_to_e(f)
     if target is Basis.E:
         return f
-    return e_to_p(f, max_degree) if target is Basis.P else e_to_s(f, max_degree)
+    return e_to_p(f) if target is Basis.P else e_to_s(f)

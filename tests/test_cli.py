@@ -45,9 +45,9 @@ class TestCsfCommand:
         assert obj["basis"] == "s"
 
     def test_degree_guard_override(self, capsys):
-        code, _, err = run(capsys, "csf", "path(6)", "--basis", "s", "--max-degree", "3")
+        code, _, err = run(capsys, "csf", "path(23)", "--basis", "s")
         assert code == 2
-        assert err.startswith("error:")
+        assert err == "error: basis transitions guarded at degree 22, got 23\n"
 
     def test_byte_deterministic(self, capsys):
         _, first, _ = run(capsys, "csf", "sun(3;2,1,1)", "--json")
@@ -131,8 +131,6 @@ class TestScanCommand:
     def test_vertex_guard_override(self, capsys):
         code, _, err = run(capsys, "scan", "path(15)")
         assert code == 2 and "error:" in err
-        code, out, _ = run(capsys, "scan", "path(15)", "--max-vertices", "15")
-        assert (code, out) == (0, "none\n")
 
 
 class TestPartitionsCommand:
@@ -199,6 +197,11 @@ class TestVerifyCommand:
     def test_missing_params(self, capsys):
         code, _, err = run(capsys, "verify", "dumbbell_recursion")
         assert code == 2 and "error:" in err
+
+    def test_params_with_grid_exit_2(self, capsys):
+        code, out, err = run(capsys, "verify", "triple-deletion", "complete(3)", "--grid", "0")
+        assert (code, out) == (2, "")
+        assert err == "error: verify takes PARAMS or --grid CAP, not both\n"
 
     def test_bad_param_count(self, capsys):
         code, _, err = run(capsys, "verify", "dumbbell_recursion", "4,0")
@@ -299,7 +302,7 @@ class TestErrorsAndParser:
     def test_verify_edge_guard_exit_2(self, capsys, argv, edges):
         code, out, err = run(capsys, "verify", *argv)
         assert code == 2 and out == ""
-        assert err == f"error: identity checks guarded at 26 edges, graph has {edges}\n"
+        assert err == f"error: CSF deletion-contraction guarded at 26 edges, graph has {edges}\n"
 
     def test_deeply_nested_spec_exit_2(self, capsys):
         spec = "line(" * 1200 + "path(3)" + ")" * 1200

@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 from chromsym import csf as csf_module
 from chromsym.csf import (
     AUTO_SUBSET_THRESHOLD,
+    CSF_EDGE_CAP,
     DEFAULT_CHROMPOLY_EDGE_CAP,
-    DEFAULT_SUBSET_EDGE_CAP,
     ChromPoly,
     chromatic_poly_closed,
     chromatic_poly_dc,
@@ -144,10 +144,6 @@ class TestDeletionContraction:
     def test_parallel_edges_collapse(self):
         doubled = WeightedMultigraph((1, 1), [(0, 1), (0, 1)])
         assert csf_dc(doubled) == csf_dc(path_graph(2))
-
-    def test_weight_guard(self):
-        with pytest.raises(ValueError):
-            csf_dc(path_graph(5), max_total_weight=4)
 
 
 class TestClosedForms:
@@ -352,18 +348,18 @@ class TestEngineRouting:
 class TestGuards:
     def test_subset_cap_default(self):
         g = complete_graph(8)  # 28 edges
-        assert len(g.edges) > DEFAULT_SUBSET_EDGE_CAP
+        assert len(g.edges) > CSF_EDGE_CAP
         with pytest.raises(ValueError):
             csf_subsets(g)
 
-    def test_subset_cap_override(self):
-        with pytest.raises(ValueError):
-            csf_subsets(path_graph(5), max_edges=2)
-        assert csf_subsets(path_graph(5), max_edges=4) is not None
+    def test_dc_cap(self):
+        g = complete_graph(8)  # 28 edges
+        with pytest.raises(ValueError, match="guarded at 26 edges, graph has 28"):
+            csf_dc(g)
+        with pytest.raises(ValueError, match="graph has 28"):
+            csf_dc(WeightedMultigraph((1,) * 8, g.edge_list))
 
     def test_chromatic_cap(self):
-        with pytest.raises(ValueError):
-            chromatic_poly_dc(path_graph(5), max_edges=2)
         g = complete_graph(10)  # 45 edges over the default cap
         assert len(g.edges) > DEFAULT_CHROMPOLY_EDGE_CAP
         with pytest.raises(ValueError):

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from chromsym import identities
 from chromsym.csf import compute_csf
 from chromsym.graphs import cycle_graph, dumbbell_graph, path_graph, sun_graph
 from chromsym.identities import (
@@ -133,6 +134,14 @@ class TestChromaticIdentity:
     def test_rejects_family_without_closed_form(self):
         with pytest.raises(ValueError):
             verify_chromatic_closed_forms("path(5)")
+
+    def test_closed_side_first(self, monkeypatch):
+        def refuse(g):
+            pytest.fail("deletion-contraction ran before the closed form was looked up")
+
+        monkeypatch.setattr(identities, "chromatic_poly_dc", refuse)
+        with pytest.raises(ValueError):
+            verify_chromatic_closed_forms("path(3)")
 
 
 class TestDistinguishability:

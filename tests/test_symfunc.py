@@ -317,12 +317,6 @@ class TestConvertRouting:
         with pytest.raises(ValueError):
             e_to_p(f)
 
-    def test_guard_override(self):
-        f = SymFunc.single(Basis.E, (6,), 1)
-        with pytest.raises(ValueError):
-            e_to_p(f, max_degree=5)
-        assert p_to_e(e_to_p(f, max_degree=6)) == f
-
 
 class TestJson:
     def test_round_trip(self):
