@@ -50,7 +50,7 @@ from math import factorial
 
 from .graphs import Graph, GraphSpec, WeightedMultigraph, as_spec
 from .partitions import Partition, partitions_of
-from .symfunc import Basis, SymFunc, p_to_e
+from .symfunc import Basis, SymFunc, p_to_e, signed_sum
 
 #: ceiling on |E| for both CSF engines, the subset oracle and deletion-contraction
 CSF_EDGE_CAP = 26
@@ -111,8 +111,6 @@ def _subset_counts(n, edges):
 
 
 def _convolve_counts(a, b):
-    if a is None:
-        return b
     out = {}
     for ka, ca in a.items():
         for kb, cb in b.items():
@@ -128,13 +126,11 @@ def csf_subsets(g: Graph) -> SymFunc:
     """
     if len(g.edges) > CSF_EDGE_CAP:
         raise ValueError(f"subset oracle guarded at {CSF_EDGE_CAP} edges, graph has {len(g.edges)}")
-    total = None
+    total = {(): 1}
     for comp in g.components():
         local = {v: i for i, v in enumerate(comp)}
         edges = [(local[u], local[v]) for u, v in g.edge_list if u in local and v in local]
         total = _convolve_counts(total, _subset_counts(len(comp), edges))
-    if total is None:
-        total = {(): 1}
     return SymFunc(Basis.P, g.n, {Partition(k): Fraction(c) for k, c in total.items() if c})
 
 
@@ -531,25 +527,11 @@ class ChromPoly:
         return f"ChromPoly({list(self.coeffs)})"
 
     def __str__(self):
-        if self.coeffs == (0,):
-            return "0"
-        chunks = []
-        for k in range(self.degree, -1, -1):
-            c = self.coeffs[k]
-            if not c:
-                continue
-            mag = abs(c)
-            if k == 0:
-                body = str(mag)
-            else:
-                xpart = "x" if k == 1 else f"x^{k}"
-                body = xpart if mag == 1 else f"{mag}*{xpart}"
-            chunks.append(("-" if c < 0 else "+", body))
-        sign, body = chunks[0]
-        out = ("-" if sign == "-" else "") + body
-        for sign, body in chunks[1:]:
-            out += f" {sign} {body}"
-        return out
+        return signed_sum(
+            (self.coeffs[k], "" if k == 0 else "x" if k == 1 else f"x^{k}")
+            for k in range(self.degree, -1, -1)
+            if self.coeffs[k]
+        )
 
 
 _X = ChromPoly((0, 1))
@@ -602,13 +584,17 @@ def chromatic_poly_dc(g: Graph) -> ChromPoly:
     return out * _poly_pow(_X, exponent)
 
 
+def _cycle_chromatic(n: int) -> ChromPoly:
+    """(x-1)^n + (-1)^n (x-1), the chromatic polynomial of C_n."""
+    return _poly_pow(_XM1, n) + (-1) ** n * _XM1
+
+
 def _closed_chromatic(spec: GraphSpec):
     """The closed chromatic polynomial of a checked spec, or None if its family has none."""
     fam, a = spec.family, spec.args
     if fam == "sun":
         n, rays = a
-        cyc = _poly_pow(_XM1, n) + (-1) ** n * _XM1
-        return cyc * _poly_pow(_XM1, sum(rays))
+        return _cycle_chromatic(n) * _poly_pow(_XM1, sum(rays))
     if fam == "dumbbell":
         m, l, n = a
         num = (
@@ -628,7 +614,7 @@ def _closed_chromatic(spec: GraphSpec):
         return out
     if fam == "sdumbbell":
         m, l, n = a
-        out = (_poly_pow(_XM1, m) + (-1) ** m * _XM1) * _poly_pow(_XM1, l + 2)
+        out = _cycle_chromatic(m) * _poly_pow(_XM1, l + 2)
         for k in range(2, n):
             out = out * ChromPoly((-k, 1))
         return out

@@ -133,6 +133,23 @@ class WeightedMultigraph:
 # ------------------------------------------------------------------ builders
 
 
+def _body_edges(kind: str, verts) -> list:
+    """Cycle or clique edges over an explicit vertex id list."""
+    k = len(verts)
+    if kind == "cycle":
+        return [(verts[i], verts[(i + 1) % k]) for i in range(k)]
+    return [(verts[i], verts[j]) for i in range(k) for j in range(i + 1, k)]
+
+
+def _pendant_path(edges: list, anchor: int, start: int, length: int) -> int:
+    """Append a path on vertices start..start+length-1 whose first vertex is
+    joined to ``anchor``; returns the next free vertex.  Length 0 adds nothing."""
+    if length:
+        edges.append((anchor, start))
+        edges.extend((v, v + 1) for v in range(start, start + length - 1))
+    return start + length
+
+
 def _check_path_args(n: int) -> None:
     if n < 1:
         raise ValueError("path needs at least one vertex")
@@ -152,7 +169,7 @@ def _check_cycle_args(n: int) -> None:
 def cycle_graph(n: int) -> Graph:
     """Cycle on n >= 3 vertices 0..n-1 (consecutive plus the wrap edge)."""
     _check_cycle_args(n)
-    return Graph(n, [(i, (i + 1) % n) for i in range(n)])
+    return Graph(n, _body_edges("cycle", range(n)))
 
 
 def _check_complete_args(n: int) -> None:
@@ -162,7 +179,7 @@ def _check_complete_args(n: int) -> None:
 
 def complete_graph(n: int) -> Graph:
     _check_complete_args(n)
-    return Graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    return Graph(n, _body_edges("complete", range(n)))
 
 
 def _check_spider_args(*legs) -> None:
@@ -181,10 +198,7 @@ def spider_graph(legs) -> Graph:
     edges = []
     nxt = 1
     for leg in legs:
-        edges.append((0, nxt))
-        for i in range(leg - 1):
-            edges.append((nxt + i, nxt + i + 1))
-        nxt += leg
+        nxt = _pendant_path(edges, 0, nxt, leg)
     return Graph(nxt, edges)
 
 
@@ -208,18 +222,12 @@ def sun_graph(n: int, rays, body: str = "cycle") -> Graph:
     """
     rays = tuple(int(x) for x in rays)
     _check_sun_args(n, rays)
-    if body == "cycle":
-        edges = [(i, (i + 1) % n) for i in range(n)]
-    elif body == "complete":
-        edges = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    else:
+    if body not in ("cycle", "complete"):
         raise ValueError(f"unknown sun body {body!r}")
+    edges = _body_edges(body, range(n))
     nxt = n
     for i, r in enumerate(rays):
-        edges.append((i, nxt))
-        for k in range(r - 1):
-            edges.append((nxt + k, nxt + k + 1))
-        nxt += r
+        nxt = _pendant_path(edges, i, nxt, r)
     return Graph(nxt, edges)
 
 
@@ -236,12 +244,8 @@ def tadpole_graph(m: int, l: int) -> Graph:
     l = 0 gives the bare cycle.  Edge count m + l.
     """
     _check_tadpole_args(m, l)
-    edges = [(i, (i + 1) % m) for i in range(m)]
-    if l:
-        edges.append((0, m))
-        for k in range(l - 1):
-            edges.append((m + k, m + k + 1))
-    return Graph(m + l, edges)
+    edges = _body_edges("cycle", range(m))
+    return Graph(_pendant_path(edges, 0, m, l), edges)
 
 
 def _check_lollipop_args(m: int, l: int) -> None:
@@ -254,20 +258,8 @@ def _check_lollipop_args(m: int, l: int) -> None:
 def lollipop_graph(m: int, l: int) -> Graph:
     """Complete graph K_m (vertices 0..m-1) with a pendant path of l vertices at 0."""
     _check_lollipop_args(m, l)
-    edges = [(i, j) for i in range(m) for j in range(i + 1, m)]
-    if l:
-        edges.append((0, m))
-        for k in range(l - 1):
-            edges.append((m + k, m + k + 1))
-    return Graph(m + l, edges)
-
-
-def _body_edges(kind: str, verts) -> list:
-    """Cycle or clique edges over an explicit vertex id list."""
-    k = len(verts)
-    if kind == "cycle":
-        return [(verts[i], verts[(i + 1) % k]) for i in range(k)]
-    return [(verts[i], verts[j]) for i in range(k) for j in range(i + 1, k)]
+    edges = _body_edges("complete", range(m))
+    return Graph(_pendant_path(edges, 0, m, l), edges)
 
 
 def _check_dumbbell_args(m: int, l: int, n: int) -> None:
@@ -295,23 +287,15 @@ def dumbbell_graph(m: int, l: int, n: int, kind: str = "ordinary") -> Graph:
         raise ValueError(f"unknown dumbbell kind {kind!r}")
     first = "cycle" if kind in ("ordinary", "semicomplete") else "complete"
     second = "cycle" if kind == "ordinary" else "complete"
-    edges = _body_edges(first, list(range(m)))
-    if l >= 1:
-        path = list(range(m, m + l))
-        edges.append((0, path[0]))
-        edges.extend((path[i], path[i + 1]) for i in range(l - 1))
-        body2 = list(range(m + l, m + l + n))
-        edges.append((path[-1], body2[0]))
-        total = m + l + n
-    elif l == 0:
-        body2 = list(range(m, m + n))
-        edges.append((0, body2[0]))
-        total = m + n
+    edges = _body_edges(first, range(m))
+    if l >= 0:
+        # a pendant path of l + 1 vertices whose last is the second body's first
+        head = _pendant_path(edges, 0, m, l + 1) - 1
+        body2 = range(head, head + n)
     else:  # shared vertex
         body2 = [0] + list(range(m, m + n - 1))
-        total = m + n - 1
     edges.extend(_body_edges(second, body2))
-    return Graph(total, edges)
+    return Graph(m + l + n, edges)
 
 
 def line_graph(g: Graph) -> Graph:
@@ -428,12 +412,6 @@ class GraphSpec:
         f, a = self.family, self.args
         if f in ("sun", "csun"):
             return f"{f}({a[0]};{','.join(str(x) for x in a[1])})"
-        if f == "spider":
-            return f"spider({','.join(str(x) for x in a)})"
-        if f == "line":
-            return f"line({a[0]})"
-        if f == "union":
-            return f"union({a[0]},{a[1]})"
         if f == "edges":
             pairs = ",".join(f"({u},{v})" for u, v in a[1])
             return f"edges[{a[0]}:{pairs}]"

@@ -308,31 +308,24 @@ def verify_distinguishability(family: str, size_cap: int) -> IdentityReport:
     ``equal`` records whether the claim holds; any counterexample pair is
     placed in ``params``.
     """
+    if family in ("dumbbell", "cdumbbell"):
+        specs = (f"{family}({m},{l},{n})" for m, l, n in _canonical_dumbbell_triples(size_cap))
+        instances = ((spec, spec, compute_csf(spec)[0]) for spec in specs)
+    elif family == "sun":
+        instances = ((key, spec, _oracle(parse_graph_spec(spec).build())) for key, spec in _sun_specs(size_cap))
+    else:
+        raise ValueError(f"unknown family {family!r}")
     seen: dict = {}
     collision = None
     count = 0
-    if family in ("dumbbell", "cdumbbell"):
-        for m, l, n in _canonical_dumbbell_triples(size_cap):
-            spec = f"{family}({m},{l},{n})"
-            f, _ = compute_csf(spec)
-            fk = _csf_key(f)
-            count += 1
-            if fk in seen and collision is None:
-                collision = [seen[fk], spec]
-            seen.setdefault(fk, spec)
-        claim = collision is None
-    elif family == "sun":
-        for key, spec in _sun_specs(size_cap):
-            fk = _csf_key(_oracle(parse_graph_spec(spec).build()))
-            count += 1
-            if fk in seen and seen[fk][0] != key and collision is None:
-                collision = [seen[fk][1], spec]
-            seen.setdefault(fk, (key, spec))
-        claim = collision is None
-    else:
-        raise ValueError(f"unknown family {family!r}")
+    for key, spec, f in instances:
+        fk = _csf_key(f)
+        count += 1
+        if fk in seen and seen[fk][0] != key and collision is None:
+            collision = [seen[fk][1], spec]
+        seen.setdefault(fk, (key, spec))
     params = {"family": family, "size_cap": size_cap, "instances": count, "collision": collision}
-    return IdentityReport("distinguishability", params, None, None, claim, None)
+    return IdentityReport("distinguishability", params, None, None, collision is None, None)
 
 
 # ------------------------------------------------------------------- grids

@@ -158,14 +158,19 @@ def missing_partition_scan(g: Graph) -> list:
 # ------------------------------------------------------------ sun obstructions
 
 
+def _check_uniform_sun(n: int, k: int) -> None:
+    """The sun rule for n equal rays of length k, without building the ray tuple."""
+    if n < 3 or k < 1:
+        raise ValueError("need n >= 3 and k >= 1")
+
+
 def uniform_sun_missing_type(n: int, k: int) -> Partition:
     """The two-part type that suns with n equal rays of length k cannot realize.
 
     Both the ordinary and the complete sun on parameters (n, k) lack a
     connected partition of this type, so neither is e-positive.
     """
-    if n < 3 or k < 1:
-        raise ValueError("need n >= 3 and k >= 1")
+    _check_uniform_sun(n, k)
     d = n * (k + 1)
     if k == 1:
         if n % 2 == 0:
@@ -178,8 +183,7 @@ def uniform_sun_missing_type(n: int, k: int) -> Partition:
 
 def uniform_sun_coefficient(n: int, k: int) -> int:
     """The e-coefficient of ``uniform_sun_missing_type(n, k)`` in X of the ordinary sun."""
-    if n < 3 or k < 1:
-        raise ValueError("need n >= 3 and k >= 1")
+    _check_uniform_sun(n, k)
     if k == 1:
         return 2 * n * (1 - n) if n % 2 == 0 else n * (1 - n)
     return n * (k + 1) * (1 - n)

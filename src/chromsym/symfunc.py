@@ -39,6 +39,19 @@ def fraction_json(c: Fraction) -> dict:
     return {"num": str(c.numerator), "den": str(c.denominator)}
 
 
+def signed_sum(terms) -> str:
+    """Join nonzero (coefficient, body) pairs as ``2*a - b + 3``: an empty body
+    is a constant term, and a coefficient of magnitude 1 prints the body alone."""
+    out = ""
+    for c, body in terms:
+        mag = abs(c)
+        text = str(mag) if not body else body if mag == 1 else f"{mag}*{body}"
+        out += f" {'-' if c < 0 else '+'} {text}"
+    if not out:
+        return "0"
+    return out[3:] if out[1] == "+" else "-" + out[3:]
+
+
 class Basis(str, Enum):
     P = "p"
     E = "e"
@@ -214,20 +227,7 @@ class SymFunc:
         return cls(obj["basis"], obj["degree"], terms)
 
     def __str__(self):
-        if not self.terms:
-            return "0"
-        chunks = []
-        for lam in self.support():
-            c = self.terms[lam]
-            sign = "-" if c < 0 else "+"
-            mag = -c if c < 0 else c
-            body = f"{self.basis.value}{lam}" if mag == 1 else f"{mag}*{self.basis.value}{lam}"
-            chunks.append((sign, body))
-        first_sign, first_body = chunks[0]
-        out = ("-" if first_sign == "-" else "") + first_body
-        for sign, body in chunks[1:]:
-            out += f" {sign} {body}"
-        return out
+        return signed_sum((self.terms[lam], f"{self.basis.value}{lam}") for lam in self.support())
 
     def __repr__(self):
         return f"SymFunc({self.basis.value!r}, {self.degree}, {self})"

@@ -227,6 +227,20 @@ class TestChromPoly:
         assert str(ChromPoly((0,))) == "0"
         assert str(ChromPoly((-1, 0, 1))) == "x^2 - 1"
         assert str(ChromPoly((2, -3, 1))) == "x^2 - 3*x + 2"
+        for coeffs, text in [
+            ((1,), "1"),
+            ((-1,), "-1"),
+            ((5,), "5"),
+            ((-5,), "-5"),
+            ((0, 1), "x"),
+            ((0, -1), "-x"),
+            ((1, 1), "x + 1"),
+            ((-1, -1), "-x - 1"),
+            ((-5, 1, 0, -1), "-x^3 + x - 5"),
+            ((0, 0, -2), "-2*x^2"),
+            ((5, 0, 1), "x^2 + 5"),
+        ]:
+            assert str(ChromPoly(coeffs)) == text
 
     def test_json(self):
         assert ChromPoly((2, -3, 1)).to_json_obj() == [2, -3, 1]

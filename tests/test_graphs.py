@@ -171,6 +171,50 @@ class TestBuilders:
         assert [sorted(c) for c in g.components()] == [[0, 1], [2, 3, 4]]
 
 
+class TestBuilderLayout:
+    """Exact vertex numbering of every builder, against independent constructions."""
+
+    BODIES = {"ordinary": (cycle_graph, cycle_graph), "complete": (complete_graph, complete_graph),
+              "semicomplete": (cycle_graph, complete_graph)}
+
+    def test_cycle_and_complete_edge_lists(self):
+        assert cycle_graph(3).edge_list == [(0, 1), (0, 2), (1, 2)]
+        assert cycle_graph(5).edge_list == [(0, 1), (0, 4), (1, 2), (2, 3), (3, 4)]
+        assert complete_graph(1).edge_list == []
+        assert complete_graph(4).edge_list == [(0, 1), (0, 2), (0, 3), (1, 2), (1, 3), (2, 3)]
+        for n in range(3, 9):
+            assert cycle_graph(n) == Graph(n, [(i, i + 1) for i in range(n - 1)] + [(0, n - 1)])
+            assert complete_graph(n) == Graph(n, [(i, j) for j in range(n) for i in range(j)])
+
+    def test_spider_edge_list(self):
+        assert spider_graph((2, 1, 3)).edge_list == [(0, 1), (0, 3), (0, 4), (1, 2), (4, 5), (5, 6)]
+
+    @pytest.mark.parametrize("body", ["cycle", "complete"])
+    def test_sun_is_body_with_attached_rays(self, body):
+        make = cycle_graph if body == "cycle" else complete_graph
+        for n, rays in [(3, (1, 1, 1)), (3, (2, 1, 3)), (4, (1, 3, 2, 1)), (5, (2, 2, 1, 1, 3))]:
+            expected = attach(make(n), [(i, path_graph(r), 0) for i, r in enumerate(rays)])
+            assert sun_graph(n, rays, body) == expected
+
+    def test_tadpole_and_lollipop_are_body_with_attached_tail(self):
+        for m, l in product(range(3, 6), range(1, 5)):
+            assert tadpole_graph(m, l) == attach(cycle_graph(m), [(0, path_graph(l), 0)])
+            assert lollipop_graph(m, l) == attach(complete_graph(m), [(0, path_graph(l), 0)])
+
+    @pytest.mark.parametrize("kind", ["ordinary", "complete", "semicomplete"])
+    def test_dumbbell_is_nested_attach(self, kind):
+        first, second = self.BODIES[kind]
+        for m, l, n in product(range(3, 6), range(0, 4), range(3, 6)):
+            tail = second(n) if l == 0 else attach(path_graph(l), [(l - 1, second(n), 0)])
+            assert dumbbell_graph(m, l, n, kind) == attach(first(m), [(0, tail, 0)])
+
+    @pytest.mark.parametrize("kind", ["complete", "semicomplete"])
+    def test_shared_vertex_dumbbell_glues_clique(self, kind):
+        first, _ = self.BODIES[kind]
+        for m, n in product(range(3, 6), range(3, 6)):
+            assert dumbbell_graph(m, -1, n, kind) == add_complete(first(m), 0, n)
+
+
 class TestEdgeSubsetType:
     def test_empty_subset(self):
         g = path_graph(4)

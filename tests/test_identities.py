@@ -165,6 +165,18 @@ class TestDistinguishability:
         with pytest.raises(ValueError):
             verify_distinguishability("widget", 9)
 
+    def test_collision_names_the_first_pair(self, monkeypatch):
+        monkeypatch.setattr(identities, "_csf_key", lambda f: "same")
+        rep = verify_distinguishability("dumbbell", 7)
+        assert not rep.equal
+        assert rep.params["collision"] == ["dumbbell(3,-1,3)", "dumbbell(3,0,3)"]
+        assert rep.params["instances"] == len(list(identities._canonical_dumbbell_triples(7)))
+        # a sun collides only with a sun of another body size or ray sum
+        rep = verify_distinguishability("sun", 7)
+        assert not rep.equal
+        assert rep.params["collision"] == ["sun(3;1,1,1)", "sun(3;1,1,2)"]
+        assert rep.params["instances"] == 4
+
 
 class TestReportShape:
     def test_json_round_trips(self):

@@ -140,6 +140,15 @@ class TestConstruction:
     def test_str_format(self):
         f = SymFunc.single(Basis.E, (3,), 3) + SymFunc.single(Basis.E, (2, 1), -1)
         assert str(f) == "3*e[3] - e[2,1]"
+        assert str(SymFunc.zero(Basis.E, 3)) == "0"
+        assert str(e_to_p(SymFunc.single(Basis.E, (2,), 1))) == "-1/2*p[2] + 1/2*p[1,1]"
+        assert str(e_to_p(SymFunc.single(Basis.E, (3,), 1))) == "1/3*p[3] - 1/2*p[2,1] + 1/6*p[1,1,1]"
+        assert str(SymFunc.single(Basis.E, (2,), Fraction(-3, 4))) == "-3/4*e[2]"
+        neg = SymFunc.single(Basis.E, (3,), -1) + SymFunc.single(Basis.E, (2, 1), 2)
+        assert str(neg) == "-e[3] + 2*e[2,1]"
+        assert str(SymFunc.single(Basis.S, (2, 1), -1)) == "-s[2,1]"
+        for c, text in [(1, "p[]"), (-1, "-p[]"), (5, "5*p[]"), (-5, "-5*p[]")]:
+            assert str(SymFunc.single(Basis.P, (), c)) == text
 
 
 class TestNonnegativity:
