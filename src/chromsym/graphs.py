@@ -134,7 +134,7 @@ class WeightedMultigraph:
 
 
 def _body_edges(kind: str, verts) -> list:
-    """Cycle or clique edges over an explicit vertex id list."""
+    """Cycle or clique edges over a sequence of vertex ids, in that order."""
     k = len(verts)
     if kind == "cycle":
         return [(verts[i], verts[(i + 1) % k]) for i in range(k)]
