@@ -5,8 +5,9 @@ Engines:
 * ``csf_subsets`` -- the edge-subset expansion
   :math:`X_G = \\sum_{S \\subseteq E} (-1)^{|S|} p_{\\lambda(S)}`,
   evaluated by a depth-first walk over subsets sharing a single undoable
-  union-find.  This is the brute-force oracle every other route is checked
-  against.
+  union-find.  The walk drops each pair of subsets that cancel, so it visits
+  only the sets with no broken circuit, |P_G(-1)| leaves.  This is the
+  formula-free oracle every other route is checked against.
 * one deletion-contraction kernel, ``_deletion_contraction``, over states
   whose vertices are weighted clumps of original vertices (the weighted
   recursion of Crew and Spirkl, :math:`X_G = X_{G\\setminus e} - X_{G/e}`,
@@ -74,12 +75,17 @@ def _multinomial(counts) -> int:
 def _subset_counts(n, edges):
     """Signed counts {component-size tuple: sum of (-1)^|S|} over subsets of ``edges``.
 
-    The 2^|E| subsets are walked depth-first, toggling one edge per level on a
-    union-find without path compression so each union can be undone in O(1).
+    A depth-first walk decides one edge per level on a union-find without path
+    compression, so each union is undone in O(1).  An edge whose endpoints are
+    already joined ends the branch: the walks that skip and take it match with
+    opposite signs and cancel.  The leaves left are the |P_G(-1)| sets with no
+    broken circuit (Stanley 1995, Thm 2.9), each keyed on ``by_size``, the
+    count of components of each size.
     """
     parent = list(range(n))
     size = [1] * n
-    counts = {}
+    by_size = [0, n] + [0] * (n - 1)
+    table = {}
     m = len(edges)
 
     def find(x):
@@ -89,25 +95,29 @@ def _subset_counts(n, edges):
 
     def rec(i, sign):
         if i == m:
-            key = tuple(sorted((size[v] for v in range(n) if parent[v] == v), reverse=True))
-            counts[key] = counts.get(key, 0) + sign
+            key = tuple(by_size)
+            table[key] = table.get(key, 0) + sign
             return
         u, v = edges[i]
-        rec(i + 1, sign)
         ru, rv = find(u), find(v)
         if ru == rv:
-            rec(i + 1, -sign)
-        else:
-            if size[ru] < size[rv]:
-                ru, rv = rv, ru
-            parent[rv] = ru
-            size[ru] += size[rv]
-            rec(i + 1, -sign)
-            size[ru] -= size[rv]
-            parent[rv] = rv
+            return
+        rec(i + 1, sign)
+        if size[ru] < size[rv]:
+            ru, rv = rv, ru
+        a, b = size[ru], size[rv]
+        parent[rv], size[ru] = ru, a + b
+        by_size[a] -= 1
+        by_size[b] -= 1
+        by_size[a + b] += 1
+        rec(i + 1, -sign)
+        by_size[a + b] -= 1
+        by_size[b] += 1
+        by_size[a] += 1
+        parent[rv], size[ru] = rv, a
 
     rec(0, 1)
-    return counts
+    return {tuple(s for s in range(n, 0, -1) for _ in range(key[s])): c for key, c in table.items()}
 
 
 def _convolve_counts(a, b):
@@ -122,7 +132,8 @@ def _convolve_counts(a, b):
 def csf_subsets(g: Graph) -> SymFunc:
     """Chromatic symmetric function by the edge-subset expansion (p basis).
 
-    Runtime 2^|E|; guarded at ``CSF_EDGE_CAP`` edges.
+    Visits the |P_G(-1)| sets with no broken circuit, at most 2^|E|;
+    guarded at ``CSF_EDGE_CAP`` edges.
     """
     if len(g.edges) > CSF_EDGE_CAP:
         raise ValueError(f"subset oracle guarded at {CSF_EDGE_CAP} edges, graph has {len(g.edges)}")

@@ -10,6 +10,7 @@ from chromsym.csf import (
     CSF_EDGE_CAP,
     DEFAULT_CHROMPOLY_EDGE_CAP,
     ChromPoly,
+    _subset_counts,
     chromatic_poly_closed,
     chromatic_poly_dc,
     closed_csf_for,
@@ -158,7 +159,7 @@ class TestClosedForms:
     def test_cycle_two_is_the_edge(self):
         assert csf_cycle_closed(2) == e_csf(path_graph(2))
 
-    @pytest.mark.parametrize("n", range(1, 7))
+    @pytest.mark.parametrize("n", range(1, 8))
     def test_complete(self, n):
         assert csf_complete_closed(n) == e_csf(complete_graph(n))
 
@@ -446,6 +447,32 @@ class TestEngineProperties:
         e_form = p_to_e(subsets)
         for k in range(5):
             assert chi(k) == e_form.evaluate_ones(k) == count_colourings(g, k)
+
+    @settings(deadline=None, max_examples=50)
+    @given(st.one_of(random_graphs(), glued_graphs()))
+    def test_subset_table_weight_is_acyclic_orientations(self, g):
+        # leaves sharing a key share |S|, hence a sign, so no two leaves cancel
+        table = _subset_counts(g.n, g.edge_list)
+        assert sum(abs(c) for c in table.values()) == abs(chromatic_poly_dc(g)(-1))
+
+    @pytest.mark.parametrize("spec,orientations", [("complete(7)", 5040), ("cdumbbell(4,2,5)", 23040)])
+    def test_subset_table_weight_fixed(self, spec, orientations):
+        g = parse_graph_spec(spec).build()
+        assert sum(abs(c) for c in _subset_counts(g.n, g.edge_list).values()) == orientations
+
+    @settings(deadline=None, max_examples=50)
+    @given(st.one_of(random_graphs(), glued_graphs()), st.randoms(use_true_random=False))
+    def test_subset_table_ignores_edge_order(self, g, rnd):
+        edges = list(g.edge_list)
+        rnd.shuffle(edges)
+        assert _subset_counts(g.n, edges) == _subset_counts(g.n, g.edge_list)
+
+    def test_subset_table_edge_cases(self):
+        assert _subset_counts(0, []) == {(): 1}
+        assert _subset_counts(2, []) == {(1, 1): 1}
+        assert csf_subsets(Graph(0, [])) == SymFunc(Basis.P, 0, {Partition([]): 1})
+        isolated = disjoint_union(path_graph(1), path_graph(1))
+        assert csf_subsets(isolated) == SymFunc.single(Basis.P, Partition([1, 1]))
 
     def test_dc_path_calls_no_closed_form(self, monkeypatch):
         spec = "cdumbbell(4,1,4)"
