@@ -17,22 +17,23 @@ import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
 
-from .csf import compute_chromatic, compute_csf
+from .csf import compute_chromatic, compute_csf, csf_degree
 from .graphs import parse_graph_spec
 from .identities import DEFAULT_GRID_VERTEX_CAP, VERIFIERS, iter_grid
 from .partitions import partitions_of
 from .positivity import e_positivity, missing_partition_scan, s_positivity
-from .symfunc import Basis, convert
+from .symfunc import Basis, _degree_guard, convert
 
 def _print_json(obj) -> None:
     print(json.dumps(obj, separators=(", ", ": ")))
 
 
 def _cmd_csf(args) -> int:
-    f, engine = compute_csf(args.spec)
     basis = Basis(args.basis)
     if basis is not Basis.E:
-        f = convert(f, basis)
+        _degree_guard(csf_degree(args.spec))
+    f, engine = compute_csf(args.spec)
+    f = convert(f, basis)
     if args.json:
         obj = f.to_json_obj()
         obj["spec"] = str(parse_graph_spec(args.spec))

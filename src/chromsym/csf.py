@@ -4,10 +4,10 @@ Engines:
 
 * ``csf_subsets`` -- the edge-subset expansion
   :math:`X_G = \\sum_{S \\subseteq E} (-1)^{|S|} p_{\\lambda(S)}`,
-  evaluated by a depth-first walk over subsets sharing a single undoable
-  union-find.  The walk drops each pair of subsets that cancel, so it visits
-  only the sets with no broken circuit, |P_G(-1)| leaves.  This is the
-  formula-free oracle every other route is checked against.
+  evaluated by a frontier-state dynamic program that merges the subsets
+  reaching the same partition of the live vertices and drops each pair of
+  subsets that cancel.  This is the formula-free oracle every other route is
+  checked against.
 * one deletion-contraction kernel, ``_deletion_contraction``, over states
   whose vertices are weighted clumps of original vertices (the weighted
   recursion of Crew and Spirkl, :math:`X_G = X_{G\\setminus e} - X_{G/e}`,
@@ -32,9 +32,9 @@ coefficients; closed forms are elementary-basis native.
 
 ``compute_csf`` takes no options and picks its engine from its input alone:
 a spec whose family has a closed form returns it, any other spec is built,
-and a ``Graph`` goes to ``csf_subsets`` at most ``AUTO_SUBSET_THRESHOLD``
-edges and to ``csf_dc`` above that.  ``compute_csf(spec.build())`` is thus
-the formula-free route every identity check compares the closed forms with.
+and a ``Graph`` goes to ``csf_subsets`` (``csf_dc`` is the tests' second
+route).  ``compute_csf(spec.build())`` is thus the formula-free route every
+identity check compares the closed forms with.
 
 Each guard is a fixed module constant, checked by the function that does the
 work before it starts: both CSF engines refuse graphs above ``CSF_EDGE_CAP``
@@ -57,8 +57,6 @@ from .symfunc import Basis, SymFunc, p_to_e, signed_sum
 CSF_EDGE_CAP = 26
 #: ceiling on |E| for chromatic-polynomial deletion-contraction
 DEFAULT_CHROMPOLY_EDGE_CAP = 40
-#: ``compute_csf`` sends a graph to deletion-contraction above this many edges
-AUTO_SUBSET_THRESHOLD = 18
 
 
 def _multinomial(counts) -> int:
@@ -75,49 +73,62 @@ def _multinomial(counts) -> int:
 def _subset_counts(n, edges):
     """Signed counts {component-size tuple: sum of (-1)^|S|} over subsets of ``edges``.
 
-    A depth-first walk decides one edge per level on a union-find without path
-    compression, so each union is undone in O(1).  An edge whose endpoints are
-    already joined ends the branch: the walks that skip and take it match with
-    opposite signs and cancel.  The leaves left are the |P_G(-1)| sets with no
-    broken circuit (Stanley 1995, Thm 2.9), each keyed on ``by_size``, the
-    count of components of each size.
+    A frontier-state dynamic program (Sekine, Imai and Tani 1995; Kawahara et
+    al. 2017).  The edges are decided one at a time, in a BFS vertex order
+    with each edge placed by its later endpoint, and subsets that reach the
+    same state share one signed count.  A state is the block label of each
+    frontier vertex (one that has met an edge and has edges left), renumbered
+    by first appearance, the size of each live block, and the descending
+    sizes of the closed components; the first two key ``states`` and the
+    third keys a table of counts.  A vertex leaves the frontier after its last
+    edge, and a block with no frontier vertex left closes; an isolated vertex
+    is closed from the start.  An edge whose endpoints already share a block
+    drops the state: skipping and taking it lead to the same successor with
+    opposite signs.  The subsets left are the |P_G(-1)| sets with no broken
+    circuit (Stanley 1995, Thm 2.9).
     """
-    parent = list(range(n))
-    size = [1] * n
-    by_size = [0, n] + [0] * (n - 1)
-    table = {}
-    m = len(edges)
-
-    def find(x):
-        while parent[x] != x:
-            x = parent[x]
-        return x
-
-    def rec(i, sign):
-        if i == m:
-            key = tuple(by_size)
-            table[key] = table.get(key, 0) + sign
-            return
-        u, v = edges[i]
-        ru, rv = find(u), find(v)
-        if ru == rv:
-            return
-        rec(i + 1, sign)
-        if size[ru] < size[rv]:
-            ru, rv = rv, ru
-        a, b = size[ru], size[rv]
-        parent[rv], size[ru] = ru, a + b
-        by_size[a] -= 1
-        by_size[b] -= 1
-        by_size[a + b] += 1
-        rec(i + 1, -sign)
-        by_size[a + b] -= 1
-        by_size[b] += 1
-        by_size[a] += 1
-        parent[rv], size[ru] = rv, a
-
-    rec(0, 1)
-    return {tuple(s for s in range(n, 0, -1) for _ in range(key[s])): c for key, c in table.items()}
+    adj = Graph(n, edges).adjacency()
+    pos = {}
+    for root in range(n):
+        queue = [root]
+        for x in queue:  # the list grows while it is walked: a BFS
+            if x not in pos:
+                pos[x] = len(pos)
+                queue += adj[x]
+    order = sorted(edges, key=lambda e: sorted((pos[e[0]], pos[e[1]]), reverse=True))
+    last = {x: i for i, e in enumerate(order) for x in e}  # each vertex's last edge
+    front = []
+    states = {((), ()): {(1,) * (n - len(last)): 1}}
+    for i, (u, v) in enumerate(order):
+        added = [x for x in (u, v) if x not in front]
+        front += added
+        pu, pv = front.index(u), front.index(v)
+        keep = [p for p, x in enumerate(front) if last[x] != i]
+        front = [front[p] for p in keep]
+        nxt = {}
+        for (labels, sizes), table in states.items():
+            labels += tuple(range(len(sizes), len(sizes) + len(added)))
+            sizes += (1,) * len(added)
+            a, b = sorted((labels[pu], labels[pv]))
+            if a == b:
+                continue
+            joined = tuple(a if x == b else x - (x > b) for x in labels)
+            grown = sizes[:a] + (sizes[a] + sizes[b],) + sizes[a + 1:b] + sizes[b + 1:]
+            for lab, siz, sign in ((labels, sizes, 1), (joined, grown, -1)):
+                gone = ()
+                if len(keep) < len(lab):
+                    kept = [lab[p] for p in keep]
+                    live = dict.fromkeys(kept)
+                    gone = tuple(s for x, s in enumerate(siz) if x not in live)
+                    rank = {x: r for r, x in enumerate(live)}
+                    lab, siz = tuple(rank[x] for x in kept), tuple(siz[x] for x in live)
+                out = nxt.setdefault((lab, siz), {})
+                for closed, c in table.items():
+                    if gone:
+                        closed = tuple(sorted(closed + gone, reverse=True))
+                    out[closed] = out.get(closed, 0) + sign * c
+        states = nxt
+    return states.get(((), ()), {})
 
 
 def _convolve_counts(a, b):
@@ -132,17 +143,11 @@ def _convolve_counts(a, b):
 def csf_subsets(g: Graph) -> SymFunc:
     """Chromatic symmetric function by the edge-subset expansion (p basis).
 
-    Visits the |P_G(-1)| sets with no broken circuit, at most 2^|E|;
-    guarded at ``CSF_EDGE_CAP`` edges.
+    Runs ``_subset_counts``; guarded at ``CSF_EDGE_CAP`` edges.
     """
     if len(g.edges) > CSF_EDGE_CAP:
         raise ValueError(f"subset oracle guarded at {CSF_EDGE_CAP} edges, graph has {len(g.edges)}")
-    total = {(): 1}
-    for comp in g.components():
-        local = {v: i for i, v in enumerate(comp)}
-        edges = [(local[u], local[v]) for u, v in g.edge_list if u in local and v in local]
-        total = _convolve_counts(total, _subset_counts(len(comp), edges))
-    return SymFunc(Basis.P, g.n, {Partition(k): Fraction(c) for k, c in total.items() if c})
+    return SymFunc(Basis.P, g.n, {Partition(k): Fraction(c) for k, c in _subset_counts(g.n, g.edge_list).items()})
 
 
 # ---------------------------------------------------- deletion-contraction
@@ -668,10 +673,9 @@ def compute_csf(target):
 
     ``target`` may be a Graph, GraphSpec or spec string.  A spec whose family
     has a closed form returns it ("closed"); any other spec is built.  A
-    ``Graph`` never meets a closed form: it goes to the subset expansion at
-    most ``AUTO_SUBSET_THRESHOLD`` edges ("subsets") and to
-    deletion-contraction above that ("dc").  So ``compute_csf(spec.build())``
-    is independent of the family formulas.
+    ``Graph`` never meets a closed form: it goes to the subset expansion
+    ("subsets").  So ``compute_csf(spec.build())`` is independent of the
+    family formulas.
     """
     spec = as_spec(target)
     if spec is not None:
@@ -680,9 +684,18 @@ def compute_csf(target):
         if closed is not None:
             return closed, "closed"
         target = spec.build()
-    if len(target.edges) <= AUTO_SUBSET_THRESHOLD:
-        return p_to_e(csf_subsets(target)), "subsets"
-    return p_to_e(csf_dc(target)), "dc"
+    return p_to_e(csf_subsets(target)), "subsets"
+
+
+def csf_degree(target) -> int:
+    """|V|, the degree of X_G, without a CSF engine: a spec with a closed form
+    reads it off the form and is never built."""
+    spec = as_spec(target)
+    if spec is None:
+        return target.n
+    spec.check()
+    closed = closed_csf_for(spec)
+    return spec.build().n if closed is None else closed.degree
 
 
 def compute_chromatic(target):

@@ -2,12 +2,12 @@
 
 Every ``verify_*`` operation computes both sides of one identity with
 independent engines — the left side by the formula-free route
-``compute_csf(g)`` on the built graph (edge-subset expansion up to 18 edges,
-deletion-contraction above), the right side from closed family forms — and
-returns an :class:`IdentityReport` carrying the exact difference.
-``_oracle`` memoizes that route per graph; it is the only memo of CSF
-results.  Both CSF engines refuse graphs above ``CSF_EDGE_CAP`` edges, so
-an identity on a larger graph raises ValueError.  ``run_grid`` sweeps an
+``compute_csf(g)`` on the built graph (the edge-subset expansion), the right
+side from closed family forms — and returns an :class:`IdentityReport`
+carrying the exact difference.  ``_oracle`` memoizes that route per graph;
+it is the only memo of CSF results.  The subset expansion refuses graphs
+above ``CSF_EDGE_CAP`` edges, so an identity on a larger graph raises
+ValueError.  ``run_grid`` sweeps an
 identity over its whole parameter grid.
 """
 
@@ -113,9 +113,8 @@ def first_triangle(g: Graph):
 def verify_triple_deletion(target, e1=None, e2=None, e3=None) -> IdentityReport:
     """X_G = X_{G minus e1} + X_{G minus e2} - X_{G minus e1,e2} for a triangle e1,e2,e3.
 
-    All four functions come from the formula-free route ``_oracle`` (the
-    subset expansion up to 18 edges, deletion-contraction above it, with the
-    same output).  When no edges are given, the lexicographically first
+    All four functions come from the formula-free route ``_oracle``, the
+    subset expansion.  When no edges are given, the lexicographically first
     triangle of the graph is used.
     """
     spec = as_spec(target)
@@ -177,9 +176,8 @@ def verify_small_sun_coefficient(a: int, b: int, c: int) -> IdentityReport:
 def verify_sun_spider_reduction(a: int, b: int) -> IdentityReport:
     """X_{S(3;a,b,b)} = 2 X_{spider(a+1,b+1,b)} - X_{P_{2b+2}} X_{P_{a+1}}.
 
-    Both graph functions come from the formula-free route ``_oracle`` (the
-    subset expansion up to 18 edges, deletion-contraction above it, with the
-    same output); the path product from the closed path form.
+    Both graph functions come from the formula-free route ``_oracle``, the
+    subset expansion; the path product from the closed path form.
     """
     lhs = _oracle(sun_graph(3, (a, b, b)))
     rhs = 2 * _oracle(spider_graph((a + 1, b + 1, b))) - csf_path_closed(2 * b + 2) * csf_path_closed(a + 1)
@@ -312,6 +310,8 @@ def verify_distinguishability(family: str, size_cap: int) -> IdentityReport:
         specs = (f"{family}({m},{l},{n})" for m, l, n in _canonical_dumbbell_triples(size_cap))
         instances = ((spec, spec, compute_csf(spec)[0]) for spec in specs)
     elif family == "sun":
+        if size_cap > CSF_EDGE_CAP:  # a sun on v vertices has v edges
+            raise ValueError(f"sun grid guarded at size_cap {CSF_EDGE_CAP}, the CSF edge cap; got {size_cap}")
         instances = ((key, spec, _oracle(parse_graph_spec(spec).build())) for key, spec in _sun_specs(size_cap))
     else:
         raise ValueError(f"unknown family {family!r}")
@@ -391,7 +391,7 @@ def _grid_dumbbell(cap):
 
 def _grid_cdumbbell(cap):
     # Complete dumbbells grow quadratically in m and n; the grid stops where
-    # the CSF engines do.
+    # the CSF engine does.
     for kw in _grid_dumbbell(cap):
         if len(dumbbell_graph(**kw, kind="complete").edges) <= CSF_EDGE_CAP:
             yield kw

@@ -2,9 +2,9 @@
 
 ``e_positivity`` and ``s_positivity`` take only a target and report the
 engine ``compute_csf`` chose for it: the closed form for a family that has
-one, else the subset expansion or deletion-contraction by edge count.  Both
-engines refuse graphs above ``csf.CSF_EDGE_CAP`` edges, so a graph without a
-closed form above that raises ValueError before the engine starts.
+one, else the subset expansion, which refuses graphs above
+``csf.CSF_EDGE_CAP`` edges before it starts.  ``s_positivity`` checks the
+basis-transition guard on |V| before any engine starts.
 
 A connected graph whose chromatic symmetric function is e-positive has a
 connected partition of every type: for each partition lambda of |V| the vertex
@@ -20,10 +20,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .csf import compute_csf
+from .csf import compute_csf, csf_degree
 from .graphs import Graph, GraphSpec, as_spec
 from .partitions import Partition, partitions_of
-from .symfunc import Basis, e_to_s, fraction_json
+from .symfunc import Basis, _degree_guard, e_to_s, fraction_json
 
 #: ceiling on |V| for full missing-type scans
 DEFAULT_SCAN_VERTEX_CAP = 14
@@ -70,6 +70,7 @@ def e_positivity(target) -> PositivityReport:
 
 def s_positivity(target) -> PositivityReport:
     """Is X_G s-positive (Schur-positive)?"""
+    _degree_guard(csf_degree(target))
     f, used = compute_csf(target)
     ok, witness = e_to_s(f).is_nonnegative()
     return PositivityReport(ok, Basis.S, witness, used)

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from chromsym import cli
+from chromsym import cli, identities, positivity
 from chromsym.cli import _verify_kwargs, build_parser, main
 from chromsym.identities import VERIFIERS, iter_grid
 
@@ -302,7 +302,34 @@ class TestErrorsAndParser:
     def test_verify_edge_guard_exit_2(self, capsys, argv, edges):
         code, out, err = run(capsys, "verify", *argv)
         assert code == 2 and out == ""
-        assert err == f"error: CSF deletion-contraction guarded at 26 edges, graph has {edges}\n"
+        assert err == f"error: subset oracle guarded at 26 edges, graph has {edges}\n"
+
+    @pytest.mark.parametrize(
+        "argv, degree",
+        [
+            (("csf", "spider(8,8,7)", "--basis", "s"), 24),
+            (("csf", "sun(3;7,7,6)", "--basis", "p"), 23),
+            (("positivity", "spider(8,8,7)", "--basis", "s"), 24),
+        ],
+    )
+    def test_degree_guard_before_csf(self, capsys, monkeypatch, argv, degree):
+        def refuse(*args):
+            pytest.fail("compute_csf ran before the degree guard")
+
+        monkeypatch.setattr(cli, "compute_csf", refuse)
+        monkeypatch.setattr(positivity, "compute_csf", refuse)
+        code, out, err = run(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err == f"error: basis transitions guarded at degree 22, got {degree}\n"
+
+    def test_sun_distinguishability_above_edge_cap_exit_2(self, capsys, monkeypatch):
+        def refuse(*args):
+            pytest.fail("a sun instance ran before the guard")
+
+        monkeypatch.setattr(identities, "_oracle", refuse)
+        code, out, err = run(capsys, "verify", "distinguishability", "sun,27")
+        assert code == 2 and out == ""
+        assert err == "error: sun grid guarded at size_cap 26, the CSF edge cap; got 27\n"
 
     def test_deeply_nested_spec_exit_2(self, capsys):
         spec = "line(" * 1200 + "path(3)" + ")" * 1200

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 from chromsym import csf as csf_module
 from chromsym.csf import (
-    AUTO_SUBSET_THRESHOLD,
     CSF_EDGE_CAP,
     DEFAULT_CHROMPOLY_EDGE_CAP,
     ChromPoly,
@@ -40,8 +39,10 @@ from chromsym.graphs import (
     sun_graph,
     tadpole_graph,
 )
-from chromsym.partitions import Partition
-from chromsym.symfunc import Basis, SymFunc, p_to_e
+from chromsym.identities import _canonical_dumbbell_triples, _sun_specs
+from chromsym.partitions import Partition, partitions_of
+from chromsym.positivity import missing_partition_scan
+from chromsym.symfunc import Basis, SymFunc, e_to_p, p_to_e
 
 # a spread of small builder outputs used for cross-engine checks
 SMALL_GRAPHS = [
@@ -67,6 +68,64 @@ SMALL_GRAPHS = [
 
 def e_csf(g):
     return p_to_e(csf_subsets(g))
+
+
+def walk_subset_counts(n, edges):
+    """Reference for ``_subset_counts``: a depth-first walk over the subsets.
+
+    It decides one edge per level, in the given order, on a union-find
+    without path compression, so each union is undone in O(1).  An edge whose
+    endpoints are already joined ends the branch: the walks that skip and
+    take it match with opposite signs and cancel.  The leaves left are the
+    |P_G(-1)| sets with no broken circuit, each keyed on ``by_size``, the
+    count of components of each size.
+    """
+    parent = list(range(n))
+    size = [1] * n
+    by_size = [0, n] + [0] * (n - 1)
+    table = {}
+    m = len(edges)
+
+    def find(x):
+        while parent[x] != x:
+            x = parent[x]
+        return x
+
+    def rec(i, sign):
+        if i == m:
+            key = tuple(by_size)
+            table[key] = table.get(key, 0) + sign
+            return
+        u, v = edges[i]
+        ru, rv = find(u), find(v)
+        if ru == rv:
+            return
+        rec(i + 1, sign)
+        if size[ru] < size[rv]:
+            ru, rv = rv, ru
+        a, b = size[ru], size[rv]
+        parent[rv], size[ru] = ru, a + b
+        by_size[a] -= 1
+        by_size[b] -= 1
+        by_size[a + b] += 1
+        rec(i + 1, -sign)
+        by_size[a + b] -= 1
+        by_size[b] += 1
+        by_size[a] += 1
+        parent[rv], size[ru] = rv, a
+
+    rec(0, 1)
+    return {tuple(s for s in range(n, 0, -1) for _ in range(key[s])): c for key, c in table.items()}
+
+
+def bond_sign_violations(f):
+    """p-terms of ``f`` whose sign is not (-1)^(n - len(lambda)).
+
+    X_G = sum over the bond lattice of mu(0, pi) p_type(pi), and mu(0, pi) has
+    sign (-1)^(n - blocks(pi)) (Stanley 1995, Thm 2.6; Rota 1964), so every
+    p-coefficient of a CSF is 0 or has that sign.
+    """
+    return [lam for lam, c in f.terms.items() if c * (-1) ** (f.degree - len(lam)) < 0]
 
 
 class TestSubsetExpansion:
@@ -126,6 +185,12 @@ class TestDeletionContraction:
             edges = rng.sample(pool, k=rng.randint(0, min(len(pool), 12)))
             g = Graph(n, edges)
             assert csf_dc(g) == csf_subsets(g)
+
+    @pytest.mark.parametrize("spec", ["complete(7)", "cdumbbell(4,2,6)", "csun(6;1,1,1,1,1,1)"])
+    def test_matches_subsets_on_19_to_26_edges(self, spec):
+        g = parse_graph_spec(spec).build()
+        assert 19 <= len(g.edges) <= CSF_EDGE_CAP
+        assert csf_dc(g) == csf_subsets(g)
 
     def test_single_weighted_vertex(self):
         f = csf_dc(WeightedMultigraph((3,)))
@@ -307,15 +372,9 @@ class TestEngineRouting:
         assert engine == "closed"
         assert f.basis is Basis.E
 
-    def test_auto_on_bare_graph_uses_subsets_then_dc(self):
-        _, engine = compute_csf(path_graph(5))
-        assert engine == "subsets"
-        big = complete_graph(7)  # 21 edges > threshold, cheap under dc
-        assert len(big.edges) > AUTO_SUBSET_THRESHOLD
-        _, engine = compute_csf(big)
-        assert engine == "dc"
-
-    def test_threshold_boundary_and_closed_specs(self, monkeypatch):
+    @pytest.fixture
+    def engine_calls(self, monkeypatch):
+        """Stand-ins for both CSF engines that record (engine, |E|) per call."""
         calls = []
 
         def stand_in(name):
@@ -327,16 +386,22 @@ class TestEngineRouting:
 
         monkeypatch.setattr(csf_module, "csf_subsets", stand_in("subsets"))
         monkeypatch.setattr(csf_module, "csf_dc", stand_in("dc"))
-        assert compute_csf(path_graph(AUTO_SUBSET_THRESHOLD + 1))[1] == "subsets"
-        assert compute_csf(path_graph(AUTO_SUBSET_THRESHOLD + 2))[1] == "dc"
+        return calls
+
+    def test_bare_graph_uses_only_subsets(self, engine_calls):
+        assert compute_csf(path_graph(CSF_EDGE_CAP + 1))[1] == "subsets"
+        assert engine_calls == [("subsets", CSF_EDGE_CAP)]
+
+    def test_closed_spec_calls_no_engine(self, engine_calls):
         assert compute_csf("cdumbbell(4,1,4)")[1] == "closed"
-        assert calls == [("subsets", AUTO_SUBSET_THRESHOLD), ("dc", AUTO_SUBSET_THRESHOLD + 1)]
+        assert compute_csf(parse_graph_spec("complete(7)"))[1] == "closed"
+        assert engine_calls == []
 
     def test_oracle_never_routes_closed(self):
         spec = parse_graph_spec("dumbbell(3,1,3)")
         f_closed, e1 = compute_csf(spec)
         f_oracle, e2 = compute_csf(spec.build())
-        assert e1 == "closed" and e2 in ("subsets", "dc")
+        assert e1 == "closed" and e2 == "subsets"
         assert f_closed == f_oracle
 
     def test_engines_agree(self):
@@ -439,9 +504,13 @@ def count_colourings(g, k):
 
 class TestEngineProperties:
     @settings(deadline=None, max_examples=50)
-    @given(st.one_of(random_graphs(), glued_graphs()))
-    def test_dc_matches_subsets_and_colourings(self, g):
+    @given(st.one_of(random_graphs(), glued_graphs()), st.randoms(use_true_random=False))
+    def test_dc_matches_subsets_and_colourings(self, g, rnd):
+        edges = list(g.edge_list)
+        rnd.shuffle(edges)
+        assert _subset_counts(g.n, g.edge_list) == walk_subset_counts(g.n, edges)
         subsets = csf_subsets(g)
+        assert bond_sign_violations(subsets) == []
         assert csf_dc(g) == subsets
         chi = chromatic_poly_dc(g)
         e_form = p_to_e(subsets)
@@ -462,14 +531,19 @@ class TestEngineProperties:
 
     @settings(deadline=None, max_examples=50)
     @given(st.one_of(random_graphs(), glued_graphs()), st.randoms(use_true_random=False))
-    def test_subset_table_ignores_edge_order(self, g, rnd):
-        edges = list(g.edge_list)
-        rnd.shuffle(edges)
-        assert _subset_counts(g.n, edges) == _subset_counts(g.n, g.edge_list)
+    def test_subset_table_ignores_vertex_labels(self, g, rnd):
+        label = list(range(g.n))
+        rnd.shuffle(label)
+        relabelled = [(label[u], label[v]) for u, v in g.edge_list]
+        rnd.shuffle(relabelled)
+        assert _subset_counts(g.n, relabelled) == _subset_counts(g.n, g.edge_list)
 
     def test_subset_table_edge_cases(self):
         assert _subset_counts(0, []) == {(): 1}
+        assert _subset_counts(1, []) == {(1,): 1}
         assert _subset_counts(2, []) == {(1, 1): 1}
+        for n, edges in [(0, []), (1, []), (3, []), (4, [(2, 3)]), (5, [(3, 1), (4, 1), (3, 4)])]:
+            assert _subset_counts(n, edges) == walk_subset_counts(n, edges)
         assert csf_subsets(Graph(0, [])) == SymFunc(Basis.P, 0, {Partition([]): 1})
         isolated = disjoint_union(path_graph(1), path_graph(1))
         assert csf_subsets(isolated) == SymFunc.single(Basis.P, Partition([1, 1]))
@@ -488,3 +562,32 @@ class TestEngineProperties:
 
         monkeypatch.setattr(csf_module, "_CLOSED_FORMS", dict.fromkeys(csf_module._CLOSED_FORMS, refuse))
         assert (csf_dc(g), chromatic_poly_dc(g)) == expected
+
+
+class TestBondLattice:
+    """Consequences of X_G = sum_{pi in L_G} mu(0, pi) p_type(pi) over the bond
+    lattice L_G, the set partitions of V(G) into connected blocks."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["path(1)", "path(6)", "cycle(7)", "complete(5)", "tadpole(4,3)", "lollipop(5,2)"]
+        + [f"{kind}({m},{l},{n})" for kind in ("dumbbell", "cdumbbell", "sdumbbell")
+           for m, l, n in [(3, -1, 4), (3, 0, 3), (4, 1, 3)]],
+    )
+    def test_p_signs_on_every_route(self, spec):
+        spec = parse_graph_spec(spec)
+        g = spec.build()
+        for f in (csf_subsets(g), csf_dc(g), e_to_p(closed_csf_for(spec))):
+            assert f.degree == g.n and f.terms
+            assert bond_sign_violations(f) == []
+
+    def test_scan_is_the_missing_p_support(self):
+        specs = [spec for _, spec in _sun_specs(10)]
+        specs += [f"spider({a},{b},{c})" for a in range(1, 8) for b in range(1, a + 1)
+                  for c in range(1, b + 1) if a + b + c <= 9]
+        specs += [f"dumbbell({m},{l},{n})" for m, l, n in _canonical_dumbbell_triples(10)]
+        assert len(specs) == 108
+        for spec in specs:
+            g = parse_graph_spec(spec).build()
+            support = csf_subsets(g).terms
+            assert missing_partition_scan(g) == [lam for lam in partitions_of(g.n) if lam not in support], spec
