@@ -688,14 +688,14 @@ def compute_csf(target):
 
 
 def csf_degree(target) -> int:
-    """|V|, the degree of X_G, without a CSF engine: a spec with a closed form
-    reads it off the form and is never built."""
+    """|V|, the degree of X_G, without a CSF engine.  A spec with a closed form
+    is neither built nor expanded: the arguments of each such family sum to
+    |V| (n; m + l; m + l + n, where a dumbbell's l = -1 is a shared vertex)."""
     spec = as_spec(target)
     if spec is None:
         return target.n
     spec.check()
-    closed = closed_csf_for(spec)
-    return spec.build().n if closed is None else closed.degree
+    return sum(spec.args) if spec.family in _CLOSED_FORMS else spec.build().n
 
 
 def compute_chromatic(target):

@@ -7,11 +7,15 @@ memoized on its index, and one linear-map helper applies that expansion to a
 function term by term.
 
 * ``p -> e`` and ``e -> p`` expand each one-part element by the signed
-  multinomial formulas
+  integer formulas
   :math:`p_i = \\sum_{\\mu \\vdash i} (-1)^{i-\\ell(\\mu)}
   \\frac{i\\,(\\ell(\\mu)-1)!}{\\prod_j m_j(\\mu)!}\\, e_\\mu` and
-  :math:`e_i = \\sum_{\\mu \\vdash i} (-1)^{i-\\ell(\\mu)} z_\\mu^{-1} p_\\mu`,
-  and multiply out products by index concatenation.
+  :math:`i!\\,e_i = \\sum_{\\mu \\vdash i} (-1)^{i-\\ell(\\mu)}
+  \\frac{i!}{z_\\mu}\\, p_\\mu`,
+  and multiply out products by index concatenation.  For ``e -> p`` the
+  product of the :math:`\\lambda_j!\\,e_{\\lambda_j}`, weighted by the
+  multinomial :math:`d!/\\prod_j \\lambda_j!`, is :math:`d!\\,e_\\lambda`, so
+  the sums stay integral and each output term is divided by :math:`d!` once.
 * ``e -> s`` grows :math:`e_\\mu` one part at a time by the dual Pieri rule
   (:math:`s_\\lambda e_k` is the sum of :math:`s_\\nu` over the vertical
   k-strips :math:`\\nu/\\lambda`), so its coefficients are the Kostka numbers
@@ -263,13 +267,17 @@ def _power_in_e(i: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def _elementary_in_p(i: int) -> tuple:
-    """p-expansion of e_i, the signed sum of p_mu / z_mu over mu |- i."""
+    """p-expansion of i! * e_i, the signed sum of (i! / z_mu) p_mu over mu |- i.
+
+    i! / z_mu counts the permutations of cycle type mu, so every coefficient
+    is an integer.
+    """
     out = []
     for mu in partitions_of(i):
         z = 1
         for part, m in mu.multiplicities().items():
             z *= part**m * factorial(m)
-        out.append((mu, Fraction((-1) ** (i - len(mu)), z)))
+        out.append((mu, (-1) ** (i - len(mu)) * (factorial(i) // z)))
     return tuple(out)
 
 
@@ -372,11 +380,13 @@ def _degree_guard(degree: int) -> None:
         raise ValueError(f"basis transitions guarded at degree {DEFAULT_TRANSITION_CAP}, got {degree}")
 
 
-def _apply(f: SymFunc, source: Basis, target: Basis, expand) -> SymFunc:
-    """The linear map sending each ``source`` basis element b_lam to ``expand(lam)``.
+def _apply(f: SymFunc, source: Basis, target: Basis, expand, weight=None, divisor: int = 1) -> SymFunc:
+    """The linear map sending each ``source`` basis element b_lam to
+    ``weight(lam) * expand(lam) / divisor`` (the weight defaults to 1).
 
-    Coefficients are scaled to one common denominator, so the sums stay in
-    integers wherever the expansion is integral.
+    Every expansion is integral and so is every weight, and coefficients are
+    scaled to one common denominator, so the sums stay in integers: each
+    output term is divided once, by that denominator times ``divisor``.
     """
     if f.basis is not source:
         raise ValueError(f"expected a function in the {source.value} basis, got basis {f.basis.value}")
@@ -384,9 +394,21 @@ def _apply(f: SymFunc, source: Basis, target: Basis, expand) -> SymFunc:
     terms = {}
     for lam, c in f.terms.items():
         a = c.numerator * (den // c.denominator)
+        if weight is not None:
+            a *= weight(lam)
         for mu, w in expand(lam):
             terms[mu] = terms.get(mu, 0) + a * w
-    return SymFunc(target, f.degree, {mu: Fraction(v) / den for mu, v in terms.items()})
+    den *= divisor
+    return SymFunc(target, f.degree, {mu: Fraction(v, den) for mu, v in terms.items()})
+
+
+def _multinomial(lam: Partition) -> int:
+    """|lam|! / prod_j lam_j!, the factor that turns prod_j (lam_j! e_{lam_j})
+    into |lam|! e_lam."""
+    out = factorial(lam.weight)
+    for part in lam:
+        out //= factorial(part)
+    return out
 
 
 def p_to_e(f: SymFunc) -> SymFunc:
@@ -395,9 +417,11 @@ def p_to_e(f: SymFunc) -> SymFunc:
 
 
 def e_to_p(f: SymFunc) -> SymFunc:
-    """Convert from the elementary basis to the power-sum basis (exact)."""
+    """Convert from the elementary basis to the power-sum basis (exact): d! e_lam
+    in integers, then one division by d! per output term."""
     _degree_guard(f.degree)
-    return _apply(f, Basis.E, Basis.P, partial(_product, _elementary_in_p))
+    expand = partial(_product, _elementary_in_p)
+    return _apply(f, Basis.E, Basis.P, expand, _multinomial, factorial(f.degree))
 
 
 def e_to_s(f: SymFunc) -> SymFunc:

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from chromsym import cli, identities, positivity
+from chromsym import cli, csf as csf_module, identities, positivity
 from chromsym.cli import _verify_kwargs, build_parser, main
 from chromsym.identities import VERIFIERS, iter_grid
 
@@ -48,6 +48,25 @@ class TestCsfCommand:
         code, _, err = run(capsys, "csf", "path(23)", "--basis", "s")
         assert code == 2
         assert err == "error: basis transitions guarded at degree 22, got 23\n"
+
+    def test_degree_guard_builds_no_closed_form(self, capsys, monkeypatch):
+        def refuse(*args):
+            pytest.fail("closed form built before the degree guard")
+
+        monkeypatch.setattr(csf_module, "_CLOSED_FORMS", dict.fromkeys(csf_module._CLOSED_FORMS, refuse))
+        cases = [
+            (("csf", "dumbbell(15,5,15)", "--basis", "s"), 35),
+            (("csf", "sdumbbell(12,-1,12)", "--basis", "p"), 23),
+            (("csf", "tadpole(20,20)", "--basis", "s"), 40),
+            (("csf", "lollipop(30,10)", "--basis", "p"), 40),
+            (("csf", "path(40)", "--basis", "s"), 40),
+            (("csf", "complete(100000)", "--basis", "s"), 100000),
+            (("positivity", "cycle(23)", "--basis", "s"), 23),
+        ]
+        for argv, n in cases:
+            code, _, err = run(capsys, *argv)
+            assert code == 2, argv
+            assert err == f"error: basis transitions guarded at degree 22, got {n}\n"
 
     def test_byte_deterministic(self, capsys):
         _, first, _ = run(capsys, "csf", "sun(3;2,1,1)", "--json")

@@ -1,3 +1,4 @@
+import itertools
 import random
 from fractions import Fraction
 
@@ -18,6 +19,7 @@ from chromsym.csf import (
     csf_complete_dumbbell_closed,
     csf_cycle_closed,
     csf_dc,
+    csf_degree,
     csf_dumbbell_closed,
     csf_lollipop_closed,
     csf_path_closed,
@@ -26,7 +28,9 @@ from chromsym.csf import (
     csf_tadpole_closed,
 )
 from chromsym.graphs import (
+    _FAMILY_TABLE,
     Graph,
+    GraphSpec,
     WeightedMultigraph,
     complete_graph,
     cycle_graph,
@@ -419,6 +423,23 @@ class TestEngineRouting:
     def test_spec_objects_and_strings_equivalent(self):
         spec = parse_graph_spec("cycle(5)")
         assert compute_csf(spec) == compute_csf("cycle(5)")
+
+    def test_degree_of_closed_specs_matches_the_built_graph(self):
+        # every spec of a closed-form family on at most 14 vertices
+        for family in csf_module._CLOSED_FORMS:
+            arity = _FAMILY_TABLE[family][0]
+            sizes = []
+            for args in itertools.product(range(-1, 15), repeat=arity):
+                spec = GraphSpec(family, args)
+                try:
+                    spec.check()
+                except ValueError:
+                    continue
+                n = spec.build().n
+                if n <= 14:
+                    assert csf_degree(spec) == n, spec
+                    sizes.append(n)
+            assert max(sizes) == 14, family
 
     def test_closed_csf_for_coverage(self):
         assert closed_csf_for(parse_graph_spec("sun(3;1,1,1)")) is None

@@ -1,6 +1,7 @@
 import json
 from fractions import Fraction
-from math import comb
+from functools import lru_cache
+from math import comb, factorial
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -10,6 +11,8 @@ from chromsym.symfunc import (
     Basis,
     DEFAULT_TRANSITION_CAP,
     SymFunc,
+    _elementary_in_p,
+    _product,
     convert,
     e_to_p,
     e_to_s,
@@ -81,6 +84,53 @@ def evaluate_at_points(f, xs):
             prod *= base(part, xs)
         total += prod
     return total
+
+
+# ------------------------------------------------------- reference e -> p
+#
+# The rational e -> p route that the integral tables replaced: e_i as the
+# signed sum of p_mu / z_mu over mu |- i, and e_lam as the product of those
+# sums, multiplied out term by term in Fractions.
+
+
+@lru_cache(maxsize=None)
+def reference_elementary_in_p(i):
+    out = []
+    for mu in partitions_of(i):
+        z = 1
+        for part, m in mu.multiplicities().items():
+            z *= part**m * factorial(m)
+        out.append((tuple(mu), Fraction((-1) ** (i - len(mu)), z)))
+    return out
+
+
+def reference_e_to_p(f):
+    terms = {}
+    for lam, c in f.terms.items():
+        product = {(): c}
+        for part in lam:
+            grown = {}
+            for mu, a in product.items():
+                for nu, b in reference_elementary_in_p(part):
+                    key = tuple(sorted(mu + nu, reverse=True))
+                    grown[key] = grown.get(key, 0) + a * b
+            product = grown
+        for mu, a in product.items():
+            terms[mu] = terms.get(mu, 0) + a
+    return SymFunc(Basis.P, f.degree, terms)
+
+
+def cap_function():
+    """A degree-22 e-function with integer and rational, positive and negative
+    coefficients, from one-part to all-ones indices."""
+    n = DEFAULT_TRANSITION_CAP
+    return (
+        SymFunc.single(Basis.E, (n,), 3)
+        + SymFunc.single(Basis.E, (10, 7, 5), Fraction(-1, 2))
+        + SymFunc.single(Basis.E, (6, 5, 4, 3, 2, 1, 1), Fraction(2, 3))
+        + SymFunc.single(Basis.E, (4, 4, 3, 3, 2, 2, 2, 1, 1), 5)
+        + SymFunc.single(Basis.E, (1,) * n, -1)
+    )
 
 
 # ------------------------------------------------------------ construction
@@ -291,14 +341,7 @@ class TestElementaryExpansions:
                 assert p_to_e(e_to_p(f)) == f, mu
 
     def test_round_trips_at_the_default_cap(self):
-        n = DEFAULT_TRANSITION_CAP
-        f = (
-            SymFunc.single(Basis.E, (n,), 3)
-            + SymFunc.single(Basis.E, (10, 7, 5), Fraction(-1, 2))
-            + SymFunc.single(Basis.E, (6, 5, 4, 3, 2, 1, 1), Fraction(2, 3))
-            + SymFunc.single(Basis.E, (4, 4, 3, 3, 2, 2, 2, 1, 1), 5)
-            + SymFunc.single(Basis.E, (1,) * n, -1)
-        )
+        f = cap_function()
         assert s_to_e(e_to_s(f)) == f
         assert p_to_e(e_to_p(f)) == f
 
@@ -306,6 +349,38 @@ class TestElementaryExpansions:
         f = SymFunc.single(Basis.E, (3, 2), 1)
         g = e_to_p(f)
         assert evaluate_at_points(f, POINTS) == evaluate_at_points(g, POINTS)
+
+    @settings(deadline=None, max_examples=60)
+    @given(
+        st.integers(0, 12).flatmap(
+            lambda d: st.tuples(
+                st.just(d),
+                st.dictionaries(
+                    st.sampled_from(partitions_of(d)),
+                    st.fractions(min_value=-5, max_value=5, max_denominator=12),
+                    max_size=6,
+                ),
+            )
+        )
+    )
+    def test_e_to_p_matches_the_rational_reference(self, case):
+        f = SymFunc(Basis.E, *case)
+        assert e_to_p(f) == reference_e_to_p(f)
+
+    def test_e_to_p_at_the_default_cap_matches_the_rational_reference(self):
+        f = cap_function()
+        assert e_to_p(f).to_json_obj() == reference_e_to_p(f).to_json_obj()
+
+    def test_elementary_table_is_integral(self):
+        # sum_mu 1/z_mu = 1 and e_i(1) = 0 for i >= 2: a dropped sign or a
+        # wrong z_mu breaks one of the two sums
+        for i in range(1, DEFAULT_TRANSITION_CAP + 1):
+            table = _elementary_in_p(i)
+            assert all(type(c) is int for _, c in table), i
+            assert sum(abs(c) for _, c in table) == factorial(i), i
+            assert sum(c for _, c in table) == (1 if i == 1 else 0), i
+        for lam in partitions_of(8):
+            assert all(type(c) is int for _, c in _product(_elementary_in_p, tuple(lam))), lam
 
 
 class TestConvertRouting:
