@@ -2,10 +2,11 @@
 
 Subcommands compute chromatic symmetric functions and chromatic polynomials
 of graph specs, run positivity checks and missing-partition scans, list
-partitions, and drive the identity verifiers (single instances or whole
-grids).  Every subcommand has a human-readable and a ``--json`` mode with
-byte-deterministic output; ``--strict`` turns negative mathematical verdicts
-into exit status 1, and usage or domain errors exit with status 2.
+partitions, and drive the identity verifiers: a single instance, or a whole
+grid checked instance by instance in this process.  Every subcommand has a
+human-readable and a ``--json`` mode with byte-deterministic output;
+``--strict`` turns negative mathematical verdicts into exit status 1, and
+usage or domain errors exit with status 2.
 """
 
 from __future__ import annotations
@@ -13,13 +14,11 @@ from __future__ import annotations
 import argparse
 import inspect
 import json
-import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 
 from .csf import compute_chromatic, compute_csf, csf_degree
 from .graphs import parse_graph_spec
-from .identities import DEFAULT_GRID_VERTEX_CAP, VERIFIERS, iter_grid
+from .identities import DEFAULT_GRID_VERTEX_CAP, VERIFIERS, run_grid
 from .partitions import partitions_of
 from .positivity import e_positivity, missing_partition_scan, s_positivity
 from .symfunc import Basis, _degree_guard, convert
@@ -125,11 +124,6 @@ def _verify_kwargs(name: str, text: str) -> dict:
     return kwargs
 
 
-def _grid_worker(task):
-    name, kwargs = task
-    return VERIFIERS[name](**kwargs).to_json_obj()
-
-
 def _report_line(obj: dict) -> str:
     status = "ok" if obj["equal"] else "FAIL"
     return f"{obj['name']} {json.dumps(obj['params'], separators=(',', ':'))}: {status}"
@@ -143,13 +137,7 @@ def _cmd_verify(args) -> int:
     if args.grid is not None and args.params is not None:
         raise ValueError("verify takes PARAMS or --grid CAP, not both")
     if args.grid is not None:
-        tasks = [(name, kw) for kw in iter_grid(name, args.grid)]
-        jobs = max(1, min(args.jobs, os.cpu_count() or 1))
-        if jobs > 1:
-            with ProcessPoolExecutor(max_workers=jobs) as pool:
-                results = list(pool.map(_grid_worker, tasks))
-        else:
-            results = [_grid_worker(t) for t in tasks]
+        results = [r.to_json_obj() for r in run_grid(name, args.grid)]
         all_equal = all(r["equal"] for r in results)
         if args.json:
             _print_json(
@@ -222,8 +210,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", type=int, default=None, const=DEFAULT_GRID_VERTEX_CAP,
                    nargs="?", metavar="CAP",
                    help="run the whole grid up to CAP vertices (default %(const)s)")
-    p.add_argument("--jobs", type=int, default=1, metavar="J",
-                   help="parallel workers for grid runs, at most the CPU count")
     p.add_argument("--strict", action="store_true", help="exit 1 when a check fails")
     p.set_defaults(func=_cmd_verify)
 

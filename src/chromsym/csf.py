@@ -9,15 +9,16 @@ Engines:
   subsets that cancel.  This is the formula-free oracle every other route is
   checked against.
 * one deletion-contraction kernel, ``_deletion_contraction``, over states
-  whose vertices are weighted clumps of original vertices (the weighted
-  recursion of Crew and Spirkl, :math:`X_G = X_{G\\setminus e} - X_{G/e}`,
-  where contraction merges the endpoint clumps and adds their weights).  Its moves: a disconnected state
-  is the product of its components, each memoized on its edge set; a
-  connected state may close in one step; otherwise it deletes and contracts
-  the non-bridge edge of largest degree sum.  ``csf_dc`` runs it on integer
-  p-tables.  ``chromatic_poly_dc`` first splits the graph into 2-connected
-  blocks, P(G) = x^{n - sum_B (|V(B)|-1)} prod_B P(B)/x, and runs it on each
-  block, where trees close to x(x-1)^{|E|} and complete states to a falling
+  whose vertices are clumps of original vertices (the weighted recursion of
+  Crew and Spirkl, :math:`X_G = X_{G\\setminus e} - X_{G/e}`, where
+  contraction merges the endpoint clumps and a clump's weight is its size).
+  Its moves: a disconnected state is the product of its components, each
+  memoized on its edge set; a connected state may close in one step;
+  otherwise it deletes and contracts the non-bridge edge of largest degree
+  sum.  ``csf_dc`` runs it on integer p-tables.  ``chromatic_poly_dc`` first
+  splits the graph into 2-connected blocks,
+  P(G) = x^{n - sum_B (|V(B)|-1)} prod_B P(B)/x, and runs it on each block,
+  where trees close to x(x-1)^{|E|} and complete states to a falling
   factorial.
 * closed forms for paths, cycles, complete graphs, tadpoles, lollipops and the
   dumbbell families, accepted only because the test suite pins them to the
@@ -49,22 +50,14 @@ from fractions import Fraction
 from functools import lru_cache, reduce
 from math import factorial
 
-from .graphs import Graph, GraphSpec, WeightedMultigraph, as_spec
-from .partitions import Partition, partitions_of
-from .symfunc import Basis, SymFunc, p_to_e, signed_sum
+from .graphs import Graph, GraphSpec, as_spec
+from .partitions import partitions_of
+from .symfunc import Basis, SymFunc, _multinomial, p_to_e, signed_sum
 
 #: ceiling on |E| for both CSF engines, the subset oracle and deletion-contraction
 CSF_EDGE_CAP = 26
 #: ceiling on |E| for chromatic-polynomial deletion-contraction
 DEFAULT_CHROMPOLY_EDGE_CAP = 40
-
-
-def _multinomial(counts) -> int:
-    total = sum(counts)
-    out = factorial(total)
-    for c in counts:
-        out //= factorial(c)
-    return out
 
 
 # ------------------------------------------------------------- subset oracle
@@ -147,7 +140,7 @@ def csf_subsets(g: Graph) -> SymFunc:
     """
     if len(g.edges) > CSF_EDGE_CAP:
         raise ValueError(f"subset oracle guarded at {CSF_EDGE_CAP} edges, graph has {len(g.edges)}")
-    return SymFunc(Basis.P, g.n, {Partition(k): Fraction(c) for k, c in _subset_counts(g.n, g.edge_list).items()})
+    return SymFunc(Basis.P, g.n, _subset_counts(g.n, g.edge_list))
 
 
 # ---------------------------------------------------- deletion-contraction
@@ -283,36 +276,25 @@ def _subtract_counts(a, b):
     return {k: c for k, c in out.items() if c}
 
 
-def csf_dc(g) -> SymFunc:
+def csf_dc(g: Graph) -> SymFunc:
     """Chromatic symmetric function by weighted deletion-contraction (p basis).
 
-    Accepts a ``Graph`` (unit weights) or a ``WeightedMultigraph``.  Any loop
-    makes the function identically zero; parallel edges beyond the first copy
-    are discarded.  The kernel works on integer p-tables {parts: coefficient}:
-    an isolated clump of weight w is p_w, and the product is concatenation.
-    Guarded at ``CSF_EDGE_CAP`` edges, counted as listed.
+    The kernel works on integer p-tables {parts: coefficient}: an isolated
+    clump of k vertices is p_k, and the product is concatenation.  Each
+    isolated vertex of ``g`` adds a part 1.  Guarded at ``CSF_EDGE_CAP`` edges.
     """
     if len(g.edges) > CSF_EDGE_CAP:
         raise ValueError(f"CSF deletion-contraction guarded at {CSF_EDGE_CAP} edges, graph has {len(g.edges)}")
-    if isinstance(g, Graph):
-        g = WeightedMultigraph.from_graph(g)
-    weights = g.weights
-    degree = g.total_weight
-    if any(u == v for u, v in g.edges):
-        return SymFunc.zero(Basis.P, degree)
-
-    def leaf(clump):
-        return {(sum(weights[i] for i in clump),): 1}
-
-    state = _unit_edges(g.edges)
-    covered = {v for e in g.edges for v in e}
-    factors = [leaf((v,)) for v in range(len(weights)) if v not in covered]
-    if state:
-        factors.append(
-            _deletion_contraction(state, leaf, mul=_convolve_counts, sub=_subtract_counts)
+    table = {(): 1}
+    if g.edges:
+        table = _deletion_contraction(
+            _unit_edges(g.edge_list),
+            lambda clump: {(len(clump),): 1},
+            mul=_convolve_counts,
+            sub=_subtract_counts,
         )
-    table = reduce(_convolve_counts, factors, {(): 1})
-    return SymFunc(Basis.P, degree, {Partition(k): Fraction(c) for k, c in table.items()})
+    isolated = (1,) * (g.n - len({v for e in g.edges for v in e}))
+    return SymFunc(Basis.P, g.n, {k + isolated: c for k, c in table.items()})
 
 
 # ------------------------------------------------------------- closed forms

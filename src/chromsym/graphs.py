@@ -1,4 +1,4 @@
-"""Simple graphs, vertex-weighted multigraphs, family builders and the spec grammar.
+"""Simple graphs, family builders and the spec grammar.
 
 Vertex numbering conventions (documented per builder, and relied on by tests):
 bodies come first, then attachments in declaration order.  All graphs are
@@ -94,40 +94,6 @@ class Graph:
 
     def __repr__(self):
         return f"Graph({self.n}, {self.edge_list})"
-
-
-class WeightedMultigraph:
-    """Vertex-weighted multigraph: weights per vertex, edge list may repeat and loop.
-
-    This is the weighted input of ``csf_dc``: in its recursion contracting an
-    edge adds the endpoint weights, so a vertex of weight w stands for a
-    contracted connected clump of w original vertices.
-    """
-
-    __slots__ = ("weights", "edges")
-
-    def __init__(self, weights, edges=()):
-        self.weights = tuple(int(w) for w in weights)
-        if any(w < 1 for w in self.weights):
-            raise ValueError("vertex weights must be positive")
-        n = len(self.weights)
-        es = []
-        for u, v in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise ValueError(f"edge ({u},{v}) out of range for {n} vertices")
-            es.append((u, v) if u <= v else (v, u))
-        self.edges = tuple(sorted(es))
-
-    @classmethod
-    def from_graph(cls, g: Graph) -> "WeightedMultigraph":
-        return cls((1,) * g.n, g.edge_list)
-
-    @property
-    def total_weight(self):
-        return sum(self.weights)
-
-    def __repr__(self):
-        return f"WeightedMultigraph({list(self.weights)}, {list(self.edges)})"
 
 
 # ------------------------------------------------------------------ builders

@@ -390,10 +390,11 @@ def _grid_dumbbell(cap):
 
 
 def _grid_cdumbbell(cap):
-    # Complete dumbbells grow quadratically in m and n; the grid stops where
-    # the CSF engine does.
+    # Complete dumbbells grow quadratically in m and n; the grid keeps those
+    # of at most 26 edges.  The bound is the grid's own, so the grid does not
+    # change when the CSF engines' guard does.
     for kw in _grid_dumbbell(cap):
-        if len(dumbbell_graph(**kw, kind="complete").edges) <= CSF_EDGE_CAP:
+        if len(dumbbell_graph(**kw, kind="complete").edges) <= 26:
             yield kw
 
 

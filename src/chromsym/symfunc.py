@@ -96,11 +96,6 @@ class SymFunc:
         lam = Partition(parts)
         return cls(basis, lam.weight, {lam: Fraction(coeff)})
 
-    @classmethod
-    def one(cls, basis) -> "SymFunc":
-        """The multiplicative unit: the empty-partition term in degree 0."""
-        return cls(basis, 0, {Partition(): Fraction(1)})
-
     def coefficient(self, parts) -> Fraction:
         lam = Partition(parts)
         if lam.weight != self.degree:
@@ -402,12 +397,14 @@ def _apply(f: SymFunc, source: Basis, target: Basis, expand, weight=None, diviso
     return SymFunc(target, f.degree, {mu: Fraction(v, den) for mu, v in terms.items()})
 
 
-def _multinomial(lam: Partition) -> int:
-    """|lam|! / prod_j lam_j!, the factor that turns prod_j (lam_j! e_{lam_j})
-    into |lam|! e_lam."""
-    out = factorial(lam.weight)
-    for part in lam:
-        out //= factorial(part)
+def _multinomial(counts) -> int:
+    """(sum of counts)! / prod_j counts_j!, as a product of binomials.  For a
+    partition lam it is the factor that turns prod_j (lam_j! e_{lam_j}) into
+    |lam|! e_lam."""
+    out, total = 1, 0
+    for c in counts:
+        total += c
+        out *= comb(total, c)
     return out
 
 

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import chromsym
 from chromsym import cli, csf as csf_module, identities, positivity
 from chromsym.cli import _verify_kwargs, build_parser, main
 from chromsym.identities import VERIFIERS, iter_grid
@@ -203,10 +208,11 @@ class TestVerifyCommand:
         assert obj["all_equal"] is True
         assert obj["count"] == len(obj["reports"]) > 0
 
-    def test_grid_jobs(self, capsys):
-        _, serial, _ = run(capsys, "verify", "sun_coefficient", "--grid", "8", "--json")
-        _, parallel, _ = run(capsys, "verify", "sun_coefficient", "--grid", "8", "--jobs", "2", "--json")
-        assert serial == parallel
+    def test_jobs_is_a_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "sun_coefficient", "--grid", "8", "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
     def test_unknown_identity(self, capsys):
         code, _, err = run(capsys, "verify", "widget", "1,2")
@@ -236,32 +242,6 @@ class TestVerifyCommand:
         kwargs = next(iter_grid(name, 8))
         text = ",".join(str(value) for value in kwargs.values())
         assert _verify_kwargs(name, text) == kwargs
-
-    def test_jobs_clamped_to_cpu_count(self, capsys, monkeypatch):
-        pools = []
-
-        class RecordingPool:  # runs the tasks in this process
-            def __init__(self, max_workers):
-                pools.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(cli, "ProcessPoolExecutor", RecordingPool)
-        monkeypatch.setattr("os.cpu_count", lambda: 3)
-        _, serial, _ = run(capsys, "verify", "sun_coefficient", "--grid", "8", "--json")
-        _, clamped, _ = run(capsys, "verify", "sun_coefficient", "--grid", "8", "--jobs", "1000000", "--json")
-        assert pools == [3] and clamped == serial
-        for jobs in ("0", "-4"):
-            _, out, _ = run(capsys, "verify", "sun_coefficient", "--grid", "8", "--jobs", jobs, "--json")
-            assert out == serial
-        assert pools == [3]
 
 
 class TestErrorsAndParser:
@@ -371,3 +351,15 @@ class TestErrorsAndParser:
         text = parser.format_help()
         for cmd in ("csf", "chrompoly", "positivity", "scan", "partitions", "verify"):
             assert cmd in text
+
+
+def test_cli_import_loads_no_process_pool():
+    # start-up cost of every chromsym process: no worker-pool machinery
+    probe = (
+        "import sys, chromsym.cli; "
+        "print([m for m in ('multiprocessing', 'concurrent.futures') if m in sys.modules])"
+    )
+    src = str(Path(chromsym.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": src}
+    done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
+    assert done.stdout == "[]\n"

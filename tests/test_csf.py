@@ -31,7 +31,6 @@ from chromsym.graphs import (
     _FAMILY_TABLE,
     Graph,
     GraphSpec,
-    WeightedMultigraph,
     complete_graph,
     cycle_graph,
     disjoint_union,
@@ -196,24 +195,8 @@ class TestDeletionContraction:
         assert 19 <= len(g.edges) <= CSF_EDGE_CAP
         assert csf_dc(g) == csf_subsets(g)
 
-    def test_single_weighted_vertex(self):
-        f = csf_dc(WeightedMultigraph((3,)))
-        assert f == SymFunc.single(Basis.P, Partition([3]))
-
-    def test_weighted_edge(self):
-        f = csf_dc(WeightedMultigraph((2, 1), [(0, 1)]))
-        expect = SymFunc.single(Basis.P, Partition([2, 1])) + SymFunc.single(
-            Basis.P, Partition([3]), Fraction(-1)
-        )
-        assert f == expect
-
-    def test_loop_gives_zero(self):
-        f = csf_dc(WeightedMultigraph((1, 2), [(0, 0), (0, 1)]))
-        assert f == SymFunc.zero(Basis.P, 3)
-
-    def test_parallel_edges_collapse(self):
-        doubled = WeightedMultigraph((1, 1), [(0, 1), (0, 1)])
-        assert csf_dc(doubled) == csf_dc(path_graph(2))
+    def test_single_vertex(self):
+        assert csf_dc(Graph(1, [])) == SymFunc.single(Basis.P, Partition([1]))
 
 
 class TestClosedForms:
@@ -457,8 +440,6 @@ class TestGuards:
         g = complete_graph(8)  # 28 edges
         with pytest.raises(ValueError, match="guarded at 26 edges, graph has 28"):
             csf_dc(g)
-        with pytest.raises(ValueError, match="graph has 28"):
-            csf_dc(WeightedMultigraph((1,) * 8, g.edge_list))
 
     def test_chromatic_cap(self):
         g = complete_graph(10)  # 45 edges over the default cap

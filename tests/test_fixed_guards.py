@@ -3,7 +3,7 @@
 A dependency-free check: no public function of the library modules takes a
 parameter named ``max_*``, and no ``chromsym`` subcommand has a ``--max-*``
 option.  Workload sizes, such as ``iter_grid``'s ``vertex_cap`` or
-``verify --grid`` and ``--jobs``, are not guards and are not matched.
+``verify --grid``, are not guards and are not matched.
 """
 
 import argparse
