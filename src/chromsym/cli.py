@@ -20,7 +20,7 @@ from .csf import compute_chromatic, compute_csf, csf_degree
 from .graphs import parse_graph_spec
 from .identities import DEFAULT_GRID_VERTEX_CAP, VERIFIERS, run_grid
 from .partitions import partitions_of
-from .positivity import e_positivity, missing_partition_scan, s_positivity
+from .positivity import _scan_guard, e_positivity, missing_partition_scan, s_positivity
 from .symfunc import Basis, _degree_guard, convert
 
 def _print_json(obj) -> None:
@@ -75,8 +75,9 @@ def _cmd_positivity(args) -> int:
 
 
 def _cmd_scan(args) -> int:
-    g = parse_graph_spec(args.spec).build()
-    missing = missing_partition_scan(g)
+    spec = parse_graph_spec(args.spec)
+    _scan_guard(csf_degree(spec))
+    missing = missing_partition_scan(spec.build())
     if args.json:
         _print_json({"spec": args.spec, "missing": [list(lam) for lam in missing]})
     elif missing:

@@ -10,9 +10,12 @@ A connected graph whose chromatic symmetric function is e-positive has a
 connected partition of every type: for each partition lambda of |V| the vertex
 set splits into blocks of sizes lambda_i each inducing a connected subgraph.
 ``missing_partition_scan`` inventories the types without such a partition (on
-at most ``DEFAULT_SCAN_VERTEX_CAP`` vertices), and
-the ``*_missing_type`` helpers give the predicted obstruction types for sun
-graphs together with the coefficient values they force.
+at most ``DEFAULT_SCAN_VERTEX_CAP`` vertices).  It searches type by type on
+integer bit masks, placing the lowest remaining vertex in a connected block of
+each distinct remaining size; one scan shares a record of the (remaining
+vertices, sizes) pairs shown to have no split.  The ``*_missing_type`` helpers
+give the predicted obstruction types for sun graphs together with the
+coefficient values they force.
 """
 
 from __future__ import annotations
@@ -79,69 +82,70 @@ def s_positivity(target) -> PositivityReport:
 # ----------------------------------------------------- connected partitions
 
 
-def _connected_blocks(adj, start, size, allowed):
-    """Yield the connected ``size``-subsets of ``allowed`` containing ``start``.
+def _neighbour_masks(g: Graph) -> list:
+    """Each vertex's neighbours as an int bit mask."""
+    nbr = [0] * g.n
+    for u, v in g.edges:
+        nbr[u] |= 1 << v
+        nbr[v] |= 1 << u
+    return nbr
 
-    Each subset is produced exactly once: candidates are tried in increasing
-    order and banned for the remainder of their branch after exploration.
-    """
-    if size == 1:
-        yield frozenset((start,))
-        return
 
-    def grow(current, frontier, banned):
-        if len(current) == size:
-            yield frozenset(current)
+def _connected_blocks(nbr, start, size, allowed):
+    """Yield the connected ``size``-subsets of the mask ``allowed`` containing
+    ``start``, as masks, each exactly once: the lowest candidate adjacent to
+    the block is either taken, or banned for the rest of its branch."""
+
+    def grow(block, frontier, banned, left):
+        if not left:
+            yield block
             return
-        local_ban = set()
-        for i, u in enumerate(frontier):
-            ext = [
-                w
-                for w in adj[u]
-                if w in allowed
-                and w not in current
-                and w not in banned
-                and w not in local_ban
-                and w not in frontier[i + 1:]
-            ]
-            yield from grow(current | {u}, frontier[i + 1:] + ext, banned | local_ban)
-            local_ban.add(u)
+        while frontier:
+            low = frontier & -frontier
+            frontier ^= low
+            grown = block | low
+            yield from grow(grown, frontier | nbr[low.bit_length() - 1] & allowed & ~grown & ~banned,
+                            banned, left - 1)
+            banned |= low
 
-    first = [w for w in adj[start] if w in allowed]
-    yield from grow({start}, first, set())
+    yield from grow(1 << start, nbr[start] & allowed, 0, size - 1)
+
+
+def _search(nbr, parts, remaining, failed):
+    """Block masks splitting the mask ``remaining`` into connected blocks of sizes
+    ``parts`` (lowest vertex first, once per distinct size), or None.  ``failed``
+    records the (remaining, parts) pairs shown to have no split, and grows."""
+    if not parts:
+        return []
+    if (remaining, parts) in failed:
+        return None
+    start = (remaining & -remaining).bit_length() - 1
+    for idx, size in enumerate(parts):
+        if idx and size == parts[idx - 1]:
+            continue
+        rest = parts[:idx] + parts[idx + 1:]
+        for block in _connected_blocks(nbr, start, size, remaining):
+            sub = _search(nbr, rest, remaining & ~block, failed)
+            if sub is not None:
+                return [block, *sub]
+    failed.add((remaining, parts))
+    return None
 
 
 def has_connected_partition(g: Graph, lam) -> ConnectedPartitionWitness | None:
-    """A vertex partition with connected blocks of sizes ``lam``, or None.
-
-    Searches by always placing the smallest unassigned vertex, trying each
-    distinct remaining part size once per level.
-    """
+    """A vertex partition with connected blocks of sizes ``lam``, or None."""
     lam = Partition(lam)
     if lam.weight != g.n:
         raise ValueError(f"partition weighs {lam.weight}, graph has {g.n} vertices")
-    adj = g.adjacency()
-
-    def search(parts, remaining):
-        if not parts:
-            return []
-        v = min(remaining)
-        tried = set()
-        for idx, size in enumerate(parts):
-            if size in tried:
-                continue
-            tried.add(size)
-            rest_parts = parts[:idx] + parts[idx + 1:]
-            for block in _connected_blocks(adj, v, size, remaining):
-                sub = search(rest_parts, remaining - block)
-                if sub is not None:
-                    return [tuple(sorted(block))] + sub
-        return None
-
-    found = search(tuple(lam), frozenset(range(g.n)))
+    found = _search(_neighbour_masks(g), tuple(lam), (1 << g.n) - 1, set())
     if found is None:
         return None
-    return ConnectedPartitionWitness(tuple(found))
+    return ConnectedPartitionWitness(tuple(tuple(v for v in range(g.n) if b >> v & 1) for b in found))
+
+
+def _scan_guard(n: int) -> None:
+    if n > DEFAULT_SCAN_VERTEX_CAP:
+        raise ValueError(f"full scans guarded at {DEFAULT_SCAN_VERTEX_CAP} vertices, graph has {n}")
 
 
 def missing_partition_scan(g: Graph) -> list:
@@ -151,9 +155,9 @@ def missing_partition_scan(g: Graph) -> list:
     empty output is necessary but not sufficient for e-positivity.  Guarded at
     ``DEFAULT_SCAN_VERTEX_CAP`` vertices.
     """
-    if g.n > DEFAULT_SCAN_VERTEX_CAP:
-        raise ValueError(f"full scans guarded at {DEFAULT_SCAN_VERTEX_CAP} vertices, graph has {g.n}")
-    return [lam for lam in partitions_of(g.n) if has_connected_partition(g, lam) is None]
+    _scan_guard(g.n)
+    nbr, failed = _neighbour_masks(g), set()
+    return [lam for lam in partitions_of(g.n) if _search(nbr, tuple(lam), (1 << g.n) - 1, failed) is None]
 
 
 # ------------------------------------------------------------ sun obstructions

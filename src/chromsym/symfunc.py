@@ -236,7 +236,7 @@ class SymFunc:
 #
 # Each expansion is a tuple of (index, coefficient) pairs.  Indices are plain
 # weakly decreasing tuples, which hash and compare like the equal Partition;
-# SymFunc turns them into Partitions once, when a conversion returns.
+# ``_apply`` turns them into Partitions once, when a conversion returns.
 
 
 #: the expansion of an empty product
@@ -394,7 +394,12 @@ def _apply(f: SymFunc, source: Basis, target: Basis, expand, weight=None, diviso
         for mu, w in expand(lam):
             terms[mu] = terms.get(mu, 0) + a * w
     den *= divisor
-    return SymFunc(target, f.degree, {mu: Fraction(v, den) for mu, v in terms.items()})
+    # built clean, not re-checked by SymFunc(): every index is weakly decreasing
+    # already, so it becomes a Partition as is, and zero coefficients are dropped
+    out = object.__new__(SymFunc)
+    out.basis, out.degree = target, f.degree
+    out.terms = {tuple.__new__(Partition, mu): Fraction(v, den) for mu, v in terms.items() if v}
+    return out
 
 
 def _multinomial(counts) -> int:

@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 import chromsym
-from chromsym import cli, csf as csf_module, identities, positivity
+from chromsym import cli, csf as csf_module, graphs, identities, positivity
 from chromsym.cli import _verify_kwargs, build_parser, main
 from chromsym.identities import VERIFIERS, iter_grid
 
@@ -155,6 +155,16 @@ class TestScanCommand:
     def test_vertex_guard_override(self, capsys):
         code, _, err = run(capsys, "scan", "path(15)")
         assert code == 2 and "error:" in err
+
+    def test_vertex_guard_before_build(self, capsys, monkeypatch):
+        def refuse(*args):
+            pytest.fail("graph built before the scan guard")
+
+        arity, rule, _ = graphs._FAMILY_TABLE["complete"]
+        monkeypatch.setitem(graphs._FAMILY_TABLE, "complete", (arity, rule, refuse))
+        code, out, err = run(capsys, "scan", "complete(2000)")
+        assert (code, out) == (2, "")
+        assert err == "error: full scans guarded at 14 vertices, graph has 2000\n"
 
 
 class TestPartitionsCommand:

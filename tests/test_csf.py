@@ -44,7 +44,7 @@ from chromsym.graphs import (
 )
 from chromsym.identities import _canonical_dumbbell_triples, _sun_specs
 from chromsym.partitions import Partition, partitions_of
-from chromsym.positivity import missing_partition_scan
+from chromsym.positivity import has_connected_partition, missing_partition_scan
 from chromsym.symfunc import Basis, SymFunc, e_to_p, p_to_e
 
 # a spread of small builder outputs used for cross-engine checks
@@ -593,3 +593,22 @@ class TestBondLattice:
             g = parse_graph_spec(spec).build()
             support = csf_subsets(g).terms
             assert missing_partition_scan(g) == [lam for lam in partitions_of(g.n) if lam not in support], spec
+
+    @settings(deadline=None, max_examples=50)
+    @given(st.one_of(random_graphs(), glued_graphs()))
+    def test_scan_is_the_missing_p_support_on_random_graphs(self, g):
+        support = csf_subsets(g).terms
+        missing = missing_partition_scan(g)
+        assert missing == [lam for lam in partitions_of(g.n) if lam not in support]
+        for lam in partitions_of(g.n):
+            w = has_connected_partition(g, lam)
+            assert (w is None) == (lam in missing)
+            if w is None:
+                continue
+            assert w.type() == lam
+            assert sorted(v for block in w.blocks for v in block) == list(range(g.n))
+            for block in w.blocks:
+                assert list(block) == sorted(block)
+                local = {v: i for i, v in enumerate(block)}
+                induced = [(local[u], local[v]) for u, v in g.edges if u in local and v in local]
+                assert len(Graph(len(block), induced).components()) == 1

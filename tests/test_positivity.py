@@ -5,6 +5,7 @@ from fractions import Fraction
 
 import pytest
 
+from chromsym import positivity
 from chromsym.graphs import (
     Graph,
     complete_graph,
@@ -20,6 +21,7 @@ from chromsym.positivity import (
     ConnectedPartitionWitness,
     PositivityReport,
     _connected_blocks,
+    _neighbour_masks,
     e_positivity,
     gcd_missing_type,
     has_connected_partition,
@@ -69,25 +71,32 @@ def _is_connected_on(g, vs):
     return seen == vs
 
 
+def mask(vs):
+    return sum(1 << v for v in vs)
+
+
+def mask_vertices(m):
+    return frozenset(v for v in range(m.bit_length()) if m >> v & 1)
+
+
 class TestConnectedBlocks:
     def test_matches_brute_force(self):
         rng = random.Random(7)
-        for _ in range(30):
+        for _ in range(60):
             n = rng.randint(3, 8)
             pool = [(i, j) for i in range(n) for j in range(i + 1, n)]
             g = Graph(n, rng.sample(pool, k=rng.randint(n - 1, len(pool))))
-            adj = adjacency(g)
-            allowed = set(range(n))
             start = rng.randrange(n)
-            size = rng.randint(1, n)
-            got = {frozenset(b) for b in _connected_blocks(adj, start, size, allowed)}
-            assert got == connected_subsets_brute(g, start, size, allowed)
+            allowed = set(range(n)) if rng.random() < 0.5 else {start} | set(rng.sample(range(n), n // 2))
+            size = rng.randint(1, len(allowed))
+            got = list(_connected_blocks(_neighbour_masks(g), start, size, mask(allowed)))
+            assert len(got) == len(set(got))  # each block exactly once
+            assert {mask_vertices(b) for b in got} == connected_subsets_brute(g, start, size, allowed)
 
     def test_respects_allowed_mask(self):
-        g = path_graph(5)
-        adj = adjacency(g)
-        got = {frozenset(b) for b in _connected_blocks(adj, 0, 2, {0, 1, 2})}
-        assert got == {frozenset({0, 1})}
+        nbr = _neighbour_masks(path_graph(5))
+        assert list(_connected_blocks(nbr, 0, 2, mask({0, 1, 2}))) == [mask({0, 1})]
+        assert list(_connected_blocks(nbr, 0, 2, mask({0, 2, 3}))) == []
 
 
 class TestHasConnectedPartition:
@@ -115,6 +124,13 @@ class TestHasConnectedPartition:
         with pytest.raises(ValueError):
             has_connected_partition(path_graph(4), Partition([3, 2]))
 
+    def test_edge_cases(self):
+        assert has_connected_partition(Graph(0, []), Partition([])) == ConnectedPartitionWitness(())
+        w = has_connected_partition(Graph(3, []), Partition([1, 1, 1]))
+        assert w.blocks == ((0,), (1,), (2,))
+        w = has_connected_partition(Graph(4, [(1, 2)]), Partition([2, 1, 1]))
+        assert w.blocks == ((0,), (1, 2), (3,))
+
     def test_complete_sun_gcd_example(self):
         g = sun_graph(4, (5, 3, 3, 1), body="complete")
         assert has_connected_partition(g, Partition([9, 7])) is None
@@ -132,6 +148,28 @@ class TestMissingPartitionScan:
         g = path_graph(DEFAULT_SCAN_VERTEX_CAP + 1)
         with pytest.raises(ValueError):
             missing_partition_scan(g)
+
+    def test_edge_cases(self):
+        assert missing_partition_scan(Graph(0, [])) == []
+        assert missing_partition_scan(Graph(3, [])) == [Partition([3]), Partition([2, 1])]
+        # vertices 0 and 3 isolated: only singletons and the block {1, 2} are connected
+        assert missing_partition_scan(Graph(4, [(1, 2)])) == [Partition([4]), Partition([3, 1]), Partition([2, 2])]
+
+    def test_search_work_gate(self, monkeypatch):
+        # one record of failed subproblems serves every type: 65,001 calls here,
+        # against 104,576 with a fresh record per type
+        calls = 0
+        search = positivity._search
+
+        def counting(*args):
+            nonlocal calls
+            calls += 1
+            return search(*args)
+
+        monkeypatch.setattr(positivity, "_search", counting)
+        missing = missing_partition_scan(parse_graph_spec("csun(7;1,1,1,1,1,1,1)").build())
+        assert len(missing) == 25
+        assert calls <= 71_500
 
     def test_scan_is_sorted_and_unique(self):
         # the 4-leg star misses exactly the types (3,2) and (2,2,1)
