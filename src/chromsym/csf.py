@@ -39,8 +39,8 @@ identity check compares the closed forms with.
 
 Each guard is a fixed module constant, checked by the function that does the
 work before it starts: both CSF engines refuse graphs above ``CSF_EDGE_CAP``
-edges, and ``chromatic_poly_dc`` refuses graphs above
-``DEFAULT_CHROMPOLY_EDGE_CAP`` edges.
+edges or ``DEFAULT_ENUMERATION_CAP`` vertices, and ``chromatic_poly_dc``
+refuses graphs above ``DEFAULT_CHROMPOLY_EDGE_CAP`` edges.
 """
 
 from __future__ import annotations
@@ -51,7 +51,7 @@ from functools import lru_cache, reduce
 from math import factorial
 
 from .graphs import Graph, GraphSpec, as_spec
-from .partitions import partitions_of
+from .partitions import DEFAULT_ENUMERATION_CAP, partitions_of
 from .symfunc import Basis, SymFunc, _multinomial, p_to_e, signed_sum
 
 #: ceiling on |E| for both CSF engines, the subset oracle and deletion-contraction
@@ -136,10 +136,13 @@ def _convolve_counts(a, b):
 def csf_subsets(g: Graph) -> SymFunc:
     """Chromatic symmetric function by the edge-subset expansion (p basis).
 
-    Runs ``_subset_counts``; guarded at ``CSF_EDGE_CAP`` edges.
+    Runs ``_subset_counts``; guarded at ``CSF_EDGE_CAP`` edges and
+    ``DEFAULT_ENUMERATION_CAP`` vertices.
     """
     if len(g.edges) > CSF_EDGE_CAP:
         raise ValueError(f"subset oracle guarded at {CSF_EDGE_CAP} edges, graph has {len(g.edges)}")
+    if g.n > DEFAULT_ENUMERATION_CAP:
+        raise ValueError(f"subset oracle guarded at {DEFAULT_ENUMERATION_CAP} vertices, graph has {g.n}")
     return SymFunc(Basis.P, g.n, _subset_counts(g.n, g.edge_list))
 
 
@@ -281,10 +284,13 @@ def csf_dc(g: Graph) -> SymFunc:
 
     The kernel works on integer p-tables {parts: coefficient}: an isolated
     clump of k vertices is p_k, and the product is concatenation.  Each
-    isolated vertex of ``g`` adds a part 1.  Guarded at ``CSF_EDGE_CAP`` edges.
+    isolated vertex of ``g`` adds a part 1.  Guarded at ``CSF_EDGE_CAP`` edges
+    and ``DEFAULT_ENUMERATION_CAP`` vertices.
     """
     if len(g.edges) > CSF_EDGE_CAP:
         raise ValueError(f"CSF deletion-contraction guarded at {CSF_EDGE_CAP} edges, graph has {len(g.edges)}")
+    if g.n > DEFAULT_ENUMERATION_CAP:
+        raise ValueError(f"CSF deletion-contraction guarded at {DEFAULT_ENUMERATION_CAP} vertices, graph has {g.n}")
     table = {(): 1}
     if g.edges:
         table = _deletion_contraction(

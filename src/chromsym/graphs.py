@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import partial
+from itertools import combinations
 
 from .partitions import Partition
 
@@ -266,15 +267,11 @@ def dumbbell_graph(m: int, l: int, n: int, kind: str = "ordinary") -> Graph:
 
 def line_graph(g: Graph) -> Graph:
     """Line graph: one vertex per edge of g (in sorted edge order), adjacency = sharing an endpoint."""
-    es = g.edge_list
-    idx = {e: i for i, e in enumerate(es)}
-    out = []
-    for i, (u, v) in enumerate(es):
-        for j in range(i + 1, len(es)):
-            a, b = es[j]
-            if a in (u, v) or b in (u, v):
-                out.append((i, j))
-    return Graph(len(es), out)
+    at = [[] for _ in range(g.n)]
+    for i, (u, v) in enumerate(g.edge_list):
+        at[u].append(i)
+        at[v].append(i)
+    return Graph(len(g.edges), [pair for ids in at for pair in combinations(ids, 2)])
 
 
 def attach(body: Graph, attachments) -> Graph:
@@ -320,26 +317,12 @@ def disjoint_union(a: Graph, b: Graph) -> Graph:
 
 def edge_subset_type(g: Graph, subset) -> Partition:
     """Component-size partition of the spanning subgraph (V, subset)."""
-    parent = list(range(g.n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
+    subset = list(subset)
     for u, v in subset:
         e = (u, v) if u < v else (v, u)
         if e not in g.edges:
             raise ValueError(f"edge {e} not in graph")
-        ru, rv = find(u), find(v)
-        if ru != rv:
-            parent[ru] = rv
-    sizes = {}
-    for x in range(g.n):
-        r = find(x)
-        sizes[r] = sizes.get(r, 0) + 1
-    return Partition(sizes.values())
+    return Partition(map(len, Graph(g.n, subset).components()))
 
 
 # -------------------------------------------------------------- spec grammar

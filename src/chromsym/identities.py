@@ -7,14 +7,13 @@ side from closed family forms — and returns an :class:`IdentityReport`
 carrying the exact difference.  ``_oracle`` memoizes that route per graph;
 it is the only memo of CSF results.  The subset expansion refuses graphs
 above ``CSF_EDGE_CAP`` edges, so an identity on a larger graph raises
-ValueError.  ``run_grid`` sweeps an
-identity over its whole parameter grid.
+ValueError.  ``_IDENTITIES`` pairs each identity's verifier with its
+parameter grid, and ``run_grid`` sweeps an identity over that grid.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import lru_cache
 from math import factorial, prod
 
@@ -34,7 +33,7 @@ from .csf import (
 )
 from .graphs import Graph, GraphSpec, as_spec, dumbbell_graph, parse_graph_spec, spider_graph, sun_graph
 from .positivity import triangle_sun_missing_type, uniform_sun_coefficient, uniform_sun_missing_type
-from .symfunc import Basis, SymFunc, fraction_json
+from .symfunc import Basis, SymFunc
 
 #: default ceiling on |V| for identity parameter grids
 DEFAULT_GRID_VERTEX_CAP = 14
@@ -43,8 +42,6 @@ DEFAULT_GRID_VERTEX_CAP = 14
 def _jsonable(value):
     if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
         return value
-    if isinstance(value, Fraction):
-        return fraction_json(value)
     if isinstance(value, Graph):
         return {"vertices": value.n, "edges": [list(e) for e in value.edge_list]}
     if isinstance(value, GraphSpec):
@@ -272,10 +269,8 @@ def _csf_key(f: SymFunc):
 
 
 def _canonical_dumbbell_triples(size_cap: int):
-    for m in range(3, size_cap + 1):
-        for n in range(m, size_cap + 1):
-            for l in range(-1, size_cap - m - n + 1):
-                yield m, l, n
+    """``(m, l, n)`` of the dumbbell grid with m <= n, in grid order."""
+    return ((kw["m"], kw["l"], kw["n"]) for kw in _grid_dumbbell(size_cap) if kw["m"] <= kw["n"])
 
 
 def _sun_ray_tuples(n: int, total: int):
@@ -414,47 +409,31 @@ def _grid_distinguishability(cap):
     yield {"family": "sun", "size_cap": min(cap, 10)}
 
 
-VERIFIERS = {
-    "triple_deletion": verify_triple_deletion,
-    "sun_coefficient": verify_sun_coefficient,
-    "small_sun_coefficient": verify_small_sun_coefficient,
-    "sun_spider_reduction": verify_sun_spider_reduction,
-    "dumbbell_recursion": verify_dumbbell_recursion,
-    "dumbbell_tadpole_expansion": verify_dumbbell_tadpole_expansion,
-    "dumbbell_full_expansion": verify_dumbbell_full_expansion,
-    "cdumbbell_recursion": verify_cdumbbell_recursion,
-    "cdumbbell_lollipop_expansion": verify_cdumbbell_lollipop_expansion,
-    "cdumbbell_full_expansion": verify_cdumbbell_full_expansion,
-    "chromatic_closed_forms": verify_chromatic_closed_forms,
-    "distinguishability": verify_distinguishability,
+#: identity name -> (verifier, parameter grid)
+_IDENTITIES = {
+    "triple_deletion": (verify_triple_deletion, _grid_triple_deletion),
+    "sun_coefficient": (verify_sun_coefficient, _grid_sun_coefficient),
+    "small_sun_coefficient": (verify_small_sun_coefficient, _grid_small_sun_coefficient),
+    "sun_spider_reduction": (verify_sun_spider_reduction, _grid_sun_spider_reduction),
+    "dumbbell_recursion": (verify_dumbbell_recursion, _grid_dumbbell),
+    "dumbbell_tadpole_expansion": (verify_dumbbell_tadpole_expansion, _grid_dumbbell),
+    "dumbbell_full_expansion": (verify_dumbbell_full_expansion, _grid_dumbbell),
+    "cdumbbell_recursion": (verify_cdumbbell_recursion, _grid_cdumbbell),
+    "cdumbbell_lollipop_expansion": (verify_cdumbbell_lollipop_expansion, _grid_cdumbbell),
+    "cdumbbell_full_expansion": (verify_cdumbbell_full_expansion, _grid_cdumbbell),
+    "chromatic_closed_forms": (verify_chromatic_closed_forms, _grid_chromatic),
+    "distinguishability": (verify_distinguishability, _grid_distinguishability),
 }
-
-_GRIDS = {
-    "triple_deletion": _grid_triple_deletion,
-    "sun_coefficient": _grid_sun_coefficient,
-    "small_sun_coefficient": _grid_small_sun_coefficient,
-    "sun_spider_reduction": _grid_sun_spider_reduction,
-    "dumbbell_recursion": _grid_dumbbell,
-    "dumbbell_tadpole_expansion": _grid_dumbbell,
-    "dumbbell_full_expansion": _grid_dumbbell,
-    "cdumbbell_recursion": _grid_cdumbbell,
-    "cdumbbell_lollipop_expansion": _grid_cdumbbell,
-    "cdumbbell_full_expansion": _grid_cdumbbell,
-    "chromatic_closed_forms": _grid_chromatic,
-    "distinguishability": _grid_distinguishability,
-}
+VERIFIERS = {name: verifier for name, (verifier, _) in _IDENTITIES.items()}
 
 
 def iter_grid(name: str, vertex_cap: int = DEFAULT_GRID_VERTEX_CAP):
     """Parameter dictionaries of the identity's grid."""
-    if name not in _GRIDS:
+    if name not in _IDENTITIES:
         raise ValueError(f"unknown identity {name!r}")
-    yield from _GRIDS[name](vertex_cap)
+    yield from _IDENTITIES[name][1](vertex_cap)
 
 
 def run_grid(name: str, vertex_cap: int = DEFAULT_GRID_VERTEX_CAP) -> list:
     """Run one identity over its whole grid; returns the reports in grid order."""
-    if name not in VERIFIERS:
-        raise ValueError(f"unknown identity {name!r}")
-    verifier = VERIFIERS[name]
-    return [verifier(**kw) for kw in iter_grid(name, vertex_cap)]
+    return [VERIFIERS[name](**kw) for kw in iter_grid(name, vertex_cap)]

@@ -108,36 +108,23 @@ def partitions_of(n: int) -> list:
     return list(_partition_list(n))
 
 
-def _sub_multiset_remainders(parts: tuple, target: int):
-    """Yield the remainders of ``parts`` after removing a sub-multiset summing to ``target``.
-
-    Each distinct sub-multiset is explored once (multiplicity-aware).  ``parts`` must be
-    sorted weakly decreasing; yielded remainders keep that order.
-    """
-    if target == 0:
-        yield parts
-        return
-    if not parts or target < 0:
-        return
-    v = parts[0]
-    run = 1
-    while run < len(parts) and parts[run] == v:
-        run += 1
-    tail = parts[run:]
-    for k in range(0, run + 1):
-        if k * v > target:
-            break
-        prefix = (v,) * (run - k)
-        for rest in _sub_multiset_remainders(tail, target - k * v):
-            yield prefix + rest
-
-
 @lru_cache(maxsize=None)
 def _refines(lam: tuple, mu: tuple) -> bool:
-    if not mu:
-        return not lam
-    for remainder in _sub_multiset_remainders(lam, mu[0]):
-        if _refines(remainder, mu[1:]):
+    """Whether the parts of ``lam`` fill bins of sizes ``mu`` (both decreasing, equal weight).
+
+    The first part goes into a bin of each distinct size that fits; what a bin has left is a smaller bin.
+    """
+    if not lam:
+        return True
+    first, rest = lam[0], lam[1:]
+    for size in dict.fromkeys(mu):
+        if size < first:
+            break
+        bins = list(mu)
+        bins.remove(size)
+        if size > first:
+            bins.append(size - first)
+        if _refines(rest, tuple(sorted(bins, reverse=True))):
             return True
     return False
 

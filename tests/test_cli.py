@@ -79,6 +79,16 @@ class TestCsfCommand:
         assert first == second
 
 
+    @pytest.mark.parametrize(
+        "argv, n",
+        [(("positivity", "edges[1000:]"), 1000), (("csf", "edges[3000:]"), 3000), (("csf", "edges[41:]"), 41)],
+    )
+    def test_vertex_guard_exit(self, capsys, argv, n):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (2, "")
+        assert err == f"error: subset oracle guarded at 40 vertices, graph has {n}\n"
+
+
 class TestChrompolyCommand:
     def test_human(self, capsys):
         code, out, _ = run(capsys, "chrompoly", "cycle(3)")

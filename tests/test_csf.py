@@ -43,7 +43,7 @@ from chromsym.graphs import (
     tadpole_graph,
 )
 from chromsym.identities import _canonical_dumbbell_triples, _sun_specs
-from chromsym.partitions import Partition, partitions_of
+from chromsym.partitions import DEFAULT_ENUMERATION_CAP, Partition, partitions_of
 from chromsym.positivity import has_connected_partition, missing_partition_scan
 from chromsym.symfunc import Basis, SymFunc, e_to_p, p_to_e
 
@@ -440,6 +440,17 @@ class TestGuards:
         g = complete_graph(8)  # 28 edges
         with pytest.raises(ValueError, match="guarded at 26 edges, graph has 28"):
             csf_dc(g)
+
+    @pytest.mark.parametrize(
+        "engine, kernel", [(csf_subsets, "_subset_counts"), (csf_dc, "_deletion_contraction")]
+    )
+    def test_vertex_cap_before_any_work(self, monkeypatch, engine, kernel):
+        assert DEFAULT_ENUMERATION_CAP == 40
+        assert engine(Graph(40, [(0, 1)])).degree == 40
+        monkeypatch.setattr(csf_module, kernel, lambda *a, **k: pytest.fail(f"{kernel} ran"))
+        for n in (41, 3000, 10**8):
+            with pytest.raises(ValueError, match=f"guarded at 40 vertices, graph has {n}$"):
+                engine(Graph(n, [(0, 1)]))
 
     def test_chromatic_cap(self):
         g = complete_graph(10)  # 45 edges over the default cap

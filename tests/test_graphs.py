@@ -1,3 +1,4 @@
+import random
 from itertools import product
 
 import pytest
@@ -215,7 +216,70 @@ class TestBuilderLayout:
             assert dumbbell_graph(m, -1, n, kind) == add_complete(first(m), 0, n)
 
 
+def reference_subset_type(g, subset):
+    """Component sizes of (V, subset) by union-find, the helper's former body."""
+    parent = list(range(g.n))
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = parent[parent[x]]
+            x = parent[x]
+        return x
+
+    for u, v in subset:
+        parent[find(u)] = find(v)
+    sizes = {}
+    for x in range(g.n):
+        sizes[find(x)] = sizes.get(find(x), 0) + 1
+    return Partition(sizes.values())
+
+
+def reference_line_graph(g):
+    """Line graph by testing every pair of edges, the helper's former body."""
+    es = g.edge_list
+    pairs = [(i, j) for i, j in product(range(len(es)), repeat=2) if i < j and set(es[i]) & set(es[j])]
+    return Graph(len(es), pairs)
+
+
+def random_small_graphs(count, seed):
+    """``Graph(0, [])`` and then random graphs on up to 12 vertices, often with isolated vertices."""
+    rng = random.Random(seed)
+    yield Graph(0, [])
+    for _ in range(count):
+        n = rng.randint(0, 12)
+        density = rng.random()
+        yield Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < density])
+
+
+class TestAgainstReferences:
+    def test_line_graph_matches_all_pairs(self):
+        for g in random_small_graphs(500, seed=1):
+            lg = line_graph(g)
+            assert lg == reference_line_graph(g), g.edge_list
+            assert lg.n == len(g.edges)
+
+    def test_subset_type_matches_union_find(self):
+        rng = random.Random(2)
+        for g in random_small_graphs(500, seed=3):
+            subset = [e for e in g.edge_list if rng.random() < 0.5]
+            assert edge_subset_type(g, subset) == reference_subset_type(g, subset), (g.n, subset)
+
+    def test_isolated_vertices_and_empty_graph(self):
+        assert line_graph(Graph(0, [])) == Graph(0, [])
+        assert line_graph(Graph(5, [(1, 3)])) == Graph(1, [])
+        assert edge_subset_type(Graph(0, []), ()) == Partition()
+        assert edge_subset_type(Graph(5, [(1, 3)]), [(3, 1)]) == Partition((2, 1, 1, 1))
+
+
 class TestEdgeSubsetType:
+    def test_not_an_edge(self):
+        with pytest.raises(ValueError, match=r"edge \(0, 2\) not in graph"):
+            edge_subset_type(path_graph(4), [(0, 1), (2, 0)])
+
+    def test_generator_subset(self):
+        g = path_graph(4)
+        assert edge_subset_type(g, (e for e in g.edge_list)) == Partition((4,))
+
     def test_empty_subset(self):
         g = path_graph(4)
         assert edge_subset_type(g, ()) == Partition([1, 1, 1, 1])

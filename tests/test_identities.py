@@ -255,6 +255,21 @@ class TestGrids:
         assert {r.params["family"] for r in reports} == {"dumbbell", "cdumbbell", "sun"}
         assert all(r.equal for r in reports)
 
+    @pytest.mark.parametrize("name", sorted(VERIFIERS))
+    def test_reports_carry_their_table_name(self, name):
+        reports = run_grid(name, 8)
+        assert reports and {r.name for r in reports} == {name}
+
+    def test_canonical_dumbbell_triples_in_loop_order(self):
+        for cap in range(15):
+            expected = [
+                (m, l, n)
+                for m in range(3, cap + 1)
+                for n in range(m, cap + 1)
+                for l in range(-1, cap - m - n + 1)
+            ]
+            assert list(identities._canonical_dumbbell_triples(cap)) == expected
+
     def test_default_cap_is_contractual(self):
         assert DEFAULT_GRID_VERTEX_CAP == 14
 

@@ -145,7 +145,7 @@ class TestRefinement:
         assert refines_to(lam, Partition((lam.weight,)) if lam.weight else Partition())
 
     def test_matches_brute_force_grouping(self):
-        for n in range(1, 9):
+        for n in range(1, 11):
             for lam in partitions_of(n):
                 reachable = coarsenings(lam)
                 for mu in partitions_of(n):
