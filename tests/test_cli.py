@@ -78,7 +78,6 @@ class TestCsfCommand:
         _, second, _ = run(capsys, "csf", "sun(3;2,1,1)", "--json")
         assert first == second
 
-
     @pytest.mark.parametrize(
         "argv, n",
         [(("positivity", "edges[1000:]"), 1000), (("csf", "edges[3000:]"), 3000), (("csf", "edges[41:]"), 41)],
