@@ -15,7 +15,8 @@ Engines:
   Its moves: a disconnected state is the product of its components, each
   memoized on its edge set; a connected state may close in one step;
   otherwise it deletes and contracts the non-bridge edge of largest degree
-  sum.  ``csf_dc`` runs it on integer p-tables.  ``chromatic_poly_dc`` first
+  sum.  ``csf_dc`` runs it on p-basis ``SymFunc`` values, whose product and
+  difference the subset oracle thus checks.  ``chromatic_poly_dc`` first
   splits the graph into 2-connected blocks,
   P(G) = x^{n - sum_B (|V(B)|-1)} prod_B P(B)/x, and runs it on each block,
   where trees close to x(x-1)^{|E|} and complete states to a falling
@@ -28,8 +29,8 @@ Engines:
 Component products, block products and the tree and clique closings are
 theorems about all graphs, not family formulas: no ``*_closed`` function is
 ever called on the deletion-contraction path, so it stays an independent
-check of them.  The two CSF engines return power-sum expansions with integer
-coefficients; closed forms are elementary-basis native.
+check of them.  All coefficients are integers: the CSF engines expand in the
+p basis, and the closed forms, which use integer weights only, in the e basis.
 
 ``compute_csf`` takes no options and picks its engine from its input alone:
 a spec whose family has a closed form returns it, any other spec is built,
@@ -37,18 +38,18 @@ and a ``Graph`` goes to ``csf_subsets`` (``csf_dc`` is the tests' second
 route).  ``compute_csf(spec.build())`` is thus the formula-free route every
 identity check compares the closed forms with.
 
-Each guard is a fixed module constant, checked by the function that does the
-work before it starts: both CSF engines refuse graphs above ``CSF_EDGE_CAP``
-edges or ``DEFAULT_ENUMERATION_CAP`` vertices, and ``chromatic_poly_dc``
-refuses graphs above ``DEFAULT_CHROMPOLY_EDGE_CAP`` edges.
+Each guard is a fixed module constant, checked before the work starts: the
+CSF engines refuse graphs above ``CSF_EDGE_CAP`` edges, ``chromatic_poly_dc``
+above ``DEFAULT_CHROMPOLY_EDGE_CAP``, and every route, the closed chromatic
+polynomials too (|V| read by ``csf_degree``), above ``DEFAULT_ENUMERATION_CAP``
+vertices.
 """
 
 from __future__ import annotations
 
-import operator
-from fractions import Fraction
 from functools import lru_cache, reduce
 from math import factorial
+from operator import mul
 
 from .graphs import Graph, GraphSpec, as_spec
 from .partitions import DEFAULT_ENUMERATION_CAP, partitions_of
@@ -124,15 +125,6 @@ def _subset_counts(n, edges):
     return states.get(((), ()), {})
 
 
-def _convolve_counts(a, b):
-    out = {}
-    for ka, ca in a.items():
-        for kb, cb in b.items():
-            key = tuple(sorted(ka + kb, reverse=True))
-            out[key] = out.get(key, 0) + ca * cb
-    return out
-
-
 def csf_subsets(g: Graph) -> SymFunc:
     """Chromatic symmetric function by the edge-subset expansion (p basis).
 
@@ -206,18 +198,19 @@ def _biconnected(edges):
     return components
 
 
-def _deletion_contraction(state, leaf, close=None, mul=operator.mul, sub=operator.sub):
+def _deletion_contraction(state, leaf, close=None):
     """Evaluate a deletion-contraction invariant of a nonempty edge state.
 
     A state is a frozenset of edges ``(a, b)``, ``a < b``, between clumps (see
-    ``_clump``).  The invariant is multiplicative over components, so a
-    disconnected state is the product (``mul``) of its components, each
-    memoized on its edge set for this call.  On a connected state
-    ``close(state)`` may return the value directly; otherwise the kernel
-    returns ``sub(value(G - e), value(G / e))`` for the non-bridge edge e with
-    the largest degree sum (any edge on a tree), multiplying in
-    ``leaf(clump)`` for each clump the move leaves isolated.  Contraction
-    merges the endpoint clumps and collapses parallel edges.
+    ``_clump``).  Values are any type with ``*`` and ``-`` (``SymFunc``,
+    ``ChromPoly``).  The invariant is multiplicative over components, so a
+    disconnected state is the product of its components, each memoized on its
+    edge set for this call.  On a connected state ``close(state)`` may return
+    the value directly; otherwise the kernel returns
+    ``value(G - e) - value(G / e)`` for the non-bridge edge e with the largest
+    degree sum (any edge on a tree), multiplying in ``leaf(clump)`` for each
+    clump the move leaves isolated.  Contraction merges the endpoint clumps
+    and collapses parallel edges.
     """
     memo = {}
 
@@ -257,10 +250,7 @@ def _deletion_contraction(state, leaf, close=None, mul=operator.mul, sub=operato
                 if v in e:
                     v = merged
                 contracted.add((u, v) if u < v else (v, u))
-            out = sub(
-                reduce(mul, deleted),
-                value(frozenset(contracted)) if contracted else leaf(merged),
-            )
+            out = reduce(mul, deleted) - (value(frozenset(contracted)) if contracted else leaf(merged))
         memo[edges] = out
         return out
 
@@ -272,35 +262,23 @@ def _unit_edges(edge_list) -> frozenset:
     return frozenset(((u,), (v,)) for u, v in edge_list)
 
 
-def _subtract_counts(a, b):
-    out = dict(a)
-    for key, c in b.items():
-        out[key] = out.get(key, 0) - c
-    return {k: c for k, c in out.items() if c}
-
-
 def csf_dc(g: Graph) -> SymFunc:
     """Chromatic symmetric function by weighted deletion-contraction (p basis).
 
-    The kernel works on integer p-tables {parts: coefficient}: an isolated
-    clump of k vertices is p_k, and the product is concatenation.  Each
-    isolated vertex of ``g`` adds a part 1.  Guarded at ``CSF_EDGE_CAP`` edges
-    and ``DEFAULT_ENUMERATION_CAP`` vertices.
+    The kernel works on p-basis ``SymFunc`` values: an isolated clump of k
+    vertices is p_k, and the isolated vertices of ``g`` are a factor p_1^k.
+    Guarded at ``CSF_EDGE_CAP`` edges and ``DEFAULT_ENUMERATION_CAP`` vertices.
     """
     if len(g.edges) > CSF_EDGE_CAP:
         raise ValueError(f"CSF deletion-contraction guarded at {CSF_EDGE_CAP} edges, graph has {len(g.edges)}")
     if g.n > DEFAULT_ENUMERATION_CAP:
         raise ValueError(f"CSF deletion-contraction guarded at {DEFAULT_ENUMERATION_CAP} vertices, graph has {g.n}")
-    table = {(): 1}
+    out = SymFunc.single(Basis.P, (1,) * (g.n - len({v for e in g.edges for v in e})))
     if g.edges:
-        table = _deletion_contraction(
-            _unit_edges(g.edge_list),
-            lambda clump: {(len(clump),): 1},
-            mul=_convolve_counts,
-            sub=_subtract_counts,
+        out = out * _deletion_contraction(
+            _unit_edges(g.edge_list), lambda clump: SymFunc.single(Basis.P, (len(clump),))
         )
-    isolated = (1,) * (g.n - len({v for e in g.edges for v in e}))
-    return SymFunc(Basis.P, g.n, {k + isolated: c for k, c in table.items()})
+    return out
 
 
 # ------------------------------------------------------------- closed forms
@@ -330,8 +308,7 @@ def csf_path_closed(d: int) -> SymFunc:
             for j, a in mult.items():
                 part *= (j - 1) ** (a - 1 if j == i else a)
             coeff += part
-        if coeff:
-            terms[lam] = Fraction(coeff)
+        terms[lam] = coeff
     return SymFunc(Basis.E, d, terms)
 
 
@@ -358,9 +335,14 @@ def csf_cycle_closed(d: int) -> SymFunc:
                 coeff += _multinomial(
                     [mult[j] - (1 if j == i else 0) for j in mult]
                 ) * i * full
-        if coeff:
-            terms[lam] = Fraction(coeff)
+        terms[lam] = coeff
     return SymFunc(Basis.E, d, terms)
+
+
+def clique_weight(a: int, i: int) -> int:
+    """(a-1)! (a-i-1) / (a-i)!, an integer for 1 <= i < a: the weight of
+    X_{K_{a-i}} when the clique K_a of a lollipop or dumbbell is eliminated."""
+    return factorial(a - 1) * (a - i - 1) // factorial(a - i)
 
 
 def csf_complete_closed(n: int) -> SymFunc:
@@ -386,15 +368,15 @@ def csf_tadpole_closed(a: int, b: int) -> SymFunc:
 def csf_lollipop_closed(a: int, b: int) -> SymFunc:
     """X of the clique K_a with a pendant b-vertex path:
 
-        X = (a-1)! ( X_{P_{a+b}}
-                     - sum_{i=1}^{a-2} (a-i-1)/(a-i)! X_{K_{a-i}} X_{P_{b+i}} ).
+        X = (a-1)! X_{P_{a+b}} - sum_{i=1}^{a-2} w(a, i) X_{K_{a-i}} X_{P_{b+i}},
+
+    where w(a, i) = (a-1)! (a-i-1) / (a-i)! is ``clique_weight(a, i)``.
     """
     GraphSpec("lollipop", (a, b)).check()
-    inner = csf_path_closed(a + b)
+    out = factorial(a - 1) * csf_path_closed(a + b)
     for i in range(1, a - 1):
-        scale = Fraction(a - i - 1, factorial(a - i))
-        inner = inner - scale * (csf_complete_closed(a - i) * csf_path_closed(b + i))
-    return factorial(a - 1) * inner
+        out = out - clique_weight(a, i) * (csf_complete_closed(a - i) * csf_path_closed(b + i))
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -423,32 +405,30 @@ def csf_dumbbell_closed(m: int, l: int, n: int) -> SymFunc:
 def csf_complete_dumbbell_closed(m: int, l: int, n: int) -> SymFunc:
     """X of the two-clique dumbbell, fully expanded into cliques and paths:
 
-        X / ((m-1)!(n-1)!) =
-          P_{m+l+n}
-          - sum_{i=1}^{m-2} (m-i-1)/(m-i)! K_{m-i} P_{n+l+i}
-          - sum_{j=1}^{n-2} (n-j-1)/(n-j)! K_{n-j} P_{m+l+j}
-          + sum_i sum_j (m-i-1)(n-j-1)/((m-i)!(n-j)!) K_{m-i} K_{n-j} P_{l+i+j}.
+        (m-1)!(n-1)! P_{m+l+n}
+        - (n-1)! sum_{i=1}^{m-2} w(m, i) K_{m-i} P_{n+l+i}
+        - (m-1)! sum_{j=1}^{n-2} w(n, j) K_{n-j} P_{m+l+j}
+        + sum_i sum_j w(m, i) w(n, j) K_{m-i} K_{n-j} P_{l+i+j},
+
+    with the integer weights w = ``clique_weight`` of the lollipop form.
     """
     GraphSpec("cdumbbell", (m, l, n)).check()
     d = m + l + n
-    inner = csf_path_closed(d)
+    out = factorial(m - 1) * factorial(n - 1) * csf_path_closed(d)
     for i in range(1, m - 1):
-        inner = inner - Fraction(m - i - 1, factorial(m - i)) * (
+        out = out - clique_weight(m, i) * factorial(n - 1) * (
             csf_complete_closed(m - i) * csf_path_closed(n + l + i)
         )
     for j in range(1, n - 1):
-        inner = inner - Fraction(n - j - 1, factorial(n - j)) * (
+        out = out - clique_weight(n, j) * factorial(m - 1) * (
             csf_complete_closed(n - j) * csf_path_closed(m + l + j)
         )
     for i in range(1, m - 1):
         for j in range(1, n - 1):
-            scale = Fraction(
-                (m - i - 1) * (n - j - 1), factorial(m - i) * factorial(n - j)
-            )
-            inner = inner + scale * (
+            out = out + clique_weight(m, i) * clique_weight(n, j) * (
                 csf_complete_closed(m - i) * csf_complete_closed(n - j) * csf_path_closed(l + i + j)
             )
-    return factorial(m - 1) * factorial(n - 1) * inner
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -567,6 +547,11 @@ def _close_chromatic(edges):
     return None
 
 
+def _chromatic_vertex_guard(n: int) -> None:
+    if n > DEFAULT_ENUMERATION_CAP:
+        raise ValueError(f"chromatic polynomial guarded at {DEFAULT_ENUMERATION_CAP} vertices, graph has {n}")
+
+
 def chromatic_poly_dc(g: Graph) -> ChromPoly:
     """Chromatic polynomial by blocks and deletion-contraction.
 
@@ -574,10 +559,11 @@ def chromatic_poly_dc(g: Graph) -> ChromPoly:
     P(G) = x^{n - sum_B (|V(B)|-1)} prod_B P(B)/x.  Each block runs through
     the deletion-contraction kernel, where trees and complete states close in
     one step and other states branch on a non-bridge edge.  Guarded at
-    ``DEFAULT_CHROMPOLY_EDGE_CAP`` edges.
+    ``DEFAULT_CHROMPOLY_EDGE_CAP`` edges and ``DEFAULT_ENUMERATION_CAP`` vertices.
     """
     if len(g.edges) > DEFAULT_CHROMPOLY_EDGE_CAP:
         raise ValueError(f"chromatic recursion guarded at {DEFAULT_CHROMPOLY_EDGE_CAP} edges, graph has {len(g.edges)}")
+    _chromatic_vertex_guard(g.n)
     exponent = g.n
     out = ChromPoly((1,))
     for blocks in _biconnected(_unit_edges(g.edge_list)):
@@ -626,9 +612,10 @@ def _closed_chromatic(spec: GraphSpec):
 
 
 def chromatic_poly_closed(spec) -> ChromPoly:
-    """Closed-form chromatic polynomial for suns and the three dumbbell kinds."""
+    """Closed-form chromatic polynomial for suns and the three dumbbell kinds,
+    guarded at ``DEFAULT_ENUMERATION_CAP`` vertices."""
     spec = as_spec(spec)
-    spec.check()
+    _chromatic_vertex_guard(csf_degree(spec))
     out = _closed_chromatic(spec)
     if out is None:
         raise ValueError(f"no closed chromatic polynomial for family {spec.family!r}")
@@ -689,11 +676,12 @@ def csf_degree(target) -> int:
 def compute_chromatic(target):
     """Chromatic polynomial of a Graph, GraphSpec or spec string; returns
     (ChromPoly, engine_used).  A family with a closed form uses it, and any
-    other graph goes through ``chromatic_poly_dc``.
+    other graph goes through ``chromatic_poly_dc``.  Both routes are guarded
+    at ``DEFAULT_ENUMERATION_CAP`` vertices, checked before either runs.
     """
+    _chromatic_vertex_guard(csf_degree(target))
     spec = as_spec(target)
     if spec is not None:
-        spec.check()
         closed = _closed_chromatic(spec)
         if closed is not None:
             return closed, "closed"

@@ -15,13 +15,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial, prod
+from math import factorial
 
 from .csf import (
     CSF_EDGE_CAP,
     DEFAULT_CHROMPOLY_EDGE_CAP,
     chromatic_poly_closed,
     chromatic_poly_dc,
+    clique_weight,
     compute_csf,
     csf_complete_closed,
     csf_complete_dumbbell_closed,
@@ -234,16 +235,13 @@ def verify_cdumbbell_recursion(m: int, l: int, n: int) -> IdentityReport:
 def verify_cdumbbell_lollipop_expansion(m: int, l: int, n: int) -> IdentityReport:
     """X_{D̄(m,l,n)} = (m-1)! X_{L(n,m+l)} - sum_k c_k X_{K(m-k)} X_{L(n,l+k)}.
 
-    The integer weight is c_k = (m-1)(m-2)...(m-k-1) / (m-k); the factor
-    m-k always occurs in the numerator product, so the quotient is exact.
+    The integer weight is c_k = (m-1)(m-2)...(m-k-1) / (m-k), which is
+    ``clique_weight(m, k)``.
     """
     lhs = _oracle(dumbbell_graph(m, l, n, kind="complete"))
     rhs = factorial(m - 1) * csf_lollipop_closed(n, m + l)
     for k in range(1, m - 1):
-        num = prod(m - i for i in range(1, k + 2))
-        c_k, rem = divmod(num, m - k)
-        assert rem == 0
-        rhs = rhs - c_k * csf_complete_closed(m - k) * csf_lollipop_closed(n, l + k)
+        rhs = rhs - clique_weight(m, k) * csf_complete_closed(m - k) * csf_lollipop_closed(n, l + k)
     return _report("cdumbbell_lollipop_expansion", {"m": m, "l": l, "n": n}, lhs, rhs)
 
 

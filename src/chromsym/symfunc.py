@@ -1,8 +1,10 @@
 """Exact symmetric-function arithmetic in the power-sum, elementary and Schur bases.
 
 Every value is homogeneous of a fixed degree, stored sparsely as a map from
-partitions (the basis indices) to ``fractions.Fraction`` coefficients.  Basis
-changes are exact and direct: each expands one basis element at a time,
+partitions (the basis indices) to exact coefficients, ``int`` where integral
+(every CSF) and ``fractions.Fraction`` otherwise; the two agree on ``==``,
+hash, ``str`` and JSON, and ``coefficient`` and witnesses return ``Fraction``.
+Basis changes are exact and direct: each expands one basis element at a time,
 memoized on its index, and one linear-map helper applies that expansion to a
 function term by term.
 
@@ -30,7 +32,7 @@ from __future__ import annotations
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import comb, factorial, lcm
+from math import comb, factorial, lcm, prod
 
 from .partitions import Partition, partitions_of
 
@@ -80,10 +82,18 @@ class SymFunc:
                 raise ValueError(
                     f"term {lam} has weight {lam.weight}, expected degree {degree}"
                 )
-            clean[lam] = c
+            clean[lam] = c.numerator if c.denominator == 1 else c
         self.basis = basis
         self.degree = degree
         self.terms = clean
+
+    @classmethod
+    def _trusted(cls, basis: Basis, degree: int, terms: dict) -> "SymFunc":
+        """Unchecked: every key is a Partition of weight ``degree``.  Zero terms are dropped."""
+        out = object.__new__(cls)
+        out.basis, out.degree = basis, degree
+        out.terms = {lam: c for lam, c in terms.items() if c}
+        return out
 
     # ---------------------------------------------------------------- helpers
 
@@ -94,7 +104,7 @@ class SymFunc:
     @classmethod
     def single(cls, basis, parts, coeff=1) -> "SymFunc":
         lam = Partition(parts)
-        return cls(basis, lam.weight, {lam: Fraction(coeff)})
+        return cls(basis, lam.weight, {lam: coeff})
 
     def coefficient(self, parts) -> Fraction:
         lam = Partition(parts)
@@ -102,7 +112,7 @@ class SymFunc:
             raise ValueError(
                 f"partition {lam} has weight {lam.weight}, function has degree {self.degree}"
             )
-        return self.terms.get(lam, Fraction(0))
+        return Fraction(self.terms.get(lam, 0))
 
     def support(self) -> list:
         """Basis partitions with nonzero coefficient, in canonical (desc-lex) order."""
@@ -122,8 +132,8 @@ class SymFunc:
         self._check_compatible(other)
         terms = dict(self.terms)
         for lam, c in other.terms.items():
-            terms[lam] = terms.get(lam, Fraction(0)) + c
-        return SymFunc(self.basis, self.degree, terms)
+            terms[lam] = terms.get(lam, 0) + c
+        return SymFunc._trusted(self.basis, self.degree, terms)
 
     def __sub__(self, other):
         if not isinstance(other, SymFunc):
@@ -131,7 +141,7 @@ class SymFunc:
         return self + (-other)
 
     def __neg__(self):
-        return SymFunc(self.basis, self.degree, {lam: -c for lam, c in self.terms.items()})
+        return SymFunc._trusted(self.basis, self.degree, {lam: -c for lam, c in self.terms.items()})
 
     def __mul__(self, other):
         if isinstance(other, SymFunc):
@@ -139,12 +149,12 @@ class SymFunc:
             terms = {}
             for lam, a in self.terms.items():
                 for mu, b in other.terms.items():
-                    key = Partition(tuple(lam) + tuple(mu))
-                    terms[key] = terms.get(key, Fraction(0)) + a * b
-            return SymFunc(self.basis, self.degree + other.degree, terms)
+                    key = _merge(lam, mu)
+                    terms[key] = terms.get(key, 0) + a * b
+            terms = {tuple.__new__(Partition, key): c for key, c in terms.items()}
+            return SymFunc._trusted(self.basis, self.degree + other.degree, terms)
         if isinstance(other, (int, Fraction)):
-            c = Fraction(other)
-            return SymFunc(self.basis, self.degree, {lam: v * c for lam, v in self.terms.items()})
+            return SymFunc._trusted(self.basis, self.degree, {lam: v * other for lam, v in self.terms.items()})
         return NotImplemented
 
     __rmul__ = __mul__
@@ -182,28 +192,17 @@ class SymFunc:
         if not negatives:
             return True, None
         lam = min(negatives)
-        return False, (lam, self.terms[lam])
+        return False, (lam, Fraction(self.terms[lam]))
 
     def evaluate_ones(self, n: int) -> Fraction:
         """Specialize to n variables all equal to 1 (principal specialization at 1^n)."""
         if n < 0:
             raise ValueError("number of variables must be nonnegative")
+        if self.basis is Basis.S:
+            return s_to_e(self).evaluate_ones(n)
         if self.basis is Basis.P:
-            total = Fraction(0)
-            for lam, c in self.terms.items():
-                total += c * (n ** len(lam))
-            return total
-        if self.basis is Basis.E:
-            total = Fraction(0)
-            for lam, c in self.terms.items():
-                val = 1
-                for part in lam:
-                    val *= comb(n, part)
-                    if val == 0:
-                        break
-                total += c * val
-            return total
-        return s_to_e(self).evaluate_ones(n)
+            return sum((c * n ** len(lam) for lam, c in self.terms.items()), Fraction(0))
+        return sum((c * prod(comb(n, part) for part in lam) for lam, c in self.terms.items()), Fraction(0))
 
     # ---------------------------------------------------------- serialization
 
@@ -381,7 +380,8 @@ def _apply(f: SymFunc, source: Basis, target: Basis, expand, weight=None, diviso
 
     Every expansion is integral and so is every weight, and coefficients are
     scaled to one common denominator, so the sums stay in integers: each
-    output term is divided once, by that denominator times ``divisor``.
+    output term is divided once, by that denominator times ``divisor``, and
+    stays an ``int`` when the division is exact.
     """
     if f.basis is not source:
         raise ValueError(f"expected a function in the {source.value} basis, got basis {f.basis.value}")
@@ -394,12 +394,9 @@ def _apply(f: SymFunc, source: Basis, target: Basis, expand, weight=None, diviso
         for mu, w in expand(lam):
             terms[mu] = terms.get(mu, 0) + a * w
     den *= divisor
-    # built clean, not re-checked by SymFunc(): every index is weakly decreasing
-    # already, so it becomes a Partition as is, and zero coefficients are dropped
-    out = object.__new__(SymFunc)
-    out.basis, out.degree = target, f.degree
-    out.terms = {tuple.__new__(Partition, mu): Fraction(v, den) for mu, v in terms.items() if v}
-    return out
+    # every index is weakly decreasing already, so it becomes a Partition as is
+    exact = {tuple.__new__(Partition, mu): v // den if v % den == 0 else Fraction(v, den) for mu, v in terms.items()}
+    return SymFunc._trusted(target, f.degree, exact)
 
 
 def _multinomial(counts) -> int:

@@ -45,7 +45,7 @@ from chromsym.graphs import (
 from chromsym.identities import _canonical_dumbbell_triples, _sun_specs
 from chromsym.partitions import DEFAULT_ENUMERATION_CAP, Partition, partitions_of
 from chromsym.positivity import has_connected_partition, missing_partition_scan
-from chromsym.symfunc import Basis, SymFunc, e_to_p, p_to_e
+from chromsym.symfunc import Basis, SymFunc, e_to_p, e_to_s, p_to_e, s_to_e
 
 # a spread of small builder outputs used for cross-engine checks
 SMALL_GRAPHS = [
@@ -197,6 +197,48 @@ class TestDeletionContraction:
 
     def test_single_vertex(self):
         assert csf_dc(Graph(1, [])) == SymFunc.single(Basis.P, Partition([1]))
+
+
+def int_coefficients(f) -> bool:
+    return all(type(c) is int for c in f.terms.values())
+
+
+class TestCoefficientTypes:
+    """CSF coefficients are stored as ints on every route; the public reads
+    return Fraction, and rational input stays rational."""
+
+    @pytest.mark.parametrize(
+        "spec",
+        ["path(7)", "cycle(6)", "complete(5)", "tadpole(4,3)", "lollipop(5,3)", "dumbbell(4,1,5)",
+         "cdumbbell(4,2,5)", "sdumbbell(4,1,4)", "sun(3;2,1,2)", "csun(4;1,1,1,1)", "spider(3,2,2)"],
+    )
+    def test_every_route_stores_ints(self, spec):
+        f, _ = compute_csf(spec)
+        g = parse_graph_spec(spec).build()
+        dc = csf_dc(g)
+        assert dc == csf_subsets(g) and p_to_e(dc) == f
+        s = e_to_s(f)
+        for h in (f, dc, p_to_e(dc), s, s_to_e(s)):
+            assert int_coefficients(h), h
+
+    def test_closed_and_subset_engines_both_seen(self):
+        assert compute_csf("cdumbbell(4,2,5)")[1] == "closed"
+        assert compute_csf("sun(3;2,1,2)")[1] == "subsets"
+
+    def test_public_reads_are_fractions(self):
+        f, _ = compute_csf("sun(3;1,1,1)")
+        assert type(f.coefficient((6,))) is Fraction and f.coefficient((6,)) == 12
+        assert type(f.coefficient((2, 2, 2))) is Fraction
+        ok, (lam, c) = f.is_nonnegative()
+        assert not ok and repr((lam, c)) == "(Partition([3, 3]), Fraction(-6, 1))"
+
+    def test_rational_input_stays_rational(self):
+        half = SymFunc.single(Basis.E, (2, 1), Fraction(1, 2))
+        assert half.terms == {(2, 1): Fraction(1, 2)}
+        for h in (half + half + half, half * half, 3 * half, e_to_p(half)):
+            assert any(type(c) is Fraction for c in h.terms.values()), h
+        assert (half * half).coefficient((2, 2, 1, 1)) == Fraction(1, 4)
+        assert e_to_p(half).coefficient((1, 1, 1)) == Fraction(1, 4)
 
 
 class TestClosedForms:
@@ -457,6 +499,15 @@ class TestGuards:
         assert len(g.edges) > DEFAULT_CHROMPOLY_EDGE_CAP
         with pytest.raises(ValueError):
             chromatic_poly_dc(g)
+
+    def test_chromatic_vertex_cap(self):
+        assert chromatic_poly_dc(path_graph(40)).degree == 40
+        assert chromatic_poly_closed("sun(3;13,12,12)").degree == 40
+        with pytest.raises(ValueError, match="guarded at 40 vertices, graph has 41$"):
+            chromatic_poly_dc(path_graph(41))
+        for spec, n in (("dumbbell(3,4000,3)", 4006), ("sun(3;13,13,13)", 42)):
+            with pytest.raises(ValueError, match=f"guarded at 40 vertices, graph has {n}$"):
+                chromatic_poly_closed(spec)
 
 
 # ------------------------------------------------------------- properties

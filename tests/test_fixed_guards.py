@@ -8,6 +8,7 @@ option.  Workload sizes, such as ``iter_grid``'s ``vertex_cap`` or
 
 import argparse
 import inspect
+import time
 import types
 
 import pytest
@@ -73,3 +74,14 @@ def test_checkers_see_caps():
     parser = argparse.ArgumentParser()
     parser.add_subparsers().add_parser("cmd").add_argument("--max-size")
     assert cap_options(parser) == ["cmd --max-size"]
+
+
+@pytest.mark.parametrize("spec, n", [("edges[100000000:]", 100000000), ("sun(3;100000,1,1)", 100005)])
+def test_chrompoly_vertex_bound_fires_first(capsys, spec, n):
+    """Both chromatic routes share the CSF engines' vertex bound, checked
+    before the closed form or deletion-contraction starts."""
+    start = time.perf_counter()
+    assert main(["chrompoly", spec]) == 2
+    assert time.perf_counter() - start < 2
+    cap = partitions.DEFAULT_ENUMERATION_CAP
+    assert capsys.readouterr().err == f"error: chromatic polynomial guarded at {cap} vertices, graph has {n}\n"
