@@ -40,9 +40,9 @@ identity check compares the closed forms with.
 
 Each guard is a fixed module constant, checked before the work starts: the
 CSF engines refuse graphs above ``CSF_EDGE_CAP`` edges, ``chromatic_poly_dc``
-above ``DEFAULT_CHROMPOLY_EDGE_CAP``, and every route, the closed chromatic
-polynomials too (|V| read by ``csf_degree``), above ``DEFAULT_ENUMERATION_CAP``
-vertices.
+above ``DEFAULT_CHROMPOLY_EDGE_CAP``, and every route above
+``DEFAULT_ENUMERATION_CAP`` vertices, read for a spec from ``GraphSpec.check``
+(``csf_degree``) before it is built; the edge caps run on the built graph.
 """
 
 from __future__ import annotations
@@ -59,6 +59,11 @@ from .symfunc import Basis, SymFunc, _multinomial, p_to_e, signed_sum
 CSF_EDGE_CAP = 26
 #: ceiling on |E| for chromatic-polynomial deletion-contraction
 DEFAULT_CHROMPOLY_EDGE_CAP = 40
+
+
+def _vertex_guard(route: str, n: int) -> None:
+    if n > DEFAULT_ENUMERATION_CAP:
+        raise ValueError(f"{route} guarded at {DEFAULT_ENUMERATION_CAP} vertices, graph has {n}")
 
 
 # ------------------------------------------------------------- subset oracle
@@ -133,8 +138,7 @@ def csf_subsets(g: Graph) -> SymFunc:
     """
     if len(g.edges) > CSF_EDGE_CAP:
         raise ValueError(f"subset oracle guarded at {CSF_EDGE_CAP} edges, graph has {len(g.edges)}")
-    if g.n > DEFAULT_ENUMERATION_CAP:
-        raise ValueError(f"subset oracle guarded at {DEFAULT_ENUMERATION_CAP} vertices, graph has {g.n}")
+    _vertex_guard("subset oracle", g.n)
     return SymFunc(Basis.P, g.n, _subset_counts(g.n, g.edge_list))
 
 
@@ -271,8 +275,7 @@ def csf_dc(g: Graph) -> SymFunc:
     """
     if len(g.edges) > CSF_EDGE_CAP:
         raise ValueError(f"CSF deletion-contraction guarded at {CSF_EDGE_CAP} edges, graph has {len(g.edges)}")
-    if g.n > DEFAULT_ENUMERATION_CAP:
-        raise ValueError(f"CSF deletion-contraction guarded at {DEFAULT_ENUMERATION_CAP} vertices, graph has {g.n}")
+    _vertex_guard("CSF deletion-contraction", g.n)
     out = SymFunc.single(Basis.P, (1,) * (g.n - len({v for e in g.edges for v in e})))
     if g.edges:
         out = out * _deletion_contraction(
@@ -388,8 +391,7 @@ def csf_dumbbell_closed(m: int, l: int, n: int) -> SymFunc:
         - (n-1) sum_{j=2}^{m-1} P_{m+l+n-j} C_j
         + sum_{i=2}^{n-1} sum_{j=2}^{m-1} P_{m+l+n-i-j} C_i C_j.
     """
-    GraphSpec("dumbbell", (m, l, n)).check()
-    d = m + l + n
+    d = GraphSpec("dumbbell", (m, l, n)).check()
     out = (m - 1) * (n - 1) * csf_path_closed(d)
     for i in range(2, n):
         out = out - (m - 1) * (csf_path_closed(d - i) * csf_cycle_closed(i))
@@ -412,8 +414,7 @@ def csf_complete_dumbbell_closed(m: int, l: int, n: int) -> SymFunc:
 
     with the integer weights w = ``clique_weight`` of the lollipop form.
     """
-    GraphSpec("cdumbbell", (m, l, n)).check()
-    d = m + l + n
+    d = GraphSpec("cdumbbell", (m, l, n)).check()
     out = factorial(m - 1) * factorial(n - 1) * csf_path_closed(d)
     for i in range(1, m - 1):
         out = out - clique_weight(m, i) * factorial(n - 1) * (
@@ -547,11 +548,6 @@ def _close_chromatic(edges):
     return None
 
 
-def _chromatic_vertex_guard(n: int) -> None:
-    if n > DEFAULT_ENUMERATION_CAP:
-        raise ValueError(f"chromatic polynomial guarded at {DEFAULT_ENUMERATION_CAP} vertices, graph has {n}")
-
-
 def chromatic_poly_dc(g: Graph) -> ChromPoly:
     """Chromatic polynomial by blocks and deletion-contraction.
 
@@ -563,7 +559,7 @@ def chromatic_poly_dc(g: Graph) -> ChromPoly:
     """
     if len(g.edges) > DEFAULT_CHROMPOLY_EDGE_CAP:
         raise ValueError(f"chromatic recursion guarded at {DEFAULT_CHROMPOLY_EDGE_CAP} edges, graph has {len(g.edges)}")
-    _chromatic_vertex_guard(g.n)
+    _vertex_guard("chromatic polynomial", g.n)
     exponent = g.n
     out = ChromPoly((1,))
     for blocks in _biconnected(_unit_edges(g.edge_list)):
@@ -615,7 +611,7 @@ def chromatic_poly_closed(spec) -> ChromPoly:
     """Closed-form chromatic polynomial for suns and the three dumbbell kinds,
     guarded at ``DEFAULT_ENUMERATION_CAP`` vertices."""
     spec = as_spec(spec)
-    _chromatic_vertex_guard(csf_degree(spec))
+    _vertex_guard("chromatic polynomial", spec.check())
     out = _closed_chromatic(spec)
     if out is None:
         raise ValueError(f"no closed chromatic polynomial for family {spec.family!r}")
@@ -647,30 +643,27 @@ def compute_csf(target):
     """Compute X_G in the elementary basis; returns (SymFunc, engine_used).
 
     ``target`` may be a Graph, GraphSpec or spec string.  A spec whose family
-    has a closed form returns it ("closed"); any other spec is built.  A
-    ``Graph`` never meets a closed form: it goes to the subset expansion
-    ("subsets").  So ``compute_csf(spec.build())`` is independent of the
-    family formulas.
+    has a closed form returns it ("closed"); any other spec is built once
+    within the subset oracle's vertex bound.  A ``Graph`` never meets a closed
+    form: it goes to the subset expansion ("subsets").  So
+    ``compute_csf(spec.build())`` is independent of the family formulas.
     """
     spec = as_spec(target)
     if spec is not None:
-        spec.check()
+        n = spec.check()
         closed = closed_csf_for(spec)
         if closed is not None:
             return closed, "closed"
+        _vertex_guard("subset oracle", n)
         target = spec.build()
     return p_to_e(csf_subsets(target)), "subsets"
 
 
 def csf_degree(target) -> int:
-    """|V|, the degree of X_G, without a CSF engine.  A spec with a closed form
-    is neither built nor expanded: the arguments of each such family sum to
-    |V| (n; m + l; m + l + n, where a dumbbell's l = -1 is a shared vertex)."""
+    """|V|, the degree of X_G, without a CSF engine: a spec's argument rule
+    returns it (``GraphSpec.check``), so no spec is built or expanded."""
     spec = as_spec(target)
-    if spec is None:
-        return target.n
-    spec.check()
-    return sum(spec.args) if spec.family in _CLOSED_FORMS else spec.build().n
+    return target.n if spec is None else spec.check()
 
 
 def compute_chromatic(target):
@@ -679,7 +672,7 @@ def compute_chromatic(target):
     other graph goes through ``chromatic_poly_dc``.  Both routes are guarded
     at ``DEFAULT_ENUMERATION_CAP`` vertices, checked before either runs.
     """
-    _chromatic_vertex_guard(csf_degree(target))
+    _vertex_guard("chromatic polynomial", csf_degree(target))
     spec = as_spec(target)
     if spec is not None:
         closed = _closed_chromatic(spec)

@@ -6,9 +6,10 @@ undirected; ``Graph`` is immutable and hashable so computed invariants can be
 cached per graph.
 
 Each family's argument rule is written once, as the ``_check_*_args``
-function its builder runs.  ``_FAMILY_TABLE`` gives every family of the spec
-grammar its argument count, rule and builder; ``GraphSpec.check`` runs the
-rule without building, and every other module checks arguments through it.
+function its builder runs, and returns |V|.  ``_FAMILY_TABLE`` gives every
+family of the spec grammar its argument count, rule and builder;
+``GraphSpec.check`` runs the rule, and every other module checks arguments
+and reads |V| for its vertex bounds through it, before any build.
 """
 
 from __future__ import annotations
@@ -117,9 +118,10 @@ def _pendant_path(edges: list, anchor: int, start: int, length: int) -> int:
     return start + length
 
 
-def _check_path_args(n: int) -> None:
+def _check_path_args(n: int) -> int:
     if n < 1:
         raise ValueError("path needs at least one vertex")
+    return n
 
 
 def path_graph(n: int) -> Graph:
@@ -128,9 +130,10 @@ def path_graph(n: int) -> Graph:
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
-def _check_cycle_args(n: int) -> None:
+def _check_cycle_args(n: int) -> int:
     if n < 3:
         raise ValueError("cycle needs at least three vertices")
+    return n
 
 
 def cycle_graph(n: int) -> Graph:
@@ -139,9 +142,10 @@ def cycle_graph(n: int) -> Graph:
     return Graph(n, _body_edges("cycle", range(n)))
 
 
-def _check_complete_args(n: int) -> None:
+def _check_complete_args(n: int) -> int:
     if n < 1:
         raise ValueError("complete graph needs at least one vertex")
+    return n
 
 
 def complete_graph(n: int) -> Graph:
@@ -149,9 +153,10 @@ def complete_graph(n: int) -> Graph:
     return Graph(n, _body_edges("complete", range(n)))
 
 
-def _check_spider_args(*legs) -> None:
+def _check_spider_args(*legs) -> int:
     if not legs or any(x < 1 for x in legs):
         raise ValueError("spider legs must be positive")
+    return 1 + sum(legs)
 
 
 def spider_graph(legs) -> Graph:
@@ -169,13 +174,14 @@ def spider_graph(legs) -> Graph:
     return Graph(nxt, edges)
 
 
-def _check_sun_args(n: int, rays: tuple) -> None:
+def _check_sun_args(n: int, rays: tuple) -> int:
     if n < 3:
         raise ValueError("sun body needs at least three vertices")
     if len(rays) != n:
         raise ValueError(f"expected {n} ray lengths, got {len(rays)}")
     if any(r < 1 for r in rays):
         raise ValueError("ray lengths must be positive")
+    return n + sum(rays)
 
 
 def sun_graph(n: int, rays, body: str = "cycle") -> Graph:
@@ -198,11 +204,12 @@ def sun_graph(n: int, rays, body: str = "cycle") -> Graph:
     return Graph(nxt, edges)
 
 
-def _check_tadpole_args(m: int, l: int) -> None:
+def _check_tadpole_args(m: int, l: int) -> int:
     if m < 3:
         raise ValueError("tadpole cycle needs m >= 3")
     if l < 0:
         raise ValueError("tail length must be nonnegative")
+    return m + l
 
 
 def tadpole_graph(m: int, l: int) -> Graph:
@@ -215,11 +222,12 @@ def tadpole_graph(m: int, l: int) -> Graph:
     return Graph(_pendant_path(edges, 0, m, l), edges)
 
 
-def _check_lollipop_args(m: int, l: int) -> None:
+def _check_lollipop_args(m: int, l: int) -> int:
     if m < 3:
         raise ValueError("lollipop clique needs m >= 3")
     if l < 0:
         raise ValueError("tail length must be nonnegative")
+    return m + l
 
 
 def lollipop_graph(m: int, l: int) -> Graph:
@@ -229,11 +237,12 @@ def lollipop_graph(m: int, l: int) -> Graph:
     return Graph(_pendant_path(edges, 0, m, l), edges)
 
 
-def _check_dumbbell_args(m: int, l: int, n: int) -> None:
+def _check_dumbbell_args(m: int, l: int, n: int) -> int:
     if m < 3 or n < 3:
         raise ValueError("dumbbell bodies need at least three vertices each")
     if l < -1:
         raise ValueError("connector length must be at least -1")
+    return m + l + n
 
 
 def dumbbell_graph(m: int, l: int, n: int, kind: str = "ordinary") -> Graph:
@@ -267,11 +276,11 @@ def dumbbell_graph(m: int, l: int, n: int, kind: str = "ordinary") -> Graph:
 
 def line_graph(g: Graph) -> Graph:
     """Line graph: one vertex per edge of g (in sorted edge order), adjacency = sharing an endpoint."""
-    at = [[] for _ in range(g.n)]
+    at = {}
     for i, (u, v) in enumerate(g.edge_list):
-        at[u].append(i)
-        at[v].append(i)
-    return Graph(len(g.edges), [pair for ids in at for pair in combinations(ids, 2)])
+        at.setdefault(u, []).append(i)
+        at.setdefault(v, []).append(i)
+    return Graph(len(g.edges), [pair for ids in at.values() for pair in combinations(ids, 2)])
 
 
 def attach(body: Graph, attachments) -> Graph:
@@ -348,10 +357,11 @@ class GraphSpec:
             raise ValueError(f"{self.family} takes {arity} argument(s), got {len(self.args)}")
         return rule, builder
 
-    def check(self) -> None:
-        """Raise ``ValueError`` exactly when ``build`` would, without building."""
+    def check(self) -> int:
+        """Raise ``ValueError`` exactly when ``build`` would, else return |V|.
+        Builds nothing but the G of each ``line(G)``, to count its edges."""
         rule, _ = self._entry()
-        rule(*self.args)
+        return rule(*self.args)
 
     def build(self) -> Graph:
         _, builder = self._entry()
@@ -367,8 +377,8 @@ class GraphSpec:
         return f"{f}({','.join(str(x) for x in a)})"
 
 
-#: family -> (argument count or None for any, rule, builder); both take the
-#: spec's arguments unpacked.  An edge list's rule is the ``Graph`` constructor.
+#: family -> (argument count or None for any, rule returning |V|, builder);
+#: both take the spec's arguments unpacked.
 _FAMILY_TABLE = {
     "path": (1, _check_path_args, path_graph),
     "cycle": (1, _check_cycle_args, cycle_graph),
@@ -381,9 +391,9 @@ _FAMILY_TABLE = {
     "dumbbell": (3, _check_dumbbell_args, dumbbell_graph),
     "cdumbbell": (3, _check_dumbbell_args, partial(dumbbell_graph, kind="complete")),
     "sdumbbell": (3, _check_dumbbell_args, partial(dumbbell_graph, kind="semicomplete")),
-    "line": (1, GraphSpec.check, lambda inner: line_graph(inner.build())),
-    "union": (2, lambda a, b: (a.check(), b.check()), lambda a, b: disjoint_union(a.build(), b.build())),
-    "edges": (2, Graph, Graph),
+    "line": (1, lambda inner: len(inner.build().edges), lambda inner: line_graph(inner.build())),
+    "union": (2, lambda a, b: a.check() + b.check(), lambda a, b: disjoint_union(a.build(), b.build())),
+    "edges": (2, lambda d, pairs: Graph(d, pairs).n, Graph),
 }
 
 

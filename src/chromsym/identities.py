@@ -4,10 +4,10 @@ Every ``verify_*`` operation computes both sides of one identity with
 independent engines — the left side by the formula-free route
 ``compute_csf(g)`` on the built graph (the edge-subset expansion), the right
 side from closed family forms — and returns an :class:`IdentityReport`
-carrying the exact difference.  ``_oracle`` memoizes that route per graph;
-it is the only memo of CSF results.  The subset expansion refuses graphs
-above ``CSF_EDGE_CAP`` edges, so an identity on a larger graph raises
-ValueError.  ``_IDENTITIES`` pairs each identity's verifier with its
+carrying the exact difference.  ``_oracle`` takes a spec, refuses it above the
+subset expansion's vertex bound before building and above ``CSF_EDGE_CAP``
+edges after, and caches the route per graph in ``_memo``, the only memo of
+CSF results.  ``_IDENTITIES`` pairs each identity's verifier with its
 parameter grid, and ``run_grid`` sweeps an identity over that grid.
 """
 
@@ -20,6 +20,7 @@ from math import factorial
 from .csf import (
     CSF_EDGE_CAP,
     DEFAULT_CHROMPOLY_EDGE_CAP,
+    _vertex_guard,
     chromatic_poly_closed,
     chromatic_poly_dc,
     clique_weight,
@@ -32,7 +33,7 @@ from .csf import (
     csf_path_closed,
     csf_tadpole_closed,
 )
-from .graphs import Graph, GraphSpec, as_spec, dumbbell_graph, parse_graph_spec, spider_graph, sun_graph
+from .graphs import Graph, GraphSpec, as_spec, dumbbell_graph, parse_graph_spec
 from .positivity import triangle_sun_missing_type, uniform_sun_coefficient, uniform_sun_missing_type
 from .symfunc import Basis, SymFunc
 
@@ -89,10 +90,20 @@ def _report(name: str, params: dict, lhs, rhs) -> IdentityReport:
 
 
 @lru_cache(maxsize=1024)
-def _oracle(g: Graph) -> SymFunc:
+def _memo(g: Graph) -> SymFunc:
     """The CSF of a built graph, never from a closed form, cached per graph."""
-    f, _ = compute_csf(g)
-    return f
+    return compute_csf(g)[0]
+
+
+def _oracle_graph(spec: GraphSpec) -> Graph:
+    """The spec's graph, built only within the subset oracle's vertex bound."""
+    _vertex_guard("subset oracle", spec.check())
+    return spec.build()
+
+
+def _oracle(spec: GraphSpec) -> SymFunc:
+    """The CSF of the spec's graph by the subset expansion, memoized per graph."""
+    return _memo(_oracle_graph(spec))
 
 
 def first_triangle(g: Graph):
@@ -111,12 +122,12 @@ def first_triangle(g: Graph):
 def verify_triple_deletion(target, e1=None, e2=None, e3=None) -> IdentityReport:
     """X_G = X_{G minus e1} + X_{G minus e2} - X_{G minus e1,e2} for a triangle e1,e2,e3.
 
-    All four functions come from the formula-free route ``_oracle``, the
+    All four functions come from the formula-free route ``_memo``, the
     subset expansion.  When no edges are given, the lexicographically first
     triangle of the graph is used.
     """
     spec = as_spec(target)
-    g = spec.build() if spec is not None else target
+    g = _oracle_graph(spec) if spec is not None else target
     if e1 is None:
         tri = first_triangle(g)
         if tri is None:
@@ -132,8 +143,8 @@ def verify_triple_deletion(target, e1=None, e2=None, e3=None) -> IdentityReport:
     def minus(*gone):
         return Graph(g.n, [e for e in g.edge_list if e not in gone])
 
-    lhs = _oracle(g)
-    rhs = _oracle(minus(e1)) + _oracle(minus(e2)) - _oracle(minus(e1, e2))
+    lhs = _memo(g)
+    rhs = _memo(minus(e1)) + _memo(minus(e2)) - _memo(minus(e1, e2))
     params = {"target": spec if spec is not None else g, "triangle": list(edges)}
     return _report("triple_deletion", params, lhs, rhs)
 
@@ -146,7 +157,7 @@ def verify_sun_coefficient(n: int, k: int) -> IdentityReport:
     """
     lam = uniform_sun_missing_type(n, k)
     expected = uniform_sun_coefficient(n, k)
-    got = _oracle(sun_graph(n, (k,) * n)).coefficient(lam)
+    got = _oracle(GraphSpec("sun", (n, (k,) * n))).coefficient(lam)
     lhs = SymFunc.single(Basis.E, lam, got)
     rhs = SymFunc.single(Basis.E, lam, expected)
     return _report("sun_coefficient", {"n": n, "k": k, "type": lam}, lhs, rhs)
@@ -165,7 +176,7 @@ def verify_small_sun_coefficient(a: int, b: int, c: int) -> IdentityReport:
         raise ValueError("need the longest ray shorter than the other two combined")
     total = a + b + c + 3
     expected = -total if b + c == a + 1 else -2 * total
-    got = _oracle(sun_graph(3, (a, b, c))).coefficient(lam)
+    got = _oracle(GraphSpec("sun", (3, (a, b, c)))).coefficient(lam)
     lhs = SymFunc.single(Basis.E, lam, got)
     rhs = SymFunc.single(Basis.E, lam, expected)
     return _report("small_sun_coefficient", {"a": a, "b": b, "c": c, "type": lam}, lhs, rhs)
@@ -177,8 +188,8 @@ def verify_sun_spider_reduction(a: int, b: int) -> IdentityReport:
     Both graph functions come from the formula-free route ``_oracle``, the
     subset expansion; the path product from the closed path form.
     """
-    lhs = _oracle(sun_graph(3, (a, b, b)))
-    rhs = 2 * _oracle(spider_graph((a + 1, b + 1, b))) - csf_path_closed(2 * b + 2) * csf_path_closed(a + 1)
+    lhs = _oracle(GraphSpec("sun", (3, (a, b, b))))
+    rhs = 2 * _oracle(GraphSpec("spider", (a + 1, b + 1, b))) - csf_path_closed(2 * b + 2) * csf_path_closed(a + 1)
     return _report("sun_spider_reduction", {"a": a, "b": b}, lhs, rhs)
 
 
@@ -189,7 +200,7 @@ def verify_dumbbell_recursion(m: int, l: int, n: int) -> IdentityReport:
     For m = 3:  X_{D(3,l,n)} = 2 X_{T(n,l+3)} - X_{T(n,l+1)} X_{C(2)}.
     The left side is the oracle; every right-side term is a closed form.
     """
-    lhs = _oracle(dumbbell_graph(m, l, n))
+    lhs = _oracle(GraphSpec("dumbbell", (m, l, n)))
     if m > 3:
         rhs = (
             csf_dumbbell_closed(m - 1, l + 1, n)
@@ -203,7 +214,7 @@ def verify_dumbbell_recursion(m: int, l: int, n: int) -> IdentityReport:
 
 def verify_dumbbell_tadpole_expansion(m: int, l: int, n: int) -> IdentityReport:
     """X_{D(m,l,n)} = (m-1) X_{T(n,m+l)} - sum_{k=1}^{m-2} X_{T(n,l+k)} X_{C(m-k)}."""
-    lhs = _oracle(dumbbell_graph(m, l, n))
+    lhs = _oracle(GraphSpec("dumbbell", (m, l, n)))
     rhs = (m - 1) * csf_tadpole_closed(n, m + l)
     for k in range(1, m - 1):
         rhs = rhs - csf_tadpole_closed(n, l + k) * csf_cycle_closed(m - k)
@@ -212,7 +223,7 @@ def verify_dumbbell_tadpole_expansion(m: int, l: int, n: int) -> IdentityReport:
 
 def verify_dumbbell_full_expansion(m: int, l: int, n: int) -> IdentityReport:
     """Oracle CSF of D(m,l,n) against its closed path/cycle expansion."""
-    lhs = _oracle(dumbbell_graph(m, l, n))
+    lhs = _oracle(GraphSpec("dumbbell", (m, l, n)))
     rhs = csf_dumbbell_closed(m, l, n)
     return _report("dumbbell_full_expansion", {"m": m, "l": l, "n": n}, lhs, rhs)
 
@@ -223,7 +234,7 @@ def verify_cdumbbell_recursion(m: int, l: int, n: int) -> IdentityReport:
     The degenerate D̄(2,l,n) on the right of the m = 3 case is the lollipop
     L(n, l+2).
     """
-    lhs = _oracle(dumbbell_graph(m, l, n, kind="complete"))
+    lhs = _oracle(GraphSpec("cdumbbell", (m, l, n)))
     if m - 1 >= 3:
         shrunk = csf_complete_dumbbell_closed(m - 1, l + 1, n)
     else:
@@ -238,7 +249,7 @@ def verify_cdumbbell_lollipop_expansion(m: int, l: int, n: int) -> IdentityRepor
     The integer weight is c_k = (m-1)(m-2)...(m-k-1) / (m-k), which is
     ``clique_weight(m, k)``.
     """
-    lhs = _oracle(dumbbell_graph(m, l, n, kind="complete"))
+    lhs = _oracle(GraphSpec("cdumbbell", (m, l, n)))
     rhs = factorial(m - 1) * csf_lollipop_closed(n, m + l)
     for k in range(1, m - 1):
         rhs = rhs - clique_weight(m, k) * csf_complete_closed(m - k) * csf_lollipop_closed(n, l + k)
@@ -247,7 +258,7 @@ def verify_cdumbbell_lollipop_expansion(m: int, l: int, n: int) -> IdentityRepor
 
 def verify_cdumbbell_full_expansion(m: int, l: int, n: int) -> IdentityReport:
     """Oracle CSF of D̄(m,l,n) against its closed path/complete expansion."""
-    lhs = _oracle(dumbbell_graph(m, l, n, kind="complete"))
+    lhs = _oracle(GraphSpec("cdumbbell", (m, l, n)))
     rhs = csf_complete_dumbbell_closed(m, l, n)
     return _report("cdumbbell_full_expansion", {"m": m, "l": l, "n": n}, lhs, rhs)
 
@@ -305,7 +316,7 @@ def verify_distinguishability(family: str, size_cap: int) -> IdentityReport:
     elif family == "sun":
         if size_cap > CSF_EDGE_CAP:  # a sun on v vertices has v edges
             raise ValueError(f"sun grid guarded at size_cap {CSF_EDGE_CAP}, the CSF edge cap; got {size_cap}")
-        instances = ((key, spec, _oracle(parse_graph_spec(spec).build())) for key, spec in _sun_specs(size_cap))
+        instances = ((key, spec, _oracle(parse_graph_spec(spec))) for key, spec in _sun_specs(size_cap))
     else:
         raise ValueError(f"unknown family {family!r}")
     seen: dict = {}
@@ -349,7 +360,7 @@ _TRIANGLE_GRID_SPECS = (
 
 def _grid_triple_deletion(cap):
     for spec in _TRIANGLE_GRID_SPECS:
-        if parse_graph_spec(spec).build().n <= cap:
+        if parse_graph_spec(spec).check() <= cap:
             yield {"target": spec}
 
 

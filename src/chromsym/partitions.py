@@ -72,28 +72,15 @@ class Partition(tuple):
 @lru_cache(maxsize=None)
 def _partition_list(n: int) -> tuple:
     """All partitions of n in lexicographically decreasing order, as a tuple."""
-    out = []
-    if n == 0:
-        return (Partition(),)
-    # iterative successor walk starting from the one-part partition (n)
-    a = [n]
-    while True:
-        out.append(Partition(a))
-        # find rightmost part > 1
-        k = len(a) - 1
-        while k >= 0 and a[k] == 1:
-            k -= 1
-        if k < 0:
-            break
-        rem = len(a) - k - 1 + 1  # the 1s plus one unit taken from a[k]
-        a[k] -= 1
-        del a[k + 1:]
-        # redistribute rem into parts of size at most a[k]
-        while rem > 0:
-            take = min(rem, a[k])
-            a.append(take)
-            rem -= take
-    return tuple(out)
+
+    def below(left, most):  # partitions of ``left`` into parts of at most ``most``, largest first
+        if not left:
+            yield ()
+        for first in range(min(left, most), 0, -1):
+            for rest in below(left - first, first):
+                yield (first,) + rest
+
+    return tuple(map(Partition, below(n, n)))
 
 
 def partitions_of(n: int) -> list:

@@ -303,13 +303,12 @@ def spider_nonpositivity_criterion(legs, i: int) -> bool:
     t >= 2.  A False verdict is inconclusive.
     """
     legs = tuple(int(x) for x in legs)
-    GraphSpec("spider", legs).check()
+    n = GraphSpec("spider", legs).check()
     d = len(legs)
     if not (2 <= i < d):
         raise ValueError("position must satisfy 2 <= i < number of legs")
     t = sum(legs[i:])
     if t <= 1:
         raise ValueError("trailing legs must sum to at least 2")
-    n = 1 + sum(legs)
     q = n // (legs[i - 1] + 1)
     return q * (t - 1) >= legs[i - 1] + 1

@@ -450,7 +450,9 @@ class TestEngineRouting:
         assert compute_csf(spec) == compute_csf("cycle(5)")
 
     def test_degree_of_closed_specs_matches_the_built_graph(self):
-        # every spec of a closed-form family on at most 14 vertices
+        # every spec of a closed-form family on at most 14 vertices (dumbbells
+        # from l = -1), then specs of every other family: the |V| each
+        # argument rule returns is that of the built graph
         for family in csf_module._CLOSED_FORMS:
             arity = _FAMILY_TABLE[family][0]
             sizes = []
@@ -462,9 +464,31 @@ class TestEngineRouting:
                     continue
                 n = spec.build().n
                 if n <= 14:
-                    assert csf_degree(spec) == n, spec
+                    assert spec.check() == csf_degree(spec) == n, spec
                     sizes.append(n)
             assert max(sizes) == 14, family
+        others = [
+            "spider(1)",
+            "spider(3,1,2)",
+            "sun(3;1,2,3)",
+            "sun(5;1,1,1,1,4)",
+            "csun(3;1,1,1)",
+            "csun(4;2,1,1,3)",
+            "line(path(1))",
+            "line(complete(5))",
+            "line(sun(3;1,1,1))",
+            "line(line(spider(1,1,1)))",
+            "line(dumbbell(3,-1,4))",
+            "union(path(1),cycle(3))",
+            "union(line(path(4)),union(edges[0:],cdumbbell(3,0,3)))",
+            "edges[0:]",
+            "edges[5:(0,1),(3,4)]",
+        ]
+        for text in others:
+            spec = parse_graph_spec(text)
+            assert spec.check() == csf_degree(spec) == spec.build().n, text
+        families = {parse_graph_spec(text).family for text in others}
+        assert families | set(csf_module._CLOSED_FORMS) == set(_FAMILY_TABLE)
 
     def test_closed_csf_for_coverage(self):
         assert closed_csf_for(parse_graph_spec("sun(3;1,1,1)")) is None

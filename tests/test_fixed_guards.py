@@ -4,6 +4,11 @@ A dependency-free check: no public function of the library modules takes a
 parameter named ``max_*``, and no ``chromsym`` subcommand has a ``--max-*``
 option.  Workload sizes, such as ``iter_grid``'s ``vertex_cap`` or
 ``verify --grid``, are not guards and are not matched.
+
+Every route also checks its vertex bound on the |V| a spec's argument rule
+returns, before any graph is built: with every family builder and the
+``Graph`` constructor stubbed out, each route refuses an over-bound spec, and
+specs far over the bounds are refused at once.
 """
 
 import argparse
@@ -76,7 +81,19 @@ def test_checkers_see_caps():
     assert cap_options(parser) == ["cmd --max-size"]
 
 
-@pytest.mark.parametrize("spec, n", [("edges[100000000:]", 100000000), ("sun(3;100000,1,1)", 100005)])
+#: line^5(K_5): 22,950 vertices and 757,350 edges; its argument has 22,950 edges
+LINE5 = "line(" * 5 + "complete(5)" + ")" * 5
+
+
+@pytest.mark.parametrize(
+    "spec, n",
+    [
+        ("edges[100000000:]", 100000000),
+        ("sun(3;100000,1,1)", 100005),
+        ("sun(3;100000000,1,1)", 100000005),
+        (LINE5, 22950),
+    ],
+)
 def test_chrompoly_vertex_bound_fires_first(capsys, spec, n):
     """Both chromatic routes share the CSF engines' vertex bound, checked
     before the closed form or deletion-contraction starts."""
@@ -85,3 +102,89 @@ def test_chrompoly_vertex_bound_fires_first(capsys, spec, n):
     assert time.perf_counter() - start < 2
     cap = partitions.DEFAULT_ENUMERATION_CAP
     assert capsys.readouterr().err == f"error: chromatic polynomial guarded at {cap} vertices, graph has {n}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("verify", "dumbbell-recursion", "3,100000000,3"), "subset oracle guarded at 40 vertices, graph has 100000006"),
+        (("verify", "cdumbbell-recursion", "3,100000000,3"), "subset oracle guarded at 40 vertices, graph has 100000006"),
+        (("verify", "sun-coefficient", "10000,10000"), "subset oracle guarded at 40 vertices, graph has 100010000"),
+        (
+            ("verify", "small-sun-coefficient", "100000000,100000000,100000000"),
+            "subset oracle guarded at 40 vertices, graph has 300000003",
+        ),
+        (("verify", "triple-deletion", LINE5), "subset oracle guarded at 40 vertices, graph has 22950"),
+        (("csf", LINE5), "subset oracle guarded at 40 vertices, graph has 22950"),
+        (("scan", LINE5), "full scans guarded at 14 vertices, graph has 22950"),
+        (("positivity", LINE5), "subset oracle guarded at 40 vertices, graph has 22950"),
+    ],
+)
+def test_vertex_bound_before_the_build(capsys, argv, message):
+    start = time.perf_counter()
+    assert main(list(argv)) == 2
+    assert time.perf_counter() - start < 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_line_graph_of_a_sparse_graph(capsys):
+    """The line graph walks the edges of G, not its vertices."""
+    start = time.perf_counter()
+    assert main(["csf", "line(edges[100000000:(0,1)])"]) == 0
+    assert time.perf_counter() - start < 2
+    assert capsys.readouterr().out == "X[line(edges[100000000:(0,1)])] = e[1]  (subsets)\n"
+
+
+#: a spec with no closed CSF form, over every vertex bound (105 vertices)
+OVER = "sun(3;100,1,1)"
+#: verify parameters over the subset oracle's vertex bound, for each identity
+#: but distinguishability, whose sun bound has its own test in test_cli.py
+OVER_BOUND_PARAMS = {
+    "triple_deletion": OVER,
+    "sun_coefficient": "3,100",
+    "small_sun_coefficient": "100,99,98",
+    "sun_spider_reduction": "100,100",
+    "dumbbell_recursion": "3,100,3",
+    "dumbbell_tadpole_expansion": "3,100,3",
+    "dumbbell_full_expansion": "3,100,3",
+    "cdumbbell_recursion": "3,100,3",
+    "cdumbbell_lollipop_expansion": "3,100,3",
+    "cdumbbell_full_expansion": "3,100,3",
+    "chromatic_closed_forms": OVER,
+}
+
+
+@pytest.fixture
+def no_builds(monkeypatch):
+    """Every family builder, and the ``Graph`` constructor that builders
+    called directly would reach, fails the test."""
+
+    def refuse(*args, **kwargs):
+        pytest.fail("a graph was built before its guard")
+
+    for family, (arity, rule, _) in list(graphs._FAMILY_TABLE.items()):
+        monkeypatch.setitem(graphs._FAMILY_TABLE, family, (arity, rule, refuse))
+    monkeypatch.setattr(graphs.Graph, "__init__", refuse)
+
+
+def test_sweep_covers_every_identity():
+    assert set(OVER_BOUND_PARAMS) == set(identities.VERIFIERS) - {"distinguishability"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("csf", OVER),
+        ("csf", OVER, "--basis", "s"),
+        ("positivity", OVER),
+        ("positivity", OVER, "--basis", "s"),
+        ("scan", OVER),
+        ("chrompoly", OVER),
+        *(("verify", name, params) for name, params in OVER_BOUND_PARAMS.items()),
+    ],
+)
+def test_every_route_guards_before_any_build(capsys, no_builds, argv):
+    assert main(list(argv)) == 2
+    out, err = capsys.readouterr()
+    assert out == "" and err.startswith("error: ") and err.count("\n") == 1
+    assert "guarded at" in err

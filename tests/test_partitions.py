@@ -20,6 +20,28 @@ def partition_count(n: int) -> int:
     return table[n]
 
 
+def successor_walk(n: int) -> list:
+    """Partitions of n, largest first, by the successor walk the library used
+    before its recursive generator: each step lowers the rightmost part above
+    1 by one and spreads the freed units in parts no larger."""
+    if n == 0:
+        return [()]
+    out, a = [], [n]
+    while True:
+        out.append(tuple(a))
+        k = len(a) - 1
+        while k >= 0 and a[k] == 1:
+            k -= 1
+        if k < 0:
+            return out
+        rem = len(a) - k
+        a[k] -= 1
+        del a[k + 1:]
+        while rem > 0:
+            a.append(min(rem, a[k]))
+            rem -= a[-1]
+
+
 small_partitions = st.integers(0, 9).flatmap(
     lambda n: st.sampled_from(partitions_of(n)) if n else st.just(Partition())
 )
@@ -91,6 +113,12 @@ class TestEnumeration:
             parts = partitions_of(n)
             assert parts == sorted(parts, reverse=True)
             assert len(set(parts)) == len(parts)
+
+    def test_matches_successor_walk(self):
+        for n in range(DEFAULT_ENUMERATION_CAP + 1):
+            parts = partitions_of(n)
+            assert parts == successor_walk(n), n
+            assert all(type(lam) is Partition for lam in parts)
 
     def test_all_results_weigh_n(self):
         for n in range(0, 12):
