@@ -24,7 +24,8 @@ Engines:
 * closed forms for paths, cycles, complete graphs, tadpoles, lollipops and the
   dumbbell families, accepted only because the test suite pins them to the
   subset oracle on overlapping grids.  Each checks its arguments by
-  ``GraphSpec.check``, the rule its family's builder runs.
+  ``GraphSpec.check`` and its vertex bound before any arithmetic.  Tadpoles,
+  lollipops and dumbbells remove each body by one rule, ``_eliminate``.
 
 Component products, block products and the tree and clique closings are
 theorems about all graphs, not family formulas: no ``*_closed`` function is
@@ -42,7 +43,7 @@ Each guard is a fixed module constant, checked before the work starts: the
 CSF engines refuse graphs above ``CSF_EDGE_CAP`` edges, ``chromatic_poly_dc``
 above ``DEFAULT_CHROMPOLY_EDGE_CAP``, and every route above
 ``DEFAULT_ENUMERATION_CAP`` vertices, read for a spec from ``GraphSpec.check``
-(``csf_degree``) before it is built; the edge caps run on the built graph.
+(``csf_degree``) before any build or closed form; the edge caps run on the graph.
 """
 
 from __future__ import annotations
@@ -287,6 +288,11 @@ def csf_dc(g: Graph) -> SymFunc:
 # ------------------------------------------------------------- closed forms
 
 
+def _closed_guard(family: str, *args) -> None:
+    """The family's argument rule, then the vertex bound, before any arithmetic."""
+    _vertex_guard("closed form", GraphSpec(family, args).check())
+
+
 @lru_cache(maxsize=None)
 def csf_path_closed(d: int) -> SymFunc:
     """e-expansion of the path on d >= 1 vertices, term by term.
@@ -298,7 +304,7 @@ def csf_path_closed(d: int) -> SymFunc:
 
     with the convention 0^0 = 1.
     """
-    GraphSpec("path", (d,)).check()
+    _closed_guard("path", d)
     terms = {}
     for lam in partitions_of(d):
         mult = lam.multiplicities()
@@ -350,8 +356,24 @@ def clique_weight(a: int, i: int) -> int:
 
 def csf_complete_closed(n: int) -> SymFunc:
     """X of the complete graph: n! e_n."""
-    GraphSpec("complete", (n,)).check()
+    _closed_guard("complete", n)
     return SymFunc.single(Basis.E, (n,), factorial(n))
+
+
+def _eliminate(body: str, m: int, rest) -> SymFunc:
+    """X of a graph whose cycle or clique ``body`` on m vertices meets the rest
+    at one vertex, by triple deletion on the body, where R(j) = ``rest(j)`` is
+    X of the rest with its tail grown by j vertices:
+
+        cycle:    (m-1) R(m) - sum_{k=1}^{m-2} X_{C_{m-k}} R(k),
+        complete: (m-1)! R(m) - sum_{k=1}^{m-2} clique_weight(m, k) X_{K_{m-k}} R(k).
+    """
+    cycle = body == "cycle"
+    out = (m - 1 if cycle else factorial(m - 1)) * rest(m)
+    for k in range(1, m - 1):
+        factor = csf_cycle_closed(m - k) if cycle else clique_weight(m, k) * csf_complete_closed(m - k)
+        out = out - factor * rest(k)
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -360,11 +382,8 @@ def csf_tadpole_closed(a: int, b: int) -> SymFunc:
 
         X = (a-1) X_{P_{a+b}} - sum_{i=2}^{a-1} X_{P_{a+b-i}} X_{C_i}.
     """
-    GraphSpec("tadpole", (a, b)).check()
-    out = (a - 1) * csf_path_closed(a + b)
-    for i in range(2, a):
-        out = out - csf_path_closed(a + b - i) * csf_cycle_closed(i)
-    return out
+    _closed_guard("tadpole", a, b)
+    return _eliminate("cycle", a, lambda j: csf_path_closed(b + j))
 
 
 @lru_cache(maxsize=None)
@@ -375,11 +394,21 @@ def csf_lollipop_closed(a: int, b: int) -> SymFunc:
 
     where w(a, i) = (a-1)! (a-i-1) / (a-i)! is ``clique_weight(a, i)``.
     """
-    GraphSpec("lollipop", (a, b)).check()
-    out = factorial(a - 1) * csf_path_closed(a + b)
-    for i in range(1, a - 1):
-        out = out - clique_weight(a, i) * (csf_complete_closed(a - i) * csf_path_closed(b + i))
-    return out
+    _closed_guard("lollipop", a, b)
+    return _eliminate("complete", a, lambda j: csf_path_closed(b + j))
+
+
+#: dumbbell family -> (body on the m vertices, body on the n vertices)
+_DUMBBELL_BODIES = {
+    "dumbbell": ("cycle", "cycle"), "cdumbbell": ("complete", "complete"), "sdumbbell": ("cycle", "complete")
+}
+
+
+def _dumbbell(family: str, m: int, l: int, n: int) -> SymFunc:
+    """Eliminate the m-body over the n-body with tail l + j, and that over P_{l+i+j}."""
+    _closed_guard(family, m, l, n)
+    first, second = _DUMBBELL_BODIES[family]
+    return _eliminate(first, m, lambda j: _eliminate(second, n, lambda i: csf_path_closed(l + i + j)))
 
 
 @lru_cache(maxsize=None)
@@ -391,16 +420,7 @@ def csf_dumbbell_closed(m: int, l: int, n: int) -> SymFunc:
         - (n-1) sum_{j=2}^{m-1} P_{m+l+n-j} C_j
         + sum_{i=2}^{n-1} sum_{j=2}^{m-1} P_{m+l+n-i-j} C_i C_j.
     """
-    d = GraphSpec("dumbbell", (m, l, n)).check()
-    out = (m - 1) * (n - 1) * csf_path_closed(d)
-    for i in range(2, n):
-        out = out - (m - 1) * (csf_path_closed(d - i) * csf_cycle_closed(i))
-    for j in range(2, m):
-        out = out - (n - 1) * (csf_path_closed(d - j) * csf_cycle_closed(j))
-    for i in range(2, n):
-        for j in range(2, m):
-            out = out + csf_path_closed(d - i - j) * csf_cycle_closed(i) * csf_cycle_closed(j)
-    return out
+    return _dumbbell("dumbbell", m, l, n)
 
 
 @lru_cache(maxsize=None)
@@ -414,22 +434,7 @@ def csf_complete_dumbbell_closed(m: int, l: int, n: int) -> SymFunc:
 
     with the integer weights w = ``clique_weight`` of the lollipop form.
     """
-    d = GraphSpec("cdumbbell", (m, l, n)).check()
-    out = factorial(m - 1) * factorial(n - 1) * csf_path_closed(d)
-    for i in range(1, m - 1):
-        out = out - clique_weight(m, i) * factorial(n - 1) * (
-            csf_complete_closed(m - i) * csf_path_closed(n + l + i)
-        )
-    for j in range(1, n - 1):
-        out = out - clique_weight(n, j) * factorial(m - 1) * (
-            csf_complete_closed(n - j) * csf_path_closed(m + l + j)
-        )
-    for i in range(1, m - 1):
-        for j in range(1, n - 1):
-            out = out + clique_weight(m, i) * clique_weight(n, j) * (
-                csf_complete_closed(m - i) * csf_complete_closed(n - j) * csf_path_closed(l + i + j)
-            )
-    return out
+    return _dumbbell("cdumbbell", m, l, n)
 
 
 @lru_cache(maxsize=None)
@@ -441,11 +446,7 @@ def csf_semicomplete_dumbbell_closed(m: int, l: int, n: int) -> SymFunc:
     the same unrolled triple-deletion that expands the two-cycle dumbbell into
     tadpoles, with the far side a lollipop instead.
     """
-    GraphSpec("sdumbbell", (m, l, n)).check()
-    out = (m - 1) * csf_lollipop_closed(n, m + l)
-    for k in range(1, m - 1):
-        out = out - csf_lollipop_closed(n, l + k) * csf_cycle_closed(m - k)
-    return out
+    return _dumbbell("sdumbbell", m, l, n)
 
 
 # -------------------------------------------------------- chromatic polynomials
@@ -524,18 +525,12 @@ _XM1 = ChromPoly((-1, 1))
 
 
 def _poly_pow(p: ChromPoly, k: int) -> ChromPoly:
-    out = ChromPoly((1,))
-    for _ in range(k):
-        out = out * p
-    return out
+    return reduce(mul, [p] * k, ChromPoly((1,)))
 
 
 def _falling(k: int) -> ChromPoly:
     """x (x-1) ... (x-k+1), the chromatic polynomial of K_k."""
-    out = ChromPoly((1,))
-    for i in range(k):
-        out = out * ChromPoly((-i, 1))
-    return out
+    return reduce(mul, (ChromPoly((-i, 1)) for i in range(k)), ChromPoly((1,)))
 
 
 def _close_chromatic(edges):
@@ -576,35 +571,20 @@ def _cycle_chromatic(n: int) -> ChromPoly:
 
 
 def _closed_chromatic(spec: GraphSpec):
-    """The closed chromatic polynomial of a checked spec, or None if its family has none."""
+    """The closed chromatic polynomial of a checked spec, or None if its family has none:
+    the block product x prod_B P(B)/x (x-1)^{bridges} over its bodies B, with
+    sum(rays) bridges in a sun and l + 1 in a dumbbell D(m, l, n)."""
     fam, a = spec.family, spec.args
     if fam == "sun":
-        n, rays = a
-        return _cycle_chromatic(n) * _poly_pow(_XM1, sum(rays))
-    if fam == "dumbbell":
-        m, l, n = a
-        num = (
-            _poly_pow(_XM1, l + 3)
-            * (_poly_pow(_XM1, m - 1) + ChromPoly(((-1) ** m,)))
-            * (_poly_pow(_XM1, n - 1) + ChromPoly(((-1) ** n,)))
-        )
-        return num.shift_divide()
-    if fam == "cdumbbell":
-        m, l, n = a
-        big, small = max(m, n), min(m, n)
-        out = _X * _poly_pow(_XM1, l + 3)
-        for k in range(2, small):
-            out = out * ChromPoly((-k, 1)) * ChromPoly((-k, 1))
-        for k in range(small, big):
-            out = out * ChromPoly((-k, 1))
-        return out
-    if fam == "sdumbbell":
-        m, l, n = a
-        out = _cycle_chromatic(m) * _poly_pow(_XM1, l + 2)
-        for k in range(2, n):
-            out = out * ChromPoly((-k, 1))
-        return out
-    return None
+        bodies, bridges = (("cycle", a[0]),), sum(a[1])
+    elif fam in _DUMBBELL_BODIES:
+        bodies, bridges = zip(_DUMBBELL_BODIES[fam], a[::2]), a[1] + 1
+    else:
+        return None
+    out = _X * _poly_pow(_XM1, bridges)
+    for body, size in bodies:
+        out = out * (_cycle_chromatic if body == "cycle" else _falling)(size).shift_divide()
+    return out
 
 
 def chromatic_poly_closed(spec) -> ChromPoly:

@@ -15,15 +15,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
-from math import factorial
 
 from .csf import (
     CSF_EDGE_CAP,
     DEFAULT_CHROMPOLY_EDGE_CAP,
+    _eliminate,
     _vertex_guard,
     chromatic_poly_closed,
     chromatic_poly_dc,
-    clique_weight,
     compute_csf,
     csf_complete_closed,
     csf_complete_dumbbell_closed,
@@ -34,7 +33,8 @@ from .csf import (
     csf_tadpole_closed,
 )
 from .graphs import Graph, GraphSpec, as_spec, dumbbell_graph, parse_graph_spec
-from .positivity import triangle_sun_missing_type, uniform_sun_coefficient, uniform_sun_missing_type
+from .partitions import DEFAULT_ENUMERATION_CAP
+from .positivity import _check_uniform_sun, triangle_sun_missing_type, uniform_sun_coefficient, uniform_sun_missing_type
 from .symfunc import Basis, SymFunc
 
 #: default ceiling on |V| for identity parameter grids
@@ -155,6 +155,7 @@ def verify_sun_coefficient(n: int, k: int) -> IdentityReport:
     Compares the oracle coefficient at ``uniform_sun_missing_type(n, k)``
     against ``uniform_sun_coefficient(n, k)``.
     """
+    _vertex_guard("subset oracle", _check_uniform_sun(n, k))
     lam = uniform_sun_missing_type(n, k)
     expected = uniform_sun_coefficient(n, k)
     got = _oracle(GraphSpec("sun", (n, (k,) * n))).coefficient(lam)
@@ -215,9 +216,7 @@ def verify_dumbbell_recursion(m: int, l: int, n: int) -> IdentityReport:
 def verify_dumbbell_tadpole_expansion(m: int, l: int, n: int) -> IdentityReport:
     """X_{D(m,l,n)} = (m-1) X_{T(n,m+l)} - sum_{k=1}^{m-2} X_{T(n,l+k)} X_{C(m-k)}."""
     lhs = _oracle(GraphSpec("dumbbell", (m, l, n)))
-    rhs = (m - 1) * csf_tadpole_closed(n, m + l)
-    for k in range(1, m - 1):
-        rhs = rhs - csf_tadpole_closed(n, l + k) * csf_cycle_closed(m - k)
+    rhs = _eliminate("cycle", m, lambda k: csf_tadpole_closed(n, l + k))
     return _report("dumbbell_tadpole_expansion", {"m": m, "l": l, "n": n}, lhs, rhs)
 
 
@@ -250,9 +249,7 @@ def verify_cdumbbell_lollipop_expansion(m: int, l: int, n: int) -> IdentityRepor
     ``clique_weight(m, k)``.
     """
     lhs = _oracle(GraphSpec("cdumbbell", (m, l, n)))
-    rhs = factorial(m - 1) * csf_lollipop_closed(n, m + l)
-    for k in range(1, m - 1):
-        rhs = rhs - clique_weight(m, k) * csf_complete_closed(m - k) * csf_lollipop_closed(n, l + k)
+    rhs = _eliminate("complete", m, lambda k: csf_lollipop_closed(n, l + k))
     return _report("cdumbbell_lollipop_expansion", {"m": m, "l": l, "n": n}, lhs, rhs)
 
 
@@ -308,17 +305,19 @@ def verify_distinguishability(family: str, size_cap: int) -> IdentityReport:
     l >= -1) with at most ``size_cap`` vertices are pairwise distinct.  For
     "sun": suns with equal CSF have equal body size and equal ray sum.
     ``equal`` records whether the claim holds; any counterexample pair is
-    placed in ``params``.
+    placed in ``params``.  A size_cap over the family's bound is refused first.
     """
     if family in ("dumbbell", "cdumbbell"):
+        bound, what = DEFAULT_ENUMERATION_CAP, "the closed forms' vertex bound"
         specs = (f"{family}({m},{l},{n})" for m, l, n in _canonical_dumbbell_triples(size_cap))
         instances = ((spec, spec, compute_csf(spec)[0]) for spec in specs)
     elif family == "sun":
-        if size_cap > CSF_EDGE_CAP:  # a sun on v vertices has v edges
-            raise ValueError(f"sun grid guarded at size_cap {CSF_EDGE_CAP}, the CSF edge cap; got {size_cap}")
+        bound, what = CSF_EDGE_CAP, "the CSF edge cap"  # a sun on v vertices has v edges
         instances = ((key, spec, _oracle(parse_graph_spec(spec))) for key, spec in _sun_specs(size_cap))
     else:
         raise ValueError(f"unknown family {family!r}")
+    if size_cap > bound:
+        raise ValueError(f"{family} grid guarded at size_cap {bound}, {what}; got {size_cap}")
     seen: dict = {}
     collision = None
     count = 0

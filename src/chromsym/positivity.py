@@ -163,10 +163,11 @@ def missing_partition_scan(g: Graph) -> list:
 # ------------------------------------------------------------ sun obstructions
 
 
-def _check_uniform_sun(n: int, k: int) -> None:
-    """The sun rule for n equal rays of length k, without building the ray tuple."""
+def _check_uniform_sun(n: int, k: int) -> int:
+    """The sun rule for n equal rays of length k, without the ray tuple; returns |V|."""
     if n < 3 or k < 1:
         raise ValueError("need n >= 3 and k >= 1")
+    return n * (k + 1)
 
 
 def uniform_sun_missing_type(n: int, k: int) -> Partition:
@@ -175,8 +176,7 @@ def uniform_sun_missing_type(n: int, k: int) -> Partition:
     Both the ordinary and the complete sun on parameters (n, k) lack a
     connected partition of this type, so neither is e-positive.
     """
-    _check_uniform_sun(n, k)
-    d = n * (k + 1)
+    d = _check_uniform_sun(n, k)
     if k == 1:
         if n % 2 == 0:
             return Partition((n + 1, n - 1))

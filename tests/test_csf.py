@@ -1,11 +1,12 @@
 import itertools
+import math
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from chromsym import csf as csf_module
+from chromsym import csf as csf_module, identities
 from chromsym.csf import (
     CSF_EDGE_CAP,
     DEFAULT_CHROMPOLY_EDGE_CAP,
@@ -42,7 +43,7 @@ from chromsym.graphs import (
     sun_graph,
     tadpole_graph,
 )
-from chromsym.identities import _canonical_dumbbell_triples, _sun_specs
+from chromsym.identities import _canonical_dumbbell_triples, _grid_dumbbell, _sun_specs
 from chromsym.partitions import DEFAULT_ENUMERATION_CAP, Partition, partitions_of
 from chromsym.positivity import has_connected_partition, missing_partition_scan
 from chromsym.symfunc import Basis, SymFunc, e_to_p, e_to_s, p_to_e, s_to_e
@@ -299,6 +300,160 @@ class TestClosedForms:
                 fn(3, -2, 3)
 
 
+# ------------------------------------------------- term-by-term references
+#
+# The closed forms written out term by term, as they stood before tadpoles,
+# lollipops, dumbbells and the two expansion verifiers shared one
+# elimination rule and the chromatic polynomials one block product.
+
+
+def clique_w(a, i):
+    return math.factorial(a - 1) * (a - i - 1) // math.factorial(a - i)
+
+
+def ref_tadpole(a, b):
+    out = (a - 1) * csf_path_closed(a + b)
+    for i in range(2, a):
+        out = out - csf_path_closed(a + b - i) * csf_cycle_closed(i)
+    return out
+
+
+def ref_lollipop(a, b):
+    out = math.factorial(a - 1) * csf_path_closed(a + b)
+    for i in range(1, a - 1):
+        out = out - clique_w(a, i) * (csf_complete_closed(a - i) * csf_path_closed(b + i))
+    return out
+
+
+def ref_dumbbell(m, l, n):
+    d = m + l + n
+    out = (m - 1) * (n - 1) * csf_path_closed(d)
+    for i in range(2, n):
+        out = out - (m - 1) * (csf_path_closed(d - i) * csf_cycle_closed(i))
+    for j in range(2, m):
+        out = out - (n - 1) * (csf_path_closed(d - j) * csf_cycle_closed(j))
+    for i in range(2, n):
+        for j in range(2, m):
+            out = out + csf_path_closed(d - i - j) * csf_cycle_closed(i) * csf_cycle_closed(j)
+    return out
+
+
+def ref_complete_dumbbell(m, l, n):
+    K, P = csf_complete_closed, csf_path_closed
+    out = math.factorial(m - 1) * math.factorial(n - 1) * P(m + l + n)
+    for i in range(1, m - 1):
+        out = out - clique_w(m, i) * math.factorial(n - 1) * (K(m - i) * P(n + l + i))
+    for j in range(1, n - 1):
+        out = out - clique_w(n, j) * math.factorial(m - 1) * (K(n - j) * P(m + l + j))
+    for i in range(1, m - 1):
+        for j in range(1, n - 1):
+            out = out + clique_w(m, i) * clique_w(n, j) * (K(m - i) * K(n - j) * P(l + i + j))
+    return out
+
+
+def ref_semicomplete_dumbbell(m, l, n):
+    out = (m - 1) * ref_lollipop(n, m + l)
+    for k in range(1, m - 1):
+        out = out - ref_lollipop(n, l + k) * csf_cycle_closed(m - k)
+    return out
+
+
+def ref_tadpole_expansion(m, l, n):
+    rhs = (m - 1) * csf_tadpole_closed(n, m + l)
+    for k in range(1, m - 1):
+        rhs = rhs - csf_tadpole_closed(n, l + k) * csf_cycle_closed(m - k)
+    return rhs
+
+
+def ref_lollipop_expansion(m, l, n):
+    rhs = math.factorial(m - 1) * csf_lollipop_closed(n, m + l)
+    for k in range(1, m - 1):
+        rhs = rhs - clique_w(m, k) * csf_complete_closed(m - k) * csf_lollipop_closed(n, l + k)
+    return rhs
+
+
+def ref_chromatic(spec):
+    x, xm1 = ChromPoly((0, 1)), ChromPoly((-1, 1))
+
+    def power(p, k):
+        out = ChromPoly((1,))
+        for _ in range(k):
+            out = out * p
+        return out
+
+    def cycle(k):
+        return power(xm1, k) + (-1) ** k * xm1
+
+    spec = parse_graph_spec(spec)
+    fam, a = spec.family, spec.args
+    if fam == "sun":
+        return cycle(a[0]) * power(xm1, sum(a[1]))
+    m, l, n = a
+    if fam == "dumbbell":
+        num = (
+            power(xm1, l + 3)
+            * (power(xm1, m - 1) + ChromPoly(((-1) ** m,)))
+            * (power(xm1, n - 1) + ChromPoly(((-1) ** n,)))
+        )
+        return num.shift_divide()
+    if fam == "cdumbbell":
+        big, small = max(m, n), min(m, n)
+        out = x * power(xm1, l + 3)
+        for k in range(2, small):
+            out = out * ChromPoly((-k, 1)) * ChromPoly((-k, 1))
+        for k in range(small, big):
+            out = out * ChromPoly((-k, 1))
+        return out
+    out = cycle(m) * power(xm1, l + 2)
+    for k in range(2, n):
+        out = out * ChromPoly((-k, 1))
+    return out
+
+
+#: vertex bound of the reference comparisons
+REFERENCE_CAP = 16
+
+
+def body_tail_args(cap):
+    return [(a, b) for a in range(3, cap + 1) for b in range(cap - a + 1)]
+
+
+def dumbbell_args(cap):
+    return [tuple(kw.values()) for kw in _grid_dumbbell(cap)]
+
+
+class TestEliminationMatchesTermByTerm:
+    def test_tadpole_and_lollipop(self):
+        for a, b in body_tail_args(REFERENCE_CAP):
+            assert csf_tadpole_closed(a, b) == ref_tadpole(a, b), (a, b)
+            assert csf_lollipop_closed(a, b) == ref_lollipop(a, b), (a, b)
+
+    @pytest.mark.parametrize(
+        "closed, ref",
+        [
+            (csf_dumbbell_closed, ref_dumbbell),
+            (csf_complete_dumbbell_closed, ref_complete_dumbbell),
+            (csf_semicomplete_dumbbell_closed, ref_semicomplete_dumbbell),
+        ],
+    )
+    def test_dumbbells(self, closed, ref):
+        for args in dumbbell_args(REFERENCE_CAP):
+            assert closed(*args) == ref(*args), args
+
+    def test_expansion_verifiers(self, monkeypatch):
+        monkeypatch.setattr(identities, "_oracle", lambda spec: SymFunc.zero(Basis.E, spec.check()))
+        for m, l, n in dumbbell_args(REFERENCE_CAP):
+            assert identities.verify_dumbbell_tadpole_expansion(m, l, n).rhs == ref_tadpole_expansion(m, l, n)
+            assert identities.verify_cdumbbell_lollipop_expansion(m, l, n).rhs == ref_lollipop_expansion(m, l, n)
+
+    def test_chromatic_block_product(self):
+        specs = [spec for _, spec in _sun_specs(REFERENCE_CAP)]
+        for fam in ("dumbbell", "cdumbbell", "sdumbbell"):
+            specs += [f"{fam}({m},{l},{n})" for m, l, n in dumbbell_args(REFERENCE_CAP)]
+        for spec in specs:
+            assert chromatic_poly_closed(spec) == ref_chromatic(spec), spec
+
+
 class TestChromPoly:
     def test_arithmetic(self):
         x = ChromPoly((0, 1))
@@ -517,6 +672,24 @@ class TestGuards:
         for n in (41, 3000, 10**8):
             with pytest.raises(ValueError, match=f"guarded at 40 vertices, graph has {n}$"):
                 engine(Graph(n, [(0, 1)]))
+
+    def test_closed_forms_vertex_cap_before_any_arithmetic(self, monkeypatch):
+        assert csf_complete_closed(40).coefficient((40,)) == math.factorial(40)
+        for name in ("factorial", "partitions_of", "_eliminate"):
+            monkeypatch.setattr(csf_module, name, lambda *a, name=name: pytest.fail(f"{name} ran"))
+        cases = [
+            (csf_complete_closed, (41,), 41),
+            (csf_complete_closed, (1600,), 1600),
+            (csf_path_closed, (41,), 41),
+            (csf_tadpole_closed, (40, 1), 41),
+            (csf_lollipop_closed, (1000000, 0), 1000000),
+            (csf_dumbbell_closed, (3, 35, 3), 41),
+            (csf_complete_dumbbell_closed, (1000000, 0, 3), 1000003),
+            (csf_semicomplete_dumbbell_closed, (3, -1, 39), 41),
+        ]
+        for fn, args, n in cases:
+            with pytest.raises(ValueError, match=f"^closed form guarded at 40 vertices, graph has {n}$"):
+                fn(*args)
 
     def test_chromatic_cap(self):
         g = complete_graph(10)  # 45 edges over the default cap
