@@ -110,6 +110,14 @@ def test_chrompoly_vertex_bound_fires_first(capsys, spec, n):
         (("verify", "dumbbell-recursion", "3,100000000,3"), "subset oracle guarded at 40 vertices, graph has 100000006"),
         (("verify", "cdumbbell-recursion", "3,100000000,3"), "subset oracle guarded at 40 vertices, graph has 100000006"),
         (("verify", "sun-coefficient", "10000,10000"), "subset oracle guarded at 40 vertices, graph has 100010000"),
+        (
+            ("verify", "small-sun-coefficient", "100000000,100000000,100000000"),
+            "subset oracle guarded at 40 vertices, graph has 300000003",
+        ),
+        (("verify", "triple-deletion", LINE5), "subset oracle guarded at 40 vertices, graph has 22950"),
+        (("csf", LINE5), "subset oracle guarded at 40 vertices, graph has 22950"),
+        (("scan", LINE5), "full scans guarded at 14 vertices, graph has 22950"),
+        (("positivity", LINE5), "subset oracle guarded at 40 vertices, graph has 22950"),
         (("verify", "sun-coefficient", "10000000,1"), "subset oracle guarded at 40 vertices, graph has 20000000"),
         (
             ("verify", "distinguishability", "dumbbell,41"),
@@ -122,14 +130,6 @@ def test_chrompoly_vertex_bound_fires_first(capsys, spec, n):
         (("csf", "lollipop(1000000,0)"), "closed form guarded at 40 vertices, graph has 1000000"),
         (("csf", "cdumbbell(1000000,0,3)"), "closed form guarded at 40 vertices, graph has 1000003"),
         (("csf", "complete(1000000)"), "closed form guarded at 40 vertices, graph has 1000000"),
-        (
-            ("verify", "small-sun-coefficient", "100000000,100000000,100000000"),
-            "subset oracle guarded at 40 vertices, graph has 300000003",
-        ),
-        (("verify", "triple-deletion", LINE5), "subset oracle guarded at 40 vertices, graph has 22950"),
-        (("csf", LINE5), "subset oracle guarded at 40 vertices, graph has 22950"),
-        (("scan", LINE5), "full scans guarded at 14 vertices, graph has 22950"),
-        (("positivity", LINE5), "subset oracle guarded at 40 vertices, graph has 22950"),
     ],
 )
 def test_vertex_bound_before_the_build(capsys, argv, message):
