@@ -302,9 +302,9 @@ class TestClosedForms:
 
 # ------------------------------------------------- term-by-term references
 #
-# The closed forms written out term by term, as they stood before tadpoles,
-# lollipops, dumbbells and the two expansion verifiers shared one
-# elimination rule and the chromatic polynomials one block product.
+# The tadpole, lollipop and dumbbell forms, the two expansion verifiers'
+# right sides and the closed chromatic polynomials written out term by term:
+# references for ``_eliminate`` and the block product.
 
 
 def clique_w(a, i):
