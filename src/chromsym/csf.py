@@ -24,8 +24,9 @@ Engines:
 * closed forms for paths, cycles, complete graphs, tadpoles, lollipops and the
   dumbbell families, accepted only because the test suite pins them to the
   subset oracle on overlapping grids.  Each checks its arguments by
-  ``GraphSpec.check`` and its vertex bound before any arithmetic.  Tadpoles,
-  lollipops and dumbbells remove each body by one rule, ``_eliminate``.
+  ``GraphSpec.check`` and its vertex bound before any arithmetic.  Paths and
+  cycles come from one series rule, ``_series``; tadpoles, lollipops and
+  dumbbells remove each body by one rule, ``_eliminate``.
 
 Component products, block products and the tree and clique closings are
 theorems about all graphs, not family formulas: no ``*_closed`` function is
@@ -53,8 +54,8 @@ from math import factorial
 from operator import mul
 
 from .graphs import Graph, GraphSpec, as_spec
-from .partitions import DEFAULT_ENUMERATION_CAP, partitions_of
-from .symfunc import Basis, SymFunc, _multinomial, p_to_e, signed_sum
+from .partitions import DEFAULT_ENUMERATION_CAP
+from .symfunc import Basis, SymFunc, p_to_e, signed_sum
 
 #: ceiling on |E| for both CSF engines, the subset oracle and deletion-contraction
 CSF_EDGE_CAP = 26
@@ -293,59 +294,43 @@ def _closed_guard(family: str, *args) -> None:
     _vertex_guard("closed form", GraphSpec(family, args).check())
 
 
+def _series(lead: int, d: int, smallest: int, smaller) -> SymFunc:
+    """lead e_d + sum_{i=2}^{d-smallest} (i-1) e_i X_{d-i}, where X_k = ``smaller(k)``:
+    the z^d coefficient of a generating function N(z) / (1 - sum_{i>=2} (i-1) e_i z^i)
+    whose smallest member X_k has k = ``smallest``."""
+    out = SymFunc.single(Basis.E, (d,), lead)
+    for i in range(2, d - smallest + 1):
+        out = out + (i - 1) * SymFunc.single(Basis.E, (i,)) * smaller(d - i)
+    return out
+
+
 @lru_cache(maxsize=None)
 def csf_path_closed(d: int) -> SymFunc:
-    """e-expansion of the path on d >= 1 vertices, term by term.
+    """e-expansion of the path on d >= 1 vertices, from the generating function
+    sum_{n>=0} X_{P_n} z^n = sum_{i>=0} e_i z^i / (1 - sum_{i>=2} (i-1) e_i z^i)
+    (Stanley 1995, §5), with X_{P_0} = 1:
 
-    For lambda with multiplicity vector (a_1, ..., a_d) the coefficient is
-
-        multinomial(a)  * prod_j (j-1)^{a_j}
-      + sum_i multinomial(a with a_i-1) * prod_{j != i} (j-1)^{a_j} * (i-1)^{a_i - 1}
-
-    with the convention 0^0 = 1.
+        X_{P_d} = d e_d + sum_{i=2}^{d-1} (i-1) e_i X_{P_{d-i}}.
     """
     _closed_guard("path", d)
-    terms = {}
-    for lam in partitions_of(d):
-        mult = lam.multiplicities()
-        counts = list(mult.values())
-        coeff = _multinomial(counts)
-        for j, a in mult.items():
-            coeff *= (j - 1) ** a
-        for i, a_i in mult.items():
-            part = _multinomial([mult[j] - (1 if j == i else 0) for j in mult])
-            for j, a in mult.items():
-                part *= (j - 1) ** (a - 1 if j == i else a)
-            coeff += part
-        terms[lam] = coeff
-    return SymFunc(Basis.E, d, terms)
+    return _series(d, d, 1, csf_path_closed)
 
 
 @lru_cache(maxsize=None)
 def csf_cycle_closed(d: int) -> SymFunc:
-    """e-expansion of the cycle on d >= 2 vertices.
+    """e-expansion of the cycle on d >= 2 vertices, from the generating function
+    sum_{n>=2} X_{C_n} z^n = sum_{i>=2} i(i-1) e_i z^i / (1 - sum_{i>=2} (i-1) e_i z^i)
+    (Stanley 1995, §5):
 
-    d = 2 denotes the single edge K_2 (the degenerate two-cycle), which keeps
-    every elimination formula below uniform.  The coefficient of e_lambda is
+        X_{C_d} = d(d-1) e_d + sum_{i=2}^{d-2} (i-1) e_i X_{C_{d-i}}.
 
-        sum_i multinomial(a with a_i-1) * i * prod_j (j-1)^{a_j}.
+    d = 2 gives 2 e_2, the single edge K_2 (the degenerate two-cycle), which
+    keeps every elimination formula below uniform.
     """
     if d < 2:
         raise ValueError("cycle forms need d >= 2")
-    terms = {}
-    for lam in partitions_of(d):
-        mult = lam.multiplicities()
-        full = 1
-        for j, a in mult.items():
-            full *= (j - 1) ** a
-        coeff = 0
-        if full:
-            for i in mult:
-                coeff += _multinomial(
-                    [mult[j] - (1 if j == i else 0) for j in mult]
-                ) * i * full
-        terms[lam] = coeff
-    return SymFunc(Basis.E, d, terms)
+    _vertex_guard("closed form", d)
+    return _series(d * (d - 1), d, 2, csf_cycle_closed)
 
 
 def clique_weight(a: int, i: int) -> int:

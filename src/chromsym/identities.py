@@ -17,7 +17,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 from .csf import (
-    CSF_EDGE_CAP,
     DEFAULT_CHROMPOLY_EDGE_CAP,
     _eliminate,
     _vertex_guard,
@@ -33,7 +32,6 @@ from .csf import (
     csf_tadpole_closed,
 )
 from .graphs import Graph, GraphSpec, as_spec, dumbbell_graph, parse_graph_spec
-from .partitions import DEFAULT_ENUMERATION_CAP
 from .positivity import _check_uniform_sun, triangle_sun_missing_type, uniform_sun_coefficient, uniform_sun_missing_type
 from .symfunc import Basis, SymFunc
 
@@ -305,19 +303,18 @@ def verify_distinguishability(family: str, size_cap: int) -> IdentityReport:
     l >= -1) with at most ``size_cap`` vertices are pairwise distinct.  For
     "sun": suns with equal CSF have equal body size and equal ray sum.
     ``equal`` records whether the claim holds; any counterexample pair is
-    placed in ``params``.  A size_cap over the family's bound is refused first.
+    placed in ``params``.  A size_cap over ``DEFAULT_GRID_VERTEX_CAP`` is
+    refused before the first instance.
     """
     if family in ("dumbbell", "cdumbbell"):
-        bound, what = DEFAULT_ENUMERATION_CAP, "the closed forms' vertex bound"
         specs = (f"{family}({m},{l},{n})" for m, l, n in _canonical_dumbbell_triples(size_cap))
         instances = ((spec, spec, compute_csf(spec)[0]) for spec in specs)
     elif family == "sun":
-        bound, what = CSF_EDGE_CAP, "the CSF edge cap"  # a sun on v vertices has v edges
         instances = ((key, spec, _oracle(parse_graph_spec(spec))) for key, spec in _sun_specs(size_cap))
     else:
         raise ValueError(f"unknown family {family!r}")
-    if size_cap > bound:
-        raise ValueError(f"{family} grid guarded at size_cap {bound}, {what}; got {size_cap}")
+    if size_cap > DEFAULT_GRID_VERTEX_CAP:
+        raise ValueError(f"{family} grid guarded at size_cap {DEFAULT_GRID_VERTEX_CAP}; got {size_cap}")
     seen: dict = {}
     collision = None
     count = 0

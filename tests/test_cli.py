@@ -340,14 +340,14 @@ class TestErrorsAndParser:
         assert code == 2 and out == ""
         assert err == f"error: basis transitions guarded at degree 22, got {degree}\n"
 
-    def test_sun_distinguishability_above_edge_cap_exit_2(self, capsys, monkeypatch):
+    def test_sun_distinguishability_above_grid_cap_exit_2(self, capsys, monkeypatch):
         def refuse(*args):
             pytest.fail("a sun instance ran before the guard")
 
         monkeypatch.setattr(identities, "_oracle", refuse)
         code, out, err = run(capsys, "verify", "distinguishability", "sun,27")
         assert code == 2 and out == ""
-        assert err == "error: sun grid guarded at size_cap 26, the CSF edge cap; got 27\n"
+        assert err == "error: sun grid guarded at size_cap 14; got 27\n"
 
     def test_deeply_nested_spec_exit_2(self, capsys):
         spec = "line(" * 1200 + "path(3)" + ")" * 1200

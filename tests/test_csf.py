@@ -302,9 +302,43 @@ class TestClosedForms:
 
 # ------------------------------------------------- term-by-term references
 #
-# The tadpole, lollipop and dumbbell forms, the two expansion verifiers'
-# right sides and the closed chromatic polynomials written out term by term:
-# references for ``_eliminate`` and the block product.
+# The path and cycle forms as coefficient formulas over the partitions of d,
+# the tadpole, lollipop and dumbbell forms, the two expansion verifiers' right
+# sides and the closed chromatic polynomials written out term by term:
+# references for ``_series``, ``_eliminate`` and the block product.
+
+
+def multinomial(counts):
+    return math.factorial(sum(counts)) // math.prod(math.factorial(c) for c in counts)
+
+
+def ref_path_closed(d):
+    """For lambda with multiplicities (a_1, ..., a_d) the coefficient of e_lambda is
+    multinomial(a) prod_j (j-1)^{a_j}
+    + sum_i multinomial(a with a_i-1) prod_{j != i} (j-1)^{a_j} (i-1)^{a_i-1}, with 0^0 = 1."""
+    terms = {}
+    for lam in partitions_of(d):
+        mult = lam.multiplicities()
+        coeff = multinomial(list(mult.values()))
+        for j, a in mult.items():
+            coeff *= (j - 1) ** a
+        for i in mult:
+            part = multinomial([mult[j] - (j == i) for j in mult])
+            for j, a in mult.items():
+                part *= (j - 1) ** (a - (j == i))
+            coeff += part
+        terms[lam] = coeff
+    return SymFunc(Basis.E, d, terms)
+
+
+def ref_cycle_closed(d):
+    """The coefficient of e_lambda is sum_i multinomial(a with a_i-1) i prod_j (j-1)^{a_j}."""
+    terms = {}
+    for lam in partitions_of(d):
+        mult = lam.multiplicities()
+        full = math.prod((j - 1) ** a for j, a in mult.items())
+        terms[lam] = sum(multinomial([mult[j] - (j == i) for j in mult]) * i * full for i in mult)
+    return SymFunc(Basis.E, d, terms)
 
 
 def clique_w(a, i):
@@ -420,6 +454,20 @@ def body_tail_args(cap):
 
 def dumbbell_args(cap):
     return [tuple(kw.values()) for kw in _grid_dumbbell(cap)]
+
+
+#: degree bound of the path and cycle reference comparisons
+SERIES_REFERENCE_CAP = 30
+
+
+class TestSeriesMatchesCoefficientFormulas:
+    def test_path(self):
+        for d in range(1, SERIES_REFERENCE_CAP + 1):
+            assert csf_path_closed(d) == ref_path_closed(d), d
+
+    def test_cycle(self):
+        for d in range(2, SERIES_REFERENCE_CAP + 1):
+            assert csf_cycle_closed(d) == ref_cycle_closed(d), d
 
 
 class TestEliminationMatchesTermByTerm:
@@ -675,12 +723,14 @@ class TestGuards:
 
     def test_closed_forms_vertex_cap_before_any_arithmetic(self, monkeypatch):
         assert csf_complete_closed(40).coefficient((40,)) == math.factorial(40)
-        for name in ("factorial", "partitions_of", "_eliminate"):
+        for name in ("factorial", "_series", "_eliminate"):
             monkeypatch.setattr(csf_module, name, lambda *a, name=name: pytest.fail(f"{name} ran"))
         cases = [
             (csf_complete_closed, (41,), 41),
             (csf_complete_closed, (1600,), 1600),
             (csf_path_closed, (41,), 41),
+            (csf_cycle_closed, (41,), 41),
+            (csf_cycle_closed, (1000000,), 1000000),
             (csf_tadpole_closed, (40, 1), 41),
             (csf_lollipop_closed, (1000000, 0), 1000000),
             (csf_dumbbell_closed, (3, 35, 3), 41),

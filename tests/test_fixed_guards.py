@@ -119,17 +119,14 @@ def test_chrompoly_vertex_bound_fires_first(capsys, spec, n):
         (("scan", LINE5), "full scans guarded at 14 vertices, graph has 22950"),
         (("positivity", LINE5), "subset oracle guarded at 40 vertices, graph has 22950"),
         (("verify", "sun-coefficient", "10000000,1"), "subset oracle guarded at 40 vertices, graph has 20000000"),
-        (
-            ("verify", "distinguishability", "dumbbell,41"),
-            "dumbbell grid guarded at size_cap 40, the closed forms' vertex bound; got 41",
-        ),
-        (
-            ("verify", "distinguishability", "cdumbbell,41"),
-            "cdumbbell grid guarded at size_cap 40, the closed forms' vertex bound; got 41",
-        ),
+        (("verify", "distinguishability", "dumbbell,41"), "dumbbell grid guarded at size_cap 14; got 41"),
+        (("verify", "distinguishability", "cdumbbell,41"), "cdumbbell grid guarded at size_cap 14; got 41"),
         (("csf", "lollipop(1000000,0)"), "closed form guarded at 40 vertices, graph has 1000000"),
         (("csf", "cdumbbell(1000000,0,3)"), "closed form guarded at 40 vertices, graph has 1000003"),
         (("csf", "complete(1000000)"), "closed form guarded at 40 vertices, graph has 1000000"),
+        (("csf", "cycle(1000000)"), "closed form guarded at 40 vertices, graph has 1000000"),
+        (("verify", "distinguishability", "dumbbell,15"), "dumbbell grid guarded at size_cap 14; got 15"),
+        (("verify", "distinguishability", "sun,15"), "sun grid guarded at size_cap 14; got 15"),
     ],
 )
 def test_vertex_bound_before_the_build(capsys, argv, message):

@@ -1,10 +1,13 @@
-"""Every name a ``chromsym`` module imports is used in that module.
+"""Every name a ``chromsym`` module imports is used in that module, and no
+module imports a sibling's private name unless it is pinned here.
 
 A dependency-free stand-in for a linter's unused-import rule: each module is
 parsed with ``ast`` and every name bound by an ``import`` must be read
 somewhere in the module.  ``__init__.py`` is skipped, since its imports are
 the package's re-exports, and so are ``from __future__`` imports.  Those
-re-exports are checked against ``__all__`` instead.
+re-exports are checked against ``__all__`` instead.  The underscore names a
+module takes from its siblings must equal its entry in ``PRIVATE_IMPORTS``,
+so a new private import across modules shows up as an edit to that table.
 """
 
 import ast
@@ -45,6 +48,35 @@ def test_no_unused_imports(path):
 def test_checker_sees_unused_and_used_names():
     source = "from __future__ import annotations\nimport os\nfrom x import a, b as c\nprint(a, os.sep)\n"
     assert unused_imports(source) == ["c (line 3)"]
+
+
+#: module -> the underscore names it imports from sibling modules
+PRIVATE_IMPORTS = {
+    "cli": ["_degree_guard", "_scan_guard"],
+    "identities": ["_check_uniform_sun", "_eliminate", "_vertex_guard"],
+    "positivity": ["_degree_guard"],
+}
+
+
+def private_imports(source: str) -> list:
+    """Sorted underscore names bound by relative ``from`` imports."""
+    return sorted(
+        alias.name
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.level
+        for alias in node.names
+        if alias.name.startswith("_")
+    )
+
+
+def test_private_imports_across_modules_are_pinned():
+    found = {path.stem: private_imports(path.read_text()) for path in MODULES}
+    assert {stem: names for stem, names in found.items() if names} == PRIVATE_IMPORTS
+
+
+def test_checker_sees_private_imports():
+    source = "from .a import _x, y\nfrom b import _z\nfrom . import _w as w\n"
+    assert private_imports(source) == ["_w", "_x"]
 
 
 def test_package_exports_exactly_its_imports():
