@@ -3,10 +3,11 @@
 Subcommands compute chromatic symmetric functions and chromatic polynomials
 of graph specs, run positivity checks and missing-partition scans, list
 partitions, and drive the identity verifiers: a single instance, or a whole
-grid checked instance by instance in this process.  Every subcommand has a
-human-readable and a ``--json`` mode with byte-deterministic output;
-``--strict`` turns negative mathematical verdicts into exit status 1, and
-usage or domain errors exit with status 2.
+grid checked instance by instance in this process.  Each ``_cmd_*`` function
+returns ``(obj, text, failed)``: the ``--json`` object, the human-readable
+lines, and whether the verdict is negative.  ``main`` alone prints one of
+the two, byte-deterministic, and turns ``failed`` under ``--strict`` into
+exit status 1; usage or domain errors exit with status 2.
 """
 
 from __future__ import annotations
@@ -23,79 +24,49 @@ from .partitions import partitions_of
 from .positivity import _scan_guard, e_positivity, missing_partition_scan, s_positivity
 from .symfunc import Basis, _degree_guard, convert
 
-def _print_json(obj) -> None:
-    print(json.dumps(obj, separators=(", ", ": ")))
-
-
-def _cmd_csf(args) -> int:
+def _cmd_csf(args) -> tuple:
     basis = Basis(args.basis)
     if basis is not Basis.E:
         _degree_guard(csf_degree(args.spec))
     f, engine = compute_csf(args.spec)
     f = convert(f, basis)
-    if args.json:
-        obj = f.to_json_obj()
-        obj["spec"] = str(parse_graph_spec(args.spec))
-        obj["engine"] = engine
-        _print_json(obj)
-    else:
-        print(f"X[{args.spec}] = {f}  ({engine})")
-    return 0
+    obj = f.to_json_obj()
+    obj["spec"] = str(parse_graph_spec(args.spec))
+    obj["engine"] = engine
+    return obj, f"X[{args.spec}] = {f}  ({engine})", False
 
 
-def _cmd_chrompoly(args) -> int:
+def _cmd_chrompoly(args) -> tuple:
     poly, engine = compute_chromatic(args.spec)
     if args.at is not None:
         value = poly(args.at)
-        if args.json:
-            _print_json({"spec": args.spec, "engine": engine, "at": args.at, "value": value})
-        else:
-            print(value)
-        return 0
-    if args.json:
-        _print_json({"spec": args.spec, "engine": engine, "coeffs": poly.to_json_obj()})
-    else:
-        print(f"chi[{args.spec}] = {poly}  ({engine})")
-    return 0
+        return {"spec": args.spec, "engine": engine, "at": args.at, "value": value}, str(value), False
+    obj = {"spec": args.spec, "engine": engine, "coeffs": poly.to_json_obj()}
+    return obj, f"chi[{args.spec}] = {poly}  ({engine})", False
 
 
-def _cmd_positivity(args) -> int:
+def _cmd_positivity(args) -> tuple:
     check = e_positivity if args.basis == "e" else s_positivity
     report = check(args.spec)
-    if args.json:
-        _print_json(report.to_json_obj())
-    else:
-        verdict = f"{args.basis}-positive" if report.positive else f"not {args.basis}-positive"
-        line = f"{args.spec}: {verdict}  ({report.engine})"
-        if report.witness is not None:
-            lam, c = report.witness
-            line += f"; witness [{','.join(map(str, lam))}] -> {c}"
-        print(line)
-    return 0 if report.positive or not args.strict else 1
+    verdict = f"{args.basis}-positive" if report.positive else f"not {args.basis}-positive"
+    line = f"{args.spec}: {verdict}  ({report.engine})"
+    if report.witness is not None:
+        lam, c = report.witness
+        line += f"; witness [{','.join(map(str, lam))}] -> {c}"
+    return report.to_json_obj(), line, not report.positive
 
 
-def _cmd_scan(args) -> int:
+def _cmd_scan(args) -> tuple:
     spec = parse_graph_spec(args.spec)
     _scan_guard(csf_degree(spec))
     missing = missing_partition_scan(spec.build())
-    if args.json:
-        _print_json({"spec": args.spec, "missing": [list(lam) for lam in missing]})
-    elif missing:
-        for lam in missing:
-            print(lam)
-    else:
-        print("none")
-    return 1 if missing and args.strict else 0
+    text = "\n".join(map(str, missing)) or "none"
+    return {"spec": args.spec, "missing": [list(lam) for lam in missing]}, text, bool(missing)
 
 
-def _cmd_partitions(args) -> int:
+def _cmd_partitions(args) -> tuple:
     parts = partitions_of(args.n)
-    if args.json:
-        _print_json([list(lam) for lam in parts])
-    else:
-        for lam in parts:
-            print(lam)
-    return 0
+    return [list(lam) for lam in parts], "\n".join(map(str, parts)), False
 
 
 def _verify_kwargs(name: str, text: str) -> dict:
@@ -130,7 +101,7 @@ def _report_line(obj: dict) -> str:
     return f"{obj['name']} {json.dumps(obj['params'], separators=(',', ':'))}: {status}"
 
 
-def _cmd_verify(args) -> int:
+def _cmd_verify(args) -> tuple:
     name = args.name.replace("-", "_")
     if name not in VERIFIERS:
         known = ", ".join(sorted(VERIFIERS))
@@ -140,33 +111,25 @@ def _cmd_verify(args) -> int:
     if args.grid is not None:
         results = [r.to_json_obj() for r in run_grid(name, args.grid)]
         all_equal = all(r["equal"] for r in results)
-        if args.json:
-            _print_json(
-                {
-                    "identity": name,
-                    "grid_cap": args.grid,
-                    "count": len(results),
-                    "all_equal": all_equal,
-                    "reports": results,
-                }
-            )
-        else:
-            for r in results:
-                print(_report_line(r))
-            print(f"{name}: {len(results)} instances, {'all equal' if all_equal else 'FAILURES'}")
-        return 1 if not all_equal and args.strict else 0
+        obj = {
+            "identity": name,
+            "grid_cap": args.grid,
+            "count": len(results),
+            "all_equal": all_equal,
+            "reports": results,
+        }
+        lines = [_report_line(r) for r in results]
+        lines.append(f"{name}: {len(results)} instances, {'all equal' if all_equal else 'FAILURES'}")
+        return obj, "\n".join(lines), not all_equal
     if args.params is None:
         raise ValueError("verify needs PARAMS, or --grid CAP for a grid run")
     kwargs = _verify_kwargs(name, args.params)
     report = VERIFIERS[name](**kwargs)
     obj = report.to_json_obj()
-    if args.json:
-        _print_json(obj)
-    else:
-        print(_report_line(obj))
-        if not report.equal and report.difference is not None:
-            print(f"difference: {report.difference}")
-    return 1 if not report.equal and args.strict else 0
+    text = _report_line(obj)
+    if not report.equal and report.difference is not None:
+        text += f"\ndifference: {report.difference}"
+    return obj, text, not report.equal
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -221,10 +184,13 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        obj, text, failed = args.func(args)
+        print(json.dumps(obj, separators=(", ", ": ")) if args.json else text)
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    # only the commands with --strict can report a failed verdict
+    return 1 if failed and args.strict else 0
 
 
 if __name__ == "__main__":  # pragma: no cover

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import combinations
 
 from .csf import (
     DEFAULT_CHROMPOLY_EDGE_CAP,
@@ -195,19 +196,14 @@ def verify_sun_spider_reduction(a: int, b: int) -> IdentityReport:
 def verify_dumbbell_recursion(m: int, l: int, n: int) -> IdentityReport:
     """One-step recursion shrinking the m-cycle of the two-cycle dumbbell.
 
-    For m > 3:  X_{D(m,l,n)} = X_{D(m-1,l+1,n)} + X_{T(n,m+l)} - X_{T(n,l+1)} X_{C(m-1)}.
-    For m = 3:  X_{D(3,l,n)} = 2 X_{T(n,l+3)} - X_{T(n,l+1)} X_{C(2)}.
-    The left side is the oracle; every right-side term is a closed form.
+    X_{D(m,l,n)} = X_{D(m-1,l+1,n)} + X_{T(n,m+l)} - X_{T(n,l+1)} X_{C(m-1)}.
+    The degenerate D(2,l+1,n) on the right of the m = 3 case is the tadpole
+    T(n, l+3).  The left side is the oracle; every right-side term is a
+    closed form.
     """
     lhs = _oracle(GraphSpec("dumbbell", (m, l, n)))
-    if m > 3:
-        rhs = (
-            csf_dumbbell_closed(m - 1, l + 1, n)
-            + csf_tadpole_closed(n, m + l)
-            - csf_tadpole_closed(n, l + 1) * csf_cycle_closed(m - 1)
-        )
-    else:
-        rhs = 2 * csf_tadpole_closed(n, l + 3) - csf_tadpole_closed(n, l + 1) * csf_cycle_closed(2)
+    shrunk = csf_dumbbell_closed(m - 1, l + 1, n) if m > 3 else csf_tadpole_closed(n, l + 3)
+    rhs = shrunk + csf_tadpole_closed(n, m + l) - csf_tadpole_closed(n, l + 1) * csf_cycle_closed(m - 1)
     return _report("dumbbell_recursion", {"m": m, "l": l, "n": n}, lhs, rhs)
 
 
@@ -228,14 +224,11 @@ def verify_dumbbell_full_expansion(m: int, l: int, n: int) -> IdentityReport:
 def verify_cdumbbell_recursion(m: int, l: int, n: int) -> IdentityReport:
     """X_{D̄(m,l,n)} = (m-1) X_{D̄(m-1,l+1,n)} - (m-2) X_{K(m-1)} X_{L(n,l+1)}.
 
-    The degenerate D̄(2,l,n) on the right of the m = 3 case is the lollipop
-    L(n, l+2).
+    The degenerate D̄(2,l+1,n) on the right of the m = 3 case is the lollipop
+    L(n, l+3).
     """
     lhs = _oracle(GraphSpec("cdumbbell", (m, l, n)))
-    if m - 1 >= 3:
-        shrunk = csf_complete_dumbbell_closed(m - 1, l + 1, n)
-    else:
-        shrunk = csf_lollipop_closed(n, (l + 1) + 2)
+    shrunk = csf_complete_dumbbell_closed(m - 1, l + 1, n) if m > 3 else csf_lollipop_closed(n, l + 3)
     rhs = (m - 1) * shrunk - (m - 2) * csf_complete_closed(m - 1) * csf_lollipop_closed(n, l + 1)
     return _report("cdumbbell_recursion", {"m": m, "l": l, "n": n}, lhs, rhs)
 
@@ -277,22 +270,16 @@ def _canonical_dumbbell_triples(size_cap: int):
     return ((kw["m"], kw["l"], kw["n"]) for kw in _grid_dumbbell(size_cap) if kw["m"] <= kw["n"])
 
 
-def _sun_ray_tuples(n: int, total: int):
-    """All ray-length tuples of length n with the given sum, each ray >= 1."""
-    if n == 1:
-        if total >= 1:
-            yield (total,)
-        return
-    for first in range(1, total - n + 2):
-        for rest in _sun_ray_tuples(n - 1, total - first):
-            yield (first,) + rest
-
-
 def _sun_specs(cap: int):
-    """``(n, ray sum), spec`` of every sun on at most ``cap`` vertices."""
+    """``(n, ray sum), spec`` of every sun on at most ``cap`` vertices.
+
+    The rays are the gaps between n - 1 cut points of 0..total; cuts in
+    lexicographic order give the rays in lexicographic order.
+    """
     for n in range(3, cap + 1):
         for total in range(n, cap - n + 1):
-            for rays in _sun_ray_tuples(n, total):
+            for cuts in combinations(range(1, total), n - 1):
+                rays = [b - a for a, b in zip((0,) + cuts, cuts + (total,))]
                 yield (n, total), f"sun({n};{','.join(map(str, rays))})"
 
 

@@ -254,33 +254,23 @@ def _max_matching_covers(g: Graph, allow_unmatched: int) -> bool:
 def sun_matching_criterion(spec) -> bool:
     """Whether a sun has a perfect (even order) or near-perfect (odd order) matching.
 
-    Decided on the induced body subgraph over the attachment vertices of the
-    even-length rays: odd rays saturate themselves, and each even ray forces
-    its attachment vertex to pair inside that induced subgraph.
+    Decided from the rays: an odd ray pairs off with its attachment vertex,
+    and an even ray leaves that vertex to pair inside the body.  A clique
+    body always pairs those vertices off, and so does a cycle body when
+    every ray is even.  Otherwise the even rays' attachment vertices form
+    paths, one per run of consecutive even rays read cyclically, and they
+    pair off exactly when at most one run has odd length.
     """
     spec = as_spec(spec)
     if spec.family not in ("sun", "csun"):
         raise ValueError("matching criterion applies to sun and csun specs")
     spec.check()
-    n, rays = spec.args
-    even_idx = [i for i, r in enumerate(rays) if r % 2 == 0]
-    if spec.family == "csun":
-        sub_edges = [
-            (a, b)
-            for ii, a in enumerate(even_idx)
-            for b in even_idx[ii + 1:]
-        ]
-    else:
-        present = set(even_idx)
-        sub_edges = [
-            (i, j)
-            for i in even_idx
-            for j in [(i + 1) % n]
-            if j in present and i != j
-        ]
-    local = {v: i for i, v in enumerate(even_idx)}
-    induced = Graph(len(even_idx), [(local[a], local[b]) for a, b in sub_edges])
-    return _max_matching_covers(induced, len(even_idx) % 2)
+    _, rays = spec.args
+    if spec.family == "csun" or all(r % 2 == 0 for r in rays):
+        return True
+    first_odd = next(i for i, r in enumerate(rays) if r % 2)
+    parities = "".join(str(r % 2) for r in rays[first_odd:] + rays[:first_odd])
+    return sum(len(run) % 2 for run in parities.split("1")) <= 1
 
 
 def sun_has_near_perfect_matching(spec) -> bool:

@@ -9,7 +9,8 @@ import pytest
 import chromsym
 from chromsym import cli, csf as csf_module, graphs, identities, positivity
 from chromsym.cli import _verify_kwargs, build_parser, main
-from chromsym.identities import VERIFIERS, iter_grid
+from chromsym.identities import VERIFIERS, IdentityReport, iter_grid
+from chromsym.symfunc import Basis, SymFunc
 
 
 def run(capsys, *argv):
@@ -261,6 +262,52 @@ class TestVerifyCommand:
         kwargs = next(iter_grid(name, 8))
         text = ",".join(str(value) for value in kwargs.values())
         assert _verify_kwargs(name, text) == kwargs
+
+
+def unequal_dumbbell_recursion(m: int, l: int, n: int):
+    """A stand-in verifier whose two sides differ by e[m+l+n]."""
+    lhs = SymFunc.single(Basis.E, (m + l + n,), 1)
+    rhs = SymFunc.single(Basis.E, (m + l + n,), 2)
+    return IdentityReport("dumbbell_recursion", {"m": m, "l": l, "n": n}, lhs, rhs, False, lhs - rhs)
+
+
+class TestVerifyFailure:
+    """The failure output of ``verify``, with ``dumbbell_recursion`` stubbed to disagree."""
+
+    @pytest.fixture(autouse=True)
+    def unequal(self, monkeypatch):
+        monkeypatch.setitem(VERIFIERS, "dumbbell_recursion", unequal_dumbbell_recursion)
+
+    @pytest.mark.parametrize("strict", [(), ("--strict",)], ids=["plain", "strict"])
+    def test_single_instance_text(self, capsys, strict):
+        code, out, err = run(capsys, "verify", "dumbbell-recursion", "4,3,7", *strict)
+        assert out == 'dumbbell_recursion {"m":4,"l":3,"n":7}: FAIL\ndifference: -e[14]\n'
+        assert (code, err) == (len(strict), "")
+
+    @pytest.mark.parametrize("strict", [(), ("--strict",)], ids=["plain", "strict"])
+    def test_single_instance_json(self, capsys, strict):
+        code, out, err = run(capsys, "verify", "dumbbell-recursion", "4,3,7", "--json", *strict)
+        assert json.loads(out) == unequal_dumbbell_recursion(4, 3, 7).to_json_obj()
+        assert (code, err) == (len(strict), "")
+
+    @pytest.mark.parametrize("strict", [(), ("--strict",)], ids=["plain", "strict"])
+    def test_grid_text(self, capsys, strict):
+        code, out, err = run(capsys, "verify", "dumbbell-recursion", "--grid", "8", *strict)
+        lines = out.splitlines()
+        count = len(list(iter_grid("dumbbell_recursion", 8)))
+        assert len(lines) == count + 1
+        assert all(line.startswith("dumbbell_recursion {") and line.endswith(": FAIL") for line in lines[:-1])
+        assert lines[-1] == f"dumbbell_recursion: {count} instances, FAILURES"
+        assert (code, err) == (len(strict), "")
+
+    @pytest.mark.parametrize("strict", [(), ("--strict",)], ids=["plain", "strict"])
+    def test_grid_json(self, capsys, strict):
+        code, out, err = run(capsys, "verify", "dumbbell-recursion", "--grid", "8", "--json", *strict)
+        obj = json.loads(out)
+        assert (obj["identity"], obj["grid_cap"], obj["all_equal"]) == ("dumbbell_recursion", 8, False)
+        assert obj["count"] == len(obj["reports"]) == len(list(iter_grid("dumbbell_recursion", 8)))
+        assert not any(r["equal"] for r in obj["reports"])
+        assert (code, err) == (len(strict), "")
 
 
 class TestErrorsAndParser:

@@ -8,6 +8,8 @@ the package's re-exports, and so are ``from __future__`` imports.  Those
 re-exports are checked against ``__all__`` instead.  The underscore names a
 module takes from its siblings must equal its entry in ``PRIVATE_IMPORTS``,
 so a new private import across modules shows up as an edit to that table.
+Every module-level underscore name must be read somewhere in the package
+outside its own definition, so a helper left behind by a refactor fails.
 """
 
 import ast
@@ -92,3 +94,48 @@ def test_package_exports_exactly_its_imports():
     assert exported == sorted(exported)
     assert len(set(exported)) == len(exported)
     assert set(exported) == set(imported)
+
+
+def _defined_names(stmt) -> list:
+    if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+        return [stmt.name]
+    if isinstance(stmt, ast.Assign):
+        targets = stmt.targets
+    elif isinstance(stmt, ast.AnnAssign):
+        targets = [stmt.target]
+    else:
+        return []
+    return [node.id for target in targets for node in ast.walk(target) if isinstance(node, ast.Name)]
+
+
+def _read_names(stmt) -> set:
+    names = {node.id for node in ast.walk(stmt) if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load)}
+    return names | {node.attr for node in ast.walk(stmt) if isinstance(node, ast.Attribute)}
+
+
+def unread_private_names(sources: dict) -> list:
+    """``module.name`` of each module-level ``_name`` (not dunder) that no
+    other top-level statement of any module reads; a recursive helper's
+    calls to itself do not count."""
+    stmts = [(module, stmt) for module, source in sources.items() for stmt in ast.parse(source).body]
+    reads = [_read_names(stmt) for _, stmt in stmts]
+    return sorted(
+        f"{module}.{name}"
+        for i, (module, stmt) in enumerate(stmts)
+        for name in _defined_names(stmt)
+        if name.startswith("_") and not name.startswith("__")
+        and not any(name in names for j, names in enumerate(reads) if j != i)
+    )
+
+
+def test_every_private_name_is_read():
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert unread_private_names(sources) == []
+
+
+def test_checker_sees_unread_private_names():
+    sources = {
+        "a": "__all__ = []\n_X = 1\ndef _rec(n):\n    return _rec(n - 1)\ndef _used():\n    return _X\n",
+        "b": "from .a import _used\nclass _C:\n    pass\nprint(_used())\n",
+    }
+    assert unread_private_names(sources) == ["a._rec", "b._C"]

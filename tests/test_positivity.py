@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -321,6 +322,25 @@ class TestSunMatching:
             kind = "sun" if body == "cycle" else "csun"
             spec = f"{kind}({n};{','.join(map(str, rays))})"
             assert sun_matching_criterion(spec) == sun_has_near_perfect_matching(spec)
+
+    def test_direct_search_agrees_on_every_small_sun(self):
+        for kind in ("sun", "csun"):
+            for n in range(3, 7):
+                for rays in itertools.product((1, 2, 3), repeat=n):
+                    spec = f"{kind}({n};{','.join(map(str, rays))})"
+                    assert sun_matching_criterion(spec) == sun_has_near_perfect_matching(spec), spec
+
+    def test_even_runs_are_read_cyclically(self):
+        # the even rays at positions 0 and 4 are neighbours on the body cycle
+        assert sun_matching_criterion("sun(5;2,1,1,1,2)")
+        assert not sun_matching_criterion("sun(5;2,1,2,1,1)")
+
+    @pytest.mark.parametrize("kind", ["sun", "csun"])
+    def test_three_thousand_even_rays_in_under_a_second(self, kind):
+        spec = f"{kind}(3000;{','.join(['2'] * 3000)})"
+        t0 = time.perf_counter()
+        assert sun_matching_criterion(spec)
+        assert time.perf_counter() - t0 < 1.0
 
     def test_even_order_means_perfect_matching(self):
         # matched sun of even order: pair off every vertex into connected 2-blocks
