@@ -6,8 +6,10 @@ Engines:
   :math:`X_G = \\sum_{S \\subseteq E} (-1)^{|S|} p_{\\lambda(S)}`,
   evaluated by a frontier-state dynamic program that merges the subsets
   reaching the same partition of the live vertices and drops each pair of
-  subsets that cancel.  This is the formula-free oracle every other route is
-  checked against.
+  subsets that cancel.  It numbers the vertices depth first, which keeps the
+  frontier narrow, moves the block labels once per step and distinct labels,
+  and keys the closed sizes on integer count vectors.  This is the
+  formula-free oracle every other route is checked against.
 * one deletion-contraction kernel, ``_deletion_contraction``, over states
   whose vertices are clumps of original vertices (the weighted recursion of
   Crew and Spirkl, :math:`X_G = X_{G\\setminus e} - X_{G/e}`, where
@@ -54,7 +56,7 @@ from math import factorial
 from operator import mul
 
 from .graphs import Graph, GraphSpec, as_spec
-from .partitions import DEFAULT_ENUMERATION_CAP
+from .partitions import DEFAULT_ENUMERATION_CAP, _count_keys
 from .symfunc import Basis, SymFunc, p_to_e, signed_sum
 
 #: ceiling on |E| for both CSF engines, the subset oracle and deletion-contraction
@@ -75,61 +77,74 @@ def _subset_counts(n, edges):
     """Signed counts {component-size tuple: sum of (-1)^|S|} over subsets of ``edges``.
 
     A frontier-state dynamic program (Sekine, Imai and Tani 1995; Kawahara et
-    al. 2017).  The edges are decided one at a time, in a BFS vertex order
-    with each edge placed by its later endpoint, and subsets that reach the
-    same state share one signed count.  A state is the block label of each
-    frontier vertex (one that has met an edge and has edges left), renumbered
-    by first appearance, the size of each live block, and the descending
-    sizes of the closed components; the first two key ``states`` and the
-    third keys a table of counts.  A vertex leaves the frontier after its last
-    edge, and a block with no frontier vertex left closes; an isolated vertex
-    is closed from the start.  An edge whose endpoints already share a block
-    drops the state: skipping and taking it lead to the same successor with
-    opposite signs.  The subsets left are the |P_G(-1)| sets with no broken
-    circuit (Stanley 1995, Thm 2.9).
+    al. 2017).  The edges are decided one at a time, in a depth-first vertex
+    order with each edge placed by its later endpoint, and subsets that reach
+    the same state share one signed count.  The cost grows with the frontier
+    width, which the order decides: depth first walks one leg of a spider or
+    one ray of a sun at a time, where breadth first holds them all open.  A
+    state is the block label of each frontier vertex (one that has met an
+    edge and has edges left), renumbered by first appearance, the size of
+    each live block, and the multiset of closed component sizes; the first
+    two key ``states`` and the third keys a table of counts.  The multiset is
+    a ``_count_keys`` integer with n.bit_length() bits per count; no count
+    exceeds n, so closing a block adds its unit without reaching a wrong
+    index.  A vertex leaves the frontier after its last edge, and a block
+    with no frontier vertex left closes; an isolated vertex is closed from
+    the start.  The successors' labels, live block order and closed blocks
+    depend on the step and the labels alone, so each step finds them once per
+    distinct labels, and a state only permutes and sums its sizes.  An edge
+    whose endpoints already share a block drops the state: skipping and
+    taking it lead to the same successor with opposite signs.  The subsets
+    left are the |P_G(-1)| sets with no broken circuit (Stanley 1995, Thm 2.9).
     """
     adj = Graph(n, edges).adjacency()
     pos = {}
     for root in range(n):
-        queue = [root]
-        for x in queue:  # the list grows while it is walked: a BFS
+        stack = [root]
+        while stack:  # neighbours are popped in adjacency order: a DFS preorder
+            x = stack.pop()
             if x not in pos:
                 pos[x] = len(pos)
-                queue += adj[x]
+                stack += reversed(adj[x])
     order = sorted(edges, key=lambda e: sorted((pos[e[0]], pos[e[1]]), reverse=True))
     last = {x: i for i, e in enumerate(order) for x in e}  # each vertex's last edge
+    unit, decode = _count_keys(n)
     front = []
-    states = {((), ()): {(1,) * (n - len(last)): 1}}
+    states = {((), ()): {sum(unit[1] for x in range(n) if x not in last): 1}}
     for i, (u, v) in enumerate(order):
         added = [x for x in (u, v) if x not in front]
         front += added
         pu, pv = front.index(u), front.index(v)
         keep = [p for p, x in enumerate(front) if last[x] != i]
         front = [front[p] for p in keep]
-        nxt = {}
+        ones = (1,) * len(added)
+        moves, nxt = {}, {}
         for (labels, sizes), table in states.items():
-            labels += tuple(range(len(sizes), len(sizes) + len(added)))
-            sizes += (1,) * len(added)
-            a, b = sorted((labels[pu], labels[pv]))
-            if a == b:
-                continue
-            joined = tuple(a if x == b else x - (x > b) for x in labels)
-            grown = sizes[:a] + (sizes[a] + sizes[b],) + sizes[a + 1:b] + sizes[b + 1:]
-            for lab, siz, sign in ((labels, sizes, 1), (joined, grown, -1)):
-                gone = ()
-                if len(keep) < len(lab):
-                    kept = [lab[p] for p in keep]
-                    live = dict.fromkeys(kept)
-                    gone = tuple(s for x, s in enumerate(siz) if x not in live)
-                    rank = {x: r for r, x in enumerate(live)}
-                    lab, siz = tuple(rank[x] for x in kept), tuple(siz[x] for x in live)
-                out = nxt.setdefault((lab, siz), {})
-                for closed, c in table.items():
-                    if gone:
-                        closed = tuple(sorted(closed + gone, reverse=True))
-                    out[closed] = out.get(closed, 0) + sign * c
+            move = moves.get(labels)
+            if move is None:  # each successor's sign, labels, live blocks and closed blocks
+                lab = labels + tuple(range(len(sizes), len(sizes) + len(added)))
+                a, b = sorted((lab[pu], lab[pv]))
+                move = moves[labels] = []
+                for sign, lb in ((1, lab), (-1, tuple(a if x == b else x for x in lab))) if a != b else ():
+                    kept = [lb[p] for p in keep]
+                    rank = {x: r for r, x in enumerate(dict.fromkeys(kept))}
+                    gone = [x for x in dict.fromkeys(lb) if x not in rank]
+                    move.append((sign, a, b, tuple(rank[x] for x in kept), tuple(rank), gone))
+            siz = sizes + ones
+            for sign, a, b, lab, live, gone in move:
+                if sign < 0:  # block b joins block a; its own slot is read no more
+                    siz = siz[:a] + (siz[a] + siz[b],) + siz[a + 1:]
+                g = sum([unit[siz[x]] for x in gone]) if gone else 0
+                key = (lab, tuple([siz[x] for x in live]))
+                out = nxt.get(key)
+                if out is None:
+                    nxt[key] = {closed + g: sign * c for closed, c in table.items()}
+                else:
+                    for closed, c in table.items():
+                        closed += g
+                        out[closed] = out.get(closed, 0) + sign * c
         states = nxt
-    return states.get(((), ()), {})
+    return {decode(key): c for key, c in states.get(((), ()), {}).items()}
 
 
 def csf_subsets(g: Graph) -> SymFunc:

@@ -95,24 +95,50 @@ def partitions_of(n: int) -> list:
     return list(_partition_list(n))
 
 
+def _count_keys(n: int):
+    """Integer keys for multisets of parts summing to at most ``n``: ``(unit, decode)``.
+
+    The key of a multiset is its count vector, the count of part s in bits
+    [w(s - 1), ws) with w = ``n.bit_length()``.  ``unit[s]`` is the key of
+    {s}, so merging two multisets adds their keys, and ``decode(key)`` is the
+    parts, largest first.  No count can exceed n < 2**w, so a sum never
+    carries into the next part's bits and can never give a wrong index.
+    """
+    w = n.bit_length()
+    mask = (1 << w) - 1
+    unit = [0] + [1 << w * (s - 1) for s in range(1, n + 1)]
+
+    def decode(key: int) -> tuple:
+        return tuple(s for s in range(n, 0, -1) for _ in range(key >> w * (s - 1) & mask))
+
+    return unit, decode
+
+
 @lru_cache(maxsize=None)
 def _refines(lam: tuple, mu: tuple) -> bool:
     """Whether the parts of ``lam`` fill bins of sizes ``mu`` (both decreasing, equal weight).
 
-    The first part goes into a bin of each distinct size that fits; what a bin has left is a smaller bin.
+    A depth-first search with an explicit stack, so no recursion limit: part
+    i goes into a bin of each distinct size that fits, and what a bin has left
+    is a smaller bin.  A state (i, bins) is expanded once per call; when its
+    successors are on the stack, meeting it again adds nothing.
     """
-    if not lam:
-        return True
-    first, rest = lam[0], lam[1:]
-    for size in dict.fromkeys(mu):
-        if size < first:
-            break
-        bins = list(mu)
-        bins.remove(size)
-        if size > first:
-            bins.append(size - first)
-        if _refines(rest, tuple(sorted(bins, reverse=True))):
+    tried = set()
+    stack = [(0, mu)]
+    while stack:
+        i, bins = stack.pop()
+        if i == len(lam):
             return True
+        if (i, bins) in tried:
+            continue
+        tried.add((i, bins))
+        first = lam[i]
+        for size in reversed(dict.fromkeys(b for b in bins if b >= first)):  # largest bin popped first
+            rest = list(bins)
+            rest.remove(size)
+            if size > first:
+                rest.append(size - first)
+            stack.append((i + 1, tuple(sorted(rest, reverse=True))))
     return False
 
 

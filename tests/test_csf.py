@@ -1,6 +1,7 @@
 import itertools
 import math
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -120,6 +121,57 @@ def walk_subset_counts(n, edges):
 
     rec(0, 1)
     return {tuple(s for s in range(n, 0, -1) for _ in range(key[s])): c for key, c in table.items()}
+
+
+def ref_subset_counts(n, edges):
+    """Reference for ``_subset_counts``: the same frontier DP in BFS vertex order.
+
+    It keys each closed-size multiset on a sorted tuple, re-sorted whenever a
+    block closes, and redoes the label arithmetic for every state.  The order
+    changes only the frontier width, so both must give the same table.
+    """
+    adj = Graph(n, edges).adjacency()
+    pos = {}
+    for root in range(n):
+        queue = [root]
+        for x in queue:  # the list grows while it is walked: a BFS
+            if x not in pos:
+                pos[x] = len(pos)
+                queue += adj[x]
+    order = sorted(edges, key=lambda e: sorted((pos[e[0]], pos[e[1]]), reverse=True))
+    last = {x: i for i, e in enumerate(order) for x in e}  # each vertex's last edge
+    front = []
+    states = {((), ()): {(1,) * (n - len(last)): 1}}
+    for i, (u, v) in enumerate(order):
+        added = [x for x in (u, v) if x not in front]
+        front += added
+        pu, pv = front.index(u), front.index(v)
+        keep = [p for p, x in enumerate(front) if last[x] != i]
+        front = [front[p] for p in keep]
+        nxt = {}
+        for (labels, sizes), table in states.items():
+            labels += tuple(range(len(sizes), len(sizes) + len(added)))
+            sizes += (1,) * len(added)
+            a, b = sorted((labels[pu], labels[pv]))
+            if a == b:
+                continue
+            joined = tuple(a if x == b else x - (x > b) for x in labels)
+            grown = sizes[:a] + (sizes[a] + sizes[b],) + sizes[a + 1:b] + sizes[b + 1:]
+            for lab, siz, sign in ((labels, sizes, 1), (joined, grown, -1)):
+                gone = ()
+                if len(keep) < len(lab):
+                    kept = [lab[p] for p in keep]
+                    live = dict.fromkeys(kept)
+                    gone = tuple(s for x, s in enumerate(siz) if x not in live)
+                    rank = {x: r for r, x in enumerate(live)}
+                    lab, siz = tuple(rank[x] for x in kept), tuple(siz[x] for x in live)
+                out = nxt.setdefault((lab, siz), {})
+                for closed, c in table.items():
+                    if gone:
+                        closed = tuple(sorted(closed + gone, reverse=True))
+                    out[closed] = out.get(closed, 0) + sign * c
+        states = nxt
+    return states.get(((), ()), {})
 
 
 def bond_sign_violations(f):
@@ -873,6 +925,60 @@ class TestEngineProperties:
 
         monkeypatch.setattr(csf_module, "_CLOSED_FORMS", dict.fromkeys(csf_module._CLOSED_FORMS, refuse))
         assert (csf_dc(g), chromatic_poly_dc(g)) == expected
+
+
+def oracle_graphs(monkeypatch, names, cap):
+    """Every graph the named identities' grids ask ``identities._memo`` for, with
+    the memo stubbed to a zero function so no CSF is computed."""
+    seen = {}
+
+    def record(g):
+        seen[g] = None
+        return SymFunc(Basis.E, g.n, {})
+
+    monkeypatch.setattr(identities, "_memo", record)
+    for name in names:
+        identities.run_grid(name, cap)
+    return list(seen)
+
+
+class TestSubsetCountsMatchBreadthFirst:
+    def test_full_csf_grids(self, monkeypatch):
+        names = ("dumbbell_recursion", "cdumbbell_recursion", "sun_spider_reduction", "triple_deletion")
+        graphs = oracle_graphs(monkeypatch, names, 12)
+        assert len(graphs) == 285
+        for g in graphs:
+            assert _subset_counts(g.n, g.edge_list) == ref_subset_counts(g.n, g.edge_list), g.edge_list
+
+    @settings(deadline=None, max_examples=50)
+    @given(st.one_of(random_graphs(), glued_graphs()))
+    def test_random_and_glued_graphs(self, g):
+        assert _subset_counts(g.n, g.edge_list) == ref_subset_counts(g.n, g.edge_list)
+
+
+def assert_is_the_csf_table(g, table):
+    """Checks of a subset table against deletion-contraction and the bond lattice."""
+    f = SymFunc(Basis.P, g.n, table)
+    chi = chromatic_poly_dc(g)
+    assert [f.evaluate_ones(k) for k in range(6)] == [chi(k) for k in range(6)]
+    assert bond_sign_violations(f) == []
+    assert sum(abs(c) for c in table.values()) == abs(chi(-1))
+
+
+class TestLargeSparseGraphs:
+    """Graphs whose frontier stays narrow in depth-first order only."""
+
+    @pytest.mark.parametrize("spec", ["spider(5,5,5,5,5,1)", "sun(6;3,3,3,3,3,3)"])
+    def test_spider_and_sun(self, spec):
+        g = parse_graph_spec(spec).build()
+        start = time.perf_counter()
+        f = csf_subsets(g)
+        assert time.perf_counter() - start < 1
+        assert_is_the_csf_table(g, f.terms)
+
+    def test_path_40(self):
+        g = path_graph(40)
+        assert_is_the_csf_table(g, _subset_counts(g.n, g.edge_list))
 
 
 class TestBondLattice:

@@ -55,6 +55,7 @@ def test_checker_sees_unused_and_used_names():
 #: module -> the underscore names it imports from sibling modules
 PRIVATE_IMPORTS = {
     "cli": ["_degree_guard", "_scan_guard"],
+    "csf": ["_count_keys"],
     "identities": ["_check_uniform_sun", "_eliminate", "_vertex_guard"],
     "positivity": ["_degree_guard"],
 }

@@ -179,6 +179,11 @@ class TestRefinement:
                 for mu in partitions_of(n):
                     assert refines_to(lam, mu) == (mu in reachable), (lam, mu)
 
+    def test_long_partitions_need_no_recursion(self):
+        # the search keeps its own stack: one frame per part would pass Python's recursion limit
+        assert refines_to([1] * 3000, [3000])
+        assert not refines_to([2] * 1500, [3] * 1000)
+
     def test_transitive_on_degree_eight(self):
         parts = partitions_of(8)
         pairs = [(a, b) for a, b in itertools.product(parts, parts) if refines_to(a, b)]
