@@ -10,10 +10,14 @@ A connected graph whose chromatic symmetric function is e-positive has a
 connected partition of every type: for each partition lambda of |V| the vertex
 set splits into blocks of sizes lambda_i each inducing a connected subgraph.
 ``missing_partition_scan`` inventories the types without such a partition (on
-at most ``DEFAULT_SCAN_VERTEX_CAP`` vertices).  It searches type by type on
-integer bit masks, placing the lowest remaining vertex in a connected block of
-each distinct remaining size; one scan shares a record of the (remaining
-vertices, sizes) pairs shown to have no split.  The ``*_missing_type`` helpers
+at most ``DEFAULT_SCAN_VERTEX_CAP`` vertices).  It walks the types finest
+first and searches a type not yet found on integer bit masks, placing the
+lowest remaining vertex in a connected block of each distinct remaining size;
+one scan shares a record of the (remaining vertices, sizes) pairs shown to
+have no split.  Merging two witness blocks joined by an edge keeps them
+connected, so every type such merges reach is found with no search; as only
+explicit blocks mark a type and every other type is searched in full, the
+output is that of searching every type.  The ``*_missing_type`` helpers
 give the predicted obstruction types for sun graphs together with the
 coefficient values they force.
 """
@@ -23,9 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd
 
-from .csf import compute_csf, csf_degree
+from .csf import _vertex_guard, compute_csf, csf_degree
 from .graphs import Graph, GraphSpec, as_spec
-from .partitions import Partition, partitions_of
+from .partitions import Partition, _count_keys, partitions_of
 from .symfunc import Basis, _degree_guard, e_to_s, fraction_json
 
 #: ceiling on |V| for full missing-type scans
@@ -133,7 +137,9 @@ def _search(nbr, parts, remaining, failed):
 
 
 def has_connected_partition(g: Graph, lam) -> ConnectedPartitionWitness | None:
-    """A vertex partition with connected blocks of sizes ``lam``, or None."""
+    """A vertex partition with connected blocks of sizes ``lam``, or None.
+    Guarded at ``DEFAULT_ENUMERATION_CAP`` vertices, bounding the recursion."""
+    _vertex_guard("connected-partition search", g.n)
     lam = Partition(lam)
     if lam.weight != g.n:
         raise ValueError(f"partition weighs {lam.weight}, graph has {g.n} vertices")
@@ -154,10 +160,51 @@ def missing_partition_scan(g: Graph) -> list:
     Nonempty output certifies that X_G is not e-positive (for connected G);
     empty output is necessary but not sufficient for e-positivity.  Guarded at
     ``DEFAULT_SCAN_VERTEX_CAP`` vertices.
+
+    The types are walked finest first, from (1^n), keyed on
+    ``partitions._count_keys`` integers.  A type not yet found is searched;
+    the union of two witness blocks joined by an edge is connected, so every
+    type reached by merging adjacent blocks, again and again, is found with
+    no search.  Only explicit connected blocks mark a type, and every other
+    type gets the full search, so the output is that of searching each type.
     """
     _scan_guard(g.n)
     nbr, failed = _neighbour_masks(g), set()
-    return [lam for lam in partitions_of(g.n) if _search(nbr, tuple(lam), (1 << g.n) - 1, failed) is None]
+    unit, _ = _count_keys(g.n)
+    found, missing = set(), []
+    for lam in reversed(partitions_of(g.n)):
+        key = sum(unit[s] for s in lam)
+        if key in found:
+            continue
+        if len(lam) == g.n:  # (1^n): the singletons
+            blocks = [1 << v for v in range(g.n)]
+        else:
+            blocks = _search(nbr, tuple(lam), (1 << g.n) - 1, failed)
+        if blocks is None:
+            missing.append(lam)
+            continue
+        found.add(key)
+        parts = []
+        for b in blocks:
+            reach = 0  # every neighbour of a vertex of the block
+            for v in range(g.n):
+                if b >> v & 1:
+                    reach |= nbr[v]
+            parts.append((b, b.bit_count(), reach))
+        stack = [(key, parts)]
+        while stack:
+            key, parts = stack.pop()
+            for i, (bi, si, ri) in enumerate(parts):
+                for j in range(i + 1, len(parts)):
+                    bj, sj, rj = parts[j]
+                    if not ri & bj:
+                        continue
+                    merged = key - unit[si] - unit[sj] + unit[si + sj]
+                    if merged not in found:
+                        found.add(merged)
+                        rest = parts[:i] + parts[i + 1:j] + parts[j + 1:]
+                        stack.append((merged, [*rest, (bi | bj, si + sj, ri | rj)]))
+    return missing[::-1]
 
 
 # ------------------------------------------------------------ sun obstructions
@@ -234,23 +281,6 @@ def triangle_sun_missing_type(a: int, b: int, c: int) -> Partition | None:
 # ------------------------------------------------------------------ matchings
 
 
-def _max_matching_covers(g: Graph, allow_unmatched: int) -> bool:
-    """True if some matching leaves at most ``allow_unmatched`` vertices uncovered."""
-    adj = g.adjacency()
-
-    def rec(uncovered, budget):
-        if not uncovered:
-            return True
-        v = min(uncovered)
-        rest = uncovered - {v}
-        for w in adj[v]:
-            if w in rest and rec(rest - {w}, budget):
-                return True
-        return budget > 0 and rec(rest, budget - 1)
-
-    return rec(frozenset(range(g.n)), allow_unmatched)
-
-
 def sun_matching_criterion(spec) -> bool:
     """Whether a sun has a perfect (even order) or near-perfect (odd order) matching.
 
@@ -274,9 +304,12 @@ def sun_matching_criterion(spec) -> bool:
 
 
 def sun_has_near_perfect_matching(spec) -> bool:
-    """Direct matching search on the full sun graph (the slow cross-check)."""
-    g = as_spec(spec).build()
-    return _max_matching_covers(g, g.n % 2)
+    """Direct matching search on the full sun graph (the slow cross-check): a
+    perfect or near-perfect matching is a connected partition of type 2^k (1)."""
+    spec = as_spec(spec)
+    n = spec.check()
+    _vertex_guard("connected-partition search", n)
+    return has_connected_partition(spec.build(), (2,) * (n // 2) + (1,) * (n % 2)) is not None
 
 
 # ------------------------------------------------------------------- spiders

@@ -57,7 +57,7 @@ PRIVATE_IMPORTS = {
     "cli": ["_degree_guard", "_scan_guard"],
     "csf": ["_count_keys"],
     "identities": ["_check_uniform_sun", "_eliminate", "_vertex_guard"],
-    "positivity": ["_degree_guard"],
+    "positivity": ["_count_keys", "_degree_guard", "_vertex_guard"],
 }
 
 

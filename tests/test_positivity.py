@@ -5,8 +5,11 @@ import time
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
+from test_csf import glued_graphs, random_graphs
 
 from chromsym import positivity
+from chromsym.csf import CSF_EDGE_CAP
 from chromsym.graphs import (
     Graph,
     complete_graph,
@@ -16,6 +19,7 @@ from chromsym.graphs import (
     spider_graph,
     sun_graph,
 )
+from chromsym.identities import _canonical_dumbbell_triples
 from chromsym.partitions import Partition, partitions_of
 from chromsym.positivity import (
     DEFAULT_SCAN_VERTEX_CAP,
@@ -70,6 +74,25 @@ def _is_connected_on(g, vs):
                 seen.add(w)
                 stack.append(w)
     return seen == vs
+
+
+def ref_missing_partition_scan(g):
+    """The scan as one full search per type, coarsest first, sharing one failure record."""
+    nbr, failed = _neighbour_masks(g), set()
+    return [lam for lam in partitions_of(g.n) if positivity._search(nbr, tuple(lam), (1 << g.n) - 1, failed) is None]
+
+
+def count_search_calls(monkeypatch):
+    """Route ``positivity._search`` through a counter; returns the one-item count list."""
+    calls = [0]
+    search = positivity._search
+
+    def counting(*args):
+        calls[0] += 1
+        return search(*args)
+
+    monkeypatch.setattr(positivity, "_search", counting)
+    return calls
 
 
 def mask(vs):
@@ -132,6 +155,13 @@ class TestHasConnectedPartition:
         w = has_connected_partition(Graph(4, [(1, 2)]), Partition([2, 1, 1]))
         assert w.blocks == ((0,), (1, 2), (3,))
 
+    def test_long_inputs_are_refused_not_recursed(self):
+        with pytest.raises(ValueError, match="guarded at 40 vertices, graph has 3000$"):
+            has_connected_partition(path_graph(3000), [1] * 3000)
+        with pytest.raises(ValueError, match="guarded at 40 vertices, graph has 2005$"):
+            sun_has_near_perfect_matching("sun(3;2000,1,1)")
+        assert has_connected_partition(path_graph(40), [1] * 40).blocks == tuple((v,) for v in range(40))
+
     def test_complete_sun_gcd_example(self):
         g = sun_graph(4, (5, 3, 3, 1), body="complete")
         assert has_connected_partition(g, Partition([9, 7])) is None
@@ -157,20 +187,22 @@ class TestMissingPartitionScan:
         assert missing_partition_scan(Graph(4, [(1, 2)])) == [Partition([4]), Partition([3, 1]), Partition([2, 2])]
 
     def test_search_work_gate(self, monkeypatch):
-        # one record of failed subproblems serves every type: 65,001 calls here,
-        # against 104,576 with a fresh record per type
-        calls = 0
-        search = positivity._search
+        # one record of failed subproblems serves every type and merged witnesses
+        # mark types with no search: 57,146 calls here, against 65,001 searching
+        # every type and 104,576 with a fresh record per type
+        g = parse_graph_spec("csun(7;1,1,1,1,1,1,1)").build()
+        expected = ref_missing_partition_scan(g)
+        calls = count_search_calls(monkeypatch)
+        assert missing_partition_scan(g) == expected
+        assert len(expected) == 25
+        assert calls[0] <= 71_500
 
-        def counting(*args):
-            nonlocal calls
-            calls += 1
-            return search(*args)
-
-        monkeypatch.setattr(positivity, "_search", counting)
-        missing = missing_partition_scan(parse_graph_spec("csun(7;1,1,1,1,1,1,1)").build())
-        assert len(missing) == 25
-        assert calls <= 71_500
+    def test_merged_witnesses_spare_searches(self, monkeypatch):
+        # 401 calls here, against 1,583 searching every type
+        calls = count_search_calls(monkeypatch)
+        missing = missing_partition_scan(parse_graph_spec("sun(3;4,4,3)").build())
+        assert missing == [Partition(lam) for lam in ([8, 6], [7, 7], [7, 6, 1], [6, 6, 2], [6, 6, 1, 1])]
+        assert calls[0] <= 500
 
     def test_scan_is_sorted_and_unique(self):
         # the 4-leg star misses exactly the types (3,2) and (2,2,1)
@@ -183,6 +215,46 @@ class TestMissingPartitionScan:
         g = sun_graph(3, (2, 1, 1))
         assert not e_positivity(g).positive
         assert missing_partition_scan(g) == []
+
+
+def _small_sun_specs():
+    """Every sun and complete sun with 3-6 body vertices on at most 12 vertices,
+    one per isomorphism class: rotating or reflecting a sun's rays, or permuting
+    a complete sun's, gives an isomorphic graph."""
+    specs = set()
+    for n in range(3, 7):
+        for rays in itertools.product(range(1, 13 - 2 * n + 1), repeat=n):
+            if n + sum(rays) <= 12:
+                turns = [r[i:] + r[:i] for r in (rays, rays[::-1]) for i in range(n)]
+                specs.add(f"sun({n};{','.join(map(str, min(turns)))})")
+                specs.add(f"csun({n};{','.join(map(str, sorted(rays)))})")
+    return sorted(specs)
+
+
+class TestScanMatchesReference:
+    def test_small_suns(self):
+        specs = _small_sun_specs()
+        assert len(specs) == 86
+        for spec in specs:
+            g = parse_graph_spec(spec).build()
+            assert missing_partition_scan(g) == ref_missing_partition_scan(g), spec
+
+    def test_graphs_above_the_edge_cap(self):
+        specs = [f"lollipop({m},{14 - m})" for m in range(3, 15)]
+        specs += [f"cdumbbell({m},{l},{n})" for m, l, n in _canonical_dumbbell_triples(14) if m + l + n == 14]
+        graphs = [g for g in (parse_graph_spec(spec).build() for spec in specs) if len(g.edges) > CSF_EDGE_CAP]
+        assert len(graphs) == 30  # 8 lollipops and 22 complete dumbbells
+        for g in graphs:
+            assert missing_partition_scan(g) == ref_missing_partition_scan(g)
+
+    def test_edge_cases(self):
+        for g in (Graph(0, []), Graph(14, []), parse_graph_spec("union(cycle(5),spider(3,2,1))").build()):
+            assert missing_partition_scan(g) == ref_missing_partition_scan(g)
+
+    @settings(deadline=None, max_examples=50)
+    @given(st.one_of(random_graphs(), glued_graphs()))
+    def test_random_graphs(self, g):
+        assert missing_partition_scan(g) == ref_missing_partition_scan(g)
 
 
 class TestPositivityReports:
