@@ -105,11 +105,15 @@ def _count_keys(n: int):
     carries into the next part's bits and can never give a wrong index.
     """
     w = n.bit_length()
-    mask = (1 << w) - 1
     unit = [0] + [1 << w * (s - 1) for s in range(1, n + 1)]
 
     def decode(key: int) -> tuple:
-        return tuple(s for s in range(n, 0, -1) for _ in range(key >> w * (s - 1) & mask))
+        parts = ()
+        while key:  # the top nonzero field counts the largest part left
+            s = (key.bit_length() - 1) // w
+            parts += (s + 1,) * (key >> w * s)
+            key &= unit[s + 1] - 1
+        return parts
 
     return unit, decode
 

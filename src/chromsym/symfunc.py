@@ -4,9 +4,9 @@ Every value is homogeneous of a fixed degree, stored sparsely as a map from
 partitions (the basis indices) to exact coefficients, ``int`` where integral
 (every CSF) and ``fractions.Fraction`` otherwise; the two agree on ``==``,
 hash, ``str`` and JSON, and ``coefficient`` and witnesses return ``Fraction``.
-Basis changes are exact and direct: each expands one basis element at a time,
-memoized on its index, and one linear-map helper applies that expansion to a
-function term by term.
+Basis changes are exact and direct, and sum in integers over one common
+denominator; ``e -> s`` and ``s -> e`` expand one basis element at a time,
+memoized on its index.
 
 * ``p -> e`` and ``e -> p`` expand each one-part element by the signed
   integer formulas
@@ -14,7 +14,8 @@ function term by term.
   \\frac{i\\,(\\ell(\\mu)-1)!}{\\prod_j m_j(\\mu)!}\\, e_\\mu` and
   :math:`i!\\,e_i = \\sum_{\\mu \\vdash i} (-1)^{i-\\ell(\\mu)}
   \\frac{i!}{z_\\mu}\\, p_\\mu`,
-  and multiply out products by index concatenation.  For ``e -> p`` the
+  memoized per part and degree, and multiply out a whole function at once by
+  nested (Horner) evaluation over the trie of its indices.  For ``e -> p`` the
   product of the :math:`\\lambda_j!\\,e_{\\lambda_j}`, weighted by the
   multinomial :math:`d!/\\prod_j \\lambda_j!`, is :math:`d!\\,e_\\lambda`, so
   the sums stay integral and each output term is divided by :math:`d!` once.
@@ -31,10 +32,10 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import comb, factorial, lcm, prod
 
-from .partitions import Partition, partitions_of
+from .partitions import Partition, _count_keys, partitions_of
 
 #: refuse e -> p and e -> s transitions above this degree
 DEFAULT_TRANSITION_CAP = 22
@@ -235,7 +236,7 @@ class SymFunc:
 #
 # Each expansion is a tuple of (index, coefficient) pairs.  Indices are plain
 # weakly decreasing tuples, which hash and compare like the equal Partition;
-# ``_apply`` turns them into Partitions once, when a conversion returns.
+# a conversion turns them into Partitions once, when it returns.
 
 
 #: the expansion of an empty product
@@ -247,47 +248,31 @@ def _merge(mu: tuple, nu: tuple) -> tuple:
     return tuple(sorted(mu + nu, reverse=True))
 
 
-@lru_cache(maxsize=None)
 def _power_in_e(i: int) -> tuple:
     """e-expansion of p_i by the signed multinomial formula (integer coefficients)."""
-    out = []
-    for mu in partitions_of(i):
-        denom = 1
-        for m in mu.multiplicities().values():
-            denom *= factorial(m)
-        out.append((mu, (-1) ** (i - len(mu)) * i * factorial(len(mu) - 1) // denom))
-    return tuple(out)
+    return tuple(
+        (mu, (-1) ** (i - len(mu)) * i * factorial(len(mu) - 1) // prod(map(factorial, mu.multiplicities().values())))
+        for mu in partitions_of(i)
+    )
 
 
-@lru_cache(maxsize=None)
 def _elementary_in_p(i: int) -> tuple:
     """p-expansion of i! * e_i, the signed sum of (i! / z_mu) p_mu over mu |- i.
 
     i! / z_mu counts the permutations of cycle type mu, so every coefficient
     is an integer.
     """
-    out = []
-    for mu in partitions_of(i):
-        z = 1
-        for part, m in mu.multiplicities().items():
-            z *= part**m * factorial(m)
-        out.append((mu, (-1) ** (i - len(mu)) * (factorial(i) // z)))
-    return tuple(out)
+    return tuple(
+        (mu, (-1) ** (i - len(mu)) * factorial(i) // prod(p**m * factorial(m) for p, m in mu.multiplicities().items()))
+        for mu in partitions_of(i)
+    )
 
 
 @lru_cache(maxsize=None)
-def _product(one_part, lam: tuple) -> tuple:
-    """Expansion of prod_i b_{lam_i}, where ``one_part(i)`` expands b_i in a basis
-    that multiplies by index concatenation; built on the product without the
-    last part, so every prefix is expanded once."""
-    if not lam:
-        return _ONE
-    acc = {}
-    for mu, a in _product(one_part, lam[:-1]):
-        for nu, b in one_part(lam[-1]):
-            key = _merge(mu, nu)
-            acc[key] = acc.get(key, 0) + a * b
-    return tuple((key, c) for key, c in acc.items() if c)
+def _keyed(one_part, i: int, n: int) -> tuple:
+    """``one_part(i)`` keyed by ``_count_keys(n)``: the memo of p -> e and e -> p."""
+    unit, _ = _count_keys(n)
+    return tuple((sum(map(unit.__getitem__, mu)), c) for mu, c in one_part(i))
 
 
 def _vertical_strips(lam: tuple, k: int) -> list:
@@ -374,53 +359,75 @@ def _degree_guard(degree: int) -> None:
         raise ValueError(f"basis transitions guarded at degree {DEFAULT_TRANSITION_CAP}, got {degree}")
 
 
-def _apply(f: SymFunc, source: Basis, target: Basis, expand, weight=None, divisor: int = 1) -> SymFunc:
-    """The linear map sending each ``source`` basis element b_lam to
-    ``weight(lam) * expand(lam) / divisor`` (the weight defaults to 1).
-
-    Every expansion is integral and so is every weight, and coefficients are
-    scaled to one common denominator, so the sums stay in integers: each
-    output term is divided once, by that denominator times ``divisor``, and
-    stays an ``int`` when the division is exact.
-    """
+def _scaled(f: SymFunc, source: Basis):
+    """``f``'s coefficients over one common denominator: ``(den, {lam: numerator})``."""
     if f.basis is not source:
         raise ValueError(f"expected a function in the {source.value} basis, got basis {f.basis.value}")
     den = lcm(*(c.denominator for c in f.terms.values()))
+    return den, {lam: c.numerator * (den // c.denominator) for lam, c in f.terms.items()}
+
+
+def _divided(target: Basis, degree: int, terms: dict, den: int) -> SymFunc:
+    """Integer ``terms`` each divided once by ``den``, an ``int`` where exact."""
+    exact = {tuple.__new__(Partition, mu): v // den if v % den == 0 else Fraction(v, den) for mu, v in terms.items()}
+    return SymFunc._trusted(target, degree, exact)
+
+
+def _apply(f: SymFunc, source: Basis, target: Basis, expand) -> SymFunc:
+    """The linear map b_lam -> ``expand(lam)`` (integral), summed in integers."""
+    den, scaled = _scaled(f, source)
     terms = {}
-    for lam, c in f.terms.items():
-        a = c.numerator * (den // c.denominator)
-        if weight is not None:
-            a *= weight(lam)
+    for lam, a in scaled.items():
         for mu, w in expand(lam):
             terms[mu] = terms.get(mu, 0) + a * w
-    den *= divisor
-    # every index is weakly decreasing already, so it becomes a Partition as is
-    exact = {tuple.__new__(Partition, mu): v // den if v % den == 0 else Fraction(v, den) for mu, v in terms.items()}
-    return SymFunc._trusted(target, f.degree, exact)
+    return _divided(target, f.degree, terms, den)
 
 
-def _multinomial(counts) -> int:
-    """(sum of counts)! / prod_j counts_j!, as a product of binomials.  For a
-    partition lam it is the factor that turns prod_j (lam_j! e_{lam_j}) into
-    |lam|! e_lam."""
-    out, total = 1, 0
-    for c in counts:
-        total += c
-        out *= comb(total, c)
-    return out
+def _nested(f: SymFunc, source: Basis, target: Basis, one_part, weight=None, divisor: int = 1) -> SymFunc:
+    """The linear map sending each ``source`` basis element b_lam to
+    ``weight(lam) / divisor`` (the weight defaults to 1) times the product of
+    the integral ``one_part(lam_j)``, in a basis that multiplies by index
+    concatenation.
+
+    Nested (Horner) evaluation over the trie of the indices, parts in
+    decreasing order.  A node is a prefix of an index; its value is the
+    coefficient of that index plus, over its children a, ``one_part(a)``
+    times the child's value.  A prefix sorts below its extensions, so walking
+    the nodes in decreasing order folds each into its parent after its
+    children, with no recursion.  ``one_part(1)`` is the index (1) alone, so
+    the 1s that end an index add no node and only shift its key.  Keys are
+    ``_count_keys`` integers: a product adds keys, and each output index is
+    decoded once.
+    """
+    den, scaled = _scaled(f, source)
+    unit, decode = _count_keys(f.degree)
+    sums = {(): {}}
+    for lam, a in scaled.items():
+        ones = lam.count(1)
+        for j in range(len(lam) - ones + 1):
+            node = sums.setdefault(lam[:j], {})
+        node[unit[1] * ones if ones else 0] = a * weight(lam) if weight else a
+    for lam in sorted(sums, reverse=True)[:-1]:  # the root () sorts last
+        parent = sums[lam[:-1]]
+        for key, a in sums.pop(lam).items():
+            for k, c in _keyed(one_part, lam[-1], f.degree):
+                k += key
+                parent[k] = parent.get(k, 0) + a * c
+    return _divided(target, f.degree, {decode(key): v for key, v in sums[()].items()}, den * divisor)
 
 
 def p_to_e(f: SymFunc) -> SymFunc:
     """Convert from the power-sum basis to the elementary basis (exact)."""
-    return _apply(f, Basis.P, Basis.E, partial(_product, _power_in_e))
+    return _nested(f, Basis.P, Basis.E, _power_in_e)
 
 
 def e_to_p(f: SymFunc) -> SymFunc:
-    """Convert from the elementary basis to the power-sum basis (exact): d! e_lam
-    in integers, then one division by d! per output term."""
+    """Convert from the elementary basis to the power-sum basis (exact): d! e_lam,
+    the product of the lam_j! e_{lam_j} times d! / prod_j lam_j!, in integers,
+    then one division by d! per output term."""
     _degree_guard(f.degree)
-    expand = partial(_product, _elementary_in_p)
-    return _apply(f, Basis.E, Basis.P, expand, _multinomial, factorial(f.degree))
+    d = factorial(f.degree)
+    return _nested(f, Basis.E, Basis.P, _elementary_in_p, lambda lam: d // prod(map(factorial, lam)), d)
 
 
 def e_to_s(f: SymFunc) -> SymFunc:

@@ -58,6 +58,7 @@ PRIVATE_IMPORTS = {
     "csf": ["_count_keys"],
     "identities": ["_check_uniform_sun", "_eliminate", "_vertex_guard"],
     "positivity": ["_count_keys", "_degree_guard", "_vertex_guard"],
+    "symfunc": ["_count_keys"],
 }
 
 

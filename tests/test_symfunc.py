@@ -1,18 +1,28 @@
+import inspect
 import json
+import os
+import random
+import resource
+import subprocess
+import sys
 from fractions import Fraction
-from functools import lru_cache
-from math import comb, factorial
+from functools import lru_cache, partial
+from math import comb, factorial, lcm
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import chromsym
+from chromsym import identities, parse_graph_spec
+from chromsym.csf import csf_path_closed, csf_subsets
 from chromsym.partitions import Partition, partitions_of
 from chromsym.symfunc import (
     Basis,
     DEFAULT_TRANSITION_CAP,
     SymFunc,
     _elementary_in_p,
-    _product,
+    _power_in_e,
     convert,
     e_to_p,
     e_to_s,
@@ -118,6 +128,98 @@ def reference_e_to_p(f):
         for mu, a in product.items():
             terms[mu] = terms.get(mu, 0) + a
     return SymFunc(Basis.P, f.degree, terms)
+
+
+# ------------------------------------------------ reference p -> e, e -> p
+#
+# The product route that nested evaluation replaced: each index expanded on
+# its own as a product of one-part expansions, every prefix memoized (for the
+# life of the memo, so tests clear it), indices as sorted tuples.
+
+
+@lru_cache(maxsize=None)
+def ref_product(one_part, lam: tuple) -> tuple:
+    if not lam:
+        return (((), 1),)
+    acc = {}
+    for mu, a in ref_product(one_part, lam[:-1]):
+        for nu, b in one_part(lam[-1]):
+            key = tuple(sorted(mu + nu, reverse=True))
+            acc[key] = acc.get(key, 0) + a * b
+    return tuple((key, c) for key, c in acc.items() if c)
+
+
+def ref_apply(f, source, target, expand, weight=None, divisor=1):
+    assert f.basis is source
+    den = lcm(*(c.denominator for c in f.terms.values()))
+    terms = {}
+    for lam, c in f.terms.items():
+        a = c.numerator * (den // c.denominator)
+        if weight is not None:
+            a *= weight(lam)
+        for mu, w in expand(lam):
+            terms[mu] = terms.get(mu, 0) + a * w
+    den *= divisor
+    exact = {Partition(mu): v // den if v % den == 0 else Fraction(v, den) for mu, v in terms.items()}
+    return SymFunc._trusted(target, f.degree, exact)
+
+
+def ref_multinomial(counts) -> int:
+    out, total = 1, 0
+    for c in counts:
+        total += c
+        out *= comb(total, c)
+    return out
+
+
+ref_power_in_e = lru_cache(maxsize=None)(_power_in_e)
+ref_elementary_in_p = lru_cache(maxsize=None)(_elementary_in_p)
+
+
+def ref_p_to_e(f):
+    return ref_apply(f, Basis.P, Basis.E, partial(ref_product, ref_power_in_e))
+
+
+def ref_e_to_p(f):
+    return ref_apply(f, Basis.E, Basis.P, partial(ref_product, ref_elementary_in_p), ref_multinomial, factorial(f.degree))
+
+
+@pytest.fixture
+def ref_memo():
+    yield
+    ref_product.cache_clear()
+
+
+def assert_same_output(got, want):
+    """Equal as functions, and byte-equal as JSON and as text."""
+    assert got == want
+    assert json.dumps(got.to_json_obj()) == json.dumps(want.to_json_obj())
+    assert str(got) == str(want)
+
+
+def random_function(rng, basis, degree, integral):
+    """Up to 8 random terms over the partitions of ``degree``."""
+    terms = {}
+    for lam in rng.sample(partitions_of(degree), min(8, len(partitions_of(degree)))):
+        c = rng.randint(-9, 9)
+        terms[lam] = c if integral else Fraction(c, rng.randint(1, 12))
+    return SymFunc(basis, degree, terms)
+
+
+def grid_csfs(monkeypatch):
+    """The distinct subset-oracle CSFs (p basis) of every identity grid at
+    cap 14, with the oracle stubbed to a zero function while the grids run."""
+    seen = {}
+
+    def record(g):
+        seen[g] = None
+        return SymFunc(Basis.E, g.n, {})
+
+    with monkeypatch.context() as m:
+        m.setattr(identities, "_memo", record)
+        for name in identities.VERIFIERS:
+            identities.run_grid(name, 14)
+    return list({identities._csf_key(f): f for f in map(csf_subsets, seen)}.values())
 
 
 def cap_function():
@@ -371,7 +473,7 @@ class TestElementaryExpansions:
         f = cap_function()
         assert e_to_p(f).to_json_obj() == reference_e_to_p(f).to_json_obj()
 
-    def test_elementary_table_is_integral(self):
+    def test_elementary_table_is_integral(self, ref_memo):
         # sum_mu 1/z_mu = 1 and e_i(1) = 0 for i >= 2: a dropped sign or a
         # wrong z_mu breaks one of the two sums
         for i in range(1, DEFAULT_TRANSITION_CAP + 1):
@@ -380,7 +482,98 @@ class TestElementaryExpansions:
             assert sum(abs(c) for _, c in table) == factorial(i), i
             assert sum(c for _, c in table) == (1 if i == 1 else 0), i
         for lam in partitions_of(8):
-            assert all(type(c) is int for _, c in _product(_elementary_in_p, tuple(lam))), lam
+            assert all(type(c) is int for _, c in ref_product(ref_elementary_in_p, tuple(lam))), lam
+
+
+class TestNestedMatchesProducts:
+    """p -> e and e -> p by nested evaluation against the product route kept above."""
+
+    def test_every_grid_csf(self, monkeypatch, ref_memo):
+        csfs = grid_csfs(monkeypatch)
+        assert len(csfs) == 276
+        for f in csfs:
+            e = p_to_e(f)
+            assert_same_output(e, ref_p_to_e(f))
+            assert_same_output(e_to_p(e), ref_e_to_p(e))
+
+    @pytest.mark.parametrize("degree", [*range(1, 19), 20, 22])
+    def test_random_functions(self, degree, ref_memo):
+        rng = random.Random(degree)
+        for integral in (True, False):
+            for _ in range(3):
+                f = random_function(rng, Basis.P, degree, integral)
+                assert_same_output(p_to_e(f), ref_p_to_e(f))
+                f = random_function(rng, Basis.E, degree, integral)
+                assert_same_output(e_to_p(f), ref_e_to_p(f))
+
+    @pytest.mark.parametrize("degree", [63, 64])
+    def test_key_width_grows_at_degree_64(self, degree, ref_memo):
+        # 6 bits hold each count up to degree 63; degree 64 needs 7
+        half = degree // 2
+        f = (
+            SymFunc.single(Basis.P, (1,) * degree, 3)
+            + SymFunc.single(Basis.P, (2,) * half + (1,) * (degree % 2), -1)
+            + SymFunc.single(Basis.P, (4, 3) + (2,) * (half - 4) + (1,) * (degree % 2 + 1), Fraction(1, 2))
+        )
+        assert_same_output(p_to_e(f), ref_p_to_e(f))
+
+    def test_many_parts_do_not_recurse(self):
+        # the product route recursed once per part and raised RecursionError here
+        f = SymFunc.single(Basis.P, (1,) * 1500)
+        assert p_to_e(f) == SymFunc.single(Basis.E, (1,) * 1500)
+
+    def test_degree_zero_and_zero_function(self):
+        assert p_to_e(SymFunc.single(Basis.P, (), 5)) == SymFunc.single(Basis.E, (), 5)
+        assert e_to_p(SymFunc.single(Basis.E, (), Fraction(1, 3))) == SymFunc.single(Basis.P, (), Fraction(1, 3))
+        assert p_to_e(SymFunc.zero(Basis.P, 7)) == SymFunc.zero(Basis.E, 7)
+        assert e_to_p(SymFunc.zero(Basis.E, 7)) == SymFunc.zero(Basis.P, 7)
+
+    def test_path_27_and_degree_40_union_match_the_closed_form(self):
+        path = csf_path_closed(27)
+        assert p_to_e(csf_subsets(parse_graph_spec("spider(13,13)").build())) == path
+        union = csf_subsets(parse_graph_spec("union(spider(13,13),edges[13:])").build())
+        assert p_to_e(union) == path * SymFunc.single(Basis.E, (1,) * 13)
+
+
+def run_child(code: str, limit_mb: int = 0):
+    """Run ``code`` in a fresh interpreter, under an address-space limit of
+    ``limit_mb`` set in the child alone (none for 0); its exit status,
+    standard output and standard error."""
+    src = str(Path(chromsym.__file__).resolve().parent.parent)
+
+    def limit():
+        resource.setrlimit(resource.RLIMIT_AS, (limit_mb << 20, limit_mb << 20))
+
+    done = subprocess.run(
+        [sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": src},
+        preexec_fn=limit if limit_mb else None, capture_output=True, text=True,
+    )
+    return done.returncode, done.stdout, done.stderr
+
+
+#: the child's own peak RSS in MB.  ``ru_maxrss`` would also count the pages of
+#: the test process it was forked from, so the child reads its VmHWM instead.
+PRINT_PEAK_MB = "\nprint(next(int(t.split()[1]) for t in open('/proc/self/status') if t.startswith('VmHWM')) / 1024)\n"
+
+
+class TestMemory:
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+    def test_round_trip_at_the_cap_alone(self):
+        code = (
+            "from fractions import Fraction\n"
+            "from chromsym.symfunc import Basis, DEFAULT_TRANSITION_CAP, SymFunc, e_to_p, e_to_s, p_to_e, s_to_e\n"
+            + inspect.getsource(cap_function)
+            + "f = cap_function()\nassert s_to_e(e_to_s(f)) == f and p_to_e(e_to_p(f)) == f"
+            + PRINT_PEAK_MB
+        )
+        status, out, err = run_child(code)
+        assert status == 0, err
+        assert float(out) < 110  # 213 MB with the product route's prefix memo
+
+    def test_degree_40_union_under_one_gigabyte(self):
+        code = "from chromsym.cli import main\nassert main(['csf', 'union(spider(13,13),edges[13:])']) == 0\n"
+        status, _, err = run_child(code, limit_mb=1024)
+        assert status == 0, err
 
 
 class TestConvertRouting:
