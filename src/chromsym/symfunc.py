@@ -422,9 +422,8 @@ def p_to_e(f: SymFunc) -> SymFunc:
 
 
 def e_to_p(f: SymFunc) -> SymFunc:
-    """Convert from the elementary basis to the power-sum basis (exact): d! e_lam,
-    the product of the lam_j! e_{lam_j} times d! / prod_j lam_j!, in integers,
-    then one division by d! per output term."""
+    """Convert from the elementary basis to the power-sum basis (exact): d! e_lam is prod_j lam_j! e_{lam_j}
+    times d! / prod_j lam_j!, in integers, then one division by d! per output term."""
     _degree_guard(f.degree)
     d = factorial(f.degree)
     return _nested(f, Basis.E, Basis.P, _elementary_in_p, lambda lam: d // prod(map(factorial, lam)), d)
