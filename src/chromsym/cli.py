@@ -8,20 +8,21 @@ returns ``(obj, text, failed)``: the ``--json`` object, the human-readable
 lines, and whether the verdict is negative.  ``main`` alone prints one of
 the two, byte-deterministic, and turns ``failed`` under ``--strict`` into
 exit status 1; usage or domain errors exit with status 2.
+
+``positivity``, ``identities`` and ``inspect`` are imported inside the
+commands that use them, so ``csf``, ``chrompoly`` and ``partitions`` start
+without loading them.
 """
 
 from __future__ import annotations
 
 import argparse
-import inspect
 import json
 import sys
 
-from .csf import compute_chromatic, compute_csf, csf_degree
+from .csf import DEFAULT_GRID_VERTEX_CAP, compute_chromatic, compute_csf, csf_degree
 from .graphs import parse_graph_spec
-from .identities import DEFAULT_GRID_VERTEX_CAP, VERIFIERS, run_grid
 from .partitions import partitions_of
-from .positivity import _scan_guard, e_positivity, missing_partition_scan, s_positivity
 from .symfunc import Basis, _degree_guard, convert
 
 def _cmd_csf(args) -> tuple:
@@ -46,6 +47,8 @@ def _cmd_chrompoly(args) -> tuple:
 
 
 def _cmd_positivity(args) -> tuple:
+    from .positivity import e_positivity, s_positivity
+
     check = e_positivity if args.basis == "e" else s_positivity
     report = check(args.spec)
     verdict = f"{args.basis}-positive" if report.positive else f"not {args.basis}-positive"
@@ -57,6 +60,8 @@ def _cmd_positivity(args) -> tuple:
 
 
 def _cmd_scan(args) -> tuple:
+    from .positivity import _scan_guard, missing_partition_scan
+
     spec = parse_graph_spec(args.spec)
     _scan_guard(csf_degree(spec))
     missing = missing_partition_scan(spec.build())
@@ -76,6 +81,10 @@ def _verify_kwargs(name: str, text: str) -> dict:
     specs contain commas.  Otherwise the text is split on commas and each
     piece is converted by its parameter's annotation.
     """
+    import inspect
+
+    from .identities import VERIFIERS
+
     params = [
         p
         for p in inspect.signature(VERIFIERS[name], eval_str=True).parameters.values()
@@ -102,6 +111,8 @@ def _report_line(obj: dict) -> str:
 
 
 def _cmd_verify(args) -> tuple:
+    from .identities import VERIFIERS, run_grid
+
     name = args.name.replace("-", "_")
     if name not in VERIFIERS:
         known = ", ".join(sorted(VERIFIERS))

@@ -63,6 +63,9 @@ from .symfunc import Basis, SymFunc, p_to_e, signed_sum
 CSF_EDGE_CAP = 26
 #: ceiling on |E| for chromatic-polynomial deletion-contraction
 DEFAULT_CHROMPOLY_EDGE_CAP = 40
+#: default ceiling on |V| for identity parameter grids; defined here, not in
+#: ``identities``, so that the CLI's parser can name it without loading that module
+DEFAULT_GRID_VERTEX_CAP = 14
 
 
 def _vertex_guard(route: str, n: int) -> None:

@@ -14,7 +14,7 @@ and reads |V| for its vertex bounds through it, before any build.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import partial
 from itertools import combinations
 
@@ -336,8 +336,7 @@ def edge_subset_type(g: Graph, subset) -> Partition:
 
 # -------------------------------------------------------------- spec grammar
 
-@dataclass(frozen=True)
-class GraphSpec:
+class GraphSpec(namedtuple("GraphSpec", "family args")):
     """Parsed graph description: a family name plus arguments.
 
     ``args`` holds ints for the simple families, ``(n, rays)`` for suns,
@@ -345,8 +344,7 @@ class GraphSpec:
     explicit edge lists.
     """
 
-    family: str
-    args: tuple
+    __slots__ = ()
 
     def _entry(self):
         """The family's table entry, once the argument count is right."""

@@ -13,12 +13,13 @@ parameter grid, and ``run_grid`` sweeps an identity over that grid.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations
 
 from .csf import (
     DEFAULT_CHROMPOLY_EDGE_CAP,
+    DEFAULT_GRID_VERTEX_CAP,
     _eliminate,
     _vertex_guard,
     chromatic_poly_closed,
@@ -36,9 +37,6 @@ from .graphs import Graph, GraphSpec, as_spec, dumbbell_graph, parse_graph_spec
 from .positivity import _check_uniform_sun, triangle_sun_missing_type, uniform_sun_coefficient, uniform_sun_missing_type
 from .symfunc import Basis, SymFunc
 
-#: default ceiling on |V| for identity parameter grids
-DEFAULT_GRID_VERTEX_CAP = 14
-
 
 def _jsonable(value):
     if isinstance(value, bool) or value is None or isinstance(value, (int, str)):
@@ -54,8 +52,7 @@ def _jsonable(value):
     return str(value)
 
 
-@dataclass(frozen=True)
-class IdentityReport:
+class IdentityReport(namedtuple("IdentityReport", "name params lhs rhs equal difference")):
     """Two sides of one identity and their exact difference.
 
     For the grid-level distinguishability claim there is no equation;
@@ -63,12 +60,7 @@ class IdentityReport:
     counterexample found.
     """
 
-    name: str
-    params: dict
-    lhs: object
-    rhs: object
-    equal: bool
-    difference: object
+    __slots__ = ()
 
     def to_json_obj(self) -> dict:
         def side(x):

@@ -71,16 +71,23 @@ class Partition(tuple):
 
 @lru_cache(maxsize=None)
 def _partition_list(n: int) -> tuple:
-    """All partitions of n in lexicographically decreasing order, as a tuple."""
+    """All partitions of n in lexicographically decreasing order, as a tuple.
 
-    def below(left, most):  # partitions of ``left`` into parts of at most ``most``, largest first
+    A stack of (prefix, what is left, largest part allowed): the next parts
+    are pushed smallest first, so the largest is popped first.  Each prefix
+    is already weakly decreasing and positive, so it is wrapped as a
+    Partition without the constructor's sort and checks.
+    """
+    out = []
+    stack = [((), n, n)]
+    while stack:
+        prefix, left, most = stack.pop()
         if not left:
-            yield ()
-        for first in range(min(left, most), 0, -1):
-            for rest in below(left - first, first):
-                yield (first,) + rest
-
-    return tuple(map(Partition, below(n, n)))
+            out.append(tuple.__new__(Partition, prefix))
+            continue
+        for first in range(1, min(left, most) + 1):
+            stack.append((prefix + (first,), left - first, first))
+    return tuple(out)
 
 
 def partitions_of(n: int) -> list:

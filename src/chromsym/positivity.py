@@ -24,7 +24,7 @@ coefficient values they force.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections import namedtuple
 from math import gcd
 
 from .csf import _vertex_guard, compute_csf, csf_degree
@@ -36,14 +36,13 @@ from .symfunc import Basis, _degree_guard, e_to_s, fraction_json
 DEFAULT_SCAN_VERTEX_CAP = 14
 
 
-@dataclass(frozen=True)
-class PositivityReport:
-    """Outcome of a positivity check in one basis, recording the engine used."""
+class PositivityReport(namedtuple("PositivityReport", "positive basis witness engine")):
+    """Outcome of a positivity check in one basis, recording the engine used.
 
-    positive: bool
-    basis: Basis
-    witness: tuple | None  # (Partition, Fraction) for the smallest negative term
-    engine: str
+    ``witness`` is None, or ``(Partition, Fraction)`` for the smallest negative term.
+    """
+
+    __slots__ = ()
 
     def to_json_obj(self) -> dict:
         wit = None
@@ -58,11 +57,10 @@ class PositivityReport:
         }
 
 
-@dataclass(frozen=True)
-class ConnectedPartitionWitness:
+class ConnectedPartitionWitness(namedtuple("ConnectedPartitionWitness", "blocks")):
     """Blocks of a connected partition, each a sorted vertex tuple."""
 
-    blocks: tuple
+    __slots__ = ()
 
     def type(self) -> Partition:
         return Partition(len(b) for b in self.blocks)

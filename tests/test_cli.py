@@ -250,12 +250,18 @@ class TestVerifyCommand:
 
     def test_bad_param_count(self, capsys):
         code, _, err = run(capsys, "verify", "dumbbell_recursion", "4,0")
-        assert code == 2 and "error:" in err
+        assert code == 2
+        assert err == "error: expected 3 comma-separated values (m,l,n)\n"
 
     def test_bad_param_value(self, capsys):
         code, out, err = run(capsys, "verify", "dumbbell_recursion", "4,x,3")
         assert code == 2 and out == ""
-        assert err.startswith("error:") and err.count("\n") == 1
+        assert err == "error: l must be int, got 'x'\n"
+
+    def test_bad_param_value_names_its_parameter(self, capsys):
+        code, out, err = run(capsys, "verify", "sun-coefficient", "3,x")
+        assert code == 2 and out == ""
+        assert err == "error: k must be int, got 'x'\n"
 
     @pytest.mark.parametrize("name", sorted(VERIFIERS))
     def test_params_round_trip(self, name):
@@ -429,3 +435,23 @@ def test_cli_import_loads_no_process_pool():
     env = {**os.environ, "PYTHONPATH": src}
     done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True, text=True, check=True)
     assert done.stdout == "[]\n"
+
+
+def imported_modules(*args) -> set:
+    """The modules a fresh ``python -S -X importtime ARGS`` imports, read from
+    its import-time log; ``-S`` leaves out whatever ``site`` imports."""
+    env = {**os.environ, "PYTHONPATH": str(Path(chromsym.__file__).resolve().parent.parent)}
+    done = subprocess.run(
+        [sys.executable, "-S", "-X", "importtime", *args], env=env, capture_output=True, text=True, check=True
+    )
+    return {line.rsplit("|", 1)[1].strip() for line in done.stderr.splitlines() if line.startswith("import time:")}
+
+
+def test_start_up_loads_only_what_the_command_runs():
+    assert not {m for m in imported_modules("-c", "import chromsym") if m.startswith("chromsym.")}
+    verifiers = {"chromsym.identities", "chromsym.positivity"}
+    cli_import = imported_modules("-c", "import chromsym.cli")
+    assert "chromsym.cli" in cli_import
+    assert not cli_import & {"dataclasses", "inspect", *verifiers}
+    assert not verifiers & imported_modules("-m", "chromsym.cli", "csf", "path(3)", "--json")
+    assert verifiers <= imported_modules("-m", "chromsym.cli", "verify", "dumbbell-recursion", "4,1,3")

@@ -4,7 +4,7 @@ import pytest
 
 from chromsym import identities
 from chromsym.csf import compute_csf
-from chromsym.graphs import cycle_graph, dumbbell_graph, path_graph, sun_graph
+from chromsym.graphs import GraphSpec, cycle_graph, dumbbell_graph, path_graph, sun_graph
 from chromsym.identities import (
     DEFAULT_GRID_VERTEX_CAP,
     IdentityReport,
@@ -25,7 +25,8 @@ from chromsym.identities import (
     verify_sun_spider_reduction,
     verify_triple_deletion,
 )
-from chromsym.symfunc import SymFunc
+from chromsym.positivity import ConnectedPartitionWitness, PositivityReport
+from chromsym.symfunc import Basis, SymFunc
 
 
 def assert_verified(report):
@@ -284,3 +285,32 @@ class TestIdentityContent:
     def test_verifier_names_unique(self):
         names = [verify_sun_coefficient(3, 1).name, verify_small_sun_coefficient(2, 1, 2).name]
         assert len(set(names)) == len(names)
+
+
+@pytest.mark.parametrize(
+    "make, text",
+    [
+        (lambda: GraphSpec("sun", (3, (1, 2, 1))), "GraphSpec(family='sun', args=(3, (1, 2, 1)))"),
+        (
+            lambda: PositivityReport(False, Basis.E, ((3, 3), -6), "subsets"),
+            "PositivityReport(positive=False, basis=<Basis.E: 'e'>, witness=((3, 3), -6), engine='subsets')",
+        ),
+        (lambda: ConnectedPartitionWitness(((0, 1), (2,))), "ConnectedPartitionWitness(blocks=((0, 1), (2,)))"),
+        (
+            lambda: IdentityReport("x", {"n": 3}, None, None, True, None),
+            "IdentityReport(name='x', params={'n': 3}, lhs=None, rhs=None, equal=True, difference=None)",
+        ),
+    ],
+    ids=["GraphSpec", "PositivityReport", "ConnectedPartitionWitness", "IdentityReport"],
+)
+def test_records_are_read_only_values(make, text):
+    """The result records: repr with field names, equality by value, a hash
+    when every field is hashable (not ``params``), and no assignment."""
+    record, twin = make(), make()
+    assert repr(record) == text
+    assert record == twin and record is not twin
+    if not isinstance(getattr(record, "params", None), dict):
+        assert hash(record) == hash(twin)
+    field = text.split("(")[1].split("=")[0]
+    with pytest.raises(AttributeError):
+        setattr(record, field, None)

@@ -3,9 +3,9 @@ module imports a sibling's private name unless it is pinned here.
 
 A dependency-free stand-in for a linter's unused-import rule: each module is
 parsed with ``ast`` and every name bound by an ``import`` must be read
-somewhere in the module.  ``__init__.py`` is skipped, since its imports are
-the package's re-exports, and so are ``from __future__`` imports.  Those
-re-exports are checked against ``__all__`` instead.  The underscore names a
+somewhere in the module.  ``__init__.py`` is skipped, since it imports its
+exports lazily from a table, and so are ``from __future__`` imports.  That
+table is checked against ``__all__`` and the modules instead.  The underscore names a
 module takes from its siblings must equal its entry in ``PRIVATE_IMPORTS``,
 so a new private import across modules shows up as an edit to that table.
 Every module-level underscore name must be read somewhere in the package
@@ -13,6 +13,7 @@ outside its own definition, so a helper left behind by a refactor fails.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import pytest
@@ -84,18 +85,21 @@ def test_checker_sees_private_imports():
 
 
 def test_package_exports_exactly_its_imports():
-    """``__all__`` is sorted, has no duplicates, and names what ``__init__.py`` imports."""
-    tree = ast.parse((SRC / "__init__.py").read_text())
-    imported = [
-        alias.asname or alias.name
-        for node in ast.walk(tree)
-        if isinstance(node, ast.ImportFrom) and node.module != "__future__"
-        for alias in node.names
-    ]
+    """``__all__`` is sorted, has no duplicates, and names the export table;
+    each name is its module's object, ``import *`` binds every name, and an
+    unknown name raises AttributeError."""
+    table = [(module, name) for module, names in chromsym._EXPORTS.items() for name in names.split()]
     exported = chromsym.__all__
     assert exported == sorted(exported)
-    assert len(set(exported)) == len(exported)
-    assert set(exported) == set(imported)
+    assert len(set(exported)) == len(exported) == len(table)
+    assert set(exported) == {name for _, name in table}
+    for module, name in table:
+        assert getattr(chromsym, name) is getattr(importlib.import_module(f"chromsym.{module}"), name)
+    namespace = {}
+    exec("from chromsym import *", namespace)
+    assert set(namespace) - {"__builtins__"} == set(exported)
+    with pytest.raises(AttributeError, match="no_such_name"):
+        chromsym.no_such_name
 
 
 def _defined_names(stmt) -> list:
