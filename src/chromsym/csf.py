@@ -4,12 +4,15 @@ Engines:
 
 * ``csf_subsets`` -- the edge-subset expansion
   :math:`X_G = \\sum_{S \\subseteq E} (-1)^{|S|} p_{\\lambda(S)}`,
-  evaluated by a frontier-state dynamic program that merges the subsets
-  reaching the same partition of the live vertices and drops each pair of
-  subsets that cancel.  It numbers the vertices depth first, which keeps the
-  frontier narrow, moves the block labels once per step and distinct labels,
-  and keys the closed sizes on integer count vectors.  This is the
-  formula-free oracle every other route is checked against.
+  evaluated by a frontier-state dynamic program with one step per vertex,
+  in depth-first order: v joins any set J of its adjacent live blocks with
+  sign (-1)^|J|, the sum over the nonempty edge subsets into each block.  A
+  vertex's future is its set of later neighbours and a class is the live
+  vertices that share one; a block is kept as (size, mask of the classes it
+  touches), so equal blocks are interchangeable, joining k of m of them
+  weighs C(m, k) (-1)^k, and a clique body walks integer partitions instead
+  of set partitions.  The closed sizes are keyed on integer count vectors.
+  This is the formula-free oracle every other route is checked against.
 * one deletion-contraction kernel, ``_deletion_contraction``, over states
   whose vertices are clumps of original vertices (the weighted recursion of
   Crew and Spirkl, :math:`X_G = X_{G\\setminus e} - X_{G/e}`, where
@@ -52,11 +55,11 @@ above ``DEFAULT_CHROMPOLY_EDGE_CAP``, and every route above
 from __future__ import annotations
 
 from functools import lru_cache, reduce
-from math import factorial
+from math import comb, factorial
 from operator import mul
 
 from .graphs import Graph, GraphSpec, as_spec
-from .partitions import DEFAULT_ENUMERATION_CAP, _count_keys
+from .partitions import DEFAULT_ENUMERATION_CAP, Partition, _count_keys
 from .symfunc import Basis, SymFunc, p_to_e, signed_sum
 
 #: ceiling on |E| for both CSF engines, the subset oracle and deletion-contraction
@@ -80,25 +83,32 @@ def _subset_counts(n, edges):
     """Signed counts {component-size tuple: sum of (-1)^|S|} over subsets of ``edges``.
 
     A frontier-state dynamic program (Sekine, Imai and Tani 1995; Kawahara et
-    al. 2017).  The edges are decided one at a time, in a depth-first vertex
-    order with each edge placed by its later endpoint, and subsets that reach
-    the same state share one signed count.  The cost grows with the frontier
-    width, which the order decides: depth first walks one leg of a spider or
-    one ray of a sun at a time, where breadth first holds them all open.  A
-    state is the block label of each frontier vertex (one that has met an
-    edge and has edges left), renumbered by first appearance, the size of
-    each live block, and the multiset of closed component sizes; the first
-    two key ``states`` and the third keys a table of counts.  The multiset is
-    a ``_count_keys`` integer with n.bit_length() bits per count; no count
-    exceeds n, so closing a block adds its unit without reaching a wrong
-    index.  A vertex leaves the frontier after its last edge, and a block
-    with no frontier vertex left closes; an isolated vertex is closed from
-    the start.  The successors' labels, live block order and closed blocks
-    depend on the step and the labels alone, so each step finds them once per
-    distinct labels, and a state only permutes and sums its sizes.  An edge
-    whose endpoints already share a block drops the state: skipping and
-    taking it lead to the same successor with opposite signs.  The subsets
-    left are the |P_G(-1)| sets with no broken circuit (Stanley 1995, Thm 2.9).
+    al. 2017).  The vertices are taken one at a time in depth-first order, and
+    the step of a vertex v decides all its edges to earlier vertices.  The
+    cost grows with the frontier width, which the order decides: depth first
+    walks one leg of a spider or one ray of a sun at a time, where breadth
+    first holds them all open.  A vertex's future is its set of later
+    neighbours; the frontier is the vertices met so far with a nonempty
+    future, and a class is the frontier vertices that share one future.  A
+    state is the sorted tuple of live blocks, each ``(size, mask)`` with a bit
+    for every class it touches, and it keys a table of counts by the multiset
+    of closed component sizes, a ``_count_keys`` integer (no count exceeds n,
+    so closing a block adds its unit without reaching a wrong index).
+
+    A block that holds k >= 1 earlier neighbours of v reaches one successor by
+    every nonempty subset of those k edges, with total sign
+    sum_{j>=1} C(k, j) (-1)^j = -1, so v joins any set J of its adjacent blocks
+    with sign (-1)^|J|.  A class is adjacent to v as a whole, so whether a
+    block is adjacent, and what it touches after the step, depends on its
+    mask alone, and blocks with equal ``(size, mask)`` are interchangeable:
+    joining k of m equal blocks weighs C(m, k) (-1)^k.  On a clique body every
+    earlier vertex is in one class, so the states are the integer partitions
+    of what has been met, not its set partitions.  Futures only shrink, so
+    classes only merge, a class keeps its bit while it lives, and one whose
+    future empties leaves; a block that touches no class after the step
+    closes.  Every count of one key has the sign (-1)^(n - parts), so none is
+    zero, and their absolute values sum to |P_G(-1)|, the number of sets with
+    no broken circuit (Stanley 1995, Thm 2.9).
     """
     adj = Graph(n, edges).adjacency()
     pos = {}
@@ -109,45 +119,64 @@ def _subset_counts(n, edges):
             if x not in pos:
                 pos[x] = len(pos)
                 stack += reversed(adj[x])
-    order = sorted(edges, key=lambda e: sorted((pos[e[0]], pos[e[1]]), reverse=True))
-    last = {x: i for i, e in enumerate(order) for x in e}  # each vertex's last edge
+    later = [0] * n  # by position: the future, one bit per later position
+    for x, nbrs in enumerate(adj):
+        later[pos[x]] = sum(1 << pos[y] for y in nbrs if pos[y] > pos[x])
     unit, decode = _count_keys(n)
-    front = []
-    states = {((), ()): {sum(unit[1] for x in range(n) if x not in last): 1}}
-    for i, (u, v) in enumerate(order):
-        added = [x for x in (u, v) if x not in front]
-        front += added
-        pu, pv = front.index(u), front.index(v)
-        keep = [p for p, x in enumerate(front) if last[x] != i]
-        front = [front[p] for p in keep]
-        ones = (1,) * len(added)
-        moves, nxt = {}, {}
-        for (labels, sizes), table in states.items():
-            move = moves.get(labels)
-            if move is None:  # each successor's sign, labels, live blocks and closed blocks
-                lab = labels + tuple(range(len(sizes), len(sizes) + len(added)))
-                a, b = sorted((lab[pu], lab[pv]))
-                move = moves[labels] = []
-                for sign, lb in ((1, lab), (-1, tuple(a if x == b else x for x in lab))) if a != b else ():
-                    kept = [lb[p] for p in keep]
-                    rank = {x: r for r, x in enumerate(dict.fromkeys(kept))}
-                    gone = [x for x in dict.fromkeys(lb) if x not in rank]
-                    move.append((sign, a, b, tuple(rank[x] for x in kept), tuple(rank), gone))
-            siz = sizes + ones
-            for sign, a, b, lab, live, gone in move:
-                if sign < 0:  # block b joins block a; its own slot is read no more
-                    siz = siz[:a] + (siz[a] + siz[b],) + siz[a + 1:]
-                g = sum([unit[siz[x]] for x in gone]) if gone else 0
-                key = (lab, tuple([siz[x] for x in live]))
+    classes = {}  # class bit -> future
+    states = {(): {0: 1}}
+    for t, future in enumerate(later):
+        bit = 1 << t
+        bits = {f: c for c, f in classes.items() if not f & bit}  # future -> class bit after the step
+        bits[0] = 0  # an empty future leaves the frontier
+        remap = {}  # each class adjacent to v -> its bit after the step
+        for c, f in classes.items():
+            if f & bit:
+                remap[c] = bits.setdefault(f ^ bit, c)
+        near = sum(remap)  # the classes adjacent to v, a bit each
+        classes = {c: f for f, c in bits.items() if c}
+        vmask = bits.get(future)
+        if vmask is None:
+            used = sum(classes)
+            vmask = ~used & used + 1  # the lowest free bit
+            classes[vmask] = future
+        nxt = {}
+        for state, table in states.items():
+            far, adjacent = [], {}
+            for b in state:
+                if b[1] & near:
+                    adjacent[b] = adjacent.get(b, 0) + 1
+                else:
+                    far.append(b)  # its classes keep their futures and bits
+            succ = [(1, 1, vmask, 0, far)]  # weight, v's block size and mask, closed sizes, blocks left
+            for b, m in adjacent.items():
+                s, after = b[0], b[1] & ~near  # the block after the step
+                for c, to in remap.items():
+                    if b[1] & c:
+                        after |= to
+                stay, shut = ([(s, after)], 0) if after else ([], unit[s])  # left alone, it stays or closes
+                if m == 1:  # v joins the block or not
+                    succ = [y for w, size, mask, g, blocks in succ
+                            for y in ((w, size, mask, g + shut, blocks + stay), (-w, size + s, mask | after, g, blocks))]
+                else:  # v joins k of the m equal blocks
+                    succ = [(w * comb(m, k) * (-1) ** k, size + k * s, mask | after if k else mask,
+                             g + (m - k) * shut, blocks + stay * (m - k))
+                            for w, size, mask, g, blocks in succ for k in range(m + 1)]
+            for w, size, mask, g, blocks in succ:
+                if mask:
+                    blocks = blocks + [(size, mask)]
+                else:
+                    g += unit[size]
+                key = tuple(sorted(blocks))
                 out = nxt.get(key)
                 if out is None:
-                    nxt[key] = {closed + g: sign * c for closed, c in table.items()}
+                    nxt[key] = {closed + g: w * c for closed, c in table.items()}
                 else:
                     for closed, c in table.items():
                         closed += g
-                        out[closed] = out.get(closed, 0) + sign * c
+                        out[closed] = out.get(closed, 0) + w * c
         states = nxt
-    return {decode(key): c for key, c in states.get(((), ()), {}).items()}
+    return {decode(key): c for key, c in states[()].items()}
 
 
 def csf_subsets(g: Graph) -> SymFunc:
@@ -159,7 +188,8 @@ def csf_subsets(g: Graph) -> SymFunc:
     if len(g.edges) > CSF_EDGE_CAP:
         raise ValueError(f"subset oracle guarded at {CSF_EDGE_CAP} edges, graph has {len(g.edges)}")
     _vertex_guard("subset oracle", g.n)
-    return SymFunc(Basis.P, g.n, _subset_counts(g.n, g.edge_list))
+    terms = _subset_counts(g.n, g.edge_list)  # each index already largest first
+    return SymFunc._trusted(Basis.P, g.n, {tuple.__new__(Partition, lam): c for lam, c in terms.items()})
 
 
 # ---------------------------------------------------- deletion-contraction

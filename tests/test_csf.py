@@ -981,6 +981,48 @@ class TestLargeSparseGraphs:
         assert_is_the_csf_table(g, _subset_counts(g.n, g.edge_list))
 
 
+@st.composite
+def twin_graphs(draw):
+    """Random and glued graphs blown up by one to four twins, each a new vertex
+    with the neighbours of an old one, joined to it (a true twin) or not (a
+    false twin), kept to at most 10 vertices and ``CSF_EDGE_CAP`` edges, so
+    the subset walk stays small."""
+    g = draw(st.one_of(random_graphs(), glued_graphs()).filter(lambda g: g.n > 0))
+    n, edges = g.n, list(g.edge_list)
+    for _ in range(draw(st.integers(1, 4))):
+        x = draw(st.integers(0, n - 1))
+        twin = [(u if v == x else v, n) for u, v in edges if x in (u, v)]
+        twin += [(x, n)] if draw(st.booleans()) else []
+        if n == 10 or len(edges) + len(twin) > CSF_EDGE_CAP:
+            break
+        n, edges = n + 1, edges + twin
+    return Graph(n, edges)
+
+
+class TestTwinRichGraphs:
+    """Graphs whose blocks the subset DP merges as twins, against both references."""
+
+    @settings(deadline=None, max_examples=25)
+    @given(twin_graphs())
+    def test_blown_up_graphs(self, g):
+        table = _subset_counts(g.n, g.edge_list)
+        assert table == ref_subset_counts(g.n, g.edge_list)
+        assert table == walk_subset_counts(g.n, g.edge_list)
+
+    @pytest.mark.parametrize(
+        "g",
+        [complete_graph(7), disjoint_union(complete_graph(4), complete_graph(5)),
+         Graph(7, [(i, j) for i in range(3) for j in range(3, 7)]),
+         parse_graph_spec("csun(7;1,1,1,1,1,1,1)").build(), parse_graph_spec("line(complete(5))").build()],
+        ids=["K7", "K4+K5", "K3,4", "csun(7;1^7)", "line(K5)"],
+    )
+    def test_fixed_graphs(self, g):
+        # called directly: the last two are over the edge cap of csf_subsets
+        table = _subset_counts(g.n, g.edge_list)
+        assert table == ref_subset_counts(g.n, g.edge_list)
+        assert_is_the_csf_table(g, table)
+
+
 class TestBondLattice:
     """Consequences of X_G = sum_{pi in L_G} mu(0, pi) p_type(pi) over the bond
     lattice L_G, the set partitions of V(G) into connected blocks."""
