@@ -9,9 +9,10 @@ lines, and whether the verdict is negative.  ``main`` alone prints one of
 the two, byte-deterministic, and turns ``failed`` under ``--strict`` into
 exit status 1; usage or domain errors exit with status 2.
 
-``positivity``, ``identities`` and ``inspect`` are imported inside the
-commands that use them, so ``csf``, ``chrompoly`` and ``partitions`` start
-without loading them.
+Every module but ``partitions`` is imported inside the commands that use
+it, so ``partitions`` loads only ``cli`` and ``partitions``, ``csf`` and
+``chrompoly`` load neither ``positivity`` nor ``identities``, and the parser
+reads its one constant, ``DEFAULT_GRID_VERTEX_CAP``, from ``partitions``.
 """
 
 from __future__ import annotations
@@ -20,12 +21,14 @@ import argparse
 import json
 import sys
 
-from .csf import DEFAULT_GRID_VERTEX_CAP, compute_chromatic, compute_csf, csf_degree
-from .graphs import parse_graph_spec
-from .partitions import partitions_of
-from .symfunc import Basis, _degree_guard, convert
+from .partitions import DEFAULT_GRID_VERTEX_CAP, partitions_of
+
 
 def _cmd_csf(args) -> tuple:
+    from .csf import compute_csf, csf_degree
+    from .graphs import parse_graph_spec
+    from .symfunc import Basis, _degree_guard, convert
+
     basis = Basis(args.basis)
     if basis is not Basis.E:
         _degree_guard(csf_degree(args.spec))
@@ -38,6 +41,8 @@ def _cmd_csf(args) -> tuple:
 
 
 def _cmd_chrompoly(args) -> tuple:
+    from .csf import compute_chromatic
+
     poly, engine = compute_chromatic(args.spec)
     if args.at is not None:
         value = poly(args.at)
@@ -60,6 +65,8 @@ def _cmd_positivity(args) -> tuple:
 
 
 def _cmd_scan(args) -> tuple:
+    from .csf import csf_degree
+    from .graphs import parse_graph_spec
     from .positivity import _scan_guard, missing_partition_scan
 
     spec = parse_graph_spec(args.spec)

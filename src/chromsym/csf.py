@@ -13,19 +13,24 @@ Engines:
   weighs C(m, k) (-1)^k, and a clique body walks integer partitions instead
   of set partitions.  The closed sizes are keyed on integer count vectors.
   This is the formula-free oracle every other route is checked against.
+  Run without block sizes, it counts components only, which gives the
+  chromatic polynomial :math:`P_G(x) = \\sum_S (-1)^{|S|} x^{c(S)}`.
 * one deletion-contraction kernel, ``_deletion_contraction``, over states
   whose vertices are clumps of original vertices (the weighted recursion of
   Crew and Spirkl, :math:`X_G = X_{G\\setminus e} - X_{G/e}`, where
   contraction merges the endpoint clumps and a clump's weight is its size).
-  Its moves: a disconnected state is the product of its components, each
-  memoized on its edge set; a connected state may close in one step;
-  otherwise it deletes and contracts the non-bridge edge of largest degree
-  sum.  ``csf_dc`` runs it on p-basis ``SymFunc`` values, whose product and
-  difference the subset oracle thus checks.  ``chromatic_poly_dc`` first
-  splits the graph into 2-connected blocks,
-  P(G) = x^{n - sum_B (|V(B)|-1)} prod_B P(B)/x, and runs it on each block,
-  where trees close to x(x-1)^{|E|} and complete states to a falling
-  factorial.
+  Its moves: a state may close in one step; a disconnected state is the
+  product of its components, each memoized on its edge set; otherwise it
+  deletes and contracts the non-bridge edge of largest degree sum.
+  ``csf_dc`` runs it on p-basis ``SymFunc`` values, whose product and
+  difference the subset oracle thus checks.
+* one block split for the chromatic polynomial, ``_block_product``:
+  P(G) = x^{n - sum_B (|V(B)|-1)} prod_B P(B)/x over the 2-connected blocks
+  B, where the bridges give (x-1)^{bridges} and a clique closes to a falling
+  factorial, rows built once per size.  ``compute_chromatic`` evaluates every other
+  block by the subset DP without sizes; ``chromatic_poly_dc`` runs the
+  kernel on it, where trees and complete states close, and is the second
+  route that checks the first and the closed forms.
 * closed forms for paths, cycles, complete graphs, tadpoles, lollipops and the
   dumbbell families, accepted only because the test suite pins them to the
   subset oracle on overlapping grids.  Each checks its arguments by
@@ -35,21 +40,25 @@ Engines:
 
 Component products, block products and the tree and clique closings are
 theorems about all graphs, not family formulas: no ``*_closed`` function is
-ever called on the deletion-contraction path, so it stays an independent
-check of them.  All coefficients are integers: the CSF engines expand in the
-p basis, and the closed forms, which use integer weights only, in the e basis.
+ever called on the deletion-contraction or subset path, so both stay
+independent checks of them.  All coefficients are integers: the CSF engines
+expand in the p basis, and the closed forms, which use integer weights only,
+in the e basis.
 
 ``compute_csf`` takes no options and picks its engine from its input alone:
 a spec whose family has a closed form returns it, any other spec is built,
 and a ``Graph`` goes to ``csf_subsets`` (``csf_dc`` is the tests' second
 route).  ``compute_csf(spec.build())`` is thus the formula-free route every
-identity check compares the closed forms with.
+identity check compares the closed forms with.  ``compute_chromatic`` routes
+the same way: a closed form for a sun or dumbbell spec, else the block split
+with the subset DP.
 
 Each guard is a fixed module constant, checked before the work starts: the
-CSF engines refuse graphs above ``CSF_EDGE_CAP`` edges, ``chromatic_poly_dc``
-above ``DEFAULT_CHROMPOLY_EDGE_CAP``, and every route above
-``DEFAULT_ENUMERATION_CAP`` vertices, read for a spec from ``GraphSpec.check``
-(``csf_degree``) before any build or closed form; the edge caps run on the graph.
+CSF engines refuse graphs above ``CSF_EDGE_CAP`` edges, both chromatic
+routes through the block split above ``DEFAULT_CHROMPOLY_EDGE_CAP``, and
+every route above ``DEFAULT_ENUMERATION_CAP`` vertices, read for a spec from
+``GraphSpec.check`` (``csf_degree``) before any build or closed form; the
+edge caps run on the graph.
 """
 
 from __future__ import annotations
@@ -66,9 +75,6 @@ from .symfunc import Basis, SymFunc, p_to_e, signed_sum
 CSF_EDGE_CAP = 26
 #: ceiling on |E| for chromatic-polynomial deletion-contraction
 DEFAULT_CHROMPOLY_EDGE_CAP = 40
-#: default ceiling on |V| for identity parameter grids; defined here, not in
-#: ``identities``, so that the CLI's parser can name it without loading that module
-DEFAULT_GRID_VERTEX_CAP = 14
 
 
 def _vertex_guard(route: str, n: int) -> None:
@@ -79,7 +85,7 @@ def _vertex_guard(route: str, n: int) -> None:
 # ------------------------------------------------------------- subset oracle
 
 
-def _subset_counts(n, edges):
+def _subset_counts(n, edges, sizes=True):
     """Signed counts {component-size tuple: sum of (-1)^|S|} over subsets of ``edges``.
 
     A frontier-state dynamic program (Sekine, Imai and Tani 1995; Kawahara et
@@ -109,6 +115,11 @@ def _subset_counts(n, edges):
     closes.  Every count of one key has the sign (-1)^(n - parts), so none is
     zero, and their absolute values sum to |P_G(-1)|, the number of sets with
     no broken circuit (Stanley 1995, Thm 2.9).
+
+    With ``sizes`` false every block has size 0 and closing one adds 1 to the
+    key, so blocks that touch the same classes merge whatever their sizes, and
+    the table is {number of components: count}: the coefficients of the
+    chromatic polynomial P_G(x) = sum_S (-1)^|S| x^{c(S)}.
     """
     adj = Graph(n, edges).adjacency()
     pos = {}
@@ -122,7 +133,8 @@ def _subset_counts(n, edges):
     later = [0] * n  # by position: the future, one bit per later position
     for x, nbrs in enumerate(adj):
         later[pos[x]] = sum(1 << pos[y] for y in nbrs if pos[y] > pos[x])
-    unit, decode = _count_keys(n)
+    unit, decode = _count_keys(n) if sizes else ([1], None)
+    one = 1 if sizes else 0  # the size of v's own block
     classes = {}  # class bit -> future
     states = {(): {0: 1}}
     for t, future in enumerate(later):
@@ -148,7 +160,7 @@ def _subset_counts(n, edges):
                     adjacent[b] = adjacent.get(b, 0) + 1
                 else:
                     far.append(b)  # its classes keep their futures and bits
-            succ = [(1, 1, vmask, 0, far)]  # weight, v's block size and mask, closed sizes, blocks left
+            succ = [(1, one, vmask, 0, far)]  # weight, v's block size and mask, closed sizes, blocks left
             for b, m in adjacent.items():
                 s, after = b[0], b[1] & ~near  # the block after the step
                 for c, to in remap.items():
@@ -176,6 +188,8 @@ def _subset_counts(n, edges):
                         closed += g
                         out[closed] = out.get(closed, 0) + w * c
         states = nxt
+    if not sizes:
+        return states[()]
     return {decode(key): c for key, c in states[()].items()}
 
 
@@ -259,19 +273,26 @@ def _deletion_contraction(state, leaf, close=None):
     ``_clump``).  Values are any type with ``*`` and ``-`` (``SymFunc``,
     ``ChromPoly``).  The invariant is multiplicative over components, so a
     disconnected state is the product of its components, each memoized on its
-    edge set for this call.  On a connected state ``close(state)`` may return
-    the value directly; otherwise the kernel returns
+    edge set for this call.  Otherwise the kernel returns
     ``value(G - e) - value(G / e)`` for the non-bridge edge e with the largest
     degree sum (any edge on a tree), multiplying in ``leaf(clump)`` for each
     clump the move leaves isolated.  Contraction merges the endpoint clumps
     and collapses parallel edges.
+
+    ``close(state)`` may return the value directly, and is asked first, before
+    the state is split into blocks, so it sees every state the kernel meets.
+    These are all connected when the start state is and ``close`` closes
+    every tree: a state that does not close then has a non-bridge edge to
+    delete, and contraction keeps a state connected.
     """
     memo = {}
 
     def value(edges):
-        hit = memo.get(edges)
-        if hit is not None:
-            return hit
+        out = memo.get(edges)
+        if out is None and close is not None:
+            out = close(edges)
+        if out is not None:
+            return out
         components = _biconnected(edges)
         if len(components) == 1:
             return connected(edges, components[0])
@@ -283,29 +304,26 @@ def _deletion_contraction(state, leaf, close=None):
         return reduce(mul, factors)
 
     def connected(edges, blocks):
-        out = close(edges) if close is not None else None
-        if out is None:
-            deg = {}
-            for a, b in edges:
-                deg[a] = deg.get(a, 0) + 1
-                deg[b] = deg.get(b, 0) + 1
-            pool = [e for block in blocks if len(block) > 1 for e in block] or edges
-            e = max(pool, key=lambda ed: (deg[ed[0]] + deg[ed[1]], ed))
-            a, b = e
-            rest = edges - {e}
-            deleted = [leaf(x) for x in e if deg[x] == 1]
-            if rest:
-                deleted.append(value(rest))
-            merged = _clump(a + b)
-            contracted = set()
-            for u, v in rest:
-                if u in e:
-                    u = merged
-                if v in e:
-                    v = merged
-                contracted.add((u, v) if u < v else (v, u))
-            out = reduce(mul, deleted) - (value(frozenset(contracted)) if contracted else leaf(merged))
-        memo[edges] = out
+        deg = {}
+        for a, b in edges:
+            deg[a] = deg.get(a, 0) + 1
+            deg[b] = deg.get(b, 0) + 1
+        pool = [e for block in blocks if len(block) > 1 for e in block] or edges
+        e = max(pool, key=lambda ed: (deg[ed[0]] + deg[ed[1]], ed))
+        a, b = e
+        rest = edges - {e}
+        deleted = [leaf(x) for x in e if deg[x] == 1]
+        if rest:
+            deleted.append(value(rest))
+        merged = _clump(a + b)
+        contracted = set()
+        for u, v in rest:
+            if u in e:
+                u = merged
+            if v in e:
+                v = merged
+            contracted.add((u, v) if u < v else (v, u))
+        out = memo[edges] = reduce(mul, deleted) - (value(frozenset(contracted)) if contracted else leaf(merged))
         return out
 
     return value(state)
@@ -491,7 +509,7 @@ class ChromPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=(0,)):
-        cs = [int(c) for c in coeffs]
+        cs = list(map(int, coeffs))
         while len(cs) > 1 and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -513,16 +531,17 @@ class ChromPoly:
         return ChromPoly([a[i] + (b[i] if i < len(b) else 0) for i in range(len(a))])
 
     def __sub__(self, other):
-        return self + ChromPoly([-c for c in other.coeffs])
+        return self + -1 * other
 
     def __mul__(self, other):
         if isinstance(other, int):
             return ChromPoly([c * other for c in self.coeffs])
-        out = [0] * (len(self.coeffs) + len(other.coeffs) - 1)
-        for i, a in enumerate(self.coeffs):
+        b = other.coeffs
+        out = [0] * (len(self.coeffs) + len(b) - 1)
+        for i, a in enumerate(self.coeffs):  # a row of the product: a x^i times other
             if a:
-                for j, b in enumerate(other.coeffs):
-                    out[i + j] += a * b
+                j = i + len(b)
+                out[i:j] = [o + a * c for o, c in zip(out[i:j], b)]
         return ChromPoly(out)
 
     __rmul__ = __mul__
@@ -557,50 +576,103 @@ _X = ChromPoly((0, 1))
 _XM1 = ChromPoly((-1, 1))
 
 
-def _poly_pow(p: ChromPoly, k: int) -> ChromPoly:
-    return reduce(mul, [p] * k, ChromPoly((1,)))
+def _times_x_minus(p: ChromPoly, j: int) -> ChromPoly:
+    """p (x-j) for a monic p, by one row: c'_i = c_{i-1} - j c_i."""
+    c = p.coeffs
+    return ChromPoly((-j * c[0], *(a - j * b for a, b in zip(c, c[1:])), 1))
 
 
+@lru_cache(maxsize=None)
+def _xm1_power(k: int) -> ChromPoly:
+    """(x-1)^k, from (x-1)^{k-1}."""
+    return ChromPoly((1,)) if k == 0 else _times_x_minus(_xm1_power(k - 1), 1)
+
+
+@lru_cache(maxsize=None)
+def _tree(k: int) -> ChromPoly:
+    """x (x-1)^k, the chromatic polynomial of a tree with k edges."""
+    return ChromPoly((0, *_xm1_power(k).coeffs))
+
+
+@lru_cache(maxsize=None)
 def _falling(k: int) -> ChromPoly:
-    """x (x-1) ... (x-k+1), the chromatic polynomial of K_k."""
-    return reduce(mul, (ChromPoly((-i, 1)) for i in range(k)), ChromPoly((1,)))
+    """x (x-1) ... (x-k+1), the chromatic polynomial of K_k, from k-1."""
+    return ChromPoly((1,)) if k == 0 else _times_x_minus(_falling(k - 1), k - 1)
 
 
 def _close_chromatic(edges):
-    """Trees close to x (x-1)^{|E|} and complete states to a falling factorial."""
+    """Trees close to x (x-1)^{|E|} and complete states to a falling factorial.
+
+    ``edges`` must be connected: the test for a tree is |E| = |V| - 1, which a
+    triangle beside a disjoint edge passes too.
+    """
     k = len({x for e in edges for x in e})
     if len(edges) == k - 1:
-        return _X * _poly_pow(_XM1, len(edges))
+        return _tree(k - 1)
     if 2 * len(edges) == k * (k - 1):
         return _falling(k)
     return None
 
 
-def chromatic_poly_dc(g: Graph) -> ChromPoly:
-    """Chromatic polynomial by blocks and deletion-contraction.
+def _block_product(g: Graph, evaluate) -> ChromPoly:
+    """P(G) = x^{n - sum_B (|V(B)|-1)} prod_B P(B)/x over the 2-connected blocks B.
 
-    The graph splits into its 2-connected blocks B, and
-    P(G) = x^{n - sum_B (|V(B)|-1)} prod_B P(B)/x.  Each block runs through
-    the deletion-contraction kernel, where trees and complete states close in
-    one step and other states branch on a non-bridge edge.  Guarded at
-    ``DEFAULT_CHROMPOLY_EDGE_CAP`` edges and ``DEFAULT_ENUMERATION_CAP`` vertices.
+    The bridges give one row, (x-1)^{bridges}, a clique block closes by
+    ``_close_chromatic``, and any other block, a list of edges between
+    clumps, gets P(B) = ``evaluate(block)``.  Guarded at
+    ``DEFAULT_CHROMPOLY_EDGE_CAP`` edges and ``DEFAULT_ENUMERATION_CAP``
+    vertices.
     """
     if len(g.edges) > DEFAULT_CHROMPOLY_EDGE_CAP:
         raise ValueError(f"chromatic recursion guarded at {DEFAULT_CHROMPOLY_EDGE_CAP} edges, graph has {len(g.edges)}")
     _vertex_guard("chromatic polynomial", g.n)
-    exponent = g.n
+    exponent, bridges = g.n, 0
     out = ChromPoly((1,))
     for blocks in _biconnected(_unit_edges(g.edge_list)):
         for block in blocks:
+            if len(block) == 1:
+                bridges += 1
+                exponent -= 1
+                continue
             exponent -= len({x for e in block for x in e}) - 1
-            poly = _deletion_contraction(frozenset(block), lambda _: _X, _close_chromatic)
+            poly = _close_chromatic(block)
+            if poly is None:
+                poly = evaluate(block)
             out = out * poly.shift_divide()
-    return out * _poly_pow(_X, exponent)
+    return ChromPoly((0,) * exponent + (out * _xm1_power(bridges)).coeffs)
 
 
+def _dc_block(block) -> ChromPoly:
+    return _deletion_contraction(frozenset(block), lambda _: _X, _close_chromatic)
+
+
+def _subsets_block(block) -> ChromPoly:
+    """P(B) by ``_subset_counts`` without sizes, on B's clumps renumbered from 0."""
+    index = {}
+    edges = [(index.setdefault(a, len(index)), index.setdefault(b, len(index))) for a, b in block]
+    coeffs = [0] * (len(index) + 1)
+    for k, c in _subset_counts(len(index), edges, sizes=False).items():
+        coeffs[k] = c
+    return ChromPoly(coeffs)
+
+
+def chromatic_poly_dc(g: Graph) -> ChromPoly:
+    """Chromatic polynomial by blocks and deletion-contraction.
+
+    ``_block_product`` closes the bridge and clique blocks, and every other
+    block runs through the deletion-contraction kernel, where trees and
+    complete states close in one step and other states branch on a
+    non-bridge edge.  This is the second route that checks ``compute_chromatic``
+    and the closed forms.  Guarded at ``DEFAULT_CHROMPOLY_EDGE_CAP`` edges and
+    ``DEFAULT_ENUMERATION_CAP`` vertices.
+    """
+    return _block_product(g, _dc_block)
+
+
+@lru_cache(maxsize=None)
 def _cycle_chromatic(n: int) -> ChromPoly:
     """(x-1)^n + (-1)^n (x-1), the chromatic polynomial of C_n."""
-    return _poly_pow(_XM1, n) + (-1) ** n * _XM1
+    return _xm1_power(n) + (-1) ** n * _XM1
 
 
 def _closed_chromatic(spec: GraphSpec):
@@ -614,7 +686,7 @@ def _closed_chromatic(spec: GraphSpec):
         bodies, bridges = zip(_DUMBBELL_BODIES[fam], a[::2]), a[1] + 1
     else:
         return None
-    out = _X * _poly_pow(_XM1, bridges)
+    out = _tree(bridges)
     for body, size in bodies:
         out = out * (_cycle_chromatic if body == "cycle" else _falling)(size).shift_divide()
     return out
@@ -681,9 +753,12 @@ def csf_degree(target) -> int:
 
 def compute_chromatic(target):
     """Chromatic polynomial of a Graph, GraphSpec or spec string; returns
-    (ChromPoly, engine_used).  A family with a closed form uses it, and any
-    other graph goes through ``chromatic_poly_dc``.  Both routes are guarded
-    at ``DEFAULT_ENUMERATION_CAP`` vertices, checked before either runs.
+    (ChromPoly, engine_used).  A family with a closed form uses it ("closed").
+    Any other graph goes to ``_block_product``, which closes its bridge and
+    clique blocks and sends every other block to ``_subset_counts`` without
+    sizes ("subsets"); ``chromatic_poly_dc`` is the tests' second route.  Both
+    routes are guarded at ``DEFAULT_ENUMERATION_CAP`` vertices, checked before
+    either runs, and the subsets route at ``DEFAULT_CHROMPOLY_EDGE_CAP`` edges.
     """
     _vertex_guard("chromatic polynomial", csf_degree(target))
     spec = as_spec(target)
@@ -692,4 +767,4 @@ def compute_chromatic(target):
         if closed is not None:
             return closed, "closed"
         target = spec.build()
-    return chromatic_poly_dc(target), "dc"
+    return _block_product(target, _subsets_block), "subsets"

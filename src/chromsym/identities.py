@@ -19,7 +19,6 @@ from itertools import combinations
 
 from .csf import (
     DEFAULT_CHROMPOLY_EDGE_CAP,
-    DEFAULT_GRID_VERTEX_CAP,
     _eliminate,
     _vertex_guard,
     chromatic_poly_closed,
@@ -34,6 +33,7 @@ from .csf import (
     csf_tadpole_closed,
 )
 from .graphs import Graph, GraphSpec, as_spec, dumbbell_graph, parse_graph_spec
+from .partitions import DEFAULT_GRID_VERTEX_CAP
 from .positivity import _check_uniform_sun, triangle_sun_missing_type, uniform_sun_coefficient, uniform_sun_missing_type
 from .symfunc import Basis, SymFunc
 

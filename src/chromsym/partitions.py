@@ -6,6 +6,9 @@ from functools import lru_cache
 
 #: refuse to enumerate partitions of anything larger than this
 DEFAULT_ENUMERATION_CAP = 40
+#: default ceiling on |V| for identity parameter grids; defined here, not in
+#: ``identities``, so that the CLI's parser can name it without loading more
+DEFAULT_GRID_VERTEX_CAP = 14
 
 
 class Partition(tuple):

@@ -93,7 +93,7 @@ class TestChrompolyCommand:
     def test_human(self, capsys):
         code, out, _ = run(capsys, "chrompoly", "cycle(3)")
         assert code == 0
-        assert out == "chi[cycle(3)] = x^3 - 3*x^2 + 2*x  (dc)\n"
+        assert out == "chi[cycle(3)] = x^3 - 3*x^2 + 2*x  (subsets)\n"
 
     def test_family_uses_closed_form(self, capsys):
         _, out, _ = run(capsys, "chrompoly", "dumbbell(3,0,3)", "--json")
@@ -387,7 +387,7 @@ class TestErrorsAndParser:
         def refuse(*args):
             pytest.fail("compute_csf ran before the degree guard")
 
-        monkeypatch.setattr(cli, "compute_csf", refuse)
+        monkeypatch.setattr(csf_module, "compute_csf", refuse)  # the csf command imports it on each call
         monkeypatch.setattr(positivity, "compute_csf", refuse)
         code, out, err = run(capsys, *argv)
         assert code == 2 and out == ""
@@ -454,4 +454,6 @@ def test_start_up_loads_only_what_the_command_runs():
     assert "chromsym.cli" in cli_import
     assert not cli_import & {"dataclasses", "inspect", *verifiers}
     assert not verifiers & imported_modules("-m", "chromsym.cli", "csf", "path(3)", "--json")
+    engines = {"chromsym.csf", "chromsym.graphs", "chromsym.symfunc"}
+    assert not engines & imported_modules("-m", "chromsym.cli", "partitions", "1")
     assert verifiers <= imported_modules("-m", "chromsym.cli", "verify", "dumbbell-recursion", "4,1,3")

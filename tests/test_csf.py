@@ -1,3 +1,4 @@
+import contextlib
 import itertools
 import math
 import random
@@ -16,6 +17,7 @@ from chromsym.csf import (
     chromatic_poly_closed,
     chromatic_poly_dc,
     closed_csf_for,
+    compute_chromatic,
     compute_csf,
     csf_complete_closed,
     csf_complete_dumbbell_closed,
@@ -44,7 +46,7 @@ from chromsym.graphs import (
     sun_graph,
     tadpole_graph,
 )
-from chromsym.identities import _canonical_dumbbell_triples, _grid_dumbbell, _sun_specs
+from chromsym.identities import _canonical_dumbbell_triples, _grid_dumbbell, _sun_specs, iter_grid
 from chromsym.partitions import DEFAULT_ENUMERATION_CAP, Partition, partitions_of
 from chromsym.positivity import has_connected_partition, missing_partition_scan
 from chromsym.symfunc import Basis, SymFunc, e_to_p, e_to_s, p_to_e, s_to_e
@@ -1021,6 +1023,114 @@ class TestTwinRichGraphs:
         table = _subset_counts(g.n, g.edge_list)
         assert table == ref_subset_counts(g.n, g.edge_list)
         assert_is_the_csf_table(g, table)
+
+
+def grid_graph(rows, cols):
+    """The rows x cols grid, vertex r * cols + c at row r and column c."""
+    right = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    down = [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    return Graph(rows * cols, right + down)
+
+
+def is_connected(edges) -> bool:
+    """Whether the endpoints of a nonempty edge set form one component."""
+    adj = {}
+    for a, b in edges:
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+    seen, stack = set(), [next(iter(adj))]
+    while stack:
+        x = stack.pop()
+        if x not in seen:
+            seen.add(x)
+            stack += adj[x]
+    return len(seen) == len(adj)
+
+
+def chromatic_grid_graphs(cap):
+    return [parse_graph_spec(kw["target"]).build() for kw in iter_grid("chromatic_closed_forms", cap)]
+
+
+class TestChromaticRoutes:
+    """``compute_chromatic``'s subset route against deletion-contraction, and
+    the connectivity that ``_close_chromatic`` relies on."""
+
+    def test_grid_matches_dc(self):
+        graphs = chromatic_grid_graphs(14)
+        assert len(graphs) == 865
+        for g in graphs:
+            poly, engine = compute_chromatic(g)
+            assert engine == "subsets"
+            assert poly == chromatic_poly_dc(g), g.edge_list
+
+    @settings(deadline=None, max_examples=50)
+    @given(st.one_of(random_graphs(), glued_graphs(), twin_graphs()))
+    def test_random_graphs_match_dc(self, g):
+        poly = chromatic_poly_dc(g)
+        assert compute_chromatic(g) == (poly, "subsets")
+        # the whole graph, without the block split
+        table = _subset_counts(g.n, g.edge_list, sizes=False)
+        assert table == {k: c for k, c in enumerate(poly.coeffs) if c}
+
+    @pytest.mark.parametrize(
+        "g", [parse_graph_spec("line(complete(5))").build(), grid_graph(4, 5)], ids=["line(K5)", "grid(4,5)"]
+    )
+    def test_without_dc(self, g):
+        # deletion-contraction takes seconds on both: check P_G(k) = X_G(1^k) from the sized table
+        poly, engine = compute_chromatic(g)
+        assert engine == "subsets"
+        table = _subset_counts(g.n, g.edge_list)
+        assert [poly(k) for k in range(6)] == [sum(c * k ** len(lam) for lam, c in table.items()) for k in range(6)]
+
+    def test_spec_routes_to_subsets(self):
+        assert compute_chromatic("line(complete(5))")[1] == "subsets"
+        assert compute_chromatic("cycle(3)") == (ChromPoly((0, 2, -3, 1)), "subsets")
+        assert compute_chromatic("cdumbbell(3,0,3)")[1] == "closed"
+
+    def test_triangle_beside_an_edge(self):
+        # |E| = 4 = |V| - 1, yet no tree: P = x(x-1)(x-2) * x(x-1)
+        g = Graph(5, [(0, 1), (0, 2), (1, 2), (3, 4)])
+        expected = ChromPoly((0, -1, 1)) * ChromPoly((0, 2, -3, 1))
+        assert chromatic_poly_dc(g) == compute_chromatic(g)[0] == expected
+        assert [expected(k) for k in range(5)] == [count_colourings(g, k) for k in range(5)]
+        # on the disconnected edge set itself the tree test misfires
+        assert csf_module._close_chromatic(csf_module._unit_edges(g.edge_list)) != expected
+
+    @staticmethod
+    @contextlib.contextmanager
+    def closings():
+        """Every edge set ``_close_chromatic`` receives, checked connected as it arrives."""
+        seen = []
+        close = csf_module._close_chromatic
+
+        def checked(edges):
+            assert is_connected(edges), sorted(edges)
+            seen.append(edges)
+            return close(edges)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(csf_module, "_close_chromatic", checked)
+            yield seen
+
+    @staticmethod
+    def cycle_blocks(g) -> int:
+        """The blocks of g that are no bridge: each route asks ``_close_chromatic`` about each."""
+        return sum(len(block) > 1 for blocks in csf_module._biconnected(g.edges) for block in blocks)
+
+    def test_closings_see_connected_sets_on_the_grid(self):
+        graphs = chromatic_grid_graphs(10)
+        with self.closings() as seen:
+            for g in graphs:
+                chromatic_poly_dc(g)
+                compute_chromatic(g)
+        assert len(seen) >= 2 * sum(map(self.cycle_blocks, graphs)) > 0
+
+    @settings(deadline=None, max_examples=50)
+    @given(st.one_of(random_graphs(), glued_graphs()))
+    def test_closings_see_connected_sets_on_random_graphs(self, g):
+        with self.closings() as seen:
+            assert chromatic_poly_dc(g) == compute_chromatic(g)[0]
+        assert len(seen) >= 2 * self.cycle_blocks(g)
 
 
 class TestBondLattice:
