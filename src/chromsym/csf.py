@@ -456,10 +456,12 @@ _DUMBBELL_BODIES = {
 
 
 def _dumbbell(family: str, m: int, l: int, n: int) -> SymFunc:
-    """Eliminate the m-body over the n-body with tail l + j, and that over P_{l+i+j}."""
+    """Eliminate the m-body over R(j), the n-body with tail l + j: the cached
+    tadpole T(n, l + j) or lollipop L(n, l + j)."""
     _closed_guard(family, m, l, n)
     first, second = _DUMBBELL_BODIES[family]
-    return _eliminate(first, m, lambda j: _eliminate(second, n, lambda i: csf_path_closed(l + i + j)))
+    inner = csf_tadpole_closed if second == "cycle" else csf_lollipop_closed
+    return _eliminate(first, m, lambda j: inner(n, l + j))
 
 
 @lru_cache(maxsize=None)
@@ -509,7 +511,10 @@ class ChromPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=(0,)):
-        cs = list(map(int, coeffs))
+        given = list(coeffs)
+        cs = list(map(int, given))
+        if cs != given:
+            raise ValueError(f"chromatic polynomial coefficients must be integers, got {given}")
         while len(cs) > 1 and cs[-1] == 0:
             cs.pop()
         self.coeffs = tuple(cs)
@@ -728,10 +733,11 @@ def compute_csf(target):
     """Compute X_G in the elementary basis; returns (SymFunc, engine_used).
 
     ``target`` may be a Graph, GraphSpec or spec string.  A spec whose family
-    has a closed form returns it ("closed"); any other spec is built once
-    within the subset oracle's vertex bound.  A ``Graph`` never meets a closed
-    form: it goes to the subset expansion ("subsets").  So
-    ``compute_csf(spec.build())`` is independent of the family formulas.
+    has a closed form returns it ("closed"); any other spec is built once,
+    as its isomorphic ``spec.canonical()``, within the subset oracle's vertex
+    bound.  A ``Graph`` never meets a closed form: it goes to the subset
+    expansion ("subsets").  So ``compute_csf(spec.build())`` is independent
+    of the family formulas.
     """
     spec = as_spec(target)
     if spec is not None:
@@ -740,7 +746,7 @@ def compute_csf(target):
         if closed is not None:
             return closed, "closed"
         _vertex_guard("subset oracle", n)
-        target = spec.build()
+        target = spec.canonical().build()
     return p_to_e(csf_subsets(target)), "subsets"
 
 

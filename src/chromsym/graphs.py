@@ -10,6 +10,8 @@ function its builder runs, and returns |V|.  ``_FAMILY_TABLE`` gives every
 family of the spec grammar its argument count, rule and builder;
 ``GraphSpec.check`` runs the rule, and every other module checks arguments
 and reads |V| for its vertex bounds through it, before any build.
+``GraphSpec.canonical`` names one spec per isomorphism class that the
+builders' symmetries give, so a CSF engine computes each class once.
 """
 
 from __future__ import annotations
@@ -364,6 +366,29 @@ class GraphSpec(namedtuple("GraphSpec", "family args")):
     def build(self) -> Graph:
         _, builder = self._entry()
         return builder(*self.args)
+
+    def canonical(self) -> "GraphSpec":
+        """One labelled representative of the isomorphisms the builders guarantee.
+
+        A dumbbell or complete dumbbell puts its larger body first, a sun
+        takes the lexicographically largest of its rays' rotations and
+        reflections, a complete sun its rays in decreasing order and a spider
+        its legs in increasing order; every other family returns the spec.
+        Equal results are isomorphic graphs, and of the labellings measured,
+        each choice is the one the subset DP walked fastest.  Run it on a
+        checked spec only.
+        """
+        f, a = self.family, self.args
+        if f in ("dumbbell", "cdumbbell"):
+            return GraphSpec(f, (max(a[0], a[2]), a[1], min(a[0], a[2])))
+        if f == "sun":
+            rays = tuple(a[1])
+            return GraphSpec(f, (a[0], max(r[i:] + r[:i] for r in (rays, rays[::-1]) for i in range(len(r)))))
+        if f == "csun":
+            return GraphSpec(f, (a[0], tuple(sorted(a[1], reverse=True))))
+        if f == "spider":
+            return GraphSpec(f, tuple(sorted(a)))
+        return self
 
     def __str__(self):
         f, a = self.family, self.args

@@ -6,9 +6,12 @@ independent engines — the left side by the formula-free route
 side from closed family forms — and returns an :class:`IdentityReport`
 carrying the exact difference.  ``_oracle`` takes a spec, refuses it above the
 subset expansion's vertex bound before building and above ``CSF_EDGE_CAP``
-edges after, and caches the route per graph in ``_memo``, the only memo of
-CSF results.  ``_IDENTITIES`` pairs each identity's verifier with its
-parameter grid, and ``run_grid`` sweeps an identity over that grid.
+edges after, and builds its ``GraphSpec.canonical()`` representative, so
+``_memo``, the only memo of CSF results, is keyed per isomorphism class: the
+mirror dumbbells D(m,l,n) and D(n,l,m), or suns whose rays differ by a
+rotation or reflection, run the subset expansion once.  ``_IDENTITIES``
+pairs each identity's verifier with its parameter grid, and ``run_grid``
+sweeps an identity over that grid.
 """
 
 from __future__ import annotations
@@ -86,15 +89,20 @@ def _memo(g: Graph) -> SymFunc:
     return compute_csf(g)[0]
 
 
-def _oracle_graph(spec: GraphSpec) -> Graph:
-    """The spec's graph, built only within the subset oracle's vertex bound."""
+def _checked(spec: GraphSpec) -> GraphSpec:
+    """The spec, once its arguments pass and it is within the subset oracle's vertex bound."""
     _vertex_guard("subset oracle", spec.check())
-    return spec.build()
+    return spec
 
 
 def _oracle(spec: GraphSpec) -> SymFunc:
-    """The CSF of the spec's graph by the subset expansion, memoized per graph."""
-    return _memo(_oracle_graph(spec))
+    """The CSF of the spec's graph by the subset expansion, once per isomorphism class.
+
+    A checked spec is built as ``spec.canonical()``, so every spec of one
+    class reaches ``_memo`` with the same graph: the CSF is an isomorphism
+    invariant, and the class runs the DP and p -> e once.
+    """
+    return _memo(_checked(spec).canonical().build())
 
 
 def first_triangle(g: Graph):
@@ -118,7 +126,7 @@ def verify_triple_deletion(target, e1=None, e2=None, e3=None) -> IdentityReport:
     triangle of the graph is used.
     """
     spec = as_spec(target)
-    g = _oracle_graph(spec) if spec is not None else target
+    g = _checked(spec).build() if spec is not None else target
     if e1 is None:
         tri = first_triangle(g)
         if tri is None:
@@ -263,7 +271,7 @@ def _canonical_dumbbell_triples(size_cap: int):
 
 
 def _sun_specs(cap: int):
-    """``(n, ray sum), spec`` of every sun on at most ``cap`` vertices.
+    """The spec string of every sun on at most ``cap`` vertices.
 
     The rays are the gaps between n - 1 cut points of 0..total; cuts in
     lexicographic order give the rays in lexicographic order.
@@ -272,7 +280,7 @@ def _sun_specs(cap: int):
         for total in range(n, cap - n + 1):
             for cuts in combinations(range(1, total), n - 1):
                 rays = [b - a for a, b in zip((0,) + cuts, cuts + (total,))]
-                yield (n, total), f"sun({n};{','.join(map(str, rays))})"
+                yield f"sun({n};{','.join(map(str, rays))})"
 
 
 def verify_distinguishability(family: str, size_cap: int) -> IdentityReport:
@@ -280,7 +288,8 @@ def verify_distinguishability(family: str, size_cap: int) -> IdentityReport:
 
     For "dumbbell" and "cdumbbell": CSFs of canonical triples (m <= n,
     l >= -1) with at most ``size_cap`` vertices are pairwise distinct.  For
-    "sun": suns with equal CSF have equal body size and equal ray sum.
+    "sun": suns with equal CSF are isomorphic, that is, have equal
+    ``GraphSpec.canonical()``: rays equal up to rotation and reflection.
     ``equal`` records whether the claim holds; any counterexample pair is
     placed in ``params``.  A size_cap over ``DEFAULT_GRID_VERTEX_CAP`` is
     refused before the first instance.
@@ -289,7 +298,8 @@ def verify_distinguishability(family: str, size_cap: int) -> IdentityReport:
         specs = (f"{family}({m},{l},{n})" for m, l, n in _canonical_dumbbell_triples(size_cap))
         instances = ((spec, spec, compute_csf(spec)[0]) for spec in specs)
     elif family == "sun":
-        instances = ((key, spec, _oracle(parse_graph_spec(spec))) for key, spec in _sun_specs(size_cap))
+        specs = map(parse_graph_spec, _sun_specs(size_cap))
+        instances = ((spec.canonical(), str(spec), _oracle(spec)) for spec in specs)
     else:
         raise ValueError(f"unknown family {family!r}")
     if size_cap > DEFAULT_GRID_VERTEX_CAP:
@@ -378,7 +388,7 @@ def _grid_cdumbbell(cap):
 
 
 def _grid_chromatic(cap):
-    for _, spec in _sun_specs(cap):
+    for spec in _sun_specs(cap):
         yield {"target": spec}
     for family in ("dumbbell", "cdumbbell", "sdumbbell"):
         for m, l, n in _canonical_dumbbell_triples(cap):

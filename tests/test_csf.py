@@ -549,7 +549,7 @@ class TestEliminationMatchesTermByTerm:
             assert identities.verify_cdumbbell_lollipop_expansion(m, l, n).rhs == ref_lollipop_expansion(m, l, n)
 
     def test_chromatic_block_product(self):
-        specs = [spec for _, spec in _sun_specs(REFERENCE_CAP)]
+        specs = list(_sun_specs(REFERENCE_CAP))
         for fam in ("dumbbell", "cdumbbell", "sdumbbell"):
             specs += [f"{fam}({m},{l},{n})" for m, l, n in dumbbell_args(REFERENCE_CAP)]
         for spec in specs:
@@ -569,6 +569,15 @@ class TestChromPoly:
     def test_normalises_leading_zeros(self):
         assert ChromPoly((1, 2, 0, 0)).coeffs == (1, 2)
         assert ChromPoly((0, 0)).coeffs == (0,)
+
+    @pytest.mark.parametrize("coeffs", [(0.5, 1), (Fraction(1, 2), 1), (1, 2.25), ("3",)])
+    def test_refuses_a_coefficient_that_is_not_an_integer(self, coeffs):
+        with pytest.raises(ValueError, match="must be integers"):
+            ChromPoly(coeffs)
+
+    def test_keeps_integral_values_of_other_types(self):
+        coeffs = ChromPoly((Fraction(4, 2), 1.0)).coeffs
+        assert coeffs == (2, 1) and all(type(c) is int for c in coeffs)
 
     def test_shift_divide(self):
         assert ChromPoly((0, -1, 1)).shift_divide() == ChromPoly((-1, 1))
@@ -677,6 +686,15 @@ class TestEngineRouting:
     def test_bare_graph_uses_only_subsets(self, engine_calls):
         assert compute_csf(path_graph(CSF_EDGE_CAP + 1))[1] == "subsets"
         assert engine_calls == [("subsets", CSF_EDGE_CAP)]
+
+    def test_spec_without_closed_form_builds_its_canonical_form(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(csf_module, "csf_subsets", lambda g: built.append(g) or csf_subsets(g))
+        for text, canon in [("spider(6,5,2)", "spider(2,5,6)"), ("sun(3;1,4,6)", "sun(3;6,4,1)"),
+                            ("csun(4;1,3,2,3)", "csun(4;3,3,2,1)")]:
+            f, engine = compute_csf(text)
+            assert engine == "subsets" and built.pop() == parse_graph_spec(canon).build()
+            assert f == p_to_e(csf_subsets(parse_graph_spec(text).build()))
 
     def test_closed_spec_calls_no_engine(self, engine_calls):
         assert compute_csf("cdumbbell(4,1,4)")[1] == "closed"
@@ -930,8 +948,10 @@ class TestEngineProperties:
 
 
 def oracle_graphs(monkeypatch, names, cap):
-    """Every graph the named identities' grids ask ``identities._memo`` for, with
-    the memo stubbed to a zero function so no CSF is computed."""
+    """Every graph the named identities' grids name, as its spec builds it and
+    before ``_oracle`` takes its canonical form, and every graph they ask
+    ``identities._memo`` for directly, with both stubbed to a zero function so
+    no CSF is computed."""
     seen = {}
 
     def record(g):
@@ -939,6 +959,7 @@ def oracle_graphs(monkeypatch, names, cap):
         return SymFunc(Basis.E, g.n, {})
 
     monkeypatch.setattr(identities, "_memo", record)
+    monkeypatch.setattr(identities, "_oracle", lambda spec: record(spec.build()))
     for name in names:
         identities.run_grid(name, cap)
     return list(seen)
@@ -1151,7 +1172,7 @@ class TestBondLattice:
             assert bond_sign_violations(f) == []
 
     def test_scan_is_the_missing_p_support(self):
-        specs = [spec for _, spec in _sun_specs(10)]
+        specs = list(_sun_specs(10))
         specs += [f"spider({a},{b},{c})" for a in range(1, 8) for b in range(1, a + 1)
                   for c in range(1, b + 1) if a + b + c <= 9]
         specs += [f"dumbbell({m},{l},{n})" for m, l, n in _canonical_dumbbell_triples(10)]

@@ -1,3 +1,4 @@
+import itertools
 import random
 from itertools import product
 
@@ -450,3 +451,177 @@ class TestArgumentRules:
         for call in (GraphSpec("wedge", (3,)).check, GraphSpec("wedge", (3,)).build):
             with pytest.raises(ValueError, match="unknown family"):
                 call()
+
+
+# ------------------------------------------------------- canonical specs
+
+#: the families whose builders have symmetries ``GraphSpec.canonical`` folds
+SYMMETRIC_FAMILIES = ("sun", "csun", "spider", "dumbbell", "cdumbbell")
+CANONICAL_CAP = 12
+
+
+def _compositions(total):
+    """Every tuple of positive integers summing to ``total``."""
+    for parts in range(1, total + 1):
+        for cuts in itertools.combinations(range(1, total), parts - 1):
+            yield tuple(b - a for a, b in zip((0,) + cuts, cuts + (total,)))
+
+
+def _symmetric_specs(cap):
+    """Every spec of the five families on at most ``cap`` vertices."""
+    for total in range(1, cap):
+        for rays in _compositions(total):
+            yield GraphSpec("spider", rays)
+            if len(rays) >= 3 and len(rays) + total <= cap:
+                yield GraphSpec("sun", (len(rays), rays))
+                yield GraphSpec("csun", (len(rays), rays))
+    for family in ("dumbbell", "cdumbbell"):
+        for m, n in product(range(3, cap + 1), repeat=2):
+            for l in range(-1, cap - m - n + 1):
+                yield GraphSpec(family, (m, l, n))
+
+
+def _dihedral(n):
+    """The rotations and reflections of positions 0..n-1, each as the list
+    of old positions that the new positions read."""
+    for r in range(n):
+        for step in (1, -1):
+            yield [(r + step * i) % n for i in range(n)]
+
+
+def _matching(old, new):
+    """A permutation ``order`` with ``new[t] == old[order[t]]``."""
+    free = list(range(len(old)))
+    order = []
+    for x in new:
+        i = next(i for i in free if old[i] == x)
+        free.remove(i)
+        order.append(i)
+    return order
+
+
+def _orderings(items):
+    """Every distinct ordering of a tuple."""
+    if not items:
+        yield ()
+    for x in sorted(set(items)):
+        rest = list(items)
+        rest.remove(x)
+        yield from ((x,) + tail for tail in _orderings(tuple(rest)))
+
+
+def _runs(start, lengths):
+    """Consecutive vertex runs of the given lengths from ``start``: the rays
+    of a sun or the legs of a spider in builder order."""
+    out = []
+    for k in lengths:
+        out.append(list(range(start, start + k)))
+        start += k
+    return out
+
+
+def _dumbbell_layout(m, l, n):
+    """First body, connector path and second body of D(m, l, n) in builder order."""
+    if l < 0:
+        return list(range(m)), [], [0, *range(m, m + n - 1)]
+    return list(range(m)), list(range(m, m + l)), list(range(m + l, m + l + n))
+
+
+def _vertex_maps(spec, canon):
+    """Candidate maps {vertex of spec's graph: vertex of canon's graph}, read
+    off the two builders' layouts."""
+    f, a, b = spec.family, spec.args, canon.args
+    if f in ("sun", "csun"):
+        n = a[0]
+        old_rays, new_rays = _runs(n, a[1]), _runs(n, b[1])
+        for order in _dihedral(n) if f == "sun" else [_matching(a[1], b[1])]:
+            if [a[1][i] for i in order] == list(b[1]):
+                vmap = {}
+                for t, i in enumerate(order):
+                    vmap[i] = t
+                    vmap.update(zip(old_rays[i], new_rays[t]))
+                yield vmap
+    elif f == "spider":
+        vmap = {0: 0}
+        old_legs, new_legs = _runs(1, a), _runs(1, b)
+        for t, i in enumerate(_matching(a, b)):
+            vmap.update(zip(old_legs[i], new_legs[t]))
+        yield vmap
+    else:
+        first, path, second = _dumbbell_layout(*a)
+        if a == b:
+            yield {v: v for v in range(spec.check())}
+        first2, path2, second2 = _dumbbell_layout(*b)
+        yield dict(zip(first + path + second, second2 + path2[::-1] + first2))
+
+
+class TestCanonicalSpecs:
+    """``GraphSpec.canonical`` names one isomorphic spec per class the
+    builders' symmetries give, for every spec of the five families up to
+    12 vertices."""
+
+    SPECS = list(_symmetric_specs(CANONICAL_CAP))
+
+    def test_every_family_and_size_is_covered(self):
+        assert {s.family for s in self.SPECS} == set(SYMMETRIC_FAMILIES)
+        assert max(s.check() for s in self.SPECS) == CANONICAL_CAP
+        assert len(set(self.SPECS)) == len(self.SPECS)
+
+    def test_isomorphic_by_an_explicit_vertex_map(self):
+        for spec in self.SPECS:
+            canon = spec.canonical()
+            assert canon.family == spec.family and canon.check() == spec.check(), spec
+            g, h = spec.build(), canon.build()
+            for vmap in _vertex_maps(spec, canon):
+                assert sorted(vmap) == sorted(vmap.values()) == list(range(g.n)), (spec, vmap)
+                if {tuple(sorted((vmap[u], vmap[v]))) for u, v in g.edges} == h.edges:
+                    break
+            else:
+                pytest.fail(f"no vertex map takes {spec} onto {canon}")
+
+    def test_idempotent(self):
+        for spec in self.SPECS:
+            canon = spec.canonical()
+            assert canon.canonical() == canon, spec
+
+    def test_swaps_rotations_reflections_and_permutations_collapse(self):
+        """Every spec a symmetry reaches is in the enumeration, and all of
+        them get one canonical spec, which no other class gets."""
+        def variants(spec):
+            f, a = spec.family, spec.args
+            if f == "sun":
+                return {GraphSpec(f, (a[0], tuple(a[1][i] for i in order))) for order in _dihedral(a[0])}
+            if f == "csun":
+                return {GraphSpec(f, (a[0], rays)) for rays in _orderings(a[1])}
+            if f == "spider":
+                return {GraphSpec(f, legs) for legs in _orderings(a)}
+            return {spec, GraphSpec(f, a[::-1])}
+
+        specs = set(self.SPECS)
+        owner = {}
+        for spec in self.SPECS:
+            reached = variants(spec)
+            assert spec in reached and reached <= specs, spec
+            assert {s.canonical() for s in reached} == {spec.canonical()}, spec
+            assert owner.setdefault(spec.canonical(), frozenset(reached)) == frozenset(reached), spec
+        assert sum(map(len, set(owner.values()))) == len(specs)
+
+    def test_known_representatives(self):
+        for text, want in [
+            ("dumbbell(3,2,7)", "dumbbell(7,2,3)"),
+            ("cdumbbell(3,-1,4)", "cdumbbell(4,-1,3)"),
+            ("cdumbbell(7,2,3)", "cdumbbell(7,2,3)"),
+            ("sun(3;1,4,6)", "sun(3;6,4,1)"),
+            ("sun(4;1,2,1,3)", "sun(4;3,1,2,1)"),
+            ("csun(4;1,3,2,3)", "csun(4;3,3,2,1)"),
+            ("spider(6,5,2)", "spider(2,5,6)"),
+        ]:
+            assert str(parse_graph_spec(text).canonical()) == want
+
+    @pytest.mark.parametrize(
+        "text", ["path(4)", "cycle(5)", "complete(4)", "tadpole(4,2)", "lollipop(4,2)", "sdumbbell(3,1,5)",
+                 "line(dumbbell(3,0,4))", "union(spider(3,1),sun(3;2,1,1))", "edges[3:(0,1)]"]
+    )
+    def test_other_families_are_unchanged(self, text):
+        spec = parse_graph_spec(text)
+        assert spec.canonical() is spec

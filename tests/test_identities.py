@@ -2,9 +2,9 @@ import json
 
 import pytest
 
-from chromsym import identities
+from chromsym import csf as csf_module, identities
 from chromsym.csf import compute_csf
-from chromsym.graphs import GraphSpec, cycle_graph, dumbbell_graph, path_graph, sun_graph
+from chromsym.graphs import GraphSpec, cycle_graph, dumbbell_graph, parse_graph_spec, path_graph, sun_graph
 from chromsym.identities import (
     DEFAULT_GRID_VERTEX_CAP,
     IdentityReport,
@@ -172,11 +172,57 @@ class TestDistinguishability:
         assert not rep.equal
         assert rep.params["collision"] == ["dumbbell(3,-1,3)", "dumbbell(3,0,3)"]
         assert rep.params["instances"] == len(list(identities._canonical_dumbbell_triples(7)))
-        # a sun collides only with a sun of another body size or ray sum
+        # a sun collides only with a sun that is not isomorphic to it
         rep = verify_distinguishability("sun", 7)
         assert not rep.equal
         assert rep.params["collision"] == ["sun(3;1,1,1)", "sun(3;1,1,2)"]
         assert rep.params["instances"] == 4
+
+    def test_sun_key_is_the_isomorphism_class(self, monkeypatch):
+        """A planted collision between non-isomorphic suns of equal body size
+        and ray sum: the old key, (n, ray sum), lets it through, and the
+        canonical spec catches it."""
+        planted = {"sun(4;1,2,1,2)": "sun(4;1,1,2,2)"}  # 1212 and 1122 are different bracelets
+        oracle = identities._oracle
+
+        def planted_oracle(spec):
+            return oracle(parse_graph_spec(planted.get(str(spec), str(spec))))
+
+        def old_claim(cap):
+            seen = {}
+            for spec in map(parse_graph_spec, identities._sun_specs(cap)):
+                key = (spec.args[0], sum(spec.args[1]))
+                if seen.setdefault(identities._csf_key(planted_oracle(spec)), key) != key:
+                    return False
+            return True
+
+        assert old_claim(10)
+        assert verify_distinguishability("sun", 10).equal
+        monkeypatch.setattr(identities, "_oracle", planted_oracle)
+        rep = verify_distinguishability("sun", 10)
+        assert not rep.equal
+        assert rep.params["collision"] == ["sun(4;1,1,2,2)", "sun(4;1,2,1,2)"]
+
+
+class TestOracleMemo:
+    def test_one_dp_run_per_isomorphism_class(self, monkeypatch):
+        runs = []
+        subsets = csf_module.csf_subsets
+        monkeypatch.setattr(csf_module, "csf_subsets", lambda g: runs.append(g) or subsets(g))
+        identities._memo.cache_clear()
+        a = identities._oracle(GraphSpec("dumbbell", (3, 2, 7)))
+        b = identities._oracle(GraphSpec("dumbbell", (7, 2, 3)))
+        assert runs == [dumbbell_graph(7, 2, 3)]
+        assert a == b == compute_csf("dumbbell(3,2,7)")[0]
+
+    def test_refusals_come_before_the_canonical_form(self, monkeypatch):
+        def refuse(self):
+            pytest.fail("canonical form of a spec that does not pass its checks")
+
+        monkeypatch.setattr(GraphSpec, "canonical", refuse)
+        for spec in (GraphSpec("sun", (3, (1, 1))), GraphSpec("dumbbell", (2, 0, 3)), GraphSpec("spider", (30, 30))):
+            with pytest.raises(ValueError):
+                identities._oracle(spec)
 
 
 class TestReportShape:
