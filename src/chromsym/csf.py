@@ -26,11 +26,15 @@ Engines:
   difference the subset oracle thus checks.
 * one block split for the chromatic polynomial, ``_block_product``:
   P(G) = x^{n - sum_B (|V(B)|-1)} prod_B P(B)/x over the 2-connected blocks
-  B, where the bridges give (x-1)^{bridges} and a clique closes to a falling
-  factorial, rows built once per size.  ``compute_chromatic`` evaluates every other
-  block by the subset DP without sizes; ``chromatic_poly_dc`` runs the
-  kernel on it, where trees and complete states close, and is the second
-  route that checks the first and the closed forms.
+  B of the plain vertices, where the bridges give (x-1)^{bridges} and a
+  clique closes to a falling factorial, rows built once per size.  Every
+  other block is renumbered 0..k-1 in sorted-vertex order, and
+  ``compute_chromatic`` evaluates it by the subset DP without sizes
+  (``_subsets_block``); ``chromatic_poly_dc`` runs the kernel on it
+  (``_dc_block``), where trees and complete states close, and is the second
+  route that checks the first and the closed forms.  Each route memoizes
+  its block polynomials per renumbered block, 1024 entries, in a memo of
+  its own, so neither route reads the other's results.
 * closed forms for paths, cycles, complete graphs, tadpoles, lollipops and the
   dumbbell families, accepted only because the test suite pins them to the
   subset oracle on overlapping grids.  Each checks its arguments by
@@ -64,6 +68,7 @@ edge caps run on the graph.
 from __future__ import annotations
 
 from functools import lru_cache, reduce
+from itertools import zip_longest
 from math import comb, factorial
 from operator import mul
 
@@ -515,9 +520,16 @@ class ChromPoly:
         cs = list(map(int, given))
         if cs != given:
             raise ValueError(f"chromatic polynomial coefficients must be integers, got {given}")
+        self.coeffs = ChromPoly._trusted(cs).coeffs
+
+    @classmethod
+    def _trusted(cls, cs: list) -> "ChromPoly":
+        """Unchecked: ``cs`` is a list of ints, taken over.  Trailing zeros are dropped."""
         while len(cs) > 1 and cs[-1] == 0:
             cs.pop()
-        self.coeffs = tuple(cs)
+        out = object.__new__(cls)
+        out.coeffs = tuple(cs)
+        return out
 
     @property
     def degree(self):
@@ -530,24 +542,21 @@ class ChromPoly:
         return out
 
     def __add__(self, other):
-        a, b = self.coeffs, other.coeffs
-        if len(a) < len(b):
-            a, b = b, a
-        return ChromPoly([a[i] + (b[i] if i < len(b) else 0) for i in range(len(a))])
+        return ChromPoly._trusted([a + b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0)])
 
     def __sub__(self, other):
-        return self + -1 * other
+        return ChromPoly._trusted([a - b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0)])
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return ChromPoly([c * other for c in self.coeffs])
+            return ChromPoly._trusted([c * other for c in self.coeffs])
         b = other.coeffs
         out = [0] * (len(self.coeffs) + len(b) - 1)
         for i, a in enumerate(self.coeffs):  # a row of the product: a x^i times other
             if a:
                 j = i + len(b)
                 out[i:j] = [o + a * c for o, c in zip(out[i:j], b)]
-        return ChromPoly(out)
+        return ChromPoly._trusted(out)
 
     __rmul__ = __mul__
 
@@ -555,7 +564,7 @@ class ChromPoly:
         """Exact division by x; raises if the constant term is nonzero."""
         if self.coeffs[0] != 0:
             raise ArithmeticError("polynomial not divisible by x")
-        return ChromPoly(self.coeffs[1:] or (0,))
+        return ChromPoly._trusted(list(self.coeffs[1:]) or [0])
 
     def __eq__(self, other):
         return isinstance(other, ChromPoly) and self.coeffs == other.coeffs
@@ -584,7 +593,7 @@ _XM1 = ChromPoly((-1, 1))
 def _times_x_minus(p: ChromPoly, j: int) -> ChromPoly:
     """p (x-j) for a monic p, by one row: c'_i = c_{i-1} - j c_i."""
     c = p.coeffs
-    return ChromPoly((-j * c[0], *(a - j * b for a, b in zip(c, c[1:])), 1))
+    return ChromPoly._trusted([-j * c[0], *(a - j * b for a, b in zip(c, c[1:])), 1])
 
 
 @lru_cache(maxsize=None)
@@ -596,7 +605,7 @@ def _xm1_power(k: int) -> ChromPoly:
 @lru_cache(maxsize=None)
 def _tree(k: int) -> ChromPoly:
     """x (x-1)^k, the chromatic polynomial of a tree with k edges."""
-    return ChromPoly((0, *_xm1_power(k).coeffs))
+    return ChromPoly._trusted([0, *_xm1_power(k).coeffs])
 
 
 @lru_cache(maxsize=None)
@@ -622,43 +631,53 @@ def _close_chromatic(edges):
 def _block_product(g: Graph, evaluate) -> ChromPoly:
     """P(G) = x^{n - sum_B (|V(B)|-1)} prod_B P(B)/x over the 2-connected blocks B.
 
-    The bridges give one row, (x-1)^{bridges}, a clique block closes by
-    ``_close_chromatic``, and any other block, a list of edges between
-    clumps, gets P(B) = ``evaluate(block)``.  Guarded at
-    ``DEFAULT_CHROMPOLY_EDGE_CAP`` edges and ``DEFAULT_ENUMERATION_CAP``
-    vertices.
+    The blocks come from ``_biconnected`` on the plain vertices of ``g``.  The
+    bridges give one row, (x-1)^{bridges}, a clique block closes by
+    ``_close_chromatic``, and any other block gets P(B) = ``evaluate(key)``,
+    where ``key`` is the sorted tuple of B's edges with its vertices renumbered
+    0..k-1 in sorted order, so isomorphic copies numbered alike share one key.
+    Guarded at ``DEFAULT_CHROMPOLY_EDGE_CAP`` edges and
+    ``DEFAULT_ENUMERATION_CAP`` vertices.
     """
     if len(g.edges) > DEFAULT_CHROMPOLY_EDGE_CAP:
         raise ValueError(f"chromatic recursion guarded at {DEFAULT_CHROMPOLY_EDGE_CAP} edges, graph has {len(g.edges)}")
     _vertex_guard("chromatic polynomial", g.n)
     exponent, bridges = g.n, 0
-    out = ChromPoly((1,))
-    for blocks in _biconnected(_unit_edges(g.edge_list)):
+    out = ChromPoly._trusted([1])
+    for blocks in _biconnected(g.edge_list):
         for block in blocks:
             if len(block) == 1:
                 bridges += 1
                 exponent -= 1
                 continue
-            exponent -= len({x for e in block for x in e}) - 1
+            vertices = sorted({x for e in block for x in e})
+            exponent -= len(vertices) - 1
             poly = _close_chromatic(block)
             if poly is None:
-                poly = evaluate(block)
+                index = {v: i for i, v in enumerate(vertices)}
+                poly = evaluate(tuple(sorted((index[a], index[b]) for a, b in block)))
             out = out * poly.shift_divide()
-    return ChromPoly((0,) * exponent + (out * _xm1_power(bridges)).coeffs)
+    return ChromPoly._trusted([0] * exponent + list((out * _xm1_power(bridges)).coeffs))
 
 
-def _dc_block(block) -> ChromPoly:
-    return _deletion_contraction(frozenset(block), lambda _: _X, _close_chromatic)
+@lru_cache(maxsize=1024)
+def _dc_block(block: tuple) -> ChromPoly:
+    """P(B) by the deletion-contraction kernel from the state
+    ``_unit_edges(block)``, run once per renumbered block (see
+    ``_block_product``): this route's own memo, never filled by the subset DP."""
+    return _deletion_contraction(_unit_edges(block), lambda _: _X, _close_chromatic)
 
 
-def _subsets_block(block) -> ChromPoly:
-    """P(B) by ``_subset_counts`` without sizes, on B's clumps renumbered from 0."""
-    index = {}
-    edges = [(index.setdefault(a, len(index)), index.setdefault(b, len(index))) for a, b in block]
-    coeffs = [0] * (len(index) + 1)
-    for k, c in _subset_counts(len(index), edges, sizes=False).items():
+@lru_cache(maxsize=1024)
+def _subsets_block(block: tuple) -> ChromPoly:
+    """P(B) by ``_subset_counts`` without sizes on the renumbered block, whose
+    vertices are 0..k-1, run once per block (see ``_block_product``): this
+    route's own memo, never filled by the kernel."""
+    n = 1 + max(b for _, b in block)
+    coeffs = [0] * (n + 1)
+    for k, c in _subset_counts(n, block, sizes=False).items():
         coeffs[k] = c
-    return ChromPoly(coeffs)
+    return ChromPoly._trusted(coeffs)
 
 
 def chromatic_poly_dc(g: Graph) -> ChromPoly:
@@ -699,8 +718,11 @@ def _closed_chromatic(spec: GraphSpec):
 
 def chromatic_poly_closed(spec) -> ChromPoly:
     """Closed-form chromatic polynomial for suns and the three dumbbell kinds,
-    guarded at ``DEFAULT_ENUMERATION_CAP`` vertices."""
+    guarded at ``DEFAULT_ENUMERATION_CAP`` vertices.  A built ``Graph`` names
+    no family and is refused."""
     spec = as_spec(spec)
+    if spec is None:
+        raise ValueError("a closed chromatic polynomial needs a family spec (a GraphSpec or spec string)")
     _vertex_guard("chromatic polynomial", spec.check())
     out = _closed_chromatic(spec)
     if out is None:

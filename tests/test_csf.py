@@ -579,6 +579,33 @@ class TestChromPoly:
         coeffs = ChromPoly((Fraction(4, 2), 1.0)).coeffs
         assert coeffs == (2, 1) and all(type(c) is int for c in coeffs)
 
+    @settings(max_examples=200)
+    @given(
+        st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=8),
+        st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=8),
+        st.integers(-50, 50),
+    )
+    def test_arithmetic_matches_the_checked_constructor(self, a, b, k):
+        p, q = ChromPoly(a), ChromPoly(b)
+        n = max(len(a), len(b))
+        a0, b0 = a + [0] * (n - len(a)), b + [0] * (n - len(b))
+        product = [sum(a[i] * b[j - i] for i in range(len(a)) if 0 <= j - i < len(b)) for j in range(len(a) + len(b) - 1)]
+        monic = ChromPoly(a + [1])
+        for got, want in [
+            (p + q, [x + y for x, y in zip(a0, b0)]),
+            (p - q, [x - y for x, y in zip(a0, b0)]),
+            (p - p, [0]),
+            (p * q, product),
+            (p * k, [k * x for x in a]),
+            (k * p, [k * x for x in a]),
+            (ChromPoly([0] + a).shift_divide(), a),
+            (csf_module._times_x_minus(monic, k), (monic * ChromPoly((-k, 1))).coeffs),
+        ]:
+            assert got.coeffs == ChromPoly(want).coeffs
+            assert all(type(c) is int for c in got.coeffs)
+        with pytest.raises(ValueError, match="must be integers"):
+            ChromPoly((0.5, 1))
+
     def test_shift_divide(self):
         assert ChromPoly((0, -1, 1)).shift_divide() == ChromPoly((-1, 1))
         with pytest.raises(ArithmeticError):
@@ -1120,7 +1147,9 @@ class TestChromaticRoutes:
     @staticmethod
     @contextlib.contextmanager
     def closings():
-        """Every edge set ``_close_chromatic`` receives, checked connected as it arrives."""
+        """Every edge set ``_close_chromatic`` receives, checked connected as it
+        arrives.  Both block memos start empty, so the kernel runs inside."""
+        clear_block_memos()
         seen = []
         close = csf_module._close_chromatic
 
@@ -1152,6 +1181,100 @@ class TestChromaticRoutes:
         with self.closings() as seen:
             assert chromatic_poly_dc(g) == compute_chromatic(g)[0]
         assert len(seen) >= 2 * self.cycle_blocks(g)
+
+
+def clear_block_memos():
+    csf_module._dc_block.cache_clear()
+    csf_module._subsets_block.cache_clear()
+
+
+def component_labels(g, removed=None):
+    """A component label for every vertex of g other than ``removed``."""
+    adj, label = g.adjacency(), {}
+    for s in range(g.n):
+        if s == removed or s in label:
+            continue
+        label[s], stack = s, [s]
+        while stack:
+            for y in adj[stack.pop()]:
+                if y != removed and y not in label:
+                    label[y] = s
+                    stack.append(y)
+    return label
+
+
+def blocks_by_cut_vertices(g):
+    """The 2-connected blocks of g, without a DFS: two edges share a block iff
+    they share a component and no vertex w parts them, that is, their
+    endpoints other than w lie in one component of G - w."""
+    labels = [component_labels(g, w) for w in range(g.n)]
+    whole = component_labels(g)
+
+    def sides(e):
+        return whole[e[0]], *(labels[w][e[1] if e[0] == w else e[0]] for w in range(g.n))
+
+    blocks = {}
+    for e in g.edge_list:
+        blocks.setdefault(sides(e), []).append(e)
+    return list(blocks.values())
+
+
+def open_block_keys(g):
+    """The renumbered key of every block of g that is neither a bridge nor a clique."""
+    keys = []
+    for block in blocks_by_cut_vertices(g):
+        vertices = sorted({x for e in block for x in e})
+        if len(block) > 1 and 2 * len(block) != len(vertices) * (len(vertices) - 1):
+            index = {v: i for i, v in enumerate(vertices)}
+            keys.append(tuple(sorted((index[a], index[b]) for a, b in block)))
+    return keys
+
+
+class TestBlockMemo:
+    """Each route evaluates a block that does not close once per renumbered
+    block, in a memo of its own."""
+
+    @staticmethod
+    def counted(monkeypatch, name):
+        """Record the first argument of every call of the named ``csf`` function."""
+        calls, fn = [], getattr(csf_module, name)
+        monkeypatch.setattr(csf_module, name, lambda first, *a, **k: calls.append(first) or fn(first, *a, **k))
+        return calls
+
+    def test_kernel_once_per_block_shape_on_the_grid(self, monkeypatch):
+        graphs = chromatic_grid_graphs(14)
+        keys = [key for g in graphs for key in open_block_keys(g)]
+        assert (len(set(keys)), len(keys)) == (9, 611)
+        runs = self.counted(monkeypatch, "_deletion_contraction")
+        clear_block_memos()
+        for g in graphs:
+            chromatic_poly_dc(g)
+        info = csf_module._dc_block.cache_info()
+        assert len(runs) == info.misses == info.currsize == len(set(keys))
+        assert info.hits + info.misses == len(keys)
+
+    def test_a_cycle_block_and_the_cycle_share_an_entry(self):
+        g = Graph(12, [(i, i + 1) for i in range(7)] + [(7 + i, 7 + (i + 1) % 5) for i in range(5)])
+        assert open_block_keys(g) == open_block_keys(cycle_graph(5)) == [((0, 1), (0, 4), (1, 2), (2, 3), (3, 4))]
+        clear_block_memos()
+        for route, memo in ((chromatic_poly_dc, csf_module._dc_block), (compute_chromatic, csf_module._subsets_block)):
+            route(g)
+            route(cycle_graph(5))
+            info = memo.cache_info()
+            assert (info.misses, info.hits, info.currsize) == (1, 1, 1)
+        expected = ChromPoly((0, 4, -10, 10, -5, 1))  # P(C_5), times (x-1) for each path edge
+        for _ in range(7):
+            expected = expected * ChromPoly((-1, 1))
+        assert chromatic_poly_dc(g) == compute_chromatic(g)[0] == expected
+
+    def test_routes_keep_their_own_memo(self, monkeypatch):
+        g = sun_graph(4, (1, 2, 1, 2))
+        kernel = self.counted(monkeypatch, "_deletion_contraction")
+        subsets = self.counted(monkeypatch, "_subset_counts")
+        for first, second in ((compute_chromatic, chromatic_poly_dc), (chromatic_poly_dc, compute_chromatic)):
+            clear_block_memos()
+            assert first(g) and second(g)
+        assert (len(kernel), len(subsets)) == (2, 2)
 
 
 class TestBondLattice:

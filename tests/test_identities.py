@@ -136,6 +136,18 @@ class TestChromaticIdentity:
         with pytest.raises(ValueError):
             verify_chromatic_closed_forms("path(5)")
 
+    def test_refuses_a_built_graph(self, monkeypatch):
+        def refuse(*args):
+            pytest.fail("a graph was built or expanded")
+
+        monkeypatch.setattr(identities, "chromatic_poly_dc", refuse)
+        monkeypatch.setattr(GraphSpec, "build", refuse)
+        for target in (cycle_graph(4), sun_graph(3, (1, 1, 1))):
+            with pytest.raises(ValueError, match="needs a family spec"):
+                verify_chromatic_closed_forms(target)
+            with pytest.raises(ValueError, match="needs a family spec"):
+                csf_module.chromatic_poly_closed(target)
+
     def test_closed_side_first(self, monkeypatch):
         def refuse(g):
             pytest.fail("deletion-contraction ran before the closed form was looked up")
