@@ -30,13 +30,12 @@ def _cmd_csf(args) -> tuple:
     from .symfunc import Basis, _degree_guard, convert
 
     basis = Basis(args.basis)
+    spec = parse_graph_spec(args.spec)
     if basis is not Basis.E:
-        _degree_guard(csf_degree(args.spec))
-    f, engine = compute_csf(args.spec)
+        _degree_guard(csf_degree(spec))
+    f, engine = compute_csf(spec)
     f = convert(f, basis)
-    obj = f.to_json_obj()
-    obj["spec"] = str(parse_graph_spec(args.spec))
-    obj["engine"] = engine
+    obj = {**f.to_json_obj(), "spec": str(spec), "engine": engine}
     return obj, f"X[{args.spec}] = {f}  ({engine})", False
 
 

@@ -7,14 +7,13 @@ Engines:
   evaluated by a frontier-state dynamic program with one step per vertex,
   in depth-first order: v joins any set J of its adjacent live blocks with
   sign (-1)^|J|, the sum over the nonempty edge subsets into each block.  A
-  vertex's future is its set of later neighbours and a class is the live
-  vertices that share one; a block is kept as (size, mask of the classes it
-  touches), so equal blocks are interchangeable, joining k of m of them
-  weighs C(m, k) (-1)^k, and a clique body walks integer partitions instead
-  of set partitions.  The closed sizes are keyed on integer count vectors.
-  This is the formula-free oracle every other route is checked against.
-  Run without block sizes, it counts components only, which gives the
-  chromatic polynomial :math:`P_G(x) = \\sum_S (-1)^{|S|} x^{c(S)}`.
+  block is kept as (size, mask of its later neighbours), all that a later
+  step reads of it, so equal blocks are interchangeable, joining k of m of
+  them weighs C(m, k) (-1)^k, and a clique body walks integer partitions
+  instead of set partitions.  The closed sizes are keyed on integer count
+  vectors.  This is the formula-free oracle every other route is checked
+  against.  Run without block sizes, it counts components only, which gives
+  the chromatic polynomial :math:`P_G(x) = \\sum_S (-1)^{|S|} x^{c(S)}`.
 * one deletion-contraction kernel, ``_deletion_contraction``, over states
   whose vertices are clumps of original vertices (the weighted recursion of
   Crew and Spirkl, :math:`X_G = X_{G\\setminus e} - X_{G/e}`, where
@@ -98,79 +97,60 @@ def _subset_counts(n, edges, sizes=True):
     the step of a vertex v decides all its edges to earlier vertices.  The
     cost grows with the frontier width, which the order decides: depth first
     walks one leg of a spider or one ray of a sun at a time, where breadth
-    first holds them all open.  A vertex's future is its set of later
-    neighbours; the frontier is the vertices met so far with a nonempty
-    future, and a class is the frontier vertices that share one future.  A
-    state is the sorted tuple of live blocks, each ``(size, mask)`` with a bit
-    for every class it touches, and it keys a table of counts by the multiset
-    of closed component sizes, a ``_count_keys`` integer (no count exceeds n,
-    so closing a block adds its unit without reaching a wrong index).
+    first holds them all open.  A state is the sorted tuple of live blocks,
+    each ``(size, mask)``, where the mask has a bit for every later vertex
+    adjacent to the block: the union of its vertices' later neighbours.  It
+    keys a table of counts by the multiset of closed component sizes, a
+    ``_count_keys`` integer (no count exceeds n, so closing a block adds its
+    unit without reaching a wrong index).
 
     A block that holds k >= 1 earlier neighbours of v reaches one successor by
     every nonempty subset of those k edges, with total sign
     sum_{j>=1} C(k, j) (-1)^j = -1, so v joins any set J of its adjacent blocks
-    with sign (-1)^|J|.  A class is adjacent to v as a whole, so whether a
-    block is adjacent, and what it touches after the step, depends on its
-    mask alone, and blocks with equal ``(size, mask)`` are interchangeable:
-    joining k of m equal blocks weighs C(m, k) (-1)^k.  On a clique body every
-    earlier vertex is in one class, so the states are the integer partitions
-    of what has been met, not its set partitions.  Futures only shrink, so
-    classes only merge, a class keeps its bit while it lives, and one whose
-    future empties leaves; a block that touches no class after the step
-    closes.  Every count of one key has the sign (-1)^(n - parts), so none is
-    zero, and their absolute values sum to |P_G(-1)|, the number of sets with
-    no broken circuit (Stanley 1995, Thm 2.9).
+    with sign (-1)^|J|.  A block is adjacent to v exactly when its mask has
+    v's bit, and no later step reads more of it than its size and mask, so
+    blocks with equal ``(size, mask)`` are interchangeable: joining k of m
+    equal blocks weighs C(m, k) (-1)^k.  On a clique body every earlier
+    vertex has the same later neighbours, so the states are the integer
+    partitions of what has been met, not its set partitions.  v's own block
+    starts at v's later neighbours; after the step every block drops v's
+    bit, v's block ORs in the masks of the blocks it joins, and a block whose
+    mask is empty closes.  Every count of one key has the sign
+    (-1)^(n - parts), so none is zero, and their absolute values sum to
+    |P_G(-1)|, the number of sets with no broken circuit (Stanley 1995,
+    Thm 2.9).
 
     With ``sizes`` false every block has size 0 and closing one adds 1 to the
-    key, so blocks that touch the same classes merge whatever their sizes, and
-    the table is {number of components: count}: the coefficients of the
+    key, so blocks with the same later neighbours merge whatever their sizes,
+    and the table is {number of components: count}: the coefficients of the
     chromatic polynomial P_G(x) = sum_S (-1)^|S| x^{c(S)}.
     """
     adj = Graph(n, edges).adjacency()
-    pos = {}
-    for root in range(n):
-        stack = [root]
-        while stack:  # neighbours are popped in adjacency order: a DFS preorder
-            x = stack.pop()
-            if x not in pos:
-                pos[x] = len(pos)
-                stack += reversed(adj[x])
-    later = [0] * n  # by position: the future, one bit per later position
+    pos, stack = {}, list(range(n - 1, -1, -1))
+    while stack:  # roots in increasing order, neighbours in adjacency order: a DFS preorder
+        x = stack.pop()
+        if x not in pos:
+            pos[x] = len(pos)
+            stack += reversed(adj[x])
+    later = [0] * n  # by position: the later neighbours, one bit per position
     for x, nbrs in enumerate(adj):
         later[pos[x]] = sum(1 << pos[y] for y in nbrs if pos[y] > pos[x])
     unit, decode = _count_keys(n) if sizes else ([1], None)
     one = 1 if sizes else 0  # the size of v's own block
-    classes = {}  # class bit -> future
     states = {(): {0: 1}}
-    for t, future in enumerate(later):
+    for t, own in enumerate(later):
         bit = 1 << t
-        bits = {f: c for c, f in classes.items() if not f & bit}  # future -> class bit after the step
-        bits[0] = 0  # an empty future leaves the frontier
-        remap = {}  # each class adjacent to v -> its bit after the step
-        for c, f in classes.items():
-            if f & bit:
-                remap[c] = bits.setdefault(f ^ bit, c)
-        near = sum(remap)  # the classes adjacent to v, a bit each
-        classes = {c: f for f, c in bits.items() if c}
-        vmask = bits.get(future)
-        if vmask is None:
-            used = sum(classes)
-            vmask = ~used & used + 1  # the lowest free bit
-            classes[vmask] = future
         nxt = {}
         for state, table in states.items():
             far, adjacent = [], {}
             for b in state:
-                if b[1] & near:
+                if b[1] & bit:
                     adjacent[b] = adjacent.get(b, 0) + 1
                 else:
-                    far.append(b)  # its classes keep their futures and bits
-            succ = [(1, one, vmask, 0, far)]  # weight, v's block size and mask, closed sizes, blocks left
+                    far.append(b)  # it keeps its later neighbours
+            succ = [(1, one, own, 0, far)]  # weight, v's block size and mask, closed sizes, blocks left
             for b, m in adjacent.items():
-                s, after = b[0], b[1] & ~near  # the block after the step
-                for c, to in remap.items():
-                    if b[1] & c:
-                        after |= to
+                s, after = b[0], b[1] ^ bit  # the block after the step
                 stay, shut = ([(s, after)], 0) if after else ([], unit[s])  # left alone, it stays or closes
                 if m == 1:  # v joins the block or not
                     succ = [y for w, size, mask, g, blocks in succ
@@ -516,7 +496,7 @@ class ChromPoly:
     __slots__ = ("coeffs",)
 
     def __init__(self, coeffs=(0,)):
-        given = list(coeffs)
+        given = list(coeffs) or [0]  # no coefficients: the zero polynomial
         cs = list(map(int, given))
         if cs != given:
             raise ValueError(f"chromatic polynomial coefficients must be integers, got {given}")

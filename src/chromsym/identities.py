@@ -125,6 +125,8 @@ def verify_triple_deletion(target, e1=None, e2=None, e3=None) -> IdentityReport:
     subset expansion.  When no edges are given, the lexicographically first
     triangle of the graph is used.
     """
+    if (e1, e2, e3).count(None) not in (0, 3):
+        raise ValueError("give all three edges or none")
     spec = as_spec(target)
     g = _checked(spec).build() if spec is not None else target
     if e1 is None:

@@ -50,6 +50,20 @@ class TestCsfCommand:
         obj = json.loads(out)
         assert obj["basis"] == "s"
 
+    @pytest.mark.parametrize("basis", ["e", "p"])
+    def test_parses_the_spec_once(self, capsys, monkeypatch, basis):
+        calls = []
+        parse = graphs.parse_graph_spec
+
+        def counted(text):
+            calls.append(text)
+            return parse(text)
+
+        monkeypatch.setattr(graphs, "parse_graph_spec", counted)  # read by the command and by as_spec
+        code, out, _ = run(capsys, "csf", "sun(3;1,2,1)", "--basis", basis, "--json")
+        assert code == 0 and json.loads(out)["spec"] == "sun(3;1,2,1)"
+        assert calls == ["sun(3;1,2,1)"]
+
     def test_degree_guard_override(self, capsys):
         code, _, err = run(capsys, "csf", "path(23)", "--basis", "s")
         assert code == 2

@@ -39,6 +39,7 @@ from chromsym.graphs import (
     cycle_graph,
     disjoint_union,
     dumbbell_graph,
+    line_graph,
     lollipop_graph,
     parse_graph_spec,
     path_graph,
@@ -570,6 +571,14 @@ class TestChromPoly:
         assert ChromPoly((1, 2, 0, 0)).coeffs == (1, 2)
         assert ChromPoly((0, 0)).coeffs == (0,)
 
+    @pytest.mark.parametrize("coeffs", [(), []])
+    def test_no_coefficients_is_zero(self, coeffs):
+        p = ChromPoly(coeffs)
+        assert p == ChromPoly() == ChromPoly((0,))
+        assert hash(p) == hash(ChromPoly((0,)))
+        assert p.degree == 0
+        assert p.shift_divide() == ChromPoly()
+
     @pytest.mark.parametrize("coeffs", [(0.5, 1), (Fraction(1, 2), 1), (1, 2.25), ("3",)])
     def test_refuses_a_coefficient_that_is_not_an_integer(self, coeffs):
         with pytest.raises(ValueError, match="must be integers"):
@@ -886,6 +895,18 @@ def glued_graphs(draw):
     return Graph(n, edges)
 
 
+@st.composite
+def line_graphs(draw):
+    """Line graphs of random graphs, on at most 10 vertices and ``CSF_EDGE_CAP``
+    edges.  Their vertices' later neighbours nest, so the subset DP merges the
+    blocks of such a graph most."""
+    g = draw(random_graphs())
+    edges = list(g.edge_list)[:10]
+    while len(line_graph(Graph(g.n, edges)).edges) > CSF_EDGE_CAP:
+        edges.pop()
+    return line_graph(Graph(g.n, edges))
+
+
 def count_colourings(g, k):
     """Proper k-colourings of g, by backtracking over each component in BFS order."""
     adj = g.adjacency()
@@ -1001,7 +1022,7 @@ class TestSubsetCountsMatchBreadthFirst:
             assert _subset_counts(g.n, g.edge_list) == ref_subset_counts(g.n, g.edge_list), g.edge_list
 
     @settings(deadline=None, max_examples=50)
-    @given(st.one_of(random_graphs(), glued_graphs()))
+    @given(st.one_of(random_graphs(), glued_graphs(), line_graphs()))
     def test_random_and_glued_graphs(self, g):
         assert _subset_counts(g.n, g.edge_list) == ref_subset_counts(g.n, g.edge_list)
 
@@ -1112,7 +1133,7 @@ class TestChromaticRoutes:
             assert poly == chromatic_poly_dc(g), g.edge_list
 
     @settings(deadline=None, max_examples=50)
-    @given(st.one_of(random_graphs(), glued_graphs(), twin_graphs()))
+    @given(st.one_of(random_graphs(), glued_graphs(), twin_graphs(), line_graphs()))
     def test_random_graphs_match_dc(self, g):
         poly = chromatic_poly_dc(g)
         assert compute_chromatic(g) == (poly, "subsets")

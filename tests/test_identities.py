@@ -65,6 +65,15 @@ class TestTripleDeletion:
         with pytest.raises(ValueError):
             verify_triple_deletion(cycle_graph(3), (0, 1), (0, 2), (1, 3))
 
+    @pytest.mark.parametrize("edges", [[(0, 1)], [(0, 1), (0, 2)]], ids=["e1", "e1,e2"])
+    def test_partial_edges_rejected_before_any_csf(self, monkeypatch, edges):
+        def refuse(g):
+            pytest.fail("CSF computed")
+
+        monkeypatch.setattr(identities, "_memo", refuse)
+        with pytest.raises(ValueError, match="give all three edges or none"):
+            verify_triple_deletion(cycle_graph(3), *edges)
+
 
 class TestCoefficientIdentities:
     @pytest.mark.parametrize("n,k", [(3, 1), (4, 1), (5, 1), (3, 2), (4, 2), (3, 3)])
