@@ -18,6 +18,7 @@ Engines:
   whose vertices are clumps of original vertices (the weighted recursion of
   Crew and Spirkl, :math:`X_G = X_{G\\setminus e} - X_{G/e}`, where
   contraction merges the endpoint clumps and a clump's weight is its size).
+  It takes a plain edge list and starts from each vertex its own clump.
   Its moves: a state may close in one step; a disconnected state is the
   product of its components, each memoized on its edge set; otherwise it
   deletes and contracts the non-bridge edge of largest degree sum.
@@ -194,11 +195,6 @@ def csf_subsets(g: Graph) -> SymFunc:
 # ---------------------------------------------------- deletion-contraction
 
 
-def _clump(vertices) -> tuple:
-    """A state vertex: the sorted original vertices contracted into it."""
-    return tuple(sorted(vertices))
-
-
 def _biconnected(edges):
     """2-connected blocks of an edge set, grouped by connected component.
 
@@ -251,18 +247,20 @@ def _biconnected(edges):
     return components
 
 
-def _deletion_contraction(state, leaf, close=None):
-    """Evaluate a deletion-contraction invariant of a nonempty edge state.
+def _deletion_contraction(edge_list, leaf, close=None):
+    """Evaluate a deletion-contraction invariant of a graph from its edges.
 
-    A state is a frozenset of edges ``(a, b)``, ``a < b``, between clumps (see
-    ``_clump``).  Values are any type with ``*`` and ``-`` (``SymFunc``,
-    ``ChromPoly``).  The invariant is multiplicative over components, so a
-    disconnected state is the product of its components, each memoized on its
-    edge set for this call.  Otherwise the kernel returns
-    ``value(G - e) - value(G / e)`` for the non-bridge edge e with the largest
-    degree sum (any edge on a tree), multiplying in ``leaf(clump)`` for each
-    clump the move leaves isolated.  Contraction merges the endpoint clumps
-    and collapses parallel edges.
+    ``edge_list`` is a nonempty sequence of plain pairs ``(u, v)``, ``u < v``.  A
+    state is a frozenset of edges ``(a, b)``, ``a < b``, between clumps, each
+    the sorted tuple of the original vertices contracted into it; the start
+    state makes every vertex v the clump ``(v,)``.  Values are any type with
+    ``*`` and ``-`` (``SymFunc``, ``ChromPoly``).  The invariant is
+    multiplicative over components, so a disconnected state is the product
+    of its components, each memoized on its edge set for this call.
+    Otherwise the kernel returns ``value(G - e) - value(G / e)`` for the
+    non-bridge edge e with the largest degree sum (any edge on a tree),
+    multiplying in ``leaf(clump)`` for each clump the move leaves isolated.
+    Contraction merges the endpoint clumps and collapses parallel edges.
 
     ``close(state)`` may return the value directly, and is asked first, before
     the state is split into blocks, so it sees every state the kernel meets.
@@ -300,7 +298,7 @@ def _deletion_contraction(state, leaf, close=None):
         deleted = [leaf(x) for x in e if deg[x] == 1]
         if rest:
             deleted.append(value(rest))
-        merged = _clump(a + b)
+        merged = tuple(sorted(a + b))
         contracted = set()
         for u, v in rest:
             if u in e:
@@ -311,12 +309,7 @@ def _deletion_contraction(state, leaf, close=None):
         out = memo[edges] = reduce(mul, deleted) - (value(frozenset(contracted)) if contracted else leaf(merged))
         return out
 
-    return value(state)
-
-
-def _unit_edges(edge_list) -> frozenset:
-    """The starting state: every vertex its own clump."""
-    return frozenset(((u,), (v,)) for u, v in edge_list)
+    return value(frozenset(((u,), (v,)) for u, v in edge_list))
 
 
 def csf_dc(g: Graph) -> SymFunc:
@@ -331,9 +324,7 @@ def csf_dc(g: Graph) -> SymFunc:
     _vertex_guard("CSF deletion-contraction", g.n)
     out = SymFunc.single(Basis.P, (1,) * (g.n - len({v for e in g.edges for v in e})))
     if g.edges:
-        out = out * _deletion_contraction(
-            _unit_edges(g.edge_list), lambda clump: SymFunc.single(Basis.P, (len(clump),))
-        )
+        out = out * _deletion_contraction(g.edge_list, lambda clump: SymFunc.single(Basis.P, (len(clump),)))
     return out
 
 
@@ -570,16 +561,10 @@ _X = ChromPoly((0, 1))
 _XM1 = ChromPoly((-1, 1))
 
 
-def _times_x_minus(p: ChromPoly, j: int) -> ChromPoly:
-    """p (x-j) for a monic p, by one row: c'_i = c_{i-1} - j c_i."""
-    c = p.coeffs
-    return ChromPoly._trusted([-j * c[0], *(a - j * b for a, b in zip(c, c[1:])), 1])
-
-
 @lru_cache(maxsize=None)
 def _xm1_power(k: int) -> ChromPoly:
     """(x-1)^k, from (x-1)^{k-1}."""
-    return ChromPoly((1,)) if k == 0 else _times_x_minus(_xm1_power(k - 1), 1)
+    return ChromPoly((1,)) if k == 0 else _xm1_power(k - 1) * _XM1
 
 
 @lru_cache(maxsize=None)
@@ -591,7 +576,7 @@ def _tree(k: int) -> ChromPoly:
 @lru_cache(maxsize=None)
 def _falling(k: int) -> ChromPoly:
     """x (x-1) ... (x-k+1), the chromatic polynomial of K_k, from k-1."""
-    return ChromPoly((1,)) if k == 0 else _times_x_minus(_falling(k - 1), k - 1)
+    return ChromPoly((1,)) if k == 0 else _falling(k - 1) * ChromPoly._trusted([1 - k, 1])
 
 
 def _close_chromatic(edges):
@@ -642,10 +627,10 @@ def _block_product(g: Graph, evaluate) -> ChromPoly:
 
 @lru_cache(maxsize=1024)
 def _dc_block(block: tuple) -> ChromPoly:
-    """P(B) by the deletion-contraction kernel from the state
-    ``_unit_edges(block)``, run once per renumbered block (see
-    ``_block_product``): this route's own memo, never filled by the subset DP."""
-    return _deletion_contraction(_unit_edges(block), lambda _: _X, _close_chromatic)
+    """P(B) by the deletion-contraction kernel on the renumbered block's
+    edges, run once per block (see ``_block_product``): this route's own
+    memo, never filled by the subset DP."""
+    return _deletion_contraction(block, lambda _: _X, _close_chromatic)
 
 
 @lru_cache(maxsize=1024)
@@ -768,8 +753,8 @@ def compute_chromatic(target):
     routes are guarded at ``DEFAULT_ENUMERATION_CAP`` vertices, checked before
     either runs, and the subsets route at ``DEFAULT_CHROMPOLY_EDGE_CAP`` edges.
     """
-    _vertex_guard("chromatic polynomial", csf_degree(target))
     spec = as_spec(target)
+    _vertex_guard("chromatic polynomial", csf_degree(spec or target))
     if spec is not None:
         closed = _closed_chromatic(spec)
         if closed is not None:

@@ -6,10 +6,11 @@ undirected; ``Graph`` is immutable and hashable so computed invariants can be
 cached per graph.
 
 Each family's argument rule is written once, as the ``_check_*_args``
-function its builder runs, and returns |V|.  ``_FAMILY_TABLE`` gives every
-family of the spec grammar its argument count, rule and builder;
-``GraphSpec.check`` runs the rule, and every other module checks arguments
-and reads |V| for its vertex bounds through it, before any build.
+function its builder runs (tadpoles and lollipops share one), and returns
+|V|.  ``_FAMILY_TABLE`` gives every family of the spec grammar its argument
+count, rule and builder; ``GraphSpec.check`` runs the rule, and every other
+module checks arguments and reads |V| for its vertex bounds through it,
+before any build.
 ``GraphSpec.canonical`` names one spec per isomorphism class that the
 builders' symmetries give, so a CSF engine computes each class once.
 """
@@ -206,9 +207,10 @@ def sun_graph(n: int, rays, body: str = "cycle") -> Graph:
     return Graph(nxt, edges)
 
 
-def _check_tadpole_args(m: int, l: int) -> int:
+def _check_tailed_args(body: str, m: int, l: int) -> int:
+    """The tadpole and lollipop rule; ``body`` names the body in its first message."""
     if m < 3:
-        raise ValueError("tadpole cycle needs m >= 3")
+        raise ValueError(f"{body} needs m >= 3")
     if l < 0:
         raise ValueError("tail length must be nonnegative")
     return m + l
@@ -219,22 +221,14 @@ def tadpole_graph(m: int, l: int) -> Graph:
 
     l = 0 gives the bare cycle.  Edge count m + l.
     """
-    _check_tadpole_args(m, l)
+    _check_tailed_args("tadpole cycle", m, l)
     edges = _body_edges("cycle", range(m))
     return Graph(_pendant_path(edges, 0, m, l), edges)
 
 
-def _check_lollipop_args(m: int, l: int) -> int:
-    if m < 3:
-        raise ValueError("lollipop clique needs m >= 3")
-    if l < 0:
-        raise ValueError("tail length must be nonnegative")
-    return m + l
-
-
 def lollipop_graph(m: int, l: int) -> Graph:
     """Complete graph K_m (vertices 0..m-1) with a pendant path of l vertices at 0."""
-    _check_lollipop_args(m, l)
+    _check_tailed_args("lollipop clique", m, l)
     edges = _body_edges("complete", range(m))
     return Graph(_pendant_path(edges, 0, m, l), edges)
 
@@ -409,8 +403,8 @@ _FAMILY_TABLE = {
     "spider": (None, _check_spider_args, lambda *legs: spider_graph(legs)),
     "sun": (2, _check_sun_args, sun_graph),
     "csun": (2, _check_sun_args, partial(sun_graph, body="complete")),
-    "tadpole": (2, _check_tadpole_args, tadpole_graph),
-    "lollipop": (2, _check_lollipop_args, lollipop_graph),
+    "tadpole": (2, partial(_check_tailed_args, "tadpole cycle"), tadpole_graph),
+    "lollipop": (2, partial(_check_tailed_args, "lollipop clique"), lollipop_graph),
     "dumbbell": (3, _check_dumbbell_args, dumbbell_graph),
     "cdumbbell": (3, _check_dumbbell_args, partial(dumbbell_graph, kind="complete")),
     "sdumbbell": (3, _check_dumbbell_args, partial(dumbbell_graph, kind="semicomplete")),
@@ -460,7 +454,7 @@ class _SpecParser:
         start = self.pos
         if self.pos < len(self.text) and self.text[self.pos] == "-":
             self.pos += 1
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and "0" <= self.text[self.pos] <= "9":  # ASCII digits only
             self.pos += 1
         if self.pos == start or self.text[start:self.pos] == "-":
             self.error("expected an integer")

@@ -75,6 +75,7 @@ def e_positivity(target) -> PositivityReport:
 
 def s_positivity(target) -> PositivityReport:
     """Is X_G s-positive (Schur-positive)?"""
+    target = as_spec(target) or target  # a spec string is parsed once
     _degree_guard(csf_degree(target))
     f, used = compute_csf(target)
     ok, witness = e_to_s(f).is_nonnegative()

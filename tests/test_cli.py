@@ -345,6 +345,23 @@ class TestErrorsAndParser:
         assert code == 2 and out == ""
         assert err.startswith("error:") and err.count("\n") == 1
 
+    @pytest.mark.parametrize("spec", ["path(\u0663)", "path(\u00b2)"])
+    def test_non_ascii_digit_exit_2(self, capsys, spec):
+        assert run(capsys, "csf", spec) == (2, "", "error: expected an integer (at position 5)\n")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [("positivity", "sun(3;1,2,1)", "--basis", "s", "--json"), ("chrompoly", "sun(3;1,2,1)", "--json")],
+        ids=["positivity", "chrompoly"],
+    )
+    def test_parses_the_spec_once(self, capsys, monkeypatch, argv):
+        calls = []
+        parse = graphs.parse_graph_spec
+        monkeypatch.setattr(graphs, "parse_graph_spec", lambda text: calls.append(text) or parse(text))
+        code, out, err = run(capsys, *argv)
+        assert (code, err) == (0, "") and json.loads(out)
+        assert calls == ["sun(3;1,2,1)"]
+
     @pytest.mark.parametrize("spec", ["tadpole(2,1)", "lollipop(2,1)", "lollipop(1,0)"])
     def test_one_argument_rule_for_every_command(self, capsys, spec):
         errors = set()

@@ -599,7 +599,6 @@ class TestChromPoly:
         n = max(len(a), len(b))
         a0, b0 = a + [0] * (n - len(a)), b + [0] * (n - len(b))
         product = [sum(a[i] * b[j - i] for i in range(len(a)) if 0 <= j - i < len(b)) for j in range(len(a) + len(b) - 1)]
-        monic = ChromPoly(a + [1])
         for got, want in [
             (p + q, [x + y for x, y in zip(a0, b0)]),
             (p - q, [x - y for x, y in zip(a0, b0)]),
@@ -608,12 +607,20 @@ class TestChromPoly:
             (p * k, [k * x for x in a]),
             (k * p, [k * x for x in a]),
             (ChromPoly([0] + a).shift_divide(), a),
-            (csf_module._times_x_minus(monic, k), (monic * ChromPoly((-k, 1))).coeffs),
         ]:
             assert got.coeffs == ChromPoly(want).coeffs
             assert all(type(c) is int for c in got.coeffs)
         with pytest.raises(ValueError, match="must be integers"):
             ChromPoly((0.5, 1))
+
+    def test_rows_match_closed_coefficients(self):
+        stirling = [1]  # s(n, i), the signed Stirling numbers of the first kind, for n = 0
+        for k in range(41):
+            binomial = tuple(math.comb(k, i) * (-1) ** (k - i) for i in range(k + 1))
+            assert csf_module._xm1_power(k).coeffs == binomial
+            assert csf_module._falling(k).coeffs == tuple(stirling)
+            assert csf_module._tree(k).coeffs == (0, *binomial)
+            stirling = [(stirling[i - 1] if i else 0) - k * (stirling[i] if i <= k else 0) for i in range(k + 2)]
 
     def test_shift_divide(self):
         assert ChromPoly((0, -1, 1)).shift_divide() == ChromPoly((-1, 1))
@@ -1163,7 +1170,7 @@ class TestChromaticRoutes:
         assert chromatic_poly_dc(g) == compute_chromatic(g)[0] == expected
         assert [expected(k) for k in range(5)] == [count_colourings(g, k) for k in range(5)]
         # on the disconnected edge set itself the tree test misfires
-        assert csf_module._close_chromatic(csf_module._unit_edges(g.edge_list)) != expected
+        assert csf_module._close_chromatic(frozenset(((u,), (v,)) for u, v in g.edge_list)) != expected
 
     @staticmethod
     @contextlib.contextmanager

@@ -114,6 +114,16 @@ class TestBuilders:
         assert (g.n, len(g.edges)) == (6, 8)
         assert lollipop_graph(3, 0) == complete_graph(3)
 
+    @pytest.mark.parametrize(
+        "family, builder, body", [("tadpole", tadpole_graph, "tadpole cycle"), ("lollipop", lollipop_graph, "lollipop clique")]
+    )
+    def test_tadpole_and_lollipop_messages(self, family, builder, body):
+        for args, message in (((2, 1), f"{body} needs m >= 3"), ((3, -1), "tail length must be nonnegative")):
+            for call in (GraphSpec(family, args).check, lambda: builder(*args)):
+                with pytest.raises(ValueError) as err:
+                    call()
+                assert str(err.value) == message
+
     def test_dumbbell_counts(self):
         for l, extra_v in [(2, 2), (1, 1), (0, 0)]:
             g = dumbbell_graph(3, l, 4)
@@ -368,6 +378,12 @@ class TestSpecGrammar:
         spec = parse_graph_spec(text)
         with pytest.raises(ValueError):
             spec.build()
+
+    @pytest.mark.parametrize("text", ["path(\u0663)", "path(\u00b2)"])
+    def test_integers_are_ascii_digits(self, text):
+        with pytest.raises(SpecParseError, match=r"^expected an integer \(at position 5\)$") as err:
+            parse_graph_spec(text)
+        assert err.value.pos == 5
 
     def test_parse_error_carries_position(self):
         with pytest.raises(SpecParseError) as err:

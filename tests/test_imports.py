@@ -9,18 +9,24 @@ table is checked against ``__all__`` and the modules instead.  The underscore na
 module takes from its siblings must equal its entry in ``PRIVATE_IMPORTS``,
 so a new private import across modules shows up as an edit to that table.
 Every module-level underscore name must be read somewhere in the package
-outside its own definition, so a helper left behind by a refactor fails.
+outside its own definition, so a helper left behind by a refactor fails,
+and every underscore name the docs mention must be defined in the package,
+so a doc left behind by a refactor fails too.
 """
 
 import ast
 import importlib
+import io
+import re
+import tokenize
 from pathlib import Path
 
 import pytest
 
 import chromsym
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "chromsym"
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "chromsym"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -145,3 +151,63 @@ def test_checker_sees_unread_private_names():
         "b": "from .a import _used\nclass _C:\n    pass\nprint(_used())\n",
     }
     assert unread_private_names(sources) == ["a._rec", "b._C"]
+
+
+#: a quoted ``_name`` or `_name`, after an optional ``module.``; a trailing
+#: ``*`` makes the name a prefix
+_DOC_NAME = re.compile(r"`(?:\w+\.)*(_\w+)(\*?)")
+
+
+def _documented_names(source: str) -> set:
+    """(name, star) of each ``_name`` in the docstrings and comments of ``source``."""
+    tree = ast.parse(source)
+    texts = [
+        ast.get_docstring(node, clean=False)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+    ]
+    texts += [tok.string for tok in tokenize.generate_tokens(io.StringIO(source).readline) if tok.type == tokenize.COMMENT]
+    return {match.groups() for text in texts if text for match in _DOC_NAME.finditer(text)}
+
+
+def _bound_names(source: str) -> set:
+    """Every def, class, assigned name, attribute and argument of ``source``."""
+    names = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Name) and isinstance(node.ctx, ast.Store):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.arg):
+            names.add(node.arg)
+    return names
+
+
+def stale_doc_names(sources: dict, readme: str) -> list:
+    """``where: name`` of each underscore name (not dunder) that a docstring or
+    comment of ``sources``, or ``readme``, mentions and no module defines."""
+    defined = set().union(*map(_bound_names, sources.values()))
+    mentioned = {(module, *found) for module, source in sources.items() for found in _documented_names(source)}
+    mentioned |= {("README.md", *match.groups()) for match in _DOC_NAME.finditer(readme)}
+    return sorted(
+        f"{where}: {name}{star}"
+        for where, name, star in mentioned
+        if not (name.startswith("__") and name.endswith("__"))
+        and not (any(d.startswith(name) for d in defined) if star else name in defined)
+    )
+
+
+def test_docs_name_only_defined_private_names():
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert stale_doc_names(sources, (ROOT / "README.md").read_text()) == []
+
+
+def test_checker_sees_stale_doc_names():
+    sources = {
+        "a": '"""Uses ``_gone(x)``, ``b._kept`` and ``__all__``."""\ndef _kept(_arg):\n    return _arg  # not ``_arg2``\n',
+        "b": '"""Every ``_kep*`` and ``_lost_*`` helper."""\nclass C:\n    """``_attr``"""\nC()._attr = 1\n',
+    }
+    readme = "`_kept`, `a._arg`, `_absent`, _unquoted"
+    assert stale_doc_names(sources, readme) == ["README.md: _absent", "a: _arg2", "a: _gone", "b: _lost_*"]
