@@ -16,6 +16,7 @@ sweeps an identity over that grid.
 
 from __future__ import annotations
 
+import json
 from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations
@@ -431,5 +432,13 @@ def iter_grid(name: str, vertex_cap: int = DEFAULT_GRID_VERTEX_CAP):
 
 
 def run_grid(name: str, vertex_cap: int = DEFAULT_GRID_VERTEX_CAP) -> list:
-    """Run one identity over its whole grid; returns the reports in grid order."""
-    return [VERIFIERS[name](**kw) for kw in iter_grid(name, vertex_cap)]
+    """Run one identity over its whole grid; returns the reports in grid order.
+    An instance a guard refuses re-raises its ``ValueError`` prefixed with the
+    identity's name and the instance's parameters."""
+    reports = []
+    for kw in iter_grid(name, vertex_cap):
+        try:
+            reports.append(VERIFIERS[name](**kw))
+        except ValueError as exc:
+            raise ValueError(f"{name} {json.dumps(kw, separators=(',', ':'))}: {exc}") from None
+    return reports

@@ -406,6 +406,13 @@ class TestErrorsAndParser:
         assert code == 2 and out == ""
         assert err == f"error: subset oracle guarded at 26 edges, graph has {edges}\n"
 
+    def test_refused_grid_instance_is_named(self, capsys):
+        code, out, err = run(capsys, "verify", "dumbbell-recursion", "--grid", "26")
+        assert code == 2 and out == ""
+        assert err == (
+            'error: dumbbell_recursion {"m":3,"l":20,"n":3}: subset oracle guarded at 26 edges, graph has 27\n'
+        )
+
     @pytest.mark.parametrize(
         "argv, degree",
         [

@@ -187,22 +187,33 @@ class TestMissingPartitionScan:
         assert missing_partition_scan(Graph(4, [(1, 2)])) == [Partition([4]), Partition([3, 1]), Partition([2, 2])]
 
     def test_search_work_gate(self, monkeypatch):
-        # one record of failed subproblems serves every type and merged witnesses
-        # mark types with no search: 57,146 calls here, against 65,001 searching
-        # every type and 104,576 with a fresh record per type
+        # one record of failed subproblems serves every type, merged witnesses
+        # mark types with no search, and the search starts from the vertices of
+        # least degree: 10,479 calls here, against 57,146 in the given
+        # numbering, 65,001 searching every type and 104,576 with a fresh
+        # record per type
         g = parse_graph_spec("csun(7;1,1,1,1,1,1,1)").build()
         expected = ref_missing_partition_scan(g)
         calls = count_search_calls(monkeypatch)
         assert missing_partition_scan(g) == expected
         assert len(expected) == 25
-        assert calls[0] <= 71_500
+        assert calls[0] <= 12_000
 
     def test_merged_witnesses_spare_searches(self, monkeypatch):
-        # 401 calls here, against 1,583 searching every type
+        # 52 calls here, against 401 in the given numbering and 1,583 searching every type
         calls = count_search_calls(monkeypatch)
         missing = missing_partition_scan(parse_graph_spec("sun(3;4,4,3)").build())
         assert missing == [Partition(lam) for lam in ([8, 6], [7, 7], [7, 6, 1], [6, 6, 2], [6, 6, 1, 1])]
-        assert calls[0] <= 500
+        assert calls[0] <= 70
+
+    def test_star_search_work_gate(self, monkeypatch):
+        # a star's connected partitions are one block holding the centre and
+        # singletons; the search fails on every other type, in 111,891 calls
+        # with the leaves first, against 197,016 from the centre
+        calls = count_search_calls(monkeypatch)
+        missing = missing_partition_scan(spider_graph((1,) * 13))
+        assert missing == [lam for lam in partitions_of(14) if sum(part > 1 for part in lam) > 1]
+        assert calls[0] <= 125_000
 
     def test_scan_is_sorted_and_unique(self):
         # the 4-leg star misses exactly the types (3,2) and (2,2,1)
@@ -255,6 +266,63 @@ class TestScanMatchesReference:
     @given(st.one_of(random_graphs(), glued_graphs()))
     def test_random_graphs(self, g):
         assert missing_partition_scan(g) == ref_missing_partition_scan(g)
+
+
+def permuted(g, perm):
+    """The copy of g with vertex v renamed perm[v]."""
+    return Graph(g.n, [(perm[u], perm[v]) for u, v in g.edges])
+
+
+@st.composite
+def connected_graphs(draw):
+    """Random connected G(n, p) on at most 11 vertices: a random tree plus each
+    other pair as an edge with probability p."""
+    n = draw(st.integers(1, 11))
+    p = draw(st.sampled_from((0.1, 0.25, 0.5)))
+    edges = [(draw(st.integers(0, v - 1)), v) for v in range(1, n)]
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    edges += [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    return Graph(n, edges)
+
+
+class TestScanIgnoresNumbering:
+    """The scan renumbers the vertices by degree; its output is that of the
+    reference in the given numbering, and of any renumbered copy."""
+
+    SPECS = (
+        "sun(3;2,3,4)", "sun(4;1,2,1,3)", "sun(5;1,1,2,1,2)", "sun(3;4,4,3)",
+        "csun(4;2,2,3,1)", "csun(3;3,3,4)", "csun(6;1,1,1,1,1,2)",
+        "spider(4,3,2)", "spider(3,3,3,2)", "spider(5,4,4)",
+        "dumbbell(4,2,5)", "dumbbell(4,-1,7)", "cdumbbell(5,1,6)", "sdumbbell(3,4,5)",
+    )
+
+    def check(self, g, rng, copies=2):
+        expected = ref_missing_partition_scan(g)
+        assert missing_partition_scan(g) == expected
+        for _ in range(copies):
+            perm = list(range(g.n))
+            rng.shuffle(perm)
+            assert missing_partition_scan(permuted(g, perm)) == expected
+
+    def test_family_specs(self):
+        rng = random.Random(31)
+        for spec in self.SPECS:
+            g = parse_graph_spec(spec).build()
+            assert 10 <= g.n <= 14, spec
+            self.check(g, rng)
+
+    def test_isolated_vertices(self):
+        rng = random.Random(32)
+        sun = sun_graph(3, (1, 1, 1))
+        path_and_cycle = [(0, 1), (1, 2), (2, 3), (6, 7), (7, 8), (8, 9), (9, 10), (6, 10)]
+        for g in (Graph(5, []), Graph(6, [(1, 2), (2, 3)]), Graph(sun.n + 3, sun.edges), Graph(12, path_and_cycle)):
+            self.check(g, rng, copies=3)
+
+    @settings(deadline=None, max_examples=40)
+    @given(connected_graphs(), st.randoms(use_true_random=False))
+    def test_random_connected_graphs(self, g, rng):
+        assert g.is_connected()
+        self.check(g, rng)
 
 
 class TestPositivityReports:
