@@ -442,26 +442,23 @@ def _dumbbell(family: str, m: int, l: int, n: int) -> SymFunc:
 
 @lru_cache(maxsize=None)
 def csf_dumbbell_closed(m: int, l: int, n: int) -> SymFunc:
-    """X of the two-cycle dumbbell, fully expanded into paths and cycles:
+    """X of the two-cycle dumbbell by eliminating the m-cycle over the cached
+    tadpoles T(n, l + j).
 
-        (m-1)(n-1) P_{m+l+n}
-        - (m-1) sum_{i=2}^{n-1} P_{m+l+n-i} C_i
-        - (n-1) sum_{j=2}^{m-1} P_{m+l+n-j} C_j
-        + sum_{i=2}^{n-1} sum_{j=2}^{m-1} P_{m+l+n-i-j} C_i C_j.
+    The paper's double sum over paths and cycles is not computed here;
+    ``ref_dumbbell`` in ``tests/test_csf.py`` checks it against this.
     """
     return _dumbbell("dumbbell", m, l, n)
 
 
 @lru_cache(maxsize=None)
 def csf_complete_dumbbell_closed(m: int, l: int, n: int) -> SymFunc:
-    """X of the two-clique dumbbell, fully expanded into cliques and paths:
+    """X of the two-clique dumbbell by eliminating the m-clique over the cached
+    lollipops L(n, l + j).
 
-        (m-1)!(n-1)! P_{m+l+n}
-        - (n-1)! sum_{i=1}^{m-2} w(m, i) K_{m-i} P_{n+l+i}
-        - (m-1)! sum_{j=1}^{n-2} w(n, j) K_{n-j} P_{m+l+j}
-        + sum_i sum_j w(m, i) w(n, j) K_{m-i} K_{n-j} P_{l+i+j},
-
-    with the integer weights w = ``clique_weight`` of the lollipop form.
+    The paper's double sum over cliques and paths, weighted by
+    ``clique_weight``, is not computed here; ``ref_complete_dumbbell`` in
+    ``tests/test_csf.py`` checks it against this.
     """
     return _dumbbell("cdumbbell", m, l, n)
 

@@ -6,11 +6,11 @@ undirected; ``Graph`` is immutable and hashable so computed invariants can be
 cached per graph.
 
 Each family's argument rule is written once, as the ``_check_*_args``
-function its builder runs (tadpoles and lollipops share one), and returns
-|V|.  ``_FAMILY_TABLE`` gives every family of the spec grammar its argument
-count, rule and builder; ``GraphSpec.check`` runs the rule, and every other
-module checks arguments and reads |V| for its vertex bounds through it,
-before any build.
+function its builder runs, and returns |V|: paths, cycles and complete graphs
+bind one size rule, ``_check_order``, and tadpoles and lollipops share one.
+``_FAMILY_TABLE`` gives each family of the spec grammar its arity, rule and
+builder; ``GraphSpec.check`` runs the rule, and every other module checks
+arguments and reads |V| for its vertex bounds through it, before any build.
 ``GraphSpec.canonical`` names one spec per isomorphism class that the
 builders' symmetries give, so a CSF engine computes each class once.
 """
@@ -121,10 +121,16 @@ def _pendant_path(edges: list, anchor: int, start: int, length: int) -> int:
     return start + length
 
 
-def _check_path_args(n: int) -> int:
-    if n < 1:
-        raise ValueError("path needs at least one vertex")
+def _check_order(least: int, message: str, n: int) -> int:
+    """The path, cycle and complete rule: n >= ``least`` vertices, else ``message``."""
+    if n < least:
+        raise ValueError(message)
     return n
+
+
+_check_path_args = partial(_check_order, 1, "path needs at least one vertex")
+_check_cycle_args = partial(_check_order, 3, "cycle needs at least three vertices")
+_check_complete_args = partial(_check_order, 1, "complete graph needs at least one vertex")
 
 
 def path_graph(n: int) -> Graph:
@@ -133,25 +139,14 @@ def path_graph(n: int) -> Graph:
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
-def _check_cycle_args(n: int) -> int:
-    if n < 3:
-        raise ValueError("cycle needs at least three vertices")
-    return n
-
-
 def cycle_graph(n: int) -> Graph:
     """Cycle on n >= 3 vertices 0..n-1 (consecutive plus the wrap edge)."""
     _check_cycle_args(n)
     return Graph(n, _body_edges("cycle", range(n)))
 
 
-def _check_complete_args(n: int) -> int:
-    if n < 1:
-        raise ValueError("complete graph needs at least one vertex")
-    return n
-
-
 def complete_graph(n: int) -> Graph:
+    """Complete graph K_n on n >= 1 vertices 0..n-1."""
     _check_complete_args(n)
     return Graph(n, _body_edges("complete", range(n)))
 
@@ -472,6 +467,8 @@ class _SpecParser:
         if depth > MAX_SPEC_DEPTH:
             self.error(f"spec nested deeper than {MAX_SPEC_DEPTH} levels")
         fam = self.name()
+        if fam not in _FAMILY_TABLE:
+            self.error(f"unknown family {fam!r}")
         if fam == "edges":
             self.expect("[")
             d = self.integer()
@@ -490,32 +487,23 @@ class _SpecParser:
                     break
             self.expect("]")
             return GraphSpec("edges", (d, tuple(pairs)))
-        if fam == "line":
-            self.expect("(")
-            inner = self.spec(depth + 1)
+        self.expect("(")
+        arity = _FAMILY_TABLE[fam][0]
+        if fam in ("line", "union"):
+            args = [self.spec(depth + 1)]
+            while len(args) < arity:
+                self.expect(",")
+                args.append(self.spec(depth + 1))
             self.expect(")")
-            return GraphSpec("line", (inner,))
-        if fam == "union":
-            self.expect("(")
-            a = self.spec(depth + 1)
-            self.expect(",")
-            b = self.spec(depth + 1)
-            self.expect(")")
-            return GraphSpec("union", (a, b))
-        if fam in ("sun", "csun"):
-            self.expect("(")
+        elif fam in ("sun", "csun"):
             n = self.integer()
             self.expect(";")
-            rays = self.int_list(")")
-            return GraphSpec(fam, (n, tuple(rays)))
-        if fam in _FAMILY_TABLE:
-            self.expect("(")
-            vals = self.int_list(")")
-            arity = _FAMILY_TABLE[fam][0]
-            if arity is not None and len(vals) != arity:
-                self.error(f"{fam} takes {arity} argument(s), got {len(vals)}")
-            return GraphSpec(fam, tuple(vals))
-        self.error(f"unknown family {fam!r}")
+            args = (n, tuple(self.int_list(")")))
+        else:
+            args = self.int_list(")")
+            if arity is not None and len(args) != arity:
+                self.error(f"{fam} takes {arity} argument(s), got {len(args)}")
+        return GraphSpec(fam, tuple(args))
 
 
 def parse_graph_spec(text: str) -> GraphSpec:

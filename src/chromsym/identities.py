@@ -38,7 +38,7 @@ from .csf import (
 )
 from .graphs import Graph, GraphSpec, as_spec, dumbbell_graph, parse_graph_spec
 from .partitions import DEFAULT_GRID_VERTEX_CAP
-from .positivity import _check_uniform_sun, triangle_sun_missing_type, uniform_sun_coefficient, uniform_sun_missing_type
+from .positivity import triangle_sun_missing_type, uniform_sun_coefficient, uniform_sun_missing_type
 from .symfunc import Basis, SymFunc
 
 
@@ -157,8 +157,8 @@ def verify_sun_coefficient(n: int, k: int) -> IdentityReport:
     Compares the oracle coefficient at ``uniform_sun_missing_type(n, k)``
     against ``uniform_sun_coefficient(n, k)``.
     """
-    _vertex_guard("subset oracle", _check_uniform_sun(n, k))
-    lam = uniform_sun_missing_type(n, k)
+    lam = uniform_sun_missing_type(n, k)  # runs the sun rule; the type's weight is |V| = n(k + 1)
+    _vertex_guard("subset oracle", lam.weight)
     expected = uniform_sun_coefficient(n, k)
     got = _oracle(GraphSpec("sun", (n, (k,) * n))).coefficient(lam)
     lhs = SymFunc.single(Basis.E, lam, got)
@@ -355,8 +355,7 @@ def _grid_triple_deletion(cap):
 def _grid_sun_coefficient(cap):
     for n in range(3, cap // 2 + 1):
         for k in range(1, cap // n):
-            if n * (k + 1) <= cap:
-                yield {"n": n, "k": k}
+            yield {"n": n, "k": k}
 
 
 def _grid_small_sun_coefficient(cap):

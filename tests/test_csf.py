@@ -686,6 +686,15 @@ class TestChromPoly:
         g = parse_graph_spec(spec).build()
         assert chromatic_poly_closed(spec) == chromatic_poly_dc(g)
 
+    def test_semicomplete_dumbbells_with_the_larger_cycle(self):
+        # the chromatic grid walks m <= n only, but sdumbbell(m,l,n) (C_m, K_n) is not symmetric
+        triples = [(kw["m"], kw["l"], kw["n"]) for kw in _grid_dumbbell(14) if kw["m"] > kw["n"]]
+        assert len(triples) == 95
+        for m, l, n in triples:
+            spec = f"sdumbbell({m},{l},{n})"
+            g = parse_graph_spec(spec).build()
+            assert chromatic_poly_closed(spec) == chromatic_poly_dc(g) == compute_chromatic(g)[0], spec
+
     def test_closed_rejects_other_families(self):
         with pytest.raises(ValueError):
             chromatic_poly_closed("path(4)")

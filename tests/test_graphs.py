@@ -3,6 +3,7 @@ import random
 from itertools import product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from chromsym.csf import compute_csf
 from chromsym.graphs import (
@@ -305,6 +306,31 @@ class TestEdgeSubsetType:
         assert edge_subset_type(g, sub) == Partition((3, 2))
 
 
+_ARG = st.integers(-3, 40)
+#: every family but ``line`` and ``union``, over valid and invalid arguments, with an integer wherever the grammar needs one
+_LEAF_SPECS = st.one_of(
+    *(
+        st.lists(_ARG, min_size=arity, max_size=arity).map(lambda args, f=family: GraphSpec(f, tuple(args)))
+        for family, (arity, _, _) in _FAMILY_TABLE.items()
+        if family not in ("spider", "sun", "csun", "line", "union", "edges")
+    ),
+    st.lists(_ARG, min_size=1, max_size=5).map(lambda legs: GraphSpec("spider", tuple(legs))),
+    st.tuples(st.sampled_from(["sun", "csun"]), _ARG, st.lists(_ARG, min_size=1, max_size=5)).map(
+        lambda t: GraphSpec(t[0], (t[1], tuple(t[2])))
+    ),
+    st.tuples(_ARG, st.lists(st.tuples(_ARG, _ARG), max_size=4)).map(lambda t: GraphSpec("edges", (t[0], tuple(t[1])))),
+)
+
+
+def _nested_specs(inner):
+    """``inner``, or one more level of ``line`` or ``union`` around it."""
+    return st.one_of(
+        inner,
+        inner.map(lambda s: GraphSpec("line", (s,))),
+        st.tuples(inner, inner).map(lambda ab: GraphSpec("union", ab)),
+    )
+
+
 class TestSpecGrammar:
     @pytest.mark.parametrize(
         "text",
@@ -363,6 +389,35 @@ class TestSpecGrammar:
     def test_rejects_malformed_syntax(self, text):
         with pytest.raises((SpecParseError, ValueError)):
             parse_graph_spec(text)
+
+    @pytest.mark.parametrize(
+        "text, message, pos",
+        [
+            ("path(1,2)", "path takes 1 argument(s), got 2", 9),
+            ("union(path(2))", "expected ','", 13),
+            ("line(path(2),path(3))", "expected ')'", 12),
+            ("sun(3,1,1,1)", "expected ';'", 5),
+            ("foo(1)", "unknown family 'foo'", 3),
+            ("path(3) x", "trailing input after spec", 8),
+            ("path( - 3)", "expected an integer", 7),
+            ("edges[3:(0,1)(1,2)]", "expected ']'", 13),
+            ("line()", "expected a family name", 5),
+            pytest.param("line(" * 101 + "path(3)" + ")" * 101, "spec nested deeper than 100 levels", 505, id="line^101"),
+        ],
+    )
+    def test_error_text_and_position(self, text, message, pos):
+        with pytest.raises(SpecParseError) as err:
+            parse_graph_spec(text)
+        assert str(err.value) == f"{message} (at position {pos})"
+        assert err.value.pos == pos
+
+    def test_edge_list_may_end_with_a_comma(self):
+        assert parse_graph_spec("edges[3:(0,1),]") == parse_graph_spec("edges[3:(0,1)]")
+
+    @settings(deadline=None, max_examples=300)
+    @given(_nested_specs(_nested_specs(_nested_specs(_LEAF_SPECS))))
+    def test_str_parses_back(self, spec):
+        assert parse_graph_spec(str(spec)) == spec
 
     @pytest.mark.parametrize(
         "text",

@@ -63,7 +63,7 @@ def test_checker_sees_unused_and_used_names():
 PRIVATE_IMPORTS = {
     "cli": ["_degree_guard", "_scan_guard"],
     "csf": ["_count_keys"],
-    "identities": ["_check_uniform_sun", "_eliminate", "_vertex_guard"],
+    "identities": ["_eliminate", "_vertex_guard"],
     "positivity": ["_count_keys", "_degree_guard", "_vertex_guard"],
     "symfunc": ["_count_keys"],
 }
