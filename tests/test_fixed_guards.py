@@ -136,6 +136,33 @@ def test_vertex_bound_before_the_build(capsys, argv, message):
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+#: one row per route that refuses by size: the call, its arguments and its exact message
+REFUSALS = [
+    ("subsets-edges", csf.csf_subsets, (graphs.complete_graph(8),), "subset oracle guarded at 26 edges, graph has 28"),
+    ("subsets-vertices", csf.csf_subsets, (graphs.Graph(41),), "subset oracle guarded at 40 vertices, graph has 41"),
+    ("dc-edges", csf.csf_dc, (graphs.complete_graph(8),), "CSF deletion-contraction guarded at 26 edges, graph has 28"),
+    ("dc-vertices", csf.csf_dc, (graphs.Graph(41),), "CSF deletion-contraction guarded at 40 vertices, graph has 41"),
+    ("chromatic-dc", csf.chromatic_poly_dc, (graphs.Graph(41),), "chromatic polynomial guarded at 40 vertices, graph has 41"),
+    ("cycle-closed", csf.csf_cycle_closed, (41,), "closed form guarded at 40 vertices, graph has 41"),
+    ("compute-csf", csf.compute_csf, ("edges[41:]",), "subset oracle guarded at 40 vertices, graph has 41"),
+    ("triple-deletion", identities.verify_triple_deletion, ("edges[41:]",), "subset oracle guarded at 40 vertices, graph has 41"),
+    ("scan", positivity.missing_partition_scan, (graphs.path_graph(15),), "full scans guarded at 14 vertices, graph has 15"),
+    (
+        "partition-search",
+        positivity.has_connected_partition,
+        (graphs.Graph(41), [41]),
+        "connected-partition search guarded at 40 vertices, graph has 41",
+    ),
+]
+
+
+@pytest.mark.parametrize("fn, args, message", [pytest.param(*row[1:], id=row[0]) for row in REFUSALS])
+def test_each_refusal_reads_as_pinned(fn, args, message):
+    with pytest.raises(ValueError) as exc:
+        fn(*args)
+    assert str(exc.value) == message
+
+
 def test_line_graph_of_a_sparse_graph(capsys):
     """The line graph walks the edges of G, not its vertices."""
     start = time.perf_counter()
