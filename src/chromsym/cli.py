@@ -64,13 +64,9 @@ def _cmd_positivity(args) -> tuple:
 
 
 def _cmd_scan(args) -> tuple:
-    from .csf import csf_degree
-    from .graphs import parse_graph_spec
-    from .positivity import _scan_guard, missing_partition_scan
+    from .positivity import missing_partition_scan
 
-    spec = parse_graph_spec(args.spec)
-    _scan_guard(csf_degree(spec))
-    missing = missing_partition_scan(spec.build())
+    missing = missing_partition_scan(args.spec)
     text = "\n".join(map(str, missing)) or "none"
     return {"spec": args.spec, "missing": [list(lam) for lam in missing]}, text, bool(missing)
 

@@ -57,12 +57,12 @@ identity check compares the closed forms with.  ``compute_chromatic`` routes
 the same way: a closed form for a sun or dumbbell spec, else the block split
 with the subset DP.
 
-Each guard is a fixed module constant, checked before the work starts: the
-CSF engines refuse graphs above ``CSF_EDGE_CAP`` edges, both chromatic
-routes through the block split above ``DEFAULT_CHROMPOLY_EDGE_CAP``, and
-every route above ``DEFAULT_ENUMERATION_CAP`` vertices, read for a spec from
-``GraphSpec.check`` (``csf_degree``) before any build or closed form; the
-edge caps run on the graph.
+Each guard is a fixed module constant, checked where the work is, before it
+starts, and refused by ``_guard``: the CSF engines above ``CSF_EDGE_CAP``
+edges, both chromatic routes above ``DEFAULT_CHROMPOLY_EDGE_CAP`` edges in a
+block they evaluate, and every route above ``DEFAULT_ENUMERATION_CAP``
+vertices, read for a spec from ``GraphSpec.check`` (``csf_degree``) before
+any build or closed form; the edge caps run on the graph.
 """
 
 from __future__ import annotations
@@ -82,9 +82,9 @@ CSF_EDGE_CAP = 26
 DEFAULT_CHROMPOLY_EDGE_CAP = 40
 
 
-def _vertex_guard(route: str, n: int) -> None:
-    if n > DEFAULT_ENUMERATION_CAP:
-        raise ValueError(f"{route} guarded at {DEFAULT_ENUMERATION_CAP} vertices, graph has {n}")
+def _guard(route: str, size: int, cap: int = DEFAULT_ENUMERATION_CAP, unit: str = "vertices") -> None:
+    if size > cap:
+        raise ValueError(f"{route} guarded at {cap} {unit}, graph has {size}")
 
 
 # ------------------------------------------------------------- subset oracle
@@ -185,9 +185,8 @@ def csf_subsets(g: Graph) -> SymFunc:
     Runs ``_subset_counts``; guarded at ``CSF_EDGE_CAP`` edges and
     ``DEFAULT_ENUMERATION_CAP`` vertices.
     """
-    if len(g.edges) > CSF_EDGE_CAP:
-        raise ValueError(f"subset oracle guarded at {CSF_EDGE_CAP} edges, graph has {len(g.edges)}")
-    _vertex_guard("subset oracle", g.n)
+    _guard("subset oracle", len(g.edges), CSF_EDGE_CAP, "edges")
+    _guard("subset oracle", g.n)
     terms = _subset_counts(g.n, g.edge_list)  # each index already largest first
     return SymFunc._trusted(Basis.P, g.n, {tuple.__new__(Partition, lam): c for lam, c in terms.items()})
 
@@ -319,9 +318,8 @@ def csf_dc(g: Graph) -> SymFunc:
     vertices is p_k, and the isolated vertices of ``g`` are a factor p_1^k.
     Guarded at ``CSF_EDGE_CAP`` edges and ``DEFAULT_ENUMERATION_CAP`` vertices.
     """
-    if len(g.edges) > CSF_EDGE_CAP:
-        raise ValueError(f"CSF deletion-contraction guarded at {CSF_EDGE_CAP} edges, graph has {len(g.edges)}")
-    _vertex_guard("CSF deletion-contraction", g.n)
+    _guard("CSF deletion-contraction", len(g.edges), CSF_EDGE_CAP, "edges")
+    _guard("CSF deletion-contraction", g.n)
     out = SymFunc.single(Basis.P, (1,) * (g.n - len({v for e in g.edges for v in e})))
     if g.edges:
         out = out * _deletion_contraction(g.edge_list, lambda clump: SymFunc.single(Basis.P, (len(clump),)))
@@ -333,7 +331,7 @@ def csf_dc(g: Graph) -> SymFunc:
 
 def _closed_guard(family: str, *args) -> None:
     """The family's argument rule, then the vertex bound, before any arithmetic."""
-    _vertex_guard("closed form", GraphSpec(family, args).check())
+    _guard("closed form", GraphSpec(family, args).check())
 
 
 def _series(lead: int, d: int, smallest: int, smaller) -> SymFunc:
@@ -371,7 +369,7 @@ def csf_cycle_closed(d: int) -> SymFunc:
     """
     if d < 2:
         raise ValueError("cycle forms need d >= 2")
-    _vertex_guard("closed form", d)
+    _guard("closed form", d)
     return _series(d * (d - 1), d, 2, csf_cycle_closed)
 
 
@@ -598,12 +596,10 @@ def _block_product(g: Graph, evaluate) -> ChromPoly:
     ``_close_chromatic``, and any other block gets P(B) = ``evaluate(key)``,
     where ``key`` is the sorted tuple of B's edges with its vertices renumbered
     0..k-1 in sorted order, so isomorphic copies numbered alike share one key.
-    Guarded at ``DEFAULT_CHROMPOLY_EDGE_CAP`` edges and
-    ``DEFAULT_ENUMERATION_CAP`` vertices.
+    Guarded at ``DEFAULT_ENUMERATION_CAP`` vertices before the split and at
+    ``DEFAULT_CHROMPOLY_EDGE_CAP`` edges in each block handed to ``evaluate``.
     """
-    if len(g.edges) > DEFAULT_CHROMPOLY_EDGE_CAP:
-        raise ValueError(f"chromatic recursion guarded at {DEFAULT_CHROMPOLY_EDGE_CAP} edges, graph has {len(g.edges)}")
-    _vertex_guard("chromatic polynomial", g.n)
+    _guard("chromatic polynomial", g.n)
     exponent, bridges = g.n, 0
     out = ChromPoly._trusted([1])
     for blocks in _biconnected(g.edge_list):
@@ -616,6 +612,7 @@ def _block_product(g: Graph, evaluate) -> ChromPoly:
             exponent -= len(vertices) - 1
             poly = _close_chromatic(block)
             if poly is None:
+                _guard("chromatic recursion", len(block), DEFAULT_CHROMPOLY_EDGE_CAP, "edges in one block")
                 index = {v: i for i, v in enumerate(vertices)}
                 poly = evaluate(tuple(sorted((index[a], index[b]) for a, b in block)))
             out = out * poly.shift_divide()
@@ -649,8 +646,8 @@ def chromatic_poly_dc(g: Graph) -> ChromPoly:
     block runs through the deletion-contraction kernel, where trees and
     complete states close in one step and other states branch on a
     non-bridge edge.  This is the second route that checks ``compute_chromatic``
-    and the closed forms.  Guarded at ``DEFAULT_CHROMPOLY_EDGE_CAP`` edges and
-    ``DEFAULT_ENUMERATION_CAP`` vertices.
+    and the closed forms.  Guarded at ``DEFAULT_ENUMERATION_CAP`` vertices and
+    at ``DEFAULT_CHROMPOLY_EDGE_CAP`` edges in each block it evaluates.
     """
     return _block_product(g, _dc_block)
 
@@ -685,7 +682,7 @@ def chromatic_poly_closed(spec) -> ChromPoly:
     spec = as_spec(spec)
     if spec is None:
         raise ValueError("a closed chromatic polynomial needs a family spec (a GraphSpec or spec string)")
-    _vertex_guard("chromatic polynomial", spec.check())
+    _guard("chromatic polynomial", spec.check())
     out = _closed_chromatic(spec)
     if out is None:
         raise ValueError(f"no closed chromatic polynomial for family {spec.family!r}")
@@ -729,7 +726,7 @@ def compute_csf(target):
         closed = closed_csf_for(spec)
         if closed is not None:
             return closed, "closed"
-        _vertex_guard("subset oracle", n)
+        _guard("subset oracle", n)
         target = spec.canonical().build()
     return p_to_e(csf_subsets(target)), "subsets"
 
@@ -748,10 +745,10 @@ def compute_chromatic(target):
     clique blocks and sends every other block to ``_subset_counts`` without
     sizes ("subsets"); ``chromatic_poly_dc`` is the tests' second route.  Both
     routes are guarded at ``DEFAULT_ENUMERATION_CAP`` vertices, checked before
-    either runs, and the subsets route at ``DEFAULT_CHROMPOLY_EDGE_CAP`` edges.
+    either runs, and at ``DEFAULT_CHROMPOLY_EDGE_CAP`` edges in a block they evaluate.
     """
     spec = as_spec(target)
-    _vertex_guard("chromatic polynomial", csf_degree(spec or target))
+    _guard("chromatic polynomial", csf_degree(spec or target))
     if spec is not None:
         closed = _closed_chromatic(spec)
         if closed is not None:

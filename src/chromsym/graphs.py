@@ -20,6 +20,7 @@ from __future__ import annotations
 from collections import namedtuple
 from functools import partial
 from itertools import combinations
+from math import comb
 
 from .partitions import Partition
 
@@ -274,6 +275,15 @@ def line_graph(g: Graph) -> Graph:
     return Graph(len(g.edges), [pair for ids in at.values() for pair in combinations(ids, 2)])
 
 
+def _line_order(inner) -> int:
+    """|V(L(G))| = |E(G)| for G = ``inner``.  For G = L(H) that is sum_v C(deg_H(v), 2),
+    as two edges of a simple H share at most one end: H is built, L(H) is not."""
+    if inner.family != "line":
+        return len(inner.build().edges)
+    inner._entry()  # the arity check that building G runs first
+    return sum(comb(len(nbrs), 2) for nbrs in inner.args[0].build().adjacency())
+
+
 def attach(body: Graph, attachments) -> Graph:
     """Join disjoint graphs to distinct body vertices by single edges.
 
@@ -348,7 +358,7 @@ class GraphSpec(namedtuple("GraphSpec", "family args")):
 
     def check(self) -> int:
         """Raise ``ValueError`` exactly when ``build`` would, else return |V|.
-        Builds nothing but the G of each ``line(G)``, to count its edges."""
+        Builds only the G of each ``line(G)``, or H when G is ``line(H)``."""
         rule, _ = self._entry()
         return rule(*self.args)
 
@@ -403,7 +413,7 @@ _FAMILY_TABLE = {
     "dumbbell": (3, _check_dumbbell_args, dumbbell_graph),
     "cdumbbell": (3, _check_dumbbell_args, partial(dumbbell_graph, kind="complete")),
     "sdumbbell": (3, _check_dumbbell_args, partial(dumbbell_graph, kind="semicomplete")),
-    "line": (1, lambda inner: len(inner.build().edges), lambda inner: line_graph(inner.build())),
+    "line": (1, _line_order, lambda inner: line_graph(inner.build())),
     "union": (2, lambda a, b: a.check() + b.check(), lambda a, b: disjoint_union(a.build(), b.build())),
     "edges": (2, lambda d, pairs: Graph(d, pairs).n, Graph),
 }

@@ -9,8 +9,9 @@ basis-transition guard on |V| before any engine starts.
 A connected graph whose chromatic symmetric function is e-positive has a
 connected partition of every type: for each partition lambda of |V| the vertex
 set splits into blocks of sizes lambda_i each inducing a connected subgraph.
-``missing_partition_scan`` inventories the types without such a partition (on
-at most ``DEFAULT_SCAN_VERTEX_CAP`` vertices).  It renumbers the vertices by
+``missing_partition_scan`` inventories the types without such a partition,
+for a graph, spec or spec string, refusing above ``DEFAULT_SCAN_VERTEX_CAP``
+vertices itself (a spec before it is built).  It renumbers the vertices by
 ascending degree, walks the types finest first and searches a type not yet
 found on integer bit masks, placing the lowest remaining vertex, the least
 connected, in a connected block of each distinct remaining size; one scan
@@ -33,7 +34,7 @@ from collections import namedtuple
 from functools import lru_cache
 from math import gcd
 
-from .csf import _vertex_guard, compute_csf, csf_degree
+from .csf import _guard, compute_csf, csf_degree
 from .graphs import Graph, GraphSpec, as_spec
 from .partitions import Partition, _count_keys, partitions_of
 from .symfunc import Basis, _degree_guard, e_to_s, fraction_json
@@ -146,7 +147,7 @@ def has_connected_partition(g: Graph, lam) -> ConnectedPartitionWitness | None:
     Guarded at ``DEFAULT_ENUMERATION_CAP`` vertices, bounding the recursion.
     Unlike ``missing_partition_scan`` it keeps the caller's vertex numbering:
     its witness blocks are output, and name the caller's vertices."""
-    _vertex_guard("connected-partition search", g.n)
+    _guard("connected-partition search", g.n)
     lam = Partition(lam)
     if lam.weight != g.n:
         raise ValueError(f"partition weighs {lam.weight}, graph has {g.n} vertices")
@@ -156,11 +157,6 @@ def has_connected_partition(g: Graph, lam) -> ConnectedPartitionWitness | None:
     return ConnectedPartitionWitness(tuple(tuple(v for v in range(g.n) if b >> v & 1) for b in found))
 
 
-def _scan_guard(n: int) -> None:
-    if n > DEFAULT_SCAN_VERTEX_CAP:
-        raise ValueError(f"full scans guarded at {DEFAULT_SCAN_VERTEX_CAP} vertices, graph has {n}")
-
-
 @lru_cache(maxsize=None)
 def _scan_types(n: int) -> tuple:
     """The types of n finest first, each with its ``partitions._count_keys`` key."""
@@ -168,12 +164,13 @@ def _scan_types(n: int) -> tuple:
     return tuple((lam, sum(unit[s] for s in lam)) for lam in reversed(partitions_of(n)))
 
 
-def missing_partition_scan(g: Graph) -> list:
+def missing_partition_scan(target) -> list:
     """All types lambda of |V| with no connected partition, in canonical order.
 
-    Nonempty output certifies that X_G is not e-positive (for connected G);
-    empty output is necessary but not sufficient for e-positivity.  Guarded at
-    ``DEFAULT_SCAN_VERTEX_CAP`` vertices.
+    ``target`` is a Graph, GraphSpec or spec string.  Nonempty output
+    certifies that X_G is not e-positive (for connected G); empty output is
+    necessary but not sufficient for e-positivity.  Guarded at
+    ``DEFAULT_SCAN_VERTEX_CAP`` vertices, for a spec before the build.
 
     The vertices are renumbered by a stable sort on ascending degree, so the
     search places the least-connected remaining vertex first: it lies in few
@@ -186,7 +183,9 @@ def missing_partition_scan(g: Graph) -> list:
     mark a type, and every other type gets the full search, so the output is
     that of searching each type.
     """
-    _scan_guard(g.n)
+    spec = as_spec(target)
+    _guard("full scans", csf_degree(spec or target), DEFAULT_SCAN_VERTEX_CAP)
+    g = target if spec is None else spec.build()
     rank = [0] * g.n
     for i, v in enumerate(sorted(range(g.n), key=g.degree)):
         rank[v] = i
@@ -196,10 +195,7 @@ def missing_partition_scan(g: Graph) -> list:
     for lam, key in _scan_types(g.n):
         if key in found:
             continue
-        if len(lam) == g.n:  # (1^n): the singletons
-            blocks = [1 << v for v in range(g.n)]
-        else:
-            blocks = _search(nbr, tuple(lam), (1 << g.n) - 1, failed)
+        blocks = _search(nbr, tuple(lam), (1 << g.n) - 1, failed)
         if blocks is None:
             missing.append(lam)
             continue
@@ -313,8 +309,8 @@ def sun_matching_criterion(spec) -> bool:
     pair off exactly when at most one run has odd length.
     """
     spec = as_spec(spec)
-    if spec.family not in ("sun", "csun"):
-        raise ValueError("matching criterion applies to sun and csun specs")
+    if spec is None or spec.family not in ("sun", "csun"):
+        raise ValueError("matching criterion applies to sun and csun specs (a GraphSpec or spec string)")
     spec.check()
     _, rays = spec.args
     if spec.family == "csun" or all(r % 2 == 0 for r in rays):
@@ -328,8 +324,10 @@ def sun_has_near_perfect_matching(spec) -> bool:
     """Direct matching search on the full sun graph (the slow cross-check): a
     perfect or near-perfect matching is a connected partition of type 2^k (1)."""
     spec = as_spec(spec)
+    if spec is None:
+        raise ValueError("the matching search needs a family spec (a GraphSpec or spec string)")
     n = spec.check()
-    _vertex_guard("connected-partition search", n)
+    _guard("connected-partition search", n)
     return has_connected_partition(spec.build(), (2,) * (n // 2) + (1,) * (n % 2)) is not None
 
 

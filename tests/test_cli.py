@@ -123,8 +123,15 @@ class TestChrompolyCommand:
         assert obj["at"] == 2 and obj["value"] == 0
 
     def test_guard_exit(self, capsys):
-        code, _, err = run(capsys, "chrompoly", "complete(10)")
-        assert code == 2 and "error:" in err
+        code, _, err = run(capsys, "chrompoly", "line(complete(6))")
+        assert code == 2 and err == "error: chromatic recursion guarded at 40 edges in one block, graph has 60\n"
+
+    @pytest.mark.parametrize("spec", ["complete(10)", "csun(12;1,1,1,1,1,1,1,1,1,1,1,1)"])
+    def test_clique_and_bridge_blocks_meet_no_edge_bound(self, capsys, spec):
+        code, out, err = run(capsys, "chrompoly", spec, "--json")
+        assert (code, err) == (0, "")
+        poly = csf_module.ChromPoly(json.loads(out)["coeffs"])
+        assert poly == csf_module.chromatic_poly_dc(graphs.parse_graph_spec(spec).build())
 
 
 class TestPositivityCommand:

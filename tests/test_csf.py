@@ -866,10 +866,24 @@ class TestGuards:
                 fn(*args)
 
     def test_chromatic_cap(self):
-        g = complete_graph(10)  # 45 edges over the default cap
+        g = line_graph(complete_graph(6))  # one 60-edge block over the default cap, not a clique
         assert len(g.edges) > DEFAULT_CHROMPOLY_EDGE_CAP
         with pytest.raises(ValueError):
             chromatic_poly_dc(g)
+        assert chromatic_poly_dc(complete_graph(10)) == math.prod(ChromPoly((-k, 1)) for k in range(10))
+
+    @pytest.mark.parametrize("route", [chromatic_poly_dc, lambda g: compute_chromatic(g)[0]], ids=["dc", "subsets"])
+    def test_chromatic_edge_bound_is_per_evaluated_block(self, route):
+        """Bridges and clique blocks close by rows, so only the other blocks
+        meet the edge bound, and the vertex bound on the whole graph comes first."""
+        assert route(complete_graph(10)) == math.prod(ChromPoly((-k, 1)) for k in range(10))
+        g = dumbbell_graph(10, 0, 10, kind="complete")
+        assert len(g.edges) == 91
+        assert route(g) == chromatic_poly_closed("cdumbbell(10,0,10)")
+        with pytest.raises(ValueError, match="^chromatic recursion guarded at 40 edges in one block, graph has 60$"):
+            route(line_graph(complete_graph(6)))
+        with pytest.raises(ValueError, match="^chromatic polynomial guarded at 40 vertices, graph has 41$"):
+            route(complete_graph(41))
 
     def test_chromatic_vertex_cap(self):
         assert chromatic_poly_dc(path_graph(40)).degree == 40
@@ -1142,7 +1156,7 @@ class TestChromaticRoutes:
 
     def test_grid_matches_dc(self):
         graphs = chromatic_grid_graphs(14)
-        assert len(graphs) == 865
+        assert len(graphs) == 905
         for g in graphs:
             poly, engine = compute_chromatic(g)
             assert engine == "subsets"
@@ -1281,7 +1295,7 @@ class TestBlockMemo:
     def test_kernel_once_per_block_shape_on_the_grid(self, monkeypatch):
         graphs = chromatic_grid_graphs(14)
         keys = [key for g in graphs for key in open_block_keys(g)]
-        assert (len(set(keys)), len(keys)) == (9, 611)
+        assert (len(set(keys)), len(keys)) == (9, 620)
         runs = self.counted(monkeypatch, "_deletion_contraction")
         clear_block_memos()
         for g in graphs:

@@ -203,6 +203,11 @@ def no_builds(monkeypatch):
     monkeypatch.setattr(graphs.Graph, "__init__", refuse)
 
 
+def test_scan_guards_a_spec_before_any_build(no_builds):
+    with pytest.raises(ValueError, match="^full scans guarded at 14 vertices, graph has 2000$"):
+        positivity.missing_partition_scan("complete(2000)")
+
+
 def test_sweep_covers_every_identity():
     assert set(OVER_BOUND_PARAMS) == set(identities.VERIFIERS) - {"distinguishability"}
 

@@ -5,6 +5,7 @@ from itertools import product
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from chromsym import graphs as graphs_module
 from chromsym.csf import compute_csf
 from chromsym.graphs import (
     _FAMILY_TABLE,
@@ -522,6 +523,32 @@ class TestArgumentRules:
         for call in (GraphSpec("wedge", (3,)).check, GraphSpec("wedge", (3,)).build):
             with pytest.raises(ValueError, match="unknown family"):
                 call()
+
+
+class TestLineOfALineGraph:
+    """``line(line(H))`` reads |E(L(H))| off H's degrees: H is built, L(H) is not."""
+
+    @pytest.mark.parametrize("family", sorted(_FAMILY_TABLE))
+    def test_count_matches_the_built_line_graph(self, family):
+        for inner in _small_specs(family):
+            spec = GraphSpec("line", (GraphSpec("line", (inner,)),))
+            rejected = _raises_value_error(spec.check)
+            assert _raises_value_error(spec.build) == rejected, inner
+            if not rejected:
+                assert spec.check() == len(GraphSpec("line", (inner,)).build().edges), inner
+
+    def test_check_builds_two_fewer_line_graphs(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(graphs_module, "line_graph", lambda g: built.append(g) or line_graph(g))
+        for k in range(1, 7):
+            built.clear()
+            n = parse_graph_spec("line(" * k + "complete(5)" + ")" * k).check()
+            assert len(built) == max(k - 2, 0), k
+        assert n == 757350
+
+    def test_malformed_inner_line_is_a_value_error(self):
+        with pytest.raises(ValueError, match=r"^line takes 1 argument\(s\), got 0$"):
+            GraphSpec("line", (GraphSpec("line", ()),)).check()
 
 
 # ------------------------------------------------------- canonical specs

@@ -145,6 +145,11 @@ class TestChromaticIdentity:
         with pytest.raises(ValueError):
             verify_chromatic_closed_forms("path(5)")
 
+    def test_cliques_past_the_edge_bound(self):
+        # 343 edges, all in two K_19 blocks and a bridge, none evaluated
+        rep = verify_chromatic_closed_forms("cdumbbell(19,0,19)")
+        assert rep.equal and rep.lhs.degree == 38
+
     def test_refuses_a_built_graph(self, monkeypatch):
         def refuse(*args):
             pytest.fail("a graph was built or expanded")

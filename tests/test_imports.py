@@ -61,10 +61,10 @@ def test_checker_sees_unused_and_used_names():
 
 #: module -> the underscore names it imports from sibling modules
 PRIVATE_IMPORTS = {
-    "cli": ["_degree_guard", "_scan_guard"],
+    "cli": ["_degree_guard"],
     "csf": ["_count_keys"],
-    "identities": ["_eliminate", "_vertex_guard"],
-    "positivity": ["_count_keys", "_degree_guard", "_vertex_guard"],
+    "identities": ["_eliminate", "_guard"],
+    "positivity": ["_count_keys", "_degree_guard", "_guard"],
     "symfunc": ["_count_keys"],
 }
 
@@ -88,6 +88,45 @@ def test_private_imports_across_modules_are_pinned():
 def test_checker_sees_private_imports():
     source = "from .a import _x, y\nfrom b import _z\nfrom . import _w as w\n"
     assert private_imports(source) == ["_w", "_x"]
+
+
+def refusal_holders(source: str) -> set:
+    """Names of the functions whose code, not their docstrings, holds the text
+    ``guarded at``; code outside any function counts as ``<module>``."""
+    tree = ast.parse(source)
+    docs = {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef))
+        and node.body and isinstance(node.body[0], ast.Expr)
+    }
+
+    def holders(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Constant) and isinstance(child.value, str) and id(child) not in docs:
+                if "guarded at" in child.value:
+                    yield where
+            named = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+            yield from holders(child, child.name if named else where)
+
+    return set(holders(tree, "<module>"))
+
+
+def test_size_refusals_are_worded_in_one_place_per_kind():
+    """The vertex and edge refusals are ``csf._guard``'s; the transition and
+    grid refusals keep their own wording."""
+    found = set().union(*(refusal_holders(path.read_text()) for path in MODULES))
+    assert found == {"_guard", "_degree_guard", "verify_distinguishability"}
+
+
+def test_checker_sees_refusal_text():
+    source = (
+        '"""Routes guarded at a cap."""\n'
+        'def f(n):\n    """guarded at n"""\n    raise ValueError(f"f guarded at {n}")  # guarded at\n'
+        'class C:\n    def g(self):\n        return "g guarded at"\n'
+        'X = "guarded at"\n'
+    )
+    assert refusal_holders(source) == {"f", "g", "<module>"}
 
 
 def test_package_exports_exactly_its_imports():

@@ -180,6 +180,11 @@ class TestMissingPartitionScan:
         with pytest.raises(ValueError):
             missing_partition_scan(g)
 
+    @pytest.mark.parametrize("text", ["sun(3;1,1,1)", "spider(1,1,1,1)", "csun(4;2,1,1,1)", "path(6)", "edges[4:(1,2)]"])
+    def test_a_spec_string_a_spec_and_the_graph_agree(self, text):
+        spec = parse_graph_spec(text)
+        assert missing_partition_scan(text) == missing_partition_scan(spec) == missing_partition_scan(spec.build())
+
     def test_edge_cases(self):
         assert missing_partition_scan(Graph(0, [])) == []
         assert missing_partition_scan(Graph(3, [])) == [Partition([3]), Partition([2, 1])]
@@ -499,6 +504,11 @@ class TestSunMatching:
     def test_rejects_non_sun(self):
         with pytest.raises(ValueError):
             sun_matching_criterion("path(4)")
+
+    @pytest.mark.parametrize("helper", [sun_matching_criterion, sun_has_near_perfect_matching])
+    def test_a_built_graph_is_refused_by_name(self, helper):
+        with pytest.raises(ValueError, match=r"\(a GraphSpec or spec string\)$"):
+            helper(sun_graph(3, (1, 1, 1)))
 
 
 class TestSpiderCriterion:
