@@ -40,7 +40,13 @@ Engines:
   subset oracle on overlapping grids.  Each checks its arguments by
   ``GraphSpec.check`` and its vertex bound before any arithmetic.  Paths and
   cycles come from one series rule, ``_series``; tadpoles, lollipops and
-  dumbbells remove each body by one rule, ``_eliminate``.
+  dumbbells remove each body by one rule, ``_eliminate``.  Paths, cycles,
+  tadpoles and lollipops are memoized for the life of the process: the
+  series recursion reads every smaller path or cycle, and every elimination
+  reads its tails R(j), the paths of a tadpole or lollipop and the tadpoles
+  or lollipops of a dumbbell, which neighbouring arguments share.  A whole
+  dumbbell is one elimination over those memoized tails and is not
+  memoized, as no workload asks for the same dumbbell twice.
 
 Component products, block products and the tree and clique closings are
 theorems about all graphs, not family formulas: no ``*_closed`` function is
@@ -166,13 +172,10 @@ def _subset_counts(n, edges, sizes=True):
                 else:
                     g += unit[size]
                 key = tuple(sorted(blocks))
-                out = nxt.get(key)
-                if out is None:
-                    nxt[key] = {closed + g: w * c for closed, c in table.items()}
-                else:
-                    for closed, c in table.items():
-                        closed += g
-                        out[closed] = out.get(closed, 0) + w * c
+                out = nxt.setdefault(key, {})
+                for closed, c in table.items():
+                    closed += g
+                    out[closed] = out.get(closed, 0) + w * c
         states = nxt
     if not sizes:
         return states[()]
@@ -438,7 +441,6 @@ def _dumbbell(family: str, m: int, l: int, n: int) -> SymFunc:
     return _eliminate(first, m, lambda j: inner(n, l + j))
 
 
-@lru_cache(maxsize=None)
 def csf_dumbbell_closed(m: int, l: int, n: int) -> SymFunc:
     """X of the two-cycle dumbbell by eliminating the m-cycle over the cached
     tadpoles T(n, l + j).
@@ -449,7 +451,6 @@ def csf_dumbbell_closed(m: int, l: int, n: int) -> SymFunc:
     return _dumbbell("dumbbell", m, l, n)
 
 
-@lru_cache(maxsize=None)
 def csf_complete_dumbbell_closed(m: int, l: int, n: int) -> SymFunc:
     """X of the two-clique dumbbell by eliminating the m-clique over the cached
     lollipops L(n, l + j).
@@ -461,7 +462,6 @@ def csf_complete_dumbbell_closed(m: int, l: int, n: int) -> SymFunc:
     return _dumbbell("cdumbbell", m, l, n)
 
 
-@lru_cache(maxsize=None)
 def csf_semicomplete_dumbbell_closed(m: int, l: int, n: int) -> SymFunc:
     """X of the cycle-clique dumbbell by eliminating the cycle side:
 

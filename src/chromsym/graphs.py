@@ -6,8 +6,10 @@ undirected; ``Graph`` is immutable and hashable so computed invariants can be
 cached per graph.
 
 Each family's argument rule is written once, as the ``_check_*_args``
-function its builder runs, and returns |V|: paths, cycles and complete graphs
-bind one size rule, ``_check_order``, and tadpoles and lollipops share one.
+function its builder runs, and returns |V|.  Each rule checks its sizes by
+``_check_sizes``, which refuses a non-integer, so no builder truncates one:
+paths, cycles and complete graphs bind it, and tadpoles and lollipops share
+one rule.
 ``_FAMILY_TABLE`` gives each family of the spec grammar its arity, rule and
 builder; ``GraphSpec.check`` runs the rule, and every other module checks
 arguments and reads |V| for its vertex bounds through it, before any build.
@@ -122,16 +124,20 @@ def _pendant_path(edges: list, anchor: int, start: int, length: int) -> int:
     return start + length
 
 
-def _check_order(least: int, message: str, n: int) -> int:
-    """The path, cycle and complete rule: n >= ``least`` vertices, else ``message``."""
-    if n < least:
-        raise ValueError(message)
-    return n
+def _check_sizes(least: int, message: str, *sizes) -> int:
+    """The size check of every family rule: each size is an int (a bool is
+    one) and at least ``least``, else ``message``; returns their sum."""
+    for x in sizes:
+        if not isinstance(x, int):
+            raise ValueError(f"arguments must be integers, got {x!r}")
+        if x < least:
+            raise ValueError(message)
+    return sum(sizes)
 
 
-_check_path_args = partial(_check_order, 1, "path needs at least one vertex")
-_check_cycle_args = partial(_check_order, 3, "cycle needs at least three vertices")
-_check_complete_args = partial(_check_order, 1, "complete graph needs at least one vertex")
+_check_path_args = partial(_check_sizes, 1, "path needs at least one vertex")
+_check_cycle_args = partial(_check_sizes, 3, "cycle needs at least three vertices")
+_check_complete_args = partial(_check_sizes, 1, "complete graph needs at least one vertex")
 
 
 def path_graph(n: int) -> Graph:
@@ -153,9 +159,10 @@ def complete_graph(n: int) -> Graph:
 
 
 def _check_spider_args(*legs) -> int:
-    if not legs or any(x < 1 for x in legs):
-        raise ValueError("spider legs must be positive")
-    return 1 + sum(legs)
+    message = "spider legs must be positive"
+    if not legs:
+        raise ValueError(message)
+    return 1 + _check_sizes(1, message, *legs)
 
 
 def spider_graph(legs) -> Graph:
@@ -164,7 +171,7 @@ def spider_graph(legs) -> Graph:
     Leg i of length L contributes a path of L vertices; the center is adjacent
     to the first vertex of each leg (a leaf of that path).
     """
-    legs = tuple(int(x) for x in legs)
+    legs = tuple(legs)
     _check_spider_args(*legs)
     edges = []
     nxt = 1
@@ -174,13 +181,10 @@ def spider_graph(legs) -> Graph:
 
 
 def _check_sun_args(n: int, rays: tuple) -> int:
-    if n < 3:
-        raise ValueError("sun body needs at least three vertices")
+    _check_sizes(3, "sun body needs at least three vertices", n)
     if len(rays) != n:
         raise ValueError(f"expected {n} ray lengths, got {len(rays)}")
-    if any(r < 1 for r in rays):
-        raise ValueError("ray lengths must be positive")
-    return n + sum(rays)
+    return n + _check_sizes(1, "ray lengths must be positive", *rays)
 
 
 def sun_graph(n: int, rays, body: str = "cycle") -> Graph:
@@ -192,7 +196,7 @@ def sun_graph(n: int, rays, body: str = "cycle") -> Graph:
     can change the isomorphism type.  Vertex count n + sum(rays); edge count
     body edges + sum(rays).
     """
-    rays = tuple(int(x) for x in rays)
+    rays = tuple(rays)
     _check_sun_args(n, rays)
     if body not in ("cycle", "complete"):
         raise ValueError(f"unknown sun body {body!r}")
@@ -205,11 +209,8 @@ def sun_graph(n: int, rays, body: str = "cycle") -> Graph:
 
 def _check_tailed_args(body: str, m: int, l: int) -> int:
     """The tadpole and lollipop rule; ``body`` names the body in its first message."""
-    if m < 3:
-        raise ValueError(f"{body} needs m >= 3")
-    if l < 0:
-        raise ValueError("tail length must be nonnegative")
-    return m + l
+    _check_sizes(3, f"{body} needs m >= 3", m)
+    return m + _check_sizes(0, "tail length must be nonnegative", l)
 
 
 def tadpole_graph(m: int, l: int) -> Graph:
@@ -230,11 +231,8 @@ def lollipop_graph(m: int, l: int) -> Graph:
 
 
 def _check_dumbbell_args(m: int, l: int, n: int) -> int:
-    if m < 3 or n < 3:
-        raise ValueError("dumbbell bodies need at least three vertices each")
-    if l < -1:
-        raise ValueError("connector length must be at least -1")
-    return m + l + n
+    _check_sizes(3, "dumbbell bodies need at least three vertices each", m, n)
+    return m + n + _check_sizes(-1, "connector length must be at least -1", l)
 
 
 def dumbbell_graph(m: int, l: int, n: int, kind: str = "ordinary") -> Graph:

@@ -424,7 +424,7 @@ def iter_grid(name: str, vertex_cap: int = DEFAULT_GRID_VERTEX_CAP):
     """Parameter dictionaries of the identity's grid."""
     if name not in _IDENTITIES:
         raise ValueError(f"unknown identity {name!r}")
-    yield from _IDENTITIES[name][1](vertex_cap)
+    return _IDENTITIES[name][1](vertex_cap)
 
 
 def run_grid(name: str, vertex_cap: int = DEFAULT_GRID_VERTEX_CAP) -> list:

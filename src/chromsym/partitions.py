@@ -128,7 +128,6 @@ def _count_keys(n: int):
     return unit, decode
 
 
-@lru_cache(maxsize=None)
 def _refines(lam: tuple, mu: tuple) -> bool:
     """Whether the parts of ``lam`` fill bins of sizes ``mu`` (both decreasing, equal weight).
 

@@ -35,7 +35,7 @@ from functools import lru_cache
 from math import gcd
 
 from .csf import _guard, compute_csf, csf_degree
-from .graphs import Graph, GraphSpec, as_spec
+from .graphs import Graph, GraphSpec, _check_sizes, as_spec
 from .partitions import Partition, _count_keys, partitions_of
 from .symfunc import Basis, _degree_guard, e_to_s, fraction_json
 
@@ -229,9 +229,8 @@ def missing_partition_scan(target) -> list:
 
 def _check_uniform_sun(n: int, k: int) -> int:
     """The sun rule for n equal rays of length k, without the ray tuple; returns |V|."""
-    if n < 3 or k < 1:
-        raise ValueError("need n >= 3 and k >= 1")
-    return n * (k + 1)
+    message = "need n >= 3 and k >= 1"
+    return _check_sizes(3, message, n) * (_check_sizes(1, message, k) + 1)
 
 
 def uniform_sun_missing_type(n: int, k: int) -> Partition:
@@ -266,9 +265,10 @@ def gcd_missing_type(rays) -> Partition | None:
     ((sum of others) + n - 2, r_1 + 2) has no connected partition in either
     body kind.  Returns None when either condition fails.
     """
-    rays = sorted((int(r) for r in rays), reverse=True)
+    rays = tuple(rays)
     n = len(rays)
     GraphSpec("sun", (n, rays)).check()
+    rays = sorted(rays, reverse=True)
     g = 0
     for r in rays:
         g = gcd(g, r + 1)
@@ -344,11 +344,11 @@ def spider_nonpositivity_criterion(legs, i: int) -> bool:
     q * (t - 1) >= legs[i-1] + 1.  Requires 2 <= i < number of legs and
     t >= 2.  A False verdict is inconclusive.
     """
-    legs = tuple(int(x) for x in legs)
+    legs = tuple(legs)
     n = GraphSpec("spider", legs).check()
-    d = len(legs)
-    if not (2 <= i < d):
-        raise ValueError("position must satisfy 2 <= i < number of legs")
+    message = "position must satisfy 2 <= i < number of legs"
+    if _check_sizes(2, message, i) >= len(legs):
+        raise ValueError(message)
     t = sum(legs[i:])
     if t <= 1:
         raise ValueError("trailing legs must sum to at least 2")

@@ -508,7 +508,36 @@ def _small_specs(family):
         yield GraphSpec(family, (3,) * (arity - 1))
 
 
+#: the families whose arguments are integers: all but ``line``, ``union`` and ``edges``
+_INTEGER_FAMILIES = sorted(set(_FAMILY_TABLE) - {"line", "union", "edges"})
+#: small, negative, float and string arguments; a bool counts as an int
+_ARGUMENT = st.one_of(
+    st.integers(-2, 6), st.booleans(), st.floats(-2, 6, allow_nan=False), st.sampled_from(["3", "x"])
+)
+
+
+@st.composite
+def _integer_family_specs(draw):
+    family = draw(st.sampled_from(_INTEGER_FAMILIES))
+    if family in ("sun", "csun"):
+        return GraphSpec(family, (draw(_ARGUMENT), tuple(draw(st.lists(_ARGUMENT, max_size=5)))))
+    arity = _FAMILY_TABLE[family][0]
+    count = draw(st.integers(0, 4)) if arity is None else arity
+    return GraphSpec(family, tuple(draw(_ARGUMENT) for _ in range(count)))
+
+
 class TestArgumentRules:
+    @given(_integer_family_specs())
+    @settings(max_examples=400, deadline=None)
+    def test_non_integer_arguments_are_refused_by_check_and_build(self, spec):
+        try:
+            n = spec.check()
+        except ValueError:
+            with pytest.raises(ValueError):
+                spec.build()
+        else:
+            assert n == spec.build().n
+
     @pytest.mark.parametrize("family", sorted(_FAMILY_TABLE))
     def test_check_raises_exactly_when_build_does(self, family):
         outcomes = set()

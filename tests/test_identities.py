@@ -290,6 +290,10 @@ class TestGrids:
         with pytest.raises(ValueError):
             run_grid("widget")
 
+    def test_unknown_grid_is_refused_at_the_call(self):
+        with pytest.raises(ValueError, match="unknown identity 'no_such_identity'"):
+            iter_grid("no_such_identity")
+
     def test_iter_grid_yields_kwargs(self):
         rows = list(iter_grid("dumbbell_recursion", vertex_cap=9))
         assert rows

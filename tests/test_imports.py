@@ -7,7 +7,9 @@ somewhere in the module.  ``__init__.py`` is skipped, since it imports its
 exports lazily from a table, and so are ``from __future__`` imports.  That
 table is checked against ``__all__`` and the modules instead.  The underscore names a
 module takes from its siblings must equal its entry in ``PRIVATE_IMPORTS``,
-so a new private import across modules shows up as an edit to that table.
+so a new private import across modules shows up as an edit to that table,
+and the memoized functions must equal ``MEMOS``, so a new or resized memo does
+too.
 Every module-level underscore name must be read somewhere in the package
 outside its own definition, so a helper left behind by a refactor fails,
 and every underscore name the docs mention must be defined in the package,
@@ -64,7 +66,7 @@ PRIVATE_IMPORTS = {
     "cli": ["_degree_guard"],
     "csf": ["_count_keys"],
     "identities": ["_eliminate", "_guard"],
-    "positivity": ["_count_keys", "_degree_guard", "_guard"],
+    "positivity": ["_check_sizes", "_count_keys", "_degree_guard", "_guard"],
     "symfunc": ["_count_keys"],
 }
 
@@ -88,6 +90,89 @@ def test_private_imports_across_modules_are_pinned():
 def test_checker_sees_private_imports():
     source = "from .a import _x, y\nfrom b import _z\nfrom . import _w as w\n"
     assert private_imports(source) == ["_w", "_x"]
+
+
+#: module -> {memoized function: its ``lru_cache`` maxsize}; a nested
+#: function is named after its enclosing one
+MEMOS = {
+    "csf": {
+        "_cycle_chromatic": None,
+        "_dc_block": 1024,
+        "_falling": None,
+        "_subsets_block": 1024,
+        "_tree": None,
+        "_xm1_power": None,
+        "csf_cycle_closed": None,
+        "csf_lollipop_closed": None,
+        "csf_path_closed": None,
+        "csf_tadpole_closed": None,
+    },
+    "identities": {"_memo": 1024},
+    "partitions": {"_partition_list": None},
+    "positivity": {"_scan_types": None},
+    "symfunc": {
+        "_elementary_in_s": None,
+        "_jacobi_trudi_dual": None,
+        "_jacobi_trudi_dual.minor": None,
+        "_keyed": None,
+    },
+}
+
+
+def _maxsize(decorator):
+    """The maxsize a ``cache`` or ``lru_cache`` decorator gives, or ``False``
+    for any other decorator; an ``lru_cache`` without one gives 128."""
+    call = decorator if isinstance(decorator, ast.Call) else None
+    target = call.func if call else decorator
+    name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+    if name == "cache":
+        return None
+    if name != "lru_cache":
+        return False
+    given = [kw.value for kw in call.keywords if kw.arg == "maxsize"] + call.args if call else []
+    if not given:
+        return 128
+    return given[0].value if isinstance(given[0], ast.Constant) else ast.unparse(given[0])
+
+
+def memos(source: str) -> dict:
+    """{function: maxsize} of every memoized function in ``source``, nested
+    ones as ``outer.inner``."""
+    out = {}
+
+    def walk(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                name = prefix + child.name
+                for decorator in child.decorator_list:
+                    size = _maxsize(decorator)
+                    if size is not False:
+                        out[name] = size
+                walk(child, name + ".")
+            else:
+                walk(child, prefix)
+
+    walk(ast.parse(source), "")
+    return out
+
+
+def test_memo_set_is_pinned():
+    """Adding, removing or resizing a memo shows up as an edit to ``MEMOS``."""
+    found = {path.stem: memos(path.read_text()) for path in MODULES}
+    assert {stem: names for stem, names in found.items() if names} == MEMOS
+
+
+def test_checker_sees_memos():
+    source = (
+        "import functools\nfrom functools import cache, lru_cache\n"
+        "@lru_cache(maxsize=None)\ndef a(): pass\n"
+        "@functools.lru_cache(64)\ndef b(): pass\n"
+        "@lru_cache\ndef c(): pass\n"
+        "def d():\n    @cache\n    def e(): pass\n    return e\n"
+        "class K:\n    @staticmethod\n    @lru_cache(maxsize=SIZE)\n    def f(): pass\n"
+        "@staticmethod\ndef g(): pass\n"
+    )
+    assert memos(source) == {"a": None, "b": 64, "c": 128, "d.e": None, "K.f": "SIZE"}
 
 
 def refusal_holders(source: str) -> set:

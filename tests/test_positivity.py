@@ -413,6 +413,22 @@ class TestMissingTypeFormulas:
         with pytest.raises(ValueError):
             gcd_missing_type((3, 0, 3))
 
+    @pytest.mark.parametrize(
+        "function,args",
+        [
+            (gcd_missing_type, ([2.9, 2, 2],)),
+            (gcd_missing_type, ((3, "3", 3),)),
+            (spider_nonpositivity_criterion, ((3.5, 2, 2, 2), 2)),
+            (spider_nonpositivity_criterion, ((3, 2, 2, 2), 2.5)),
+            (uniform_sun_missing_type, (4, 1.5)),
+            (uniform_sun_missing_type, (3.0, 2)),
+            (uniform_sun_coefficient, (3, 1.5)),
+        ],
+    )
+    def test_non_integer_arguments_are_refused(self, function, args):
+        with pytest.raises(ValueError, match="must be integers"):
+            function(*args)
+
     def test_triangle_type(self):
         assert triangle_sun_missing_type(2, 1, 2) == Partition([4, 4])
         assert triangle_sun_missing_type(5, 3, 3) == Partition([7, 7])
