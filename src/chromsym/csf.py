@@ -5,15 +5,18 @@ Engines:
 * ``csf_subsets`` -- the edge-subset expansion
   :math:`X_G = \\sum_{S \\subseteq E} (-1)^{|S|} p_{\\lambda(S)}`,
   evaluated by a frontier-state dynamic program with one step per vertex,
-  in depth-first order: v joins any set J of its adjacent live blocks with
-  sign (-1)^|J|, the sum over the nonempty edge subsets into each block.  A
-  block is kept as (size, mask of its later neighbours), all that a later
-  step reads of it, so equal blocks are interchangeable, joining k of m of
-  them weighs C(m, k) (-1)^k, and a clique body walks integer partitions
-  instead of set partitions.  The closed sizes are keyed on integer count
-  vectors.  This is the formula-free oracle every other route is checked
-  against.  Run without block sizes, it counts components only, which gives
-  the chromatic polynomial :math:`P_G(x) = \\sum_S (-1)^{|S|} x^{c(S)}`.
+  in depth-first order, leaves first: v joins any set J of its adjacent
+  live blocks with sign (-1)^|J|, the sum over the nonempty edge subsets
+  into each block.  A block is kept as (size, mask of its later
+  neighbours), all that a later step reads of it, so equal blocks are
+  interchangeable, joining k of m of them weighs C(m, k) (-1)^k, and a
+  clique body walks integer partitions instead of set partitions.  The
+  closed sizes are keyed on integer count vectors, and ``compute_csf``
+  hands that table, still on those keys, to the nested p -> e evaluator of
+  ``symfunc``; ``csf_subsets`` decodes it once into the p basis.  This is
+  the formula-free oracle every other route is checked against.  Run
+  without block sizes, it counts components only, which gives the
+  chromatic polynomial :math:`P_G(x) = \\sum_S (-1)^{|S|} x^{c(S)}`.
 * one deletion-contraction kernel, ``_deletion_contraction``, over states
   whose vertices are clumps of original vertices (the weighted recursion of
   Crew and Spirkl, :math:`X_G = X_{G\\setminus e} - X_{G/e}`, where
@@ -38,27 +41,31 @@ Engines:
 * closed forms for paths, cycles, complete graphs, tadpoles, lollipops and the
   dumbbell families, accepted only because the test suite pins them to the
   subset oracle on overlapping grids.  Each checks its arguments by
-  ``GraphSpec.check`` and its vertex bound before any arithmetic.  Paths and
+  ``GraphSpec.check`` (the cycle form, which admits d = 2, by the rules'
+  ``_check_sizes``) and its vertex bound before any arithmetic.  Paths and
   cycles come from one series rule, ``_series``; tadpoles, lollipops and
   dumbbells remove each body by one rule, ``_eliminate``.  Paths, cycles,
   tadpoles and lollipops are memoized for the life of the process: the
   series recursion reads every smaller path or cycle, and every elimination
   reads its tails R(j), the paths of a tadpole or lollipop and the tadpoles
-  or lollipops of a dumbbell, which neighbouring arguments share.  A whole
-  dumbbell is one elimination over those memoized tails and is not
-  memoized, as no workload asks for the same dumbbell twice.
+  or lollipops of a dumbbell, which neighbouring arguments share.  These
+  memos key on argument types too, so a float equal to a cached integer
+  still meets its rule.  A whole dumbbell is one elimination over those
+  memoized tails and is not memoized, as no workload asks for the same
+  dumbbell twice.
 
 Component products, block products and the tree and clique closings are
 theorems about all graphs, not family formulas: no ``*_closed`` function is
 ever called on the deletion-contraction or subset path, so both stay
 independent checks of them.  All coefficients are integers: the CSF engines
 expand in the p basis, and the closed forms, which use integer weights only,
-in the e basis.
+in the e basis; the nested evaluator takes the first to the second.
 
 ``compute_csf`` takes no options and picks its engine from its input alone:
 a spec whose family has a closed form returns it, any other spec is built,
-and a ``Graph`` goes to ``csf_subsets`` (``csf_dc`` is the tests' second
-route).  ``compute_csf(spec.build())`` is thus the formula-free route every
+and a ``Graph`` goes to the subset DP, whose table goes to the e basis
+undecoded (``csf_subsets`` and ``csf_dc`` are the tests' routes to the p
+basis).  ``compute_csf(spec.build())`` is thus the formula-free route every
 identity check compares the closed forms with.  ``compute_chromatic`` routes
 the same way: a closed form for a sun or dumbbell spec, else the block split
 with the subset DP.
@@ -78,9 +85,9 @@ from itertools import zip_longest
 from math import comb, factorial
 from operator import mul
 
-from .graphs import Graph, GraphSpec, as_spec
+from .graphs import Graph, GraphSpec, _check_sizes, as_spec
 from .partitions import DEFAULT_ENUMERATION_CAP, Partition, _count_keys
-from .symfunc import Basis, SymFunc, p_to_e, signed_sum
+from .symfunc import Basis, SymFunc, _nested, _power_in_e, signed_sum
 
 #: ceiling on |E| for both CSF engines, the subset oracle and deletion-contraction
 CSF_EDGE_CAP = 26
@@ -97,19 +104,22 @@ def _guard(route: str, size: int, cap: int = DEFAULT_ENUMERATION_CAP, unit: str 
 
 
 def _subset_counts(n, edges, sizes=True):
-    """Signed counts {component-size tuple: sum of (-1)^|S|} over subsets of ``edges``.
+    """Signed counts {component sizes: sum of (-1)^|S|} over subsets of ``edges``,
+    the sizes as a ``_count_keys(n)`` integer, which the table keeps.
 
     A frontier-state dynamic program (Sekine, Imai and Tani 1995; Kawahara et
     al. 2017).  The vertices are taken one at a time in depth-first order, and
     the step of a vertex v decides all its edges to earlier vertices.  The
     cost grows with the frontier width, which the order decides: depth first
     walks one leg of a spider or one ray of a sun at a time, where breadth
-    first holds them all open.  A state is the sorted tuple of live blocks,
-    each ``(size, mask)``, where the mask has a bit for every later vertex
-    adjacent to the block: the union of its vertices' later neighbours.  It
-    keys a table of counts by the multiset of closed component sizes, a
-    ``_count_keys`` integer (no count exceeds n, so closing a block adds its
-    unit without reaching a wrong index).
+    first holds them all open.  A vertex's leaf neighbours come right after
+    it, so the block that holds it drops their bits at once instead of
+    carrying them across the rest of its subtree.  A state is the sorted
+    tuple of live blocks, each ``(size, mask)``, where the mask has a bit for
+    every later vertex adjacent to the block: the union of its vertices'
+    later neighbours.  It keys a table of counts by the multiset of closed
+    component sizes, a ``_count_keys`` integer (no count exceeds n, so
+    closing a block adds its unit without reaching a wrong index).
 
     A block that holds k >= 1 earlier neighbours of v reaches one successor by
     every nonempty subset of those k edges, with total sign
@@ -134,15 +144,15 @@ def _subset_counts(n, edges, sizes=True):
     """
     adj = Graph(n, edges).adjacency()
     pos, stack = {}, list(range(n - 1, -1, -1))
-    while stack:  # roots in increasing order, neighbours in adjacency order: a DFS preorder
+    while stack:  # roots in increasing order, leaf neighbours first, else in adjacency order
         x = stack.pop()
         if x not in pos:
             pos[x] = len(pos)
-            stack += reversed(adj[x])
+            stack += sorted(reversed(adj[x]), key=lambda y: len(adj[y]) == 1)  # leaves popped first
     later = [0] * n  # by position: the later neighbours, one bit per position
     for x, nbrs in enumerate(adj):
         later[pos[x]] = sum(1 << pos[y] for y in nbrs if pos[y] > pos[x])
-    unit, decode = _count_keys(n) if sizes else ([1], None)
+    unit = _count_keys(n)[0] if sizes else [1]
     one = 1 if sizes else 0  # the size of v's own block
     states = {(): {0: 1}}
     for t, own in enumerate(later):
@@ -177,21 +187,26 @@ def _subset_counts(n, edges, sizes=True):
                     closed += g
                     out[closed] = out.get(closed, 0) + w * c
         states = nxt
-    if not sizes:
-        return states[()]
-    return {decode(key): c for key, c in states[()].items()}
+    return states[()]
+
+
+def _oracle_table(g: Graph) -> dict:
+    """``_subset_counts`` of ``g``, on count keys, guarded at ``CSF_EDGE_CAP``
+    edges and ``DEFAULT_ENUMERATION_CAP`` vertices before it runs."""
+    _guard("subset oracle", len(g.edges), CSF_EDGE_CAP, "edges")
+    _guard("subset oracle", g.n)
+    return _subset_counts(g.n, g.edge_list)
 
 
 def csf_subsets(g: Graph) -> SymFunc:
     """Chromatic symmetric function by the edge-subset expansion (p basis).
 
-    Runs ``_subset_counts``; guarded at ``CSF_EDGE_CAP`` edges and
-    ``DEFAULT_ENUMERATION_CAP`` vertices.
+    Decodes the table of ``_oracle_table`` once; ``compute_csf`` takes the
+    table to the e basis without decoding it.
     """
-    _guard("subset oracle", len(g.edges), CSF_EDGE_CAP, "edges")
-    _guard("subset oracle", g.n)
-    terms = _subset_counts(g.n, g.edge_list)  # each index already largest first
-    return SymFunc._trusted(Basis.P, g.n, {tuple.__new__(Partition, lam): c for lam, c in terms.items()})
+    table = _oracle_table(g)
+    decode = _count_keys(g.n)[1]  # each index largest first
+    return SymFunc._trusted(Basis.P, g.n, {tuple.__new__(Partition, decode(key)): c for key, c in table.items()})
 
 
 # ---------------------------------------------------- deletion-contraction
@@ -347,7 +362,7 @@ def _series(lead: int, d: int, smallest: int, smaller) -> SymFunc:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def csf_path_closed(d: int) -> SymFunc:
     """e-expansion of the path on d >= 1 vertices, from the generating function
     sum_{n>=0} X_{P_n} z^n = sum_{i>=0} e_i z^i / (1 - sum_{i>=2} (i-1) e_i z^i)
@@ -359,7 +374,7 @@ def csf_path_closed(d: int) -> SymFunc:
     return _series(d, d, 1, csf_path_closed)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def csf_cycle_closed(d: int) -> SymFunc:
     """e-expansion of the cycle on d >= 2 vertices, from the generating function
     sum_{n>=2} X_{C_n} z^n = sum_{i>=2} i(i-1) e_i z^i / (1 - sum_{i>=2} (i-1) e_i z^i)
@@ -370,9 +385,7 @@ def csf_cycle_closed(d: int) -> SymFunc:
     d = 2 gives 2 e_2, the single edge K_2 (the degenerate two-cycle), which
     keeps every elimination formula below uniform.
     """
-    if d < 2:
-        raise ValueError("cycle forms need d >= 2")
-    _guard("closed form", d)
+    _guard("closed form", _check_sizes(2, "cycle forms need d >= 2", d))
     return _series(d * (d - 1), d, 2, csf_cycle_closed)
 
 
@@ -404,7 +417,7 @@ def _eliminate(body: str, m: int, rest) -> SymFunc:
     return out
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def csf_tadpole_closed(a: int, b: int) -> SymFunc:
     """X of the cycle C_a with a pendant b-vertex path, by cycle-side elimination:
 
@@ -414,7 +427,7 @@ def csf_tadpole_closed(a: int, b: int) -> SymFunc:
     return _eliminate("cycle", a, lambda j: csf_path_closed(b + j))
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=None, typed=True)
 def csf_lollipop_closed(a: int, b: int) -> SymFunc:
     """X of the clique K_a with a pendant b-vertex path:
 
@@ -728,7 +741,7 @@ def compute_csf(target):
             return closed, "closed"
         _guard("subset oracle", n)
         target = spec.canonical().build()
-    return p_to_e(csf_subsets(target)), "subsets"
+    return _nested(_oracle_table(target), target.n, Basis.E, _power_in_e), "subsets"
 
 
 def csf_degree(target) -> int:

@@ -372,8 +372,8 @@ class GraphSpec(namedtuple("GraphSpec", "family args")):
         reflections, a complete sun its rays in decreasing order and a spider
         its legs in increasing order; every other family returns the spec.
         Equal results are isomorphic graphs, and of the labellings measured,
-        each choice is the one the subset DP walked fastest.  Run it on a
-        checked spec only.
+        each choice is the one on which the subset DP, leaf neighbours
+        first, does the least work.  Run it on a checked spec only.
         """
         f, a = self.family, self.args
         if f in ("dumbbell", "cdumbbell"):

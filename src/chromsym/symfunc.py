@@ -14,11 +14,14 @@ memoized on its index.
   \\frac{i\\,(\\ell(\\mu)-1)!}{\\prod_j m_j(\\mu)!}\\, e_\\mu` and
   :math:`i!\\,e_i = \\sum_{\\mu \\vdash i} (-1)^{i-\\ell(\\mu)}
   \\frac{i!}{z_\\mu}\\, p_\\mu`,
-  memoized per part and degree, and multiply out a whole function at once by
-  nested (Horner) evaluation over the trie of its indices.  For ``e -> p`` the
-  product of the :math:`\\lambda_j!\\,e_{\\lambda_j}`, weighted by the
-  multinomial :math:`d!/\\prod_j \\lambda_j!`, is :math:`d!\\,e_\\lambda`, so
-  the sums stay integral and each output term is divided by :math:`d!` once.
+  memoized per part and key width, and multiply out a whole function at once
+  by nested (Horner) evaluation over the trie of its indices, each index an
+  integer count vector (``_count_keys``).  The CSF oracle hands its table to
+  that evaluator on the same keys, with no ``SymFunc`` between.  For
+  ``e -> p`` the product of the :math:`\\lambda_j!\\,e_{\\lambda_j}`,
+  weighted by the multinomial :math:`d!/\\prod_j \\lambda_j!`, is
+  :math:`d!\\,e_\\lambda`, so the sums stay integral and each output term
+  is divided by :math:`d!` once.
 * ``e -> s`` grows :math:`e_\\mu` one part at a time by the dual Pieri rule
   (:math:`s_\\lambda e_k` is the sum of :math:`s_\\nu` over the vertical
   k-strips :math:`\\nu/\\lambda`), so its coefficients are the Kostka numbers
@@ -269,10 +272,10 @@ def _elementary_in_p(i: int) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _keyed(one_part, i: int, n: int) -> tuple:
-    """``one_part(i)`` keyed by ``_count_keys(n)``: the memo of p -> e and e -> p."""
-    unit, _ = _count_keys(n)
-    return tuple((sum(map(unit.__getitem__, mu)), c) for mu, c in one_part(i))
+def _keyed(one_part, i: int, width: int) -> tuple:
+    """``one_part(i)`` on ``_count_keys`` integers of ``width`` bits per part:
+    the memo of p -> e and e -> p, one row for every degree of that width."""
+    return tuple((sum(1 << width * (part - 1) for part in mu), c) for mu, c in one_part(i))
 
 
 def _vertical_strips(lam: tuple, k: int) -> list:
@@ -383,42 +386,60 @@ def _apply(f: SymFunc, source: Basis, target: Basis, expand) -> SymFunc:
     return _divided(target, f.degree, terms, den)
 
 
-def _nested(f: SymFunc, source: Basis, target: Basis, one_part, weight=None, divisor: int = 1) -> SymFunc:
-    """The linear map sending each ``source`` basis element b_lam to
-    ``weight(lam) / divisor`` (the weight defaults to 1) times the product of
-    the integral ``one_part(lam_j)``, in a basis that multiplies by index
-    concatenation.
+def _nested(table: dict, degree: int, target: Basis, one_part, den: int = 1) -> SymFunc:
+    """The linear map sending each basis element b_lam to the product of the
+    integral ``one_part(lam_j)``, in a ``target`` basis that multiplies by
+    index concatenation, divided once by ``den``.  ``table`` holds integer
+    coefficients keyed on ``_count_keys(degree)`` integers.
 
     Nested (Horner) evaluation over the trie of the indices, parts in
-    decreasing order.  A node is a prefix of an index; its value is the
-    coefficient of that index plus, over its children a, ``one_part(a)``
-    times the child's value.  A prefix sorts below its extensions, so walking
-    the nodes in decreasing order folds each into its parent after its
-    children, with no recursion.  ``one_part(1)`` is the index (1) alone, so
-    the 1s that end an index add no node and only shift its key.  Keys are
-    ``_count_keys`` integers: a product adds keys, and each output index is
-    decoded once.
+    decreasing order.  A node is a key with its 1s removed.  Its value holds
+    the coefficients of the table's keys that reduce to it, keyed on their
+    1s, plus, over its children, ``one_part(s)`` times the child's value,
+    where s is the child's smallest part.  ``one_part(1)`` is the index (1)
+    alone, so the 1s add no node and only stay in the key.  A node's parent
+    is ``node - unit[s]``, a smaller integer, so walking the nodes in
+    decreasing order folds each into its parent after its children, with no
+    recursion.  A product adds keys, and only the output keys are decoded.
     """
-    den, scaled = _scaled(f, source)
-    unit, decode = _count_keys(f.degree)
-    sums = {(): {}}
-    for lam, a in scaled.items():
-        ones = lam.count(1)
-        for j in range(len(lam) - ones + 1):
-            node = sums.setdefault(lam[:j], {})
-        node[unit[1] * ones if ones else 0] = a * weight(lam) if weight else a
-    for lam in sorted(sums, reverse=True)[:-1]:  # the root () sorts last
-        parent = sums[lam[:-1]]
-        for key, a in sums.pop(lam).items():
-            for k, c in _keyed(one_part, lam[-1], f.degree):
+    unit, decode = _count_keys(degree)
+    width = degree.bit_length()
+    ones = (1 << width) - 1  # the field of part 1
+
+    def smallest(node):  # the smallest part of a node, which has no 1s
+        return ((node & -node).bit_length() - 1) // width + 1
+
+    sums = {0: {}}
+    for key, a in table.items():
+        leaf = node = key & ~ones
+        while node not in sums:  # the leaf and its ancestors, up to the first one there
+            sums[node] = {}
+            node -= unit[smallest(node)]
+        sums[leaf][key & ones] = a
+    for node in sorted(sums, reverse=True)[:-1]:  # the root 0 sorts last
+        s = smallest(node)
+        parent = sums[node - unit[s]]
+        row = _keyed(one_part, s, width)
+        for key, a in sums.pop(node).items():
+            for k, c in row:
                 k += key
                 parent[k] = parent.get(k, 0) + a * c
-    return _divided(target, f.degree, {decode(key): v for key, v in sums[()].items()}, den * divisor)
+    return _divided(target, degree, {decode(key): v for key, v in sums[0].items()}, den)
+
+
+def _encoded(f: SymFunc, source: Basis, weight=None):
+    """``f``'s numerators over one common denominator, keyed on
+    ``_count_keys(f.degree)`` integers, each times ``weight(lam)`` if given:
+    ``(table, den)``, the input of ``_nested``."""
+    den, scaled = _scaled(f, source)
+    unit = _count_keys(f.degree)[0]
+    return {sum(map(unit.__getitem__, lam)): a * weight(lam) if weight else a for lam, a in scaled.items()}, den
 
 
 def p_to_e(f: SymFunc) -> SymFunc:
     """Convert from the power-sum basis to the elementary basis (exact)."""
-    return _nested(f, Basis.P, Basis.E, _power_in_e)
+    table, den = _encoded(f, Basis.P)
+    return _nested(table, f.degree, Basis.E, _power_in_e, den)
 
 
 def e_to_p(f: SymFunc) -> SymFunc:
@@ -426,7 +447,8 @@ def e_to_p(f: SymFunc) -> SymFunc:
     times d! / prod_j lam_j!, in integers, then one division by d! per output term."""
     _degree_guard(f.degree)
     d = factorial(f.degree)
-    return _nested(f, Basis.E, Basis.P, _elementary_in_p, lambda lam: d // prod(map(factorial, lam)), d)
+    table, den = _encoded(f, Basis.E, lambda lam: d // prod(map(factorial, lam)))
+    return _nested(table, f.degree, Basis.P, _elementary_in_p, den * d)
 
 
 def e_to_s(f: SymFunc) -> SymFunc:

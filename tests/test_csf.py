@@ -48,7 +48,7 @@ from chromsym.graphs import (
     tadpole_graph,
 )
 from chromsym.identities import _canonical_dumbbell_triples, _grid_dumbbell, _sun_specs, iter_grid
-from chromsym.partitions import DEFAULT_ENUMERATION_CAP, Partition, partitions_of
+from chromsym.partitions import DEFAULT_ENUMERATION_CAP, Partition, _count_keys, partitions_of
 from chromsym.positivity import has_connected_partition, missing_partition_scan
 from chromsym.symfunc import Basis, SymFunc, e_to_p, e_to_s, p_to_e, s_to_e
 
@@ -124,6 +124,12 @@ def walk_subset_counts(n, edges):
 
     rec(0, 1)
     return {tuple(s for s in range(n, 0, -1) for _ in range(key[s])): c for key, c in table.items()}
+
+
+def sized_table(n, edges):
+    """``_subset_counts`` with sizes, its count keys decoded to size tuples."""
+    decode = _count_keys(n)[1]
+    return {decode(key): c for key, c in _subset_counts(n, edges).items()}
 
 
 def ref_subset_counts(n, edges):
@@ -721,18 +727,20 @@ class TestEngineRouting:
 
     @pytest.fixture
     def engine_calls(self, monkeypatch):
-        """Stand-ins for both CSF engines that record (engine, |E|) per call."""
+        """Stand-ins for the subset DP and the deletion-contraction engine that
+        record (engine, |E|) per call."""
         calls = []
 
-        def stand_in(name):
-            def record(g):
-                calls.append((name, len(g.edges)))
-                return SymFunc.zero(Basis.P, g.n)
+        def subsets(n, edges, sizes=True):
+            calls.append(("subsets", len(edges)))
+            return {}
 
-            return record
+        def dc(g):
+            calls.append(("dc", len(g.edges)))
+            return SymFunc.zero(Basis.P, g.n)
 
-        monkeypatch.setattr(csf_module, "csf_subsets", stand_in("subsets"))
-        monkeypatch.setattr(csf_module, "csf_dc", stand_in("dc"))
+        monkeypatch.setattr(csf_module, "_subset_counts", subsets)
+        monkeypatch.setattr(csf_module, "csf_dc", dc)
         return calls
 
     def test_bare_graph_uses_only_subsets(self, engine_calls):
@@ -741,7 +749,7 @@ class TestEngineRouting:
 
     def test_spec_without_closed_form_builds_its_canonical_form(self, monkeypatch):
         built = []
-        monkeypatch.setattr(csf_module, "csf_subsets", lambda g: built.append(g) or csf_subsets(g))
+        monkeypatch.setattr(csf_module, "_subset_counts", lambda n, e: built.append(Graph(n, e)) or _subset_counts(n, e))
         for text, canon in [("spider(6,5,2)", "spider(2,5,6)"), ("sun(3;1,4,6)", "sun(3;6,4,1)"),
                             ("csun(4;1,3,2,3)", "csun(4;3,3,2,1)")]:
             f, engine = compute_csf(text)
@@ -771,6 +779,18 @@ class TestEngineRouting:
             compute_csf(g)[0],
         ]
         assert all(f == results[0] for f in results)
+
+    def test_graph_route_is_p_to_e_of_the_decoded_table(self):
+        # compute_csf takes the table to the e basis on count keys; csf_subsets decodes it first
+        rng = random.Random(35)
+        for _ in range(40):
+            n = rng.randint(0, 14)
+            pool = list(itertools.combinations(range(n), 2))
+            edges = rng.sample(pool, rng.randint(0, min(len(pool), CSF_EDGE_CAP)))
+            label = list(range(n))
+            rng.shuffle(label)
+            for g in (Graph(n, edges), Graph(n, [(label[u], label[v]) for u, v in edges])):
+                assert compute_csf(g)[0] == p_to_e(csf_subsets(g)), g.edge_list
 
     def test_spec_objects_and_strings_equivalent(self):
         spec = parse_graph_spec("cycle(5)")
@@ -864,6 +884,18 @@ class TestGuards:
         for fn, args, n in cases:
             with pytest.raises(ValueError, match=f"^closed form guarded at 40 vertices, graph has {n}$"):
                 fn(*args)
+
+    @pytest.mark.parametrize("bad", [2.5, 5.0])
+    def test_closed_forms_refuse_non_integers(self, bad):
+        # each form runs on integers first, so a memo that took 5.0 for 5 would answer
+        for family, form in csf_module._CLOSED_FORMS.items():
+            arity = _FAMILY_TABLE[family][0]
+            for i in range(arity):
+                args = [5] * arity
+                form(*args)
+                args[i] = bad
+                with pytest.raises(ValueError, match=f"^arguments must be integers, got {bad}$"):
+                    form(*args)
 
     def test_chromatic_cap(self):
         g = line_graph(complete_graph(6))  # one 60-edge block over the default cap, not a clique
@@ -969,7 +1001,7 @@ class TestEngineProperties:
     def test_dc_matches_subsets_and_colourings(self, g, rnd):
         edges = list(g.edge_list)
         rnd.shuffle(edges)
-        assert _subset_counts(g.n, g.edge_list) == walk_subset_counts(g.n, edges)
+        assert sized_table(g.n, g.edge_list) == walk_subset_counts(g.n, edges)
         subsets = csf_subsets(g)
         assert bond_sign_violations(subsets) == []
         assert csf_dc(g) == subsets
@@ -1000,11 +1032,11 @@ class TestEngineProperties:
         assert _subset_counts(g.n, relabelled) == _subset_counts(g.n, g.edge_list)
 
     def test_subset_table_edge_cases(self):
-        assert _subset_counts(0, []) == {(): 1}
-        assert _subset_counts(1, []) == {(1,): 1}
-        assert _subset_counts(2, []) == {(1, 1): 1}
+        assert sized_table(0, []) == {(): 1}
+        assert sized_table(1, []) == {(1,): 1}
+        assert sized_table(2, []) == {(1, 1): 1}
         for n, edges in [(0, []), (1, []), (3, []), (4, [(2, 3)]), (5, [(3, 1), (4, 1), (3, 4)])]:
-            assert _subset_counts(n, edges) == walk_subset_counts(n, edges)
+            assert sized_table(n, edges) == walk_subset_counts(n, edges)
         assert csf_subsets(Graph(0, [])) == SymFunc(Basis.P, 0, {Partition([]): 1})
         isolated = disjoint_union(path_graph(1), path_graph(1))
         assert csf_subsets(isolated) == SymFunc.single(Basis.P, Partition([1, 1]))
@@ -1049,12 +1081,12 @@ class TestSubsetCountsMatchBreadthFirst:
         graphs = oracle_graphs(monkeypatch, names, 12)
         assert len(graphs) == 285
         for g in graphs:
-            assert _subset_counts(g.n, g.edge_list) == ref_subset_counts(g.n, g.edge_list), g.edge_list
+            assert sized_table(g.n, g.edge_list) == ref_subset_counts(g.n, g.edge_list), g.edge_list
 
     @settings(deadline=None, max_examples=50)
     @given(st.one_of(random_graphs(), glued_graphs(), line_graphs()))
     def test_random_and_glued_graphs(self, g):
-        assert _subset_counts(g.n, g.edge_list) == ref_subset_counts(g.n, g.edge_list)
+        assert sized_table(g.n, g.edge_list) == ref_subset_counts(g.n, g.edge_list)
 
 
 def assert_is_the_csf_table(g, table):
@@ -1079,7 +1111,7 @@ class TestLargeSparseGraphs:
 
     def test_path_40(self):
         g = path_graph(40)
-        assert_is_the_csf_table(g, _subset_counts(g.n, g.edge_list))
+        assert_is_the_csf_table(g, sized_table(g.n, g.edge_list))
 
 
 @st.composite
@@ -1106,7 +1138,7 @@ class TestTwinRichGraphs:
     @settings(deadline=None, max_examples=25)
     @given(twin_graphs())
     def test_blown_up_graphs(self, g):
-        table = _subset_counts(g.n, g.edge_list)
+        table = sized_table(g.n, g.edge_list)
         assert table == ref_subset_counts(g.n, g.edge_list)
         assert table == walk_subset_counts(g.n, g.edge_list)
 
@@ -1119,7 +1151,7 @@ class TestTwinRichGraphs:
     )
     def test_fixed_graphs(self, g):
         # called directly: the last two are over the edge cap of csf_subsets
-        table = _subset_counts(g.n, g.edge_list)
+        table = sized_table(g.n, g.edge_list)
         assert table == ref_subset_counts(g.n, g.edge_list)
         assert_is_the_csf_table(g, table)
 
@@ -1178,7 +1210,7 @@ class TestChromaticRoutes:
         # deletion-contraction takes seconds on both: check P_G(k) = X_G(1^k) from the sized table
         poly, engine = compute_chromatic(g)
         assert engine == "subsets"
-        table = _subset_counts(g.n, g.edge_list)
+        table = sized_table(g.n, g.edge_list)
         assert [poly(k) for k in range(6)] == [sum(c * k ** len(lam) for lam, c in table.items()) for k in range(6)]
 
     def test_spec_routes_to_subsets(self):

@@ -4,7 +4,7 @@ import pytest
 
 from chromsym import csf as csf_module, identities
 from chromsym.csf import compute_csf
-from chromsym.graphs import GraphSpec, cycle_graph, dumbbell_graph, parse_graph_spec, path_graph, sun_graph
+from chromsym.graphs import Graph, GraphSpec, cycle_graph, dumbbell_graph, parse_graph_spec, path_graph, sun_graph
 from chromsym.identities import (
     DEFAULT_GRID_VERTEX_CAP,
     IdentityReport,
@@ -233,8 +233,8 @@ class TestDistinguishability:
 class TestOracleMemo:
     def test_one_dp_run_per_isomorphism_class(self, monkeypatch):
         runs = []
-        subsets = csf_module.csf_subsets
-        monkeypatch.setattr(csf_module, "csf_subsets", lambda g: runs.append(g) or subsets(g))
+        subsets = csf_module._subset_counts
+        monkeypatch.setattr(csf_module, "_subset_counts", lambda n, e: runs.append(Graph(n, e)) or subsets(n, e))
         identities._memo.cache_clear()
         a = identities._oracle(GraphSpec("dumbbell", (3, 2, 7)))
         b = identities._oracle(GraphSpec("dumbbell", (7, 2, 3)))

@@ -64,7 +64,7 @@ def test_checker_sees_unused_and_used_names():
 #: module -> the underscore names it imports from sibling modules
 PRIVATE_IMPORTS = {
     "cli": ["_degree_guard"],
-    "csf": ["_count_keys"],
+    "csf": ["_check_sizes", "_count_keys", "_nested", "_power_in_e"],
     "identities": ["_eliminate", "_guard"],
     "positivity": ["_check_sizes", "_count_keys", "_degree_guard", "_guard"],
     "symfunc": ["_count_keys"],

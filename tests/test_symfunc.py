@@ -7,7 +7,7 @@ import subprocess
 import sys
 from fractions import Fraction
 from functools import lru_cache, partial
-from math import comb, factorial, lcm
+from math import comb, factorial, lcm, prod
 from pathlib import Path
 
 import pytest
@@ -16,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 import chromsym
 from chromsym import identities, parse_graph_spec
 from chromsym.csf import csf_path_closed, csf_subsets
-from chromsym.partitions import Partition, partitions_of
+from chromsym.partitions import Partition, _count_keys, partitions_of
 from chromsym.symfunc import (
     Basis,
     DEFAULT_TRANSITION_CAP,
@@ -162,6 +162,42 @@ def ref_apply(f, source, target, expand, weight=None, divisor=1):
     den *= divisor
     exact = {Partition(mu): v // den if v % den == 0 else Fraction(v, den) for mu, v in terms.items()}
     return SymFunc._trusted(target, f.degree, exact)
+
+
+def ref_nested(f, source, target, one_part, weight=None, divisor=1):
+    """The tuple-trie nested evaluation that p -> e and e -> p ran before their
+    tries took count keys: a node is a prefix of an index without its 1s,
+    folded into the prefix one part shorter in decreasing tuple order, with
+    the products summed on ``_count_keys(f.degree)`` integers."""
+    assert f.basis is source
+    den = lcm(*(c.denominator for c in f.terms.values()))
+    unit, decode = _count_keys(f.degree)
+    sums = {(): {}}
+    for lam, c in f.terms.items():
+        a = c.numerator * (den // c.denominator)
+        ones = lam.count(1)
+        for j in range(len(lam) - ones + 1):
+            node = sums.setdefault(lam[:j], {})
+        node[unit[1] * ones if ones else 0] = a * weight(lam) if weight else a
+    for lam in sorted(sums, reverse=True)[:-1]:  # the root () sorts last
+        parent = sums[lam[:-1]]
+        row = [(sum(map(unit.__getitem__, mu)), c) for mu, c in one_part(lam[-1])]
+        for key, a in sums.pop(lam).items():
+            for k, c in row:
+                k += key
+                parent[k] = parent.get(k, 0) + a * c
+    den *= divisor
+    exact = {Partition(decode(k)): v // den if v % den == 0 else Fraction(v, den) for k, v in sums[()].items()}
+    return SymFunc._trusted(target, f.degree, exact)
+
+
+def ref_nested_p_to_e(f):
+    return ref_nested(f, Basis.P, Basis.E, ref_power_in_e)
+
+
+def ref_nested_e_to_p(f):
+    d = factorial(f.degree)
+    return ref_nested(f, Basis.E, Basis.P, ref_elementary_in_p, lambda lam: d // prod(map(factorial, lam)), d)
 
 
 def ref_multinomial(counts) -> int:
@@ -527,6 +563,18 @@ class TestNestedMatchesProducts:
         assert e_to_p(SymFunc.single(Basis.E, (), Fraction(1, 3))) == SymFunc.single(Basis.P, (), Fraction(1, 3))
         assert p_to_e(SymFunc.zero(Basis.P, 7)) == SymFunc.zero(Basis.E, 7)
         assert e_to_p(SymFunc.zero(Basis.E, 7)) == SymFunc.zero(Basis.P, 7)
+
+    @pytest.mark.parametrize("degree", [*range(19), 20, 22])
+    def test_count_key_trie_matches_the_tuple_trie(self, degree):
+        rng = random.Random(1000 + degree)
+        for integral in (True, False):
+            for _ in range(3):
+                f = random_function(rng, Basis.P, degree, integral)
+                assert_same_output(p_to_e(f), ref_nested_p_to_e(f))
+                f = random_function(rng, Basis.E, degree, integral)
+                assert_same_output(e_to_p(f), ref_nested_e_to_p(f))
+        assert_same_output(p_to_e(SymFunc.zero(Basis.P, degree)), ref_nested_p_to_e(SymFunc.zero(Basis.P, degree)))
+        assert_same_output(e_to_p(SymFunc.zero(Basis.E, degree)), ref_nested_e_to_p(SymFunc.zero(Basis.E, degree)))
 
     def test_path_27_and_degree_40_union_match_the_closed_form(self):
         path = csf_path_closed(27)
