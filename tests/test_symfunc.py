@@ -165,10 +165,10 @@ def ref_apply(f, source, target, expand, weight=None, divisor=1):
 
 
 def ref_nested(f, source, target, one_part, weight=None, divisor=1):
-    """The tuple-trie nested evaluation that p -> e and e -> p ran before their
-    tries took count keys: a node is a prefix of an index without its 1s,
-    folded into the prefix one part shorter in decreasing tuple order, with
-    the products summed on ``_count_keys(f.degree)`` integers."""
+    """Reference for ``_nested``: the same Horner evaluation over a trie of
+    index tuples.  A node is a prefix of an index without its 1s, folded into
+    the prefix one part shorter in decreasing tuple order; the products are
+    summed on ``_count_keys(f.degree)`` integers."""
     assert f.basis is source
     den = lcm(*(c.denominator for c in f.terms.values()))
     unit, decode = _count_keys(f.degree)
