@@ -7,7 +7,8 @@ grid checked instance by instance in this process.  Each ``_cmd_*`` function
 returns ``(obj, text, failed)``: the ``--json`` object, the human-readable
 lines, and whether the verdict is negative.  ``main`` alone prints one of
 the two, byte-deterministic, and turns ``failed`` under ``--strict`` into
-exit status 1; usage or domain errors exit with status 2.
+exit status 1; usage or domain errors exit with status 2, and so does a
+reader that closes the output pipe early, with no traceback.
 
 Every module but ``partitions`` is imported inside the commands that use
 it, so ``partitions`` loads only ``cli`` and ``partitions``, ``csf`` and
@@ -19,6 +20,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from .partitions import DEFAULT_GRID_VERTEX_CAP, partitions_of
@@ -199,8 +201,12 @@ def main(argv=None) -> int:
     try:
         obj, text, failed = args.func(args)
         print(json.dumps(obj, separators=(", ", ": ")) if args.json else text)
+        sys.stdout.flush()  # a closed pipe raises here, not at exit
     except (ValueError, ArithmeticError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:  # the reader left early: nothing more to say, and nowhere to say it
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())  # so the exit flush cannot raise again
         return 2
     # only the commands with --strict can report a failed verdict
     return 1 if failed and args.strict else 0

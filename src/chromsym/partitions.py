@@ -105,27 +105,40 @@ def partitions_of(n: int) -> list:
     return list(_partition_list(n))
 
 
+class _Names(dict):
+    """Count key -> the Partition of its parts, largest first, each key decoded
+    once, when first met (see ``_count_keys``)."""
+
+    __slots__ = ("width", "unit")
+
+    def __missing__(self, key: int) -> Partition:
+        w, unit = self.width, self.unit
+        parts, rest = (), key
+        while rest:  # the top nonzero field counts the largest part left
+            s = (rest.bit_length() - 1) // w
+            parts += (s + 1,) * (rest >> w * s)
+            rest &= unit[s + 1] - 1
+        lam = self[key] = tuple.__new__(Partition, parts)
+        return lam
+
+
+@lru_cache(maxsize=None)
 def _count_keys(n: int):
     """Integer keys for multisets of parts summing to at most ``n``: ``(unit, decode)``.
 
     The key of a multiset is its count vector, the count of part s in bits
     [w(s - 1), ws) with w = ``n.bit_length()``.  ``unit[s]`` is the key of
     {s}, so merging two multisets adds their keys, and ``decode(key)`` is the
-    parts, largest first.  No count can exceed n < 2**w, so a sum never
-    carries into the next part's bits and can never give a wrong index.
+    Partition of the parts, largest first.  No count can exceed n < 2**w, so a
+    sum never carries into the next part's bits and can never give a wrong
+    index.  Memoized per n, so each key is decoded once per process, when
+    first met: ``decode`` reads one dict, which holds only the keys met, not
+    every partition of n.
     """
     w = n.bit_length()
-    unit = [0] + [1 << w * (s - 1) for s in range(1, n + 1)]
-
-    def decode(key: int) -> tuple:
-        parts = ()
-        while key:  # the top nonzero field counts the largest part left
-            s = (key.bit_length() - 1) // w
-            parts += (s + 1,) * (key >> w * s)
-            key &= unit[s + 1] - 1
-        return parts
-
-    return unit, decode
+    names = _Names()
+    names.width, names.unit = w, (0, *(1 << w * (s - 1) for s in range(1, n + 1)))
+    return names.unit, names.__getitem__
 
 
 def _refines(lam: tuple, mu: tuple) -> bool:

@@ -17,7 +17,9 @@ memoized on its index.
   memoized per part and key width, and multiply out a whole function at once
   by nested (Horner) evaluation over the trie of its indices, each index an
   integer count vector (``_count_keys``).  The CSF oracle hands its table to
-  that evaluator on the same keys, with no ``SymFunc`` between.  For
+  that evaluator on the same keys, with no ``SymFunc`` between.  Its output
+  keys are named from one memo per degree, count key to ``Partition``, filled
+  as keys are met, and each coefficient is divided in that same pass.  For
   ``e -> p`` the product of the :math:`\\lambda_j!\\,e_{\\lambda_j}`,
   weighted by the multinomial :math:`d!/\\prod_j \\lambda_j!`, is
   :math:`d!\\,e_\\lambda`, so the sums stay integral and each output term
@@ -35,7 +37,7 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache
+from functools import lru_cache, partial
 from math import comb, factorial, lcm, prod
 
 from .partitions import Partition, _count_keys, partitions_of
@@ -142,7 +144,12 @@ class SymFunc:
     def __sub__(self, other):
         if not isinstance(other, SymFunc):
             return NotImplemented
-        return self + (-other)
+        self._check_compatible(other)
+        terms = dict(self.terms)
+        get = terms.get
+        for lam, c in other.terms.items():
+            terms[lam] = get(lam, 0) - c
+        return SymFunc._trusted(self.basis, self.degree, terms)
 
     def __neg__(self):
         return SymFunc._trusted(self.basis, self.degree, {lam: -c for lam, c in self.terms.items()})
@@ -370,20 +377,25 @@ def _scaled(f: SymFunc, source: Basis):
     return den, {lam: c.numerator * (den // c.denominator) for lam, c in f.terms.items()}
 
 
-def _divided(target: Basis, degree: int, terms: dict, den: int) -> SymFunc:
-    """Integer ``terms`` each divided once by ``den``, an ``int`` where exact."""
-    exact = {tuple.__new__(Partition, mu): v // den if v % den == 0 else Fraction(v, den) for mu, v in terms.items()}
-    return SymFunc._trusted(target, degree, exact)
+def _divided(target: Basis, degree: int, terms: dict, den: int, name) -> SymFunc:
+    """Integer ``terms``, each index named by ``name`` and each coefficient
+    divided once by ``den``, an ``int`` where exact, in one pass."""
+    if den == 1:
+        return SymFunc._trusted(target, degree, {name(mu): v for mu, v in terms.items()})
+    return SymFunc._trusted(
+        target, degree, {name(mu): v // den if v % den == 0 else Fraction(v, den) for mu, v in terms.items()}
+    )
 
 
 def _apply(f: SymFunc, source: Basis, target: Basis, expand) -> SymFunc:
     """The linear map b_lam -> ``expand(lam)`` (integral), summed in integers."""
     den, scaled = _scaled(f, source)
     terms = {}
+    get = terms.get
     for lam, a in scaled.items():
         for mu, w in expand(lam):
-            terms[mu] = terms.get(mu, 0) + a * w
-    return _divided(target, f.degree, terms, den)
+            terms[mu] = get(mu, 0) + a * w
+    return _divided(target, f.degree, terms, den, partial(tuple.__new__, Partition))
 
 
 def _nested(table: dict, degree: int, target: Basis, one_part, den: int = 1) -> SymFunc:
@@ -400,31 +412,29 @@ def _nested(table: dict, degree: int, target: Basis, one_part, den: int = 1) -> 
     alone, so the 1s add no node and only stay in the key.  A node's parent
     is ``node - unit[s]``, a smaller integer, so walking the nodes in
     decreasing order folds each into its parent after its children, with no
-    recursion.  A product adds keys, and only the output keys are decoded.
+    recursion.  A product adds keys, and only the output keys are named, by
+    the per-degree memo of ``_count_keys``, in the pass that divides them.
     """
     unit, decode = _count_keys(degree)
     width = degree.bit_length()
     ones = (1 << width) - 1  # the field of part 1
-
-    def smallest(node):  # the smallest part of a node, which has no 1s
-        return ((node & -node).bit_length() - 1) // width + 1
-
     sums = {0: {}}
     for key, a in table.items():
         leaf = node = key & ~ones
         while node not in sums:  # the leaf and its ancestors, up to the first one there
             sums[node] = {}
-            node -= unit[smallest(node)]
+            node -= unit[((node & -node).bit_length() - 1) // width + 1]  # less its smallest part
         sums[leaf][key & ones] = a
     for node in sorted(sums, reverse=True)[:-1]:  # the root 0 sorts last
-        s = smallest(node)
+        s = ((node & -node).bit_length() - 1) // width + 1  # the smallest part; a node has no 1s
         parent = sums[node - unit[s]]
+        get = parent.get
         row = _keyed(one_part, s, width)
         for key, a in sums.pop(node).items():
             for k, c in row:
                 k += key
-                parent[k] = parent.get(k, 0) + a * c
-    return _divided(target, degree, {decode(key): v for key, v in sums[0].items()}, den)
+                parent[k] = get(k, 0) + a * c
+    return _divided(target, degree, sums[0], den, decode)
 
 
 def _encoded(f: SymFunc, source: Basis, weight=None):

@@ -502,3 +502,17 @@ def test_start_up_loads_only_what_the_command_runs():
     engines = {"chromsym.csf", "chromsym.graphs", "chromsym.symfunc"}
     assert not engines & imported_modules("-m", "chromsym.cli", "partitions", "1")
     assert verifiers <= imported_modules("-m", "chromsym.cli", "verify", "dumbbell-recursion", "4,1,3")
+
+
+@pytest.mark.parametrize("argv", [("csf", "spider(4,4,3)", "--basis", "p", "--json"), ("partitions", "12")])
+def test_closed_pipe_ends_without_a_traceback(argv):
+    """A reader that leaves before the output, as ``| head -c 50`` does, ends
+    the run with status 2 and nothing on stderr."""
+    env = {**os.environ, "PYTHONPATH": str(Path(chromsym.__file__).resolve().parent.parent)}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "chromsym.cli", *argv], env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE
+    )
+    proc.stdout.close()  # before the interpreter has started, so every write meets a closed pipe
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 2
+    assert err == b""

@@ -1,8 +1,11 @@
 import contextlib
+import inspect
 import itertools
 import math
 import random
+import sys
 import time
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -1087,6 +1090,88 @@ class TestSubsetCountsMatchBreadthFirst:
     @given(st.one_of(random_graphs(), glued_graphs(), line_graphs()))
     def test_random_and_glued_graphs(self, g):
         assert sized_table(g.n, g.edge_list) == ref_subset_counts(g.n, g.edge_list)
+
+
+def generic_subset_counts(n, edges, sizes=True):
+    """Reference for ``_subset_counts``: its generic step on every state, in
+    vertex-index order, which changes only the frontier width.  v joins k of
+    the m equal adjacent blocks with weight C(m, k) (-1)^k, one block being
+    the case m = 1; no state takes a shortcut."""
+    adj = Graph(n, edges).adjacency()
+    unit = _count_keys(n)[0] if sizes else [1]
+    one = 1 if sizes else 0
+    states = {(): {0: 1}}
+    for t, nbrs in enumerate(adj):
+        bit, own = 1 << t, sum(1 << y for y in nbrs if y > t)
+        nxt = {}
+        for state, table in states.items():
+            succ = [(1, one, own, 0, [b for b in state if not b[1] & bit])]
+            for (s, mask), m in Counter(b for b in state if b[1] & bit).items():
+                after = mask ^ bit
+                stay, shut = ([(s, after)], 0) if after else ([], unit[s])
+                succ = [(w * math.comb(m, k) * (-1) ** k, size + k * s, joined | after if k else joined,
+                         g + (m - k) * shut, blocks + stay * (m - k))
+                        for w, size, joined, g, blocks in succ for k in range(m + 1)]
+            for w, size, joined, g, blocks in succ:
+                if joined:
+                    blocks = blocks + [(size, joined)]
+                else:
+                    g += unit[size]
+                out = nxt.setdefault(tuple(sorted(blocks)), {})
+                for closed, c in table.items():
+                    out[closed + g] = out.get(closed + g, 0) + w * c
+        states = nxt
+    return states[()]
+
+
+def subset_steps(n, edges, sizes=True) -> set:
+    """The steps ``_subset_counts`` takes: ``"generic"``, and ``"one stays"``
+    or ``"one closes"`` for a state with one block adjacent to v, read by a
+    line tracer from the statement that builds the lone block's successors."""
+    lines, first = inspect.getsourcelines(_subset_counts)
+    one = first + next(i for i, line in enumerate(lines) if "succ = ((1, one, own, 0, far + [(s, after)])" in line)
+    generic = first + next(i for i, line in enumerate(lines) if "adjacent = {}" in line)
+    seen = set()
+
+    def trace(frame, event, arg):
+        if frame.f_code is not _subset_counts.__code__:
+            return None
+        if event == "line" and frame.f_lineno == one:
+            seen.add("one stays" if frame.f_locals["after"] else "one closes")
+        elif event == "line" and frame.f_lineno == generic:
+            seen.add("generic")
+        return trace
+
+    sys.settrace(trace)
+    try:
+        _subset_counts(n, edges, sizes)
+    finally:
+        sys.settrace(None)
+    return seen
+
+
+class TestOneBlockStep:
+    """A state with one block adjacent to v takes a shortcut past the generic
+    step; the tables must not tell them apart."""
+
+    @pytest.mark.parametrize("sizes", [True, False], ids=["sizes", "components"])
+    @pytest.mark.parametrize("g", SMALL_GRAPHS + [line_graph(complete_graph(4)), dumbbell_graph(4, 1, 5, kind="complete")])
+    def test_equals_the_generic_step(self, g, sizes):
+        assert _subset_counts(g.n, g.edge_list, sizes) == generic_subset_counts(g.n, g.edge_list, sizes)
+
+    @pytest.mark.parametrize("sizes", [True, False], ids=["sizes", "components"])
+    def test_every_step_is_reached(self, sizes):
+        steps = set()
+        for g in (path_graph(3), cycle_graph(5), complete_graph(4), sun_graph(3, (2, 1, 1))):
+            steps |= subset_steps(g.n, g.edge_list, sizes)
+        assert steps == {"generic", "one stays", "one closes"}
+        # a path's middle vertex meets one block, whose last neighbour it is
+        assert "one closes" in subset_steps(3, [(0, 1), (1, 2)], sizes)
+
+    @settings(deadline=None, max_examples=40)
+    @given(st.one_of(random_graphs(), glued_graphs(), line_graphs()), st.booleans())
+    def test_random_and_glued_graphs(self, g, sizes):
+        assert _subset_counts(g.n, g.edge_list, sizes) == generic_subset_counts(g.n, g.edge_list, sizes)
 
 
 def assert_is_the_csf_table(g, table):

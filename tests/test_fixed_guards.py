@@ -136,6 +136,33 @@ def test_vertex_bound_before_the_build(capsys, argv, message):
     assert capsys.readouterr() == ("", f"error: {message}\n")
 
 
+#: line^7(K_5): 49,227,750 vertices; its level line^5(K_5) alone has 22,950
+LINE7 = "line(" * 7 + "complete(5)" + ")" * 7
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("csf", LINE7), "subset oracle guarded at 40 vertices, graph has 49227750"),
+        (("csf", LINE7, "--basis", "s"), "basis transitions guarded at degree 22, got 49227750"),
+        (("chrompoly", LINE7), "chromatic polynomial guarded at 40 vertices, graph has 49227750"),
+        (("positivity", LINE7), "subset oracle guarded at 40 vertices, graph has 49227750"),
+        (("scan", LINE7), "full scans guarded at 14 vertices, graph has 49227750"),
+        (("verify", "triple-deletion", LINE7), "subset oracle guarded at 40 vertices, graph has 49227750"),
+    ],
+)
+def test_nested_line_refused_before_any_large_level(capsys, monkeypatch, argv, message):
+    """|V| of a ``line`` chain is bounded from the first level over the cap
+    whose least degree is 2 or more, so no level past 40 vertices is built."""
+    built, real = [], graphs.line_graph
+    monkeypatch.setattr(graphs, "line_graph", lambda g: built.append(real(g)) or built[-1])
+    start = time.perf_counter()
+    assert main(list(argv)) == 2
+    assert time.perf_counter() - start < 0.5
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+    assert max(g.n for g in built) <= 40
+
+
 #: one row per route that refuses by size: the call, its arguments and its exact message
 REFUSALS = [
     ("subsets-edges", csf.csf_subsets, (graphs.complete_graph(8),), "subset oracle guarded at 26 edges, graph has 28"),

@@ -575,6 +575,35 @@ class TestLineOfALineGraph:
             assert len(built) == max(k - 2, 0), k
         assert n == 757350
 
+    @pytest.mark.parametrize("family", sorted(_FAMILY_TABLE))
+    @pytest.mark.parametrize("cap", [0, 3, 12])
+    def test_capped_count_is_exact_or_a_bound_over_the_cap(self, family, cap):
+        """``check(cap)`` raises as ``check()`` does, and returns |V| or, once
+        it passes ``cap``, at most |V|."""
+        for inner in _small_specs(family):
+            for depth in (1, 2, 3):
+                spec = inner
+                for _ in range(depth):
+                    spec = GraphSpec("line", (spec,))
+                if _raises_value_error(spec.check):
+                    assert _raises_value_error(lambda: spec.check(cap)), spec
+                    continue
+                exact, capped = spec.check(), spec.check(cap)
+                assert capped == exact or cap < capped < exact, (spec, exact, capped)
+
+    def test_capped_count_builds_no_level_over_the_cap(self, monkeypatch):
+        built = []
+        monkeypatch.setattr(graphs_module, "line_graph", lambda g: built.append(line_graph(g)) or built[-1])
+        exact = [parse_graph_spec("line(" * k + "complete(5)" + ")" * k).check() for k in range(1, 7)]
+        assert exact == [10, 30, 150, 1350, 22950, 757350]
+        built.clear()
+        for k in range(1, 100):
+            n = parse_graph_spec("line(" * k + "complete(5)" + ")" * k).check(40)
+            assert n == exact[k - 1] if k <= 6 else n > exact[-1]  # K5 and its line graphs are regular
+        assert max(g.n for g in built) == 30
+        union = parse_graph_spec("line(line(union(" + "line(" * 7 + "complete(5)" + ")" * 7 + ",path(3))))")
+        assert union.check(40) > 40 and max(g.n for g in built) == 30
+
     def test_malformed_inner_line_is_a_value_error(self):
         with pytest.raises(ValueError, match=r"^line takes 1 argument\(s\), got 0$"):
             GraphSpec("line", (GraphSpec("line", ()),)).check()

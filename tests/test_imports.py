@@ -108,7 +108,7 @@ MEMOS = {
         "csf_tadpole_closed": None,
     },
     "identities": {"_memo": 1024},
-    "partitions": {"_partition_list": None},
+    "partitions": {"_count_keys": None, "_partition_list": None},
     "positivity": {"_scan_types": None},
     "symfunc": {
         "_elementary_in_s": None,

@@ -5,6 +5,7 @@ import random
 import resource
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import comb, factorial, lcm, prod
@@ -22,6 +23,7 @@ from chromsym.symfunc import (
     DEFAULT_TRANSITION_CAP,
     SymFunc,
     _elementary_in_p,
+    _nested,
     _power_in_e,
     convert,
     e_to_p,
@@ -552,6 +554,21 @@ class TestNestedMatchesProducts:
             + SymFunc.single(Basis.P, (4, 3) + (2,) * (half - 4) + (1,) * (degree % 2 + 1), Fraction(1, 2))
         )
         assert_same_output(p_to_e(f), ref_p_to_e(f))
+
+    @pytest.mark.parametrize(
+        "source, target, one_part", [(Basis.P, Basis.E, _power_in_e), (Basis.E, Basis.P, _elementary_in_p)], ids=["p-e", "e-p"]
+    )
+    def test_degree_64_names_only_the_keys_it_meets(self, source, target, one_part):
+        """The output keys are named as they are met: degree 64 has about 1.7
+        million partitions, and a few-term function still converts at once."""
+        f = SymFunc(source, 64, {(1,) * 64: 3, (2,) * 32: -1, (4, 3) + (2,) * 28 + (1,): 2})
+        unit, decode = _count_keys(64)
+        table = {sum(map(unit.__getitem__, lam)): int(c) for lam, c in f.terms.items()}
+        start = time.perf_counter()
+        out = _nested(table, 64, target, one_part)
+        assert time.perf_counter() - start < 1
+        assert_same_output(out, ref_nested(f, source, target, one_part))
+        assert len(decode.__self__) < 10_000 and _count_keys(64)[1] == decode
 
     def test_many_parts_do_not_recurse(self):
         # the product route recursed once per part and raised RecursionError here
