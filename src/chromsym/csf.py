@@ -709,7 +709,7 @@ def chromatic_poly_closed(spec) -> ChromPoly:
     spec = as_spec(spec)
     if spec is None:
         raise ValueError("a closed chromatic polynomial needs a family spec (a GraphSpec or spec string)")
-    _guard("chromatic polynomial", spec.check(DEFAULT_ENUMERATION_CAP))
+    _guard("chromatic polynomial", spec.check())
     out = _closed_chromatic(spec)
     if out is None:
         raise ValueError(f"no closed chromatic polynomial for family {spec.family!r}")
@@ -749,7 +749,7 @@ def compute_csf(target):
     """
     spec = as_spec(target)
     if spec is not None:
-        n = spec.check(DEFAULT_ENUMERATION_CAP)
+        n = spec.check()
         closed = closed_csf_for(spec)
         if closed is not None:
             return closed, "closed"
@@ -764,7 +764,7 @@ def csf_degree(target) -> int:
     ``line`` chain sure to pass ``DEFAULT_ENUMERATION_CAP`` vertices gives a
     lower bound over it instead, which every guard refuses."""
     spec = as_spec(target)
-    return target.n if spec is None else spec.check(DEFAULT_ENUMERATION_CAP)
+    return target.n if spec is None else spec.check()
 
 
 def compute_chromatic(target):

@@ -13,8 +13,9 @@ one rule.
 ``_FAMILY_TABLE`` gives each family of the spec grammar its arity, rule and
 builder; ``GraphSpec.check`` runs the rule, and every other module checks
 arguments and reads |V| for its vertex bounds through it, before any build.
-Given the bound, a ``line`` chain stops building its levels once |V| is sure
-to pass it (``_line_order``).
+A ``line`` chain stops building its levels once |V| is sure to pass
+``DEFAULT_ENUMERATION_CAP``, and then gives a lower bound over it
+(``_line_order``).
 ``GraphSpec.canonical`` names one spec per isomorphism class that the
 builders' symmetries give, so a CSF engine computes each class once.
 """
@@ -26,7 +27,7 @@ from functools import partial
 from itertools import combinations
 from math import comb
 
-from .partitions import Partition
+from .partitions import DEFAULT_ENUMERATION_CAP, Partition
 
 
 class SpecParseError(ValueError):
@@ -275,7 +276,25 @@ def line_graph(g: Graph) -> Graph:
     return Graph(len(g.edges), [pair for ids in at.values() for pair in combinations(ids, 2)])
 
 
-def _line_order(inner, cap=None, lines=1) -> int:
+def _two_core(g: Graph):
+    """The edges of the 2-core of g, what is left once vertices of degree 1 or
+    less are removed while there are any, and each vertex's degree in it."""
+    adj = g.adjacency()
+    deg = [len(nbrs) for nbrs in adj]
+    gone = [False] * g.n
+    loose = [v for v in range(g.n) if deg[v] < 2]
+    while loose:
+        v = loose.pop()
+        if not gone[v]:
+            gone[v] = True
+            for u in adj[v]:
+                deg[u] -= 1
+                if deg[u] < 2:
+                    loose.append(u)
+    return [(u, v) for u, v in g.edge_list if not (gone[u] or gone[v])], deg
+
+
+def _line_order(inner, lines=1) -> int:
     """|V| of L^lines(G), G = ``inner``: |V(L(G))| = |E(G)|, and for more
     levels, with G = L^j(B) over a base B that is no line spec, that is
     sum_v C(deg(v), 2) over L^{lines + j - 2}(B), as two edges of a simple
@@ -283,13 +302,15 @@ def _line_order(inner, cap=None, lines=1) -> int:
     A line graph of a disjoint union is the union of the line graphs, so a
     ``union`` base counts each part under the same levels.
 
-    Given a ``cap``, the walk up from B stops before it builds a level L(X) of
-    more than ``cap`` vertices whose least degree d, the least
-    deg u + deg v - 2 over the edges uv of X, is at least 2.  A graph with n
-    vertices of least degree d has at least dn/2 >= n edges, and its line
-    graph has least degree at least 2d - 2 >= 2, so every level above has more
-    than ``cap`` vertices too.  Those bounds, carried to the top, are returned
-    in place of |V|: a lower bound over ``cap``, exact on regular graphs.
+    The walk up from B stops before it builds L(X) when the 2-core C of X has
+    more than ``DEFAULT_ENUMERATION_CAP`` edges.  L^k is monotone under
+    subgraphs, so L^k(X) holds L^k(C).  L(C) has |E(C)| vertices and least
+    degree d >= 2, the least deg u + deg v - 2 over the edges uv of C; a graph
+    of n vertices and least degree d has at least dn/2 >= n edges, and its
+    line graph least degree at least 2d - 2 >= 2.  Those bounds, carried to
+    the top, are returned in place of |V|: a lower bound over the cap, which
+    every guard refuses, exact when X is regular.  A pendant path, which
+    keeps the least degree of X at 1 on every level, is no part of C.
     """
     base = inner
     while base.family == "line":
@@ -297,19 +318,17 @@ def _line_order(inner, cap=None, lines=1) -> int:
         lines, base = lines + 1, base.args[0]
     if base.family == "union":
         base._entry()
-        return sum(_line_order(part, cap, lines) for part in base.args)
+        return sum(_line_order(part, lines) for part in base.args)
     g = base.build()
     if lines == 1:
         return len(g.edges)
     for above in range(lines - 1, 1, -1):  # L(g) is ``above`` levels below the top
-        n = len(g.edges)  # |V(L(g))|
-        if cap is not None and n > cap:
-            adj = g.adjacency()
-            least = min(len(adj[u]) + len(adj[v]) for u, v in g.edge_list) - 2
-            if least >= 2:
-                for _ in range(above):
-                    n, least = -(-n * least // 2), 2 * least - 2
-                return n
+        core, deg = _two_core(g)
+        if len(core) > DEFAULT_ENUMERATION_CAP:
+            n, least = len(core), min(deg[u] + deg[v] for u, v in core) - 2
+            for _ in range(above):
+                n, least = -(-n * least // 2), 2 * least - 2
+            return n
         g = line_graph(g)
     return sum(comb(len(nbrs), 2) for nbrs in g.adjacency())
 
@@ -386,13 +405,13 @@ class GraphSpec(namedtuple("GraphSpec", "family args")):
             raise ValueError(f"{self.family} takes {arity} argument(s), got {len(self.args)}")
         return rule, builder
 
-    def check(self, cap=None) -> int:
+    def check(self) -> int:
         """Raise ``ValueError`` exactly when ``build`` would, else return |V|.
-        Builds only the levels below the top two of each ``line(...)`` chain.
-        Given a ``cap``, a chain stops building once |V| is sure to pass it,
-        and then returns a lower bound over ``cap`` (see ``_line_order``)."""
+        Builds only the levels below the top two of each ``line(...)`` chain,
+        and stops once |V| is sure to pass ``DEFAULT_ENUMERATION_CAP``, to
+        return a lower bound over it instead (see ``_line_order``)."""
         rule, _ = self._entry()
-        return rule(*self.args, cap=cap) if self.family in ("line", "union") else rule(*self.args)
+        return rule(*self.args)
 
     def build(self) -> Graph:
         _, builder = self._entry()
@@ -446,7 +465,7 @@ _FAMILY_TABLE = {
     "cdumbbell": (3, _check_dumbbell_args, partial(dumbbell_graph, kind="complete")),
     "sdumbbell": (3, _check_dumbbell_args, partial(dumbbell_graph, kind="semicomplete")),
     "line": (1, _line_order, lambda inner: line_graph(inner.build())),
-    "union": (2, lambda a, b, cap=None: a.check(cap) + b.check(cap), lambda a, b: disjoint_union(a.build(), b.build())),
+    "union": (2, lambda a, b: a.check() + b.check(), lambda a, b: disjoint_union(a.build(), b.build())),
     "edges": (2, lambda d, pairs: Graph(d, pairs).n, Graph),
 }
 

@@ -36,7 +36,7 @@ from .csf import (
     csf_tadpole_closed,
 )
 from .graphs import Graph, GraphSpec, as_spec, dumbbell_graph, parse_graph_spec
-from .partitions import DEFAULT_ENUMERATION_CAP, DEFAULT_GRID_VERTEX_CAP
+from .partitions import DEFAULT_GRID_VERTEX_CAP
 from .positivity import triangle_sun_missing_type, uniform_sun_coefficient, uniform_sun_missing_type
 from .symfunc import Basis, SymFunc
 
@@ -91,7 +91,7 @@ def _memo(g: Graph) -> SymFunc:
 
 def _checked(spec: GraphSpec) -> GraphSpec:
     """The spec, once its arguments pass and it is within the subset oracle's vertex bound."""
-    _guard("subset oracle", spec.check(DEFAULT_ENUMERATION_CAP))
+    _guard("subset oracle", spec.check())
     return spec
 
 

@@ -39,6 +39,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import comb, factorial, lcm, prod
+from operator import add, sub
 
 from .partitions import Partition, _count_keys, partitions_of
 
@@ -132,24 +133,23 @@ class SymFunc:
         if self.degree != other.degree:
             raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
 
-    def __add__(self, other):
-        if not isinstance(other, SymFunc):
-            return NotImplemented
-        self._check_compatible(other)
-        terms = dict(self.terms)
-        for lam, c in other.terms.items():
-            terms[lam] = terms.get(lam, 0) + c
-        return SymFunc._trusted(self.basis, self.degree, terms)
-
-    def __sub__(self, other):
+    def _merged(self, other, op):
+        """``op(self, other)`` term by term, for ``op`` add or sub: no
+        temporary ``-other`` for a difference."""
         if not isinstance(other, SymFunc):
             return NotImplemented
         self._check_compatible(other)
         terms = dict(self.terms)
         get = terms.get
         for lam, c in other.terms.items():
-            terms[lam] = get(lam, 0) - c
+            terms[lam] = op(get(lam, 0), c)
         return SymFunc._trusted(self.basis, self.degree, terms)
+
+    def __add__(self, other):
+        return self._merged(other, add)
+
+    def __sub__(self, other):
+        return self._merged(other, sub)
 
     def __neg__(self):
         return SymFunc._trusted(self.basis, self.degree, {lam: -c for lam, c in self.terms.items()})

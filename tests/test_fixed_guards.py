@@ -138,6 +138,10 @@ def test_vertex_bound_before_the_build(capsys, argv, message):
 
 #: line^7(K_5): 49,227,750 vertices; its level line^5(K_5) alone has 22,950
 LINE7 = "line(" * 7 + "complete(5)" + ")" * 7
+#: line^8 over a K_5 or a triangle with a pendant path, which keeps every
+#: level's least degree at 1: line^8(lollipop(5,8)) holds line^8(K_5)
+LOLLIPOP8 = "line(" * 8 + "lollipop(5,8)" + ")" * 8
+SUN8 = "line(" * 8 + "sun(3;10,1,1)" + ")" * 8
 
 
 @pytest.mark.parametrize(
@@ -149,18 +153,26 @@ LINE7 = "line(" * 7 + "complete(5)" + ")" * 7
         (("positivity", LINE7), "subset oracle guarded at 40 vertices, graph has 49227750"),
         (("scan", LINE7), "full scans guarded at 14 vertices, graph has 49227750"),
         (("verify", "triple-deletion", LINE7), "subset oracle guarded at 40 vertices, graph has 49227750"),
+        (("csf", LOLLIPOP8), "subset oracle guarded at 40 vertices, graph has 846934704"),
+        (("chrompoly", LOLLIPOP8), "chromatic polynomial guarded at 40 vertices, graph has 846934704"),
+        (("scan", LOLLIPOP8), "full scans guarded at 14 vertices, graph has 846934704"),
+        (("csf", SUN8), "subset oracle guarded at 40 vertices, graph has 211140"),
+        (("positivity", SUN8), "subset oracle guarded at 40 vertices, graph has 211140"),
     ],
 )
 def test_nested_line_refused_before_any_large_level(capsys, monkeypatch, argv, message):
-    """|V| of a ``line`` chain is bounded from the first level over the cap
-    whose least degree is 2 or more, so no level past 40 vertices is built."""
+    """|V| of a ``line`` chain is bounded from the first level whose 2-core
+    has more than 40 edges, so no level much past 40 vertices is built: the
+    vertices of a level are the edges of the one below, at most 40 of them in
+    its 2-core, and here one on a pendant path.  A chain whose levels are
+    regular reads |V| itself, and an irregular one a lower bound over 40."""
     built, real = [], graphs.line_graph
     monkeypatch.setattr(graphs, "line_graph", lambda g: built.append(real(g)) or built[-1])
     start = time.perf_counter()
     assert main(list(argv)) == 2
     assert time.perf_counter() - start < 0.5
     assert capsys.readouterr() == ("", f"error: {message}\n")
-    assert max(g.n for g in built) <= 40
+    assert max(g.n for g in built) <= 41
 
 
 #: one row per route that refuses by size: the call, its arguments and its exact message

@@ -555,7 +555,8 @@ class TestArgumentRules:
 
 
 class TestLineOfALineGraph:
-    """``line(line(H))`` reads |E(L(H))| off H's degrees: H is built, L(H) is not."""
+    """``line(line(H))`` reads |E(L(H))| off H's degrees: H is built, L(H) is
+    not.  A longer chain stops building once a level's 2-core passes the cap."""
 
     @pytest.mark.parametrize("family", sorted(_FAMILY_TABLE))
     def test_count_matches_the_built_line_graph(self, family):
@@ -567,42 +568,60 @@ class TestLineOfALineGraph:
                 assert spec.check() == len(GraphSpec("line", (inner,)).build().edges), inner
 
     def test_check_builds_two_fewer_line_graphs(self, monkeypatch):
+        """Two fewer than ``build``, and none past line^2(K_5): the 2-core of
+        that level has 150 edges, over the cap, so the count is carried up."""
         built = []
         monkeypatch.setattr(graphs_module, "line_graph", lambda g: built.append(g) or line_graph(g))
         for k in range(1, 7):
             built.clear()
             n = parse_graph_spec("line(" * k + "complete(5)" + ")" * k).check()
-            assert len(built) == max(k - 2, 0), k
+            assert len(built) == min(max(k - 2, 0), 2), k
         assert n == 757350
 
     @pytest.mark.parametrize("family", sorted(_FAMILY_TABLE))
-    @pytest.mark.parametrize("cap", [0, 3, 12])
-    def test_capped_count_is_exact_or_a_bound_over_the_cap(self, family, cap):
-        """``check(cap)`` raises as ``check()`` does, and returns |V| or, once
-        it passes ``cap``, at most |V|."""
+    def test_count_is_exact_or_a_bound_over_the_cap(self, family):
+        """Under up to four ``line``s, ``check`` raises as ``build`` does, and
+        returns |V|, or a bound over the 40-vertex cap and at most |V|."""
         for inner in _small_specs(family):
-            for depth in (1, 2, 3):
+            for depth in (1, 2, 3, 4):
                 spec = inner
                 for _ in range(depth):
                     spec = GraphSpec("line", (spec,))
                 if _raises_value_error(spec.check):
-                    assert _raises_value_error(lambda: spec.check(cap)), spec
+                    assert _raises_value_error(spec.build), spec
                     continue
-                exact, capped = spec.check(), spec.check(cap)
-                assert capped == exact or cap < capped < exact, (spec, exact, capped)
+                n, exact = spec.check(), spec.build().n
+                assert n == exact or 40 < n < exact, (spec, exact, n)
 
-    def test_capped_count_builds_no_level_over_the_cap(self, monkeypatch):
+    @pytest.mark.parametrize(
+        "base, depth, bound",
+        [("lollipop(5,8)", 5, 12144), ("sun(3;10,1,1)", 6, 1380), ("sun(4;2,1,1,1)", 6, 3276), ("tadpole(3,10)", 6, 857)],
+    )
+    def test_pendant_path_chain_is_a_bound_over_the_cap(self, base, depth, bound):
+        """A pendant path keeps every level's least degree at 1, but is no
+        part of its 2-core, so the walk still stops, with a bound at most |V|:
+        |V(L^depth)| = |E(L^(depth - 1))|, built here in full."""
+        below = "line(" * (depth - 1) + base + ")" * (depth - 1)
+        exact = len(parse_graph_spec(below).build().edges)
+        assert parse_graph_spec(f"line({below})").check() == bound
+        assert bound == exact or 40 < bound < exact, exact
+
+    def test_count_builds_no_level_over_the_cap(self, monkeypatch):
         built = []
         monkeypatch.setattr(graphs_module, "line_graph", lambda g: built.append(line_graph(g)) or built[-1])
-        exact = [parse_graph_spec("line(" * k + "complete(5)" + ")" * k).check() for k in range(1, 7)]
-        assert exact == [10, 30, 150, 1350, 22950, 757350]
-        built.clear()
+        exact = [10, 30, 150, 1350, 22950, 757350, 49227750]
         for k in range(1, 100):
-            n = parse_graph_spec("line(" * k + "complete(5)" + ")" * k).check(40)
-            assert n == exact[k - 1] if k <= 6 else n > exact[-1]  # K5 and its line graphs are regular
+            n = parse_graph_spec("line(" * k + "complete(5)" + ")" * k).check()
+            assert n == exact[k - 1] if k <= 7 else n > exact[-1]  # K5 and its line graphs are regular
         assert max(g.n for g in built) == 30
         union = parse_graph_spec("line(line(union(" + "line(" * 7 + "complete(5)" + ")" * 7 + ",path(3))))")
-        assert union.check(40) > 40 and max(g.n for g in built) == 30
+        assert union.check() > 40 and max(g.n for g in built) == 30
+        for base in ("lollipop(5,8)", "tadpole(3,10)", "sun(3;10,1,1)", "spider(10,10,10)"):
+            built.clear()
+            for k in range(8, 100):
+                assert parse_graph_spec("line(" * k + base + ")" * k).check() > 40, (base, k)
+            edges = len(parse_graph_spec(base).build().edges)
+            assert max(g.n for g in built) <= 40 + edges, base  # 40 in a 2-core, the rest pendant
 
     def test_malformed_inner_line_is_a_value_error(self):
         with pytest.raises(ValueError, match=r"^line takes 1 argument\(s\), got 0$"):
