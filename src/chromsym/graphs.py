@@ -311,6 +311,10 @@ def _line_order(inner, lines=1) -> int:
     the top, are returned in place of |V|: a lower bound over the cap, which
     every guard refuses, exact when X is regular.  A pendant path, which
     keeps the least degree of X at 1 on every level, is no part of C.
+
+    Every base family but ``edges`` is connected, and the line graph of a
+    connected graph on N vertices is connected on at least N - 1, so B is not
+    built when |V(B)| - lines already passes the cap: that is the bound then.
     """
     base = inner
     while base.family == "line":
@@ -319,6 +323,8 @@ def _line_order(inner, lines=1) -> int:
     if base.family == "union":
         base._entry()
         return sum(_line_order(part, lines) for part in base.args)
+    if base.family != "edges" and base.check() - lines > DEFAULT_ENUMERATION_CAP:
+        return base.check() - lines
     g = base.build()
     if lines == 1:
         return len(g.edges)

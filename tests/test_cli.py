@@ -290,6 +290,26 @@ class TestVerifyCommand:
         text = ",".join(str(value) for value in kwargs.values())
         assert _verify_kwargs(name, text) == kwargs
 
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "dumbbell_recursion",
+            "dumbbell_tadpole_expansion",
+            "dumbbell_full_expansion",
+            "cdumbbell_recursion",
+            "cdumbbell_lollipop_expansion",
+            "cdumbbell_full_expansion",
+        ],
+    )
+    def test_generated_dumbbell_verifiers_parse_as_written(self, name):
+        """The six verifiers one rule per body makes keep their names, docs
+        and the annotated (m, l, n) signature the CLI reads."""
+        assert _verify_kwargs(name, "4,0,3") == {"m": 4, "l": 0, "n": 3}
+        with pytest.raises(ValueError, match=r"^l must be int, got 'x'$"):
+            _verify_kwargs(name, "4,x,3")
+        assert VERIFIERS[name].__name__ == f"verify_{name}"
+        assert VERIFIERS[name].__doc__.strip()
+
 
 def unequal_dumbbell_recursion(m: int, l: int, n: int):
     """A stand-in verifier whose two sides differ by e[m+l+n]."""

@@ -1,5 +1,6 @@
 import itertools
 import random
+import time
 from itertools import product
 
 import pytest
@@ -622,6 +623,31 @@ class TestLineOfALineGraph:
                 assert parse_graph_spec("line(" * k + base + ")" * k).check() > 40, (base, k)
             edges = len(parse_graph_spec(base).build().edges)
             assert max(g.n for g in built) <= 40 + edges, base  # 40 in a 2-core, the rest pendant
+
+    @pytest.mark.parametrize(
+        "spec, bound",
+        [
+            ("line(sun(3;1000000,1,1))", 1000004),
+            ("line(complete(2000))", 1999),
+            ("line(cycle(42))", 41),
+            ("line(line(path(100000000)))", 99999998),
+        ],
+    )
+    def test_large_connected_base_is_refused_unbuilt(self, monkeypatch, spec, bound):
+        """L^k of a connected base on N vertices keeps at least N - k, so a base
+        with N - k over the cap is never built, and the bound is refused."""
+        family = spec.replace("line(", "").split("(")[0]
+
+        def refuse(*args):
+            pytest.fail(f"built the {family} base")
+
+        arity, rule, _ = _FAMILY_TABLE[family]
+        monkeypatch.setitem(_FAMILY_TABLE, family, (arity, rule, refuse))
+        start = time.perf_counter()
+        assert parse_graph_spec(spec).check() == bound
+        with pytest.raises(ValueError, match=f"graph has {bound}$"):
+            compute_csf(spec)
+        assert time.perf_counter() - start < 0.5  # building the sun alone takes about 1 s
 
     def test_malformed_inner_line_is_a_value_error(self):
         with pytest.raises(ValueError, match=r"^line takes 1 argument\(s\), got 0$"):

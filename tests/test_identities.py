@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -349,6 +350,29 @@ class TestGrids:
 
     def test_default_cap_is_contractual(self):
         assert DEFAULT_GRID_VERTEX_CAP == 14
+
+    @pytest.mark.parametrize("name", sorted(VERIFIERS))
+    def test_grid_json_is_pinned(self, name):
+        text = json.dumps([r.to_json_obj() for r in run_grid(name, 14)], separators=(",", ":"))
+        assert hashlib.sha256(text.encode()).hexdigest()[:16] == GRID_JSON_SHA256[name]
+
+
+#: identity -> the first 16 hex digits of the sha256 of its ``run_grid(name, 14)``
+#: JSON, so any change to a grid's output shows up as an edit here
+GRID_JSON_SHA256 = {
+    "triple_deletion": "fca45b2f0d8a317f",
+    "sun_coefficient": "855f81da9fd7b6e7",
+    "small_sun_coefficient": "43b0fd2be0ea37e1",
+    "sun_spider_reduction": "ab5068c957bf66a9",
+    "dumbbell_recursion": "e6d8c862c85034bd",
+    "dumbbell_tadpole_expansion": "db6193370fb4ea43",
+    "dumbbell_full_expansion": "1904f2383db6b526",
+    "cdumbbell_recursion": "0089b6a8f269b609",
+    "cdumbbell_lollipop_expansion": "8b456ff8164de4ec",
+    "cdumbbell_full_expansion": "2256e21135147ed4",
+    "chromatic_closed_forms": "d2a58cd914102128",
+    "distinguishability": "ff8cf60534d5de1f",
+}
 
 
 class TestIdentityContent:

@@ -65,7 +65,7 @@ def test_checker_sees_unused_and_used_names():
 PRIVATE_IMPORTS = {
     "cli": ["_degree_guard"],
     "csf": ["_check_sizes", "_count_keys", "_nested", "_power_in_e"],
-    "identities": ["_eliminate", "_guard"],
+    "identities": ["_DUMBBELL_BODIES", "_dumbbell", "_guard"],
     "positivity": ["_check_sizes", "_count_keys", "_degree_guard", "_guard"],
     "symfunc": ["_count_keys"],
 }
