@@ -315,6 +315,8 @@ def _line_order(inner, lines=1) -> int:
     Every base family but ``edges`` is connected, and the line graph of a
     connected graph on N vertices is connected on at least N - 1, so B is not
     built when |V(B)| - lines already passes the cap: that is the bound then.
+    An ``edges`` base is relabelled onto the ends of its edges before any
+    count, so its isolated vertices cost nothing.
     """
     base = inner
     while base.family == "line":
@@ -326,6 +328,9 @@ def _line_order(inner, lines=1) -> int:
     if base.family != "edges" and base.check() - lines > DEFAULT_ENUMERATION_CAP:
         return base.check() - lines
     g = base.build()
+    if base.family == "edges":  # isolated vertices add nothing to L(g): keep the ends of edges, in order
+        at = {v: i for i, v in enumerate(sorted({v for e in g.edges for v in e}))}
+        g = Graph(len(at), [(at[u], at[v]) for u, v in g.edges])
     if lines == 1:
         return len(g.edges)
     for above in range(lines - 1, 1, -1):  # L(g) is ``above`` levels below the top

@@ -6,7 +6,8 @@ partitions (the basis indices) to exact coefficients, ``int`` where integral
 hash, ``str`` and JSON, and ``coefficient`` and witnesses return ``Fraction``.
 Basis changes are exact and direct, and sum in integers over one common
 denominator; ``e -> s`` and ``s -> e`` expand one basis element at a time,
-memoized on its index.
+memoized on its index, and ``e -> s`` also memoizes the one step its rows
+share.
 
 * ``p -> e`` and ``e -> p`` expand each one-part element by the signed
   integer formulas
@@ -27,7 +28,11 @@ memoized on its index.
 * ``e -> s`` grows :math:`e_\\mu` one part at a time by the dual Pieri rule
   (:math:`s_\\lambda e_k` is the sum of :math:`s_\\nu` over the vertical
   k-strips :math:`\\nu/\\lambda`), so its coefficients are the Kostka numbers
-  :math:`K_{\\lambda^t\\mu}` (Stanley, EC2 7.15; Macdonald I.5).
+  :math:`K_{\\lambda^t\\mu}` (Stanley, EC2 7.15; Macdonald I.5).  Rows and
+  steps are keyed on ``_count_keys`` integers: the strips of each
+  :math:`(\\lambda, k)` are walked once per process, however many
+  :math:`e_\\mu` meet them, and the output keys are named and divided in
+  one pass, as for ``p -> e``.
 * ``s -> e`` expands the dual Jacobi-Trudi determinant
   :math:`s_\\lambda = \\det(e_{\\lambda^t_i - i + j})`.  It shares nothing with
   ``e -> s``, so a round trip through both checks one route against the other.
@@ -245,8 +250,9 @@ class SymFunc:
 # ----------------------------------------------------- per-index expansions
 #
 # Each expansion is a tuple of (index, coefficient) pairs.  Indices are plain
-# weakly decreasing tuples, which hash and compare like the equal Partition;
-# a conversion turns them into Partitions once, when it returns.
+# weakly decreasing tuples, which hash and compare like the equal Partition,
+# or, for the e -> s rows, ``_count_keys`` integers; a conversion names them
+# as Partitions once, when it returns.
 
 
 #: the expansion of an empty product
@@ -305,18 +311,32 @@ def _vertical_strips(lam: tuple, k: int) -> list:
 
 
 @lru_cache(maxsize=None)
+def _pieri(key: int, n: int, k: int) -> tuple:
+    """The dual Pieri step s_lambda * e_k, lambda |- n given by its
+    ``_count_keys(n)`` key: the ``_count_keys(n + k)`` keys of every nu such
+    that nu/lambda is a vertical k-strip.  Each (lambda, k) is walked once per
+    process, however many e_mu share it."""
+    unit = _count_keys(n + k)[0]
+    return tuple(sum(map(unit.__getitem__, nu)) for nu in _vertical_strips(_count_keys(n)[1](key), k))
+
+
+@lru_cache(maxsize=None)
 def _elementary_in_s(mu: tuple) -> tuple:
-    """s-expansion of e_mu: the Kostka numbers K_{lambda^t, mu}, as integers.
+    """s-expansion of e_mu: the Kostka numbers K_{lambda^t, mu}, as integers
+    keyed on ``_count_keys(|mu|)`` integers.
 
     e_mu = e_{mu minus its last part} * e_k, and by the dual Pieri rule
-    s_lambda * e_k is the sum of s_nu over the vertical k-strips nu/lambda.
+    s_lambda * e_k is the sum of s_nu over the vertical k-strips nu/lambda,
+    taken from the shared step ``_pieri``.
     """
     if not mu:
-        return _ONE
+        return ((0, 1),)
+    n = sum(mu) - mu[-1]
     acc = {}
-    for lam, c in _elementary_in_s(mu[:-1]):
-        for nu in _vertical_strips(lam, mu[-1]):
-            acc[nu] = acc.get(nu, 0) + c
+    get = acc.get
+    for key, c in _elementary_in_s(mu[:-1]):
+        for nu in _pieri(key, n, mu[-1]):
+            acc[nu] = get(nu, 0) + c
     return tuple(acc.items())
 
 
@@ -387,15 +407,16 @@ def _divided(target: Basis, degree: int, terms: dict, den: int, name) -> SymFunc
     )
 
 
-def _apply(f: SymFunc, source: Basis, target: Basis, expand) -> SymFunc:
-    """The linear map b_lam -> ``expand(lam)`` (integral), summed in integers."""
+def _apply(f: SymFunc, source: Basis, target: Basis, expand, name=partial(tuple.__new__, Partition)) -> SymFunc:
+    """The linear map b_lam -> ``expand(lam)`` (integral), summed in integers
+    on the indices ``expand`` gives, each named once by ``name``."""
     den, scaled = _scaled(f, source)
     terms = {}
     get = terms.get
     for lam, a in scaled.items():
         for mu, w in expand(lam):
             terms[mu] = get(mu, 0) + a * w
-    return _divided(target, f.degree, terms, den, partial(tuple.__new__, Partition))
+    return _divided(target, f.degree, terms, den, name)
 
 
 def _nested(table: dict, degree: int, target: Basis, one_part, den: int = 1) -> SymFunc:
@@ -465,11 +486,14 @@ def e_to_s(f: SymFunc) -> SymFunc:
     """Convert from the elementary basis to the Schur basis (exact).
 
     Each e_mu expands by the dual Pieri rule into Kostka numbers, which are
-    nonnegative integers; nothing is shared with ``s_to_e``, so a round trip
-    through both checks one route against the other.
+    nonnegative integers keyed on ``_count_keys(f.degree)`` integers; the sum
+    is taken on those keys, and each output key is named once, by that
+    degree's memo, in the pass that divides it.  Nothing is shared with
+    ``s_to_e``, so a round trip through both checks one route against the
+    other.
     """
     _degree_guard(f.degree)
-    return _apply(f, Basis.E, Basis.S, _elementary_in_s)
+    return _apply(f, Basis.E, Basis.S, _elementary_in_s, _count_keys(f.degree)[1])
 
 
 def s_to_e(f: SymFunc) -> SymFunc:

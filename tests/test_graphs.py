@@ -649,6 +649,22 @@ class TestLineOfALineGraph:
             compute_csf(spec)
         assert time.perf_counter() - start < 0.5  # building the sun alone takes about 1 s
 
+    @pytest.mark.parametrize("d", [1000000, 100000000])
+    def test_large_edges_base_walks_only_the_ends_of_its_edges(self, d):
+        """Isolated vertices add nothing to a line graph, so an ``edges`` base
+        on d vertices is counted on the ends of its edges alone."""
+        start = time.perf_counter()
+        assert parse_graph_spec(f"line(line(edges[{d}:(0,1),(1,2)]))").check() == 1
+        assert time.perf_counter() - start < 0.2  # 0.6 s at 10**6 vertices, walking every vertex
+        spec = f"edges[{d}:(7,{d - 1}),({d - 1},3),(3,7),(3,40)]"  # a triangle and a pendant edge
+        assert [parse_graph_spec("line(" * k + spec + ")" * k).check() for k in (1, 2, 3, 4)] == [4, 5, 8, 18]
+
+    def test_scattered_edges_base_counts_as_built(self):
+        spec = "edges[60:(59,2),(2,31),(31,59),(31,5),(5,17),(17,2),(44,17)]"
+        for k in (1, 2, 3):
+            nested = "line(" * k + spec + ")" * k
+            assert parse_graph_spec(nested).check() == parse_graph_spec(nested).build().n, k
+
     def test_malformed_inner_line_is_a_value_error(self):
         with pytest.raises(ValueError, match=r"^line takes 1 argument\(s\), got 0$"):
             GraphSpec("line", (GraphSpec("line", ()),)).check()

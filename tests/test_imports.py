@@ -115,6 +115,7 @@ MEMOS = {
         "_jacobi_trudi_dual": None,
         "_jacobi_trudi_dual.minor": None,
         "_keyed": None,
+        "_pieri": None,
     },
 }
 

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import chromsym
-from chromsym import identities, parse_graph_spec
+from chromsym import identities, parse_graph_spec, symfunc
 from chromsym.csf import csf_path_closed, csf_subsets
 from chromsym.partitions import Partition, _count_keys, partitions_of
 from chromsym.symfunc import (
@@ -273,6 +273,30 @@ def cap_function():
     )
 
 
+def ssyt_count(shape, content) -> int:
+    """The semistandard tableaux of ``shape`` with ``content[i]`` entries i,
+    counted by brute force: the cells are filled in reading order, each with
+    every entry left that is at least its left neighbour and more than the
+    entry above it."""
+    cells = [(r, c) for r, length in enumerate(shape) for c in range(length)]
+    grid, left = {}, list(content)
+
+    def fill(i):
+        if i == len(cells):
+            return 1
+        r, c = cells[i]
+        total = 0
+        for v in range(max(grid.get((r, c - 1), 0), grid.get((r - 1, c), -1) + 1), len(left)):
+            if left[v]:
+                left[v] -= 1
+                grid[r, c] = v
+                total += fill(i + 1)
+                left[v] += 1
+        return total
+
+    return fill(0)
+
+
 # ------------------------------------------------------------ construction
 
 
@@ -455,6 +479,24 @@ class TestElementaryExpansions:
             for lam in partitions_of(n):
                 f = e_to_s(SymFunc.single(Basis.E, lam, 1))
                 assert f.coefficient(lam.transpose()) == 1
+
+    def test_e_to_s_counts_semistandard_tableaux(self):
+        """[s_lam] e_mu = K_{lam^t, mu}, the number of semistandard tableaux of
+        shape lam^t and content mu, counted by brute force: a third route,
+        sharing nothing with either e -> s or s -> e."""
+        for n in range(1, 8):
+            for mu in partitions_of(n):
+                kostka = {lam: ssyt_count(lam.transpose(), mu) for lam in partitions_of(n)}
+                assert e_to_s(SymFunc.single(Basis.E, mu, 1)).terms == {lam: k for lam, k in kostka.items() if k}, mu
+
+    def test_pieri_step_is_walked_once_per_shape_and_strip(self):
+        """The dense degree-12 e -> s takes 3,508 dual Pieri steps over 333
+        distinct (lambda, k), and walks the vertical strips of each once."""
+        symfunc._pieri.cache_clear()
+        symfunc._elementary_in_s.cache_clear()
+        e_to_s(SymFunc(Basis.E, 12, dict.fromkeys(partitions_of(12), 1)))
+        info = symfunc._pieri.cache_info()
+        assert (info.misses, info.hits + info.misses) == (333, 3508)
 
     @settings(deadline=None, max_examples=40)
     @given(
