@@ -328,7 +328,7 @@ def _line_order(inner, lines=1) -> int:
     if base.family != "edges" and base.check() - lines > DEFAULT_ENUMERATION_CAP:
         return base.check() - lines
     g = base.build()
-    if base.family == "edges":  # isolated vertices add nothing to L(g): keep the ends of edges, in order
+    if base.family == "edges":  # isolated vertices add nothing to L(g)
         at = {v: i for i, v in enumerate(sorted({v for e in g.edges for v in e}))}
         g = Graph(len(at), [(at[u], at[v]) for u, v in g.edges])
     if lines == 1:
