@@ -5,9 +5,11 @@ partitions (the basis indices) to exact coefficients, ``int`` where integral
 (every CSF) and ``fractions.Fraction`` otherwise; the two agree on ``==``,
 hash, ``str`` and JSON, and ``coefficient`` and witnesses return ``Fraction``.
 Basis changes are exact and direct, and sum in integers over one common
-denominator; ``e -> s`` and ``s -> e`` expand one basis element at a time,
-memoized on its index, and ``e -> s`` also memoizes the one step its rows
-share.
+denominator, on one index format: the ``_count_keys`` integers of their
+degree, named as Partitions once, by that degree's memo, in the pass that
+divides them.  ``e -> s`` and ``s -> e`` expand one basis element at a time,
+each row memoized per element and keyed on those integers, and ``e -> s``
+also memoizes the one step its rows share.
 
 * ``p -> e`` and ``e -> p`` expand each one-part element by the signed
   integer formulas
@@ -17,10 +19,8 @@ share.
   \\frac{i!}{z_\\mu}\\, p_\\mu`,
   memoized per part and key width, and multiply out a whole function at once
   by nested (Horner) evaluation over the trie of its indices, each index an
-  integer count vector (``_count_keys``).  The CSF oracle hands its table to
-  that evaluator on the same keys, with no ``SymFunc`` between.  Its output
-  keys are named from one memo per degree, count key to ``Partition``, filled
-  as keys are met, and each coefficient is divided in that same pass.  For
+  integer count vector.  The CSF oracle hands its table to that evaluator
+  on the same keys, with no ``SymFunc`` between.  For
   ``e -> p`` the product of the :math:`\\lambda_j!\\,e_{\\lambda_j}`,
   weighted by the multinomial :math:`d!/\\prod_j \\lambda_j!`, is
   :math:`d!\\,e_\\lambda`, so the sums stay integral and each output term
@@ -28,21 +28,22 @@ share.
 * ``e -> s`` grows :math:`e_\\mu` one part at a time by the dual Pieri rule
   (:math:`s_\\lambda e_k` is the sum of :math:`s_\\nu` over the vertical
   k-strips :math:`\\nu/\\lambda`), so its coefficients are the Kostka numbers
-  :math:`K_{\\lambda^t\\mu}` (Stanley, EC2 7.15; Macdonald I.5).  Rows and
-  steps are keyed on ``_count_keys`` integers: the strips of each
-  :math:`(\\lambda, k)` are walked once per process, however many
-  :math:`e_\\mu` meet them, and the output keys are named and divided in
-  one pass, as for ``p -> e``.
+  :math:`K_{\\lambda^t\\mu}` (Stanley, EC2 7.15; Macdonald I.5).  The
+  strips of each :math:`(\\lambda, k)` are walked once per process, however
+  many :math:`e_\\mu` meet them.
 * ``s -> e`` expands the dual Jacobi-Trudi determinant
-  :math:`s_\\lambda = \\det(e_{\\lambda^t_i - i + j})`.  It shares nothing with
-  ``e -> s``, so a round trip through both checks one route against the other.
+  :math:`s_\\lambda = \\det(e_{\\lambda^t_i - i + j})` by memoized minors on
+  the keys of its degree: an entry :math:`e_v` adds ``unit[v]``, and
+  ``unit[0] = 0`` stands for :math:`e_0 = 1`.  It shares no row, step or memo
+  with ``e -> s``, only the key encoding, which ``p -> e`` also uses, so a
+  round trip through both checks one route against the other.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from functools import lru_cache, partial
+from functools import lru_cache
 from math import comb, factorial, lcm, prod
 from operator import add, sub
 
@@ -249,14 +250,10 @@ class SymFunc:
 
 # ----------------------------------------------------- per-index expansions
 #
-# Each expansion is a tuple of (index, coefficient) pairs.  Indices are plain
-# weakly decreasing tuples, which hash and compare like the equal Partition,
-# or, for the e -> s rows, ``_count_keys`` integers; a conversion names them
-# as Partitions once, when it returns.
-
-
-#: the expansion of an empty product
-_ONE = (((), 1),)
+# Each expansion is a tuple of (index, coefficient) pairs.  Every conversion
+# row is keyed on the ``_count_keys`` integers of its degree (``_keyed``
+# encodes the one-part rows), and a conversion names them as Partitions once,
+# when it returns.  Only ``SymFunc.__mul__`` merges tuples, by ``_merge``.
 
 
 def _merge(mu: tuple, nu: tuple) -> tuple:
@@ -342,15 +339,18 @@ def _elementary_in_s(mu: tuple) -> tuple:
 
 @lru_cache(maxsize=None)
 def _jacobi_trudi_dual(lam: Partition) -> tuple:
-    """e-expansion of s_lambda via det(e_{lambda^t_i - i + j}), memoized cofactors.
+    """e-expansion of s_lambda via det(e_{lambda^t_i - i + j}), memoized
+    cofactors, keyed on ``_count_keys(|lambda|)`` integers.
 
-    The determinant is expanded along rows over the surviving columns; entries
-    e_0 contribute 1 and negative subscripts vanish.  Row i has a nonzero
-    entry exactly in the columns j >= i - lambda^t_i, a bound that rises with
-    i, so a minor is structurally zero as soon as its diagonal is, and the
-    recursion stops there.
+    The determinant is expanded along rows over the surviving columns; an
+    entry e_v adds ``unit[v]`` to the keys of its cofactor, so e_0
+    (``unit[0] = 0``) contributes 1, and negative subscripts vanish.  Row i
+    has a nonzero entry exactly in the columns j >= i - lambda^t_i, a bound
+    that rises with i, so a minor is structurally zero as soon as its
+    diagonal is, and the recursion stops there.
     """
     conj = lam.transpose()
+    unit = _count_keys(lam.weight)[0]
 
     def entry(i, j):  # 0-based
         return conj[i] - (i + 1) + (j + 1)
@@ -358,27 +358,29 @@ def _jacobi_trudi_dual(lam: Partition) -> tuple:
     @lru_cache(maxsize=None)
     def minor(i: int, cols: tuple) -> tuple:
         if not cols:
-            return _ONE
+            return ((0, 1),)
         if any(entry(i + k, j) < 0 for k, j in enumerate(cols)):
             return ()
         acc = {}
+        get = acc.get
         for pos, j in enumerate(cols):
-            v = entry(i, j)
+            u = unit[entry(i, j)]
             sign = -1 if pos & 1 else 1
-            for mu, c in minor(i + 1, cols[:pos] + cols[pos + 1:]):
-                key = _merge(mu, (v,)) if v else mu
-                acc[key] = acc.get(key, 0) + sign * c
+            for key, c in minor(i + 1, cols[:pos] + cols[pos + 1:]):
+                key += u
+                acc[key] = get(key, 0) + sign * c
         return tuple((k, c) for k, c in acc.items() if c)
 
     return minor(0, tuple(range(len(conj))))
 
 
 def schur_in_e(parts) -> SymFunc:
-    """The Schur function s_lambda written in the elementary basis."""
+    """The Schur function s_lambda written in the elementary basis: the row
+    of ``_jacobi_trudi_dual``, its keys named by ``_divided``."""
     lam = Partition(parts)
     if not lam:
         raise ValueError("schur_in_e expects a nonempty partition")
-    return SymFunc(Basis.E, lam.weight, dict(_jacobi_trudi_dual(lam)))
+    return _divided(Basis.E, lam.weight, dict(_jacobi_trudi_dual(lam)), 1)
 
 
 # ---------------------------------------------------------------- conversions
@@ -397,26 +399,27 @@ def _scaled(f: SymFunc, source: Basis):
     return den, {lam: c.numerator * (den // c.denominator) for lam, c in f.terms.items()}
 
 
-def _divided(target: Basis, degree: int, terms: dict, den: int, name) -> SymFunc:
-    """Integer ``terms``, each index named by ``name`` and each coefficient
-    divided once by ``den``, an ``int`` where exact, in one pass."""
+def _divided(target: Basis, degree: int, terms: dict, den: int) -> SymFunc:
+    """Integer ``terms`` on ``_count_keys(degree)`` keys, each named by that
+    degree's memo and divided once by ``den``, an ``int`` where exact."""
+    decode = _count_keys(degree)[1]
     if den == 1:
-        return SymFunc._trusted(target, degree, {name(mu): v for mu, v in terms.items()})
+        return SymFunc._trusted(target, degree, {decode(mu): v for mu, v in terms.items()})
     return SymFunc._trusted(
-        target, degree, {name(mu): v // den if v % den == 0 else Fraction(v, den) for mu, v in terms.items()}
+        target, degree, {decode(mu): v // den if v % den == 0 else Fraction(v, den) for mu, v in terms.items()}
     )
 
 
-def _apply(f: SymFunc, source: Basis, target: Basis, expand, name=partial(tuple.__new__, Partition)) -> SymFunc:
+def _apply(f: SymFunc, source: Basis, target: Basis, expand) -> SymFunc:
     """The linear map b_lam -> ``expand(lam)`` (integral), summed in integers
-    on the indices ``expand`` gives, each named once by ``name``."""
+    on the ``_count_keys(f.degree)`` keys ``expand`` gives, each named once."""
     den, scaled = _scaled(f, source)
     terms = {}
     get = terms.get
     for lam, a in scaled.items():
         for mu, w in expand(lam):
             terms[mu] = get(mu, 0) + a * w
-    return _divided(target, f.degree, terms, den, name)
+    return _divided(target, f.degree, terms, den)
 
 
 def _nested(table: dict, degree: int, target: Basis, one_part, den: int = 1) -> SymFunc:
@@ -433,10 +436,9 @@ def _nested(table: dict, degree: int, target: Basis, one_part, den: int = 1) -> 
     alone, so the 1s add no node and only stay in the key.  A node's parent
     is ``node - unit[s]``, a smaller integer, so walking the nodes in
     decreasing order folds each into its parent after its children, with no
-    recursion.  A product adds keys, and only the output keys are named, by
-    the per-degree memo of ``_count_keys``, in the pass that divides them.
+    recursion.  A product adds keys; ``_divided`` names the output keys.
     """
-    unit, decode = _count_keys(degree)
+    unit = _count_keys(degree)[0]
     width = degree.bit_length()
     ones = (1 << width) - 1  # the field of part 1
     sums = {0: {}}
@@ -455,7 +457,7 @@ def _nested(table: dict, degree: int, target: Basis, one_part, den: int = 1) -> 
             for k, c in row:
                 k += key
                 parent[k] = get(k, 0) + a * c
-    return _divided(target, degree, sums[0], den, decode)
+    return _divided(target, degree, sums[0], den)
 
 
 def _encoded(f: SymFunc, source: Basis, weight=None):
@@ -485,15 +487,13 @@ def e_to_p(f: SymFunc) -> SymFunc:
 def e_to_s(f: SymFunc) -> SymFunc:
     """Convert from the elementary basis to the Schur basis (exact).
 
-    Each e_mu expands by the dual Pieri rule into Kostka numbers, which are
-    nonnegative integers keyed on ``_count_keys(f.degree)`` integers; the sum
-    is taken on those keys, and each output key is named once, by that
-    degree's memo, in the pass that divides it.  Nothing is shared with
-    ``s_to_e``, so a round trip through both checks one route against the
-    other.
+    Each e_mu expands by the dual Pieri rule into Kostka numbers, nonnegative
+    integers summed on ``_count_keys(f.degree)`` keys.  No row, step or memo
+    is shared with ``s_to_e``, so a round trip through both checks one route
+    against the other.
     """
     _degree_guard(f.degree)
-    return _apply(f, Basis.E, Basis.S, _elementary_in_s, _count_keys(f.degree)[1])
+    return _apply(f, Basis.E, Basis.S, _elementary_in_s)
 
 
 def s_to_e(f: SymFunc) -> SymFunc:

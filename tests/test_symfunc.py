@@ -297,6 +297,36 @@ def ssyt_count(shape, content) -> int:
     return fill(0)
 
 
+def ref_jacobi_trudi_dual(lam: tuple) -> tuple:
+    """Reference for ``_jacobi_trudi_dual``: the same cofactor expansion of
+    det(e_{lambda^t_i - i + j}) on tuple indices, each entry e_v merged into
+    its minor's indices by sorting, e_0 leaving them as they are."""
+    conj = Partition(lam).transpose()
+
+    def entry(i, j):
+        return conj[i] - i + j
+
+    @lru_cache(maxsize=None)
+    def minor(i: int, cols: tuple) -> tuple:
+        if not cols:
+            return (((), 1),)
+        if any(entry(i + k, j) < 0 for k, j in enumerate(cols)):
+            return ()
+        acc = {}
+        for pos, j in enumerate(cols):
+            v = entry(i, j)
+            for mu, c in minor(i + 1, cols[:pos] + cols[pos + 1:]):
+                key = tuple(sorted(mu + (v,), reverse=True)) if v else mu
+                acc[key] = acc.get(key, 0) + (-1) ** pos * c
+        return tuple((key, c) for key, c in acc.items() if c)
+
+    return minor(0, tuple(range(len(conj))))
+
+
+def ref_s_to_e(f):
+    return ref_apply(f, Basis.S, Basis.E, ref_jacobi_trudi_dual)
+
+
 # ------------------------------------------------------------ construction
 
 
@@ -455,6 +485,16 @@ class TestSchur:
             for lam in partitions_of(n):
                 f = schur_in_e(lam)
                 assert evaluate_at_points(f, POINTS) == schur_value(lam, POINTS), lam
+
+    def test_matches_the_tuple_keyed_reference_up_to_degree_12(self):
+        for n in range(1, 13):
+            for lam in partitions_of(n):
+                assert all(type(key) is int for key, _ in symfunc._jacobi_trudi_dual(lam)), lam
+                assert_same_output(schur_in_e(lam), ref_s_to_e(SymFunc.single(Basis.S, lam))), lam
+
+    def test_dense_degree_14_matches_the_tuple_keyed_reference(self):
+        f = SymFunc(Basis.S, 14, {lam: Fraction(i % 7 - 3, i % 5 + 1) for i, lam in enumerate(partitions_of(14))})
+        assert_same_output(s_to_e(f), ref_s_to_e(f))
 
     def test_s_to_e_linear_combination(self):
         f = SymFunc.single(Basis.S, (2, 1), 2) + SymFunc.single(Basis.S, (1, 1, 1), -1)
