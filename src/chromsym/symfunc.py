@@ -32,10 +32,9 @@ also memoizes the one step its rows share.
   strips of each :math:`(\\lambda, k)` are walked once per process, however
   many :math:`e_\\mu` meet them.
 * ``s -> e`` expands the dual Jacobi-Trudi determinant
-  :math:`s_\\lambda = \\det(e_{\\lambda^t_i - i + j})` by memoized minors on
-  the keys of its degree: an entry :math:`e_v` adds ``unit[v]``, and
-  ``unit[0] = 0`` stands for :math:`e_0 = 1`.  It shares no row, step or memo
-  with ``e -> s``, only the key encoding, which ``p -> e`` also uses, so a
+  :math:`s_\\lambda = \\det(e_{\\lambda^t_i - i + j})` by memoized minors: an
+  entry :math:`e_v` adds ``unit[v]``, and ``unit[0] = 0`` stands for
+  :math:`e_0 = 1`.  It shares no row, step or memo with ``e -> s``, so a
   round trip through both checks one route against the other.
 """
 
