@@ -12,20 +12,24 @@ set splits into blocks of sizes lambda_i each inducing a connected subgraph.
 ``missing_partition_scan`` inventories the types without such a partition,
 for a graph, spec or spec string, refusing above ``DEFAULT_SCAN_VERTEX_CAP``
 vertices itself (a spec before it is built).  It renumbers the vertices by
-ascending degree, walks the types finest first and searches a type not yet
-found on integer bit masks, placing the lowest remaining vertex, the least
-connected, in a connected block of each distinct remaining size; one scan
-shares a record of the (remaining vertices, sizes) pairs shown to have no
-split.  A renumbered graph has the same connected partition types, so the
-renumbering cannot change the output.  Merging two witness blocks joined by
-an edge keeps them connected, so every type such merges reach is found with
-no search: on the benchmark's positivity graphs about one type in fifty is
-searched.  As only explicit blocks mark a type and every other type is
-searched in full, the output is that of searching every type.
-``has_connected_partition`` searches in the caller's numbering, as its
-witness blocks are output.  The ``*_missing_type`` helpers
-give the predicted obstruction types for sun graphs together with the
-coefficient values they force.
+ascending degree and first looks for a spanning path by a greedy walk: the
+consecutive runs of a path are a connected partition of every type, so a
+path found answers the scan with no search (every tadpole, lollipop and
+dumbbell of each kind has one).  Otherwise it walks the types finest first
+and searches a type not yet found on integer bit masks, placing the lowest
+remaining vertex, the least connected, in a connected block of each
+distinct remaining size; one scan shares a record of the (remaining
+vertices, sizes) pairs shown to have no split.  A renumbered graph has the
+same connected partition types, so the renumbering cannot change the
+output.  Merging two witness blocks joined by an edge keeps them connected,
+so every type such merges reach is found with no search: on the
+benchmark's positivity graphs about one type in fifty is searched.  As only
+explicit blocks mark a type and every other type is searched in full, the
+output is that of searching every type; a walk that finds no path only
+loses the shortcut.  ``has_connected_partition`` keeps the search, in the
+caller's numbering, as its witness blocks are output.  The
+``*_missing_type`` helpers give the predicted obstruction types for sun
+graphs together with the coefficient values they force.
 """
 
 from __future__ import annotations
@@ -145,8 +149,9 @@ def _search(nbr, parts, remaining, failed):
 def has_connected_partition(g: Graph, lam) -> ConnectedPartitionWitness | None:
     """A vertex partition with connected blocks of sizes ``lam``, or None.
     Guarded at ``DEFAULT_ENUMERATION_CAP`` vertices, bounding the recursion.
-    Unlike ``missing_partition_scan`` it keeps the caller's vertex numbering:
-    its witness blocks are output, and name the caller's vertices."""
+    Unlike ``missing_partition_scan`` it keeps the caller's vertex numbering
+    and takes no spanning-path shortcut: its witness blocks are output, and
+    name the caller's vertices as the search finds them."""
     _guard("connected-partition search", g.n)
     lam = Partition(lam)
     if lam.weight != g.n:
@@ -155,6 +160,36 @@ def has_connected_partition(g: Graph, lam) -> ConnectedPartitionWitness | None:
     if found is None:
         return None
     return ConnectedPartitionWitness(tuple(tuple(v for v in range(g.n) if b >> v & 1) for b in found))
+
+
+def _spanning_path(nbr):
+    """A spanning path of the graph with neighbour masks ``nbr``, as a vertex
+    order, or None.  From each start vertex in turn, one walk steps to the
+    unvisited neighbour with the fewest unvisited neighbours (Warnsdorff's
+    rule, ties to the lowest vertex), with no backtracking: at most n walks of
+    n steps.  A path has at most two vertices of degree <= 1, so with more no
+    walk starts.  None only means no walk found a path."""
+    n = len(nbr)
+    if n >= 2 and sum(m.bit_count() <= 1 for m in nbr) > 2:
+        return None
+    for start in range(n):
+        order, seen, v = [start], 1 << start, start
+        while len(order) < n:
+            bits, v, fewest = nbr[v] & ~seen, -1, n
+            while bits:
+                low = bits & -bits
+                u = low.bit_length() - 1
+                onward = (nbr[u] & ~seen).bit_count()
+                if onward < fewest:
+                    v, fewest = u, onward
+                bits ^= low
+            if v < 0:
+                break
+            order.append(v)
+            seen |= 1 << v
+        else:
+            return order
+    return None
 
 
 @lru_cache(maxsize=None)
@@ -182,6 +217,11 @@ def missing_partition_scan(target) -> list:
     again and again, is found with no search.  Only explicit connected blocks
     mark a type, and every other type gets the full search, so the output is
     that of searching each type.
+
+    Before any search the scan looks for a spanning path (``_spanning_path``).
+    Cutting a path into consecutive runs of sizes lambda_i gives connected
+    blocks for every lambda, so a path found means no type is missing.  When
+    the walk finds none the scan searches as above, so the output is the same.
     """
     spec = as_spec(target)
     _guard("full scans", csf_degree(spec or target), DEFAULT_SCAN_VERTEX_CAP)
@@ -190,6 +230,8 @@ def missing_partition_scan(target) -> list:
     for i, v in enumerate(sorted(range(g.n), key=g.degree)):
         rank[v] = i
     nbr = _neighbour_masks(Graph(g.n, [(rank[u], rank[v]) for u, v in g.edges]))
+    if _spanning_path(nbr) is not None:
+        return []
     unit, _ = _count_keys(g.n)
     failed, found, missing = set(), set(), []
     for lam, key in _scan_types(g.n):

@@ -46,7 +46,7 @@ from functools import lru_cache
 from math import comb, factorial, lcm, prod
 from operator import add, sub
 
-from .partitions import Partition, _count_keys, partitions_of
+from .partitions import DEFAULT_ENUMERATION_CAP, Partition, _count_keys, partitions_of
 
 #: refuse e -> p and e -> s transitions above this degree
 DEFAULT_TRANSITION_CAP = 22
@@ -462,8 +462,13 @@ def _nested(table: dict, degree: int, target: Basis, one_part, den: int = 1) -> 
 def _encoded(f: SymFunc, source: Basis, weight=None):
     """``f``'s numerators over one common denominator, keyed on
     ``_count_keys(f.degree)`` integers, each times ``weight(lam)`` if given:
-    ``(table, den)``, the input of ``_nested``."""
+    ``(table, den)``, the input of ``_nested``.  The row of a part enumerates
+    that part's partitions, so a part above ``DEFAULT_ENUMERATION_CAP`` is
+    refused by ``partitions_of`` here, before the degree's keys are built."""
     den, scaled = _scaled(f, source)
+    top = max((lam[0] for lam in scaled if lam), default=0)
+    if top > DEFAULT_ENUMERATION_CAP:
+        partitions_of(top)  # raises
     unit = _count_keys(f.degree)[0]
     return {sum(map(unit.__getitem__, lam)): a * weight(lam) if weight else a for lam, a in scaled.items()}, den
 

@@ -27,6 +27,7 @@ from chromsym.positivity import (
     PositivityReport,
     _connected_blocks,
     _neighbour_masks,
+    _spanning_path,
     e_positivity,
     gcd_missing_type,
     has_connected_partition,
@@ -220,6 +221,12 @@ class TestMissingPartitionScan:
         assert missing == [lam for lam in partitions_of(14) if sum(part > 1 for part in lam) > 1]
         assert calls[0] <= 125_000
 
+    def test_spanning_path_spares_every_search(self, monkeypatch):
+        calls = count_search_calls(monkeypatch)
+        for spec in ("cdumbbell(5,2,7)", "dumbbell(4,-1,7)"):
+            assert missing_partition_scan(parse_graph_spec(spec).build()) == []
+        assert calls[0] == 0
+
     def test_scan_is_sorted_and_unique(self):
         # the 4-leg star misses exactly the types (3,2) and (2,2,1)
         got = missing_partition_scan(spider_graph((1, 1, 1, 1)))
@@ -247,7 +254,84 @@ def _small_sun_specs():
     return sorted(specs)
 
 
+def _traceable_family_specs():
+    """Every tadpole and lollipop, and every dumbbell of each kind with its
+    bodies in either order (l = -1 included), on at most 14 vertices."""
+    specs = [f"{family}({m},{l})" for family in ("tadpole", "lollipop") for m in range(3, 15) for l in range(15 - m)]
+    specs += [
+        f"{family}({m},{l},{n})"
+        for family in ("dumbbell", "cdumbbell", "sdumbbell")
+        for m in range(3, 13)
+        for n in range(3, 16 - m)
+        for l in range(-1, 15 - m - n)
+    ]
+    return specs
+
+
+def by_degree(g):
+    """The copy of g that the scan walks: vertices renumbered by a stable sort on ascending degree."""
+    rank = [0] * g.n
+    for i, v in enumerate(sorted(range(g.n), key=g.degree)):
+        rank[v] = i
+    return permuted(g, rank)
+
+
+def assert_spanning_path(g, order):
+    nbr = _neighbour_masks(g)
+    assert order is not None and len(order) == g.n and sorted(order) == list(range(g.n))
+    assert all(nbr[u] >> v & 1 for u, v in zip(order, order[1:]))
+
+
+#: the complete bipartite graph K_{2,5}: no vertex of degree below 2, and no spanning path
+K_2_5 = "edges[7:" + ",".join(f"({u},{v})" for u in (0, 1) for v in range(2, 7)) + "]"
+
+
+class TestSpanningPath:
+    def test_every_small_tadpole_lollipop_and_dumbbell(self):
+        specs = _traceable_family_specs()
+        assert len(specs) == 816
+        for spec in specs:
+            g = parse_graph_spec(spec).build()
+            assert g.n <= 14, spec
+            for h in (g, by_degree(g)):
+                assert_spanning_path(h, _spanning_path(_neighbour_masks(h)))
+
+    def test_paths_cycles_and_complete_graphs(self):
+        graphs = [build(n) for build in (path_graph, complete_graph) for n in range(1, 15)]
+        graphs += [cycle_graph(n) for n in range(3, 15)]
+        for g in graphs:
+            for h in (g, by_degree(g)):
+                assert_spanning_path(h, _spanning_path(_neighbour_masks(h)))
+
+    def test_three_leaves_give_none(self):
+        specs = _small_sun_specs() + ["spider(1,1,1)", "spider(4,3,2)", "spider(5,4,4)", "spider(3,3,3,2)"]
+        for spec in specs:
+            assert _spanning_path(_neighbour_masks(parse_graph_spec(spec).build())) is None, spec
+
+    def test_edge_cases(self):
+        assert _spanning_path(_neighbour_masks(Graph(1, []))) == [0]
+        assert _spanning_path(_neighbour_masks(Graph(2, [(0, 1)]))) == [0, 1]
+        assert _spanning_path(_neighbour_masks(Graph(2, []))) is None
+        assert _spanning_path(_neighbour_masks(Graph(3, []))) is None
+
+
+@st.composite
+def traceable_graphs(draw):
+    """A random path through all of at most 11 vertices, taken in a random
+    order, plus each other pair as an edge with probability p."""
+    n = draw(st.integers(1, 11))
+    p = draw(st.sampled_from((0.0, 0.1, 0.25, 0.5)))
+    rng = random.Random(draw(st.integers(0, 2**32)))
+    order = rng.sample(range(n), n)
+    edges = list(zip(order, order[1:]))
+    edges += [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p]
+    return Graph(n, edges)
+
+
 class TestScanMatchesReference:
+    """The reference searches every type; the scan answers from a spanning
+    path when its walk finds one, and searches otherwise."""
+
     def test_small_suns(self):
         specs = _small_sun_specs()
         assert len(specs) == 86
@@ -264,8 +348,28 @@ class TestScanMatchesReference:
             assert missing_partition_scan(g) == ref_missing_partition_scan(g)
 
     def test_edge_cases(self):
-        for g in (Graph(0, []), Graph(14, []), parse_graph_spec("union(cycle(5),spider(3,2,1))").build()):
+        for g in (
+            Graph(0, []), Graph(1, []), Graph(3, []), Graph(14, []),
+            parse_graph_spec("union(cycle(5),spider(3,2,1))").build(),
+        ):
             assert missing_partition_scan(g) == ref_missing_partition_scan(g)
+
+    @settings(deadline=None, max_examples=60)
+    @given(traceable_graphs())
+    def test_traceable_graphs(self, g):
+        assert missing_partition_scan(g) == ref_missing_partition_scan(g) == []
+        order = _spanning_path(_neighbour_masks(g))
+        if order is not None:
+            assert_spanning_path(g, order)
+
+    def test_leafless_graph_with_no_spanning_path(self):
+        g = parse_graph_spec(K_2_5).build()
+        assert sorted(map(g.degree, range(g.n))) == [2] * 5 + [5] * 2
+        assert _spanning_path(_neighbour_masks(g)) is None
+        assert _spanning_path(_neighbour_masks(by_degree(g))) is None
+        expected = ref_missing_partition_scan(g)
+        assert expected
+        assert missing_partition_scan(K_2_5) == expected
 
     @settings(deadline=None, max_examples=50)
     @given(st.one_of(random_graphs(), glued_graphs()))

@@ -717,6 +717,28 @@ class TestMemory:
         assert status == 0, err
         assert float(out) < 110  # 213 MB with the product route's prefix memo
 
+    def test_a_part_above_the_cap_is_refused_before_the_keys_are_built(self):
+        # the keys of degree 10,000 peak at about 94 MB; p_(1^10000) and
+        # s_(1^5000) have no such part and still convert
+        code = (
+            "import tracemalloc\n"
+            "from chromsym.symfunc import Basis, SymFunc, p_to_e, s_to_e\n"
+            "tracemalloc.start()\n"
+            "try:\n"
+            "    p_to_e(SymFunc.single(Basis.P, (10000,)))\n"
+            "except ValueError as error:\n"
+            "    print(error)\n"
+            "print(tracemalloc.get_traced_memory()[1] / 2**20)\n"
+            "tracemalloc.stop()\n"
+            "assert p_to_e(SymFunc.single(Basis.P, (1,) * 10000)) == SymFunc.single(Basis.E, (1,) * 10000)\n"
+            "assert s_to_e(SymFunc.single(Basis.S, (1,) * 5000)) == SymFunc.single(Basis.E, (5000,))\n"
+        )
+        status, out, err = run_child(code)
+        assert status == 0, err
+        message, peak = out.splitlines()
+        assert message == "partitions_of(10000) exceeds the enumeration cap 40"
+        assert float(peak) < 5
+
     def test_degree_40_union_under_one_gigabyte(self):
         code = "from chromsym.cli import main\nassert main(['csf', 'union(spider(13,13),edges[13:])']) == 0\n"
         status, _, err = run_child(code, limit_mb=1024)
