@@ -20,19 +20,18 @@ _EXPORTS = {
     "csf": """ChromPoly chromatic_poly_closed chromatic_poly_dc compute_csf csf_complete_closed
         csf_complete_dumbbell_closed csf_cycle_closed csf_dc csf_dumbbell_closed csf_lollipop_closed
         csf_path_closed csf_semicomplete_dumbbell_closed csf_subsets csf_tadpole_closed""",
-    "graphs": """Graph GraphSpec SpecParseError add_complete attach complete_graph cycle_graph
-        disjoint_union dumbbell_graph edge_subset_type line_graph lollipop_graph parse_graph_spec
-        path_graph spider_graph sun_graph tadpole_graph""",
+    "graphs": """Graph GraphSpec SpecParseError complete_graph cycle_graph disjoint_union dumbbell_graph
+        line_graph lollipop_graph parse_graph_spec path_graph spider_graph sun_graph tadpole_graph""",
     "identities": """IdentityReport VERIFIERS iter_grid run_grid verify_cdumbbell_full_expansion
         verify_cdumbbell_lollipop_expansion verify_cdumbbell_recursion verify_chromatic_closed_forms
         verify_distinguishability verify_dumbbell_full_expansion verify_dumbbell_recursion
         verify_dumbbell_tadpole_expansion verify_small_sun_coefficient verify_sun_coefficient
         verify_sun_spider_reduction verify_triple_deletion""",
-    "partitions": "Partition partitions_of refines_to",
+    "partitions": "Partition partitions_of",
     "positivity": """ConnectedPartitionWitness PositivityReport e_positivity gcd_missing_type
         has_connected_partition missing_partition_scan s_positivity spider_nonpositivity_criterion
         sun_matching_criterion triangle_sun_missing_type uniform_sun_missing_type""",
-    "symfunc": "Basis SymFunc convert e_to_p e_to_s p_to_e schur_in_e s_to_e",
+    "symfunc": "Basis SymFunc convert e_to_p e_to_s p_to_e s_to_e",
 }
 
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names.split()}

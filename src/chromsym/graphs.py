@@ -27,7 +27,7 @@ from functools import partial
 from itertools import combinations
 from math import comb
 
-from .partitions import DEFAULT_ENUMERATION_CAP, Partition
+from .partitions import DEFAULT_ENUMERATION_CAP
 
 
 class SpecParseError(ValueError):
@@ -344,55 +344,10 @@ def _line_order(inner, lines=1) -> int:
     return sum(comb(len(nbrs), 2) for nbrs in g.adjacency())
 
 
-def attach(body: Graph, attachments) -> Graph:
-    """Join disjoint graphs to distinct body vertices by single edges.
-
-    ``attachments`` is a sequence of (body_vertex, graph, graph_vertex); each
-    listed body vertex may appear once.  The attached graphs are shifted after
-    the body in declaration order.
-    """
-    used = set()
-    edges = list(body.edge_list)
-    offset = body.n
-    for bv, g, gv in attachments:
-        if not (0 <= bv < body.n):
-            raise ValueError(f"body vertex {bv} out of range")
-        if bv in used:
-            raise ValueError(f"body vertex {bv} used twice")
-        used.add(bv)
-        if not (0 <= gv < g.n):
-            raise ValueError(f"attachment vertex {gv} out of range")
-        edges.extend((a + offset, b + offset) for a, b in g.edge_list)
-        edges.append((bv, gv + offset))
-        offset += g.n
-    return Graph(offset, edges)
-
-
-def add_complete(g: Graph, anchor: int, m: int) -> Graph:
-    """Glue a K_m onto ``g`` sharing only the vertex ``anchor`` (m-1 new vertices)."""
-    if not (0 <= anchor < g.n):
-        raise ValueError(f"anchor vertex {anchor} out of range")
-    if m < 2:
-        raise ValueError("glued clique needs at least two vertices")
-    clique = [anchor] + list(range(g.n, g.n + m - 1))
-    edges = list(g.edge_list) + _body_edges("complete", clique)
-    return Graph(g.n + m - 1, edges)
-
-
 def disjoint_union(a: Graph, b: Graph) -> Graph:
     edges = list(a.edge_list)
     edges.extend((u + a.n, v + a.n) for u, v in b.edge_list)
     return Graph(a.n + b.n, edges)
-
-
-def edge_subset_type(g: Graph, subset) -> Partition:
-    """Component-size partition of the spanning subgraph (V, subset)."""
-    subset = list(subset)
-    for u, v in subset:
-        e = (u, v) if u < v else (v, u)
-        if e not in g.edges:
-            raise ValueError(f"edge {e} not in graph")
-    return Partition(map(len, Graph(g.n, subset).components()))
 
 
 # -------------------------------------------------------------- spec grammar

@@ -279,8 +279,8 @@ def verify_distinguishability(family: str, size_cap: int) -> IdentityReport:
     "sun": suns with equal CSF are isomorphic, that is, have equal
     ``GraphSpec.canonical()``: rays equal up to rotation and reflection.
     ``equal`` records whether the claim holds; any counterexample pair is
-    placed in ``params``.  A size_cap over ``DEFAULT_GRID_VERTEX_CAP`` is
-    refused before the first instance.
+    placed in ``params``.  A negative size_cap, or one over
+    ``DEFAULT_GRID_VERTEX_CAP``, is refused before the first instance.
     """
     if family in ("dumbbell", "cdumbbell"):
         specs = (f"{family}({m},{l},{n})" for m, l, n in _canonical_dumbbell_triples(size_cap))
@@ -290,6 +290,8 @@ def verify_distinguishability(family: str, size_cap: int) -> IdentityReport:
         instances = ((spec.canonical(), str(spec), _oracle(spec)) for spec in specs)
     else:
         raise ValueError(f"unknown family {family!r}")
+    if size_cap < 0:
+        raise ValueError(f"{family} grid needs a nonnegative size_cap; got {size_cap}")
     if size_cap > DEFAULT_GRID_VERTEX_CAP:
         raise ValueError(f"{family} grid guarded at size_cap {DEFAULT_GRID_VERTEX_CAP}; got {size_cap}")
     seen: dict = {}
@@ -407,9 +409,11 @@ VERIFIERS = {name: verifier for name, (verifier, _) in _IDENTITIES.items()}
 
 
 def iter_grid(name: str, vertex_cap: int = DEFAULT_GRID_VERTEX_CAP):
-    """Parameter dictionaries of the identity's grid."""
+    """Parameter dictionaries of the identity's grid; a negative cap is refused."""
     if name not in _IDENTITIES:
         raise ValueError(f"unknown identity {name!r}")
+    if vertex_cap < 0:
+        raise ValueError(f"grid vertex cap must be nonnegative, got {vertex_cap}")
     return _IDENTITIES[name][1](vertex_cap)
 
 

@@ -1,4 +1,4 @@
-"""Integer partitions: construction, enumeration, conjugation and the coarsening order."""
+"""Integer partitions: construction, enumeration and conjugation."""
 
 from __future__ import annotations
 
@@ -139,44 +139,3 @@ def _count_keys(n: int):
     names = _Names()
     names.width, names.unit = w, (0, *(1 << w * (s - 1) for s in range(1, n + 1)))
     return names.unit, names.__getitem__
-
-
-def _refines(lam: tuple, mu: tuple) -> bool:
-    """Whether the parts of ``lam`` fill bins of sizes ``mu`` (both decreasing, equal weight).
-
-    A depth-first search with an explicit stack, so no recursion limit: part
-    i goes into a bin of each distinct size that fits, and what a bin has left
-    is a smaller bin.  A state (i, bins) is expanded once per call; when its
-    successors are on the stack, meeting it again adds nothing.
-    """
-    tried = set()
-    stack = [(0, mu)]
-    while stack:
-        i, bins = stack.pop()
-        if i == len(lam):
-            return True
-        if (i, bins) in tried:
-            continue
-        tried.add((i, bins))
-        first = lam[i]
-        for size in reversed(dict.fromkeys(b for b in bins if b >= first)):  # largest bin popped first
-            rest = list(bins)
-            rest.remove(size)
-            if size > first:
-                rest.append(size - first)
-            stack.append((i + 1, tuple(sorted(rest, reverse=True))))
-    return False
-
-
-def refines_to(lam, mu) -> bool:
-    """True iff ``mu`` can be obtained by merging groups of parts of ``lam``.
-
-    This is the coarsening order: ``refines_to(lam, mu)`` means ``lam <= mu``,
-    i.e. the parts of ``lam`` can be split into consecutive-sum groups realizing
-    every part of ``mu``.  Partitions of different weights are incomparable.
-    """
-    lam = Partition(lam)
-    mu = Partition(mu)
-    if lam.weight != mu.weight:
-        return False
-    return _refines(tuple(lam), tuple(mu))

@@ -362,17 +362,6 @@ def sun_matching_criterion(spec) -> bool:
     return sum(len(run) % 2 for run in parities.split("1")) <= 1
 
 
-def sun_has_near_perfect_matching(spec) -> bool:
-    """Direct matching search on the full sun graph (the slow cross-check): a
-    perfect or near-perfect matching is a connected partition of type 2^k (1)."""
-    spec = as_spec(spec)
-    if spec is None:
-        raise ValueError("the matching search needs a family spec (a GraphSpec or spec string)")
-    n = spec.check()
-    _guard("connected-partition search", n)
-    return has_connected_partition(spec.build(), (2,) * (n // 2) + (1,) * (n % 2)) is not None
-
-
 # ------------------------------------------------------------------- spiders
 
 

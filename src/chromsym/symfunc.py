@@ -373,15 +373,6 @@ def _jacobi_trudi_dual(lam: Partition) -> tuple:
     return minor(0, tuple(range(len(conj))))
 
 
-def schur_in_e(parts) -> SymFunc:
-    """The Schur function s_lambda written in the elementary basis: the row
-    of ``_jacobi_trudi_dual``, its keys named by ``_divided``."""
-    lam = Partition(parts)
-    if not lam:
-        raise ValueError("schur_in_e expects a nonempty partition")
-    return _divided(Basis.E, lam.weight, dict(_jacobi_trudi_dual(lam)), 1)
-
-
 # ---------------------------------------------------------------- conversions
 
 

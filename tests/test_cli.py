@@ -467,6 +467,19 @@ class TestErrorsAndParser:
         assert code == 2 and out == ""
         assert err == "error: sun grid guarded at size_cap 14; got 27\n"
 
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (("dumbbell-recursion", "--grid", "-5", "--strict", "--json"), "grid vertex cap must be nonnegative, got -5"),
+            (("distinguishability", "--grid", "-1"), "grid vertex cap must be nonnegative, got -1"),
+            (("distinguishability", "sun,-2", "--strict"), "sun grid needs a nonnegative size_cap; got -2"),
+        ],
+        ids=["grid", "distinguishability-grid", "distinguishability-params"],
+    )
+    def test_negative_grid_cap_exit_2(self, capsys, argv, message):
+        code, out, err = run(capsys, "verify", *argv)
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
     def test_deeply_nested_spec_exit_2(self, capsys):
         spec = "line(" * 1200 + "path(3)" + ")" * 1200
         code, out, err = run(capsys, "csf", spec)

@@ -14,13 +14,10 @@ from chromsym.graphs import (
     GraphSpec,
     MAX_SPEC_DEPTH,
     SpecParseError,
-    add_complete,
-    attach,
     complete_graph,
     cycle_graph,
     disjoint_union,
     dumbbell_graph,
-    edge_subset_type,
     line_graph,
     lollipop_graph,
     parse_graph_spec,
@@ -29,7 +26,20 @@ from chromsym.graphs import (
     sun_graph,
     tadpole_graph,
 )
-from chromsym.partitions import Partition
+
+
+def attach(body, attachments):
+    """Each (body vertex, graph, graph vertex) joined by one edge, the graphs numbered after the body in order."""
+    n, edges = body.n, body.edge_list
+    for bv, g, gv in attachments:
+        edges += [(a + n, b + n) for a, b in g.edge_list] + [(bv, gv + n)]
+        n += g.n
+    return Graph(n, edges)
+
+
+def add_complete(g, anchor, m):
+    """``g`` with a K_m glued on at ``anchor``, its m - 1 new vertices numbered after g's."""
+    return Graph(g.n + m - 1, g.edge_list + list(itertools.combinations([anchor, *range(g.n, g.n + m - 1)], 2)))
 
 
 def degrees(g):
@@ -168,18 +178,6 @@ class TestBuilders:
         net = attach(cycle_graph(3), [(i, path_graph(1), 0) for i in range(3)])
         assert net == sun_graph(3, (1, 1, 1))
 
-    def test_attach_shapes(self):
-        g = attach(cycle_graph(3), [(0, path_graph(3), 0), (2, cycle_graph(3), 1)])
-        assert (g.n, len(g.edges)) == (9, 3 + 1 + 2 + 1 + 3)
-        with pytest.raises(ValueError):
-            attach(cycle_graph(3), [(0, path_graph(1), 0), (0, path_graph(1), 0)])
-
-    def test_add_complete(self):
-        g = add_complete(path_graph(2), 1, 3)
-        assert (g.n, len(g.edges)) == (4, 1 + 3)
-        with pytest.raises(ValueError):
-            add_complete(path_graph(2), 1, 1)
-
     def test_disjoint_union(self):
         g = disjoint_union(path_graph(2), cycle_graph(3))
         assert (g.n, len(g.edges)) == (5, 4)
@@ -230,24 +228,6 @@ class TestBuilderLayout:
             assert dumbbell_graph(m, -1, n, kind) == add_complete(first(m), 0, n)
 
 
-def reference_subset_type(g, subset):
-    """Component sizes of (V, subset) by union-find, the helper's former body."""
-    parent = list(range(g.n))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, v in subset:
-        parent[find(u)] = find(v)
-    sizes = {}
-    for x in range(g.n):
-        sizes[find(x)] = sizes.get(find(x), 0) + 1
-    return Partition(sizes.values())
-
-
 def reference_line_graph(g):
     """Line graph by testing every pair of edges, the helper's former body."""
     es = g.edge_list
@@ -272,40 +252,9 @@ class TestAgainstReferences:
             assert lg == reference_line_graph(g), g.edge_list
             assert lg.n == len(g.edges)
 
-    def test_subset_type_matches_union_find(self):
-        rng = random.Random(2)
-        for g in random_small_graphs(500, seed=3):
-            subset = [e for e in g.edge_list if rng.random() < 0.5]
-            assert edge_subset_type(g, subset) == reference_subset_type(g, subset), (g.n, subset)
-
     def test_isolated_vertices_and_empty_graph(self):
         assert line_graph(Graph(0, [])) == Graph(0, [])
         assert line_graph(Graph(5, [(1, 3)])) == Graph(1, [])
-        assert edge_subset_type(Graph(0, []), ()) == Partition()
-        assert edge_subset_type(Graph(5, [(1, 3)]), [(3, 1)]) == Partition((2, 1, 1, 1))
-
-
-class TestEdgeSubsetType:
-    def test_not_an_edge(self):
-        with pytest.raises(ValueError, match=r"edge \(0, 2\) not in graph"):
-            edge_subset_type(path_graph(4), [(0, 1), (2, 0)])
-
-    def test_generator_subset(self):
-        g = path_graph(4)
-        assert edge_subset_type(g, (e for e in g.edge_list)) == Partition((4,))
-
-    def test_empty_subset(self):
-        g = path_graph(4)
-        assert edge_subset_type(g, ()) == Partition([1, 1, 1, 1])
-
-    def test_full_path(self):
-        g = path_graph(4)
-        assert edge_subset_type(g, g.edge_list) == Partition((4,))
-
-    def test_mixed_subset(self):
-        g = cycle_graph(5)
-        sub = [(0, 1), (1, 2), (3, 4)]
-        assert edge_subset_type(g, sub) == Partition((3, 2))
 
 
 _ARG = st.integers(-3, 40)

@@ -13,7 +13,10 @@ too.
 Every module-level underscore name must be read somewhere in the package
 outside its own definition, so a helper left behind by a refactor fails,
 and every underscore name the docs mention must be defined in the package,
-so a doc left behind by a refactor fails too.
+so a doc left behind by a refactor fails too.  Every public module-level
+function or class must be read by the package or named by the benchmark in
+``perfbench/``, or be pinned in ``LIBRARY``, so code that only the tests
+call does not grow back in the package.
 """
 
 import ast
@@ -29,6 +32,7 @@ import chromsym
 
 ROOT = Path(__file__).resolve().parent.parent
 SRC = ROOT / "src" / "chromsym"
+PERFBENCH = ROOT / "perfbench"
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
 
 
@@ -250,18 +254,24 @@ def _read_names(stmt) -> set:
     return names | {node.attr for node in ast.walk(stmt) if isinstance(node, ast.Attribute)}
 
 
-def unread_private_names(sources: dict) -> list:
-    """``module.name`` of each module-level ``_name`` (not dunder) that no
-    other top-level statement of any module reads; a recursive helper's
-    calls to itself do not count."""
+def _unread(sources: dict):
+    """(module, statement, name) of each module-level name that no other
+    top-level statement of any module reads; a recursive helper's calls to
+    itself do not count."""
     stmts = [(module, stmt) for module, source in sources.items() for stmt in ast.parse(source).body]
     reads = [_read_names(stmt) for _, stmt in stmts]
+    for i, (module, stmt) in enumerate(stmts):
+        for name in _defined_names(stmt):
+            if not any(name in names for j, names in enumerate(reads) if j != i):
+                yield module, stmt, name
+
+
+def unread_private_names(sources: dict) -> list:
+    """``module.name`` of each unread module-level ``_name`` (not dunder)."""
     return sorted(
         f"{module}.{name}"
-        for i, (module, stmt) in enumerate(stmts)
-        for name in _defined_names(stmt)
+        for module, _, name in _unread(sources)
         if name.startswith("_") and not name.startswith("__")
-        and not any(name in names for j, names in enumerate(reads) if j != i)
     )
 
 
@@ -276,6 +286,43 @@ def test_checker_sees_unread_private_names():
         "b": "from .a import _used\nclass _C:\n    pass\nprint(_used())\n",
     }
     assert unread_private_names(sources) == ["a._rec", "b._C"]
+
+
+#: public functions and classes that nothing in the package or the benchmark
+#: reads, kept as library API: three of the paper's criteria, and the only
+#: route that returns the blocks of a connected partition
+LIBRARY = {
+    "positivity.gcd_missing_type",
+    "positivity.has_connected_partition",
+    "positivity.spider_nonpositivity_criterion",
+    "positivity.sun_matching_criterion",
+}
+
+
+def unread_public_names(sources: dict, named: set) -> list:
+    """``module.name`` of each unread module-level public function or class
+    that ``named`` does not hold."""
+    return sorted(
+        f"{module}.{name}"
+        for module, stmt, name in _unread(sources)
+        if isinstance(stmt, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and not name.startswith("_") and name not in named
+    )
+
+
+def test_every_public_function_and_class_is_used():
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    named = set().union(*(_read_names(ast.parse(path.read_text())) for path in PERFBENCH.glob("*.py")))
+    assert unread_public_names(sources, named) == sorted(LIBRARY)
+
+
+def test_checker_sees_unread_public_names():
+    sources = {
+        "a": "X = 1\n_h = 2\ndef f():\n    return g()\ndef g():\n    pass\n"
+        "class K:\n    pass\ndef rec(n):\n    return rec(n)\n",
+        "b": "from .a import K\nprint(K)\ndef kept():\n    pass\n",
+    }
+    assert unread_public_names(sources, {"kept"}) == ["a.f", "a.rec"]
 
 
 #: a quoted ``_name`` or `_name`, after an optional ``module.``; a trailing

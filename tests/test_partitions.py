@@ -1,5 +1,3 @@
-import itertools
-
 import pytest
 from hypothesis import given, strategies as st
 
@@ -7,7 +5,6 @@ from chromsym.partitions import (
     DEFAULT_ENUMERATION_CAP,
     Partition,
     partitions_of,
-    refines_to,
 )
 
 
@@ -149,46 +146,3 @@ def coarsenings(lam):
 
     rec(parts, [])
     return out
-
-
-class TestRefinement:
-    def test_known_relations(self):
-        assert refines_to((2, 1, 1), (2, 2))
-        assert refines_to((2, 1, 1), (3, 1))
-        assert refines_to((2, 1, 1), (4,))
-        assert not refines_to((2, 2), (3, 1))
-        assert not refines_to((3, 1), (2, 2))
-
-    def test_weight_mismatch_is_false(self):
-        assert not refines_to((2, 1), (2, 2))
-
-    @given(small_partitions)
-    def test_reflexive(self, lam):
-        assert refines_to(lam, lam)
-
-    @given(small_partitions)
-    def test_all_ones_refines_everything(self, lam):
-        ones = Partition([1] * lam.weight)
-        assert refines_to(ones, lam)
-        assert refines_to(lam, Partition((lam.weight,)) if lam.weight else Partition())
-
-    def test_matches_brute_force_grouping(self):
-        for n in range(1, 11):
-            for lam in partitions_of(n):
-                reachable = coarsenings(lam)
-                for mu in partitions_of(n):
-                    assert refines_to(lam, mu) == (mu in reachable), (lam, mu)
-
-    def test_long_partitions_need_no_recursion(self):
-        # the search keeps its own stack: one frame per part would pass Python's recursion limit
-        assert refines_to([1] * 3000, [3000])
-        assert not refines_to([2] * 1500, [3] * 1000)
-
-    def test_transitive_on_degree_eight(self):
-        parts = partitions_of(8)
-        pairs = [(a, b) for a, b in itertools.product(parts, parts) if refines_to(a, b)]
-        related = set(pairs)
-        for a, b in pairs:
-            for c in parts:
-                if refines_to(b, c):
-                    assert (a, c) in related

@@ -34,7 +34,6 @@ from chromsym.positivity import (
     missing_partition_scan,
     s_positivity,
     spider_nonpositivity_criterion,
-    sun_has_near_perfect_matching,
     sun_matching_criterion,
     triangle_sun_missing_type,
     uniform_sun_coefficient,
@@ -159,8 +158,6 @@ class TestHasConnectedPartition:
     def test_long_inputs_are_refused_not_recursed(self):
         with pytest.raises(ValueError, match="guarded at 40 vertices, graph has 3000$"):
             has_connected_partition(path_graph(3000), [1] * 3000)
-        with pytest.raises(ValueError, match="guarded at 40 vertices, graph has 2005$"):
-            sun_has_near_perfect_matching("sun(3;2000,1,1)")
         assert has_connected_partition(path_graph(40), [1] * 40).blocks == tuple((v,) for v in range(40))
 
     def test_complete_sun_gcd_example(self):
@@ -586,14 +583,18 @@ class TestSunMatching:
             body = rng.choice(["cycle", "complete"])
             kind = "sun" if body == "cycle" else "csun"
             spec = f"{kind}({n};{','.join(map(str, rays))})"
-            assert sun_matching_criterion(spec) == sun_has_near_perfect_matching(spec)
+            g = parse_graph_spec(spec).build()
+            matched = has_connected_partition(g, (2,) * (g.n // 2) + (1,) * (g.n % 2)) is not None
+            assert sun_matching_criterion(spec) == matched, spec
 
     def test_direct_search_agrees_on_every_small_sun(self):
         for kind in ("sun", "csun"):
             for n in range(3, 7):
                 for rays in itertools.product((1, 2, 3), repeat=n):
                     spec = f"{kind}({n};{','.join(map(str, rays))})"
-                    assert sun_matching_criterion(spec) == sun_has_near_perfect_matching(spec), spec
+                    g = parse_graph_spec(spec).build()
+                    matched = has_connected_partition(g, (2,) * (g.n // 2) + (1,) * (g.n % 2)) is not None
+                    assert sun_matching_criterion(spec) == matched, spec
 
     def test_even_runs_are_read_cyclically(self):
         # the even rays at positions 0 and 4 are neighbours on the body cycle
@@ -619,13 +620,13 @@ class TestSunMatching:
         spec = "sun(3;1,1,2)"
         g = parse_graph_spec(spec).build()
         assert g.n % 2 == 1
-        assert sun_matching_criterion(spec) == sun_has_near_perfect_matching(spec)
+        assert sun_matching_criterion(spec) == (has_connected_partition(g, (2,) * (g.n // 2) + (1,)) is not None)
 
     def test_rejects_non_sun(self):
         with pytest.raises(ValueError):
             sun_matching_criterion("path(4)")
 
-    @pytest.mark.parametrize("helper", [sun_matching_criterion, sun_has_near_perfect_matching])
+    @pytest.mark.parametrize("helper", [sun_matching_criterion])
     def test_a_built_graph_is_refused_by_name(self, helper):
         with pytest.raises(ValueError, match=r"\(a GraphSpec or spec string\)$"):
             helper(sun_graph(3, (1, 1, 1)))
