@@ -69,9 +69,6 @@ class Graph:
             adj[v].append(u)
         return adj
 
-    def degree(self, v):
-        return sum(1 for e in self.edges if v in e)
-
     def components(self):
         """Vertex sets of connected components, each sorted, ordered by minimum."""
         adj = self.adjacency()

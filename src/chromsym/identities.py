@@ -22,6 +22,7 @@ import json
 from collections import namedtuple
 from functools import lru_cache
 from itertools import combinations
+from math import comb
 
 from .csf import (
     _DUMBBELL_BODIES,
@@ -36,7 +37,7 @@ from .csf import (
     csf_path_closed,
     csf_tadpole_closed,
 )
-from .graphs import Graph, GraphSpec, as_spec, dumbbell_graph, parse_graph_spec
+from .graphs import Graph, GraphSpec, as_spec, parse_graph_spec
 from .partitions import DEFAULT_GRID_VERTEX_CAP
 from .positivity import triangle_sun_missing_type, uniform_sun_coefficient, uniform_sun_missing_type
 from .symfunc import Basis, SymFunc
@@ -119,27 +120,15 @@ def first_triangle(g: Graph):
     return None
 
 
-def verify_triple_deletion(target, e1=None, e2=None, e3=None) -> IdentityReport:
-    """X_G = X_{G minus e1} + X_{G minus e2} - X_{G minus e1,e2} for a triangle e1,e2,e3.
-
-    All four functions come from the formula-free route ``_memo``, the
-    subset expansion.  When no edges are given, the lexicographically first
-    triangle of the graph is used.
-    """
-    if (e1, e2, e3).count(None) not in (0, 3):
-        raise ValueError("give all three edges or none")
+def verify_triple_deletion(target) -> IdentityReport:
+    """X_G = X_{G minus e1} + X_{G minus e2} - X_{G minus e1,e2} for the
+    lexicographically first triangle e1,e2,e3 of the graph, all four
+    functions from the formula-free route ``_memo``, the subset expansion."""
     spec = as_spec(target)
     g = _checked(spec).build() if spec is not None else target
-    if e1 is None:
-        tri = first_triangle(g)
-        if tri is None:
-            raise ValueError("graph has no triangle")
-        e1, e2, e3 = tri
-    edges = tuple(tuple(sorted(e)) for e in (e1, e2, e3))
-    if len(set(edges)) != 3 or any(e not in g.edges for e in edges):
-        raise ValueError("edges must be three distinct edges of the graph")
-    if len({v for e in edges for v in e}) != 3:
-        raise ValueError("edges do not form a triangle")
+    edges = first_triangle(g)
+    if edges is None:
+        raise ValueError("graph has no triangle")
     e1, e2, _ = edges
 
     def minus(*gone):
@@ -368,12 +357,18 @@ def _grid_dumbbell(cap):
 
 
 def _grid_cdumbbell(cap):
-    # Complete dumbbells grow quadratically in m and n; the grid keeps those
-    # of at most 26 edges.  The bound is the grid's own, so the grid does not
-    # change when the CSF engines' guard does.
-    for kw in _grid_dumbbell(cap):
-        if len(dumbbell_graph(**kw, kind="complete").edges) <= 26:
-            yield kw
+    # The dumbbell grid's triples of at most 26 edges, C(m,2) + C(n,2) + l + 1,
+    # in its order; each loop ends once the count passes 26, so no cap walks
+    # further.  The bound is the grid's own, not the CSF engines' guard.
+    for m in range(3, cap + 1):
+        if comb(m, 2) + 3 > 26:  # no n >= 3 fits
+            break
+        for n in range(3, cap + 1):
+            room = 26 - comb(m, 2) - comb(n, 2)  # edges left for the handle's l + 1
+            if room < 0:
+                break
+            for l in range(-1, min(cap - m - n, room - 1) + 1):
+                yield {"m": m, "l": l, "n": n}
 
 
 def _grid_chromatic(cap):

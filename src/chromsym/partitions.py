@@ -33,10 +33,6 @@ class Partition(tuple):
     def weight(self) -> int:
         return sum(self)
 
-    @property
-    def length(self) -> int:
-        return len(self)
-
     def transpose(self) -> "Partition":
         """Conjugate partition: part ``i`` of the transpose counts parts ``>= i``."""
         if not self:
@@ -55,21 +51,6 @@ class Partition(tuple):
 
     def __repr__(self) -> str:
         return f"Partition({list(self)})"
-
-    @classmethod
-    def parse(cls, text: str) -> "Partition":
-        """Inverse of ``str``: ``"[3,2,1]"`` -> Partition, ``"[]"`` -> empty."""
-        s = text.strip()
-        if not (s.startswith("[") and s.endswith("]")):
-            raise ValueError(f"expected bracketed part list, got {text!r}")
-        inner = s[1:-1].strip()
-        if not inner:
-            return cls()
-        try:
-            parts = [int(tok) for tok in inner.split(",")]
-        except ValueError:
-            raise ValueError(f"expected comma-separated integers, got {text!r}") from None
-        return cls(parts)
 
 
 @lru_cache(maxsize=None)

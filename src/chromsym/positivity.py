@@ -73,9 +73,6 @@ class ConnectedPartitionWitness(namedtuple("ConnectedPartitionWitness", "blocks"
 
     __slots__ = ()
 
-    def type(self) -> Partition:
-        return Partition(len(b) for b in self.blocks)
-
 
 def e_positivity(target) -> PositivityReport:
     """Is X_G e-positive?  Witness is the smallest partition with a negative coefficient."""
@@ -226,8 +223,9 @@ def missing_partition_scan(target) -> list:
     spec = as_spec(target)
     _guard("full scans", csf_degree(spec or target), DEFAULT_SCAN_VERTEX_CAP)
     g = target if spec is None else spec.build()
+    degree = [mask.bit_count() for mask in _neighbour_masks(g)]
     rank = [0] * g.n
-    for i, v in enumerate(sorted(range(g.n), key=g.degree)):
+    for i, v in enumerate(sorted(range(g.n), key=degree.__getitem__)):
         rank[v] = i
     nbr = _neighbour_masks(Graph(g.n, [(rank[u], rank[v]) for u, v in g.edges]))
     if _spanning_path(nbr) is not None:

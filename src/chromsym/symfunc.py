@@ -110,10 +110,6 @@ class SymFunc:
     # ---------------------------------------------------------------- helpers
 
     @classmethod
-    def zero(cls, basis, degree: int) -> "SymFunc":
-        return cls(basis, degree, {})
-
-    @classmethod
     def single(cls, basis, parts, coeff=1) -> "SymFunc":
         lam = Partition(parts)
         return cls(basis, lam.weight, {lam: coeff})

@@ -1,0 +1,49 @@
+"""The statistics of ``tools/abpairs.py`` on fixed inputs."""
+
+import importlib.util
+from pathlib import Path
+
+import pytest
+
+_spec = importlib.util.spec_from_file_location("abpairs", Path(__file__).resolve().parent.parent / "tools" / "abpairs.py")
+abpairs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(abpairs)
+
+
+@pytest.mark.parametrize(
+    "wins, losses, p",
+    [(9, 1, 22 / 1024), (10, 0, 2 / 1024), (0, 10, 2 / 1024), (8, 2, 112 / 1024), (5, 5, 1.0), (0, 0, 1.0), (1, 0, 1.0)],
+)
+def test_sign_test_is_exact_and_two_sided(wins, losses, p):
+    assert abpairs.sign_test_p(wins, losses) == p
+
+
+def test_compare_counts_wins_in_the_metric_direction():
+    pairs = [(1.0, 2.0), (2.0, 2.0), (3.0, 1.0), (4.0, 5.0), (5.0, 6.0)]
+    higher = abpairs.compare(pairs, "higher")
+    assert (higher["wins_b"], higher["ties"]) == (3, 1)
+    assert higher["sign_test_p"] == 2 * (1 + 4) / 16
+    assert higher["a"] == {"median": 3.0, "q1": 2.0, "q3": 4.0}
+    assert higher["b"] == {"median": 2.0, "q1": 2.0, "q3": 5.0}
+    assert higher["change"] == 2.0 / 3.0 - 1
+    lower = abpairs.compare(pairs, "lower")
+    assert (lower["wins_b"], lower["ties"]) == (1, 1)
+    assert lower["pairs"] == [list(p) for p in pairs]
+
+
+def test_summary_of_one_value_and_of_four():
+    assert abpairs.summary([7.0]) == {"median": 7.0, "q1": 7.0, "q3": 7.0}
+    assert abpairs.summary([1.0, 2.0, 3.0, 4.0]) == {"median": 2.5, "q1": 1.75, "q3": 3.25}
+
+
+def test_seed_lists():
+    assert abpairs.seed_list("1-10") == list(range(1, 11))
+    assert abpairs.seed_list("3,5,9") == [3, 5, 9]
+
+
+@pytest.mark.parametrize("argv", [["HEAD"], ["HEAD", "HEAD", "HEAD"], ["--same", "HEAD", "HEAD"], []])
+def test_revisions_are_two_or_one_same(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        abpairs.main([*argv, "--workload", "cli_calls"])
+    assert exc.value.code == 2
+    assert "give REV_A REV_B, or --same REV" in capsys.readouterr().err

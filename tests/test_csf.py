@@ -553,7 +553,7 @@ class TestEliminationMatchesTermByTerm:
             assert closed(*args) == ref(*args), args
 
     def test_expansion_verifiers(self, monkeypatch):
-        monkeypatch.setattr(identities, "_oracle", lambda spec: SymFunc.zero(Basis.E, spec.check()))
+        monkeypatch.setattr(identities, "_oracle", lambda spec: SymFunc(Basis.E, spec.check()))
         for m, l, n in dumbbell_args(REFERENCE_CAP):
             assert identities.verify_dumbbell_tadpole_expansion(m, l, n).rhs == ref_tadpole_expansion(m, l, n)
             assert identities.verify_cdumbbell_lollipop_expansion(m, l, n).rhs == ref_lollipop_expansion(m, l, n)
@@ -740,7 +740,7 @@ class TestEngineRouting:
 
         def dc(g):
             calls.append(("dc", len(g.edges)))
-            return SymFunc.zero(Basis.P, g.n)
+            return SymFunc(Basis.P, g.n)
 
         monkeypatch.setattr(csf_module, "_subset_counts", subsets)
         monkeypatch.setattr(csf_module, "csf_dc", dc)
@@ -1484,7 +1484,7 @@ class TestBondLattice:
             assert (w is None) == (lam in missing)
             if w is None:
                 continue
-            assert w.type() == lam
+            assert Partition(len(b) for b in w.blocks) == lam
             assert sorted(v for block in w.blocks for v in block) == list(range(g.n))
             for block in w.blocks:
                 assert list(block) == sorted(block)

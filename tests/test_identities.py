@@ -1,9 +1,11 @@
+import ast
 import hashlib
 import json
+from pathlib import Path
 
 import pytest
 
-from chromsym import csf as csf_module, identities
+from chromsym import cli, csf as csf_module, identities
 from chromsym.csf import compute_csf
 from chromsym.graphs import Graph, GraphSpec, cycle_graph, dumbbell_graph, parse_graph_spec, path_graph, sun_graph
 from chromsym.identities import (
@@ -41,11 +43,7 @@ class TestTripleDeletion:
         rep = verify_triple_deletion("sun(3;1,1,1)")
         assert_verified(rep)
         assert rep.name == "triple_deletion"
-
-    def test_explicit_edges(self):
-        g = cycle_graph(3)
-        rep = verify_triple_deletion(g, (0, 1), (0, 2), (1, 2))
-        assert_verified(rep)
+        assert verify_triple_deletion(cycle_graph(3)).params["triangle"] == [(0, 1), (0, 2), (1, 2)]
 
     def test_first_triangle_is_lex_first(self):
         g = sun_graph(4, (1, 1, 1, 1), body="complete")
@@ -56,24 +54,6 @@ class TestTripleDeletion:
     def test_triangle_free_rejected(self):
         with pytest.raises(ValueError):
             verify_triple_deletion("cycle(5)")
-
-    def test_non_triangle_edges_rejected(self):
-        g = cycle_graph(4)
-        with pytest.raises(ValueError):
-            verify_triple_deletion(g, (0, 1), (1, 2), (2, 3))
-        with pytest.raises(ValueError):
-            verify_triple_deletion(cycle_graph(3), (0, 1), (0, 1), (1, 2))
-        with pytest.raises(ValueError):
-            verify_triple_deletion(cycle_graph(3), (0, 1), (0, 2), (1, 3))
-
-    @pytest.mark.parametrize("edges", [[(0, 1)], [(0, 1), (0, 2)]], ids=["e1", "e1,e2"])
-    def test_partial_edges_rejected_before_any_csf(self, monkeypatch, edges):
-        def refuse(g):
-            pytest.fail("CSF computed")
-
-        monkeypatch.setattr(identities, "_memo", refuse)
-        with pytest.raises(ValueError, match="give all three edges or none"):
-            verify_triple_deletion(cycle_graph(3), *edges)
 
 
 class TestCoefficientIdentities:
@@ -268,6 +248,41 @@ class TestReportShape:
         assert rep.lhs.degree == rep.rhs.degree
 
 
+def _cli_calls(path=Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py") -> list:
+    """The argv of each of the benchmark's ``CLI_CALLS``, joined by spaces, read
+    from its source without importing it."""
+    for node in ast.parse(path.read_text()).body:
+        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["CLI_CALLS"]:
+            return [" ".join(args) for args, _ in ast.literal_eval(node.value)]
+    raise LookupError(f"no CLI_CALLS in {path}")
+
+
+CLI_CALLS = _cli_calls()
+#: CLI_CALLS argv -> its ``--json`` run's exit status and the first 16 hex
+#: digits of the sha256 of its stdout, so any change to that output shows up
+#: as an edit here
+CLI_JSON_SHA256 = {
+    "csf sun(3;3,3,3) --basis s": (0, "fc91c171e4897965"),
+    "csf dumbbell(4,1,8) --basis s": (0, "02bd00824eb6cb20"),
+    "csf sun(4;3,2,3,2) --basis s": (0, "c88f069bb401aea3"),
+    "csf cdumbbell(5,3,7) --basis s": (0, "89b10ad365efcb61"),
+    "csf spider(4,4,3) --basis p": (0, "96c53492341ccd01"),
+    "csf tadpole(6,7) --basis p": (0, "b3433b2c5fdee0c0"),
+    "csf csun(4;3,2,3,2) --basis p": (0, "7023bb14e1b3da32"),
+    "csf sdumbbell(5,4,6) --basis p": (0, "0b65b8a1ff830901"),
+    "csf dumbbell(5,6,5) --basis p": (0, "0e6b36ce84822d68"),
+    "positivity sun(3;4,4,3) --basis s": (0, "aee32e38940c9d20"),
+    "scan sun(3;4,4,3)": (0, "21f7c4592188a820"),
+    "scan sun(4;2,2,2,2)": (0, "0f0272fbb0c82e2c"),
+    "chrompoly line(cdumbbell(4,0,4))": (0, "122957a17d6a1655"),
+    "verify cdumbbell-recursion 4,2,6": (0, "84aa7b6c1eab6647"),
+    "verify dumbbell-recursion 4,3,7": (0, "ac13d1487820da64"),
+    "verify chromatic-closed-forms cdumbbell(3,0,8)": (0, "83d0c44fc6b28a5c"),
+    "verify small-sun-coefficient 4,3,3": (0, "7a98bf2dbad3d913"),
+    "verify triple-deletion cdumbbell(4,0,4)": (0, "0f1df5b39d59e5af"),
+}
+
+
 class TestGrids:
     def test_registry_covers_every_verifier_family(self):
         assert set(VERIFIERS) >= {
@@ -348,6 +363,19 @@ class TestGrids:
             ]
             assert list(identities._canonical_dumbbell_triples(cap)) == expected
 
+    def test_cdumbbell_grid_counts_edges_without_building(self, monkeypatch):
+        """The complete-dumbbell grid keeps the dumbbell grid's triples of at
+        most 26 edges, counted without a build, and stops growing at cap 25."""
+        for cap in range(26):
+            built = [kw for kw in identities._grid_dumbbell(cap) if len(dumbbell_graph(**kw, kind="complete").edges) <= 26]
+            assert list(iter_grid("cdumbbell_recursion", cap)) == built
+
+        def refuse(*args):
+            pytest.fail("graph built")
+
+        monkeypatch.setattr(Graph, "__init__", refuse)
+        assert len(built) == 169 and list(iter_grid("cdumbbell_recursion", 60)) == built
+
     def test_default_cap_is_contractual(self):
         assert DEFAULT_GRID_VERTEX_CAP == 14
 
@@ -355,6 +383,11 @@ class TestGrids:
     def test_grid_json_is_pinned(self, name):
         text = json.dumps([r.to_json_obj() for r in run_grid(name, 14)], separators=(",", ":"))
         assert hashlib.sha256(text.encode()).hexdigest()[:16] == GRID_JSON_SHA256[name]
+
+    @pytest.mark.parametrize("call", CLI_CALLS)
+    def test_cli_call_json_is_pinned(self, call, capsys):
+        status = cli.main([*call.split(), "--json"])
+        assert (status, hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()[:16]) == CLI_JSON_SHA256[call]
 
 
 #: identity -> the first 16 hex digits of the sha256 of its ``run_grid(name, 14)``

@@ -15,12 +15,16 @@ outside its own definition, so a helper left behind by a refactor fails,
 and every underscore name the docs mention must be defined in the package,
 so a doc left behind by a refactor fails too.  Every public module-level
 function or class must be read by the package or named by the benchmark in
-``perfbench/``, or be pinned in ``LIBRARY``, so code that only the tests
-call does not grow back in the package.
+``perfbench/``, or be pinned in ``LIBRARY``, and every public method or
+property of a public class must be read as an attribute in the package
+outside its own definition, or named by ``perfbench/``, or be pinned in
+``LIBRARY_MEMBERS``, so code that only the tests call does not grow back in
+the package.
 """
 
 import ast
 import importlib
+from collections import Counter
 import io
 import re
 import tokenize
@@ -323,6 +327,52 @@ def test_checker_sees_unread_public_names():
         "b": "from .a import K\nprint(K)\ndef kept():\n    pass\n",
     }
     assert unread_public_names(sources, {"kept"}) == ["a.f", "a.rec"]
+
+
+#: public methods and properties of public classes, as ``module.Class.member``,
+#: that nothing in the package or the benchmark reads, kept as library API
+LIBRARY_MEMBERS = set()
+
+
+def _attributes(node) -> Counter:
+    return Counter(child.attr for child in ast.walk(node) if isinstance(child, ast.Attribute))
+
+
+def unread_public_members(sources: dict, named: set) -> list:
+    """``module.Class.member`` of each public method or property of a public
+    module-level class whose name no attribute of ``sources`` reads outside
+    the member's own definition, and that ``named`` does not hold.  Names
+    are matched alone, whatever object they are read from."""
+    trees = {module: ast.parse(source) for module, source in sources.items()}
+    reads = sum(map(_attributes, trees.values()), Counter())
+    return sorted(
+        f"{module}.{cls.name}.{member.name}"
+        for module, tree in trees.items()
+        for cls in tree.body
+        if isinstance(cls, ast.ClassDef) and not cls.name.startswith("_")
+        for member in cls.body
+        if isinstance(member, (ast.FunctionDef, ast.AsyncFunctionDef)) and not member.name.startswith("_")
+        and member.name not in named and reads[member.name] == _attributes(member)[member.name]
+    )
+
+
+def test_every_public_member_is_used():
+    sources = {path.stem: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    named = set().union(*(_read_names(ast.parse(path.read_text())) for path in PERFBENCH.glob("*.py")))
+    assert unread_public_members(sources, named) == sorted(LIBRARY_MEMBERS)
+
+
+def test_checker_sees_unread_public_members():
+    sources = {
+        "a": "class K:\n    def used(self):\n        return self.size\n"
+        "    def rec(self):\n        return self.rec()\n"
+        "    @property\n    def size(self):\n        return 1\n"
+        "    def _private(self):\n        pass\n"
+        "    def kept(self):\n        pass\n"
+        "class _Hidden:\n    def unread(self):\n        pass\n",
+        "b": "from .a import K\nprint(K().used())\n",
+    }
+    assert unread_public_members(sources, {"kept"}) == ["a.K.rec"]
 
 
 #: a quoted ``_name`` or `_name`, after an optional ``module.``; a trailing

@@ -384,7 +384,7 @@ class TestConstruction:
     def test_str_format(self):
         f = SymFunc.single(Basis.E, (3,), 3) + SymFunc.single(Basis.E, (2, 1), -1)
         assert str(f) == "3*e[3] - e[2,1]"
-        assert str(SymFunc.zero(Basis.E, 3)) == "0"
+        assert str(SymFunc(Basis.E, 3)) == "0"
         assert str(e_to_p(SymFunc.single(Basis.E, (2,), 1))) == "-1/2*p[2] + 1/2*p[1,1]"
         assert str(e_to_p(SymFunc.single(Basis.E, (3,), 1))) == "1/3*p[3] - 1/2*p[2,1] + 1/6*p[1,1,1]"
         assert str(SymFunc.single(Basis.E, (2,), Fraction(-3, 4))) == "-3/4*e[2]"
@@ -412,7 +412,7 @@ class TestNonnegativity:
         assert witness == (Partition((2, 2)), Fraction(-5))
 
     def test_zero_function_nonnegative(self):
-        ok, witness = SymFunc.zero(Basis.E, 4).is_nonnegative()
+        ok, witness = SymFunc(Basis.E, 4).is_nonnegative()
         assert ok and witness is None
 
 
@@ -544,7 +544,7 @@ class TestElementaryExpansions:
         assert s_to_e(e_to_s(f)) == f
 
     def test_round_trip_dense_function(self):
-        f = SymFunc.zero(Basis.E, 8)
+        f = SymFunc(Basis.E, 8)
         for i, lam in enumerate(partitions_of(8)):
             f = f + SymFunc.single(Basis.E, lam, Fraction(i - 5, i + 1))
         assert p_to_e(e_to_p(f)) == f
@@ -655,8 +655,8 @@ class TestNestedMatchesProducts:
     def test_degree_zero_and_zero_function(self):
         assert p_to_e(SymFunc.single(Basis.P, (), 5)) == SymFunc.single(Basis.E, (), 5)
         assert e_to_p(SymFunc.single(Basis.E, (), Fraction(1, 3))) == SymFunc.single(Basis.P, (), Fraction(1, 3))
-        assert p_to_e(SymFunc.zero(Basis.P, 7)) == SymFunc.zero(Basis.E, 7)
-        assert e_to_p(SymFunc.zero(Basis.E, 7)) == SymFunc.zero(Basis.P, 7)
+        assert p_to_e(SymFunc(Basis.P, 7)) == SymFunc(Basis.E, 7)
+        assert e_to_p(SymFunc(Basis.E, 7)) == SymFunc(Basis.P, 7)
 
     @pytest.mark.parametrize("degree", [*range(19), 20, 22])
     def test_count_key_trie_matches_the_tuple_trie(self, degree):
@@ -667,8 +667,8 @@ class TestNestedMatchesProducts:
                 assert_same_output(p_to_e(f), ref_nested_p_to_e(f))
                 f = random_function(rng, Basis.E, degree, integral)
                 assert_same_output(e_to_p(f), ref_nested_e_to_p(f))
-        assert_same_output(p_to_e(SymFunc.zero(Basis.P, degree)), ref_nested_p_to_e(SymFunc.zero(Basis.P, degree)))
-        assert_same_output(e_to_p(SymFunc.zero(Basis.E, degree)), ref_nested_e_to_p(SymFunc.zero(Basis.E, degree)))
+        assert_same_output(p_to_e(SymFunc(Basis.P, degree)), ref_nested_p_to_e(SymFunc(Basis.P, degree)))
+        assert_same_output(e_to_p(SymFunc(Basis.E, degree)), ref_nested_e_to_p(SymFunc(Basis.E, degree)))
 
     def test_path_27_and_degree_40_union_match_the_closed_form(self):
         path = csf_path_closed(27)
