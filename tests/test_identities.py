@@ -248,16 +248,13 @@ class TestReportShape:
         assert rep.lhs.degree == rep.rhs.degree
 
 
-def _cli_calls(path=Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py") -> list:
-    """The argv of each of the benchmark's ``CLI_CALLS``, joined by spaces, read
-    from its source without importing it."""
-    for node in ast.parse(path.read_text()).body:
-        if isinstance(node, ast.Assign) and [t.id for t in node.targets] == ["CLI_CALLS"]:
-            return [" ".join(args) for args, _ in ast.literal_eval(node.value)]
-    raise LookupError(f"no CLI_CALLS in {path}")
-
-
-CLI_CALLS = _cli_calls()
+#: the argv of each of the benchmark's ``CLI_CALLS``, joined by spaces, read
+#: from its source without importing it
+CLI_CALLS = next(
+    [" ".join(args) for args, _ in ast.literal_eval(node.value)]
+    for node in ast.parse((Path(__file__).resolve().parent.parent / "perfbench" / "workloads.py").read_text()).body
+    if isinstance(node, ast.Assign) and [ast.unparse(t) for t in node.targets] == ["CLI_CALLS"]
+)
 #: CLI_CALLS argv -> its ``--json`` run's exit status and the first 16 hex
 #: digits of the sha256 of its stdout, so any change to that output shows up
 #: as an edit here
