@@ -43,7 +43,9 @@ class TestTripleDeletion:
         rep = verify_triple_deletion("sun(3;1,1,1)")
         assert_verified(rep)
         assert rep.name == "triple_deletion"
-        assert verify_triple_deletion(cycle_graph(3)).params["triangle"] == [(0, 1), (0, 2), (1, 2)]
+        rep = verify_triple_deletion(cycle_graph(3))
+        assert_verified(rep)
+        assert rep.params["triangle"] == [(0, 1), (0, 2), (1, 2)]
 
     def test_first_triangle_is_lex_first(self):
         g = sun_graph(4, (1, 1, 1, 1), body="complete")

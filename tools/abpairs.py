@@ -101,7 +101,6 @@ def main(argv=None) -> int:
     parser.add_argument("--workload", required=True)
     parser.add_argument("--seeds", type=seed_list, default=seed_list("1-10"))
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
-    parser.add_argument("--seconds", type=int, default=bench["run_seconds"])
     args = parser.parse_args(argv)
     revs = [args.same] * 2 if args.same else args.revs
     if len(revs) != 2 or (args.same and args.revs):
@@ -113,7 +112,7 @@ def main(argv=None) -> int:
         trees = {side: export(c, Path(tmp) / side) for side, c in zip("ab", commits)}
         for i, seed in enumerate(args.seeds):
             for side in ("ab" if i % 2 == 0 else "ba"):
-                results[side].append(run(trees[side], args.workload, seed, args.seconds))
+                results[side].append(run(trees[side], args.workload, seed, bench["run_seconds"]))
                 print(f"seed {seed} {side} done", file=sys.stderr, flush=True)
     metrics = {
         m["name"]: compare([(a["metrics"][m["name"]]["value"], b["metrics"][m["name"]]["value"])
@@ -129,7 +128,7 @@ def main(argv=None) -> int:
         for side, runs in results.items()
     }
     print(json.dumps({"a": commits[0], "b": commits[1], "workload": args.workload, "seeds": args.seeds,
-                      "seconds": args.seconds, "metrics": metrics, "sides": sides}, indent=1))
+                      "seconds": bench["run_seconds"], "metrics": metrics, "sides": sides}, indent=1))
     return 0
 
 
