@@ -21,15 +21,15 @@ Engines:
   without block sizes, it counts components only, which gives the
   chromatic polynomial :math:`P_G(x) = \\sum_S (-1)^{|S|} x^{c(S)}`.
 * one deletion-contraction kernel, ``_deletion_contraction``, over states
-  whose vertices are clumps of original vertices (the weighted recursion of
-  Crew and Spirkl, :math:`X_G = X_{G\\setminus e} - X_{G/e}`, where
-  contraction merges the endpoint clumps and a clump's weight is its size).
-  It takes a plain edge list and starts from each vertex its own clump.
-  Its moves: a state may close in one step; a disconnected state is the
-  product of its components, each memoized on its edge set; otherwise it
-  deletes and contracts the non-bridge edge of largest degree sum.
-  ``csf_dc`` runs it on p-basis ``SymFunc`` values, whose product and
-  difference the subset oracle thus checks.
+  whose vertices are clumps, bit masks of original vertices (the weighted
+  recursion of Crew and Spirkl, :math:`X_G = X_{G\\setminus e} - X_{G/e}`,
+  where contraction ORs the endpoint clumps and a clump's weight is its
+  popcount).  It takes a plain edge list and starts from each vertex v the
+  clump 1 << v.  One recursion makes its moves: a state may close in one
+  step; a disconnected state is the product of its components; a connected
+  one, memoized on its edge set, deletes and contracts the non-bridge edge
+  of largest degree sum.  ``csf_dc`` runs it on p-basis ``SymFunc`` values,
+  whose product and difference the subset oracle thus checks.
 * one block split for the chromatic polynomial, ``_block_product``:
   P(G) = x^{n - sum_B (|V(B)|-1)} prod_B P(B)/x over the 2-connected blocks
   B of the plain vertices, where the bridges give (x-1)^{bridges} and a
@@ -283,15 +283,15 @@ def _deletion_contraction(edge_list, leaf, close=None):
 
     ``edge_list`` is a nonempty sequence of plain pairs ``(u, v)``, ``u < v``.  A
     state is a frozenset of edges ``(a, b)``, ``a < b``, between clumps, each
-    the sorted tuple of the original vertices contracted into it; the start
-    state makes every vertex v the clump ``(v,)``.  Values are any type with
+    the int bit mask of the original vertices contracted into it; the start
+    state makes every vertex v the clump ``1 << v``.  Values are any type with
     ``*`` and ``-`` (``SymFunc``, ``ChromPoly``).  The invariant is
-    multiplicative over components, so a disconnected state is the product
-    of its components, each memoized on its edge set for this call.
-    Otherwise the kernel returns ``value(G - e) - value(G / e)`` for the
+    multiplicative, so a state of several components is the product of
+    ``value`` of each with its blocks.  A connected state, memoized on its
+    edge set for this call, is ``value(G - e) - value(G / e)`` for the
     non-bridge edge e with the largest degree sum (any edge on a tree),
-    multiplying in ``leaf(clump)`` for each clump the move leaves isolated.
-    Contraction merges the endpoint clumps and collapses parallel edges.
+    times ``leaf(clump)`` for each clump the move leaves isolated.
+    Contraction ORs the endpoint clumps and collapses parallel edges.
 
     ``close(state)`` may return the value directly, and is asked first, before
     the state is split into blocks, so it sees every state the kernel meets.
@@ -301,35 +301,28 @@ def _deletion_contraction(edge_list, leaf, close=None):
     """
     memo = {}
 
-    def value(edges):
+    def value(edges, blocks=None):
         out = memo.get(edges)
         if out is None and close is not None:
             out = close(edges)
         if out is not None:
             return out
-        components = _biconnected(edges)
-        if len(components) == 1:
-            return connected(edges, components[0])
-        factors = []
-        for blocks in components:
-            comp = frozenset(e for block in blocks for e in block)
-            hit = memo.get(comp)
-            factors.append(hit if hit is not None else connected(comp, blocks))
-        return reduce(mul, factors)
-
-    def connected(edges, blocks):
+        if blocks is None:
+            components = _biconnected(edges)
+            if len(components) > 1:
+                return reduce(mul, [value(frozenset(e for block in c for e in block), c) for c in components])
+            blocks = components[0]
         deg = {}
         for a, b in edges:
             deg[a] = deg.get(a, 0) + 1
             deg[b] = deg.get(b, 0) + 1
         pool = [e for block in blocks if len(block) > 1 for e in block] or edges
         e = max(pool, key=lambda ed: (deg[ed[0]] + deg[ed[1]], ed))
-        a, b = e
         rest = edges - {e}
         deleted = [leaf(x) for x in e if deg[x] == 1]
         if rest:
             deleted.append(value(rest))
-        merged = tuple(sorted(a + b))
+        merged = e[0] | e[1]
         contracted = set()
         for u, v in rest:
             if u in e:
@@ -340,7 +333,7 @@ def _deletion_contraction(edge_list, leaf, close=None):
         out = memo[edges] = reduce(mul, deleted) - (value(frozenset(contracted)) if contracted else leaf(merged))
         return out
 
-    return value(frozenset(((u,), (v,)) for u, v in edge_list))
+    return value(frozenset((1 << u, 1 << v) for u, v in edge_list))
 
 
 def csf_dc(g: Graph) -> SymFunc:
@@ -354,7 +347,7 @@ def csf_dc(g: Graph) -> SymFunc:
     _guard("CSF deletion-contraction", g.n)
     out = SymFunc.single(Basis.P, (1,) * (g.n - len({v for e in g.edges for v in e})))
     if g.edges:
-        out = out * _deletion_contraction(g.edge_list, lambda clump: SymFunc.single(Basis.P, (len(clump),)))
+        out = out * _deletion_contraction(g.edge_list, lambda clump: SymFunc.single(Basis.P, (clump.bit_count(),)))
     return out
 
 
@@ -772,7 +765,8 @@ def compute_chromatic(target):
     (ChromPoly, engine_used).  A family with a closed form uses it ("closed").
     Any other graph goes to ``_block_product``, which closes its bridge and
     clique blocks and sends every other block to ``_subset_counts`` without
-    sizes ("subsets"); ``chromatic_poly_dc`` is the tests' second route.  Both
+    sizes ("subsets"); ``chromatic_poly_dc``, the second route, checks the
+    closed forms in ``verify chromatic-closed-forms`` and the tests.  Both
     routes are guarded at ``DEFAULT_ENUMERATION_CAP`` vertices, checked before
     either runs, and at ``DEFAULT_CHROMPOLY_EDGE_CAP`` edges in a block they evaluate.
     """

@@ -263,6 +263,16 @@ class TestDeletionContraction:
     def test_single_vertex(self):
         assert csf_dc(Graph(1, [])) == SymFunc.single(Basis.P, Partition([1]))
 
+    def test_components_are_split_not_kept_connected(self, monkeypatch):
+        # the kernel splits csun(6;1^6) into blocks 1,099 times; a kernel that
+        # keeps every state connected instead of taking the component product
+        # (deleting leaf edges first on trees) splits it 12,677 times
+        g = parse_graph_spec("csun(6;1,1,1,1,1,1)").build()
+        splits = TestBlockMemo.counted(monkeypatch, "_biconnected")
+        out = csf_dc(g)
+        assert len(splits) <= 1200
+        assert out == csf_subsets(g)
+
 
 def int_coefficients(f) -> bool:
     return all(type(c) is int for c in f.terms.values())
@@ -1349,6 +1359,68 @@ class TestChromaticRoutes:
         with self.closings() as seen:
             assert chromatic_poly_dc(g) == compute_chromatic(g)[0]
         assert len(seen) >= 2 * self.cycle_blocks(g)
+
+
+def cycle_mates(edges) -> set:
+    """Every ordered pair of distinct edges that lie on one simple cycle, by
+    walking each simple cycle from its least vertex (in both directions)."""
+    adj = {}
+    for a, b in edges:
+        adj.setdefault(a, []).append(b)
+        adj.setdefault(b, []).append(a)
+    mates = set()
+
+    def walk(path):
+        for y in adj[path[-1]]:
+            if y == path[0] and len(path) > 2:
+                cycle = [tuple(sorted(e)) for e in zip(path, path[1:] + path[:1])]
+                mates.update(itertools.permutations(cycle, 2))
+            elif y > path[0] and y not in path:
+                walk(path + [y])
+
+    for s in adj:
+        walk([s])
+    return mates
+
+
+class TestBlockSplit:
+    """``_biconnected``, the block split of both chromatic routes and of the
+    kernel, against a brute force over simple cycles."""
+
+    @staticmethod
+    def check(g):
+        components = csf_module._biconnected(g.edge_list)
+        # one entry per component that has an edge, its blocks partitioning its edges
+        assert sorted(sorted({x for block in blocks for e in block for x in e}) for blocks in components) == sorted(
+            c for c in g.components() if len(c) > 1
+        )
+        for blocks in components:
+            edges = [e for block in blocks for e in block]
+            assert len(edges) == len(set(edges)) and all(a < b for a, b in edges)
+        assert sorted(e for blocks in components for block in blocks for e in block) == g.edge_list
+        # two edges share a block exactly when a simple cycle holds both
+        shared = {(e, f) for blocks in components for block in blocks for e in block for f in block if e != f}
+        assert shared == cycle_mates(g.edge_list)
+        return sorted(sorted(map(len, blocks)) for blocks in components)
+
+    @pytest.mark.parametrize(
+        "g, shape",
+        [
+            (Graph(5, [(0, 1), (0, 2), (1, 2), (2, 3), (2, 4), (3, 4)]), [[3, 3]]),
+            (spider_graph((2, 2, 1)), [[1, 1, 1, 1, 1]]),
+            (disjoint_union(cycle_graph(3), cycle_graph(3)), [[3], [3]]),
+            (complete_graph(4), [[6]]),
+            (Graph(7, [(0, 2), (2, 3), (3, 1), (0, 4), (4, 1), (0, 5), (5, 6), (6, 1)]), [[8]]),
+        ],
+        ids=["bowtie", "tree", "two triangles", "K4", "theta(3,2,3)"],
+    )
+    def test_fixed_graphs(self, g, shape):
+        assert self.check(g) == shape
+
+    @settings(deadline=None, max_examples=100)
+    @given(random_graphs())
+    def test_random_graphs(self, g):
+        self.check(g)
 
 
 def clear_block_memos():
