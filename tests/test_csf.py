@@ -1391,12 +1391,8 @@ class TestBlockSplit:
     def check(g):
         components = csf_module._biconnected(g.edge_list)
         # one entry per component that has an edge, its blocks partitioning its edges
-        assert sorted(sorted({x for block in blocks for e in block for x in e}) for blocks in components) == sorted(
-            c for c in g.components() if len(c) > 1
-        )
-        for blocks in components:
-            edges = [e for block in blocks for e in block]
-            assert len(edges) == len(set(edges)) and all(a < b for a, b in edges)
+        vertex_sets = [sorted({x for block in blocks for e in block for x in e}) for blocks in components]
+        assert sorted(vertex_sets) == [c for c in g.components() if len(c) > 1]
         assert sorted(e for blocks in components for block in blocks for e in block) == g.edge_list
         # two edges share a block exactly when a simple cycle holds both
         shared = {(e, f) for blocks in components for block in blocks for e in block for f in block if e != f}
