@@ -81,31 +81,25 @@ def _cmd_partitions(args) -> tuple:
 def _verify_kwargs(name: str, text: str) -> dict:
     """Keyword arguments of ``VERIFIERS[name]`` parsed from its CLI text.
 
-    A verifier with one required parameter takes the whole text, since graph
-    specs contain commas.  Otherwise the text is split on commas and each
-    piece is converted by its parameter's annotation.
+    Names, order and types come from the identity's first grid row,
+    ``next(iter_grid(name))``.  A one-key row takes the whole text, since
+    graph specs contain commas; otherwise each comma-separated piece is
+    converted by the type of its key's value in that row.
     """
-    import inspect
+    from .identities import iter_grid
 
-    from .identities import VERIFIERS
-
-    params = [
-        p
-        for p in inspect.signature(VERIFIERS[name], eval_str=True).parameters.values()
-        if p.default is inspect.Parameter.empty
-    ]
-    if len(params) == 1:
-        return {params[0].name: text}
+    row = next(iter_grid(name))
+    if len(row) == 1:
+        return dict.fromkeys(row, text)
     pieces = [piece.strip() for piece in text.split(",")]
-    if len(pieces) != len(params):
-        names = ",".join(p.name for p in params)
-        raise ValueError(f"expected {len(params)} comma-separated values ({names})")
+    if len(pieces) != len(row):
+        raise ValueError(f"expected {len(row)} comma-separated values ({','.join(row)})")
     kwargs = {}
-    for p, piece in zip(params, pieces):
+    for (key, value), piece in zip(row.items(), pieces):
         try:
-            kwargs[p.name] = p.annotation(piece)
+            kwargs[key] = type(value)(piece)
         except ValueError:
-            raise ValueError(f"{p.name} must be {p.annotation.__name__}, got {piece!r}") from None
+            raise ValueError(f"{key} must be {type(value).__name__}, got {piece!r}") from None
     return kwargs
 
 

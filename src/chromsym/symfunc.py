@@ -128,18 +128,18 @@ class SymFunc:
 
     # ------------------------------------------------------------- arithmetic
 
-    def _check_compatible(self, other):
+    def _check_basis(self, other):
         if self.basis is not other.basis:
             raise ValueError(f"basis mismatch: {self.basis.value} vs {other.basis.value}")
-        if self.degree != other.degree:
-            raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
 
     def _merged(self, other, op):
         """``op(self, other)`` term by term, for ``op`` add or sub: no
         temporary ``-other`` for a difference."""
         if not isinstance(other, SymFunc):
             return NotImplemented
-        self._check_compatible(other)
+        self._check_basis(other)
+        if self.degree != other.degree:
+            raise ValueError(f"degree mismatch: {self.degree} vs {other.degree}")
         terms = dict(self.terms)
         get = terms.get
         for lam, c in other.terms.items():
@@ -157,7 +157,9 @@ class SymFunc:
 
     def __mul__(self, other):
         if isinstance(other, SymFunc):
-            self._check_compatible_product(other)
+            self._check_basis(other)
+            if self.basis is Basis.S:  # Schur indices do not multiply by concatenation
+                raise ValueError("products are supported in the p and e bases only")
             terms = {}
             for lam, a in self.terms.items():
                 for mu, b in other.terms.items():
@@ -170,13 +172,6 @@ class SymFunc:
         return NotImplemented
 
     __rmul__ = __mul__
-
-    def _check_compatible_product(self, other):
-        if self.basis is not other.basis:
-            raise ValueError(f"basis mismatch: {self.basis.value} vs {other.basis.value}")
-        if self.basis is Basis.S:
-            # Schur indices do not multiply by concatenation
-            raise ValueError("products are supported in the p and e bases only")
 
     def __eq__(self, other):
         if not isinstance(other, SymFunc):

@@ -290,6 +290,10 @@ class TestVerifyCommand:
         text = ",".join(str(value) for value in kwargs.values())
         assert _verify_kwargs(name, text) == kwargs
 
+    def test_every_identity_has_a_default_grid_row(self):
+        """``_verify_kwargs`` reads the first row of the default-cap grid."""
+        assert [name for name in VERIFIERS if next(iter_grid(name), None) is None] == []
+
     @pytest.mark.parametrize(
         "name",
         [
@@ -302,8 +306,8 @@ class TestVerifyCommand:
         ],
     )
     def test_generated_dumbbell_verifiers_parse_as_written(self, name):
-        """The six verifiers one rule per body makes keep their names, docs
-        and the annotated (m, l, n) signature the CLI reads."""
+        """The six verifiers one rule per body makes keep their names and
+        docs, and the CLI parses their (m, l, n) from the grid row."""
         assert _verify_kwargs(name, "4,0,3") == {"m": 4, "l": 0, "n": 3}
         with pytest.raises(ValueError, match=r"^l must be int, got 'x'$"):
             _verify_kwargs(name, "4,x,3")
@@ -534,7 +538,8 @@ def test_start_up_loads_only_what_the_command_runs():
     assert not verifiers & imported_modules("-m", "chromsym.cli", "csf", "path(3)", "--json")
     engines = {"chromsym.csf", "chromsym.graphs", "chromsym.symfunc"}
     assert not engines & imported_modules("-m", "chromsym.cli", "partitions", "1")
-    assert verifiers <= imported_modules("-m", "chromsym.cli", "verify", "dumbbell-recursion", "4,1,3")
+    verify_import = imported_modules("-m", "chromsym.cli", "verify", "dumbbell-recursion", "4,1,3")
+    assert verifiers <= verify_import and "inspect" not in verify_import
 
 
 @pytest.mark.parametrize("argv", [("csf", "spider(4,4,3)", "--basis", "p", "--json"), ("partitions", "12")])

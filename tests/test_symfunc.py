@@ -345,14 +345,21 @@ class TestConstruction:
     def test_mixed_degree_rejected(self):
         f = SymFunc.single(Basis.E, (2,), 1)
         g = SymFunc.single(Basis.E, (2, 1), 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^degree mismatch: 2 vs 3$"):
             f + g
 
     def test_mixed_basis_rejected(self):
         f = SymFunc.single(Basis.E, (2,), 1)
         g = SymFunc.single(Basis.P, (2,), 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^basis mismatch: e vs p$"):
             f + g
+
+    def test_mixed_basis_product_rejected(self):
+        e, p, s = (SymFunc.single(basis, (2,), 1) for basis in (Basis.E, Basis.P, Basis.S))
+        with pytest.raises(ValueError, match=r"^basis mismatch: e vs p$"):
+            e * p
+        with pytest.raises(ValueError, match=r"^basis mismatch: s vs p$"):  # before the Schur refusal
+            s * p
 
     def test_support_order_largest_first(self):
         f = (
@@ -374,7 +381,7 @@ class TestConstruction:
 
     def test_schur_products_rejected(self):
         f = SymFunc.single(Basis.S, (1,), 1)
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"^products are supported in the p and e bases only$"):
             f * f
 
     def test_unhashable(self):
