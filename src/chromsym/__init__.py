@@ -22,11 +22,10 @@ _EXPORTS = {
         csf_path_closed csf_semicomplete_dumbbell_closed csf_subsets csf_tadpole_closed""",
     "graphs": """Graph GraphSpec SpecParseError complete_graph cycle_graph disjoint_union dumbbell_graph
         line_graph lollipop_graph parse_graph_spec path_graph spider_graph sun_graph tadpole_graph""",
-    "identities": """IdentityReport VERIFIERS iter_grid run_grid verify_cdumbbell_full_expansion
-        verify_cdumbbell_lollipop_expansion verify_cdumbbell_recursion verify_chromatic_closed_forms
-        verify_distinguishability verify_dumbbell_full_expansion verify_dumbbell_recursion
-        verify_dumbbell_tadpole_expansion verify_small_sun_coefficient verify_sun_coefficient
-        verify_sun_spider_reduction verify_triple_deletion""",
+    "identities": """IdentityReport VERIFIERS iter_grid run_grid verify_cdumbbell_lollipop_expansion
+        verify_cdumbbell_recursion verify_chromatic_closed_forms verify_distinguishability
+        verify_dumbbell_recursion verify_dumbbell_tadpole_expansion verify_small_sun_coefficient
+        verify_sun_coefficient verify_sun_spider_reduction verify_triple_deletion""",
     "partitions": "Partition partitions_of",
     "positivity": """ConnectedPartitionWitness PositivityReport e_positivity gcd_missing_type
         has_connected_partition missing_partition_scan s_positivity spider_nonpositivity_criterion

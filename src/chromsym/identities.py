@@ -9,11 +9,9 @@ subset expansion's vertex bound before building and above ``CSF_EDGE_CAP``
 edges after, and builds its ``GraphSpec.canonical()`` representative, so
 ``_memo``, the only memo of CSF results, is keyed per isomorphism class: the
 mirror dumbbells D(m,l,n) and D(n,l,m), or suns whose rays differ by a
-rotation or reflection, run the subset expansion once.  The six dumbbell
-verifiers come from one rule per body, ``_dumbbell_verifier``, over the
-family's bodies in ``_DUMBBELL_BODIES``.  ``_IDENTITIES`` pairs each
-identity's verifier with its parameter grid, and ``run_grid`` sweeps an
-identity over that grid.
+rotation or reflection, run the subset expansion once.  ``_IDENTITIES``
+pairs each identity's verifier with its parameter grid, and ``run_grid``
+sweeps an identity over that grid.
 """
 
 from __future__ import annotations
@@ -25,14 +23,14 @@ from itertools import combinations
 from math import comb
 
 from .csf import (
-    _DUMBBELL_BODIES,
-    _dumbbell,
     _guard,
     chromatic_poly_closed,
     chromatic_poly_dc,
     compute_csf,
     csf_complete_closed,
+    csf_complete_dumbbell_closed,
     csf_cycle_closed,
+    csf_dumbbell_closed,
     csf_lollipop_closed,
     csf_path_closed,
     csf_tadpole_closed,
@@ -185,47 +183,36 @@ def verify_sun_spider_reduction(a: int, b: int) -> IdentityReport:
     return _report("sun_spider_reduction", {"a": a, "b": b}, lhs, rhs)
 
 
-def _dumbbell_verifier(name: str, doc: str):
-    """The verifier of the dumbbell identity ``name``, family_kind, documented by ``doc``.
-    R(j) is T(n, l + j) or L(n, l + j), closed, by the n-body in ``_DUMBBELL_BODIES``.
-    An expansion's right side is the family's closed form, the m-body eliminated over
-    R.  The recursion's shrinks the m-body: with S = D(m-1, l+1, n), or R(3) at m = 3,
-    it is S + R(m) - X_{C(m-1)} R(1) on a cycle, (m-1) S - (m-2) X_{K(m-1)} R(1) on a clique."""
-    family, _, kind = name.partition("_")
-    body, far = _DUMBBELL_BODIES[family]
-    rest = csf_tadpole_closed if far == "cycle" else csf_lollipop_closed
-
-    def verify(m: int, l: int, n: int) -> IdentityReport:
-        lhs = _oracle(GraphSpec(family, (m, l, n)))
-        if kind != "recursion":
-            rhs = _dumbbell(family, m, l, n)
-        else:
-            shrunk = _dumbbell(family, m - 1, l + 1, n) if m > 3 else rest(n, l + 3)
-            if body == "cycle":
-                rhs = shrunk + rest(n, m + l) - rest(n, l + 1) * csf_cycle_closed(m - 1)
-            else:
-                rhs = (m - 1) * shrunk - (m - 2) * csf_complete_closed(m - 1) * rest(n, l + 1)
-        return _report(name, {"m": m, "l": l, "n": n}, lhs, rhs)
-
-    verify.__name__ = verify.__qualname__ = f"verify_{name}"
-    verify.__doc__ = doc
-    return verify
+def verify_dumbbell_recursion(m: int, l: int, n: int) -> IdentityReport:
+    """One-step recursion on the m-cycle:
+    X_{D(m,l,n)} = X_{D(m-1,l+1,n)} + X_{T(n,m+l)} - X_{T(n,l+1)} X_{C(m-1)}; D(2,l+1,n) is T(n,l+3)."""
+    lhs = _oracle(GraphSpec("dumbbell", (m, l, n)))
+    shrunk = csf_dumbbell_closed(m - 1, l + 1, n) if m > 3 else csf_tadpole_closed(n, l + 3)
+    rhs = shrunk + csf_tadpole_closed(n, m + l) - csf_tadpole_closed(n, l + 1) * csf_cycle_closed(m - 1)
+    return _report("dumbbell_recursion", {"m": m, "l": l, "n": n}, lhs, rhs)
 
 
-verify_dumbbell_recursion = _dumbbell_verifier("dumbbell_recursion", """One-step recursion on the m-cycle:
-    X_{D(m,l,n)} = X_{D(m-1,l+1,n)} + X_{T(n,m+l)} - X_{T(n,l+1)} X_{C(m-1)}; D(2,l+1,n) is T(n,l+3).""")
-verify_dumbbell_tadpole_expansion = _dumbbell_verifier("dumbbell_tadpole_expansion", """Tadpole expansion:
-    X_{D(m,l,n)} = (m-1) X_{T(n,m+l)} - sum_{k=1}^{m-2} X_{T(n,l+k)} X_{C(m-k)}.""")
-verify_dumbbell_full_expansion = _dumbbell_verifier("dumbbell_full_expansion", """Oracle CSF of D(m,l,n) against
-    the closed dumbbell form, the tadpole expansion's elimination.  The paper's double
-    sum over paths and cycles is checked only by ``ref_dumbbell`` in ``tests/test_csf.py``.""")
-verify_cdumbbell_recursion = _dumbbell_verifier("cdumbbell_recursion", """One-step recursion on the m-clique:
-    X_{D̄(m,l,n)} = (m-1) X_{D̄(m-1,l+1,n)} - (m-2) X_{K(m-1)} X_{L(n,l+1)}; D̄(2,l+1,n) is L(n,l+3).""")
-verify_cdumbbell_lollipop_expansion = _dumbbell_verifier("cdumbbell_lollipop_expansion", """Lollipop expansion:
-    X_{D̄(m,l,n)} = (m-1)! X_{L(n,m+l)} - sum_k c_k X_{K(m-k)} X_{L(n,l+k)}, c_k = ``clique_weight(m, k)``.""")
-verify_cdumbbell_full_expansion = _dumbbell_verifier("cdumbbell_full_expansion", """Oracle CSF of D̄(m,l,n) against
-    the closed complete dumbbell form, the lollipop expansion's elimination.  The paper's double
-    sum over cliques and paths is checked only by ``ref_complete_dumbbell`` in ``tests/test_csf.py``.""")
+def verify_dumbbell_tadpole_expansion(m: int, l: int, n: int) -> IdentityReport:
+    """Tadpole expansion, which the closed dumbbell form computes:
+    X_{D(m,l,n)} = (m-1) X_{T(n,m+l)} - sum_{k=1}^{m-2} X_{T(n,l+k)} X_{C(m-k)}."""
+    lhs = _oracle(GraphSpec("dumbbell", (m, l, n)))
+    return _report("dumbbell_tadpole_expansion", {"m": m, "l": l, "n": n}, lhs, csf_dumbbell_closed(m, l, n))
+
+
+def verify_cdumbbell_recursion(m: int, l: int, n: int) -> IdentityReport:
+    """One-step recursion on the m-clique:
+    X_{D̄(m,l,n)} = (m-1) X_{D̄(m-1,l+1,n)} - (m-2) X_{K(m-1)} X_{L(n,l+1)}; D̄(2,l+1,n) is L(n,l+3)."""
+    lhs = _oracle(GraphSpec("cdumbbell", (m, l, n)))
+    shrunk = csf_complete_dumbbell_closed(m - 1, l + 1, n) if m > 3 else csf_lollipop_closed(n, l + 3)
+    rhs = (m - 1) * shrunk - (m - 2) * csf_complete_closed(m - 1) * csf_lollipop_closed(n, l + 1)
+    return _report("cdumbbell_recursion", {"m": m, "l": l, "n": n}, lhs, rhs)
+
+
+def verify_cdumbbell_lollipop_expansion(m: int, l: int, n: int) -> IdentityReport:
+    """Lollipop expansion, which the closed complete dumbbell form computes:
+    X_{D̄(m,l,n)} = (m-1)! X_{L(n,m+l)} - sum_k c_k X_{K(m-k)} X_{L(n,l+k)}, c_k = ``clique_weight(m, k)``."""
+    lhs = _oracle(GraphSpec("cdumbbell", (m, l, n)))
+    return _report("cdumbbell_lollipop_expansion", {"m": m, "l": l, "n": n}, lhs, csf_complete_dumbbell_closed(m, l, n))
 
 
 def verify_chromatic_closed_forms(target) -> IdentityReport:
@@ -298,6 +285,8 @@ def verify_distinguishability(family: str, size_cap: int) -> IdentityReport:
 
 # ------------------------------------------------------------------- grids
 
+#: the chromatic grid's largest cap, 12,105 rows; its sun rows grow without bound
+CHROMATIC_GRID_CAP = 20
 
 _TRIANGLE_GRID_SPECS = (
     "complete(3)",
@@ -372,6 +361,8 @@ def _grid_cdumbbell(cap):
 
 
 def _grid_chromatic(cap):
+    if cap > CHROMATIC_GRID_CAP:
+        raise ValueError(f"chromatic_closed_forms grid guarded at cap {CHROMATIC_GRID_CAP}; got {cap}")
     for spec in _sun_specs(cap):
         yield {"target": spec}
     for family in ("dumbbell", "cdumbbell", "sdumbbell"):
@@ -393,10 +384,8 @@ _IDENTITIES = {
     "sun_spider_reduction": (verify_sun_spider_reduction, _grid_sun_spider_reduction),
     "dumbbell_recursion": (verify_dumbbell_recursion, _grid_dumbbell),
     "dumbbell_tadpole_expansion": (verify_dumbbell_tadpole_expansion, _grid_dumbbell),
-    "dumbbell_full_expansion": (verify_dumbbell_full_expansion, _grid_dumbbell),
     "cdumbbell_recursion": (verify_cdumbbell_recursion, _grid_cdumbbell),
     "cdumbbell_lollipop_expansion": (verify_cdumbbell_lollipop_expansion, _grid_cdumbbell),
-    "cdumbbell_full_expansion": (verify_cdumbbell_full_expansion, _grid_cdumbbell),
     "chromatic_closed_forms": (verify_chromatic_closed_forms, _grid_chromatic),
     "distinguishability": (verify_distinguishability, _grid_distinguishability),
 }

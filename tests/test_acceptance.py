@@ -212,10 +212,8 @@ def test_criterion_07_identity_grids():
         "sun_spider_reduction",
         "dumbbell_recursion",
         "dumbbell_tadpole_expansion",
-        "dumbbell_full_expansion",
         "cdumbbell_recursion",
         "cdumbbell_lollipop_expansion",
-        "cdumbbell_full_expansion",
         "chromatic_closed_forms",
     ]
     failures = []

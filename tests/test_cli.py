@@ -260,6 +260,26 @@ class TestVerifyCommand:
         assert code == 2
         assert "unknown identity" in err
 
+    def test_full_expansions_are_gone(self, capsys):
+        """The two full expansions gave their expansion's reports under another
+        name, and were removed; the error lists the ten identities left."""
+        assert run(capsys, "verify", "dumbbell-full-expansion", "4,0,3") == (
+            2,
+            "",
+            "error: unknown identity 'dumbbell-full-expansion'; known: cdumbbell_lollipop_expansion, "
+            "cdumbbell_recursion, chromatic_closed_forms, distinguishability, dumbbell_recursion, "
+            "dumbbell_tadpole_expansion, small_sun_coefficient, sun_coefficient, sun_spider_reduction, "
+            "triple_deletion\n",
+        )
+
+    def test_chromatic_grid_refused_above_its_cap(self, capsys, monkeypatch):
+        def refuse(**kwargs):
+            pytest.fail("an instance ran")
+
+        monkeypatch.setitem(VERIFIERS, "chromatic_closed_forms", refuse)
+        code, out, err = run(capsys, "verify", "chromatic-closed-forms", "--grid", "21", "--json")
+        assert (code, out, err) == (2, "", "error: chromatic_closed_forms grid guarded at cap 20; got 21\n")
+
     def test_missing_params(self, capsys):
         code, _, err = run(capsys, "verify", "dumbbell_recursion")
         assert code == 2 and "error:" in err
@@ -299,15 +319,13 @@ class TestVerifyCommand:
         [
             "dumbbell_recursion",
             "dumbbell_tadpole_expansion",
-            "dumbbell_full_expansion",
             "cdumbbell_recursion",
             "cdumbbell_lollipop_expansion",
-            "cdumbbell_full_expansion",
         ],
     )
     def test_generated_dumbbell_verifiers_parse_as_written(self, name):
-        """The six verifiers one rule per body makes keep their names and
-        docs, and the CLI parses their (m, l, n) from the grid row."""
+        """The four dumbbell verifiers keep their names and docs, and the CLI
+        parses their (m, l, n) from the grid row."""
         assert _verify_kwargs(name, "4,0,3") == {"m": 4, "l": 0, "n": 3}
         with pytest.raises(ValueError, match=r"^l must be int, got 'x'$"):
             _verify_kwargs(name, "4,x,3")

@@ -221,10 +221,8 @@ OVER_BOUND_PARAMS = {
     "sun_spider_reduction": "100,100",
     "dumbbell_recursion": "3,100,3",
     "dumbbell_tadpole_expansion": "3,100,3",
-    "dumbbell_full_expansion": "3,100,3",
     "cdumbbell_recursion": "3,100,3",
     "cdumbbell_lollipop_expansion": "3,100,3",
-    "cdumbbell_full_expansion": "3,100,3",
     "chromatic_closed_forms": OVER,
 }
 

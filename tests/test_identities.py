@@ -15,12 +15,10 @@ from chromsym.identities import (
     first_triangle,
     iter_grid,
     run_grid,
-    verify_cdumbbell_full_expansion,
     verify_cdumbbell_lollipop_expansion,
     verify_cdumbbell_recursion,
     verify_chromatic_closed_forms,
     verify_distinguishability,
-    verify_dumbbell_full_expansion,
     verify_dumbbell_recursion,
     verify_dumbbell_tadpole_expansion,
     verify_small_sun_coefficient,
@@ -88,20 +86,12 @@ class TestDumbbellIdentities:
         assert_verified(verify_dumbbell_tadpole_expansion(m, l, n))
 
     @pytest.mark.parametrize("m,l,n", CASES)
-    def test_full_expansion(self, m, l, n):
-        assert_verified(verify_dumbbell_full_expansion(m, l, n))
-
-    @pytest.mark.parametrize("m,l,n", CASES)
     def test_cdumbbell_recursion(self, m, l, n):
         assert_verified(verify_cdumbbell_recursion(m, l, n))
 
     @pytest.mark.parametrize("m,l,n", CASES)
     def test_cdumbbell_lollipop_expansion(self, m, l, n):
         assert_verified(verify_cdumbbell_lollipop_expansion(m, l, n))
-
-    @pytest.mark.parametrize("m,l,n", CASES)
-    def test_cdumbbell_full_expansion(self, m, l, n):
-        assert_verified(verify_cdumbbell_full_expansion(m, l, n))
 
     def test_bad_params(self):
         for fn in (
@@ -291,10 +281,8 @@ class TestGrids:
             "sun_spider_reduction",
             "dumbbell_recursion",
             "dumbbell_tadpole_expansion",
-            "dumbbell_full_expansion",
             "cdumbbell_recursion",
             "cdumbbell_lollipop_expansion",
-            "cdumbbell_full_expansion",
             "chromatic_closed_forms",
             "distinguishability",
         }
@@ -323,10 +311,8 @@ class TestGrids:
             "sun_spider_reduction",
             "dumbbell_recursion",
             "dumbbell_tadpole_expansion",
-            "dumbbell_full_expansion",
             "cdumbbell_recursion",
             "cdumbbell_lollipop_expansion",
-            "cdumbbell_full_expansion",
         ],
     )
     def test_small_grids_all_verify(self, name):
@@ -378,6 +364,13 @@ class TestGrids:
     def test_default_cap_is_contractual(self):
         assert DEFAULT_GRID_VERTEX_CAP == 14
 
+    def test_chromatic_grid_keeps_every_row_to_its_cap(self):
+        """Cap 20 keeps its 12,105 rows; cap 21, of 19,094, is refused before its first."""
+        assert identities.CHROMATIC_GRID_CAP == 20
+        assert sum(1 for _ in iter_grid("chromatic_closed_forms", 20)) == 12105
+        with pytest.raises(ValueError, match=r"^chromatic_closed_forms grid guarded at cap 20; got 21$"):
+            next(iter_grid("chromatic_closed_forms", 21))
+
     @pytest.mark.parametrize("name", sorted(VERIFIERS))
     def test_grid_json_is_pinned(self, name):
         text = json.dumps([r.to_json_obj() for r in run_grid(name, 14)], separators=(",", ":"))
@@ -398,13 +391,40 @@ GRID_JSON_SHA256 = {
     "sun_spider_reduction": "ab5068c957bf66a9",
     "dumbbell_recursion": "e6d8c862c85034bd",
     "dumbbell_tadpole_expansion": "db6193370fb4ea43",
-    "dumbbell_full_expansion": "1904f2383db6b526",
     "cdumbbell_recursion": "0089b6a8f269b609",
     "cdumbbell_lollipop_expansion": "8b456ff8164de4ec",
-    "cdumbbell_full_expansion": "2256e21135147ed4",
     "chromatic_closed_forms": "d2a58cd914102128",
     "distinguishability": "ff8cf60534d5de1f",
 }
+
+
+#: each closed form the dumbbell verifiers read -> the identities that read it
+CLOSED_FORM_READERS = {
+    "csf_dumbbell_closed": ("dumbbell_recursion", "dumbbell_tadpole_expansion"),
+    "csf_tadpole_closed": ("dumbbell_recursion",),
+    "csf_cycle_closed": ("dumbbell_recursion",),
+    "csf_complete_dumbbell_closed": ("cdumbbell_recursion", "cdumbbell_lollipop_expansion"),
+    "csf_lollipop_closed": ("cdumbbell_recursion",),
+    "csf_complete_closed": ("cdumbbell_recursion",),
+}
+DUMBBELL_IDENTITIES = ("dumbbell_recursion", "dumbbell_tadpole_expansion", "cdumbbell_recursion", "cdumbbell_lollipop_expansion")
+
+
+@pytest.mark.parametrize("form", CLOSED_FORM_READERS)
+def test_a_wrong_closed_form_fails_the_identities_that_read_it(monkeypatch, form):
+    """A wrong term planted in one closed form, through ``identities``' globals
+    so that no memo of ``csf`` keeps it, fails every identity that reads the
+    form on its cap-8 grid and no other dumbbell identity."""
+    right = getattr(identities, form)
+
+    def wrong(*args):
+        f = right(*args)
+        return f + SymFunc.single(Basis.E, (f.degree,))
+
+    monkeypatch.setattr(identities, form, wrong)
+    for name in DUMBBELL_IDENTITIES:
+        reports = run_grid(name, 8)
+        assert reports and all(r.equal for r in reports) is (name not in CLOSED_FORM_READERS[form]), name
 
 
 class TestIdentityContent:

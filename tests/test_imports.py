@@ -73,7 +73,7 @@ def test_checker_sees_unused_and_used_names():
 PRIVATE_IMPORTS = {
     "cli": ["_degree_guard"],
     "csf": ["_check_sizes", "_count_keys", "_nested", "_power_in_e"],
-    "identities": ["_DUMBBELL_BODIES", "_dumbbell", "_guard"],
+    "identities": ["_guard"],
     "positivity": ["_check_sizes", "_count_keys", "_degree_guard", "_guard"],
     "symfunc": ["_count_keys"],
 }
@@ -210,7 +210,7 @@ def test_size_refusals_are_worded_in_one_place_per_kind():
     """The vertex and edge refusals are ``csf._guard``'s; the transition and
     grid refusals keep their own wording."""
     found = set().union(*(refusal_holders(path.read_text()) for path in MODULES))
-    assert found == {"_guard", "_degree_guard", "verify_distinguishability"}
+    assert found == {"_guard", "_degree_guard", "verify_distinguishability", "_grid_chromatic"}
 
 
 def test_checker_sees_refusal_text():
