@@ -261,8 +261,7 @@ class TestVerifyCommand:
         assert "unknown identity" in err
 
     def test_full_expansions_are_gone(self, capsys):
-        """The two full expansions gave their expansion's reports under another
-        name, and were removed; the error lists the ten identities left."""
+        """A dumbbell full expansion is no identity: the error lists the ten there are."""
         assert run(capsys, "verify", "dumbbell-full-expansion", "4,0,3") == (
             2,
             "",
