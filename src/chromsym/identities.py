@@ -10,8 +10,8 @@ edges after, and builds its ``GraphSpec.canonical()`` representative, so
 ``_memo``, the only memo of CSF results, is keyed per isomorphism class: the
 mirror dumbbells D(m,l,n) and D(n,l,m), or suns whose rays differ by a
 rotation or reflection, run the subset expansion once.  ``_IDENTITIES``
-pairs each identity's verifier with its parameter grid, and ``run_grid``
-sweeps an identity over that grid.
+gives each identity's verifier, parameter grid and the grid's largest cap,
+and ``run_grid`` sweeps an identity over that grid.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from itertools import combinations
 from math import comb
 
 from .csf import (
+    CSF_EDGE_CAP,
     _guard,
     chromatic_poly_closed,
     chromatic_poly_dc,
@@ -361,8 +362,6 @@ def _grid_cdumbbell(cap):
 
 
 def _grid_chromatic(cap):
-    if cap > CHROMATIC_GRID_CAP:
-        raise ValueError(f"chromatic_closed_forms grid guarded at cap {CHROMATIC_GRID_CAP}; got {cap}")
     for spec in _sun_specs(cap):
         yield {"target": spec}
     for family in ("dumbbell", "cdumbbell", "sdumbbell"):
@@ -376,29 +375,32 @@ def _grid_distinguishability(cap):
     yield {"family": "sun", "size_cap": min(cap, 10)}
 
 
-#: identity name -> (verifier, parameter grid)
+#: identity name -> (verifier, parameter grid, largest cap or None); a sun has |E| = |V|, a dumbbell |V| + 1
 _IDENTITIES = {
-    "triple_deletion": (verify_triple_deletion, _grid_triple_deletion),
-    "sun_coefficient": (verify_sun_coefficient, _grid_sun_coefficient),
-    "small_sun_coefficient": (verify_small_sun_coefficient, _grid_small_sun_coefficient),
-    "sun_spider_reduction": (verify_sun_spider_reduction, _grid_sun_spider_reduction),
-    "dumbbell_recursion": (verify_dumbbell_recursion, _grid_dumbbell),
-    "dumbbell_tadpole_expansion": (verify_dumbbell_tadpole_expansion, _grid_dumbbell),
-    "cdumbbell_recursion": (verify_cdumbbell_recursion, _grid_cdumbbell),
-    "cdumbbell_lollipop_expansion": (verify_cdumbbell_lollipop_expansion, _grid_cdumbbell),
-    "chromatic_closed_forms": (verify_chromatic_closed_forms, _grid_chromatic),
-    "distinguishability": (verify_distinguishability, _grid_distinguishability),
+    "triple_deletion": (verify_triple_deletion, _grid_triple_deletion, None),
+    "sun_coefficient": (verify_sun_coefficient, _grid_sun_coefficient, CSF_EDGE_CAP),
+    "small_sun_coefficient": (verify_small_sun_coefficient, _grid_small_sun_coefficient, CSF_EDGE_CAP),
+    "sun_spider_reduction": (verify_sun_spider_reduction, _grid_sun_spider_reduction, CSF_EDGE_CAP),
+    "dumbbell_recursion": (verify_dumbbell_recursion, _grid_dumbbell, CSF_EDGE_CAP - 1),
+    "dumbbell_tadpole_expansion": (verify_dumbbell_tadpole_expansion, _grid_dumbbell, CSF_EDGE_CAP - 1),
+    "cdumbbell_recursion": (verify_cdumbbell_recursion, _grid_cdumbbell, None),
+    "cdumbbell_lollipop_expansion": (verify_cdumbbell_lollipop_expansion, _grid_cdumbbell, None),
+    "chromatic_closed_forms": (verify_chromatic_closed_forms, _grid_chromatic, CHROMATIC_GRID_CAP),
+    "distinguishability": (verify_distinguishability, _grid_distinguishability, None),
 }
-VERIFIERS = {name: verifier for name, (verifier, _) in _IDENTITIES.items()}
+VERIFIERS = {name: verifier for name, (verifier, *_) in _IDENTITIES.items()}
 
 
 def iter_grid(name: str, vertex_cap: int = DEFAULT_GRID_VERTEX_CAP):
-    """Parameter dictionaries of the identity's grid; a negative cap is refused."""
+    """Parameter dictionaries of the identity's grid; a negative cap, or one over its bound, is refused first."""
     if name not in _IDENTITIES:
         raise ValueError(f"unknown identity {name!r}")
     if vertex_cap < 0:
         raise ValueError(f"grid vertex cap must be nonnegative, got {vertex_cap}")
-    return _IDENTITIES[name][1](vertex_cap)
+    _, grid, bound = _IDENTITIES[name]
+    if bound is not None and vertex_cap > bound:
+        raise ValueError(f"{name} grid guarded at cap {bound}; got {vertex_cap}")
+    return grid(vertex_cap)
 
 
 def run_grid(name: str, vertex_cap: int = DEFAULT_GRID_VERTEX_CAP) -> list:

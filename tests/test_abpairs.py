@@ -47,3 +47,18 @@ def test_revisions_are_two_or_one_same(argv, capsys):
         abpairs.main([*argv, "--workload", "cli_calls"])
     assert exc.value.code == 2
     assert "give REV_A REV_B, or --same REV" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workload", ["verify_cfs", "all"])
+def test_workload_is_one_of_the_benchmark_s(workload, capsys, monkeypatch):
+    """A name that is not one of ``BENCHMARK.json``'s workloads, ``all``
+    included, exits 2 before any revision is exported."""
+
+    def refuse(*args):
+        pytest.fail("a revision was exported")
+
+    monkeypatch.setattr(abpairs, "export", refuse)
+    with pytest.raises(SystemExit) as exc:
+        abpairs.main(["HEAD", "HEAD", "--workload", workload])
+    assert exc.value.code == 2
+    assert f"argument --workload: invalid choice: '{workload}'" in capsys.readouterr().err

@@ -13,6 +13,17 @@ from chromsym.identities import VERIFIERS, IdentityReport, iter_grid
 from chromsym.symfunc import Basis, SymFunc
 
 
+#: each bounded identity grid -> its largest cap
+GRID_BOUNDS = {
+    "sun_coefficient": 26,
+    "small_sun_coefficient": 26,
+    "sun_spider_reduction": 26,
+    "dumbbell_recursion": 25,
+    "dumbbell_tadpole_expansion": 25,
+    "chromatic_closed_forms": 20,
+}
+
+
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -271,13 +282,16 @@ class TestVerifyCommand:
             "triple_deletion\n",
         )
 
-    def test_chromatic_grid_refused_above_its_cap(self, capsys, monkeypatch):
+    @pytest.mark.parametrize("name, cap", [(name, cap) for name, bound in GRID_BOUNDS.items() for cap in (bound + 1, 10**9)])
+    def test_grid_refused_above_its_bound(self, capsys, monkeypatch, name, cap):
+        """A cap over the grid's bound exits 2 before any instance runs."""
+
         def refuse(**kwargs):
             pytest.fail("an instance ran")
 
-        monkeypatch.setitem(VERIFIERS, "chromatic_closed_forms", refuse)
-        code, out, err = run(capsys, "verify", "chromatic-closed-forms", "--grid", "21", "--json")
-        assert (code, out, err) == (2, "", "error: chromatic_closed_forms grid guarded at cap 20; got 21\n")
+        monkeypatch.setitem(VERIFIERS, name, refuse)
+        code, out, err = run(capsys, "verify", name.replace("_", "-"), "--grid", str(cap), "--json")
+        assert (code, out, err) == (2, "", f"error: {name} grid guarded at cap {GRID_BOUNDS[name]}; got {cap}\n")
 
     def test_missing_params(self, capsys):
         code, _, err = run(capsys, "verify", "dumbbell_recursion")
@@ -454,12 +468,18 @@ class TestErrorsAndParser:
         assert code == 2 and out == ""
         assert err == f"error: subset oracle guarded at 26 edges, graph has {edges}\n"
 
-    def test_refused_grid_instance_is_named(self, capsys):
-        code, out, err = run(capsys, "verify", "dumbbell-recursion", "--grid", "26")
-        assert code == 2 and out == ""
-        assert err == (
-            'error: dumbbell_recursion {"m":3,"l":20,"n":3}: subset oracle guarded at 26 edges, graph has 27\n'
-        )
+    def test_refused_grid_instance_is_named(self, capsys, monkeypatch):
+        """No guard refuses a row of a grid within its bound, so a refusal is
+        planted on one row; the error names the identity and that row."""
+
+        def refuse_one(m, l, n):
+            if (m, l, n) == (4, 0, 3):
+                raise ValueError("planted refusal")
+
+        monkeypatch.setitem(VERIFIERS, "dumbbell_recursion", refuse_one)
+        code, out, err = run(capsys, "verify", "dumbbell-recursion", "--grid", "8")
+        assert (code, out) == (2, "")
+        assert err == 'error: dumbbell_recursion {"m":4,"l":0,"n":3}: planted refusal\n'
 
     @pytest.mark.parametrize(
         "argv, degree",

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 
 from chromsym import cli, csf as csf_module, identities
-from chromsym.csf import compute_csf
+from chromsym.csf import CSF_EDGE_CAP, _guard, compute_csf
 from chromsym.graphs import Graph, GraphSpec, cycle_graph, dumbbell_graph, parse_graph_spec, path_graph, sun_graph
 from chromsym.identities import (
     DEFAULT_GRID_VERTEX_CAP,
@@ -466,3 +466,44 @@ def test_records_are_read_only_values(make, text):
     field = text.split("(")[1].split("=")[0]
     with pytest.raises(AttributeError):
         setattr(record, field, None)
+
+
+def test_each_grid_bound_is_the_last_cap_its_guards_pass(monkeypatch):
+    """With ``_memo`` replaced by the oracle's two guards and each closed form
+    by an empty function of its degree, the sum of its arguments, no CSF is
+    computed: every row of a guard-bounded grid passes the guards at its
+    bound, and the grid one cap above yields a row they refuse.  The grids
+    with no bound pass at cap 60; the chromatic grid's bound is a row count,
+    pinned by ``test_chromatic_grid_keeps_every_row_to_its_cap``."""
+
+    def guards(g):
+        _guard("subset oracle", g.n)
+        _guard("subset oracle", len(g.edges), CSF_EDGE_CAP, "edges")
+        return SymFunc(Basis.E, g.n, {})
+
+    monkeypatch.setattr(identities, "_memo", guards)
+    for form in [name for name in vars(identities) if name.startswith("csf_") and name.endswith("_closed")]:
+        monkeypatch.setattr(identities, form, lambda *a: SymFunc(Basis.E, sum(a), {}))
+    bounds = {}
+    for name, (verify, grid, bound) in identities._IDENTITIES.items():
+        if name == "chromatic_closed_forms":
+            continue
+        bounds[name] = bound
+        for kw in iter_grid(name, 60 if bound is None else bound):
+            verify(**kw)
+        if bound is not None:
+            with pytest.raises(ValueError, match=f"^subset oracle guarded at {CSF_EDGE_CAP} edges"):
+                for kw in grid(bound + 1):
+                    verify(**kw)
+    sun, dumbbell = CSF_EDGE_CAP, CSF_EDGE_CAP - 1
+    assert bounds == {
+        "triple_deletion": None,
+        "sun_coefficient": sun,
+        "small_sun_coefficient": sun,
+        "sun_spider_reduction": sun,
+        "dumbbell_recursion": dumbbell,
+        "dumbbell_tadpole_expansion": dumbbell,
+        "cdumbbell_recursion": None,
+        "cdumbbell_lollipop_expansion": None,
+        "distinguishability": None,
+    }

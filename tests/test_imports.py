@@ -210,7 +210,7 @@ def test_size_refusals_are_worded_in_one_place_per_kind():
     """The vertex and edge refusals are ``csf._guard``'s; the transition and
     grid refusals keep their own wording."""
     found = set().union(*(refusal_holders(path.read_text()) for path in MODULES))
-    assert found == {"_guard", "_degree_guard", "verify_distinguishability", "_grid_chromatic"}
+    assert found == {"_guard", "_degree_guard", "verify_distinguishability", "iter_grid"}
 
 
 def test_checker_sees_refusal_text():

@@ -5,7 +5,9 @@ Usage, from the repository root:
     python3 tools/abpairs.py REV_A REV_B --workload positivity_session --seeds 1-10
     python3 tools/abpairs.py --same REV --workload cli_calls --seeds 1-10
 
-Each revision is exported with ``git archive`` into a temporary directory
+``--workload`` takes one of ``BENCHMARK.json``'s workload names; any other
+name, ``all`` included, exits 2 before anything is exported.  Each revision
+is exported with ``git archive`` into a temporary directory
 (``--same REV`` exports two copies of one revision, an A/A run that measures
 the noise floor).  For each seed, ``perfbench/run.py --trace 0`` runs on the
 two exports in turn, A first for the first seed and the order flipped with
@@ -98,9 +100,9 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__, formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("revs", nargs="*", metavar="REV", help="REV_A REV_B")
     parser.add_argument("--same", metavar="REV", help="run two copies of REV (an A/A run)")
-    parser.add_argument("--workload", required=True)
-    parser.add_argument("--seeds", type=seed_list, default=seed_list("1-10"))
     bench = json.loads((ROOT / "BENCHMARK.json").read_text())
+    parser.add_argument("--workload", required=True, choices=[w["name"] for w in bench["workloads"]])
+    parser.add_argument("--seeds", type=seed_list, default=seed_list("1-10"))
     args = parser.parse_args(argv)
     revs = [args.same] * 2 if args.same else args.revs
     if len(revs) != 2 or (args.same and args.revs):
