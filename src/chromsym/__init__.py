@@ -19,7 +19,7 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "csf": """ChromPoly chromatic_poly_closed chromatic_poly_dc compute_csf csf_complete_closed
         csf_complete_dumbbell_closed csf_cycle_closed csf_dc csf_dumbbell_closed csf_lollipop_closed
-        csf_path_closed csf_semicomplete_dumbbell_closed csf_subsets csf_tadpole_closed""",
+        csf_path_closed csf_semicomplete_dumbbell_closed csf_spider_closed csf_subsets csf_tadpole_closed""",
     "graphs": """Graph GraphSpec SpecParseError complete_graph cycle_graph disjoint_union dumbbell_graph
         line_graph lollipop_graph parse_graph_spec path_graph spider_graph sun_graph tadpole_graph""",
     "identities": """IdentityReport VERIFIERS iter_grid run_grid verify_cdumbbell_lollipop_expansion

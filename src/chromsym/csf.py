@@ -41,8 +41,9 @@ Engines:
   route that checks the first and the closed forms.  Each route memoizes
   its block polynomials per renumbered block, 1024 entries, in a memo of
   its own, so neither route reads the other's results.
-* closed forms for paths, cycles, complete graphs, tadpoles, lollipops and the
-  dumbbell families, accepted only because the test suite pins them to the
+* closed forms for paths, cycles, complete graphs, tadpoles, lollipops, the
+  dumbbell families, spiders of at most three legs and suns or complete suns
+  on a 3-vertex body, accepted only because the test suite pins them to the
   subset oracle on overlapping grids.  Each checks its arguments by
   ``GraphSpec.check`` (the cycle form, which admits d = 2, by the rules'
   ``_check_sizes``) and its vertex bound before any arithmetic.  Paths and
@@ -55,7 +56,9 @@ Engines:
   memos key on argument types too, so a float equal to a cached integer
   still meets its rule.  A whole dumbbell is one elimination over those
   memoized tails and is not memoized, as no workload asks for the same
-  dumbbell twice.
+  dumbbell twice, nor are spiders and 3-body suns, sums of path products,
+  which return None, before their guard, for four or more legs or a larger
+  body: ``compute_csf`` builds and guards those as any other spec.
 
 Component products, block products and the tree and clique closings are
 theorems about all graphs, not family formulas: no ``*_closed`` function is
@@ -65,7 +68,7 @@ expand in the p basis, and the closed forms, which use integer weights only,
 in the e basis; the nested evaluator takes the first to the second.
 
 ``compute_csf`` takes no options and picks its engine from its input alone:
-a spec whose family has a closed form returns it, any other spec is built,
+a spec that a closed form answers returns it, any other spec is built,
 and a ``Graph`` goes to the subset DP, whose table goes to the e basis
 undecoded (``csf_subsets`` and ``csf_dc`` are the tests' routes to the p
 basis).  ``compute_csf(spec.build())`` is thus the formula-free route every
@@ -446,6 +449,34 @@ def csf_lollipop_closed(a: int, b: int) -> SymFunc:
     return _eliminate("complete", a, lambda j: csf_path_closed(b + j))
 
 
+def csf_spider_closed(*legs):
+    """X of a spider of legs a >= b >= c, absent legs 0, n = a + b + c + 1
+    (Zheng 2022), so one or two legs give X_{P_n}; None for four legs or more:
+
+        X = X_{P_n} + sum_{i=1}^{c} (X_{P_i} X_{P_{n-i}} - X_{P_{b+i}} X_{P_{n-b-i}}).
+    """
+    if len(legs) > 3:
+        return None
+    _closed_guard("spider", *legs)
+    _, b, c = sorted((*legs, 0, 0), reverse=True)[:3]
+    path, n = csf_path_closed, sum(legs) + 1
+    return sum((path(i) * path(n - i) - path(b + i) * path(n - b - i) for i in range(1, c + 1)), path(n))
+
+
+def _sun3_closed(k: int, rays):
+    """X of a sun or complete sun on a body of k = 3 vertices, None for another
+    k, by triple deletion (Orellana and Scott 2014) at the body vertex of ray a:
+
+        X_{S(3;a,b,c)} = X_{spider(a+1,b+1,c)} + X_{spider(a+1,c+1,b)} - X_{P_{a+1}} X_{P_{b+c+2}}.
+    """
+    if k != 3:
+        return None
+    _closed_guard("sun", k, rays)
+    a, b, c = rays
+    cut = csf_path_closed(a + 1) * csf_path_closed(b + c + 2)
+    return csf_spider_closed(a + 1, b + 1, c) + csf_spider_closed(a + 1, c + 1, b) - cut
+
+
 #: dumbbell family -> (body on the m vertices, body on the n vertices)
 _DUMBBELL_BODIES = {
     "dumbbell": ("cycle", "cycle"), "cdumbbell": ("complete", "complete"), "sdumbbell": ("cycle", "complete")
@@ -718,6 +749,9 @@ _CLOSED_FORMS = {
     "complete": csf_complete_closed,
     "tadpole": csf_tadpole_closed,
     "lollipop": csf_lollipop_closed,
+    "spider": csf_spider_closed,
+    "sun": _sun3_closed,
+    "csun": _sun3_closed,
     "dumbbell": csf_dumbbell_closed,
     "cdumbbell": csf_complete_dumbbell_closed,
     "sdumbbell": csf_semicomplete_dumbbell_closed,
@@ -725,7 +759,7 @@ _CLOSED_FORMS = {
 
 
 def closed_csf_for(spec: GraphSpec):
-    """The closed-form e-basis CSF for the spec's family, or None if it has none."""
+    """The closed-form e-basis CSF of the spec, or None if no form answers it."""
     fn = _CLOSED_FORMS.get(spec.family)
     return None if fn is None else fn(*spec.args)
 
@@ -733,8 +767,8 @@ def closed_csf_for(spec: GraphSpec):
 def compute_csf(target):
     """Compute X_G in the elementary basis; returns (SymFunc, engine_used).
 
-    ``target`` may be a Graph, GraphSpec or spec string.  A spec whose family
-    has a closed form returns it ("closed"); any other spec is built once,
+    ``target`` may be a Graph, GraphSpec or spec string.  A spec that a closed
+    form answers returns it ("closed"); any other spec is built once,
     as its isomorphic ``spec.canonical()``, within the subset oracle's vertex
     bound.  A ``Graph`` never meets a closed form: it goes to the subset
     expansion ("subsets").  So ``compute_csf(spec.build())`` is independent

@@ -1,8 +1,8 @@
 """Positivity verdicts and combinatorial obstructions to e-positivity.
 
 ``e_positivity`` and ``s_positivity`` take only a target and report the
-engine ``compute_csf`` chose for it: the closed form for a family that has
-one, else the subset expansion, which refuses graphs above
+engine ``compute_csf`` chose for it: the closed form for a spec that one
+answers, else the subset expansion, which refuses graphs above
 ``csf.CSF_EDGE_CAP`` edges before it starts.  ``s_positivity`` checks the
 basis-transition guard on |V| before any engine starts.
 

@@ -62,3 +62,19 @@ def test_workload_is_one_of_the_benchmark_s(workload, capsys, monkeypatch):
         abpairs.main(["HEAD", "HEAD", "--workload", workload])
     assert exc.value.code == 2
     assert f"argument --workload: invalid choice: '{workload}'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("seeds", ["5-3", "1-0"])
+def test_an_empty_seed_range_exits_before_any_export(seeds, capsys, monkeypatch):
+    """A range that names no seed exits 2 at the argument: past it, both
+    revisions would be exported and no pair run, and ``summary`` would fail
+    on no values."""
+
+    def refuse(*args):
+        pytest.fail("a revision was exported")
+
+    monkeypatch.setattr(abpairs, "export", refuse)
+    with pytest.raises(SystemExit) as exc:
+        abpairs.main(["HEAD", "HEAD", "--workload", "cli_calls", "--seeds", seeds])
+    assert exc.value.code == 2
+    assert f"argument --seeds: empty seed range '{seeds}'" in capsys.readouterr().err

@@ -31,6 +31,7 @@ from chromsym.csf import (
     csf_lollipop_closed,
     csf_path_closed,
     csf_semicomplete_dumbbell_closed,
+    csf_spider_closed,
     csf_subsets,
     csf_tadpole_closed,
 )
@@ -79,6 +80,17 @@ SMALL_GRAPHS = [
 
 def e_csf(g):
     return p_to_e(csf_subsets(g))
+
+
+def closed_arg_lists(family, values):
+    """Every argument tuple over ``values`` of each shape that ``family``'s
+    closed form answers: one to three spider legs, three rays on a 3-vertex
+    sun body, else one value per argument of ``_FAMILY_TABLE``."""
+    if family == "spider":
+        return [legs for k in (1, 2, 3) for legs in itertools.product(values, repeat=k)]
+    if family in ("sun", "csun"):
+        return [(3, rays) for rays in itertools.product(values, repeat=3)]
+    return list(itertools.product(values, repeat=_FAMILY_TABLE[family][0]))
 
 
 def walk_subset_counts(n, edges):
@@ -298,7 +310,7 @@ class TestCoefficientTypes:
 
     def test_closed_and_subset_engines_both_seen(self):
         assert compute_csf("cdumbbell(4,2,5)")[1] == "closed"
-        assert compute_csf("sun(3;2,1,2)")[1] == "subsets"
+        assert compute_csf("sun(4;2,1,2,1)")[1] == "subsets"
 
     def test_public_reads_are_fractions(self):
         f, _ = compute_csf("sun(3;1,1,1)")
@@ -372,6 +384,21 @@ class TestClosedForms:
                 fn(2, 0, 3)
             with pytest.raises(ValueError):
                 fn(3, -2, 3)
+
+    def test_three_leg_spiders_and_triangle_suns(self):
+        # every three-leg spider, legs in any order, and every sun(3;...) and
+        # csun(3;...) on at most 14 vertices, against the oracle on the build
+        specs = [GraphSpec("spider", legs) for legs in itertools.product(range(1, 12), repeat=3) if sum(legs) <= 13]
+        specs += [GraphSpec(family, (3, rays)) for family in ("sun", "csun")
+                  for rays in itertools.product(range(1, 10), repeat=3) if sum(rays) <= 11]
+        assert len(specs) == 286 + 2 * 165
+        for spec in specs:
+            assert compute_csf(spec) == (e_csf(spec.build()), "closed"), spec
+
+    def test_one_and_two_leg_spiders_are_paths(self):
+        for legs in [(a,) for a in range(1, 14)] + list(itertools.product(range(1, 13), repeat=2)):
+            if sum(legs) <= 13:
+                assert csf_spider_closed(*legs) == csf_path_closed(sum(legs) + 1), legs
 
 
 # ------------------------------------------------- term-by-term references
@@ -763,7 +790,7 @@ class TestEngineRouting:
     def test_spec_without_closed_form_builds_its_canonical_form(self, monkeypatch):
         built = []
         monkeypatch.setattr(csf_module, "_subset_counts", lambda n, e: built.append(Graph(n, e)) or _subset_counts(n, e))
-        for text, canon in [("spider(6,5,2)", "spider(2,5,6)"), ("sun(3;1,4,6)", "sun(3;6,4,1)"),
+        for text, canon in [("spider(6,5,2,1)", "spider(1,2,5,6)"), ("sun(4;1,4,6,2)", "sun(4;6,4,1,2)"),
                             ("csun(4;1,3,2,3)", "csun(4;3,3,2,1)")]:
             f, engine = compute_csf(text)
             assert engine == "subsets" and built.pop() == parse_graph_spec(canon).build()
@@ -814,9 +841,8 @@ class TestEngineRouting:
         # from l = -1), then specs of every other family: the |V| each
         # argument rule returns is that of the built graph
         for family in csf_module._CLOSED_FORMS:
-            arity = _FAMILY_TABLE[family][0]
             sizes = []
-            for args in itertools.product(range(-1, 15), repeat=arity):
+            for args in closed_arg_lists(family, range(-1, 15)):
                 spec = GraphSpec(family, args)
                 try:
                     spec.check()
@@ -851,8 +877,10 @@ class TestEngineRouting:
         assert families | set(csf_module._CLOSED_FORMS) == set(_FAMILY_TABLE)
 
     def test_closed_csf_for_coverage(self):
-        assert closed_csf_for(parse_graph_spec("sun(3;1,1,1)")) is None
-        assert closed_csf_for(parse_graph_spec("path(4)")) is not None
+        for text in ("sun(4;1,1,1,1)", "csun(5;1,1,1,1,1)", "spider(1,1,1,1)"):
+            assert closed_csf_for(parse_graph_spec(text)) is None, text
+        for text in ("path(4)", "sun(3;1,1,1)", "csun(3;1,2,1)", "spider(1,1,1)", "spider(2)"):
+            assert closed_csf_for(parse_graph_spec(text)) is not None, text
 
 
 class TestGuards:
@@ -902,11 +930,11 @@ class TestGuards:
     def test_closed_forms_refuse_non_integers(self, bad):
         # each form runs on integers first, so a memo that took 5.0 for 5 would answer
         for family, form in csf_module._CLOSED_FORMS.items():
-            arity = _FAMILY_TABLE[family][0]
-            for i in range(arity):
-                args = [5] * arity
-                form(*args)
-                args[i] = bad
+            for args in closed_arg_lists(family, (5, bad)):  # each shape's all-integer list comes first
+                sizes = args[1] if family in ("sun", "csun") else args
+                if all(type(x) is int for x in sizes):
+                    form(*args)
+                    continue
                 with pytest.raises(ValueError, match=f"^arguments must be integers, got {bad}$"):
                     form(*args)
 

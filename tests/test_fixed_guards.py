@@ -202,6 +202,35 @@ def test_each_refusal_reads_as_pinned(fn, args, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ("sun(3;13,13,13)", "closed form guarded at 40 vertices, graph has 42"),
+        ("csun(3;13,13,13)", "closed form guarded at 40 vertices, graph has 42"),
+        ("spider(13,13,14)", "closed form guarded at 40 vertices, graph has 41"),
+        ("spider(7,7,7,7)", "subset oracle guarded at 26 edges, graph has 28"),
+        ("spider(10,10,10,10,10)", "subset oracle guarded at 40 vertices, graph has 51"),
+        ("sun(4;10,10,10,10)", "subset oracle guarded at 40 vertices, graph has 44"),
+    ],
+)
+def test_spider_and_sun_refusals(capsys, monkeypatch, spec, message):
+    """A three-leg spider or a 3-body sun over 40 vertices is refused by the
+    closed-form guard before any path form is read; a spider of four or more
+    legs or a larger sun has no closed form and is refused by the subset
+    oracle's guards, as it was before the forms were routed."""
+    for name in ("csf_path_closed", "_subset_counts"):
+        monkeypatch.setattr(csf, name, lambda *a, name=name: pytest.fail(f"{name} ran"))
+    assert main(["csf", spec]) == 2
+    assert capsys.readouterr() == ("", f"error: {message}\n")
+
+
+def test_closed_spider_and_sun_pass_the_edge_cap(capsys):
+    """The closed forms answer up to 40 vertices, whatever the edge count."""
+    for spec in ("spider(9,9,9)", "sun(3;8,8,8)"):  # 27 edges each
+        assert main(["csf", spec]) == 0
+        assert capsys.readouterr().out.endswith("  (closed)\n")
+
+
 def test_line_graph_of_a_sparse_graph(capsys):
     """The line graph walks the edges of G, not its vertices."""
     start = time.perf_counter()
@@ -210,8 +239,8 @@ def test_line_graph_of_a_sparse_graph(capsys):
     assert capsys.readouterr().out == "X[line(edges[100000000:(0,1)])] = e[1]  (subsets)\n"
 
 
-#: a spec with no closed CSF form, over every vertex bound (105 vertices)
-OVER = "sun(3;100,1,1)"
+#: a spec with no closed CSF form, over every vertex bound (107 vertices)
+OVER = "sun(4;100,1,1,1)"
 #: verify parameters over the subset oracle's vertex bound, for each identity
 #: but distinguishability, whose sun bound has its own test in test_cli.py
 OVER_BOUND_PARAMS = {

@@ -251,16 +251,16 @@ CLI_CALLS = next(
 #: digits of the sha256 of its stdout, so any change to that output shows up
 #: as an edit here
 CLI_JSON_SHA256 = {
-    "csf sun(3;3,3,3) --basis s": (0, "fc91c171e4897965"),
+    "csf sun(3;3,3,3) --basis s": (0, "ab709f963a81fc2c"),
     "csf dumbbell(4,1,8) --basis s": (0, "02bd00824eb6cb20"),
     "csf sun(4;3,2,3,2) --basis s": (0, "c88f069bb401aea3"),
     "csf cdumbbell(5,3,7) --basis s": (0, "89b10ad365efcb61"),
-    "csf spider(4,4,3) --basis p": (0, "96c53492341ccd01"),
+    "csf spider(4,4,3) --basis p": (0, "ccc6e8b92f9213fa"),
     "csf tadpole(6,7) --basis p": (0, "b3433b2c5fdee0c0"),
     "csf csun(4;3,2,3,2) --basis p": (0, "7023bb14e1b3da32"),
     "csf sdumbbell(5,4,6) --basis p": (0, "0b65b8a1ff830901"),
     "csf dumbbell(5,6,5) --basis p": (0, "0e6b36ce84822d68"),
-    "positivity sun(3;4,4,3) --basis s": (0, "aee32e38940c9d20"),
+    "positivity sun(3;4,4,3) --basis s": (0, "ce634f165fa49112"),
     "scan sun(3;4,4,3)": (0, "21f7c4592188a820"),
     "scan sun(4;2,2,2,2)": (0, "0f0272fbb0c82e2c"),
     "chrompoly line(cdumbbell(4,0,4))": (0, "122957a17d6a1655"),

@@ -37,9 +37,13 @@ ROOT = Path(__file__).resolve().parent.parent
 
 
 def seed_list(text: str) -> list:
-    """``"1-10"`` -> 1..10; ``"3,5,9"`` -> those seeds."""
+    """``"1-10"`` -> 1..10; ``"3,5,9"`` -> those seeds.  A range that names
+    no seed, such as ``"5-3"``, is refused, so argparse exits 2 before any
+    revision is exported."""
     if "-" in text:
         lo, hi = map(int, text.split("-"))
+        if lo > hi:
+            raise argparse.ArgumentTypeError(f"empty seed range {text!r}")
         return list(range(lo, hi + 1))
     return [int(s) for s in text.split(",")]
 
