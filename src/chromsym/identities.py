@@ -347,14 +347,14 @@ def _grid_dumbbell(cap):
 
 
 def _grid_cdumbbell(cap):
-    # The dumbbell grid's triples of at most 26 edges, C(m,2) + C(n,2) + l + 1,
-    # in its order; each loop ends once the count passes 26, so no cap walks
-    # further.  The bound is the grid's own, not the CSF engines' guard.
+    # The dumbbell grid's triples whose C(m,2) + C(n,2) + l + 1 edges pass the
+    # CSF engines' guard ``CSF_EDGE_CAP``, in its order; each loop ends once
+    # the count passes it, so no cap walks further.
     for m in range(3, cap + 1):
-        if comb(m, 2) + 3 > 26:  # no n >= 3 fits
+        if comb(m, 2) + 3 > CSF_EDGE_CAP:  # no n >= 3 fits
             break
         for n in range(3, cap + 1):
-            room = 26 - comb(m, 2) - comb(n, 2)  # edges left for the handle's l + 1
+            room = CSF_EDGE_CAP - comb(m, 2) - comb(n, 2)  # edges left for the handle's l + 1
             if room < 0:
                 break
             for l in range(-1, min(cap - m - n, room - 1) + 1):

@@ -39,13 +39,6 @@ class Partition(tuple):
             return self
         return Partition(sum(1 for p in self if p >= i) for i in range(1, self[0] + 1))
 
-    def multiplicities(self) -> dict:
-        """Map part value -> number of times it occurs."""
-        mult = {}
-        for p in self:
-            mult[p] = mult.get(p, 0) + 1
-        return mult
-
     def __str__(self) -> str:
         return "[" + ",".join(str(p) for p in self) + "]"
 

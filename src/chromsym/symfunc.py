@@ -11,20 +11,18 @@ divides them.  ``e -> s`` and ``s -> e`` expand one basis element at a time,
 each row memoized per element and keyed on those integers, and ``e -> s``
 also memoizes the one step its rows share.
 
-* ``p -> e`` and ``e -> p`` expand each one-part element by the signed
-  integer formulas
-  :math:`p_i = \\sum_{\\mu \\vdash i} (-1)^{i-\\ell(\\mu)}
-  \\frac{i\\,(\\ell(\\mu)-1)!}{\\prod_j m_j(\\mu)!}\\, e_\\mu` and
-  :math:`i!\\,e_i = \\sum_{\\mu \\vdash i} (-1)^{i-\\ell(\\mu)}
-  \\frac{i!}{z_\\mu}\\, p_\\mu`,
+* ``p -> e`` and ``e -> p`` build each one-part element's row from the
+  smaller rows on count keys, with no partition enumerated, by Newton's
+  identities (Macdonald I.2),
+  :math:`p_n = \\sum_{i<n} (-1)^{i-1} e_i\\, p_{n-i} + (-1)^{n-1} n\\, e_n` and
+  :math:`n!\\,e_n = \\sum_{i=1}^{n} (-1)^{i-1} \\frac{(n-1)!}{(n-i)!}\\, p_i\\,(n-i)!\\,e_{n-i}`,
   memoized per part and key width, and multiply out a whole function at once
   by nested (Horner) evaluation over the trie of its indices, each index an
   integer count vector.  The CSF oracle hands its table to that evaluator
-  on the same keys, with no ``SymFunc`` between.  For
-  ``e -> p`` the product of the :math:`\\lambda_j!\\,e_{\\lambda_j}`,
-  weighted by the multinomial :math:`d!/\\prod_j \\lambda_j!`, is
-  :math:`d!\\,e_\\lambda`, so the sums stay integral and each output term
-  is divided by :math:`d!` once.
+  on the same keys, with no ``SymFunc`` between.  For ``e -> p`` the product
+  of the :math:`\\lambda_j!\\,e_{\\lambda_j}`, weighted by the multinomial
+  :math:`d!/\\prod_j \\lambda_j!`, is :math:`d!\\,e_\\lambda`, so the sums
+  stay integral and each output term is divided by :math:`d!` once.
 * ``e -> s`` grows :math:`e_\\mu` one part at a time by the dual Pieri rule
   (:math:`s_\\lambda e_k` is the sum of :math:`s_\\nu` over the vertical
   k-strips :math:`\\nu/\\lambda`), so its coefficients are the Kostka numbers
@@ -242,7 +240,7 @@ class SymFunc:
 #
 # Each expansion is a tuple of (index, coefficient) pairs.  Every conversion
 # row is keyed on the ``_count_keys`` integers of its degree (``_keyed``
-# encodes the one-part rows), and a conversion names them as Partitions once,
+# builds the one-part rows), and a conversion names them as Partitions once,
 # when it returns.  Only ``SymFunc.__mul__`` merges tuples, by ``_merge``.
 
 
@@ -251,31 +249,36 @@ def _merge(mu: tuple, nu: tuple) -> tuple:
     return tuple(sorted(mu + nu, reverse=True))
 
 
-def _power_in_e(i: int) -> tuple:
-    """e-expansion of p_i by the signed multinomial formula (integer coefficients)."""
-    return tuple(
-        (mu, (-1) ** (i - len(mu)) * i * factorial(len(mu) - 1) // prod(map(factorial, mu.multiplicities().values())))
-        for mu in partitions_of(i)
-    )
+def _power_in_e(n: int, i: int) -> int:
+    """Newton's identity p_n = sum_{i<n} (-1)^(i-1) e_i p_{n-i} + (-1)^(n-1) n e_n:
+    the coefficient of e_i times the row of p_{n-i}."""
+    return (-1) ** (i - 1) * (n if i == n else 1)
 
 
-def _elementary_in_p(i: int) -> tuple:
-    """p-expansion of i! * e_i, the signed sum of (i! / z_mu) p_mu over mu |- i.
-
-    i! / z_mu counts the permutations of cycle type mu, so every coefficient
-    is an integer.
-    """
-    return tuple(
-        (mu, (-1) ** (i - len(mu)) * factorial(i) // prod(p**m * factorial(m) for p, m in mu.multiplicities().items()))
-        for mu in partitions_of(i)
-    )
+def _elementary_in_p(n: int, i: int) -> int:
+    """Newton's identity n! e_n = sum_i (-1)^(i-1) (n-1)!/(n-i)! p_i (n-i)! e_{n-i}:
+    the coefficient of p_i times the row of (n-i)! e_{n-i}.  Every row is
+    integral: its p_mu entry is +-n!/z_mu, the permutations of cycle type mu."""
+    return (-1) ** (i - 1) * factorial(n - 1) // factorial(n - i)
 
 
 @lru_cache(maxsize=None)
-def _keyed(one_part, i: int, width: int) -> tuple:
-    """``one_part(i)`` on ``_count_keys`` integers of ``width`` bits per part:
-    the memo of p -> e and e -> p, one row for every degree of that width."""
-    return tuple((sum(1 << width * (part - 1) for part in mu), c) for mu, c in one_part(i))
+def _keyed(rule, n: int, width: int) -> tuple:
+    """The one-part row of ``rule`` on ``_count_keys`` integers of ``width``
+    bits per part, by the recurrence row(0) = 1 and row(n) = the sum over
+    i = 1..n of ``rule(n, i)`` times unit(i) times row(n - i), zero sums
+    dropped: the memo of p -> e and e -> p, one row for every part of that
+    width, each built from the smaller rows with no partition enumerated."""
+    if not n:
+        return ((0, 1),)
+    acc = {}
+    get = acc.get
+    for i in range(1, n + 1):
+        u, c = 1 << width * (i - 1), rule(n, i)
+        for key, a in _keyed(rule, n - i, width):
+            key += u
+            acc[key] = get(key, 0) + c * a
+    return tuple((key, c) for key, c in acc.items() if c)
 
 
 def _vertical_strips(lam: tuple, k: int) -> list:
@@ -403,17 +406,18 @@ def _apply(f: SymFunc, source: Basis, target: Basis, expand) -> SymFunc:
     return _divided(target, f.degree, terms, den)
 
 
-def _nested(table: dict, degree: int, target: Basis, one_part, den: int = 1) -> SymFunc:
+def _nested(table: dict, degree: int, target: Basis, rule, den: int = 1) -> SymFunc:
     """The linear map sending each basis element b_lam to the product of the
-    integral ``one_part(lam_j)``, in a ``target`` basis that multiplies by
-    index concatenation, divided once by ``den``.  ``table`` holds integer
-    coefficients keyed on ``_count_keys(degree)`` integers.
+    integral rows ``_keyed(rule, lam_j, width)`` of Newton's identity ``rule``,
+    in a ``target`` basis that multiplies by index concatenation, divided once
+    by ``den``.  ``table`` holds integer coefficients keyed on
+    ``_count_keys(degree)`` integers.
 
     Nested (Horner) evaluation over the trie of the indices, parts in
     decreasing order.  A node is a key with its 1s removed.  Its value holds
     the coefficients of the table's keys that reduce to it, keyed on their
-    1s, plus, over its children, ``one_part(s)`` times the child's value,
-    where s is the child's smallest part.  ``one_part(1)`` is the index (1)
+    1s, plus, over its children, the row of s times the child's value,
+    where s is the child's smallest part.  The row of 1 is the index (1)
     alone, so the 1s add no node and only stay in the key.  A node's parent
     is ``node - unit[s]``, a smaller integer, so walking the nodes in
     decreasing order folds each into its parent after its children, with no
@@ -433,7 +437,7 @@ def _nested(table: dict, degree: int, target: Basis, one_part, den: int = 1) -> 
         s = ((node & -node).bit_length() - 1) // width + 1  # the smallest part; a node has no 1s
         parent = sums[node - unit[s]]
         get = parent.get
-        row = _keyed(one_part, s, width)
+        row = _keyed(rule, s, width)
         for key, a in sums.pop(node).items():
             for k, c in row:
                 k += key
@@ -444,9 +448,10 @@ def _nested(table: dict, degree: int, target: Basis, one_part, den: int = 1) -> 
 def _encoded(f: SymFunc, source: Basis, weight=None):
     """``f``'s numerators over one common denominator, keyed on
     ``_count_keys(f.degree)`` integers, each times ``weight(lam)`` if given:
-    ``(table, den)``, the input of ``_nested``.  The row of a part enumerates
-    that part's partitions, so a part above ``DEFAULT_ENUMERATION_CAP`` is
-    refused by ``partitions_of`` here, before the degree's keys are built."""
+    ``(table, den)``, the input of ``_nested``.  The row of a part n is built
+    with every smaller row, one entry per partition of each k <= n, so a part
+    above ``DEFAULT_ENUMERATION_CAP`` is refused by ``partitions_of`` here,
+    before the degree's keys are built."""
     den, scaled = _scaled(f, source)
     top = max((lam[0] for lam in scaled if lam), default=0)
     if top > DEFAULT_ENUMERATION_CAP:

@@ -20,15 +20,43 @@ def test_sign_test_is_exact_and_two_sided(wins, losses, p):
 
 def test_compare_counts_wins_in_the_metric_direction():
     pairs = [(1.0, 2.0), (2.0, 2.0), (3.0, 1.0), (4.0, 5.0), (5.0, 6.0)]
-    higher = abpairs.compare(pairs, "higher")
+    higher = abpairs.compare(pairs, "higher", 0.2)
     assert (higher["wins_b"], higher["ties"]) == (3, 1)
     assert higher["sign_test_p"] == 2 * (1 + 4) / 16
     assert higher["a"] == {"median": 3.0, "q1": 2.0, "q3": 4.0}
     assert higher["b"] == {"median": 2.0, "q1": 2.0, "q3": 5.0}
     assert higher["change"] == 2.0 / 3.0 - 1
-    lower = abpairs.compare(pairs, "lower")
+    lower = abpairs.compare(pairs, "lower", 0.2)
     assert (lower["wins_b"], lower["ties"]) == (1, 1)
     assert lower["pairs"] == [list(p) for p in pairs]
+
+
+@pytest.mark.parametrize(
+    "better, pairs, bound, within, spread, unresolved",
+    [
+        # A: median 100, quartiles 95 and 105; B's median 85 is 15% lower
+        ("higher", [(90, 80), (95, 85), (100, 85), (105, 90), (110, 95)], 0.2, True, 0.1, False),
+        ("higher", [(90, 80), (95, 85), (100, 85), (105, 90), (110, 95)], 0.1, False, 0.1, False),
+        ("lower", [(90, 80), (95, 85), (100, 85), (105, 90), (110, 95)], 0.05, True, 0.1, True),
+        # A: median 2, quartiles 1.5 and 3; B's median 2.5 is 25% higher
+        ("lower", [(1.0, 2.0), (1.5, 2.5), (2.0, 2.5), (3.0, 3.0), (4.0, 2.0)], 0.24, False, 0.75, True),
+        ("higher", [(1.0, 2.0), (1.5, 2.5), (2.0, 2.5), (3.0, 3.0), (4.0, 2.0)], 0.24, True, 0.75, True),
+        # exactly at the bound is within it
+        ("lower", [(4.0, 5.0)], 0.25, True, 0.0, False),
+    ],
+)
+def test_bound_and_spread(better, pairs, bound, within, spread, unresolved):
+    """B's median against A's within the metric's bound in the worse
+    direction, and A's quartile spread against the same bound."""
+    got = abpairs.compare(pairs, better, bound)
+    assert got["within_bound"] is within
+    assert got["a_spread"] == pytest.approx(spread)
+    assert got["unresolved"] is unresolved
+
+
+def test_a_zero_median_has_no_change_or_spread():
+    got = abpairs.compare([(0.0, 1.0), (0.0, 2.0)], "lower", 0.1)
+    assert (got["change"], got["within_bound"], got["a_spread"], got["unresolved"]) == (None, None, None, None)
 
 
 def test_summary_of_one_value_and_of_four():

@@ -419,7 +419,7 @@ def ref_path_closed(d):
     + sum_i multinomial(a with a_i-1) prod_{j != i} (j-1)^{a_j} (i-1)^{a_i-1}, with 0^0 = 1."""
     terms = {}
     for lam in partitions_of(d):
-        mult = lam.multiplicities()
+        mult = Counter(lam)
         coeff = multinomial(list(mult.values()))
         for j, a in mult.items():
             coeff *= (j - 1) ** a
@@ -436,7 +436,7 @@ def ref_cycle_closed(d):
     """The coefficient of e_lambda is sum_i multinomial(a with a_i-1) i prod_j (j-1)^{a_j}."""
     terms = {}
     for lam in partitions_of(d):
-        mult = lam.multiplicities()
+        mult = Counter(lam)
         full = math.prod((j - 1) ** a for j, a in mult.items())
         terms[lam] = sum(multinomial([mult[j] - (j == i) for j in mult]) * i * full for i in mult)
     return SymFunc(Basis.E, d, terms)

@@ -66,9 +66,6 @@ class TestPartitionType:
         assert len(lam) == 3
         assert Partition().weight == 0
 
-    def test_multiplicities(self):
-        assert Partition((3, 2, 2, 1)).multiplicities() == {3: 1, 2: 2, 1: 1}
-
     def test_str_largest_part_first(self):
         assert str(Partition((1, 3, 2))) == "[3,2,1]"
         assert str(Partition()) == "[]"

@@ -6,6 +6,7 @@ import resource
 import subprocess
 import sys
 import time
+from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, partial
 from math import comb, factorial, lcm, prod
@@ -17,13 +18,14 @@ from test_partitions import coarsenings
 
 import chromsym
 from chromsym import identities, parse_graph_spec, symfunc
-from chromsym.csf import csf_path_closed, csf_subsets
-from chromsym.partitions import Partition, _count_keys, partitions_of
+from chromsym.csf import compute_csf, csf_path_closed, csf_subsets
+from chromsym.partitions import DEFAULT_ENUMERATION_CAP, Partition, _count_keys, partitions_of
 from chromsym.symfunc import (
     Basis,
     DEFAULT_TRANSITION_CAP,
     SymFunc,
     _elementary_in_p,
+    _keyed,
     _nested,
     _power_in_e,
     convert,
@@ -110,7 +112,7 @@ def reference_elementary_in_p(i):
     out = []
     for mu in partitions_of(i):
         z = 1
-        for part, m in mu.multiplicities().items():
+        for part, m in Counter(mu).items():
             z *= part**m * factorial(m)
         out.append((tuple(mu), Fraction((-1) ** (i - len(mu)), z)))
     return out
@@ -210,8 +212,27 @@ def ref_multinomial(counts) -> int:
     return out
 
 
-ref_power_in_e = lru_cache(maxsize=None)(_power_in_e)
-ref_elementary_in_p = lru_cache(maxsize=None)(_elementary_in_p)
+# The per-partition formulas that Newton's identities replaced, indices as
+# sorted tuples: the reference the ``_keyed`` rows are pinned to.
+
+
+@lru_cache(maxsize=None)
+def ref_power_in_e(i: int) -> tuple:
+    """e-expansion of p_i by the signed multinomial formula:
+    (-1)^(i - l(mu)) i (l(mu) - 1)! / prod_j m_j(mu)! over mu |- i."""
+    return tuple(
+        (mu, (-1) ** (i - len(mu)) * i * factorial(len(mu) - 1) // prod(map(factorial, Counter(mu).values())))
+        for mu in map(tuple, partitions_of(i))
+    )
+
+
+@lru_cache(maxsize=None)
+def ref_elementary_in_p(i: int) -> tuple:
+    """p-expansion of i! e_i: (-1)^(i - l(mu)) i! / z_mu over mu |- i."""
+    return tuple(
+        (mu, (-1) ** (i - len(mu)) * factorial(i) // prod(p**m * factorial(m) for p, m in Counter(mu).items()))
+        for mu in map(tuple, partitions_of(i))
+    )
 
 
 def ref_p_to_e(f):
@@ -599,7 +620,7 @@ class TestElementaryExpansions:
         # sum_mu 1/z_mu = 1 and e_i(1) = 0 for i >= 2: a dropped sign or a
         # wrong z_mu breaks one of the two sums
         for i in range(1, DEFAULT_TRANSITION_CAP + 1):
-            table = _elementary_in_p(i)
+            table = _keyed(_elementary_in_p, i, DEFAULT_TRANSITION_CAP.bit_length())
             assert all(type(c) is int for _, c in table), i
             assert sum(abs(c) for _, c in table) == factorial(i), i
             assert sum(c for _, c in table) == (1 if i == 1 else 0), i
@@ -640,18 +661,20 @@ class TestNestedMatchesProducts:
         assert_same_output(p_to_e(f), ref_p_to_e(f))
 
     @pytest.mark.parametrize(
-        "source, target, one_part", [(Basis.P, Basis.E, _power_in_e), (Basis.E, Basis.P, _elementary_in_p)], ids=["p-e", "e-p"]
+        "source, target, rule, reference",
+        [(Basis.P, Basis.E, _power_in_e, ref_power_in_e), (Basis.E, Basis.P, _elementary_in_p, ref_elementary_in_p)],
+        ids=["p-e", "e-p"],
     )
-    def test_degree_64_names_only_the_keys_it_meets(self, source, target, one_part):
+    def test_degree_64_names_only_the_keys_it_meets(self, source, target, rule, reference):
         """The output keys are named as they are met: degree 64 has about 1.7
         million partitions, and a few-term function still converts at once."""
         f = SymFunc(source, 64, {(1,) * 64: 3, (2,) * 32: -1, (4, 3) + (2,) * 28 + (1,): 2})
         unit, decode = _count_keys(64)
         table = {sum(map(unit.__getitem__, lam)): int(c) for lam, c in f.terms.items()}
         start = time.perf_counter()
-        out = _nested(table, 64, target, one_part)
+        out = _nested(table, 64, target, rule)
         assert time.perf_counter() - start < 1
-        assert_same_output(out, ref_nested(f, source, target, one_part))
+        assert_same_output(out, ref_nested(f, source, target, reference))
         assert len(decode.__self__) < 10_000 and _count_keys(64)[1] == decode
 
     def test_many_parts_do_not_recurse(self):
@@ -703,6 +726,54 @@ def run_child(code: str, limit_mb: int = 0):
 #: the child's own peak RSS in MB.  ``ru_maxrss`` would also count the pages of
 #: the test process it was forked from, so the child reads its VmHWM instead.
 PRINT_PEAK_MB = "\nprint(next(int(t.split()[1]) for t in open('/proc/self/status') if t.startswith('VmHWM')) / 1024)\n"
+
+
+class TestNewtonRows:
+    """The one-part rows of p -> e and e -> p, built by Newton's identities on
+    count keys, against the per-partition formulas kept above."""
+
+    @pytest.fixture
+    def ref_rows(self):
+        yield
+        ref_power_in_e.cache_clear()
+        ref_elementary_in_p.cache_clear()
+
+    @pytest.mark.parametrize("width", range(1, 7))
+    @pytest.mark.parametrize(
+        "rule, reference, top",
+        [
+            (_power_in_e, ref_power_in_e, DEFAULT_ENUMERATION_CAP),
+            (_elementary_in_p, ref_elementary_in_p, DEFAULT_TRANSITION_CAP),
+        ],
+        ids=["p-e", "e-p"],
+    )
+    def test_rows_match_the_partition_formulas(self, rule, reference, top, width, ref_rows):
+        # every part whose counts fit width bits (n < 2**width), up to the
+        # largest part its conversion takes
+        for n in range(1, min(2**width - 1, top) + 1):
+            want = {sum(1 << width * (part - 1) for part in mu): c for mu, c in reference(n)}
+            assert dict(_keyed(rule, n, width)) == want, (n, width)
+
+    def test_no_partition_is_enumerated(self):
+        """p -> e and e -> p of a degree-14 CSF in a process whose partition
+        enumeration raises give what this process computes."""
+        f = compute_csf("spider(5,5,3)")[0]
+        p = e_to_p(f)
+        code = (
+            "import json\n"
+            "from chromsym import partitions\n"
+            "from chromsym.symfunc import SymFunc, e_to_p, p_to_e\n"
+            "def refuse(n):\n"
+            "    raise AssertionError(f'the partitions of {n} were enumerated')\n"
+            "partitions._partition_list = refuse\n"
+            f"f = SymFunc.from_json_obj(json.loads({json.dumps(f.to_json_obj())!r}))\n"
+            "p = e_to_p(f)\n"
+            "print(json.dumps([p.to_json_obj(), p_to_e(p).to_json_obj()]))\n"
+        )
+        status, out, err = run_child(code)
+        assert status == 0, err
+        assert out.strip() == json.dumps([p.to_json_obj(), p_to_e(p).to_json_obj()])
+        assert p_to_e(p) == f
 
 
 class TestMemory:

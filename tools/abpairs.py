@@ -17,8 +17,12 @@ Prints one JSON object.  Per end-to-end metric of ``BENCHMARK.json``: each
 pair's values (A, B), each side's median and quartiles, B's median change
 over A's, the pairs B wins and ties (the direction read from the metric's
 ``better``), and an exact two-sided sign-test p-value over the pairs that
-are not tied.  Per side: the operations attempted and failed, and the runs
-whose outputs were not all correct.
+are not tied.  Against the metric's ``bound``: whether B's median is worse
+than A's by at most the bound (``within_bound``), and A's quartile spread,
+(q3 - q1) / median, with whether it exceeds the bound (``unresolved``: the
+pairs cannot tell a move of that size from noise).  Per side: the
+operations attempted and failed, and the runs whose outputs were not all
+correct.
 """
 
 from __future__ import annotations
@@ -62,21 +66,29 @@ def summary(values: list) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3}
 
 
-def compare(pairs: list, better: str) -> dict:
+def compare(pairs: list, better: str, bound: float) -> dict:
     """The statistics of one metric over (A, B) pairs; B wins a pair when it
-    is better in the direction ``better`` ("higher" or "lower")."""
+    is better in the direction ``better`` ("higher" or "lower").  B's median
+    is within ``bound`` when it is worse than A's by at most that fraction of
+    A's, and the pairs are unresolved when A's quartile spread over its
+    median exceeds ``bound``."""
     sign = 1 if better == "higher" else -1
     wins = sum(sign * (b - a) > 0 for a, b in pairs)
     ties = sum(a == b for a, b in pairs)
     a, b = summary([a for a, _ in pairs]), summary([b for _, b in pairs])
+    change = b["median"] / a["median"] - 1 if a["median"] else None
+    spread = (a["q3"] - a["q1"]) / a["median"] if a["median"] else None
     return {
         "pairs": [list(p) for p in pairs],
         "a": a,
         "b": b,
-        "change": b["median"] / a["median"] - 1 if a["median"] else None,
+        "change": change,
         "wins_b": wins,
         "ties": ties,
         "sign_test_p": sign_test_p(wins, len(pairs) - wins - ties),
+        "within_bound": None if change is None else sign * change >= -bound,
+        "a_spread": spread,
+        "unresolved": None if spread is None else spread > bound,
     }
 
 
@@ -122,7 +134,7 @@ def main(argv=None) -> int:
                 print(f"seed {seed} {side} done", file=sys.stderr, flush=True)
     metrics = {
         m["name"]: compare([(a["metrics"][m["name"]]["value"], b["metrics"][m["name"]]["value"])
-                            for a, b in zip(results["a"], results["b"])], m["better"])
+                            for a, b in zip(results["a"], results["b"])], m["better"], m["bound"])
         for m in bench["end_to_end"]
     }
     sides = {
