@@ -48,17 +48,20 @@ Engines:
   ``GraphSpec.check`` (the cycle form, which admits d = 2, by the rules'
   ``_check_sizes``) and its vertex bound before any arithmetic.  Paths and
   cycles come from one series rule, ``_series``; tadpoles, lollipops and
-  dumbbells remove each body by one rule, ``_eliminate``.  Paths, cycles,
-  tadpoles and lollipops are memoized for the life of the process: the
-  series recursion reads every smaller path or cycle, and every elimination
-  reads its tails R(j), the paths of a tadpole or lollipop and the tadpoles
-  or lollipops of a dumbbell, which neighbouring arguments share.  These
-  memos key on argument types too, so a float equal to a cached integer
-  still meets its rule.  A whole dumbbell is one elimination over those
-  memoized tails and is not memoized, as no workload asks for the same
-  dumbbell twice, nor are spiders and 3-body suns, sums of path products,
-  which return None, before their guard, for four or more legs or a larger
-  body: ``compute_csf`` builds and guards those as any other spec.
+  dumbbells remove each body by one rule, ``_eliminate``.  Every form works
+  on (key, coefficient) pairs of the one table
+  ``_count_keys(DEFAULT_ENUMERATION_CAP)``, where a count of at most 40 never
+  carries, through one accumulator, ``_acc``, and names its result as
+  Partitions once.  The pairs of paths, cycles, tadpoles and lollipops are
+  memoized for the life of the process (``_path_keys`` and its siblings):
+  the series recursion reads every smaller path or cycle, and every
+  elimination reads its tails R(j), the paths of a tadpole or lollipop and
+  the tadpoles or lollipops of a dumbbell, which neighbouring arguments
+  share.  Every public call runs its guard before any memo, so a memo sees
+  checked integers only.  Dumbbells, spiders and 3-body suns, sums of path
+  products each made once, are not memoized, as no workload asks for the
+  same one twice; four or more legs or a larger sun body return None, before
+  their guard: ``compute_csf`` builds and guards those as any other spec.
 
 Component products, block products and the tree and clique closings are
 theorems about all graphs, not family formulas: no ``*_closed`` function is
@@ -101,9 +104,10 @@ CSF_EDGE_CAP = 26
 DEFAULT_CHROMPOLY_EDGE_CAP = 40
 
 
-def _guard(route: str, size: int, cap: int = DEFAULT_ENUMERATION_CAP, unit: str = "vertices") -> None:
+def _guard(route: str, size: int, cap: int = DEFAULT_ENUMERATION_CAP, unit: str = "vertices") -> int:
     if size > cap:
         raise ValueError(f"{route} guarded at {cap} {unit}, graph has {size}")
+    return size
 
 
 # ------------------------------------------------------------- subset oracle
@@ -357,22 +361,54 @@ def csf_dc(g: Graph) -> SymFunc:
 # ------------------------------------------------------------- closed forms
 
 
-def _closed_guard(family: str, *args) -> None:
-    """The family's argument rule, then the vertex bound, before any arithmetic."""
-    _guard("closed form", GraphSpec(family, args).check())
+#: the key of each one-part multiset {s} and the Partition of a key, on the one
+#: table of every closed form: parts up to 40, 6 bits per part, and no count can
+#: reach 64 on the at most 40 vertices its guard admits, so none carries
+_UNIT, _NAME = _count_keys(DEFAULT_ENUMERATION_CAP)
+_ONE = ((0, 1),)  # e_0 = 1
 
 
-def _series(lead: int, d: int, smallest: int, smaller) -> SymFunc:
-    """lead e_d + sum_{i=2}^{d-smallest} (i-1) e_i X_{d-i}, where X_k = ``smaller(k)``:
-    the z^d coefficient of a generating function N(z) / (1 - sum_{i>=2} (i-1) e_i z^i)
-    whose smallest member X_k has k = ``smallest``."""
-    out = SymFunc.single(Basis.E, (d,), lead)
-    for i in range(2, d - smallest + 1):
-        out = out + (i - 1) * SymFunc.single(Basis.E, (i,)) * smaller(d - i)
+def _closed_guard(family: str, *args) -> int:
+    """The family's argument rule, then the vertex bound, before any arithmetic: |V|."""
+    return _guard("closed form", GraphSpec(family, args).check())
+
+
+def _acc(out: dict, c: int, a, b=_ONE) -> dict:
+    """out += c a b, for ``a`` and ``b`` (key, coefficient) pairs: a product adds keys."""
+    get = out.get
+    for ka, va in a:
+        va *= c
+        for kb, vb in b:
+            k = ka + kb
+            out[k] = get(k, 0) + va * vb
     return out
 
 
-@lru_cache(maxsize=None, typed=True)
+def _named(d: int, pairs) -> SymFunc:
+    """The e-basis ``SymFunc`` of degree d of count-key pairs, each key named once."""
+    return SymFunc._trusted(Basis.E, d, {_NAME(k): c for k, c in pairs})
+
+
+def _series(lead: int, d: int, smallest: int, smaller) -> tuple:
+    """lead e_d + sum_{i=2}^{d-smallest} (i-1) e_i X_{d-i}, where X_k = ``smaller(k)``:
+    the z^d coefficient of a generating function N(z) / (1 - sum_{i>=2} (i-1) e_i z^i)
+    whose smallest member X_k has k = ``smallest``."""
+    out = {_UNIT[d]: lead}
+    for i in range(2, d - smallest + 1):
+        _acc(out, i - 1, smaller(d - i), ((_UNIT[i], 1),))
+    return tuple((k, c) for k, c in out.items() if c)
+
+
+@lru_cache(maxsize=None)
+def _path_keys(d: int) -> tuple:
+    return _series(d, d, 1, _path_keys)
+
+
+@lru_cache(maxsize=None)
+def _cycle_keys(d: int) -> tuple:
+    return _series(d * (d - 1), d, 2, _cycle_keys)
+
+
 def csf_path_closed(d: int) -> SymFunc:
     """e-expansion of the path on d >= 1 vertices, from the generating function
     sum_{n>=0} X_{P_n} z^n = sum_{i>=0} e_i z^i / (1 - sum_{i>=2} (i-1) e_i z^i)
@@ -380,11 +416,9 @@ def csf_path_closed(d: int) -> SymFunc:
 
         X_{P_d} = d e_d + sum_{i=2}^{d-1} (i-1) e_i X_{P_{d-i}}.
     """
-    _closed_guard("path", d)
-    return _series(d, d, 1, csf_path_closed)
+    return _named(d, _path_keys(_closed_guard("path", d)))
 
 
-@lru_cache(maxsize=None, typed=True)
 def csf_cycle_closed(d: int) -> SymFunc:
     """e-expansion of the cycle on d >= 2 vertices, from the generating function
     sum_{n>=2} X_{C_n} z^n = sum_{i>=2} i(i-1) e_i z^i / (1 - sum_{i>=2} (i-1) e_i z^i)
@@ -395,8 +429,7 @@ def csf_cycle_closed(d: int) -> SymFunc:
     d = 2 gives 2 e_2, the single edge K_2 (the degenerate two-cycle), which
     keeps every elimination formula below uniform.
     """
-    _guard("closed form", _check_sizes(2, "cycle forms need d >= 2", d))
-    return _series(d * (d - 1), d, 2, csf_cycle_closed)
+    return _named(d, _cycle_keys(_guard("closed form", _check_sizes(2, "cycle forms need d >= 2", d))))
 
 
 def clique_weight(a: int, i: int) -> int:
@@ -411,7 +444,7 @@ def csf_complete_closed(n: int) -> SymFunc:
     return SymFunc.single(Basis.E, (n,), factorial(n))
 
 
-def _eliminate(body: str, m: int, rest) -> SymFunc:
+def _eliminate(body: str, m: int, rest) -> tuple:
     """X of a graph whose cycle or clique ``body`` on m vertices meets the rest
     at one vertex, by triple deletion on the body, where R(j) = ``rest(j)`` is
     X of the rest with its tail grown by j vertices:
@@ -420,24 +453,31 @@ def _eliminate(body: str, m: int, rest) -> SymFunc:
         complete: (m-1)! R(m) - sum_{k=1}^{m-2} clique_weight(m, k) X_{K_{m-k}} R(k).
     """
     cycle = body == "cycle"
-    out = (m - 1 if cycle else factorial(m - 1)) * rest(m)
+    out = _acc({}, m - 1 if cycle else factorial(m - 1), rest(m))
     for k in range(1, m - 1):
-        factor = csf_cycle_closed(m - k) if cycle else clique_weight(m, k) * csf_complete_closed(m - k)
-        out = out - factor * rest(k)
-    return out
+        factor = _cycle_keys(m - k) if cycle else ((_UNIT[m - k], clique_weight(m, k) * factorial(m - k)),)
+        _acc(out, -1, factor, rest(k))
+    return tuple((k, c) for k, c in out.items() if c)
 
 
-@lru_cache(maxsize=None, typed=True)
+@lru_cache(maxsize=None)
+def _tadpole_keys(a: int, b: int) -> tuple:
+    return _eliminate("cycle", a, lambda j: _path_keys(b + j))
+
+
+@lru_cache(maxsize=None)
+def _lollipop_keys(a: int, b: int) -> tuple:
+    return _eliminate("complete", a, lambda j: _path_keys(b + j))
+
+
 def csf_tadpole_closed(a: int, b: int) -> SymFunc:
     """X of the cycle C_a with a pendant b-vertex path, by cycle-side elimination:
 
         X = (a-1) X_{P_{a+b}} - sum_{i=2}^{a-1} X_{P_{a+b-i}} X_{C_i}.
     """
-    _closed_guard("tadpole", a, b)
-    return _eliminate("cycle", a, lambda j: csf_path_closed(b + j))
+    return _named(_closed_guard("tadpole", a, b), _tadpole_keys(a, b))
 
 
-@lru_cache(maxsize=None, typed=True)
 def csf_lollipop_closed(a: int, b: int) -> SymFunc:
     """X of the clique K_a with a pendant b-vertex path:
 
@@ -445,8 +485,28 @@ def csf_lollipop_closed(a: int, b: int) -> SymFunc:
 
     where w(a, i) = (a-1)! (a-i-1) / (a-i)! is ``clique_weight(a, i)``.
     """
-    _closed_guard("lollipop", a, b)
-    return _eliminate("complete", a, lambda j: csf_path_closed(b + j))
+    return _named(_closed_guard("lollipop", a, b), _lollipop_keys(a, b))
+
+
+def _spider(legs) -> list:
+    """The (i, w) terms w X_{P_i} X_{P_{n-i}} of a spider of at most three
+    ``legs``, n = sum(legs) + 1 (see ``csf_spider_closed``)."""
+    _, b, k = sorted((*legs, 0, 0), reverse=True)[:3]
+    return [(0, 1)] + [(i, 1) for i in range(1, k + 1)] + [(b + i, -1) for i in range(1, k + 1)]
+
+
+def _path_products(n: int, terms) -> SymFunc:
+    """The sum of w X_{P_i} X_{P_{n-i}} over the (i, w) ``terms``, X_{P_0} = 1,
+    named: like terms are collected first, so each product is made once."""
+    weights = {}
+    for i, w in terms:
+        i = min(i, n - i)
+        weights[i] = weights.get(i, 0) + w
+    out = {}
+    for i, w in weights.items():
+        if w:
+            _acc(out, w, _path_keys(i) if i else _ONE, _path_keys(n - i))
+    return _named(n, out.items())
 
 
 def csf_spider_closed(*legs):
@@ -457,10 +517,7 @@ def csf_spider_closed(*legs):
     """
     if len(legs) > 3:
         return None
-    _closed_guard("spider", *legs)
-    _, b, c = sorted((*legs, 0, 0), reverse=True)[:3]
-    path, n = csf_path_closed, sum(legs) + 1
-    return sum((path(i) * path(n - i) - path(b + i) * path(n - b - i) for i in range(1, c + 1)), path(n))
+    return _path_products(_closed_guard("spider", *legs), _spider(legs))
 
 
 def _sun3_closed(k: int, rays):
@@ -471,10 +528,9 @@ def _sun3_closed(k: int, rays):
     """
     if k != 3:
         return None
-    _closed_guard("sun", k, rays)
+    n = _closed_guard("sun", k, rays)
     a, b, c = rays
-    cut = csf_path_closed(a + 1) * csf_path_closed(b + c + 2)
-    return csf_spider_closed(a + 1, b + 1, c) + csf_spider_closed(a + 1, c + 1, b) - cut
+    return _path_products(n, _spider((a + 1, b + 1, c)) + _spider((a + 1, c + 1, b)) + [(a + 1, -1)])
 
 
 #: dumbbell family -> (body on the m vertices, body on the n vertices)
@@ -486,10 +542,10 @@ _DUMBBELL_BODIES = {
 def _dumbbell(family: str, m: int, l: int, n: int) -> SymFunc:
     """Eliminate the m-body over R(j), the n-body with tail l + j: the cached
     tadpole T(n, l + j) or lollipop L(n, l + j)."""
-    _closed_guard(family, m, l, n)
+    d = _closed_guard(family, m, l, n)
     first, second = _DUMBBELL_BODIES[family]
-    inner = csf_tadpole_closed if second == "cycle" else csf_lollipop_closed
-    return _eliminate(first, m, lambda j: inner(n, l + j))
+    inner = _tadpole_keys if second == "cycle" else _lollipop_keys
+    return _named(d, _eliminate(first, m, lambda j: inner(n, l + j)))
 
 
 def csf_dumbbell_closed(m: int, l: int, n: int) -> SymFunc:

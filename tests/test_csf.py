@@ -1,6 +1,8 @@
 import contextlib
+import hashlib
 import inspect
 import itertools
+import json
 import math
 import random
 import sys
@@ -601,6 +603,52 @@ class TestEliminationMatchesTermByTerm:
             specs += [f"{fam}({m},{l},{n})" for m, l, n in dumbbell_args(REFERENCE_CAP)]
         for spec in specs:
             assert chromatic_poly_closed(spec) == ref_chromatic(spec), spec
+
+
+#: 40-vertex spec -> the first 16 hex digits of the sha256 of
+#: ``json.dumps(f.to_json_obj()) + str(f)`` for its closed form f, as
+#: ``SymFunc`` products and sums computed it before the forms moved to count keys
+CLOSED_FORM_SHA256 = {
+    "dumbbell(20,-1,21)": "d2eacaa3ffff8dad",
+    "csun(3;12,12,13)": "3916ded84946c272",
+    "spider(13,13,13)": "e59ec4bf28ff849e",
+    "cdumbbell(10,20,10)": "381b1cf34cf95734",
+    "sdumbbell(19,0,21)": "ccb9b17926e33a70",
+}
+
+
+def small_closed_specs(cap=14):
+    """Every spec of each ``_CLOSED_FORMS`` family with arguments in -1..7 that
+    its rule admits, on at most ``cap`` vertices."""
+    for family in csf_module._CLOSED_FORMS:
+        for args in closed_arg_lists(family, range(-1, 8)):
+            spec = GraphSpec(family, args)
+            with contextlib.suppress(ValueError):
+                if spec.check() <= cap:
+                    yield spec
+
+
+class TestClosedFormsOnCountKeys:
+    def test_no_symfunc_arithmetic(self, monkeypatch):
+        """The forms add and multiply count keys, and only name the result:
+        with every ``SymFunc`` operator failing and every memo of ``csf``
+        emptied, each form still returns what it returned before."""
+        specs = list(small_closed_specs())
+        assert {spec.family for spec in specs} == set(csf_module._CLOSED_FORMS)
+        expected = [closed_csf_for(spec) for spec in specs]
+        for memo in vars(csf_module).values():
+            if hasattr(memo, "cache_clear"):
+                memo.cache_clear()
+        for name in ("__add__", "__sub__", "__mul__", "__rmul__", "__neg__"):
+            monkeypatch.setattr(SymFunc, name, lambda *a, name=name: pytest.fail(f"SymFunc.{name} ran"))
+        for spec, f in zip(specs, expected):
+            assert closed_csf_for(spec) == f, spec
+
+    def test_forty_vertex_forms_are_pinned(self):
+        for text, digest in CLOSED_FORM_SHA256.items():
+            f = closed_csf_for(parse_graph_spec(text))
+            assert f.degree == 40
+            assert hashlib.sha256((json.dumps(f.to_json_obj()) + str(f)).encode()).hexdigest()[:16] == digest, text
 
 
 class TestChromPoly:

@@ -105,15 +105,15 @@ def test_checker_sees_private_imports():
 MEMOS = {
     "csf": {
         "_cycle_chromatic": None,
+        "_cycle_keys": None,
         "_dc_block": 1024,
         "_falling": None,
+        "_lollipop_keys": None,
+        "_path_keys": None,
         "_subsets_block": 1024,
+        "_tadpole_keys": None,
         "_tree": None,
         "_xm1_power": None,
-        "csf_cycle_closed": None,
-        "csf_lollipop_closed": None,
-        "csf_path_closed": None,
-        "csf_tadpole_closed": None,
     },
     "identities": {"_memo": 1024},
     "partitions": {"_count_keys": None, "_partition_list": None},
