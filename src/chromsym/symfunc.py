@@ -11,6 +11,17 @@ divides them.  ``e -> s`` and ``s -> e`` expand one basis element at a time,
 each row memoized per element and keyed on those integers, and ``e -> s``
 also memoizes the one step its rows share.
 
+A process's first ``e -> p``, ``e -> s`` or ``s -> e`` at a degree runs the
+route below for its direction; every later one there sums packed rows.
+Each index's integral row (for ``e -> p``, :math:`d!\\,e_\\lambda` from the
+Newton rows' product, memoized per index less its 1s) is one int whose field
+i holds its coefficient of the i-th count key met at that degree, so a
+conversion is one big-integer multiply-add per term and one read per field.
+A field is the least power of two from 64 bits that exceeds the bit lengths
+of the largest coefficient, of the largest row entry and of the number of
+terms, plus one, so no field sum reaches the bias of half a field added
+before reading, and none borrows from the next.
+
 * ``p -> e`` and ``e -> p`` build each one-part element's row from the
   smaller rows on count keys, with no partition enumerated, by Newton's
   identities (Macdonald I.2),
@@ -367,6 +378,33 @@ def _jacobi_trudi_dual(lam: Partition) -> tuple:
     return minor(0, tuple(range(len(conj))))
 
 
+@lru_cache(maxsize=None)
+def _elementary_product(lam: tuple, width: int) -> tuple:
+    """The p-expansion of prod_j lam_j! e_{lam_j} on count keys of ``width``
+    bits per part, as parallel key and coefficient tuples: the row of lam
+    less its last part times ``_keyed(_elementary_in_p, lam[-1], width)``."""
+    if not lam:
+        return (0,), (1,)
+    acc = {}
+    get = acc.get
+    row = _keyed(_elementary_in_p, lam[-1], width)
+    for key, a in zip(*_elementary_product(lam[:-1], width)):
+        for k, c in row:
+            k += key
+            acc[k] = get(k, 0) + a * c
+    return tuple(acc), tuple(acc.values())
+
+
+def _elementary_row(lam: tuple):
+    """The p-expansion of d! e_lam, d = |lam|, as (key, coefficient) pairs on
+    ``_count_keys(d)`` keys: d!/prod_j lam_j! times the row of lam less its
+    1s, with their count added to every key, as the row of 1 is p_1 alone."""
+    d, ones = sum(lam), lam.count(1)
+    keys, coeffs = _elementary_product(lam[:len(lam) - ones], d.bit_length())
+    weight = factorial(d) // prod(map(factorial, lam))
+    return zip([key + ones for key in keys], [c * weight for c in coeffs])
+
+
 # ---------------------------------------------------------------- conversions
 
 
@@ -396,7 +434,10 @@ def _divided(target: Basis, degree: int, terms: dict, den: int) -> SymFunc:
 
 def _apply(f: SymFunc, source: Basis, target: Basis, expand) -> SymFunc:
     """The linear map b_lam -> ``expand(lam)`` (integral), summed in integers
-    on the ``_count_keys(f.degree)`` keys ``expand`` gives, each named once."""
+    on the ``_count_keys(f.degree)`` keys ``expand`` gives, each named once;
+    packed at a degree this process has converted to ``target`` before."""
+    if _met_before(target, f.degree):
+        return _packed(f, source, target, expand)
     den, scaled = _scaled(f, source)
     terms = {}
     get = terms.get
@@ -404,6 +445,55 @@ def _apply(f: SymFunc, source: Basis, target: Basis, expand) -> SymFunc:
         for mu, w in expand(lam):
             terms[mu] = get(mu, 0) + a * w
     return _divided(target, f.degree, terms, den)
+
+
+#: (target basis, degree) -> the conversions into ``target`` this process has
+#: made at that degree (one direction per target): the field of each count
+#: key met there, numbered in the order met, and per index the bit length of
+#: its row's largest entry with its packed row per field width
+_met = {}
+
+
+def _met_before(target: Basis, degree: int) -> bool:
+    """Whether this process has converted into ``target`` at ``degree``; from now on it has."""
+    if (target, degree) in _met:
+        return True
+    _met[target, degree] = {}, {}
+    return False
+
+
+def _packed(f: SymFunc, source: Basis, target: Basis, rows, divisor: int = 1) -> SymFunc:
+    """``_apply`` at a degree met before, each output term also divided by
+    ``divisor``: one sum of a_lam times lam's row ``rows(lam)`` packed as one
+    int (field i its coefficient of the i-th key of ``_met``), read back one
+    field per key after a bias of half a field on each, at the width the
+    module docstring gives."""
+    den, scaled = _scaled(f, source)
+    fields, packs = _met[target, f.degree]
+    table = []
+    for lam, a in scaled.items():
+        if lam not in packs:
+            packs[lam] = max(abs(c) for _, c in rows(lam)).bit_length(), {}
+        table.append((a, lam, packs[lam]))
+    need = max((abs(a) for a, _, _ in table), default=0).bit_length() + len(table).bit_length() + 1
+    need += max((bits for _, _, (bits, _) in table), default=0)
+    width = 64
+    while width <= need:
+        width *= 2
+    step, total = width // 8, 0
+    for a, lam, (_, by_width) in table:
+        if width not in by_width:
+            at = [(fields.setdefault(key, len(fields)) * step, c) for key, c in rows(lam)]
+            pos, neg = bytearray(step * len(fields)), bytearray(step * len(fields))
+            for i, c in at:
+                (pos if c > 0 else neg)[i:i + step] = abs(c).to_bytes(step, "little")
+            by_width[width] = int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+        total += a * by_width[width]
+    bias = 1 << width - 1
+    total += int.from_bytes(bias.to_bytes(step, "little") * len(fields), "little")
+    raw = total.to_bytes(step * len(fields), "little")
+    terms = {key: int.from_bytes(raw[i:i + step], "little") - bias for key, i in zip(fields, range(0, len(raw), step))}
+    return _divided(target, f.degree, terms, den * divisor)
 
 
 def _nested(table: dict, degree: int, target: Basis, rule, den: int = 1) -> SymFunc:
@@ -471,6 +561,8 @@ def e_to_p(f: SymFunc) -> SymFunc:
     times d! / prod_j lam_j!, in integers, then one division by d! per output term."""
     _degree_guard(f.degree)
     d = factorial(f.degree)
+    if _met_before(Basis.P, f.degree):
+        return _packed(f, Basis.E, Basis.P, _elementary_row, d)
     table, den = _encoded(f, Basis.E, lambda lam: d // prod(map(factorial, lam)))
     return _nested(table, f.degree, Basis.P, _elementary_in_p, den * d)
 

@@ -120,6 +120,7 @@ MEMOS = {
     "positivity": {"_scan_types": None},
     "symfunc": {
         "_elementary_in_s": None,
+        "_elementary_product": None,
         "_jacobi_trudi_dual": None,
         "_jacobi_trudi_dual.minor": None,
         "_keyed": None,

@@ -14,17 +14,19 @@ from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
+from test_identities import CLI_CALLS
 from test_partitions import coarsenings
 
 import chromsym
 from chromsym import identities, parse_graph_spec, symfunc
-from chromsym.csf import compute_csf, csf_path_closed, csf_subsets
+from chromsym.csf import _subset_counts, compute_csf, csf_path_closed, csf_subsets
 from chromsym.partitions import DEFAULT_ENUMERATION_CAP, Partition, _count_keys, partitions_of
 from chromsym.symfunc import (
     Basis,
     DEFAULT_TRANSITION_CAP,
     SymFunc,
     _elementary_in_p,
+    _elementary_in_s,
     _keyed,
     _nested,
     _power_in_e,
@@ -554,9 +556,12 @@ class TestElementaryExpansions:
 
     def test_pieri_step_is_walked_once_per_shape_and_strip(self):
         """The dense degree-12 e -> s takes 3,508 dual Pieri steps over 333
-        distinct (lambda, k), and walks the vertical strips of each once."""
+        distinct (lambda, k), and walks the vertical strips of each once.
+        The record of converted degrees goes with the memos, so this is a
+        first conversion at degree 12, which builds every row it meets."""
         symfunc._pieri.cache_clear()
         symfunc._elementary_in_s.cache_clear()
+        symfunc._met.clear()
         e_to_s(SymFunc(Basis.E, 12, dict.fromkeys(partitions_of(12), 1)))
         info = symfunc._pieri.cache_info()
         assert (info.misses, info.hits + info.misses) == (333, 3508)
@@ -776,6 +781,101 @@ class TestNewtonRows:
         assert p_to_e(p) == f
 
 
+#: the graph each ``CLI_CALLS`` argv of a ``verify`` identity on numbers
+#: reads; every other call names its graph as its last spec argument
+VERIFY_GRAPHS = {
+    "verify cdumbbell-recursion 4,2,6": "cdumbbell(4,2,6)",
+    "verify dumbbell-recursion 4,3,7": "dumbbell(4,3,7)",
+    "verify small-sun-coefficient 4,3,3": "sun(3;4,3,3)",
+}
+
+
+def packed_sample() -> list:
+    """e-functions that reach every branch of the packed route: the CSFs of
+    the graphs of the 18 ``CLI_CALLS`` (by the subset DP alone, which has no
+    edge cap, so ``line(cdumbbell(4,0,4))`` has one too), degrees 0 and 1,
+    zero functions at a new and a met degree, denominators up to 10**12, and
+    coefficients at the edges of the field widths."""
+    graphs = [VERIFY_GRAPHS.get(call) or next(w for w in reversed(call.split()) if "(" in w) for call in CLI_CALLS]
+    csfs = {}
+    for spec in graphs:
+        g = parse_graph_spec(spec).build()
+        csfs.setdefault(spec, _nested(_subset_counts(g.n, g.edge_list), g.n, Basis.E, _power_in_e))
+    spider = csfs["spider(4,4,3)"]
+    edges = [sign * c for c in (2**63 - 1, 2**63, 2**127) for sign in (1, -1)]
+    return [
+        *csfs.values(),
+        SymFunc.single(Basis.E, (), 5),
+        SymFunc.single(Basis.E, (), Fraction(-2, 7)),
+        SymFunc.single(Basis.E, (1,), -3),
+        SymFunc.single(Basis.E, (1,), Fraction(10**12 - 1, 10**12)),
+        SymFunc(Basis.E, 9),
+        SymFunc(Basis.E, 11),
+        spider * Fraction(7, 10**12 - 11),
+        spider + SymFunc.single(Basis.E, (5, 4, 3), Fraction(-1, 10**12)),
+        *(SymFunc.single(Basis.E, (1,), c) for c in edges),
+        *(spider + SymFunc.single(Basis.E, (6, 4, 2), c) for c in edges),
+    ]
+
+
+class TestPackedRoute:
+    """Every e -> p, e -> s and s -> e after a degree's first is one sum of
+    packed rows; its output is byte for byte that of the first route."""
+
+    def test_a_later_e_to_p_runs_no_nested_evaluation(self, monkeypatch):
+        f = compute_csf("spider(4,4,3)")[0]
+        want = e_to_p(f)
+
+        def refuse(*args):
+            raise AssertionError("nested evaluation ran")
+
+        monkeypatch.setattr(symfunc, "_nested", refuse)
+        assert_same_output(e_to_p(f), want)
+
+    def test_both_routes_match_the_references_byte_for_byte(self, tmp_path):
+        """In a fresh process, so that no degree is met yet, the sample goes
+        twice through each conversion: the first pass runs one first route
+        per degree and packs the rest, the second packs all, and each output
+        equals its reference."""
+        sample = packed_sample()
+        path = tmp_path / "sample.json"
+        path.write_text(json.dumps([f.to_json_obj() for f in sample]))
+        code = (
+            "import json\n"
+            "from chromsym import symfunc\n"
+            "from chromsym.symfunc import SymFunc, e_to_p, e_to_s, s_to_e\n"
+            "packed, calls = symfunc._packed, []\n"
+            "def counted(f, *args):\n"
+            "    calls.append(f)\n"
+            "    return packed(f, *args)\n"
+            "symfunc._packed = counted\n"
+            f"sample = json.loads(open({str(path)!r}).read())\n"
+            "out = {}\n"
+            "for source, convert in (('e', e_to_p), ('e', e_to_s), ('s', s_to_e)):\n"
+            "    fs = [SymFunc.from_json_obj({**obj, 'basis': source}) for obj in sample]\n"
+            "    for run in range(2):\n"
+            "        calls.clear()\n"
+            "        got = [[json.dumps(g.to_json_obj()), str(g)] for g in map(convert, fs)]\n"
+            "        out[f'{convert.__name__} {run}'] = got, len(calls)\n"
+            "print(json.dumps(out))\n"
+        )
+        status, out, err = run_child(code)
+        assert status == 0, err
+        out = json.loads(out)
+        schur = [SymFunc(Basis.S, f.degree, f.terms) for f in sample]
+        decode = lambda lam: [(_count_keys(sum(lam))[1](key), c) for key, c in _elementary_in_s(lam)]
+        references = {
+            "e_to_p": map(ref_nested_e_to_p, sample),
+            "e_to_s": (ref_apply(f, Basis.E, Basis.S, decode) for f in sample),
+            "s_to_e": map(ref_s_to_e, schur),
+        }
+        firsts = len({f.degree for f in sample})
+        for name, want in references.items():
+            want = [[json.dumps(g.to_json_obj()), str(g)] for g in want]
+            assert out[f"{name} 0"] == [want, len(sample) - firsts], name
+            assert out[f"{name} 1"] == [want, len(sample)], name
+
+
 class TestMemory:
     @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
     def test_round_trip_at_the_cap_alone(self):
@@ -789,6 +889,24 @@ class TestMemory:
         status, out, err = run_child(code)
         assert status == 0, err
         assert float(out) < 110  # 213 MB with the product route's prefix memo
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+    def test_packed_e_to_p_at_the_cap(self):
+        """The packed route's worst case: three CSFs of degree 22 with many
+        distinct large parts, each after the first building and packing a
+        row per index."""
+        specs = ["tadpole(12,10)", "dumbbell(6,3,13)", "spider(7,7,7)"]
+        code = (
+            "from chromsym import compute_csf\n"
+            "from chromsym.symfunc import e_to_p, p_to_e\n"
+            f"fs = [compute_csf(spec)[0] for spec in {specs!r}]\n"
+            "ps = [e_to_p(f) for f in fs]\n"
+            + PRINT_PEAK_MB
+            + "assert all(p_to_e(p) == f for p, f in zip(ps, fs))\n"
+        )
+        status, out, err = run_child(code)
+        assert status == 0, err
+        assert float(out) < 64  # 42 MB; 17 MB with nested evaluation alone
 
     def test_a_part_above_the_cap_is_refused_before_the_keys_are_built(self):
         # the keys of degree 10,000 peak at about 94 MB; p_(1^10000) and
