@@ -11,8 +11,8 @@ divides them.  ``e -> s`` and ``s -> e`` expand one basis element at a time,
 each row memoized per element and keyed on those integers, and ``e -> s``
 also memoizes the one step its rows share.
 
-A process's first ``e -> p``, ``e -> s`` or ``s -> e`` at a degree runs the
-route below for its direction; every later one there sums packed rows.
+Every ``e -> s`` and ``s -> e``, and every ``e -> p`` after a process's first
+at a degree (which runs the nested evaluation below), sums packed rows.
 Each index's integral row (for ``e -> p``, :math:`d!\\,e_\\lambda` from the
 Newton rows' product, memoized per index less its 1s) is one int whose field
 i holds its coefficient of the i-th count key met at that degree, so a
@@ -43,8 +43,9 @@ before reading, and none borrows from the next.
 * ``s -> e`` expands the dual Jacobi-Trudi determinant
   :math:`s_\\lambda = \\det(e_{\\lambda^t_i - i + j})` by memoized minors: an
   entry :math:`e_v` adds ``unit[v]``, and ``unit[0] = 0`` stands for
-  :math:`e_0 = 1`.  It shares no row, step or memo with ``e -> s``, so a
-  round trip through both checks one route against the other.
+  :math:`e_0 = 1`.  The two Schur directions share ``_packed`` on every
+  call but no row, step or memo, so a round trip checks one route against
+  the other; the tests check ``_packed`` against a per-element dict sum.
 """
 
 from __future__ import annotations
@@ -402,7 +403,7 @@ def _elementary_row(lam: tuple):
     d, ones = sum(lam), lam.count(1)
     keys, coeffs = _elementary_product(lam[:len(lam) - ones], d.bit_length())
     weight = factorial(d) // prod(map(factorial, lam))
-    return zip([key + ones for key in keys], [c * weight for c in coeffs])
+    return [(key + ones, c * weight) for key, c in zip(keys, coeffs)]
 
 
 # ---------------------------------------------------------------- conversions
@@ -432,64 +433,46 @@ def _divided(target: Basis, degree: int, terms: dict, den: int) -> SymFunc:
     )
 
 
-def _apply(f: SymFunc, source: Basis, target: Basis, expand) -> SymFunc:
-    """The linear map b_lam -> ``expand(lam)`` (integral), summed in integers
-    on the ``_count_keys(f.degree)`` keys ``expand`` gives, each named once;
-    packed at a degree this process has converted to ``target`` before."""
-    if _met_before(target, f.degree):
-        return _packed(f, source, target, expand)
-    den, scaled = _scaled(f, source)
-    terms = {}
-    get = terms.get
-    for lam, a in scaled.items():
-        for mu, w in expand(lam):
-            terms[mu] = get(mu, 0) + a * w
-    return _divided(target, f.degree, terms, den)
-
-
-#: (target basis, degree) -> the conversions into ``target`` this process has
-#: made at that degree (one direction per target): the field of each count
-#: key met there, numbered in the order met, and per index the bit length of
-#: its row's largest entry with its packed row per field width
+#: (target basis, degree) -> the rows packed into ``target`` at that degree
+#: (``e -> p`` enters it empty on its first call there): the field of each
+#: count key met there, numbered in the order met, and per index the bit
+#: length of its row's largest entry with its packed row per field width
 _met = {}
 
 
-def _met_before(target: Basis, degree: int) -> bool:
-    """Whether this process has converted into ``target`` at ``degree``; from now on it has."""
-    if (target, degree) in _met:
-        return True
-    _met[target, degree] = {}, {}
-    return False
-
-
 def _packed(f: SymFunc, source: Basis, target: Basis, rows, divisor: int = 1) -> SymFunc:
-    """``_apply`` at a degree met before, each output term also divided by
-    ``divisor``: one sum of a_lam times lam's row ``rows(lam)`` packed as one
-    int (field i its coefficient of the i-th key of ``_met``), read back one
-    field per key after a bias of half a field on each, at the width the
-    module docstring gives."""
+    """The linear map b_lam -> ``rows(lam)`` (integral, on ``_count_keys(f.degree)``
+    keys), each output term also divided by ``divisor``: one sum of a_lam times
+    lam's row packed as one int (field i its coefficient of the i-th key of
+    ``_met``), read back one field per key after a bias of half a field on
+    each, at the width the module docstring gives.  A new index's row is read
+    once and packed at the width its own entries need with this call's
+    coefficients; it is read again only if another row needs a wider field."""
     den, scaled = _scaled(f, source)
-    fields, packs = _met[target, f.degree]
-    table = []
-    for lam, a in scaled.items():
+    fields, packs = _met.setdefault((target, f.degree), ({}, {}))
+    need = max(map(abs, scaled.values()), default=0).bit_length() + len(scaled).bit_length() + 1
+
+    def pack(row, width):
+        step = width // 8
+        at = [(fields.setdefault(key, len(fields)) * step, c) for key, c in row]
+        pos, neg = bytearray(step * len(fields)), bytearray(step * len(fields))
+        for i, c in at:
+            (pos if c > 0 else neg)[i:i + step] = abs(c).to_bytes(step, "little")
+        return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+
+    for lam in scaled:
         if lam not in packs:
-            packs[lam] = max(abs(c) for _, c in rows(lam)).bit_length(), {}
-        table.append((a, lam, packs[lam]))
-    need = max((abs(a) for a, _, _ in table), default=0).bit_length() + len(table).bit_length() + 1
-    need += max((bits for _, _, (bits, _) in table), default=0)
-    width = 64
-    while width <= need:
-        width *= 2
-    step, total = width // 8, 0
-    for a, lam, (_, by_width) in table:
+            row = rows(lam)
+            bits = max(abs(c) for _, c in row).bit_length()
+            own = 1 << max(6, (need + bits).bit_length())
+            packs[lam] = bits, {own: pack(row, own)}
+    width = 1 << max(6, (need + max((packs[lam][0] for lam in scaled), default=0)).bit_length())
+    for lam in scaled:
+        by_width = packs[lam][1]
         if width not in by_width:
-            at = [(fields.setdefault(key, len(fields)) * step, c) for key, c in rows(lam)]
-            pos, neg = bytearray(step * len(fields)), bytearray(step * len(fields))
-            for i, c in at:
-                (pos if c > 0 else neg)[i:i + step] = abs(c).to_bytes(step, "little")
-            by_width[width] = int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
-        total += a * by_width[width]
-    bias = 1 << width - 1
+            by_width[width] = pack(rows(lam), width)
+    total = sum(a * packs[lam][1][width] for lam, a in scaled.items())
+    step, bias = width // 8, 1 << width - 1
     total += int.from_bytes(bias.to_bytes(step, "little") * len(fields), "little")
     raw = total.to_bytes(step * len(fields), "little")
     terms = {key: int.from_bytes(raw[i:i + step], "little") - bias for key, i in zip(fields, range(0, len(raw), step))}
@@ -561,8 +544,9 @@ def e_to_p(f: SymFunc) -> SymFunc:
     times d! / prod_j lam_j!, in integers, then one division by d! per output term."""
     _degree_guard(f.degree)
     d = factorial(f.degree)
-    if _met_before(Basis.P, f.degree):
+    if (Basis.P, f.degree) in _met:
         return _packed(f, Basis.E, Basis.P, _elementary_row, d)
+    _met[Basis.P, f.degree] = {}, {}
     table, den = _encoded(f, Basis.E, lambda lam: d // prod(map(factorial, lam)))
     return _nested(table, f.degree, Basis.P, _elementary_in_p, den * d)
 
@@ -571,17 +555,17 @@ def e_to_s(f: SymFunc) -> SymFunc:
     """Convert from the elementary basis to the Schur basis (exact).
 
     Each e_mu expands by the dual Pieri rule into Kostka numbers, nonnegative
-    integers summed on ``_count_keys(f.degree)`` keys.  No row, step or memo
-    is shared with ``s_to_e``, so a round trip through both checks one route
-    against the other.
+    integers summed on ``_count_keys(f.degree)`` keys.  Only the packed sum
+    is shared with ``s_to_e``, no row, step or memo, so a round trip through
+    both checks one route against the other.
     """
     _degree_guard(f.degree)
-    return _apply(f, Basis.E, Basis.S, _elementary_in_s)
+    return _packed(f, Basis.E, Basis.S, _elementary_in_s)
 
 
 def s_to_e(f: SymFunc) -> SymFunc:
     """Convert from the Schur basis to the elementary basis (exact)."""
-    return _apply(f, Basis.S, Basis.E, _jacobi_trudi_dual)
+    return _packed(f, Basis.S, Basis.E, _jacobi_trudi_dual)
 
 
 def convert(f: SymFunc, basis) -> SymFunc:

@@ -557,8 +557,7 @@ class TestElementaryExpansions:
     def test_pieri_step_is_walked_once_per_shape_and_strip(self):
         """The dense degree-12 e -> s takes 3,508 dual Pieri steps over 333
         distinct (lambda, k), and walks the vertical strips of each once.
-        The record of converted degrees goes with the memos, so this is a
-        first conversion at degree 12, which builds every row it meets."""
+        The packed rows go with the memos, so every row is built again."""
         symfunc._pieri.cache_clear()
         symfunc._elementary_in_s.cache_clear()
         symfunc._met.clear()
@@ -819,8 +818,9 @@ def packed_sample() -> list:
 
 
 class TestPackedRoute:
-    """Every e -> p, e -> s and s -> e after a degree's first is one sum of
-    packed rows; its output is byte for byte that of the first route."""
+    """Every e -> s and s -> e, and every e -> p after a degree's first, is
+    one sum of packed rows; its output is byte for byte that of the
+    references."""
 
     def test_a_later_e_to_p_runs_no_nested_evaluation(self, monkeypatch):
         f = compute_csf("spider(4,4,3)")[0]
@@ -832,11 +832,59 @@ class TestPackedRoute:
         monkeypatch.setattr(symfunc, "_nested", refuse)
         assert_same_output(e_to_p(f), want)
 
+    @pytest.mark.parametrize(
+        "source, convert, rows", [("e", "e_to_s", "_elementary_in_s"), ("s", "s_to_e", "_jacobi_trudi_dual")]
+    )
+    def test_a_schur_conversion_reads_each_row_once(self, source, convert, rows):
+        """In a fresh process, the first conversion packs every row it meets,
+        so a second of the same function reads no row."""
+        code = (
+            "from chromsym import compute_csf, symfunc\n"
+            "from chromsym.symfunc import Basis, SymFunc\n"
+            "f = compute_csf('spider(4,4,3)')[0]\n"
+            f"f, convert = SymFunc({source!r}, f.degree, f.terms), symfunc.{convert}\n"
+            "want = convert(f)\n"
+            "def refuse(*args):\n"
+            "    raise AssertionError('a row was read again')\n"
+            f"symfunc.{rows} = refuse\n"
+            "got = convert(f)\n"
+            "assert (got.to_json_obj(), str(got)) == (want.to_json_obj(), str(want))\n"
+        )
+        status, _, err = run_child(code)
+        assert status == 0, err
+
+    def test_a_first_e_to_p_at_a_degree_runs_nested_evaluation(self):
+        """The one fork left: a fresh process's first e -> p at a degree runs
+        ``_nested`` and no ``_packed``, and its second packs, reading the row
+        of each index once."""
+        code = (
+            "from chromsym import compute_csf, symfunc\n"
+            "calls = []\n"
+            "for name in ('_nested', '_packed', '_elementary_row'):\n"
+            "    def counted(*args, _name=name, _run=getattr(symfunc, name)):\n"
+            "        calls.append(_name)\n"
+            "        return _run(*args)\n"
+            "    setattr(symfunc, name, counted)\n"
+            "f = compute_csf('spider(4,4,3)')[0]\n"
+            "calls.clear()\n"
+            "first = symfunc.e_to_p(f)\n"
+            "print(calls)\n"
+            "calls.clear()\n"
+            "assert symfunc.e_to_p(f) == first\n"
+            "print(calls)\n"
+            "print(len(f.terms))\n"
+        )
+        status, out, err = run_child(code)
+        assert status == 0, err
+        first, second, indices = out.splitlines()
+        assert first == "['_nested']"
+        assert second == str(["_packed"] + ["_elementary_row"] * int(indices))
+
     def test_both_routes_match_the_references_byte_for_byte(self, tmp_path):
         """In a fresh process, so that no degree is met yet, the sample goes
-        twice through each conversion: the first pass runs one first route
-        per degree and packs the rest, the second packs all, and each output
-        equals its reference."""
+        twice through each conversion: e -> p runs nested evaluation on its
+        first pass once per degree and packs the rest, e -> s and s -> e pack
+        all on both passes, and each output equals its reference."""
         sample = packed_sample()
         path = tmp_path / "sample.json"
         path.write_text(json.dumps([f.to_json_obj() for f in sample]))
@@ -869,10 +917,10 @@ class TestPackedRoute:
             "e_to_s": (ref_apply(f, Basis.E, Basis.S, decode) for f in sample),
             "s_to_e": map(ref_s_to_e, schur),
         }
-        firsts = len({f.degree for f in sample})
+        firsts = {"e_to_p": len({f.degree for f in sample}), "e_to_s": 0, "s_to_e": 0}
         for name, want in references.items():
             want = [[json.dumps(g.to_json_obj()), str(g)] for g in want]
-            assert out[f"{name} 0"] == [want, len(sample) - firsts], name
+            assert out[f"{name} 0"] == [want, len(sample) - firsts[name]], name
             assert out[f"{name} 1"] == [want, len(sample)], name
 
 
