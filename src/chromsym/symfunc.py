@@ -16,11 +16,14 @@ at a degree (which runs the nested evaluation below), sums packed rows.
 Each index's integral row (for ``e -> p``, :math:`d!\\,e_\\lambda` from the
 Newton rows' product, memoized per index less its 1s) is one int whose field
 i holds its coefficient of the i-th count key met at that degree, so a
-conversion is one big-integer multiply-add per term and one read per field.
-A field is the least power of two from 64 bits that exceeds the bit lengths
-of the largest coefficient, of the largest row entry and of the number of
-terms, plus one, so no field sum reaches the bias of half a field added
-before reading, and none borrows from the next.
+conversion is one big-integer multiply-add per term.  A row is written, and
+the sum read back, as little-endian 64-bit words, k per field, by one
+``struct`` pack per row and one unpack per sum, so no result depends on the
+host's byte order; the read fields are divided, stripped of zeros and named
+in one pass.  A field is the least power of two from 64 bits that exceeds the
+bit lengths of the largest coefficient, of the largest row entry and of the
+number of terms, plus one, so no field sum reaches the bias of half a field
+added before reading, and none borrows from the next.
 
 * ``p -> e`` and ``e -> p`` build each one-part element's row from the
   smaller rows on count keys, with no partition enumerated, by Newton's
@@ -50,11 +53,12 @@ before reading, and none borrows from the next.
 
 from __future__ import annotations
 
+import struct
 from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm, prod
-from operator import add, sub
+from operator import add, itemgetter, mul, sub
 
 from .partitions import DEFAULT_ENUMERATION_CAP, Partition, _count_keys, partitions_of
 
@@ -415,22 +419,29 @@ def _degree_guard(degree: int) -> None:
 
 
 def _scaled(f: SymFunc, source: Basis):
-    """``f``'s coefficients over one common denominator: ``(den, {lam: numerator})``."""
+    """``f``'s coefficients over one common denominator: ``(den, {lam: numerator})``,
+    ``f.terms`` itself, uncopied, when every coefficient is an ``int`` (an
+    integral ``Fraction``, as ``f * Fraction(2)`` holds, is not)."""
     if f.basis is not source:
         raise ValueError(f"expected a function in the {source.value} basis, got basis {f.basis.value}")
+    if set(map(type, f.terms.values())) <= {int}:
+        return 1, f.terms
     den = lcm(*(c.denominator for c in f.terms.values()))
     return den, {lam: c.numerator * (den // c.denominator) for lam, c in f.terms.items()}
 
 
-def _divided(target: Basis, degree: int, terms: dict, den: int) -> SymFunc:
-    """Integer ``terms`` on ``_count_keys(degree)`` keys, each named by that
-    degree's memo and divided once by ``den``, an ``int`` where exact."""
+def _divided(target: Basis, degree: int, pairs, den: int) -> SymFunc:
+    """The function of the integer (key, value) ``pairs`` on ``_count_keys(degree)``
+    keys, in one pass: each zero value dropped, each key named by that
+    degree's memo and each value divided once by ``den``, an ``int`` where exact."""
     decode = _count_keys(degree)[1]
+    out = object.__new__(SymFunc)
+    out.basis, out.degree = target, degree
     if den == 1:
-        return SymFunc._trusted(target, degree, {decode(mu): v for mu, v in terms.items()})
-    return SymFunc._trusted(
-        target, degree, {decode(mu): v // den if v % den == 0 else Fraction(v, den) for mu, v in terms.items()}
-    )
+        out.terms = {decode(key): v for key, v in pairs if v}
+    else:
+        out.terms = {decode(key): v // den if v % den == 0 else Fraction(v, den) for key, v in pairs if v}
+    return out
 
 
 #: (target basis, degree) -> the rows packed into ``target`` at that degree
@@ -444,39 +455,56 @@ def _packed(f: SymFunc, source: Basis, target: Basis, rows, divisor: int = 1) ->
     """The linear map b_lam -> ``rows(lam)`` (integral, on ``_count_keys(f.degree)``
     keys), each output term also divided by ``divisor``: one sum of a_lam times
     lam's row packed as one int (field i its coefficient of the i-th key of
-    ``_met``), read back one field per key after a bias of half a field on
-    each, at the width the module docstring gives.  A new index's row is read
-    once and packed at the width its own entries need with this call's
-    coefficients; it is read again only if another row needs a wider field."""
+    ``_met``), at the width the module docstring gives.  A row is written,
+    and the biased sum read back, as little-endian 64-bit words, k = width/64
+    per field with the top one signed, by one ``struct`` pack per row and one
+    unpack per sum, so no result depends on the host's byte order; the read
+    fields go to ``_divided``.  A new index's row is read once and packed at the
+    width its own entries need with this call's coefficients; it is read
+    again only if another row needs a wider field."""
     den, scaled = _scaled(f, source)
     fields, packs = _met.setdefault((target, f.degree), ({}, {}))
     need = max(map(abs, scaled.values()), default=0).bit_length() + len(scaled).bit_length() + 1
 
-    def pack(row, width):
-        step = width // 8
-        at = [(fields.setdefault(key, len(fields)) * step, c) for key, c in row]
-        pos, neg = bytearray(step * len(fields)), bytearray(step * len(fields))
-        for i, c in at:
-            (pos if c > 0 else neg)[i:i + step] = abs(c).to_bytes(step, "little")
-        return int.from_bytes(pos, "little") - int.from_bytes(neg, "little")
+    def layout(k):
+        """The ``struct`` format of the fields met, k 64-bit words each, the
+        top one signed, and the bias: half a field in every field."""
+        n = len(fields)
+        return "<" + f"{k - 1}Qq" * n, int.from_bytes((bytes(8 * k - 1) + b"\x80") * n, "little")
+
+    def pack(row, k):
+        keys, cs = zip(*row)
+        at = [fields.setdefault(key, len(fields)) * k for key in keys]
+        words = [0] * (k * len(fields))
+        for j in range(k - 1):  # each entry's low words, unsigned
+            for i, c in zip(at, cs):
+                words[i + j] = c & 0xFFFF_FFFF_FFFF_FFFF
+            cs = [c >> 64 for c in cs]
+        for i, c in zip(at, cs):  # and its top word, signed
+            words[i + k - 1] = c
+        form, bias = layout(k)
+        return (int.from_bytes(struct.pack(form, *words), "little") ^ bias) - bias
 
     for lam in scaled:
         if lam not in packs:
             row = rows(lam)
             bits = max(abs(c) for _, c in row).bit_length()
             own = 1 << max(6, (need + bits).bit_length())
-            packs[lam] = bits, {own: pack(row, own)}
-    width = 1 << max(6, (need + max((packs[lam][0] for lam in scaled), default=0)).bit_length())
-    for lam in scaled:
-        by_width = packs[lam][1]
+            packs[lam] = bits, {own: pack(row, own >> 6)}
+    recs = list(map(packs.__getitem__, scaled))
+    width = 1 << max(6, (need + max(map(itemgetter(0), recs), default=0)).bit_length())
+    k, ints = width >> 6, []
+    for lam, (_, by_width) in zip(scaled, recs):
         if width not in by_width:
-            by_width[width] = pack(rows(lam), width)
-    total = sum(a * packs[lam][1][width] for lam, a in scaled.items())
-    step, bias = width // 8, 1 << width - 1
-    total += int.from_bytes(bias.to_bytes(step, "little") * len(fields), "little")
-    raw = total.to_bytes(step * len(fields), "little")
-    terms = {key: int.from_bytes(raw[i:i + step], "little") - bias for key, i in zip(fields, range(0, len(raw), step))}
-    return _divided(target, f.degree, terms, den * divisor)
+            by_width[width] = pack(rows(lam), k)
+        ints.append(by_width[width])
+    form, bias = layout(k)
+    total = sum(map(mul, scaled.values(), ints)) + bias
+    words = struct.unpack(form, (total ^ bias).to_bytes(8 * k * len(fields), "little"))
+    values = words[k - 1::k]  # each field's top word, signed
+    for j in reversed(range(k - 1)):  # and its low words under it
+        values = [v << 64 | w for v, w in zip(values, words[j::k])]
+    return _divided(target, f.degree, zip(fields, values), den * divisor)
 
 
 def _nested(table: dict, degree: int, target: Basis, rule, den: int = 1) -> SymFunc:
@@ -515,7 +543,7 @@ def _nested(table: dict, degree: int, target: Basis, rule, den: int = 1) -> SymF
             for k, c in row:
                 k += key
                 parent[k] = get(k, 0) + a * c
-    return _divided(target, degree, sums[0], den)
+    return _divided(target, degree, sums[0].items(), den)
 
 
 def _encoded(f: SymFunc, source: Basis, weight=None):

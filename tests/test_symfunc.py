@@ -794,14 +794,14 @@ def packed_sample() -> list:
     the graphs of the 18 ``CLI_CALLS`` (by the subset DP alone, which has no
     edge cap, so ``line(cdumbbell(4,0,4))`` has one too), degrees 0 and 1,
     zero functions at a new and a met degree, denominators up to 10**12, and
-    coefficients at the edges of the field widths."""
+    coefficients at the edges of fields of one, two and four 64-bit words."""
     graphs = [VERIFY_GRAPHS.get(call) or next(w for w in reversed(call.split()) if "(" in w) for call in CLI_CALLS]
     csfs = {}
     for spec in graphs:
         g = parse_graph_spec(spec).build()
         csfs.setdefault(spec, _nested(_subset_counts(g.n, g.edge_list), g.n, Basis.E, _power_in_e))
     spider = csfs["spider(4,4,3)"]
-    edges = [sign * c for c in (2**63 - 1, 2**63, 2**127) for sign in (1, -1)]
+    edges = [sign * c for c in (2**63 - 1, 2**63, 2**127, 2**191 - 1, 2**191) for sign in (1, -1)]
     return [
         *csfs.values(),
         SymFunc.single(Basis.E, (), 5),
@@ -922,6 +922,35 @@ class TestPackedRoute:
             want = [[json.dumps(g.to_json_obj()), str(g)] for g in want]
             assert out[f"{name} 0"] == [want, len(sample) - firsts[name]], name
             assert out[f"{name} 1"] == [want, len(sample)], name
+
+    @pytest.mark.parametrize("scale", [1, Fraction(2)])
+    def test_no_conversion_changes_or_returns_its_input_terms(self, monkeypatch, scale):
+        """Each conversion leaves its input's ``terms`` as they were, keys,
+        values and value types, returns a dict of its own, and equals its
+        reference byte for byte: for ``spider(4,4,3)``'s all-``int`` CSF, and
+        for it times ``Fraction(2)``, whose terms are ``Fraction(n, 1)``."""
+        monkeypatch.setattr(symfunc, "_met", {})  # so the first e -> p at the degree is nested
+        csf = compute_csf("spider(4,4,3)")[0]
+        e, s, p = (SymFunc(basis, csf.degree, csf.terms) * scale for basis in (Basis.E, Basis.S, Basis.P))
+        assert {type(c) for c in e.terms.values()} == {type(scale)}
+        decode = lambda lam: [(_count_keys(sum(lam))[1](key), c) for key, c in _elementary_in_s(lam)]
+        e_in_p = ref_nested_e_to_p(e)
+        cases = [
+            (e, e_to_p, e_in_p),  # nested evaluation
+            (e, e_to_p, e_in_p),  # packed
+            (e, e_to_s, ref_apply(e, Basis.E, Basis.S, decode)),
+            (s, s_to_e, ref_s_to_e(s)),
+            (p, p_to_e, ref_nested_p_to_e(p)),
+            (e, partial(convert, basis=Basis.P), e_in_p),
+            (s, partial(convert, basis=Basis.P), ref_nested_e_to_p(ref_s_to_e(s))),
+            (p, partial(convert, basis=Basis.S), ref_apply(ref_nested_p_to_e(p), Basis.E, Basis.S, decode)),
+        ]
+        for f, conversion, want in cases:
+            before = [(lam, c, type(c)) for lam, c in f.terms.items()]
+            got = conversion(f)
+            assert [(lam, c, type(c)) for lam, c in f.terms.items()] == before
+            assert got.terms is not f.terms
+            assert_same_output(got, want)
 
 
 class TestMemory:
