@@ -14,8 +14,10 @@ Engines:
   states meet v in one block only, and build their two successors directly:
   v joins the block, or starts its own while the block stays or closes.  The
   closed sizes are keyed on integer count vectors, and ``compute_csf``
-  hands that table, still on those keys, to the nested p -> e evaluator of
-  ``symfunc``; ``csf_subsets`` names its keys from the same per-degree memo
+  hands that table, still on those keys, to ``symfunc._newton``, the one
+  p -> e route ``p_to_e`` also takes (nested evaluation on a process's first
+  p -> e at a degree, packed rows on every later one up to degree 22);
+  ``csf_subsets`` names its keys from the same per-degree memo
   of Partitions (``partitions._count_keys``) to give the p basis.  This is
   the formula-free oracle every other route is checked against.  Run
   without block sizes, it counts components only, which gives the
@@ -68,7 +70,7 @@ theorems about all graphs, not family formulas: no ``*_closed`` function is
 ever called on the deletion-contraction or subset path, so both stay
 independent checks of them.  All coefficients are integers: the CSF engines
 expand in the p basis, and the closed forms, which use integer weights only,
-in the e basis; the nested evaluator takes the first to the second.
+in the e basis; ``symfunc._newton`` takes the first to the second.
 
 ``compute_csf`` takes no options and picks its engine from its input alone:
 a spec that a closed form answers returns it, any other spec is built,
@@ -96,7 +98,7 @@ from operator import mul
 
 from .graphs import Graph, GraphSpec, _check_sizes, as_spec
 from .partitions import DEFAULT_ENUMERATION_CAP, _count_keys
-from .symfunc import Basis, SymFunc, _nested, _power_in_e, signed_sum
+from .symfunc import Basis, SymFunc, _newton, signed_sum
 
 #: ceiling on |E| for both CSF engines, the subset oracle and deletion-contraction
 CSF_EDGE_CAP = 26
@@ -827,8 +829,10 @@ def compute_csf(target):
     form answers returns it ("closed"); any other spec is built once,
     as its isomorphic ``spec.canonical()``, within the subset oracle's vertex
     bound.  A ``Graph`` never meets a closed form: it goes to the subset
-    expansion ("subsets").  So ``compute_csf(spec.build())`` is independent
-    of the family formulas.
+    expansion ("subsets"), whose count-key table goes to the e basis by
+    ``p_to_e``'s own route, ``symfunc._newton``, with no ``SymFunc`` built
+    between.  So ``compute_csf(spec.build())`` is independent of the family
+    formulas.
     """
     spec = as_spec(target)
     if spec is not None:
@@ -838,7 +842,7 @@ def compute_csf(target):
             return closed, "closed"
         _guard("subset oracle", n)
         target = spec.canonical().build()
-    return _nested(_oracle_table(target), target.n, Basis.E, _power_in_e), "subsets"
+    return _newton(_oracle_table(target), target.n, Basis.E), "subsets"
 
 
 def csf_degree(target) -> int:

@@ -11,19 +11,24 @@ divides them.  ``e -> s`` and ``s -> e`` expand one basis element at a time,
 each row memoized per element and keyed on those integers, and ``e -> s``
 also memoizes the one step its rows share.
 
-Every ``e -> s`` and ``s -> e``, and every ``e -> p`` after a process's first
-at a degree (which runs the nested evaluation below), sums packed rows.
-Each index's integral row (for ``e -> p``, :math:`d!\\,e_\\lambda` from the
-Newton rows' product, memoized per index less its 1s) is one int whose field
-i holds its coefficient of the i-th count key met at that degree, so a
-conversion is one big-integer multiply-add per term.  A row is written, and
-the sum read back, as little-endian 64-bit words, k per field, by one
-``struct`` pack per row and one unpack per sum, so no result depends on the
-host's byte order; the read fields are divided, stripped of zeros and named
-in one pass.  A field is the least power of two from 64 bits that exceeds the
-bit lengths of the largest coefficient, of the largest row entry and of the
-number of terms, plus one, so no field sum reaches the bias of half a field
-added before reading, and none borrows from the next.
+Every ``e -> s`` and ``s -> e``, and every ``e -> p`` and ``p -> e`` after a
+process's first in its direction at a degree (which runs the nested
+evaluation below), sums packed rows.  A ``p -> e`` above
+``DEFAULT_TRANSITION_CAP``, which no guard refuses, is always nested, as a
+record there would hold :math:`p(d)^2` fields.  Each index's integral row
+(for ``p -> e`` and ``e -> p`` the product of the one-part Newton rows,
+memoized per index less its 1s, which for ``e -> p``, times the
+multinomial below, is :math:`d!\\,e_\\lambda`) is one int whose field i
+holds its coefficient of the i-th count key met at that degree in that
+direction, so a conversion is one big-integer multiply-add per term.  A row
+is written, and the sum read back, as little-endian 64-bit words, k per
+field, by one ``struct`` pack per row and one unpack per sum, so no result
+depends on the host's byte order; the read fields are divided, stripped of
+zeros and named in one pass.  A field is the least power of two from 64
+bits that exceeds the bit lengths of the largest coefficient, of the
+largest row entry and of the number of terms, plus one, so no field sum
+reaches the bias of half a field added before reading, and none borrows
+from the next.
 
 * ``p -> e`` and ``e -> p`` build each one-part element's row from the
   smaller rows on count keys, with no partition enumerated, by Newton's
@@ -32,8 +37,9 @@ added before reading, and none borrows from the next.
   :math:`n!\\,e_n = \\sum_{i=1}^{n} (-1)^{i-1} \\frac{(n-1)!}{(n-i)!}\\, p_i\\,(n-i)!\\,e_{n-i}`,
   memoized per part and key width, and multiply out a whole function at once
   by nested (Horner) evaluation over the trie of its indices, each index an
-  integer count vector.  The CSF oracle hands its table to that evaluator
-  on the same keys, with no ``SymFunc`` between.  For ``e -> p`` the product
+  integer count vector.  ``_newton`` is the one route of both directions,
+  nested or packed, and the CSF oracle hands it its table on the same keys,
+  with no ``SymFunc`` between.  For ``e -> p`` the product
   of the :math:`\\lambda_j!\\,e_{\\lambda_j}`, weighted by the multinomial
   :math:`d!/\\prod_j \\lambda_j!`, is :math:`d!\\,e_\\lambda`, so the sums
   stay integral and each output term is divided by :math:`d!` once.
@@ -384,30 +390,39 @@ def _jacobi_trudi_dual(lam: Partition) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _elementary_product(lam: tuple, width: int) -> tuple:
-    """The p-expansion of prod_j lam_j! e_{lam_j} on count keys of ``width``
-    bits per part, as parallel key and coefficient tuples: the row of lam
-    less its last part times ``_keyed(_elementary_in_p, lam[-1], width)``."""
+def _product(rule, lam: tuple, width: int) -> tuple:
+    """The product of the one-part rows ``_keyed(rule, lam_j, width)`` of
+    Newton's identity ``rule``, on count keys of ``width`` bits per part, as
+    parallel key and coefficient tuples: the row of lam less its last part
+    times the row of its last part.  It is p_lam in the e basis for
+    ``_power_in_e``, and prod_j lam_j! e_{lam_j} in the p basis for
+    ``_elementary_in_p``."""
     if not lam:
         return (0,), (1,)
     acc = {}
     get = acc.get
-    row = _keyed(_elementary_in_p, lam[-1], width)
-    for key, a in zip(*_elementary_product(lam[:-1], width)):
+    row = _keyed(rule, lam[-1], width)
+    for key, a in zip(*_product(rule, lam[:-1], width)):
         for k, c in row:
             k += key
             acc[k] = get(k, 0) + a * c
     return tuple(acc), tuple(acc.values())
 
 
-def _elementary_row(lam: tuple):
-    """The p-expansion of d! e_lam, d = |lam|, as (key, coefficient) pairs on
-    ``_count_keys(d)`` keys: d!/prod_j lam_j! times the row of lam less its
-    1s, with their count added to every key, as the row of 1 is p_1 alone."""
+def _row(rule, lam: tuple, weight: int = 1) -> list:
+    """``_product`` of lam less its 1s, each coefficient times ``weight``, as
+    (key, coefficient) pairs on ``_count_keys(|lam|)`` keys: the count of 1s
+    is added to every key, as the row of 1 is the index (1) alone in both
+    directions (p_1 = e_1), so the 1s take no memo entry."""
     d, ones = sum(lam), lam.count(1)
-    keys, coeffs = _elementary_product(lam[:len(lam) - ones], d.bit_length())
-    weight = factorial(d) // prod(map(factorial, lam))
+    keys, coeffs = _product(rule, lam[:len(lam) - ones], d.bit_length())
     return [(key + ones, c * weight) for key, c in zip(keys, coeffs)]
+
+
+def _elementary_row(lam: tuple) -> list:
+    """The p-expansion of d! e_lam, d = |lam|: d!/prod_j lam_j! times the
+    product of the lam_j! e_{lam_j}, so the weight is not recomputed per term."""
+    return _row(_elementary_in_p, lam, factorial(sum(lam)) // prod(map(factorial, lam)))
 
 
 # ---------------------------------------------------------------- conversions
@@ -444,27 +459,29 @@ def _divided(target: Basis, degree: int, pairs, den: int) -> SymFunc:
     return out
 
 
-#: (target basis, degree) -> the rows packed into ``target`` at that degree
-#: (``e -> p`` enters it empty on its first call there): the field of each
-#: count key met there, numbered in the order met, and per index the bit
-#: length of its row's largest entry with its packed row per field width
+#: (source basis, target basis, degree) -> the rows packed from ``source``
+#: into ``target`` at that degree, keyed by direction, as s -> e and p -> e
+#: share a target (``_newton`` enters it empty on its first call there): the
+#: field of each count key met there, numbered in the order met, and per
+#: index the bit length of its row's largest entry with its packed row per
+#: field width
 _met = {}
 
 
-def _packed(f: SymFunc, source: Basis, target: Basis, rows, divisor: int = 1) -> SymFunc:
-    """The linear map b_lam -> ``rows(lam)`` (integral, on ``_count_keys(f.degree)``
-    keys), each output term also divided by ``divisor``: one sum of a_lam times
-    lam's row packed as one int (field i its coefficient of the i-th key of
-    ``_met``), at the width the module docstring gives.  A row is written,
-    and the biased sum read back, as little-endian 64-bit words, k = width/64
-    per field with the top one signed, by one ``struct`` pack per row and one
-    unpack per sum, so no result depends on the host's byte order; the read
-    fields go to ``_divided``.  A new index's row is read once and packed at the
-    width its own entries need with this call's coefficients; it is read
-    again only if another row needs a wider field."""
-    den, scaled = _scaled(f, source)
-    fields, packs = _met.setdefault((target, f.degree), ({}, {}))
-    need = max(map(abs, scaled.values()), default=0).bit_length() + len(scaled).bit_length() + 1
+def _packed(table: dict, degree: int, source: Basis, target: Basis, rows, den: int = 1) -> SymFunc:
+    """The linear map b_lam -> ``rows(lam)`` (integral, on ``_count_keys(degree)``
+    keys) of the integer ``table`` {lam: a_lam}, each output term divided by
+    ``den``: one sum of a_lam times lam's row packed as one int (field i its
+    coefficient of the i-th key of ``_met``), at the width the module
+    docstring gives.  A row is written, and the biased sum read back, as
+    little-endian 64-bit words, k = width/64 per field with the top one
+    signed, by one ``struct`` pack per row and one unpack per sum, so no
+    result depends on the host's byte order; the read fields go to
+    ``_divided``.  A new index's row is read once and packed at the width its
+    own entries need with this call's coefficients; it is read again only if
+    another row needs a wider field."""
+    fields, packs = _met.setdefault((source, target, degree), ({}, {}))
+    need = max(map(abs, table.values()), default=0).bit_length() + len(table).bit_length() + 1
 
     def layout(k):
         """The ``struct`` format of the fields met, k 64-bit words each, the
@@ -485,26 +502,26 @@ def _packed(f: SymFunc, source: Basis, target: Basis, rows, divisor: int = 1) ->
         form, bias = layout(k)
         return (int.from_bytes(struct.pack(form, *words), "little") ^ bias) - bias
 
-    for lam in scaled:
+    for lam in table:
         if lam not in packs:
             row = rows(lam)
             bits = max(abs(c) for _, c in row).bit_length()
             own = 1 << max(6, (need + bits).bit_length())
             packs[lam] = bits, {own: pack(row, own >> 6)}
-    recs = list(map(packs.__getitem__, scaled))
+    recs = list(map(packs.__getitem__, table))
     width = 1 << max(6, (need + max(map(itemgetter(0), recs), default=0)).bit_length())
     k, ints = width >> 6, []
-    for lam, (_, by_width) in zip(scaled, recs):
+    for lam, (_, by_width) in zip(table, recs):
         if width not in by_width:
             by_width[width] = pack(rows(lam), k)
         ints.append(by_width[width])
     form, bias = layout(k)
-    total = sum(map(mul, scaled.values(), ints)) + bias
+    total = sum(map(mul, table.values(), ints)) + bias
     words = struct.unpack(form, (total ^ bias).to_bytes(8 * k * len(fields), "little"))
     values = words[k - 1::k]  # each field's top word, signed
     for j in reversed(range(k - 1)):  # and its low words under it
         values = [v << 64 | w for v, w in zip(values, words[j::k])]
-    return _divided(target, f.degree, zip(fields, values), den * divisor)
+    return _divided(target, degree, zip(fields, values), den)
 
 
 def _nested(table: dict, degree: int, target: Basis, rule, den: int = 1) -> SymFunc:
@@ -546,37 +563,57 @@ def _nested(table: dict, degree: int, target: Basis, rule, den: int = 1) -> SymF
     return _divided(target, degree, sums[0].items(), den)
 
 
-def _encoded(f: SymFunc, source: Basis, weight=None):
-    """``f``'s numerators over one common denominator, keyed on
-    ``_count_keys(f.degree)`` integers, each times ``weight(lam)`` if given:
-    ``(table, den)``, the input of ``_nested``.  The row of a part n is built
-    with every smaller row, one entry per partition of each k <= n, so a part
-    above ``DEFAULT_ENUMERATION_CAP`` is refused by ``partitions_of`` here,
-    before the degree's keys are built."""
-    den, scaled = _scaled(f, source)
+def _newton(table: dict, degree: int, target: Basis, den: int = 1) -> SymFunc:
+    """p -> e (``target`` e) or e -> p (``target`` p) of the integer ``table``
+    over ``den``, keyed on ``_count_keys(degree)`` integers for p -> e, as
+    ``_encoded`` and the CSF oracle give it, and on Partitions for e -> p, as
+    ``_scaled`` gives it.  A process's first conversion at a degree in a
+    direction runs ``_nested``, and so does every p -> e above
+    ``DEFAULT_TRANSITION_CAP``, where a record would hold p(d)^2 fields;
+    every later one sums packed rows, ``_packed``.  For e -> p both sum
+    d! e_lam, d!/prod_j lam_j! times the product of the lam_j! e_{lam_j}
+    rows, and divide each output term by d! once."""
+    to_p = target is Basis.P
+    source, d = (Basis.E, factorial(degree)) if to_p else (Basis.P, 1)
+    if (source, target, degree) in _met:
+        decode = _count_keys(degree)[1]
+        rows = _elementary_row if to_p else lambda key: _row(_power_in_e, decode(key))
+        return _packed(table, degree, source, target, rows, den * d)
+    if degree <= DEFAULT_TRANSITION_CAP:
+        _met[source, target, degree] = {}, {}
+    if to_p:
+        unit = _count_keys(degree)[0]
+        table = {sum(map(unit.__getitem__, lam)): a * (d // prod(map(factorial, lam))) for lam, a in table.items()}
+    return _nested(table, degree, target, _elementary_in_p if to_p else _power_in_e, den * d)
+
+
+def _encoded(f: SymFunc):
+    """The p-function ``f``'s numerators over one common denominator, keyed
+    on ``_count_keys(f.degree)`` integers: ``(table, den)``, the input of
+    ``_newton``.  The row of a part n is built with every smaller row, one
+    entry per partition of each k <= n, so a part above
+    ``DEFAULT_ENUMERATION_CAP`` is refused by ``partitions_of`` here, before
+    the degree's keys are built."""
+    den, scaled = _scaled(f, Basis.P)
     top = max((lam[0] for lam in scaled if lam), default=0)
     if top > DEFAULT_ENUMERATION_CAP:
         partitions_of(top)  # raises
     unit = _count_keys(f.degree)[0]
-    return {sum(map(unit.__getitem__, lam)): a * weight(lam) if weight else a for lam, a in scaled.items()}, den
+    return {sum(map(unit.__getitem__, lam)): a for lam, a in scaled.items()}, den
 
 
 def p_to_e(f: SymFunc) -> SymFunc:
     """Convert from the power-sum basis to the elementary basis (exact)."""
-    table, den = _encoded(f, Basis.P)
-    return _nested(table, f.degree, Basis.E, _power_in_e, den)
+    table, den = _encoded(f)
+    return _newton(table, f.degree, Basis.E, den)
 
 
 def e_to_p(f: SymFunc) -> SymFunc:
     """Convert from the elementary basis to the power-sum basis (exact): d! e_lam is prod_j lam_j! e_{lam_j}
     times d! / prod_j lam_j!, in integers, then one division by d! per output term."""
     _degree_guard(f.degree)
-    d = factorial(f.degree)
-    if (Basis.P, f.degree) in _met:
-        return _packed(f, Basis.E, Basis.P, _elementary_row, d)
-    _met[Basis.P, f.degree] = {}, {}
-    table, den = _encoded(f, Basis.E, lambda lam: d // prod(map(factorial, lam)))
-    return _nested(table, f.degree, Basis.P, _elementary_in_p, den * d)
+    den, scaled = _scaled(f, Basis.E)
+    return _newton(scaled, f.degree, Basis.P, den)
 
 
 def e_to_s(f: SymFunc) -> SymFunc:
@@ -588,12 +625,14 @@ def e_to_s(f: SymFunc) -> SymFunc:
     both checks one route against the other.
     """
     _degree_guard(f.degree)
-    return _packed(f, Basis.E, Basis.S, _elementary_in_s)
+    den, scaled = _scaled(f, Basis.E)
+    return _packed(scaled, f.degree, Basis.E, Basis.S, _elementary_in_s, den)
 
 
 def s_to_e(f: SymFunc) -> SymFunc:
     """Convert from the Schur basis to the elementary basis (exact)."""
-    return _packed(f, Basis.S, Basis.E, _jacobi_trudi_dual)
+    den, scaled = _scaled(f, Basis.S)
+    return _packed(scaled, f.degree, Basis.S, Basis.E, _jacobi_trudi_dual, den)
 
 
 def convert(f: SymFunc, basis) -> SymFunc:

@@ -57,6 +57,36 @@ def test_bound_and_spread(better, pairs, bound, within, spread, unresolved):
 def test_a_zero_median_has_no_change_or_spread():
     got = abpairs.compare([(0.0, 1.0), (0.0, 2.0)], "lower", 0.1)
     assert (got["change"], got["within_bound"], got["a_spread"], got["unresolved"]) == (None, None, None, None)
+    assert got["gain"] is None
+
+
+#: A: median 99.5, quartiles 97.25 and 101.75, a spread of about 4.5%
+GAIN_A = [95.0, 96.0, 97.0, 98.0, 99.0, 100.0, 101.0, 102.0, 103.0, 104.0]
+
+
+@pytest.mark.parametrize(
+    "better, shift, first, second, wins, gain",
+    [
+        ("higher", 10, 105, 106, 10, True),
+        ("higher", 10, 90, 106, 9, True),  # one loss
+        ("higher", 10, 95, 106, 9, True),  # one tie, counting for neither side
+        ("higher", 10, 90, 91, 8, False),  # two losses
+        ("higher", 10, 95, 91, 8, False),  # a tie and a loss
+        ("higher", 3, 98, 99, 10, False),  # every pair won, by less than the spread
+        ("lower", -10, 85, 86, 10, True),
+        ("lower", -10, 100, 86, 9, True),
+        ("lower", -10, 100, 101, 8, False),
+        ("lower", -3, 92, 93, 10, False),
+        ("lower", 10, 105, 106, 0, False),  # a clear loss is no gain
+    ],
+)
+def test_gain_needs_nine_wins_in_ten_and_a_median_move_beyond_the_spread(better, shift, first, second, wins, gain):
+    """B's values are A's moved by ``shift``, its first two replaced."""
+    pairs = list(zip(GAIN_A, [first, second] + [a + shift for a in GAIN_A[2:]]))
+    got = abpairs.compare(pairs, better, 0.24)
+    assert got["a_spread"] == pytest.approx(4.5 / 99.5)
+    assert got["wins_b"] == wins
+    assert got["gain"] is gain
 
 
 def test_summary_of_one_value_and_of_four():

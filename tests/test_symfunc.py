@@ -818,9 +818,9 @@ def packed_sample() -> list:
 
 
 class TestPackedRoute:
-    """Every e -> s and s -> e, and every e -> p after a degree's first, is
-    one sum of packed rows; its output is byte for byte that of the
-    references."""
+    """Every e -> s and s -> e, and every e -> p and p -> e after a degree's
+    first (p -> e up to ``DEFAULT_TRANSITION_CAP``), is one sum of packed
+    rows; its output is byte for byte that of the references."""
 
     def test_a_later_e_to_p_runs_no_nested_evaluation(self, monkeypatch):
         f = compute_csf("spider(4,4,3)")[0]
@@ -831,6 +831,92 @@ class TestPackedRoute:
 
         monkeypatch.setattr(symfunc, "_nested", refuse)
         assert_same_output(e_to_p(f), want)
+
+    def test_a_later_p_to_e_runs_no_nested_evaluation(self, monkeypatch):
+        """Through ``p_to_e`` and through the CSF oracle of ``compute_csf``,
+        which share one record per degree."""
+        g = parse_graph_spec("spider(4,4,3)").build()
+        p = csf_subsets(g)
+        want = p_to_e(p)
+
+        def refuse(*args):
+            raise AssertionError("nested evaluation ran")
+
+        monkeypatch.setattr(symfunc, "_nested", refuse)
+        assert_same_output(p_to_e(p), want)
+        got, engine = compute_csf(g)
+        assert engine == "subsets"
+        assert_same_output(got, want)
+
+    def test_a_first_p_to_e_at_a_degree_runs_nested_evaluation(self):
+        """In a fresh process the first p -> e at a degree, here the CSF
+        oracle's, runs ``_nested`` and no ``_packed``, and the next one there,
+        by ``p_to_e``, packs."""
+        code = (
+            "from chromsym import csf, parse_graph_spec, symfunc\n"
+            "calls = []\n"
+            "for name in ('_nested', '_packed'):\n"
+            "    def counted(*args, _name=name, _run=getattr(symfunc, name)):\n"
+            "        calls.append(_name)\n"
+            "        return _run(*args)\n"
+            "    setattr(symfunc, name, counted)\n"
+            "g = parse_graph_spec('spider(4,4,3)').build()\n"
+            "first = csf.compute_csf(g)[0]\n"
+            "print(calls)\n"
+            "calls.clear()\n"
+            "assert symfunc.p_to_e(csf.csf_subsets(g)) == first\n"
+            "print(calls)\n"
+        )
+        status, out, err = run_child(code)
+        assert status == 0, err
+        assert out.splitlines() == ["['_nested']", "['_packed']"]
+
+    def test_a_p_to_e_above_the_transition_cap_stays_nested(self, monkeypatch):
+        """Above ``DEFAULT_TRANSITION_CAP`` a record would hold p(d)^2 fields:
+        every p -> e there, the oracle's too, is nested and records nothing."""
+        degree = DEFAULT_TRANSITION_CAP + 1
+        g = parse_graph_spec(f"spider({degree - 2},1)").build()
+        p = csf_subsets(g)
+
+        def refuse(*args):
+            raise AssertionError("packed rows were summed")
+
+        monkeypatch.setattr(symfunc, "_packed", refuse)
+        want = ref_nested_p_to_e(p)
+        for _ in range(2):
+            assert_same_output(p_to_e(p), want)
+            assert_same_output(compute_csf(g)[0], want)
+        assert (Basis.P, Basis.E, degree) not in symfunc._met
+
+    def test_s_to_e_and_p_to_e_at_one_degree_keep_their_own_rows(self, tmp_path):
+        """Both target e: in a fresh process each direction has its own record,
+        so the first p -> e after an s -> e at its degree is nested, the
+        second packs, and each output equals its reference."""
+        csf = compute_csf("spider(4,4,3)")[0]
+        s, p = SymFunc(Basis.S, csf.degree, csf.terms), SymFunc(Basis.P, csf.degree, csf.terms)
+        path = tmp_path / "sample.json"
+        path.write_text(json.dumps([s.to_json_obj(), p.to_json_obj()]))
+        code = (
+            "import json\n"
+            "from chromsym import symfunc\n"
+            "from chromsym.symfunc import SymFunc, p_to_e, s_to_e\n"
+            "nested, calls = symfunc._nested, []\n"
+            "def counted(*args):\n"
+            "    calls.append('_nested')\n"
+            "    return nested(*args)\n"
+            "symfunc._nested = counted\n"
+            f"s, p = map(SymFunc.from_json_obj, json.loads(open({str(path)!r}).read()))\n"
+            "out = []\n"
+            "for f, convert in ((s, s_to_e), (p, p_to_e), (s, s_to_e), (p, p_to_e)):\n"
+            "    calls.clear()\n"
+            "    g = convert(f)\n"
+            "    out.append([json.dumps(g.to_json_obj()), str(g), len(calls)])\n"
+            "print(json.dumps(out))\n"
+        )
+        status, out, err = run_child(code)
+        assert status == 0, err
+        want = [[json.dumps(g.to_json_obj()), str(g)] for g in (ref_s_to_e(s), ref_nested_p_to_e(p))]
+        assert json.loads(out) == [want[0] + [0], want[1] + [1], want[0] + [0], want[1] + [0]]
 
     @pytest.mark.parametrize(
         "source, convert, rows", [("e", "e_to_s", "_elementary_in_s"), ("s", "s_to_e", "_jacobi_trudi_dual")]
@@ -882,16 +968,16 @@ class TestPackedRoute:
 
     def test_both_routes_match_the_references_byte_for_byte(self, tmp_path):
         """In a fresh process, so that no degree is met yet, the sample goes
-        twice through each conversion: e -> p runs nested evaluation on its
-        first pass once per degree and packs the rest, e -> s and s -> e pack
-        all on both passes, and each output equals its reference."""
+        twice through each conversion: e -> p and p -> e run nested evaluation
+        on their first pass once per degree and pack the rest, e -> s and
+        s -> e pack all on both passes, and each output equals its reference."""
         sample = packed_sample()
         path = tmp_path / "sample.json"
         path.write_text(json.dumps([f.to_json_obj() for f in sample]))
         code = (
             "import json\n"
             "from chromsym import symfunc\n"
-            "from chromsym.symfunc import SymFunc, e_to_p, e_to_s, s_to_e\n"
+            "from chromsym.symfunc import SymFunc, e_to_p, e_to_s, p_to_e, s_to_e\n"
             "packed, calls = symfunc._packed, []\n"
             "def counted(f, *args):\n"
             "    calls.append(f)\n"
@@ -899,7 +985,7 @@ class TestPackedRoute:
             "symfunc._packed = counted\n"
             f"sample = json.loads(open({str(path)!r}).read())\n"
             "out = {}\n"
-            "for source, convert in (('e', e_to_p), ('e', e_to_s), ('s', s_to_e)):\n"
+            "for source, convert in (('e', e_to_p), ('e', e_to_s), ('s', s_to_e), ('p', p_to_e)):\n"
             "    fs = [SymFunc.from_json_obj({**obj, 'basis': source}) for obj in sample]\n"
             "    for run in range(2):\n"
             "        calls.clear()\n"
@@ -911,13 +997,16 @@ class TestPackedRoute:
         assert status == 0, err
         out = json.loads(out)
         schur = [SymFunc(Basis.S, f.degree, f.terms) for f in sample]
+        power = [SymFunc(Basis.P, f.degree, f.terms) for f in sample]
         decode = lambda lam: [(_count_keys(sum(lam))[1](key), c) for key, c in _elementary_in_s(lam)]
         references = {
             "e_to_p": map(ref_nested_e_to_p, sample),
             "e_to_s": (ref_apply(f, Basis.E, Basis.S, decode) for f in sample),
             "s_to_e": map(ref_s_to_e, schur),
+            "p_to_e": map(ref_nested_p_to_e, power),
         }
-        firsts = {"e_to_p": len({f.degree for f in sample}), "e_to_s": 0, "s_to_e": 0}
+        degrees = len({f.degree for f in sample})
+        firsts = {"e_to_p": degrees, "e_to_s": 0, "s_to_e": 0, "p_to_e": degrees}
         for name, want in references.items():
             want = [[json.dumps(g.to_json_obj()), str(g)] for g in want]
             assert out[f"{name} 0"] == [want, len(sample) - firsts[name]], name
@@ -984,6 +1073,23 @@ class TestMemory:
         status, out, err = run_child(code)
         assert status == 0, err
         assert float(out) < 64  # 42 MB; 17 MB with nested evaluation alone
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+    def test_packed_p_to_e_at_the_cap(self):
+        """The same worst case for p -> e: the e -> p outputs of those three
+        CSFs back to e, each after the first packing a row per index."""
+        specs = ["tadpole(12,10)", "dumbbell(6,3,13)", "spider(7,7,7)"]
+        code = (
+            "from chromsym import compute_csf\n"
+            "from chromsym.symfunc import e_to_p, p_to_e\n"
+            f"fs = [compute_csf(spec)[0] for spec in {specs!r}]\n"
+            "ps = [e_to_p(f) for f in fs]\n"
+            "assert all(p_to_e(p) == f for p, f in zip(ps, fs))\n"
+            + PRINT_PEAK_MB
+        )
+        status, out, err = run_child(code)
+        assert status == 0, err
+        assert float(out) < 96  # 68 MB; 43 MB with nested p -> e alone
 
     def test_a_part_above_the_cap_is_refused_before_the_keys_are_built(self):
         # the keys of degree 10,000 peak at about 94 MB; p_(1^10000) and

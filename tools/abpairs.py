@@ -20,7 +20,10 @@ over A's, the pairs B wins and ties (the direction read from the metric's
 are not tied.  Against the metric's ``bound``: whether B's median is worse
 than A's by at most the bound (``within_bound``), and A's quartile spread,
 (q3 - q1) / median, with whether it exceeds the bound (``unresolved``: the
-pairs cannot tell a move of that size from noise).  Per side: the
+pairs cannot tell a move of that size from noise).  ``gain``: whether B
+wins at least 9/10 of the pairs (a tie counts for neither side) and its
+median is better than A's by more than A's quartile spread, the rule a
+speed claim must meet.  Per side: the
 operations attempted and failed, and the runs whose outputs were not all
 correct.
 """
@@ -71,7 +74,9 @@ def compare(pairs: list, better: str, bound: float) -> dict:
     is better in the direction ``better`` ("higher" or "lower").  B's median
     is within ``bound`` when it is worse than A's by at most that fraction of
     A's, and the pairs are unresolved when A's quartile spread over its
-    median exceeds ``bound``."""
+    median exceeds ``bound``.  B shows a gain when it wins at least 9/10 of
+    the pairs, ties counting for neither side, and its median is better
+    than A's by more than A's quartile spread."""
     sign = 1 if better == "higher" else -1
     wins = sum(sign * (b - a) > 0 for a, b in pairs)
     ties = sum(a == b for a, b in pairs)
@@ -89,6 +94,7 @@ def compare(pairs: list, better: str, bound: float) -> dict:
         "within_bound": None if change is None else sign * change >= -bound,
         "a_spread": spread,
         "unresolved": None if spread is None else spread > bound,
+        "gain": None if change is None else 10 * wins >= 9 * len(pairs) and sign * change > spread,
     }
 
 
