@@ -17,8 +17,8 @@ Engines:
   hands that table, still on those keys, to ``symfunc._newton``, the one
   p -> e route ``p_to_e`` also takes (nested evaluation on a process's first
   p -> e at a degree, packed rows on every later one up to degree 22);
-  ``csf_subsets`` names its keys from the same per-degree memo
-  of Partitions (``partitions._count_keys``) to give the p basis.  This is
+  ``csf_subsets`` names its keys by ``symfunc._divided``, the pass that
+  names every conversion's output, to give the p basis.  This is
   the formula-free oracle every other route is checked against.  Run
   without block sizes, it counts components only, which gives the
   chromatic polynomial :math:`P_G(x) = \\sum_S (-1)^{|S|} x^{c(S)}`.
@@ -53,8 +53,9 @@ Engines:
   dumbbells remove each body by one rule, ``_eliminate``.  Every form works
   on (key, coefficient) pairs of the one table
   ``_count_keys(DEFAULT_ENUMERATION_CAP)``, where a count of at most 40 never
-  carries, through one accumulator, ``_acc``, and names its result as
-  Partitions once.  The pairs of paths, cycles, tadpoles and lollipops are
+  carries, through ``partitions._acc``, which also multiplies the rows the
+  conversions keep once, packed, in ``symfunc._met``, and names its result
+  as Partitions once.  The pairs of paths, cycles, tadpoles and lollipops are
   memoized for the life of the process (``_path_keys`` and its siblings):
   the series recursion reads every smaller path or cycle, and every
   elimination reads its tails R(j), the paths of a tadpole or lollipop and
@@ -97,8 +98,8 @@ from math import comb, factorial
 from operator import mul
 
 from .graphs import Graph, GraphSpec, _check_sizes, as_spec
-from .partitions import DEFAULT_ENUMERATION_CAP, _count_keys
-from .symfunc import Basis, SymFunc, _newton, signed_sum
+from .partitions import DEFAULT_ENUMERATION_CAP, _acc, _count_keys
+from .symfunc import Basis, SymFunc, _divided, _newton, signed_sum
 
 #: ceiling on |E| for both CSF engines, the subset oracle and deletion-contraction
 CSF_EDGE_CAP = 26
@@ -223,13 +224,11 @@ def _oracle_table(g: Graph) -> dict:
 def csf_subsets(g: Graph) -> SymFunc:
     """Chromatic symmetric function by the edge-subset expansion (p basis).
 
-    Names the keys of ``_oracle_table`` by the per-degree memo of
-    ``_count_keys``; ``compute_csf`` takes the table to the e basis without
-    naming it.
+    Names the keys of ``_oracle_table`` by ``symfunc._divided``, the naming
+    pass of every conversion; ``compute_csf`` takes the table to the e basis
+    without naming it.
     """
-    table = _oracle_table(g)
-    decode = _count_keys(g.n)[1]  # the memo of the Partition of each key met
-    return SymFunc._trusted(Basis.P, g.n, {decode(key): c for key, c in table.items()})
+    return _divided(Basis.P, g.n, _oracle_table(g).items(), 1)
 
 
 # ---------------------------------------------------- deletion-contraction
@@ -373,17 +372,6 @@ _ONE = ((0, 1),)  # e_0 = 1
 def _closed_guard(family: str, *args) -> int:
     """The family's argument rule, then the vertex bound, before any arithmetic: |V|."""
     return _guard("closed form", GraphSpec(family, args).check())
-
-
-def _acc(out: dict, c: int, a, b=_ONE) -> dict:
-    """out += c a b, for ``a`` and ``b`` (key, coefficient) pairs: a product adds keys."""
-    get = out.get
-    for ka, va in a:
-        va *= c
-        for kb, vb in b:
-            k = ka + kb
-            out[k] = get(k, 0) + va * vb
-    return out
 
 
 def _named(d: int, pairs) -> SymFunc:

@@ -113,3 +113,15 @@ def _count_keys(n: int):
     names = _Names()
     names.width, names.unit = w, (0, *(1 << w * (s - 1) for s in range(1, n + 1)))
     return names.unit, names.__getitem__
+
+
+def _acc(out: dict, c: int, a, b=((0, 1),)) -> dict:
+    """out += c a b, for ``a`` and ``b`` (count key, coefficient) pairs, ``b`` by
+    default e_0 = 1 alone: a product adds keys.  A cancelled sum stays as 0."""
+    get = out.get
+    for ka, va in a:
+        va *= c
+        for kb, vb in b:
+            k = ka + kb
+            out[k] = get(k, 0) + va * vb
+    return out

@@ -7,9 +7,10 @@ hash, ``str`` and JSON, and ``coefficient`` and witnesses return ``Fraction``.
 Basis changes are exact and direct, and sum in integers over one common
 denominator, on one index format: the ``_count_keys`` integers of their
 degree, named as Partitions once, by that degree's memo, in the pass that
-divides them.  ``e -> s`` and ``s -> e`` expand one basis element at a time,
-each row memoized per element and keyed on those integers, and ``e -> s``
-also memoizes the one step its rows share.
+divides them.  Rows are multiplied out by ``partitions._acc``, as in the
+closed CSF forms.  ``e -> s`` and ``s -> e`` expand one basis element at a
+time and keep each row once, packed, in ``_met``; ``e -> s`` also memoizes
+the one step its rows share, and the shorter rows it grows them from.
 
 Every ``e -> s`` and ``s -> e``, and every ``e -> p`` and ``p -> e`` after a
 process's first in its direction at a degree (which runs the nested
@@ -21,8 +22,9 @@ memoized per index less its 1s, which for ``e -> p``, times the
 multinomial below, is :math:`d!\\,e_\\lambda`) is one int whose field i
 holds its coefficient of the i-th count key met at that degree in that
 direction, so a conversion is one big-integer multiply-add per term.  A row
-is written, and the sum read back, as little-endian 64-bit words, k per
-field, by one ``struct`` pack per row and one unpack per sum, so no result
+is written as unsigned little-endian 64-bit words, k per field in two's
+complement, and the sum read back on the same words, each field's top one
+signed, by one ``struct`` pack per row and one unpack per sum, so no result
 depends on the host's byte order; the read fields are divided, stripped of
 zeros and named in one pass.  A field is the least power of two from 64
 bits that exceeds the bit lengths of the largest coefficient, of the
@@ -66,9 +68,10 @@ from functools import lru_cache
 from math import comb, factorial, lcm, prod
 from operator import add, itemgetter, mul, sub
 
-from .partitions import DEFAULT_ENUMERATION_CAP, Partition, _count_keys, partitions_of
+from .partitions import DEFAULT_ENUMERATION_CAP, Partition, _acc, _count_keys, partitions_of
 
-#: refuse e -> p and e -> s transitions above this degree
+#: refuse e -> p and e -> s transitions above this degree, and keep no packed
+#: p -> e rows above it
 DEFAULT_TRANSITION_CAP = 22
 
 
@@ -294,12 +297,8 @@ def _keyed(rule, n: int, width: int) -> tuple:
     if not n:
         return ((0, 1),)
     acc = {}
-    get = acc.get
     for i in range(1, n + 1):
-        u, c = 1 << width * (i - 1), rule(n, i)
-        for key, a in _keyed(rule, n - i, width):
-            key += u
-            acc[key] = get(key, 0) + c * a
+        _acc(acc, rule(n, i), _keyed(rule, n - i, width), ((1 << width * (i - 1), 1),))
     return tuple((key, c) for key, c in acc.items() if c)
 
 
@@ -352,7 +351,6 @@ def _elementary_in_s(mu: tuple) -> tuple:
     return tuple(acc.items())
 
 
-@lru_cache(maxsize=None)
 def _jacobi_trudi_dual(lam: Partition) -> tuple:
     """e-expansion of s_lambda via det(e_{lambda^t_i - i + j}), memoized
     cofactors, keyed on ``_count_keys(|lambda|)`` integers.
@@ -362,7 +360,8 @@ def _jacobi_trudi_dual(lam: Partition) -> tuple:
     (``unit[0] = 0``) contributes 1, and negative subscripts vanish.  Row i
     has a nonzero entry exactly in the columns j >= i - lambda^t_i, a bound
     that rises with i, so a minor is structurally zero as soon as its
-    diagonal is, and the recursion stops there.
+    diagonal is, and the recursion stops there.  Only the minors are
+    memoized: ``_packed`` keeps the row, packed, in ``_met``.
     """
     conj = lam.transpose()
     unit = _count_keys(lam.weight)[0]
@@ -377,13 +376,8 @@ def _jacobi_trudi_dual(lam: Partition) -> tuple:
         if any(entry(i + k, j) < 0 for k, j in enumerate(cols)):
             return ()
         acc = {}
-        get = acc.get
         for pos, j in enumerate(cols):
-            u = unit[entry(i, j)]
-            sign = -1 if pos & 1 else 1
-            for key, c in minor(i + 1, cols[:pos] + cols[pos + 1:]):
-                key += u
-                acc[key] = get(key, 0) + sign * c
+            _acc(acc, -1 if pos & 1 else 1, minor(i + 1, cols[:pos] + cols[pos + 1:]), ((unit[entry(i, j)], 1),))
         return tuple((k, c) for k, c in acc.items() if c)
 
     return minor(0, tuple(range(len(conj))))
@@ -399,13 +393,7 @@ def _product(rule, lam: tuple, width: int) -> tuple:
     ``_elementary_in_p``."""
     if not lam:
         return (0,), (1,)
-    acc = {}
-    get = acc.get
-    row = _keyed(rule, lam[-1], width)
-    for key, a in zip(*_product(rule, lam[:-1], width)):
-        for k, c in row:
-            k += key
-            acc[k] = get(k, 0) + a * c
+    acc = _acc({}, 1, zip(*_product(rule, lam[:-1], width)), _keyed(rule, lam[-1], width))
     return tuple(acc), tuple(acc.values())
 
 
@@ -473,34 +461,29 @@ def _packed(table: dict, degree: int, source: Basis, target: Basis, rows, den: i
     keys) of the integer ``table`` {lam: a_lam}, each output term divided by
     ``den``: one sum of a_lam times lam's row packed as one int (field i its
     coefficient of the i-th key of ``_met``), at the width the module
-    docstring gives.  A row is written, and the biased sum read back, as
-    little-endian 64-bit words, k = width/64 per field with the top one
-    signed, by one ``struct`` pack per row and one unpack per sum, so no
-    result depends on the host's byte order; the read fields go to
-    ``_divided``.  A new index's row is read once and packed at the width its
-    own entries need with this call's coefficients; it is read again only if
-    another row needs a wider field."""
+    docstring gives.  A row is written as unsigned little-endian 64-bit
+    words, k = width/64 per field in two's complement, and the biased sum
+    read back with each field's top word signed, by one ``struct`` pack per
+    row and one unpack per sum, so no result depends on the host's byte
+    order; the read fields go to ``_divided``.  A new index's row is read
+    once and packed at the width its own entries need with this call's
+    coefficients; it is read again only if another row needs a wider field."""
     fields, packs = _met.setdefault((source, target, degree), ({}, {}))
     need = max(map(abs, table.values()), default=0).bit_length() + len(table).bit_length() + 1
 
-    def layout(k):
-        """The ``struct`` format of the fields met, k 64-bit words each, the
-        top one signed, and the bias: half a field in every field."""
-        n = len(fields)
-        return "<" + f"{k - 1}Qq" * n, int.from_bytes((bytes(8 * k - 1) + b"\x80") * n, "little")
+    def bias(k):
+        """Half a field in every field met, k 64-bit words each."""
+        return int.from_bytes((bytes(8 * k - 1) + b"\x80") * len(fields), "little")
 
     def pack(row, k):
         keys, cs = zip(*row)
         at = [fields.setdefault(key, len(fields)) * k for key in keys]
         words = [0] * (k * len(fields))
-        for j in range(k - 1):  # each entry's low words, unsigned
+        for j in range(k):  # each entry's words in two's complement, low first
             for i, c in zip(at, cs):
-                words[i + j] = c & 0xFFFF_FFFF_FFFF_FFFF
-            cs = [c >> 64 for c in cs]
-        for i, c in zip(at, cs):  # and its top word, signed
-            words[i + k - 1] = c
-        form, bias = layout(k)
-        return (int.from_bytes(struct.pack(form, *words), "little") ^ bias) - bias
+                words[i + j] = c >> 64 * j & 0xFFFF_FFFF_FFFF_FFFF
+        b = bias(k)
+        return (int.from_bytes(struct.pack(f"<{len(words)}Q", *words), "little") ^ b) - b
 
     for lam in table:
         if lam not in packs:
@@ -515,9 +498,9 @@ def _packed(table: dict, degree: int, source: Basis, target: Basis, rows, den: i
         if width not in by_width:
             by_width[width] = pack(rows(lam), k)
         ints.append(by_width[width])
-    form, bias = layout(k)
-    total = sum(map(mul, table.values(), ints)) + bias
-    words = struct.unpack(form, (total ^ bias).to_bytes(8 * k * len(fields), "little"))
+    b = bias(k)
+    total = (sum(map(mul, table.values(), ints)) + b) ^ b
+    words = struct.unpack("<" + f"{k - 1}Qq" * len(fields), total.to_bytes(8 * k * len(fields), "little"))
     values = words[k - 1::k]  # each field's top word, signed
     for j in reversed(range(k - 1)):  # and its low words under it
         values = [v << 64 | w for v, w in zip(values, words[j::k])]
@@ -553,13 +536,7 @@ def _nested(table: dict, degree: int, target: Basis, rule, den: int = 1) -> SymF
         sums[leaf][key & ones] = a
     for node in sorted(sums, reverse=True)[:-1]:  # the root 0 sorts last
         s = ((node & -node).bit_length() - 1) // width + 1  # the smallest part; a node has no 1s
-        parent = sums[node - unit[s]]
-        get = parent.get
-        row = _keyed(rule, s, width)
-        for key, a in sums.pop(node).items():
-            for k, c in row:
-                k += key
-                parent[k] = get(k, 0) + a * c
+        _acc(sums[node - unit[s]], 1, sums.pop(node).items(), _keyed(rule, s, width))
     return _divided(target, degree, sums[0].items(), den)
 
 
@@ -640,6 +617,8 @@ def convert(f: SymFunc, basis) -> SymFunc:
     target = Basis(basis)
     if f.basis is target:
         return f
+    if target is not Basis.E:  # before the first leg, not after it
+        _degree_guard(f.degree)
     if f.basis is not Basis.E:  # every route passes through the e basis
         f = p_to_e(f) if f.basis is Basis.P else s_to_e(f)
     if target is Basis.E:

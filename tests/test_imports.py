@@ -72,10 +72,10 @@ def test_checker_sees_unused_and_used_names():
 #: module -> the underscore names it imports from sibling modules
 PRIVATE_IMPORTS = {
     "cli": ["_degree_guard"],
-    "csf": ["_check_sizes", "_count_keys", "_newton"],
+    "csf": ["_acc", "_check_sizes", "_count_keys", "_divided", "_newton"],
     "identities": ["_guard"],
     "positivity": ["_check_sizes", "_count_keys", "_degree_guard", "_guard"],
-    "symfunc": ["_count_keys"],
+    "symfunc": ["_acc", "_count_keys"],
 }
 
 
@@ -120,7 +120,6 @@ MEMOS = {
     "positivity": {"_scan_types": None},
     "symfunc": {
         "_elementary_in_s": None,
-        "_jacobi_trudi_dual": None,
         "_jacobi_trudi_dual.minor": None,
         "_keyed": None,
         "_pieri": None,

@@ -1,9 +1,12 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, strategies as st
 
 from chromsym.partitions import (
     DEFAULT_ENUMERATION_CAP,
     Partition,
+    _acc,
     partitions_of,
 )
 
@@ -121,6 +124,35 @@ class TestEnumeration:
     def test_negative_rejected(self):
         with pytest.raises(ValueError):
             partitions_of(-1)
+
+
+pairs = st.lists(st.tuples(st.integers(0, 40), st.integers(-4, 4)), max_size=5)
+
+
+class TestAccumulator:
+    """``_acc``, the one product of count-key expansions, against a Counter."""
+
+    @given(st.dictionaries(st.integers(0, 80), st.integers(-9, 9), max_size=4), st.integers(-3, 3), pairs, pairs)
+    def test_matches_a_counter(self, start, c, a, b):
+        want = Counter(start)
+        for ka, va in a:
+            for kb, vb in b:
+                want[ka + kb] += c * va * vb
+        out = dict(start)
+        assert _acc(out, c, a, b) is out
+        assert out == dict(want)  # zero entries included
+
+    @given(st.integers(-3, 3), pairs)
+    def test_b_defaults_to_e_0_alone(self, c, a):
+        want = Counter()
+        for ka, va in a:
+            want[ka] += c * va
+        assert _acc({}, c, a) == dict(want)
+
+    def test_a_cancelled_sum_stays_as_zero(self):
+        assert _acc({5: 3}, -1, [(2, 1)], [(3, 3)]) == {5: 0}
+        assert _acc({}, 1, [(0, 2), (1, -2)], [(1, 1), (0, 1)]) == {1: 0, 0: 2, 2: -2}
+        assert _acc({}, 0, [(1, 7)], [(2, 5)]) == {3: 0}
 
 
 def coarsenings(lam):

@@ -1130,12 +1130,22 @@ class TestConvertRouting:
         direct = convert(f, Basis.S)
         assert via_p == direct
 
-    def test_degree_guard(self):
+    def test_degree_guard(self, monkeypatch):
         f = SymFunc.single(Basis.E, (DEFAULT_TRANSITION_CAP + 1,), 1)
         with pytest.raises(ValueError):
             e_to_s(f)
         with pytest.raises(ValueError):
             e_to_p(f)
+
+        def first_leg(f):
+            raise AssertionError("the first leg ran before the guard")
+
+        # s -> p and p -> s go through e; the guard refuses them before that leg
+        monkeypatch.setattr(symfunc, "s_to_e", first_leg)
+        monkeypatch.setattr(symfunc, "p_to_e", first_leg)
+        for source, target in ((Basis.S, Basis.P), (Basis.P, Basis.S)):
+            with pytest.raises(ValueError, match="guarded"):
+                convert(SymFunc.single(source, (DEFAULT_TRANSITION_CAP + 1,), 1), target)
 
 
 class TestJson:
