@@ -8,9 +8,14 @@ Basis changes are exact and direct, and sum in integers over one common
 denominator, on one index format: the ``_count_keys`` integers of their
 degree, named as Partitions once, by that degree's memo, in the pass that
 divides them.  Rows are multiplied out by ``partitions._acc``, as in the
-closed CSF forms.  ``e -> s`` and ``s -> e`` expand one basis element at a
-time and keep each row once, packed, in ``_met``; ``e -> s`` also memoizes
-the one step its rows share, and the shorter rows it grows them from.
+closed CSF forms, and each is a pair of parallel key and coefficient
+tuples.  ``e -> s`` and ``s -> e`` expand one basis element at a time and
+keep each row packed in ``_met``, whose record per direction and degree
+holds the field of each key met and, per index, the bit length of its
+row's largest entry and one packed int, at a second field width only once
+a call sums it there.  ``e -> s`` also memoizes the one step its rows
+share, and its rows as tuples, as each grows the rows of longer indices;
+``s -> e`` frees its minors with each row.
 
 Every ``e -> s`` and ``s -> e``, and every ``e -> p`` and ``p -> e`` after a
 process's first in its direction at a degree (which runs the nested
@@ -66,7 +71,7 @@ from enum import Enum
 from fractions import Fraction
 from functools import lru_cache
 from math import comb, factorial, lcm, prod
-from operator import add, itemgetter, mul, sub
+from operator import add, mul, sub
 
 from .partitions import DEFAULT_ENUMERATION_CAP, Partition, _acc, _count_keys, partitions_of
 
@@ -263,10 +268,11 @@ class SymFunc:
 
 # ----------------------------------------------------- per-index expansions
 #
-# Each expansion is a tuple of (index, coefficient) pairs.  Every conversion
-# row is keyed on the ``_count_keys`` integers of its degree (``_keyed``
-# builds the one-part rows), and a conversion names them as Partitions once,
-# when it returns.  Only ``SymFunc.__mul__`` merges tuples, by ``_merge``.
+# Every conversion row is keyed on the ``_count_keys`` integers of its
+# degree, as parallel key and coefficient tuples (``_keyed`` builds the
+# one-part rows as (key, coefficient) pairs, the operand ``_acc`` takes), and
+# a conversion names the keys as Partitions once, when it returns.  Only
+# ``SymFunc.__mul__`` merges tuples, by ``_merge``.
 
 
 def _merge(mu: tuple, nu: tuple) -> tuple:
@@ -333,27 +339,29 @@ def _pieri(key: int, n: int, k: int) -> tuple:
 
 @lru_cache(maxsize=None)
 def _elementary_in_s(mu: tuple) -> tuple:
-    """s-expansion of e_mu: the Kostka numbers K_{lambda^t, mu}, as integers
-    keyed on ``_count_keys(|mu|)`` integers.
+    """s-expansion of e_mu: the Kostka numbers K_{lambda^t, mu}, as parallel
+    key and coefficient tuples, the keys ``_count_keys(|mu|)`` integers.
 
     e_mu = e_{mu minus its last part} * e_k, and by the dual Pieri rule
     s_lambda * e_k is the sum of s_nu over the vertical k-strips nu/lambda,
-    taken from the shared step ``_pieri``.
+    taken from the shared step ``_pieri``.  The memo also serves every
+    longer mu, so it keeps each row, two tuples, beside its packed int.
     """
     if not mu:
-        return ((0, 1),)
+        return (0,), (1,)
     n = sum(mu) - mu[-1]
     acc = {}
     get = acc.get
-    for key, c in _elementary_in_s(mu[:-1]):
+    for key, c in zip(*_elementary_in_s(mu[:-1])):
         for nu in _pieri(key, n, mu[-1]):
             acc[nu] = get(nu, 0) + c
-    return tuple(acc.items())
+    return tuple(acc), tuple(acc.values())
 
 
 def _jacobi_trudi_dual(lam: Partition) -> tuple:
     """e-expansion of s_lambda via det(e_{lambda^t_i - i + j}), memoized
-    cofactors, keyed on ``_count_keys(|lambda|)`` integers.
+    cofactors, as parallel key and coefficient tuples, the keys
+    ``_count_keys(|lambda|)`` integers.
 
     The determinant is expanded along rows over the surviving columns; an
     entry e_v adds ``unit[v]`` to the keys of its cofactor, so e_0
@@ -361,7 +369,10 @@ def _jacobi_trudi_dual(lam: Partition) -> tuple:
     has a nonzero entry exactly in the columns j >= i - lambda^t_i, a bound
     that rises with i, so a minor is structurally zero as soon as its
     diagonal is, and the recursion stops there.  Only the minors are
-    memoized: ``_packed`` keeps the row, packed, in ``_met``.
+    memoized, per call, and the memo is freed before the row is returned:
+    it refers to itself through its closure, so it would otherwise wait
+    for the cyclic collector.  ``_packed`` keeps the row, packed, in
+    ``_met``.
     """
     conj = lam.transpose()
     unit = _count_keys(lam.weight)[0]
@@ -372,15 +383,18 @@ def _jacobi_trudi_dual(lam: Partition) -> tuple:
     @lru_cache(maxsize=None)
     def minor(i: int, cols: tuple) -> tuple:
         if not cols:
-            return ((0, 1),)
+            return (0,), (1,)
         if any(entry(i + k, j) < 0 for k, j in enumerate(cols)):
-            return ()
+            return (), ()
         acc = {}
         for pos, j in enumerate(cols):
-            _acc(acc, -1 if pos & 1 else 1, minor(i + 1, cols[:pos] + cols[pos + 1:]), ((unit[entry(i, j)], 1),))
-        return tuple((k, c) for k, c in acc.items() if c)
+            _acc(acc, -1 if pos & 1 else 1, zip(*minor(i + 1, cols[:pos] + cols[pos + 1:])), ((unit[entry(i, j)], 1),))
+        acc = {k: c for k, c in acc.items() if c}
+        return tuple(acc), tuple(acc.values())
 
-    return minor(0, tuple(range(len(conj))))
+    row = minor(0, tuple(range(len(conj))))
+    del minor  # the memo's last reference: its minors are freed here
+    return row
 
 
 @lru_cache(maxsize=None)
@@ -397,17 +411,17 @@ def _product(rule, lam: tuple, width: int) -> tuple:
     return tuple(acc), tuple(acc.values())
 
 
-def _row(rule, lam: tuple, weight: int = 1) -> list:
+def _row(rule, lam: tuple, weight: int = 1) -> tuple:
     """``_product`` of lam less its 1s, each coefficient times ``weight``, as
-    (key, coefficient) pairs on ``_count_keys(|lam|)`` keys: the count of 1s
-    is added to every key, as the row of 1 is the index (1) alone in both
-    directions (p_1 = e_1), so the 1s take no memo entry."""
+    parallel key and coefficient tuples on ``_count_keys(|lam|)`` keys: the
+    count of 1s is added to every key, as the row of 1 is the index (1)
+    alone in both directions (p_1 = e_1), so the 1s take no memo entry."""
     d, ones = sum(lam), lam.count(1)
     keys, coeffs = _product(rule, lam[:len(lam) - ones], d.bit_length())
-    return [(key + ones, c * weight) for key, c in zip(keys, coeffs)]
+    return tuple(key + ones for key in keys), tuple(c * weight for c in coeffs)
 
 
-def _elementary_row(lam: tuple) -> list:
+def _elementary_row(lam: tuple) -> tuple:
     """The p-expansion of d! e_lam, d = |lam|: d!/prod_j lam_j! times the
     product of the lam_j! e_{lam_j}, so the weight is not recomputed per term."""
     return _row(_elementary_in_p, lam, factorial(sum(lam)) // prod(map(factorial, lam)))
@@ -449,10 +463,11 @@ def _divided(target: Basis, degree: int, pairs, den: int) -> SymFunc:
 
 #: (source basis, target basis, degree) -> the rows packed from ``source``
 #: into ``target`` at that degree, keyed by direction, as s -> e and p -> e
-#: share a target (``_newton`` enters it empty on its first call there): the
-#: field of each count key met there, numbered in the order met, and per
-#: index the bit length of its row's largest entry with its packed row per
-#: field width
+#: share a target (``_newton`` enters it empty on its first call there):
+#: ``(fields, bits, packs)``, the field of each count key met there,
+#: numbered in the order met; per index the bit length of its row's largest
+#: entry; and per field width {index: its row packed as one int}, an index
+#: held at a second width only once a call has summed it there
 _met = {}
 
 
@@ -465,10 +480,11 @@ def _packed(table: dict, degree: int, source: Basis, target: Basis, rows, den: i
     words, k = width/64 per field in two's complement, and the biased sum
     read back with each field's top word signed, by one ``struct`` pack per
     row and one unpack per sum, so no result depends on the host's byte
-    order; the read fields go to ``_divided``.  A new index's row is read
-    once and packed at the width its own entries need with this call's
-    coefficients; it is read again only if another row needs a wider field."""
-    fields, packs = _met.setdefault((source, target, degree), ({}, {}))
+    order; the read fields go to ``_divided``.  A row is a pair of parallel
+    key and coefficient tuples.  A new index's row is read once and packed
+    at the width its own entries need with this call's coefficients; it is
+    read again only by a call that sums it at a width it is not held at."""
+    fields, bits, packs = _met.setdefault((source, target, degree), ({}, {}, {}))
     need = max(map(abs, table.values()), default=0).bit_length() + len(table).bit_length() + 1
 
     def bias(k):
@@ -476,7 +492,7 @@ def _packed(table: dict, degree: int, source: Basis, target: Basis, rows, den: i
         return int.from_bytes((bytes(8 * k - 1) + b"\x80") * len(fields), "little")
 
     def pack(row, k):
-        keys, cs = zip(*row)
+        keys, cs = row
         at = [fields.setdefault(key, len(fields)) * k for key in keys]
         words = [0] * (k * len(fields))
         for j in range(k):  # each entry's words in two's complement, low first
@@ -486,20 +502,18 @@ def _packed(table: dict, degree: int, source: Basis, target: Basis, rows, den: i
         return (int.from_bytes(struct.pack(f"<{len(words)}Q", *words), "little") ^ b) - b
 
     for lam in table:
-        if lam not in packs:
+        if lam not in bits:
             row = rows(lam)
-            bits = max(abs(c) for _, c in row).bit_length()
-            own = 1 << max(6, (need + bits).bit_length())
-            packs[lam] = bits, {own: pack(row, own >> 6)}
-    recs = list(map(packs.__getitem__, table))
-    width = 1 << max(6, (need + max(map(itemgetter(0), recs), default=0)).bit_length())
-    k, ints = width >> 6, []
-    for lam, (_, by_width) in zip(table, recs):
-        if width not in by_width:
-            by_width[width] = pack(rows(lam), k)
-        ints.append(by_width[width])
+            bits[lam] = max(map(abs, row[1])).bit_length()
+            own = 1 << max(6, (need + bits[lam]).bit_length())
+            packs.setdefault(own, {})[lam] = pack(row, own >> 6)
+    width = 1 << max(6, (need + max(map(bits.__getitem__, table), default=0)).bit_length())
+    k, ints = width >> 6, packs.setdefault(width, {})
+    for lam in table:
+        if lam not in ints:
+            ints[lam] = pack(rows(lam), k)
     b = bias(k)
-    total = (sum(map(mul, table.values(), ints)) + b) ^ b
+    total = (sum(map(mul, table.values(), map(ints.__getitem__, table))) + b) ^ b
     words = struct.unpack("<" + f"{k - 1}Qq" * len(fields), total.to_bytes(8 * k * len(fields), "little"))
     values = words[k - 1::k]  # each field's top word, signed
     for j in reversed(range(k - 1)):  # and its low words under it
@@ -557,7 +571,7 @@ def _newton(table: dict, degree: int, target: Basis, den: int = 1) -> SymFunc:
         rows = _elementary_row if to_p else lambda key: _row(_power_in_e, decode(key))
         return _packed(table, degree, source, target, rows, den * d)
     if degree <= DEFAULT_TRANSITION_CAP:
-        _met[source, target, degree] = {}, {}
+        _met[source, target, degree] = {}, {}, {}
     if to_p:
         unit = _count_keys(degree)[0]
         table = {sum(map(unit.__getitem__, lam)): a * (d // prod(map(factorial, lam))) for lam, a in table.items()}

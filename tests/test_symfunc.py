@@ -513,7 +513,7 @@ class TestSchur:
     def test_matches_the_tuple_keyed_reference_up_to_degree_12(self):
         for n in range(1, 13):
             for lam in partitions_of(n):
-                assert all(type(key) is int for key, _ in symfunc._jacobi_trudi_dual(lam)), lam
+                assert all(type(key) is int for key, _ in zip(*symfunc._jacobi_trudi_dual(lam))), lam
                 schur = SymFunc.single(Basis.S, lam)
                 assert_same_output(s_to_e(schur), ref_s_to_e(schur)), lam
 
@@ -998,7 +998,7 @@ class TestPackedRoute:
         out = json.loads(out)
         schur = [SymFunc(Basis.S, f.degree, f.terms) for f in sample]
         power = [SymFunc(Basis.P, f.degree, f.terms) for f in sample]
-        decode = lambda lam: [(_count_keys(sum(lam))[1](key), c) for key, c in _elementary_in_s(lam)]
+        decode = lambda lam: [(_count_keys(sum(lam))[1](key), c) for key, c in zip(*_elementary_in_s(lam))]
         references = {
             "e_to_p": map(ref_nested_e_to_p, sample),
             "e_to_s": (ref_apply(f, Basis.E, Basis.S, decode) for f in sample),
@@ -1022,7 +1022,7 @@ class TestPackedRoute:
         csf = compute_csf("spider(4,4,3)")[0]
         e, s, p = (SymFunc(basis, csf.degree, csf.terms) * scale for basis in (Basis.E, Basis.S, Basis.P))
         assert {type(c) for c in e.terms.values()} == {type(scale)}
-        decode = lambda lam: [(_count_keys(sum(lam))[1](key), c) for key, c in _elementary_in_s(lam)]
+        decode = lambda lam: [(_count_keys(sum(lam))[1](key), c) for key, c in zip(*_elementary_in_s(lam))]
         e_in_p = ref_nested_e_to_p(e)
         cases = [
             (e, e_to_p, e_in_p),  # nested evaluation
@@ -1054,7 +1054,7 @@ class TestMemory:
         )
         status, out, err = run_child(code)
         assert status == 0, err
-        assert float(out) < 110  # 213 MB with the product route's prefix memo
+        assert float(out) < 110  # 24 MB; 213 MB with the product route's prefix memo
 
     @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
     def test_packed_e_to_p_at_the_cap(self):
@@ -1089,7 +1089,41 @@ class TestMemory:
         )
         status, out, err = run_child(code)
         assert status == 0, err
-        assert float(out) < 96  # 68 MB; 43 MB with nested p -> e alone
+        assert float(out) < 96  # 64 MB; 42 MB with nested p -> e alone
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+    def test_dense_e_to_s_below_the_cap(self):
+        """Every e_mu, mu |- 20, at coefficient 1: the e -> s memo keeps its
+        2,714 rows as parallel key and coefficient tuples beside the packed
+        ones."""
+        code = (
+            "from chromsym.partitions import partitions_of\n"
+            "from chromsym.symfunc import Basis, SymFunc, e_to_s\n"
+            "e_to_s(SymFunc(Basis.E, 20, dict.fromkeys(partitions_of(20), 1)))\n"
+            + PRINT_PEAK_MB
+        )
+        status, out, err = run_child(code)
+        assert status == 0, err
+        assert float(out) < 40  # 31 MB; 52 MB with the rows as tuples of pairs
+
+    def test_an_s_to_e_leaves_no_minor_to_the_cyclic_collector(self):
+        """``_jacobi_trudi_dual``'s per-call memo refers to itself, and is
+        freed before the row is returned: with the collector off, one s -> e
+        of a fresh degree-14 Schur function adds only its output, its record
+        and the names and formats it meets."""
+        code = (
+            "import gc\n"
+            "gc.disable()\n"
+            "from chromsym import compute_csf\n"
+            "from chromsym.symfunc import e_to_s, s_to_e\n"
+            "f = e_to_s(compute_csf('spider(5,5,3)')[0])\n"
+            "before = len(gc.get_objects())\n"
+            "s_to_e(f)\n"
+            "print(len(gc.get_objects()) - before)\n"
+        )
+        status, out, err = run_child(code)
+        assert status == 0, err
+        assert int(out) < 100  # 27; 25,683 with every row's minors left behind
 
     def test_a_part_above_the_cap_is_refused_before_the_keys_are_built(self):
         # the keys of degree 10,000 peak at about 94 MB; p_(1^10000) and
