@@ -54,17 +54,17 @@ Engines:
   on (key, coefficient) pairs of the one table
   ``_count_keys(DEFAULT_ENUMERATION_CAP)``, where a count of at most 40 never
   carries, through ``partitions._acc``, which also multiplies the rows the
-  conversions keep once, packed, in ``symfunc._met``, and names its result
-  as Partitions once.  The pairs of paths, cycles, tadpoles and lollipops are
-  memoized for the life of the process (``_path_keys`` and its siblings):
-  the series recursion reads every smaller path or cycle, and every
-  elimination reads its tails R(j), the paths of a tadpole or lollipop and
-  the tadpoles or lollipops of a dumbbell, which neighbouring arguments
-  share.  Every public call runs its guard before any memo, so a memo sees
-  checked integers only.  Dumbbells, spiders and 3-body suns, sums of path
-  products each made once, are not memoized, as no workload asks for the
-  same one twice; four or more legs or a larger sun body return None, before
-  their guard: ``compute_csf`` builds and guards those as any other spec.
+  conversions keep once, packed, in ``symfunc._met``, and names its result as
+  Partitions once.  The pairs of paths, cycles, tadpoles and lollipops are
+  memoized for the life of the process (``_path_keys``, ``_cycle_keys``,
+  ``_tailed_keys``): the series recursion reads every smaller path or cycle,
+  and every elimination reads its tails R(j), the paths of a tadpole or
+  lollipop and the tadpoles or lollipops of a dumbbell, which neighbouring
+  arguments share.  Every public call runs its guard before any memo, so a memo
+  sees checked integers only.  Dumbbells, spiders and 3-body suns, sums of path
+  products each made once, are not memoized, as no workload asks for the same
+  one twice; four or more legs or a larger sun body return None, before their
+  guard: ``compute_csf`` builds and guards those as any other spec.
 
 Component products, block products and the tree and clique closings are
 theorems about all graphs, not family formulas: no ``*_closed`` function is
@@ -451,13 +451,8 @@ def _eliminate(body: str, m: int, rest) -> tuple:
 
 
 @lru_cache(maxsize=None)
-def _tadpole_keys(a: int, b: int) -> tuple:
-    return _eliminate("cycle", a, lambda j: _path_keys(b + j))
-
-
-@lru_cache(maxsize=None)
-def _lollipop_keys(a: int, b: int) -> tuple:
-    return _eliminate("complete", a, lambda j: _path_keys(b + j))
+def _tailed_keys(body: str, a: int, b: int) -> tuple:
+    return _eliminate(body, a, lambda j: _path_keys(b + j))
 
 
 def csf_tadpole_closed(a: int, b: int) -> SymFunc:
@@ -465,7 +460,7 @@ def csf_tadpole_closed(a: int, b: int) -> SymFunc:
 
         X = (a-1) X_{P_{a+b}} - sum_{i=2}^{a-1} X_{P_{a+b-i}} X_{C_i}.
     """
-    return _named(_closed_guard("tadpole", a, b), _tadpole_keys(a, b))
+    return _named(_closed_guard("tadpole", a, b), _tailed_keys("cycle", a, b))
 
 
 def csf_lollipop_closed(a: int, b: int) -> SymFunc:
@@ -475,7 +470,7 @@ def csf_lollipop_closed(a: int, b: int) -> SymFunc:
 
     where w(a, i) = (a-1)! (a-i-1) / (a-i)! is ``clique_weight(a, i)``.
     """
-    return _named(_closed_guard("lollipop", a, b), _lollipop_keys(a, b))
+    return _named(_closed_guard("lollipop", a, b), _tailed_keys("complete", a, b))
 
 
 def _spider(legs) -> list:
@@ -534,8 +529,7 @@ def _dumbbell(family: str, m: int, l: int, n: int) -> SymFunc:
     tadpole T(n, l + j) or lollipop L(n, l + j)."""
     d = _closed_guard(family, m, l, n)
     first, second = _DUMBBELL_BODIES[family]
-    inner = _tadpole_keys if second == "cycle" else _lollipop_keys
-    return _named(d, _eliminate(first, m, lambda j: inner(n, l + j)))
+    return _named(d, _eliminate(first, m, lambda j: _tailed_keys(second, n, l + j)))
 
 
 def csf_dumbbell_closed(m: int, l: int, n: int) -> SymFunc:
@@ -605,14 +599,20 @@ class ChromPoly:
         return out
 
     def __add__(self, other):
+        if not isinstance(other, ChromPoly):
+            return NotImplemented
         return ChromPoly._trusted([a + b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0)])
 
     def __sub__(self, other):
+        if not isinstance(other, ChromPoly):
+            return NotImplemented
         return ChromPoly._trusted([a - b for a, b in zip_longest(self.coeffs, other.coeffs, fillvalue=0)])
 
     def __mul__(self, other):
         if isinstance(other, int):
             return ChromPoly._trusted([c * other for c in self.coeffs])
+        if not isinstance(other, ChromPoly):
+            return NotImplemented
         b = other.coeffs
         out = [0] * (len(self.coeffs) + len(b) - 1)
         for i, a in enumerate(self.coeffs):  # a row of the product: a x^i times other

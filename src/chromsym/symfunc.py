@@ -23,39 +23,39 @@ evaluation below), sums packed rows.  A ``p -> e`` above
 ``DEFAULT_TRANSITION_CAP``, which no guard refuses, is always nested, as a
 record there would hold :math:`p(d)^2` fields.  Each index's integral row
 (for ``p -> e`` and ``e -> p`` the product of the one-part Newton rows,
-memoized per index less its 1s, which for ``e -> p``, times the
-multinomial below, is :math:`d!\\,e_\\lambda`) is one int whose field i
-holds its coefficient of the i-th count key met at that degree in that
-direction, so a conversion is one big-integer multiply-add per term.  A row
-is written as unsigned little-endian 64-bit words, k per field in two's
-complement, and the sum read back on the same words, each field's top one
-signed, by one ``struct`` pack per row and one unpack per sum, so no result
-depends on the host's byte order; the read fields are divided, stripped of
-zeros and named in one pass.  A field is the least power of two from 64
-bits that exceeds the bit lengths of the largest coefficient, of the
-largest row entry and of the number of terms, plus one, so no field sum
-reaches the bias of half a field added before reading, and none borrows
-from the next.
+memoized with them in ``_product`` per index less its 1s, which for
+``e -> p``, times the multinomial below, is :math:`d!\\,e_\\lambda`) is one
+int whose field i holds its coefficient of the i-th count key met at that
+degree in that direction, so a conversion is one big-integer multiply-add
+per term.  A row is written as unsigned little-endian 64-bit words, k per
+field in two's complement, and the sum read back on the same words, each
+field's top one signed, by one ``struct`` pack per row and one unpack per
+sum, so no result depends on the host's byte order; the read fields are
+divided, stripped of zeros and named in one pass.  A field is the least
+power of two from 64 bits that exceeds the bit lengths of the largest
+coefficient, of the largest row entry and of the number of terms, plus
+one, so no field sum reaches the bias of half a field added before
+reading, and none borrows from the next.
 
 * ``p -> e`` and ``e -> p`` build each one-part element's row from the
   smaller rows on count keys, with no partition enumerated, by Newton's
   identities (Macdonald I.2),
   :math:`p_n = \\sum_{i<n} (-1)^{i-1} e_i\\, p_{n-i} + (-1)^{n-1} n\\, e_n` and
   :math:`n!\\,e_n = \\sum_{i=1}^{n} (-1)^{i-1} \\frac{(n-1)!}{(n-i)!}\\, p_i\\,(n-i)!\\,e_{n-i}`,
-  memoized per part and key width, and multiply out a whole function at once
-  by nested (Horner) evaluation over the trie of its indices, each index an
-  integer count vector.  ``_newton`` is the one route of both directions,
-  nested or packed, and the CSF oracle hands it its table on the same keys,
-  with no ``SymFunc`` between.  For ``e -> p`` the product
-  of the :math:`\\lambda_j!\\,e_{\\lambda_j}`, weighted by the multinomial
-  :math:`d!/\\prod_j \\lambda_j!`, is :math:`d!\\,e_\\lambda`, so the sums
-  stay integral and each output term is divided by :math:`d!` once.
+  memoized per part and key width with their products, and multiply out a
+  whole function at once by nested (Horner) evaluation over the trie of its
+  indices, each index an integer count vector.  ``_newton`` is the one
+  route of both directions, nested or packed, and the CSF oracle hands it
+  its table on the same keys, with no ``SymFunc`` between.  For ``e -> p``
+  the product of the :math:`\\lambda_j!\\,e_{\\lambda_j}`, weighted by the
+  multinomial :math:`d!/\\prod_j \\lambda_j!`, is :math:`d!\\,e_\\lambda`, so
+  the sums stay integral and each output term is divided by :math:`d!` once.
 * ``e -> s`` grows :math:`e_\\mu` one part at a time by the dual Pieri rule
   (:math:`s_\\lambda e_k` is the sum of :math:`s_\\nu` over the vertical
   k-strips :math:`\\nu/\\lambda`), so its coefficients are the Kostka numbers
   :math:`K_{\\lambda^t\\mu}` (Stanley, EC2 7.15; Macdonald I.5).  The
-  strips of each :math:`(\\lambda, k)` are walked once per process, however
-  many :math:`e_\\mu` meet them.
+  strips of each :math:`(\\lambda, k)` are walked once per process, their
+  keys summed on the walk, however many :math:`e_\\mu` meet them.
 * ``s -> e`` expands the dual Jacobi-Trudi determinant
   :math:`s_\\lambda = \\det(e_{\\lambda^t_i - i + j})` by memoized minors: an
   entry :math:`e_v` adds ``unit[v]``, and ``unit[0] = 0`` stands for
@@ -269,10 +269,9 @@ class SymFunc:
 # ----------------------------------------------------- per-index expansions
 #
 # Every conversion row is keyed on the ``_count_keys`` integers of its
-# degree, as parallel key and coefficient tuples (``_keyed`` builds the
-# one-part rows as (key, coefficient) pairs, the operand ``_acc`` takes), and
-# a conversion names the keys as Partitions once, when it returns.  Only
-# ``SymFunc.__mul__`` merges tuples, by ``_merge``.
+# degree, as parallel key and coefficient tuples, and a conversion names the
+# keys as Partitions once, when it returns.  Only ``SymFunc.__mul__`` merges
+# tuples, by ``_merge``.
 
 
 def _merge(mu: tuple, nu: tuple) -> tuple:
@@ -294,47 +293,28 @@ def _elementary_in_p(n: int, i: int) -> int:
 
 
 @lru_cache(maxsize=None)
-def _keyed(rule, n: int, width: int) -> tuple:
-    """The one-part row of ``rule`` on ``_count_keys`` integers of ``width``
-    bits per part, by the recurrence row(0) = 1 and row(n) = the sum over
-    i = 1..n of ``rule(n, i)`` times unit(i) times row(n - i), zero sums
-    dropped: the memo of p -> e and e -> p, one row for every part of that
-    width, each built from the smaller rows with no partition enumerated."""
-    if not n:
-        return ((0, 1),)
-    acc = {}
-    for i in range(1, n + 1):
-        _acc(acc, rule(n, i), _keyed(rule, n - i, width), ((1 << width * (i - 1), 1),))
-    return tuple((key, c) for key, c in acc.items() if c)
-
-
-def _vertical_strips(lam: tuple, k: int) -> list:
-    """Every nu such that nu/lam is a vertical k-strip: k boxes, at most one per row."""
-    rows = lam + (0,) * k
-    out = []
-
-    def walk(i, left, above, grown):
-        if left == 0:
-            out.append(grown + lam[i:])
-            return
-        r = rows[i]
-        if above > r:  # a box fits at the end of row i
-            walk(i + 1, left - 1, r + 1, grown + (r + 1,))
-        if r:  # row i unchanged; an empty row ends the shape
-            walk(i + 1, left, r, grown + (r,))
-
-    walk(0, k, (lam[0] if lam else 0) + 1, ())
-    return out
-
-
-@lru_cache(maxsize=None)
 def _pieri(key: int, n: int, k: int) -> tuple:
     """The dual Pieri step s_lambda * e_k, lambda |- n given by its
     ``_count_keys(n)`` key: the ``_count_keys(n + k)`` keys of every nu such
-    that nu/lambda is a vertical k-strip.  Each (lambda, k) is walked once per
-    process, however many e_mu share it."""
+    that nu/lambda is a vertical k-strip, k boxes at most one per row, summed
+    on one walk of the rows.  Each (lambda, k) is walked once per process,
+    however many e_mu share it."""
     unit = _count_keys(n + k)[0]
-    return tuple(sum(map(unit.__getitem__, nu)) for nu in _vertical_strips(_count_keys(n)[1](key), k))
+    rows = _count_keys(n)[1](key) + (0,) * k
+    out = []
+
+    def walk(i, left, above, key):
+        if not left:
+            out.append(key)
+            return
+        r = rows[i]
+        if above > r:  # a box fits at the end of row i
+            walk(i + 1, left - 1, r + 1, key + unit[r + 1] - unit[r])
+        if r:  # row i unchanged; an empty row ends the shape
+            walk(i + 1, left, r, key)
+
+    walk(0, k, n + 1, sum(map(unit.__getitem__, rows)))  # no row above row 0 bounds it
+    return tuple(out)
 
 
 @lru_cache(maxsize=None)
@@ -399,16 +379,24 @@ def _jacobi_trudi_dual(lam: Partition) -> tuple:
 
 @lru_cache(maxsize=None)
 def _product(rule, lam: tuple, width: int) -> tuple:
-    """The product of the one-part rows ``_keyed(rule, lam_j, width)`` of
-    Newton's identity ``rule``, on count keys of ``width`` bits per part, as
-    parallel key and coefficient tuples: the row of lam less its last part
-    times the row of its last part.  It is p_lam in the e basis for
+    """The product of the one-part rows of Newton's identity ``rule`` over the
+    parts of lam, on count keys of ``width`` bits per part, as parallel key
+    and coefficient tuples: the row of lam less its last part times the row
+    of its last part, and the row of one part n by the recurrence
+    row(0) = 1 and row(n) = the sum over i = 1..n of ``rule(n, i)`` times
+    unit(i) times row(n - i), zero sums dropped, built from the smaller rows
+    with no partition enumerated.  It is p_lam in the e basis for
     ``_power_in_e``, and prod_j lam_j! e_{lam_j} in the p basis for
-    ``_elementary_in_p``."""
+    ``_elementary_in_p``: the one memo of p -> e and e -> p."""
     if not lam:
         return (0,), (1,)
-    acc = _acc({}, 1, zip(*_product(rule, lam[:-1], width)), _keyed(rule, lam[-1], width))
-    return tuple(acc), tuple(acc.values())
+    if len(lam) > 1:
+        acc = _acc({}, 1, zip(*_product(rule, lam[:-1], width)), tuple(zip(*_product(rule, lam[-1:], width))))
+        return tuple(acc), tuple(acc.values())
+    n, acc = lam[0], {}
+    for i in range(1, n + 1):
+        _acc(acc, rule(n, i), zip(*_product(rule, (n - i,) if i < n else (), width)), ((1 << width * (i - 1), 1),))
+    return tuple(key for key, c in acc.items() if c), tuple(filter(None, acc.values()))
 
 
 def _row(rule, lam: tuple, weight: int = 1) -> tuple:
@@ -471,7 +459,7 @@ def _divided(target: Basis, degree: int, pairs, den: int) -> SymFunc:
 _met = {}
 
 
-def _packed(table: dict, degree: int, source: Basis, target: Basis, rows, den: int = 1) -> SymFunc:
+def _packed(table: dict, degree: int, source: Basis, target: Basis, rows, den: int) -> SymFunc:
     """The linear map b_lam -> ``rows(lam)`` (integral, on ``_count_keys(degree)``
     keys) of the integer ``table`` {lam: a_lam}, each output term divided by
     ``den``: one sum of a_lam times lam's row packed as one int (field i its
@@ -521,12 +509,12 @@ def _packed(table: dict, degree: int, source: Basis, target: Basis, rows, den: i
     return _divided(target, degree, zip(fields, values), den)
 
 
-def _nested(table: dict, degree: int, target: Basis, rule, den: int = 1) -> SymFunc:
+def _nested(table: dict, degree: int, target: Basis, rule, den: int) -> SymFunc:
     """The linear map sending each basis element b_lam to the product of the
-    integral rows ``_keyed(rule, lam_j, width)`` of Newton's identity ``rule``,
-    in a ``target`` basis that multiplies by index concatenation, divided once
-    by ``den``.  ``table`` holds integer coefficients keyed on
-    ``_count_keys(degree)`` integers.
+    integral one-part rows ``_product(rule, (lam_j,), width)`` of Newton's
+    identity ``rule``, in a ``target`` basis that multiplies by index
+    concatenation, divided once by ``den``.  ``table`` holds integer
+    coefficients keyed on ``_count_keys(degree)`` integers.
 
     Nested (Horner) evaluation over the trie of the indices, parts in
     decreasing order.  A node is a key with its 1s removed.  Its value holds
@@ -550,7 +538,7 @@ def _nested(table: dict, degree: int, target: Basis, rule, den: int = 1) -> SymF
         sums[leaf][key & ones] = a
     for node in sorted(sums, reverse=True)[:-1]:  # the root 0 sorts last
         s = ((node & -node).bit_length() - 1) // width + 1  # the smallest part; a node has no 1s
-        _acc(sums[node - unit[s]], 1, sums.pop(node).items(), _keyed(rule, s, width))
+        _acc(sums[node - unit[s]], 1, sums.pop(node).items(), tuple(zip(*_product(rule, (s,), width))))
     return _divided(target, degree, sums[0].items(), den)
 
 

@@ -4,6 +4,7 @@ import inspect
 import itertools
 import json
 import math
+import operator
 import random
 import sys
 import time
@@ -660,6 +661,19 @@ class TestChromPoly:
         assert (2 * x).coeffs == (0, 2)
         assert (x * 2).coeffs == (0, 2)
         assert p.degree == 2
+
+    @pytest.mark.parametrize("other", [1, True, 1.5, Fraction(1, 2), "a", None])
+    def test_foreign_operand_is_refused_with_type_error(self, other):
+        """A sum or difference with anything but a ChromPoly, and a product
+        with anything but a ChromPoly or an int, raises TypeError, as
+        ``SymFunc`` does, from either side."""
+        p = ChromPoly((0, 1))
+        ops = [operator.add, operator.sub] + ([] if isinstance(other, int) else [operator.mul])
+        for op in ops:
+            for left, right in [(p, other), (other, p)]:
+                with pytest.raises(TypeError):
+                    op(left, right)
+        assert (p * True).coeffs == (0, 1) and (2 * p).coeffs == (0, 2)
 
     def test_normalises_leading_zeros(self):
         assert ChromPoly((1, 2, 0, 0)).coeffs == (1, 2)

@@ -108,10 +108,9 @@ MEMOS = {
         "_cycle_keys": None,
         "_dc_block": 1024,
         "_falling": None,
-        "_lollipop_keys": None,
         "_path_keys": None,
         "_subsets_block": 1024,
-        "_tadpole_keys": None,
+        "_tailed_keys": None,
         "_tree": None,
         "_xm1_power": None,
     },
@@ -121,7 +120,6 @@ MEMOS = {
     "symfunc": {
         "_elementary_in_s": None,
         "_jacobi_trudi_dual.minor": None,
-        "_keyed": None,
         "_pieri": None,
         "_product": None,
     },

@@ -9,6 +9,7 @@ import time
 from collections import Counter
 from fractions import Fraction
 from functools import lru_cache, partial
+from itertools import zip_longest
 from math import comb, factorial, lcm, prod
 from pathlib import Path
 
@@ -27,9 +28,9 @@ from chromsym.symfunc import (
     SymFunc,
     _elementary_in_p,
     _elementary_in_s,
-    _keyed,
     _nested,
     _power_in_e,
+    _product,
     convert,
     e_to_p,
     e_to_s,
@@ -215,7 +216,7 @@ def ref_multinomial(counts) -> int:
 
 
 # The per-partition formulas that Newton's identities replaced, indices as
-# sorted tuples: the reference the ``_keyed`` rows are pinned to.
+# sorted tuples: the reference the one-part ``_product`` rows are pinned to.
 
 
 @lru_cache(maxsize=None)
@@ -565,6 +566,22 @@ class TestElementaryExpansions:
         info = symfunc._pieri.cache_info()
         assert (info.misses, info.hits + info.misses) == (333, 3508)
 
+    def test_pieri_step_matches_brute_force_vertical_strips(self):
+        """The keys ``_pieri`` sums on its walk are those of every nu |- n + k
+        that holds lambda and adds at most one box to each row, found by
+        filtering all partitions of n + k, each once."""
+        for n in range(11):
+            for lam in partitions_of(n):
+                key = sum(map(_count_keys(n)[0].__getitem__, lam))
+                for k in range(5):
+                    unit = _count_keys(n + k)[0]
+                    want = [
+                        sum(map(unit.__getitem__, nu))
+                        for nu in partitions_of(n + k)
+                        if all(0 <= a - b <= 1 for a, b in zip_longest(nu, lam, fillvalue=0))
+                    ]
+                    assert sorted(symfunc._pieri(key, n, k)) == sorted(want), (lam, k)
+
     @settings(deadline=None, max_examples=40)
     @given(
         st.integers(1, 10).flatmap(lambda n: st.sampled_from(partitions_of(n))),
@@ -624,10 +641,10 @@ class TestElementaryExpansions:
         # sum_mu 1/z_mu = 1 and e_i(1) = 0 for i >= 2: a dropped sign or a
         # wrong z_mu breaks one of the two sums
         for i in range(1, DEFAULT_TRANSITION_CAP + 1):
-            table = _keyed(_elementary_in_p, i, DEFAULT_TRANSITION_CAP.bit_length())
-            assert all(type(c) is int for _, c in table), i
-            assert sum(abs(c) for _, c in table) == factorial(i), i
-            assert sum(c for _, c in table) == (1 if i == 1 else 0), i
+            _, table = _product(_elementary_in_p, (i,), DEFAULT_TRANSITION_CAP.bit_length())
+            assert all(type(c) is int for c in table), i
+            assert sum(abs(c) for c in table) == factorial(i), i
+            assert sum(table) == (1 if i == 1 else 0), i
         for lam in partitions_of(8):
             assert all(type(c) is int for _, c in ref_product(ref_elementary_in_p, tuple(lam))), lam
 
@@ -676,7 +693,7 @@ class TestNestedMatchesProducts:
         unit, decode = _count_keys(64)
         table = {sum(map(unit.__getitem__, lam)): int(c) for lam, c in f.terms.items()}
         start = time.perf_counter()
-        out = _nested(table, 64, target, rule)
+        out = _nested(table, 64, target, rule, 1)
         assert time.perf_counter() - start < 1
         assert_same_output(out, ref_nested(f, source, target, reference))
         assert len(decode.__self__) < 10_000 and _count_keys(64)[1] == decode
@@ -756,7 +773,7 @@ class TestNewtonRows:
         # largest part its conversion takes
         for n in range(1, min(2**width - 1, top) + 1):
             want = {sum(1 << width * (part - 1) for part in mu): c for mu, c in reference(n)}
-            assert dict(_keyed(rule, n, width)) == want, (n, width)
+            assert dict(zip(*_product(rule, (n,), width))) == want, (n, width)
 
     def test_no_partition_is_enumerated(self):
         """p -> e and e -> p of a degree-14 CSF in a process whose partition
@@ -799,7 +816,7 @@ def packed_sample() -> list:
     csfs = {}
     for spec in graphs:
         g = parse_graph_spec(spec).build()
-        csfs.setdefault(spec, _nested(_subset_counts(g.n, g.edge_list), g.n, Basis.E, _power_in_e))
+        csfs.setdefault(spec, _nested(_subset_counts(g.n, g.edge_list), g.n, Basis.E, _power_in_e, 1))
     spider = csfs["spider(4,4,3)"]
     edges = [sign * c for c in (2**63 - 1, 2**63, 2**127, 2**191 - 1, 2**191) for sign in (1, -1)]
     return [
