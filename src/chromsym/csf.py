@@ -51,20 +51,21 @@ Engines:
   ``_check_sizes``) and its vertex bound before any arithmetic.  Paths and
   cycles come from one series rule, ``_series``; tadpoles, lollipops and
   dumbbells remove each body by one rule, ``_eliminate``.  Every form works
-  on (key, coefficient) pairs of the one table
-  ``_count_keys(DEFAULT_ENUMERATION_CAP)``, where a count of at most 40 never
-  carries, through ``partitions._acc``, which also multiplies the rows the
-  conversions keep once, packed, in ``symfunc._met``, and names its result as
-  Partitions once.  The pairs of paths, cycles, tadpoles and lollipops are
-  memoized for the life of the process (``_path_keys``, ``_cycle_keys``,
-  ``_tailed_keys``): the series recursion reads every smaller path or cycle,
-  and every elimination reads its tails R(j), the paths of a tadpole or
-  lollipop and the tadpoles or lollipops of a dumbbell, which neighbouring
-  arguments share.  Every public call runs its guard before any memo, so a memo
-  sees checked integers only.  Dumbbells, spiders and 3-body suns, sums of path
-  products each made once, are not memoized, as no workload asks for the same
-  one twice; four or more legs or a larger sun body return None, before their
-  guard: ``compute_csf`` builds and guards those as any other spec.
+  on (key, coefficient) pairs of ``partitions._count_keys``, the one table of
+  every degree up to 63, through ``partitions._acc``, which also multiplies
+  the rows the conversions keep once, packed, in ``symfunc._met``, and names
+  its result by ``symfunc._divided``, the pass that names every conversion's
+  output, so a form and its round trips share each Partition.  The pairs of
+  paths, cycles, tadpoles and lollipops are memoized for the life of the
+  process (``_path_keys``, ``_cycle_keys``, ``_tailed_keys``): the series
+  recursion reads every smaller path or cycle, and every elimination reads
+  its tails R(j), the paths of a tadpole or lollipop and the tadpoles or
+  lollipops of a dumbbell, which neighbouring arguments share.  Every public
+  call runs its guard before any memo, so a memo sees checked integers only.
+  Dumbbells, spiders and 3-body suns, sums of path products each made once,
+  are not memoized, as no workload asks for the same one twice; four or more
+  legs or a larger sun body return None, before their guard: ``compute_csf``
+  builds and guards those as any other spec.
 
 Component products, block products and the tree and clique closings are
 theorems about all graphs, not family formulas: no ``*_closed`` function is
@@ -362,21 +363,15 @@ def csf_dc(g: Graph) -> SymFunc:
 # ------------------------------------------------------------- closed forms
 
 
-#: the key of each one-part multiset {s} and the Partition of a key, on the one
-#: table of every closed form: parts up to 40, 6 bits per part, and no count can
-#: reach 64 on the at most 40 vertices its guard admits, so none carries
-_UNIT, _NAME = _count_keys(DEFAULT_ENUMERATION_CAP)
+#: the key of each one-part multiset {s}, on the one table of every degree up
+#: to 63, which holds every closed form its vertex guard admits
+_UNIT = _count_keys(DEFAULT_ENUMERATION_CAP)[0]
 _ONE = ((0, 1),)  # e_0 = 1
 
 
 def _closed_guard(family: str, *args) -> int:
     """The family's argument rule, then the vertex bound, before any arithmetic: |V|."""
     return _guard("closed form", GraphSpec(family, args).check())
-
-
-def _named(d: int, pairs) -> SymFunc:
-    """The e-basis ``SymFunc`` of degree d of count-key pairs, each key named once."""
-    return SymFunc._trusted(Basis.E, d, {_NAME(k): c for k, c in pairs})
 
 
 def _series(lead: int, d: int, smallest: int, smaller) -> tuple:
@@ -406,7 +401,7 @@ def csf_path_closed(d: int) -> SymFunc:
 
         X_{P_d} = d e_d + sum_{i=2}^{d-1} (i-1) e_i X_{P_{d-i}}.
     """
-    return _named(d, _path_keys(_closed_guard("path", d)))
+    return _divided(Basis.E, d, _path_keys(_closed_guard("path", d)), 1)
 
 
 def csf_cycle_closed(d: int) -> SymFunc:
@@ -419,7 +414,7 @@ def csf_cycle_closed(d: int) -> SymFunc:
     d = 2 gives 2 e_2, the single edge K_2 (the degenerate two-cycle), which
     keeps every elimination formula below uniform.
     """
-    return _named(d, _cycle_keys(_guard("closed form", _check_sizes(2, "cycle forms need d >= 2", d))))
+    return _divided(Basis.E, d, _cycle_keys(_guard("closed form", _check_sizes(2, "cycle forms need d >= 2", d))), 1)
 
 
 def clique_weight(a: int, i: int) -> int:
@@ -430,8 +425,7 @@ def clique_weight(a: int, i: int) -> int:
 
 def csf_complete_closed(n: int) -> SymFunc:
     """X of the complete graph: n! e_n."""
-    _closed_guard("complete", n)
-    return SymFunc.single(Basis.E, (n,), factorial(n))
+    return _divided(Basis.E, n, ((_UNIT[_closed_guard("complete", n)], factorial(n)),), 1)
 
 
 def _eliminate(body: str, m: int, rest) -> tuple:
@@ -460,7 +454,7 @@ def csf_tadpole_closed(a: int, b: int) -> SymFunc:
 
         X = (a-1) X_{P_{a+b}} - sum_{i=2}^{a-1} X_{P_{a+b-i}} X_{C_i}.
     """
-    return _named(_closed_guard("tadpole", a, b), _tailed_keys("cycle", a, b))
+    return _divided(Basis.E, _closed_guard("tadpole", a, b), _tailed_keys("cycle", a, b), 1)
 
 
 def csf_lollipop_closed(a: int, b: int) -> SymFunc:
@@ -470,7 +464,7 @@ def csf_lollipop_closed(a: int, b: int) -> SymFunc:
 
     where w(a, i) = (a-1)! (a-i-1) / (a-i)! is ``clique_weight(a, i)``.
     """
-    return _named(_closed_guard("lollipop", a, b), _tailed_keys("complete", a, b))
+    return _divided(Basis.E, _closed_guard("lollipop", a, b), _tailed_keys("complete", a, b), 1)
 
 
 def _spider(legs) -> list:
@@ -491,7 +485,7 @@ def _path_products(n: int, terms) -> SymFunc:
     for i, w in weights.items():
         if w:
             _acc(out, w, _path_keys(i) if i else _ONE, _path_keys(n - i))
-    return _named(n, out.items())
+    return _divided(Basis.E, n, out.items(), 1)
 
 
 def csf_spider_closed(*legs):
@@ -529,7 +523,7 @@ def _dumbbell(family: str, m: int, l: int, n: int) -> SymFunc:
     tadpole T(n, l + j) or lollipop L(n, l + j)."""
     d = _closed_guard(family, m, l, n)
     first, second = _DUMBBELL_BODIES[family]
-    return _named(d, _eliminate(first, m, lambda j: _tailed_keys(second, n, l + j)))
+    return _divided(Basis.E, d, _eliminate(first, m, lambda j: _tailed_keys(second, n, l + j)), 1)
 
 
 def csf_dumbbell_closed(m: int, l: int, n: int) -> SymFunc:

@@ -1,4 +1,4 @@
-"""Integer partitions: construction, enumeration and conjugation."""
+"""Integer partitions: construction, enumeration, conjugation, and count keys."""
 
 from __future__ import annotations
 
@@ -101,14 +101,17 @@ def _count_keys(n: int):
     """Integer keys for multisets of parts summing to at most ``n``: ``(unit, decode)``.
 
     The key of a multiset is its count vector, the count of part s in bits
-    [w(s - 1), ws) with w = ``n.bit_length()``.  ``unit[s]`` is the key of
-    {s}, so merging two multisets adds their keys, and ``decode(key)`` is the
-    Partition of the parts, largest first.  No count can exceed n < 2**w, so a
-    sum never carries into the next part's bits and can never give a wrong
-    index.  Memoized per n, so each key is decoded once per process, when
-    first met: ``decode`` reads one dict, which holds only the keys met, not
-    every partition of n.
+    [w(s - 1), ws): w = 6 on the one table every n up to 63 shares, and
+    w = ``n.bit_length()`` on the table each larger n builds, the one width
+    rule (other modules read w off ``unit[2] = 2**w``).  ``unit[s]`` is the
+    key of {s}, so merging two multisets adds their keys, and ``decode(key)``
+    is the Partition of the parts, largest first.  No count can exceed
+    n < 2**w, so a sum never carries into the next part's bits.  Each key is
+    decoded once per process, when first met, by one dict of the keys met,
+    not of every partition of n.
     """
+    if n < 63:
+        return _count_keys(63)
     w = n.bit_length()
     names = _Names()
     names.width, names.unit = w, (0, *(1 << w * (s - 1) for s in range(1, n + 1)))

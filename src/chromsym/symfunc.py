@@ -5,9 +5,10 @@ partitions (the basis indices) to exact coefficients, ``int`` where integral
 (every CSF) and ``fractions.Fraction`` otherwise; the two agree on ``==``,
 hash, ``str`` and JSON, and ``coefficient`` and witnesses return ``Fraction``.
 Basis changes are exact and direct, and sum in integers over one common
-denominator, on one index format: the ``_count_keys`` integers of their
-degree, named as Partitions once, by that degree's memo, in the pass that
-divides them.  Rows are multiplied out by ``partitions._acc``, as in the
+denominator, on one index format: the ``_count_keys`` integers of the one
+table of every degree up to 63, each named as a Partition once per
+process, by ``_divided``, the pass that divides them and names the closed
+CSF forms too.  Rows are multiplied out by ``partitions._acc``, as in the
 closed CSF forms, and each is a pair of parallel key and coefficient
 tuples.  ``e -> s`` and ``s -> e`` expand one basis element at a time and
 keep each row packed in ``_met``, whose record per direction and degree
@@ -42,7 +43,7 @@ reading, and none borrows from the next.
   identities (Macdonald I.2),
   :math:`p_n = \\sum_{i<n} (-1)^{i-1} e_i\\, p_{n-i} + (-1)^{n-1} n\\, e_n` and
   :math:`n!\\,e_n = \\sum_{i=1}^{n} (-1)^{i-1} \\frac{(n-1)!}{(n-i)!}\\, p_i\\,(n-i)!\\,e_{n-i}`,
-  memoized per part and key width with their products, and multiply out a
+  memoized with their products per part and table width, and multiply out a
   whole function at once by nested (Horner) evaluation over the trie of its
   indices, each index an integer count vector.  ``_newton`` is the one
   route of both directions, nested or packed, and the CSF oracle hands it
@@ -294,13 +295,13 @@ def _elementary_in_p(n: int, i: int) -> int:
 
 @lru_cache(maxsize=None)
 def _pieri(key: int, n: int, k: int) -> tuple:
-    """The dual Pieri step s_lambda * e_k, lambda |- n given by its
-    ``_count_keys(n)`` key: the ``_count_keys(n + k)`` keys of every nu such
-    that nu/lambda is a vertical k-strip, k boxes at most one per row, summed
-    on one walk of the rows.  Each (lambda, k) is walked once per process,
+    """The dual Pieri step s_lambda * e_k, lambda |- n <= 22 given by its
+    key: the keys, on the same table, of every nu such that nu/lambda is a
+    vertical k-strip, k boxes at most one per row, summed on one walk of the
+    rows from lambda's key.  Each (lambda, k) is walked once per process,
     however many e_mu share it."""
-    unit = _count_keys(n + k)[0]
-    rows = _count_keys(n)[1](key) + (0,) * k
+    unit, decode = _count_keys(n)
+    rows = decode(key) + (0,) * k
     out = []
 
     def walk(i, left, above, key):
@@ -313,7 +314,7 @@ def _pieri(key: int, n: int, k: int) -> tuple:
         if r:  # row i unchanged; an empty row ends the shape
             walk(i + 1, left, r, key)
 
-    walk(0, k, n + 1, sum(map(unit.__getitem__, rows)))  # no row above row 0 bounds it
+    walk(0, k, n + 1, key)  # no row above row 0 bounds it
     return tuple(out)
 
 
@@ -404,8 +405,8 @@ def _row(rule, lam: tuple, weight: int = 1) -> tuple:
     parallel key and coefficient tuples on ``_count_keys(|lam|)`` keys: the
     count of 1s is added to every key, as the row of 1 is the index (1)
     alone in both directions (p_1 = e_1), so the 1s take no memo entry."""
-    d, ones = sum(lam), lam.count(1)
-    keys, coeffs = _product(rule, lam[:len(lam) - ones], d.bit_length())
+    ones, width = lam.count(1), _count_keys(sum(lam))[0][2].bit_length() - 1  # unit[2] = 2**width
+    keys, coeffs = _product(rule, lam[:len(lam) - ones], width)
     return tuple(key + ones for key in keys), tuple(c * weight for c in coeffs)
 
 
@@ -438,7 +439,7 @@ def _scaled(f: SymFunc, source: Basis):
 def _divided(target: Basis, degree: int, pairs, den: int) -> SymFunc:
     """The function of the integer (key, value) ``pairs`` on ``_count_keys(degree)``
     keys, in one pass: each zero value dropped, each key named by that
-    degree's memo and each value divided once by ``den``, an ``int`` where exact."""
+    table's memo and each value divided once by ``den``, an ``int`` where exact."""
     decode = _count_keys(degree)[1]
     out = object.__new__(SymFunc)
     out.basis, out.degree = target, degree
@@ -527,8 +528,8 @@ def _nested(table: dict, degree: int, target: Basis, rule, den: int) -> SymFunc:
     recursion.  A product adds keys; ``_divided`` names the output keys.
     """
     unit = _count_keys(degree)[0]
-    width = degree.bit_length()
-    ones = (1 << width) - 1  # the field of part 1
+    ones = unit[2] - 1  # the field of part 1
+    width = ones.bit_length()
     sums = {0: {}}
     for key, a in table.items():
         leaf = node = key & ~ones

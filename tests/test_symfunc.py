@@ -673,6 +673,8 @@ class TestNestedMatchesProducts:
     @pytest.mark.parametrize("degree", [63, 64])
     def test_key_width_grows_at_degree_64(self, degree, ref_memo):
         # 6 bits hold each count up to degree 63; degree 64 needs 7
+        assert [_count_keys(n) is _count_keys(63) for n in range(degree + 1)] == [True] * 64 + [False] * (degree - 63)
+        assert _count_keys(degree)[0][2] == 1 << degree.bit_length()
         half = degree // 2
         f = (
             SymFunc.single(Basis.P, (1,) * degree, 3)
@@ -795,6 +797,29 @@ class TestNewtonRows:
         assert status == 0, err
         assert out.strip() == json.dumps([p.to_json_obj(), p_to_e(p).to_json_obj()])
         assert p_to_e(p) == f
+
+    def test_degrees_on_both_sides_of_16_share_their_rows(self):
+        """e -> p at degree 14 and then at degree 17 keep each shared Newton
+        row once, on the one key table of both degrees: 18 ``_product``
+        entries, the empty row and the one-part rows of parts 1 to 17."""
+        code = (
+            "from chromsym import symfunc\n"
+            "from chromsym.csf import compute_csf\n"
+            "symfunc.e_to_p(compute_csf('spider(5,5,3)')[0])\n"
+            "symfunc.e_to_p(compute_csf('spider(6,5,5)')[0])\n"
+            "print(symfunc._product.cache_info().currsize)\n"
+        )
+        status, out, err = run_child(code)
+        assert status == 0, err
+        assert out.strip() == "18"
+
+    @pytest.mark.parametrize("there, back", [(e_to_p, p_to_e), (e_to_s, s_to_e)], ids=["p", "s"])
+    def test_a_closed_form_and_its_round_trip_share_each_partition(self, there, back):
+        # the closed forms and the conversions name keys by one pass, one dict
+        f = compute_csf("tadpole(5,4)")[0]
+        named = {lam: lam for lam in f.terms}
+        g = back(there(f))
+        assert g == f and all(named[lam] is lam for lam in g.terms)
 
 
 #: the graph each ``CLI_CALLS`` argv of a ``verify`` identity on numbers
