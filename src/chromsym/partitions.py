@@ -79,21 +79,15 @@ def partitions_of(n: int) -> list:
     return list(_partition_list(n))
 
 
-class _Names(dict):
-    """Count key -> the Partition of its parts, largest first, each key decoded
-    once, when first met (see ``_count_keys``)."""
+class _Memo(dict):
+    """A dict that builds each value by ``build(key)`` the first time its key
+    is read, and keeps it (see ``_count_keys``)."""
 
-    __slots__ = ("width", "unit")
+    __slots__ = ("build",)
 
-    def __missing__(self, key: int) -> Partition:
-        w, unit = self.width, self.unit
-        parts, rest = (), key
-        while rest:  # the top nonzero field counts the largest part left
-            s = (rest.bit_length() - 1) // w
-            parts += (s + 1,) * (rest >> w * s)
-            rest &= unit[s + 1] - 1
-        lam = self[key] = tuple.__new__(Partition, parts)
-        return lam
+    def __missing__(self, key):
+        value = self[key] = self.build(key)
+        return value
 
 
 @lru_cache(maxsize=None)
@@ -106,16 +100,26 @@ def _count_keys(n: int):
     rule (other modules read w off ``unit[2] = 2**w``).  ``unit[s]`` is the
     key of {s}, so merging two multisets adds their keys, and ``decode(key)``
     is the Partition of the parts, largest first.  No count can exceed
-    n < 2**w, so a sum never carries into the next part's bits.  Each key is
-    decoded once per process, when first met, by one dict of the keys met,
-    not of every partition of n.
+    n < 2**w, so a sum never carries into the next part's bits.  Both are
+    dicts that build an entry when it is first read, once per process:
+    ``unit`` holds ``unit[0] = 0`` and the parts read, not every part up to
+    n, and ``decode`` the keys met, not every partition of n.
     """
     if n < 63:
         return _count_keys(63)
     w = n.bit_length()
-    names = _Names()
-    names.width, names.unit = w, (0, *(1 << w * (s - 1) for s in range(1, n + 1)))
-    return names.unit, names.__getitem__
+
+    def name(key: int) -> Partition:
+        parts, rest = (), key
+        while rest:  # the top nonzero field counts the largest part left
+            s = (rest.bit_length() - 1) // w
+            parts += (s + 1,) * (rest >> w * s)
+            rest &= (1 << w * s) - 1
+        return tuple.__new__(Partition, parts)
+
+    unit, names = _Memo({0: 0}), _Memo()
+    unit.build, names.build = (lambda s: 1 << w * (s - 1)), name
+    return unit, names.__getitem__
 
 
 def _acc(out: dict, c: int, a, b=((0, 1),)) -> dict:

@@ -8,13 +8,13 @@ Basis changes are exact and direct, and sum in integers over one common
 denominator, on one index format: the ``_count_keys`` integers of the one
 table of every degree up to 63, each named as a Partition once per
 process, by ``_divided``, the pass that divides them and names the closed
-CSF forms too.  Rows are multiplied out by ``partitions._acc``, as in the
-closed CSF forms, and each is a pair of parallel key and coefficient
-tuples.  ``e -> s`` and ``s -> e`` expand one basis element at a time and
-keep each row packed in ``_met``, whose record per direction and degree
-holds the field of each key met and, per index, the bit length of its
-row's largest entry and one packed int, at a second field width only once
-a call sums it there.  ``e -> s`` also memoizes the one step its rows
+CSF forms and every product too.  Rows are multiplied out by
+``partitions._acc``, as are products and the closed CSF forms, and each is
+a pair of parallel key and coefficient tuples.  ``e -> s`` and ``s -> e``
+expand one basis element at a time and keep each row packed in ``_met``,
+whose record per direction and degree holds the field of each key met
+and, per index, the bit length of its row's largest entry and one packed
+int, at a second field width only once a call sums it there.  ``e -> s`` also memoizes the one step its rows
 share, and its rows as tuples, as each grows the rows of longer indices;
 ``s -> e`` frees its minors with each row.
 
@@ -189,13 +189,10 @@ class SymFunc:
             self._check_basis(other)
             if self.basis is Basis.S:  # Schur indices do not multiply by concatenation
                 raise ValueError("products are supported in the p and e bases only")
-            terms = {}
-            for lam, a in self.terms.items():
-                for mu, b in other.terms.items():
-                    key = _merge(lam, mu)
-                    terms[key] = terms.get(key, 0) + a * b
-            terms = {tuple.__new__(Partition, key): c for key, c in terms.items()}
-            return SymFunc._trusted(self.basis, self.degree + other.degree, terms)
+            degree = self.degree + other.degree
+            unit = _count_keys(degree)[0]
+            a, b = ([(sum(map(unit.__getitem__, lam)), c) for lam, c in f.terms.items()] for f in (self, other))
+            return _divided(self.basis, degree, _acc({}, 1, a, b).items(), 1)
         if isinstance(other, (int, Fraction)):
             return SymFunc._trusted(self.basis, self.degree, {lam: v * other for lam, v in self.terms.items()})
         return NotImplemented
@@ -271,13 +268,9 @@ class SymFunc:
 #
 # Every conversion row is keyed on the ``_count_keys`` integers of its
 # degree, as parallel key and coefficient tuples, and a conversion names the
-# keys as Partitions once, when it returns.  Only ``SymFunc.__mul__`` merges
-# tuples, by ``_merge``.
-
-
-def _merge(mu: tuple, nu: tuple) -> tuple:
-    """The index of a product in a basis that multiplies by concatenation."""
-    return tuple(sorted(mu + nu, reverse=True))
+# keys as Partitions once, when it returns.  ``SymFunc.__mul__`` keys both
+# factors on the table of the product's degree, where a product adds keys,
+# multiplies them by ``_acc`` and names the result by ``_divided`` too.
 
 
 def _power_in_e(n: int, i: int) -> int:

@@ -100,6 +100,27 @@ def test_checker_sees_private_imports():
     assert private_imports(source) == ["_w", "_x"]
 
 
+def unchecked_partitions(source: str) -> int:
+    """The calls ``tuple.__new__(Partition, ...)`` in ``source``, each of which
+    builds a Partition without its sort and checks."""
+    return sum(
+        1
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.Call) and ast.unparse(node.func) == "tuple.__new__"
+        and node.args and ast.unparse(node.args[0]) == "Partition"
+    )
+
+
+def test_only_partitions_builds_unchecked_partitions():
+    found = {path.stem: unchecked_partitions(path.read_text()) for path in MODULES}
+    assert [stem for stem, count in found.items() if count] == ["partitions"]
+
+
+def test_checker_sees_unchecked_partitions():
+    source = "tuple.__new__(Partition, x)\ntuple.__new__(tuple, x)\nPartition(x)\nsuper().__new__(cls, x)\n"
+    assert unchecked_partitions(source) == 1
+
+
 #: module -> {memoized function: its ``lru_cache`` maxsize}; a nested
 #: function is named after its enclosing one
 MEMOS = {

@@ -426,6 +426,72 @@ class TestConstruction:
             assert str(SymFunc.single(Basis.P, (), c)) == text
 
 
+def ref_mul(f, g):
+    """Reference for ``SymFunc.__mul__`` in the p and e bases: every pair of
+    indices merged by sorting their concatenation, on tuples, each
+    coefficient summed as ``0 + a * b`` in the order the pairs are met."""
+    terms = {}
+    for lam, a in f.terms.items():
+        for mu, b in g.terms.items():
+            key = tuple(sorted(lam + mu, reverse=True))
+            terms[key] = terms.get(key, 0) + a * b
+    return {Partition(key): c for key, c in terms.items() if c}
+
+
+@st.composite
+def product_operand(draw, basis):
+    """A p- or e-function of degree 0..70, with up to 5 terms whose indices
+    are a few parts up to the degree padded with 1s, and ``int``, ``Fraction``
+    or integral ``Fraction`` coefficients."""
+    degree = draw(st.integers(0, 70))
+    integral = draw(st.booleans())
+    terms = {}
+    for _ in range(draw(st.integers(0, 5))):
+        parts = []
+        for part in draw(st.lists(st.integers(1, max(degree, 1)), max_size=6)):
+            if sum(parts) + part <= degree:
+                parts.append(part)
+        c = draw(st.integers(-9, 9))
+        terms[(*parts, *(1,) * (degree - sum(parts)))] = c if integral else Fraction(c, draw(st.integers(1, 12)))
+    f = SymFunc(basis, degree, terms)
+    return f * Fraction(1) if draw(st.booleans()) else f  # integral Fractions stay Fractions
+
+
+class TestProduct:
+    """``SymFunc.__mul__`` on count keys against the tuple merge it replaced."""
+
+    @staticmethod
+    def check(f, g):
+        out, want = f * g, ref_mul(f, g)
+        assert (out.basis, out.degree) == (f.basis, f.degree + g.degree)
+        assert out.terms == want
+        assert {lam: type(c) for lam, c in out.terms.items()} == {lam: type(c) for lam, c in want.items()}
+
+    @settings(deadline=None, max_examples=150)
+    @given(st.sampled_from([Basis.P, Basis.E]).flatmap(lambda b: st.tuples(product_operand(b), product_operand(b))))
+    def test_matches_the_tuple_merge(self, operands):
+        self.check(*operands)
+
+    @pytest.mark.parametrize("basis", [Basis.P, Basis.E])
+    @pytest.mark.parametrize("degrees", [(0, 0), (0, 7), (30, 33), (30, 34), (1, 63), (64, 0), (70, 70)])
+    def test_degrees_on_both_sides_of_63(self, basis, degrees):
+        rng = random.Random(sum(degrees))
+        f, g = (  # the indices k^(d // k) 1^(d % k), and () at degree 0
+            SymFunc(basis, d, {(*(k,) * (d // k), *(1,) * (d % k)): rng.choice([rng.randint(1, 9), Fraction(rng.randint(-9, 9), 7)])
+                               for k in range(1, max(min(d, 5), 1) + 1)})
+            for d in degrees
+        )
+        self.check(f, g)
+        self.check(g, f)
+        self.check(f, SymFunc(basis, 5))  # the zero function
+        self.check(f, SymFunc.single(basis, (), Fraction(3, 2)))
+
+    def test_schur_operand_refused(self):
+        f = SymFunc.single(Basis.S, (2, 1), 1)
+        with pytest.raises(ValueError, match=r"^products are supported in the p and e bases only$"):
+            f * SymFunc(Basis.S, 64)
+
+
 class TestNonnegativity:
     def test_positive_function(self):
         f = SymFunc.single(Basis.E, (3,), 3) + SymFunc.single(Basis.E, (2, 1), 1)
@@ -1168,8 +1234,9 @@ class TestMemory:
         assert int(out) < 100  # 27; 25,683 with every row's minors left behind
 
     def test_a_part_above_the_cap_is_refused_before_the_keys_are_built(self):
-        # the keys of degree 10,000 peak at about 94 MB; p_(1^10000) and
-        # s_(1^5000) have no such part and still convert
+        # the keys of degree 10,000 peaked at about 94 MB when each degree
+        # built every unit; p_(1^10000) and s_(1^5000) have no such part and
+        # still convert
         code = (
             "import tracemalloc\n"
             "from chromsym.symfunc import Basis, SymFunc, p_to_e, s_to_e\n"
@@ -1188,6 +1255,31 @@ class TestMemory:
         message, peak = out.splitlines()
         assert message == "partitions_of(10000) exceeds the enumeration cap 40"
         assert float(peak) < 5
+
+    @pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+    def test_a_degree_above_63_builds_only_the_units_it_reads(self):
+        """Many small parts at a large degree: each key unit is built when
+        first read, where every degree above 63 once built all n of them."""
+        code = (
+            "from chromsym.symfunc import Basis, SymFunc, p_to_e, s_to_e\n"
+            "assert p_to_e(SymFunc.single(Basis.P, (1,) * 10000)) == SymFunc.single(Basis.E, (1,) * 10000)\n"
+            "assert s_to_e(SymFunc.single(Basis.S, (1,) * 5000)) == SymFunc.single(Basis.E, (5000,))\n"
+            "p = SymFunc.single(Basis.P, (1,) * 5000) * SymFunc.single(Basis.P, (2,))\n"
+            "assert p == SymFunc.single(Basis.P, (2,) + (1,) * 5000)\n"
+            + PRINT_PEAK_MB
+        )
+        status, out, err = run_child(code)
+        assert status == 0, err
+        assert float(out) < 40  # 15 MB; 104 MB with every unit built up front
+        code = (
+            "from chromsym.partitions import _count_keys\n"
+            "from chromsym.symfunc import Basis, SymFunc, p_to_e\n"
+            "p_to_e(SymFunc.single(Basis.P, (1,) * 100))\n"
+            "print(len(_count_keys(100)[0]))\n"
+        )
+        status, out, err = run_child(code)
+        assert status == 0, err
+        assert int(out) <= 3  # unit[0], unit[1] and unit[2], of 101
 
     def test_degree_40_union_under_one_gigabyte(self):
         code = "from chromsym.cli import main\nassert main(['csf', 'union(spider(13,13),edges[13:])']) == 0\n"
